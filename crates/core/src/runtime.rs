@@ -76,8 +76,8 @@ pub struct Predator {
     tap: OnceLock<Arc<dyn AccessSink + Send + Sync>>,
     /// Dynamic sampling-rate override ([`NO_OVERRIDE`] when inactive): the
     /// effective `sample_burst` the serve watchdog has dialed in. The hot
-    /// path pays one relaxed load; only when the override is active does it
-    /// build an adjusted config copy for the tracked-line handler.
+    /// path pays one relaxed load and hands the tracked-line handler the
+    /// effective burst next to the unchanged config.
     dyn_burst: AtomicU64,
     /// Dynamic analysis stride: run only every k-th due hot-pair analysis
     /// (1 = every one, the configured behaviour). The second watchdog knob —
@@ -276,14 +276,12 @@ impl Predator {
                 }
             }
         } else if let Some(track) = self.tracks.get(idx) {
-            let burst = self.dyn_burst.load(Ordering::Relaxed);
-            let out = if burst == NO_OVERRIDE {
-                track.handle(tid, addr, size, kind, &self.cfg)
-            } else {
-                let mut cfg = self.cfg;
-                cfg.sampling = burst < cfg.sample_interval;
-                cfg.sample_burst = burst;
-                track.handle(tid, addr, size, kind, &cfg)
+            let out = match self.dyn_burst.load(Ordering::Relaxed) {
+                NO_OVERRIDE => track.handle(tid, addr, size, kind, &self.cfg),
+                burst => {
+                    let burst = (burst < self.cfg.sample_interval).then_some(burst);
+                    track.handle_sampled(tid, addr, size, kind, &self.cfg, burst)
+                }
             };
             if out.analysis_due {
                 let stride = self.analysis_stride.load(Ordering::Relaxed).max(1);

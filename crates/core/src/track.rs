@@ -152,8 +152,25 @@ impl CacheTrack {
         kind: AccessKind,
         cfg: &DetectorConfig,
     ) -> TrackOutcome {
+        let burst = cfg.sampling.then_some(cfg.sample_burst);
+        self.handle_sampled(tid, addr, size, kind, cfg, burst)
+    }
+
+    /// [`handle`](Self::handle) under an explicit sampling policy: record the
+    /// first `burst` accesses of every `cfg.sample_interval` offered, all of
+    /// them when `None` — `cfg`'s own `sampling`/`sample_burst` are ignored.
+    /// The runtime passes its dynamic override here without copying `cfg`.
+    pub fn handle_sampled(
+        &self,
+        tid: ThreadId,
+        addr: u64,
+        size: u8,
+        kind: AccessKind,
+        cfg: &DetectorConfig,
+        burst: Option<u64>,
+    ) -> TrackOutcome {
         let n = self.offered.fetch_add(1, Ordering::Relaxed);
-        if cfg.sampling && n % cfg.sample_interval >= cfg.sample_burst {
+        if burst.is_some_and(|burst| n % cfg.sample_interval >= burst) {
             return TrackOutcome::default();
         }
         predator_obs::profile::mark(predator_obs::CostCenter::Track);

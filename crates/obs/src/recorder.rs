@@ -23,7 +23,8 @@
 //!
 //! * each line keeps only the `depth` most-recent records (by logical
 //!   timestamp); older ones are evicted and counted in
-//!   [`FlightRecorder::evicted`];
+//!   [`FlightRecorder::evicted`]. Rings stay sorted, so a record arriving
+//!   in timestamp order — the common case — costs O(1), not a ring scan;
 //! * at most [`MAX_LINES`] distinct lines are recorded; records for further
 //!   lines are dropped (also counted as evicted);
 //! * records sitting in a *live* thread's unflushed segment (at most
@@ -33,7 +34,9 @@
 //! Under the `obs-off` feature every entry point compiles to a no-op and
 //! `is_enabled` is a constant `false`.
 
-use std::collections::HashMap;
+#[cfg(not(feature = "obs-off"))]
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -97,7 +100,19 @@ pub struct FlightRecorder {
     seq: AtomicU64,
     appended: AtomicU64,
     evicted: AtomicU64,
-    lines: Mutex<HashMap<u64, Vec<Rec>>>,
+    lines: Mutex<HashMap<u64, Ring>>,
+}
+
+/// One line's records, ascending by `(seq, slot)`. The slot is the index a
+/// record would occupy in an unordered ring that overwrites its oldest
+/// entry in place — a newcomer inherits the slot of the record it evicts —
+/// and breaks ties among the records of one multi-victim event, both for
+/// eviction (lowest slot goes first) and for read-out order.
+type Ring = VecDeque<(Rec, usize)>;
+
+#[cfg(not(feature = "obs-off"))]
+fn ring_key(&(rec, slot): &(Rec, usize)) -> (u64, usize) {
+    (rec.seq, slot)
 }
 
 impl Default for FlightRecorder {
@@ -202,29 +217,35 @@ impl FlightRecorder {
             let mut evicted = 0u64;
             let mut lines = self.lines.lock().unwrap();
             for &rec in recs {
-                if let Some(ring) = lines.get_mut(&rec.line_start) {
-                    if ring.len() < depth {
-                        ring.push(rec);
-                    } else {
-                        // Keep the `depth` newest records by timestamp:
-                        // replace the oldest if this one is newer, else
-                        // drop the incoming record itself.
+                let room = lines.len() < MAX_LINES;
+                let ring = match lines.entry(rec.line_start) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) if room => e.insert(Ring::new()),
+                    Entry::Vacant(_) => {
                         evicted += 1;
-                        let (i, oldest) = ring
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, r)| r.seq)
-                            .map(|(i, r)| (i, r.seq))
-                            .expect("ring is non-empty");
-                        if rec.seq > oldest {
-                            ring[i] = rec;
-                        }
+                        continue;
                     }
-                } else if lines.len() < MAX_LINES {
-                    lines.insert(rec.line_start, vec![rec]);
-                } else {
+                };
+                let mut entry = (rec, ring.len());
+                if ring.len() >= depth {
+                    // Keep the `depth` newest records by timestamp: the
+                    // oldest makes room if this one is newer, else the
+                    // incoming record itself is dropped.
                     evicted += 1;
+                    match ring.front() {
+                        Some(oldest) if rec.seq > oldest.0.seq => entry.1 = oldest.1,
+                        _ => continue,
+                    }
+                    ring.pop_front();
                 }
+                let key = ring_key(&entry);
+                let at = match ring.back() {
+                    Some(newest) if key < ring_key(newest) => {
+                        ring.partition_point(|e| ring_key(e) < key)
+                    }
+                    _ => ring.len(),
+                };
+                ring.insert(at, entry);
             }
             drop(lines);
             self.appended
@@ -282,10 +303,8 @@ impl FlightRecorder {
     pub fn line_records(&self, line_start: u64) -> Vec<Rec> {
         flush_thread();
         let lines = self.lines.lock().unwrap();
-        let mut recs = lines.get(&line_start).cloned().unwrap_or_default();
-        drop(lines);
-        recs.sort_by_key(|r| r.seq);
-        recs
+        let ring = lines.get(&line_start);
+        ring.map_or_else(Vec::new, |ring| ring.iter().map(|&(rec, _)| rec).collect())
     }
 
     /// Line start addresses with at least one captured record, ascending.
@@ -477,6 +496,129 @@ mod tests {
         }
         let kept: Vec<u64> = r.line_records(0).iter().map(|x| x.seq).collect();
         assert_eq!(kept, vec![8, 9]);
+    }
+
+    fn victim(seq: u64, victim_tid: u16) -> Rec {
+        Rec {
+            line_start: 0,
+            seq,
+            tid: 0,
+            word: 0,
+            kind: RecKind::Invalidation {
+                victim_tid,
+                victim_word: 1,
+            },
+        }
+    }
+
+    fn victims_of(recs: &[Rec]) -> Vec<(u64, u16)> {
+        recs.iter()
+            .map(|r| match r.kind {
+                RecKind::Invalidation { victim_tid, .. } => (r.seq, victim_tid),
+                _ => (r.seq, u16::MAX),
+            })
+            .collect()
+    }
+
+    #[test]
+    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
+    fn equal_seq_victims_at_the_eviction_boundary() {
+        let r = FlightRecorder::new();
+        r.enable(3);
+        r.offer(&[rec(0, 1, 0), rec(0, 2, 0)]);
+        // A two-victim event fills the ring, then overflows it by one: the
+        // oldest record goes, both victims of the event stay.
+        r.offer(&[victim(3, 7), victim(3, 8)]);
+        // (Siblings read out in slot order: victim 8 took over slot 0.)
+        assert_eq!(
+            victims_of(&r.line_records(0)),
+            [(2, u16::MAX), (3, 8), (3, 7)]
+        );
+        assert_eq!(r.evicted(), 1);
+        // A three-victim event into a ring of three newer-or-equal records:
+        // each victim evicts the oldest survivor; none evicts a sibling.
+        r.offer(&[victim(4, 1), victim(4, 2), victim(4, 3)]);
+        let mut kept = victims_of(&r.line_records(0));
+        kept.sort_unstable();
+        assert_eq!(kept, [(4, 1), (4, 2), (4, 3)]);
+        // A late sibling finds only its own event in the ring and is dropped
+        // (not newer than the oldest), counted like any other loss.
+        r.offer(&[victim(4, 4)]);
+        assert_eq!(r.line_records(0).len(), 3);
+        assert!(!victims_of(&r.line_records(0)).contains(&(4, 4)));
+        assert_eq!((r.appended(), r.evicted()), (8, 5));
+    }
+
+    #[test]
+    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
+    fn out_of_order_segments_merge_into_one_ordered_ring() {
+        let r = FlightRecorder::new();
+        r.enable(4);
+        // Two threads' segments flush in the "wrong" order: the later
+        // timestamps arrive first, then an older segment of which only the
+        // records newer than the ring's oldest may enter.
+        r.offer(&[rec(0, 10, 1), rec(0, 12, 1), rec(0, 14, 1)]);
+        r.offer(&[rec(0, 9, 2), rec(0, 11, 2), rec(0, 13, 2)]);
+        let kept: Vec<(u64, u16)> = r.line_records(0).iter().map(|x| (x.seq, x.tid)).collect();
+        assert_eq!(kept, [(11, 2), (12, 1), (13, 2), (14, 1)]);
+        assert_eq!((r.appended(), r.evicted()), (6, 2));
+    }
+
+    /// The ring the recorder used to keep: unordered, scanned for its
+    /// oldest entry on every record once full, sorted on read-out.
+    fn scan_ring_offer(ring: &mut Vec<Rec>, depth: usize, rec: Rec) -> bool {
+        if ring.len() < depth {
+            ring.push(rec);
+            return false;
+        }
+        let (i, oldest) = ring
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, r)| r.seq)
+            .map(|(i, r)| (i, r.seq))
+            .unwrap();
+        if rec.seq > oldest {
+            ring[i] = rec;
+        }
+        true
+    }
+
+    #[test]
+    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
+    fn ordered_ring_reads_out_exactly_what_the_scanned_ring_did() {
+        // xorshift streams of mostly-increasing timestamps with ties
+        // (multi-victim events), stale stragglers and depth changes.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for round in 0..200 {
+            let r = FlightRecorder::new();
+            let mut depth = 1 + (next() % 9) as usize;
+            r.enable(depth);
+            let mut reference = Vec::new();
+            let (mut clock, mut evicted) = (0u64, 0u64);
+            for i in 0..(next() % 120) {
+                clock += next() % 3; // 0 = a sibling of the previous event
+                let seq = match next() % 5 {
+                    0 => clock.saturating_sub(next() % 8), // straggler
+                    _ => clock,
+                };
+                if next() % 40 == 0 {
+                    depth = 1 + (next() % 9) as usize;
+                    r.enable(depth);
+                }
+                let rec = victim(seq, i as u16);
+                r.offer(&[rec]);
+                evicted += scan_ring_offer(&mut reference, depth, rec) as u64;
+            }
+            reference.sort_by_key(|r| r.seq);
+            assert_eq!(r.line_records(0), reference, "round {round}");
+            assert_eq!(r.evicted(), evicted, "round {round}");
+        }
     }
 
     #[test]

@@ -1,5 +1,12 @@
-//! Sharded offline analysis: partition cache lines across worker threads,
-//! run an independent detector per shard, merge into one report.
+//! Sharded offline analysis: one streaming loop in which the thread that
+//! decodes the trace is itself a shard worker, an independent detector per
+//! shard, one merged report.
+//!
+//! With one shard the trace is decoded once, straight into one detector.
+//! With more, a planning pass first tallies events per cache line, cuts the
+//! touched lines into clusters and assigns those to shards; the replay then
+//! feeds shard 0 — the reader's *home*, the heaviest — inline and batches
+//! only the other shards' events to threads, one per shard given work.
 //!
 //! ## Why line sharding is sound
 //!
@@ -13,32 +20,34 @@
 //! stay together when their gap is ≤ `max(2r, 1)` (the `max(…, 1)` keeps
 //! the two lines of a straddling access in one cluster), assign whole
 //! clusters to shards, and route each event to exactly one shard. Within a
-//! shard, events arrive in the original stream order; since clusters on
-//! different shards are non-interacting, each shard's detector state is
-//! *identical* to the state the sequential detector would hold for those
-//! lines. [`predator_core::build_report_merged`] then re-sorts the
-//! per-shard snapshots into global line order, reproducing the sequential
-//! report byte for byte.
+//! shard, events arrive in the original stream order (inline at home, over
+//! a FIFO channel elsewhere); since clusters on different shards are
+//! non-interacting, each shard's detector state is *identical* to the state
+//! the sequential detector would hold for those lines.
+//! [`predator_core::build_report_merged`] then re-sorts the per-shard
+//! snapshots into global line order, reproducing the sequential report
+//! byte for byte.
 //!
 //! Sampling is the one global the argument must cover: the skip counter is
 //! kept **per tracked line**, not per detector, so it too shards cleanly.
 
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Borrow;
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufReader, Read};
 use std::path::Path;
 use std::sync::mpsc::sync_channel;
 
 use predator_core::{build_report_merged, Attribution, DetectorConfig, Predator, Report};
-use predator_sim::Access;
+use predator_sim::{Access, CacheGeometry};
 
 use crate::format::{TraceMeta, MAGIC};
-use crate::jsonl::JsonlIter;
-use crate::reader::{LossStats, TraceError, TraceReader};
+use crate::jsonl::load_jsonl;
+use crate::reader::{LossStats, TraceReader};
 
-/// Events per batch handed from the dispatcher to a shard worker.
+/// Events per batch handed from the reader to another shard's worker.
 pub const DISPATCH_BATCH: usize = 4096;
-/// Bounded depth of each shard's batch queue.
+/// Bounded depth of each worker's batch queue.
 const CHANNEL_DEPTH: usize = 8;
 
 /// Knobs for one offline analysis run.
@@ -46,19 +55,16 @@ const CHANNEL_DEPTH: usize = 8;
 pub struct AnalyzeConfig {
     /// Detector configuration every shard runs with.
     pub det: DetectorConfig,
-    /// Worker shard count (≥ 1; clusters may cap the useful number).
+    /// Shard count (≥ 1; clusters may cap the useful number).
     pub shards: usize,
-    /// Events per dispatched batch.
-    pub batch: usize,
 }
 
 impl AnalyzeConfig {
-    /// Detector config + shard count, default batching.
+    /// Detector config + shard count.
     pub fn new(det: DetectorConfig, shards: usize) -> Self {
         AnalyzeConfig {
             det,
             shards: shards.max(1),
-            batch: DISPATCH_BATCH,
         }
     }
 }
@@ -80,157 +86,209 @@ pub struct AnalyzeOutcome {
     pub meta_applied: bool,
 }
 
-/// Maps every touched cache line to its shard.
-#[derive(Debug)]
-pub struct ShardPlan {
-    assignment: HashMap<u64, usize>,
-    /// Non-interacting line clusters discovered.
-    pub clusters: usize,
-    /// Shards holding at least one cluster.
-    pub shards_used: usize,
-}
-
-impl ShardPlan {
-    /// Builds a plan from per-line event counts.
-    ///
-    /// Lines whose gap is ≤ `link` join one cluster; clusters are assigned
-    /// longest-processing-time-first to the least-loaded shard, which keeps
-    /// the heaviest cluster from sharing a shard while lighter ones exist.
-    pub fn build(counts: &BTreeMap<u64, u64>, shards: usize, link: u64) -> ShardPlan {
-        let shards = shards.max(1);
-        // Pass over sorted lines, cutting clusters at gaps > link.
-        let mut clusters: Vec<(Vec<u64>, u64)> = Vec::new();
-        let mut prev: Option<u64> = None;
-        for (&line, &n) in counts {
-            match prev {
-                Some(p) if line - p <= link => {
-                    let last = clusters.last_mut().unwrap();
-                    last.0.push(line);
-                    last.1 += n;
-                }
-                _ => clusters.push((vec![line], n)),
-            }
-            prev = Some(line);
-        }
-        let n_clusters = clusters.len();
-        // LPT assignment: heaviest first onto the lightest shard. Sort is
-        // stable with the line-order tiebreak already implicit, so the plan
-        // is deterministic (not that correctness needs it — any cluster →
-        // shard map yields the same merged report).
-        let mut order: Vec<usize> = (0..n_clusters).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(clusters[i].1));
-        let mut load = vec![0u64; shards];
-        let mut assignment = HashMap::new();
-        for i in order {
-            let shard = (0..shards).min_by_key(|&s| (load[s], s)).unwrap();
-            load[shard] += clusters[i].1;
-            for &line in &clusters[i].0 {
-                assignment.insert(line, shard);
-            }
-        }
-        let shards_used = load.iter().filter(|&&w| w > 0).count().max(1);
-        ShardPlan {
-            assignment,
-            clusters: n_clusters,
-            shards_used,
-        }
-    }
-
-    /// Shard owning `line` (0 for lines never seen in pass 1 — harmless,
-    /// the detector ignores out-of-range addresses anyway).
-    #[inline]
-    pub fn shard_of(&self, line: u64) -> usize {
-        self.assignment.get(&line).copied().unwrap_or(0)
-    }
-}
-
 /// Cluster link distance for a detector config: `max(2r, 1)` with
 /// `r = (1 << max_scale_log2) − 1` (see the module doc).
-pub fn link_gap(det: &DetectorConfig) -> u64 {
+fn link_gap(det: &DetectorConfig) -> u64 {
     let r = (1u64 << det.max_scale_log2) - 1;
     (2 * r).max(1)
 }
 
-/// Accumulates per-line event counts for planning (pass 1).
-pub fn count_lines<I: Iterator<Item = Access>>(
-    events: I,
-    det: &DetectorConfig,
-) -> BTreeMap<u64, u64> {
-    let _sp = predator_obs::span("trace_scan");
-    let geom = det.geometry;
-    let mut counts = BTreeMap::new();
-    for a in events {
-        for line in geom.lines_touched(a.addr, a.size) {
-            *counts.entry(line).or_insert(0u64) += 1;
-        }
-    }
-    counts
+/// Which cache lines a trace touches: a flat array over the `lines` lines of
+/// the traced range, from global line `first` — an event count per line for
+/// planning (`per_cell == 1`), a bit per line when only the cluster count is
+/// wanted (`per_cell == 64`) — and an ordered map for strays outside it.
+struct LineTally {
+    geom: CacheGeometry,
+    first: u64,
+    lines: u64,
+    per_cell: u64,
+    cells: Vec<u64>,
+    strays: BTreeMap<u64, u64>,
 }
 
-/// Pass 2: routes `events` to per-shard detectors and merges the results.
-/// Returns the merged report, the delivered event count, and the plan.
-pub fn run_sharded<I: Iterator<Item = Access>>(
-    counts: &BTreeMap<u64, u64>,
+impl LineTally {
+    fn new(cfg: &AnalyzeConfig, (base, size): (u64, u64), per_cell: u64) -> Self {
+        let geom = cfg.det.geometry;
+        let first = geom.line_index(base);
+        let lines = base.saturating_add(size).div_ceil(geom.line_size()) - first;
+        LineTally {
+            geom,
+            first,
+            lines,
+            per_cell,
+            cells: vec![0; lines.div_ceil(per_cell) as usize],
+            strays: BTreeMap::new(),
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, a: &Access) {
+        for line in self.geom.lines_touched(a.addr, a.size) {
+            let i = line.wrapping_sub(self.first);
+            if i >= self.lines {
+                *self.strays.entry(line).or_default() += 1;
+            } else if self.per_cell == 1 {
+                self.cells[i as usize] += 1;
+            } else {
+                self.cells[(i / 64) as usize] |= 1 << (i % 64);
+            }
+        }
+    }
+
+    /// Cuts the touched lines into clusters `(first line, last line,
+    /// weight)`, ascending: a line joins the cluster before it when their
+    /// gap is ≤ `link`. The weight is events, or lines for a bitmap.
+    fn clusters(&self, link: u64) -> Vec<(u64, u64, u64)> {
+        let per = self.per_cell;
+        let cells = self.cells.iter().enumerate().filter(|(_, &c)| c != 0);
+        let flat = cells.flat_map(|(i, &c)| {
+            let weight = move |bit| if per == 1 { c } else { c >> bit & 1 };
+            (0..per).map(move |bit| (self.first + i as u64 * per + bit, weight(bit)))
+        });
+        let below = self.strays.range(..self.first).map(|(&l, &n)| (l, n));
+        let above = self.strays.range(self.first..).map(|(&l, &n)| (l, n));
+        let mut out: Vec<(u64, u64, u64)> = Vec::new();
+        for (line, n) in below.chain(flat).chain(above).filter(|&(_, n)| n != 0) {
+            match out.last_mut() {
+                Some(c) if line - c.1 <= link => (c.1, c.2) = (line, c.2 + n),
+                _ => out.push((line, line, n)),
+            }
+        }
+        out
+    }
+}
+
+/// Maps every touched cache line to its shard: one `(first line, shard)`
+/// entry per cluster, ascending, owning the lines up to the next entry's.
+/// Shard 0 is the *home* shard, the heaviest: the trace reader feeds it
+/// inline, so the largest share of events never leaves the decoding thread.
+struct ShardPlan {
+    table: Vec<(u64, usize)>,
+    /// Shards holding at least one cluster: `0..shards_used`.
+    shards_used: usize,
+}
+
+impl ShardPlan {
+    /// The planning pass: tallies `events` per line and assigns the clusters
+    /// longest-processing-time-first to the least-loaded shard, which keeps
+    /// the heaviest from sharing a shard while lighter ones exist.
+    fn scan(
+        events: impl Iterator<Item = Access>,
+        range: (u64, u64),
+        cfg: &AnalyzeConfig,
+    ) -> ShardPlan {
+        let _sp = predator_obs::span("trace_scan");
+        let mut tally = LineTally::new(cfg, range, 1);
+        events.for_each(|a| tally.add(&a));
+        let clusters = tally.clusters(link_gap(&cfg.det));
+        // A stable sort: ties keep line order, so the plan is deterministic
+        // (not that correctness needs it — any assignment merges the same).
+        let mut order: Vec<usize> = (0..clusters.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(clusters[i].2));
+        let mut load = vec![0u64; cfg.shards];
+        let mut table: Vec<(u64, usize)> = clusters.iter().map(|c| (c.0, 0)).collect();
+        for i in order {
+            let shard = (0..cfg.shards).min_by_key(|&s| (load[s], s)).unwrap();
+            load[shard] += clusters[i].2;
+            table[i].1 = shard;
+        }
+        // Swap labels so that the heaviest shard is shard 0.
+        let home = (0..cfg.shards).rev().max_by_key(|&s| load[s]).unwrap();
+        for (_, shard) in table.iter_mut().filter(|e| e.1 == 0 || e.1 == home) {
+            *shard = home - *shard;
+        }
+        let shards_used = load.iter().filter(|&&w| w > 0).count().max(1);
+        ShardPlan { table, shards_used }
+    }
+
+    /// Shard owning `line`. A line below every cluster was never seen by
+    /// the planning pass and no detector holds state for it: home will do.
+    #[inline]
+    fn shard_of(&self, line: u64) -> usize {
+        let i = self.table.partition_point(|&(first, _)| first <= line);
+        i.checked_sub(1).map_or(0, |i| self.table[i].1)
+    }
+}
+
+/// The streaming loop: feeds `events` to one detector per used shard and
+/// merges them. The caller is shard 0's worker; other shards get a thread
+/// and their events in batches. Without a plan (one shard) it is the only
+/// worker and marks the lines it sees. `tail` runs on the dry stream, for
+/// what a `.ptrace` knows only then: its META chunk and its loss.
+fn replay<I: Iterator<Item = Access>, M: Borrow<TraceMeta>>(
     events: &mut I,
-    base: u64,
-    size: u64,
-    meta: Option<&TraceMeta>,
+    plan: Option<ShardPlan>,
+    range: (u64, u64),
     cfg: &AnalyzeConfig,
-) -> (Report, u64, ShardPlan) {
-    let plan = ShardPlan::build(counts, cfg.shards, link_gap(&cfg.det));
-    let n = cfg.shards.max(1);
-    let geom = cfg.det.geometry;
-    let batch = cfg.batch.max(1);
-    let rts: Vec<Predator> = (0..n).map(|_| Predator::new(cfg.det, base, size)).collect();
+    tail: impl FnOnce(&mut I) -> (Option<M>, LossStats),
+) -> AnalyzeOutcome {
+    let mut seen = (plan.is_none()).then(|| LineTally::new(cfg, range, 64));
+    let shards_used = plan.as_ref().map_or(1, |p| p.shards_used);
+    let rts: Vec<Predator> = (0..shards_used)
+        .map(|_| Predator::new(cfg.det, range.0, range.1))
+        .collect();
     let mut delivered = 0u64;
     std::thread::scope(|s| {
-        let mut txs = Vec::with_capacity(n);
-        for rt in &rts {
+        let mut lanes = Vec::with_capacity(shards_used - 1);
+        for rt in &rts[1..] {
             let (tx, rx) = sync_channel::<Vec<Access>>(CHANNEL_DEPTH);
-            txs.push(tx);
             s.spawn(move || {
                 let _sp = predator_obs::span("shard_analyze");
-                for batch in rx {
-                    for a in batch {
-                        rt.handle_access(a.tid, a.addr, a.size, a.kind);
-                    }
+                for a in rx.into_iter().flatten() {
+                    rt.handle_access(a.tid, a.addr, a.size, a.kind);
                 }
             });
+            lanes.push((tx, Vec::with_capacity(DISPATCH_BATCH)));
         }
-        let _sp = predator_obs::span("shard_dispatch");
-        let mut bufs: Vec<Vec<Access>> = (0..n).map(|_| Vec::with_capacity(batch)).collect();
-        for a in events {
-            let shard = plan.shard_of(geom.line_index(a.addr));
-            let buf = &mut bufs[shard];
-            buf.push(a);
+        let _sp = predator_obs::span(match shards_used {
+            1 => "shard_analyze",
+            _ => "shard_dispatch",
+        });
+        for a in events.by_ref() {
             delivered += 1;
-            if buf.len() >= batch {
-                let full = std::mem::replace(buf, Vec::with_capacity(batch));
+            if let Some(seen) = &mut seen {
+                seen.add(&a);
+            }
+            let line = cfg.det.geometry.line_index(a.addr);
+            let Some(away) = plan.as_ref().and_then(|p| p.shard_of(line).checked_sub(1)) else {
+                rts[0].handle_access(a.tid, a.addr, a.size, a.kind);
+                continue;
+            };
+            let (tx, buf) = &mut lanes[away];
+            buf.push(a);
+            if buf.len() >= DISPATCH_BATCH {
+                let full = std::mem::replace(buf, Vec::with_capacity(DISPATCH_BATCH));
                 // A send only fails if the worker panicked; propagate.
-                txs[shard].send(full).expect("shard worker died");
+                tx.send(full).expect("shard worker died");
             }
         }
-        for (shard, buf) in bufs.into_iter().enumerate() {
-            if !buf.is_empty() {
-                txs[shard].send(buf).expect("shard worker died");
-            }
+        for (tx, buf) in lanes {
+            tx.send(buf).expect("shard worker died");
         }
         // Dropping the senders ends each worker's loop; scope joins them.
     });
+    let (meta, loss) = tail(events);
+    let meta = meta.as_ref().map(M::borrow);
     if let Some(m) = meta {
         m.apply_globals(&rts[0]);
     }
     let dir = meta.map(TraceMeta::directory);
-    let attr = match dir.as_ref() {
-        Some(d) => Attribution::Directory(d),
-        None => Attribution::None,
-    };
+    let attr = dir
+        .as_ref()
+        .map_or(Attribution::None, Attribution::Directory);
     let refs: Vec<&Predator> = rts.iter().collect();
-    let report = build_report_merged(&refs, attr);
-    (report, delivered, plan)
+    let planned = plan.map_or(0, |p| p.table.len());
+    AnalyzeOutcome {
+        report: build_report_merged(&refs, attr),
+        events: delivered,
+        shards_used,
+        clusters: seen.map_or(planned, |s| s.clusters(link_gap(&cfg.det)).len()),
+        loss,
+        meta_applied: meta.is_some(),
+    }
 }
 
-/// Analyses an in-memory event slice (both passes over the slice).
+/// Analyses an in-memory event slice.
 pub fn analyze_events(
     events: &[Access],
     base: u64,
@@ -238,17 +296,10 @@ pub fn analyze_events(
     meta: Option<&TraceMeta>,
     cfg: &AnalyzeConfig,
 ) -> AnalyzeOutcome {
-    let counts = count_lines(events.iter().copied(), &cfg.det);
-    let mut pass2 = events.iter().copied();
-    let (report, delivered, plan) = run_sharded(&counts, &mut pass2, base, size, meta, cfg);
-    AnalyzeOutcome {
-        report,
-        events: delivered,
-        shards_used: plan.shards_used,
-        clusters: plan.clusters,
-        loss: LossStats::default(),
-        meta_applied: meta.is_some(),
-    }
+    let (range, pass) = ((base, size), || events.iter().copied());
+    let plan = (cfg.shards > 1).then(|| ShardPlan::scan(pass(), range, cfg));
+    let tail = |_: &mut _| (meta, LossStats::default());
+    replay(&mut pass(), plan, range, cfg, tail)
 }
 
 /// Trace file encodings accepted by [`analyze_file`].
@@ -260,19 +311,18 @@ pub enum TraceFormat {
     Jsonl,
 }
 
+fn open(path: &Path) -> Result<BufReader<File>, String> {
+    let f = File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(BufReader::new(f))
+}
+
 /// Decides a file's format from its leading bytes (`.ptrace` magic or not).
 pub fn sniff_format(path: &Path) -> Result<TraceFormat, String> {
-    let mut f = File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut head = [0u8; 6];
-    let mut got = 0;
-    while got < head.len() {
-        match f.read(&mut head[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) => return Err(format!("{}: {e}", path.display())),
-        }
-    }
-    Ok(if got == 6 && head == *MAGIC {
+    let mut head = Vec::with_capacity(MAGIC.len());
+    let mut lead = open(path)?.take(MAGIC.len() as u64);
+    let read = lead.read_to_end(&mut head);
+    read.map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(if head == *MAGIC {
         TraceFormat::Ptrace
     } else {
         TraceFormat::Jsonl
@@ -283,82 +333,31 @@ pub fn sniff_format(path: &Path) -> Result<TraceFormat, String> {
 ///
 /// For `.ptrace` the traced address range and attribution metadata come
 /// from the file itself; `fallback_base`/`fallback_size` cover JSONL,
-/// which carries neither.
+/// which carries neither. A `.ptrace` streams in bounded memory and turns
+/// damage into counted loss; JSONL, the small-trace text format, is parsed
+/// once into memory and has no resync marker, so one malformed line fails
+/// the run rather than shortening the report.
 pub fn analyze_file(
     path: &Path,
     cfg: &AnalyzeConfig,
     fallback_base: u64,
     fallback_size: u64,
 ) -> Result<AnalyzeOutcome, String> {
-    match sniff_format(path)? {
-        TraceFormat::Ptrace => analyze_ptrace(path, cfg),
-        TraceFormat::Jsonl => analyze_jsonl(path, cfg, fallback_base, fallback_size),
+    let named = |e: &dyn std::fmt::Display| format!("{}: {e}", path.display());
+    if sniff_format(path)? == TraceFormat::Jsonl {
+        let (base, size) = (fallback_base, fallback_size);
+        let events = load_jsonl(open(path)?).map_err(|e| named(&e))?;
+        return Ok(analyze_events(&events, base, size, None, cfg));
     }
-}
-
-fn open_ptrace(path: &Path) -> Result<TraceReader<BufReader<File>>, String> {
-    let f = File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    TraceReader::new(BufReader::new(f)).map_err(|e: TraceError| format!("{}: {e}", path.display()))
-}
-
-fn analyze_ptrace(path: &Path, cfg: &AnalyzeConfig) -> Result<AnalyzeOutcome, String> {
-    let mut pass1 = open_ptrace(path)?;
-    let counts = count_lines(&mut pass1, &cfg.det);
-    pass1.drain();
-    let meta = pass1.take_meta();
-    let (base, size) = (pass1.base(), pass1.size());
-    // Recycle pass 1's window and queue for pass 2 instead of reallocating.
-    let f = File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut pass2 = pass1
-        .reuse(BufReader::new(f))
-        .map_err(|e: TraceError| format!("{}: {e}", path.display()))?;
-    let (report, delivered, plan) =
-        run_sharded(&counts, &mut pass2, base, size, meta.as_ref(), cfg);
-    pass2.drain();
-    Ok(AnalyzeOutcome {
-        report,
-        events: delivered,
-        shards_used: plan.shards_used,
-        clusters: plan.clusters,
-        loss: pass2.stats(),
-        meta_applied: meta.is_some(),
-    })
-}
-
-fn analyze_jsonl(
-    path: &Path,
-    cfg: &AnalyzeConfig,
-    base: u64,
-    size: u64,
-) -> Result<AnalyzeOutcome, String> {
-    let open = || -> Result<_, String> {
-        let f = File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        Ok(JsonlIter::new(BufReader::new(f)))
+    let pass = || TraceReader::new(open(path)?).map_err(|e| named(&e));
+    let mut r = pass()?;
+    let range = (r.base(), r.size());
+    let plan = match cfg.shards {
+        0 | 1 => None,
+        _ => Some(ShardPlan::scan(pass()?, range, cfg)),
     };
-    let mut bad: Option<String> = None;
-    let counts = count_lines(
-        open()?.map_while(|r| match r {
-            Ok(a) => Some(a),
-            Err(e) => {
-                bad = Some(e.to_string());
-                None
-            }
-        }),
-        &cfg.det,
-    );
-    if let Some(e) = bad {
-        return Err(format!("{}: {e}", path.display()));
-    }
-    let mut pass2 = open()?.map_while(Result::ok);
-    let (report, delivered, plan) = run_sharded(&counts, &mut pass2, base, size, None, cfg);
-    Ok(AnalyzeOutcome {
-        report,
-        events: delivered,
-        shards_used: plan.shards_used,
-        clusters: plan.clusters,
-        loss: LossStats::default(),
-        meta_applied: false,
-    })
+    let tail = |r: &mut TraceReader<_>| (r.take_meta(), r.stats());
+    Ok(replay(&mut r, plan, range, cfg, tail))
 }
 
 #[cfg(test)]
@@ -402,16 +401,26 @@ mod tests {
         )
     }
 
+    const RANGE: (u64, u64) = (0x1000, 1 << 20);
+
+    fn cfg(shards: usize) -> AnalyzeConfig {
+        AnalyzeConfig::new(DetectorConfig::sensitive(), shards) // link gap 2
+    }
+
+    /// `n` writes to the first word of in-range line `line` (64 B lines).
+    fn on_line(line: u64, n: usize) -> impl Iterator<Item = Access> {
+        std::iter::repeat_n(Access::write(ThreadId(0), line * 64, 8), n)
+    }
+
     #[test]
     fn plan_separates_distant_clusters_and_links_near_lines() {
-        let mut counts = BTreeMap::new();
-        counts.insert(100u64, 10u64);
-        counts.insert(101, 5); // gap 1 ≤ link → same cluster
-        counts.insert(200, 20); // far away → new cluster
-        counts.insert(201, 1);
-        let plan = ShardPlan::build(&counts, 2, 2);
-        assert_eq!(plan.clusters, 2);
-        assert_eq!(plan.shard_of(100), plan.shard_of(101));
+        let events = on_line(100, 10)
+            .chain(on_line(200, 20)) // far away → new cluster
+            .chain(on_line(102, 5)) // gap 2 ≤ link → same cluster as 100
+            .chain(on_line(201, 1));
+        let plan = ShardPlan::scan(events, RANGE, &cfg(2));
+        assert_eq!(plan.table.len(), 2);
+        assert_eq!(plan.shard_of(100), plan.shard_of(102));
         assert_eq!(plan.shard_of(200), plan.shard_of(201));
         assert_ne!(plan.shard_of(100), plan.shard_of(200));
         assert_eq!(plan.shards_used, 2);
@@ -419,12 +428,91 @@ mod tests {
 
     #[test]
     fn single_cluster_uses_one_shard() {
+        let plan = ShardPlan::scan(on_line(70, 100).chain(on_line(71, 100)), RANGE, &cfg(8));
+        assert_eq!((plan.table.len(), plan.shards_used), (1, 1));
+    }
+
+    #[test]
+    fn home_shard_is_the_heaviest_and_used_shards_are_dense() {
+        // LPT puts 50 on shard 0, 40 on shard 1, 30 on shard 2, then 25 joins
+        // 30: shard 2 ends heaviest (55) and must be relabelled home.
+        let events = on_line(100, 50)
+            .chain(on_line(200, 40))
+            .chain(on_line(300, 30))
+            .chain(on_line(400, 25));
+        let plan = ShardPlan::scan(events, RANGE, &cfg(3));
+        assert_eq!(plan.shards_used, 3);
+        assert_eq!((plan.shard_of(300), plan.shard_of(400)), (0, 0));
+        let mut others = [plan.shard_of(100), plan.shard_of(200)];
+        others.sort_unstable();
+        assert_eq!(others, [1, 2], "used shards stay 0..shards_used");
+        // Lines the planning pass never saw route somewhere valid.
+        assert_eq!(plan.shard_of(5), 0);
+        assert!(plan.shard_of(u64::MAX) < 3);
+    }
+
+    /// The parent commit's planner: a `BTreeMap` insert per touched line,
+    /// clusters cut at gaps > link. Returns `(first, last, events)`.
+    fn reference_clusters(events: &[Access], link: u64) -> Vec<(u64, u64, u64)> {
+        let geom = DetectorConfig::sensitive().geometry;
         let mut counts = BTreeMap::new();
-        counts.insert(7u64, 100u64);
-        counts.insert(8, 100);
-        let plan = ShardPlan::build(&counts, 8, 2);
-        assert_eq!(plan.clusters, 1);
-        assert_eq!(plan.shards_used, 1);
+        for a in events {
+            for line in geom.lines_touched(a.addr, a.size) {
+                *counts.entry(line).or_insert(0u64) += 1;
+            }
+        }
+        let mut out: Vec<(u64, u64, u64)> = Vec::new();
+        for (line, n) in counts {
+            match out.last_mut() {
+                Some(c) if line - c.1 <= link => (c.1, c.2) = (line, c.2 + n),
+                _ => out.push((line, line, n)),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn tally_matches_the_btreemap_planner_in_and_out_of_range() {
+        let (base, size) = RANGE;
+        let end = base + size;
+        let w = |addr, size| Access::write(ThreadId(1), addr, size);
+        let events = vec![
+            w(base - 0x4000, 8), // stray far below
+            w(base - 4, 8),      // straddles into the first in-range line
+            w(base + 64, 8),
+            w(base + 64, 8),
+            w(base + 63 * 64, 8),      // last bit of the first bitmap cell...
+            w(base + 64 * 64 + 60, 8), // ...links to the next cell, straddling
+            w(base + 0x8000, 1),
+            w(end - 4, 8),      // straddles out of the range
+            w(end + 0x100, 8),  // stray just above: still linked (gap 2)
+            w(end + 0x9000, 8), // stray far above
+            w(u64::MAX - 7, 8),
+        ];
+        for (range, label) in [(RANGE, "header range"), ((0, 0), "jsonl fallback")] {
+            let want = reference_clusters(&events, 2);
+            let mut counts = LineTally::new(&cfg(1), range, 1);
+            let mut bits = LineTally::new(&cfg(1), range, 64);
+            for a in &events {
+                counts.add(a);
+                bits.add(a);
+            }
+            assert_eq!(counts.clusters(2), want, "{label}: counts");
+            let spans = |c: Vec<(u64, u64, u64)>| -> Vec<(u64, u64)> {
+                c.into_iter()
+                    .map(|(first, last, _)| (first, last))
+                    .collect()
+            };
+            assert_eq!(spans(bits.clusters(2)), spans(want), "{label}: bitmap");
+        }
+    }
+
+    #[test]
+    fn straddling_access_stays_in_one_shard() {
+        let a = Access::write(ThreadId(0), 0x2000 - 4, 8); // straddles 2 lines
+        let plan = ShardPlan::scan(std::iter::once(a), RANGE, &cfg(2));
+        assert_eq!(plan.table.len(), 1);
+        assert_eq!(plan.shard_of(0x2000 / 64 - 1), plan.shard_of(0x2000 / 64));
     }
 
     #[test]
@@ -456,21 +544,5 @@ mod tests {
         let seq = sequential_report(&events, base, size, &det);
         let out = analyze_events(&events, base, size, None, &AnalyzeConfig::new(det, 4));
         assert_eq!(essence(&out.report), essence(&seq));
-    }
-
-    #[test]
-    fn straddling_access_stays_in_one_shard() {
-        // An access crossing a line boundary links the two lines even at
-        // the minimum link distance of 1.
-        let geom = predator_sim::CacheGeometry::new(64);
-        let a = Access::write(ThreadId(0), 0x1000 - 4, 8); // straddles 2 lines
-        let mut counts = BTreeMap::new();
-        for line in geom.lines_touched(a.addr, a.size) {
-            counts.insert(line, 1u64);
-        }
-        let plan = ShardPlan::build(&counts, 2, 1);
-        let lines: Vec<u64> = counts.keys().copied().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(plan.shard_of(lines[0]), plan.shard_of(lines[1]));
     }
 }

@@ -38,8 +38,7 @@ pub mod whatif;
 pub mod writer;
 
 pub use analyze::{
-    analyze_events, analyze_file, sniff_format, AnalyzeConfig, AnalyzeOutcome, ShardPlan,
-    TraceFormat,
+    analyze_events, analyze_file, sniff_format, AnalyzeConfig, AnalyzeOutcome, TraceFormat,
 };
 pub use format::{Header, MetaFrame, MetaGlobal, MetaObject, TraceMeta, VERSION};
 pub use jsonl::{load_jsonl, save_jsonl, JsonlIter};

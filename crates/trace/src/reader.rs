@@ -168,35 +168,6 @@ impl<R: Read> TraceReader<R> {
         })
     }
 
-    /// Recycles this reader's internal allocations (refill window + decoded
-    /// event queue) into a fresh reader over a new stream. Streaming many
-    /// files — corpus ingest, two-pass analysis — this avoids re-growing the
-    /// 64 KiB window and the per-chunk queue for every file.
-    pub fn reuse<R2: Read>(self, mut r: R2) -> Result<TraceReader<R2>, TraceError> {
-        let header = read_header(&mut r)?;
-        let mut buf = self.buf;
-        buf.clear();
-        let mut queue = self.queue;
-        queue.clear();
-        Ok(TraceReader {
-            r,
-            header,
-            buf,
-            start: 0,
-            eof: false,
-            ended: false,
-            saw_trailer: false,
-            io_error: None,
-            queue,
-            qpos: 0,
-            meta: None,
-            loss: LossStats::default(),
-            events_read: 0,
-            event_chunks: 0,
-            chunks_seen: 0,
-        })
-    }
-
     /// The file header.
     pub fn header(&self) -> Header {
         self.header
@@ -650,28 +621,6 @@ mod tests {
         assert!(r.saw_trailer());
         assert_eq!(r.meta().unwrap().app_live_bytes, 42);
         assert_eq!(r.event_chunks(), 5);
-    }
-
-    #[test]
-    fn reuse_recycles_buffers_and_resets_state() {
-        let (bytes, events) = sample_trace(3, 50);
-        let (damaged, _) = {
-            let (mut b, e) = sample_trace(3, 50);
-            let off = find_nth_chunk(&b, 1) + CHUNK_FRAME_LEN + 4;
-            b[off] ^= 0xff;
-            (b, e)
-        };
-        // First pass over a damaged file accumulates loss...
-        let mut r = TraceReader::new(&damaged[..]).unwrap();
-        r.drain();
-        assert!(r.stats().any());
-        // ...which must not leak into the recycled reader.
-        let mut r2 = r.reuse(&bytes[..]).unwrap();
-        let got: Vec<Access> = (&mut r2).collect();
-        assert_eq!(got, events);
-        assert!(!r2.stats().any(), "recycled reader starts clean");
-        assert!(r2.saw_trailer());
-        assert_eq!(r2.meta().unwrap().app_live_bytes, 42);
     }
 
     #[test]

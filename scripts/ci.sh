@@ -48,6 +48,30 @@ $PRED analyze "$SMOKE/run.ptrace" --sensitive --shards 4 --json > "$SMOKE/offlin
 $PRED diff "$SMOKE/live.json" "$SMOKE/offline.json"
 echo "offline analysis matches the live run"
 
+echo "==> shard-count smoke (analyze --shards 1 == --shards 4: clusters, findings, stats)"
+# One shard decodes the file once into one detector; four shards plan,
+# then replay with the reader as shard 0's worker. Both must print the same
+# "N line cluster(s)" and the same findings and stats. histogram is one
+# cluster (four shards asked, one used, no thread); word_count is five.
+$PRED record word_count --iters 3000 -o "$SMOKE/multi.ptrace"
+for trace in run multi; do
+  for k in 1 4; do
+    out="$SMOKE/$trace-s$k"
+    $PRED analyze "$SMOKE/$trace.ptrace" --sensitive --shards $k > "$out.txt"
+    $PRED analyze "$SMOKE/$trace.ptrace" --sensitive --shards $k --json > "$out.json"
+    head -n 1 "$out.txt" | grep -o '[0-9]* line cluster(s)' > "$out.clusters"
+    sed -n '/^  "stats": {/,/^  }/p' "$out.json" > "$out.stats"
+    grep -q '"events"' "$out.stats"
+  done
+  $PRED diff "$SMOKE/$trace-s1.json" "$SMOKE/$trace-s4.json"
+  $PRED diff "$SMOKE/$trace-s4.json" "$SMOKE/$trace-s1.json"
+  cmp "$SMOKE/$trace-s1.clusters" "$SMOKE/$trace-s4.clusters"
+  cmp "$SMOKE/$trace-s1.stats" "$SMOKE/$trace-s4.stats"
+done
+grep -q "on 1 of 4 shard(s), 1 line cluster(s)" "$SMOKE/run-s4.txt"
+grep -q "on 4 of 4 shard(s)" "$SMOKE/multi-s4.txt"
+echo "shard counts agree"
+
 echo "==> policy gate smoke (baseline write -> gated re-analysis, both exit paths)"
 # Baseline the histogram trace's findings: a gated re-analysis of the same
 # trace must pass (everything baselined), while a different workload's trace
@@ -144,6 +168,11 @@ $PRED bench-diff "$SMOKE/bench_fleet.json" "$SMOKE/bench_fleet.json"
 # What-if replay telemetry (asserts the >=90% delta bar internally).
 target/release/bench_whatif "$SMOKE/bench_whatif.json" --iters 10000
 $PRED bench-diff "$SMOKE/bench_whatif.json" "$SMOKE/bench_whatif.json"
+
+echo "==> repo benchmark: harness tests (every layer probe on tiny inputs + essence gate)"
+# benchmark/ is a package of its own (BENCHMARK.json declares it); its tests
+# run the real CLI of this checkout and hold every report to its essence.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> tracked-line scaling bench (2x gate enforced only on >=8 cores)"
 target/release/bench_scaling "$SMOKE/bench_scaling.json" --iters 100000 --reps 2

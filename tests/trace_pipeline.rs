@@ -1,11 +1,14 @@
 //! End-to-end tests of the `.ptrace` record → sharded-analyze pipeline:
 //! a recorded Table-1 workload must reproduce the live detector's findings
 //! exactly, the binary format must beat JSONL on size, sharding must beat
-//! sequential analysis on wall-clock for big traces, and damaged files must
-//! degrade into counted loss — never panics.
+//! sequential analysis on wall-clock for big traces, every shard count must
+//! report what a plain sequential replay reports (events, clusters, loss,
+//! findings, stats — in memory, from `.ptrace` and from JSONL), and damaged
+//! files must degrade into counted loss — never panics, never short reports.
 
+use std::collections::BTreeSet;
 use std::io::BufReader;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -13,8 +16,12 @@ use proptest::prelude::*;
 
 use predator::core::{build_report, DetectorConfig, Predator, Report, Session};
 use predator::sim::{Access, ThreadId};
+use predator::trace::format::{
+    ChunkFrame, CHUNK_FRAME_LEN, CHUNK_META, HEADER_V1_LEN, TRAILER_LEN,
+};
 use predator::trace::{
-    analyze_events, analyze_file, save_jsonl, AnalyzeConfig, TraceMeta, TraceReader, TraceSink,
+    analyze_events, analyze_file, save_jsonl, AnalyzeConfig, AnalyzeOutcome, LossStats, TraceMeta,
+    TraceReader, TraceSink, TraceWriter,
 };
 use predator::workloads::{by_name, run_and_report, Variant, WorkloadConfig};
 
@@ -266,27 +273,312 @@ fn unknown_schema_version_is_a_clean_error() {
     std::fs::remove_file(&future).ok();
 }
 
+const BASE: u64 = 0x4000_0000;
+const SIZE: u64 = 1 << 22;
+const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// The oracle every shard count is held to: one `Predator`, fed in stream
+/// order, with no pipeline around it.
+fn sequential(events: &[Access], base: u64, size: u64, det: DetectorConfig) -> Report {
+    let rt = Predator::new(det, base, size);
+    for a in events {
+        rt.handle_access(a.tid, a.addr, a.size, a.kind);
+    }
+    build_report(&rt, None)
+}
+
+/// Cluster count by the book: every touched line, in or out of the traced
+/// range, sorted; a gap above `2r` (2 for the stock configs) cuts.
+fn reference_clusters(events: &[Access], det: &DetectorConfig) -> usize {
+    let link = 2 * ((1u64 << det.max_scale_log2) - 1);
+    let lines: BTreeSet<u64> = events
+        .iter()
+        .flat_map(|a| det.geometry.lines_touched(a.addr, a.size))
+        .collect();
+    let mut prev = None;
+    lines
+        .into_iter()
+        .filter(|&l| prev.replace(l).is_none_or(|p| l - p > link))
+        .count()
+}
+
+fn write_ptrace(path: &Path, events: &[Access], chunk: usize, meta: Option<&TraceMeta>) -> Vec<u8> {
+    let mut w = TraceWriter::create(Vec::new(), BASE, SIZE).unwrap();
+    for c in events.chunks(chunk) {
+        w.write_events(c).unwrap();
+    }
+    if let Some(m) = meta {
+        w.write_meta(m).unwrap();
+    }
+    let (_, bytes) = w.finish().unwrap();
+    std::fs::write(path, &bytes).unwrap();
+    bytes
+}
+
+/// Holds one outcome to the oracle and to the counts every shard count
+/// must agree on; returns `shards_used` for the caller to check.
+fn assert_outcome(
+    out: &AnalyzeOutcome,
+    what: &str,
+    want: &Report,
+    events: u64,
+    clusters: usize,
+    loss: LossStats,
+) -> usize {
+    assert_eq!(essence(&out.report), essence(want), "{what}: report");
+    assert_eq!(out.events, events, "{what}: events");
+    assert_eq!(out.clusters, clusters, "{what}: clusters");
+    assert_eq!(out.loss, loss, "{what}: loss");
+    out.shards_used
+}
+
+/// `events` through every entry point (`analyze_events`, `.ptrace` file,
+/// JSONL file with the fallback range 0/0) at every shard count.
+fn check_all_paths(events: &[Access], det: DetectorConfig, tag: &str) {
+    let clusters = reference_clusters(events, &det);
+    let n = events.len() as u64;
+    let none = LossStats::default();
+    let ptrace = tmp(&format!("{tag}-all"));
+    write_ptrace(&ptrace, events, 97, None);
+    let jsonl = tmp(&format!("{tag}-all-jsonl"));
+    save_jsonl(events, std::fs::File::create(&jsonl).unwrap()).unwrap();
+    let in_range = sequential(events, BASE, SIZE, det);
+    let nowhere = sequential(events, 0, 0, det);
+    for shards in SHARD_COUNTS {
+        let cfg = AnalyzeConfig::new(det, shards);
+        let used = clusters.clamp(1, shards);
+        let out = analyze_events(events, BASE, SIZE, None, &cfg);
+        let what = format!("{tag} analyze_events shards={shards}");
+        assert_eq!(
+            assert_outcome(&out, &what, &in_range, n, clusters, none),
+            used,
+            "{what}"
+        );
+        // The header's range wins over the fallback for a `.ptrace`.
+        let out = analyze_file(&ptrace, &cfg, 0, 0).unwrap();
+        let what = format!("{tag} .ptrace shards={shards}");
+        assert_eq!(
+            assert_outcome(&out, &what, &in_range, n, clusters, none),
+            used,
+            "{what}"
+        );
+        assert!(!out.meta_applied, "{what}: no META chunk was written");
+        // JSONL carries no range: with the 0/0 fallback every line is a
+        // stray — counted and clustered, seen by no detector.
+        let out = analyze_file(&jsonl, &cfg, 0, 0).unwrap();
+        let what = format!("{tag} JSONL shards={shards}");
+        assert_eq!(
+            assert_outcome(&out, &what, &nowhere, n, clusters, none),
+            used,
+            "{what}"
+        );
+    }
+    std::fs::remove_file(&ptrace).ok();
+    std::fs::remove_file(&jsonl).ok();
+}
+
+#[test]
+fn every_shard_count_and_entry_point_matches_a_sequential_replay() {
+    let w = |t: u16, addr: u64, size: u8| Access::write(ThreadId(t), addr, size);
+    let mut events = multi_cluster_trace(5, 300, BASE);
+    for i in 0..300u64 {
+        let t = (i % 2) as u16;
+        // Straddles two in-range lines; false sharing across the boundary.
+        events.push(w(t, BASE + 0x60000 + 60 + t as u64 * 64, 8));
+        // Straddles out of the range's last line, and a stray just past it
+        // that must stay linked to that cluster.
+        events.push(w(t, BASE + SIZE - 4, 8));
+        events.push(w(t, BASE + SIZE + 128, 8));
+        // Strays far outside on both sides, one of them read-only.
+        events.push(w(t, BASE - 0x9000 + t as u64 * 8, 8));
+        events.push(Access::read(ThreadId(t), BASE + SIZE + 0x20000, 4));
+    }
+    assert!(
+        sequential(&events, BASE, SIZE, DetectorConfig::sensitive())
+            .findings
+            .len()
+            >= 6,
+        "the matrix trace must exercise the detector in every cluster"
+    );
+    check_all_paths(&events, DetectorConfig::sensitive(), "matrix-sensitive");
+    // Sampling and prediction on: the per-line skip counters shard too.
+    check_all_paths(&events, DetectorConfig::paper(), "matrix-paper");
+    check_all_paths(&[], DetectorConfig::sensitive(), "matrix-empty");
+}
+
+#[test]
+fn single_cluster_trace_needs_one_shard_whatever_was_asked() {
+    let events = multi_cluster_trace(1, 2_000, BASE);
+    let det = DetectorConfig::sensitive();
+    let path = tmp("one-cluster");
+    write_ptrace(&path, &events, 500, None);
+    for shards in SHARD_COUNTS {
+        let out = analyze_file(&path, &AnalyzeConfig::new(det, shards), 0, 0).unwrap();
+        assert_eq!((out.clusters, out.shards_used), (1, 1), "shards={shards}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn jsonl_bad_line_fails_the_run_and_names_the_file() {
+    let events = multi_cluster_trace(3, 50, BASE);
+    let mut text = Vec::new();
+    save_jsonl(&events[..100], &mut text).unwrap();
+    text.extend_from_slice(b"{\"tid\": 1, \"addr\": oops}\n");
+    save_jsonl(&events[100..], &mut text).unwrap();
+    let path = tmp("bad-jsonl");
+    std::fs::write(&path, &text).unwrap();
+    for shards in SHARD_COUNTS {
+        let cfg = AnalyzeConfig::new(DetectorConfig::sensitive(), shards);
+        let err = analyze_file(&path, &cfg, BASE, SIZE)
+            .expect_err("a report of the first 100 lines would be silently short");
+        assert!(
+            err.contains(path.to_str().unwrap()),
+            "shards={shards}: error must name the file: {err}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Byte offset of the n-th (0-based) chunk frame of a `.ptrace` image.
+fn nth_chunk(bytes: &[u8], n: usize) -> (usize, ChunkFrame) {
+    let mut off = HEADER_V1_LEN;
+    for _ in 0..n {
+        off += CHUNK_FRAME_LEN + frame_at(bytes, off).payload_len as usize;
+    }
+    (off, frame_at(bytes, off))
+}
+
+fn frame_at(bytes: &[u8], off: usize) -> ChunkFrame {
+    ChunkFrame::decode(&bytes[off..off + CHUNK_FRAME_LEN].try_into().unwrap()).unwrap()
+}
+
+#[test]
+fn corruption_matrix_accounts_for_every_record_at_every_shard_count() {
+    const CHUNK: usize = 250;
+    let events = multi_cluster_trace(4, 500, BASE); // 2000 events, 8 chunks
+    let recorded = events.len() as u64;
+    let meta = TraceMeta {
+        app_live_bytes: 7,
+        ..TraceMeta::default()
+    };
+    let det = DetectorConfig::sensitive();
+    let path = tmp("corrupt");
+    let clean = write_ptrace(&path, &events, CHUNK, Some(&meta));
+    let no_meta = write_ptrace(&path, &events, CHUNK, None);
+    let (third, third_frame) = nth_chunk(&clean, 2);
+    let (meta_at, meta_frame) = nth_chunk(&clean, 8);
+    assert_eq!(meta_frame.kind, CHUNK_META);
+
+    let flip = |at: usize| {
+        let mut b = clean.clone();
+        b[at] ^= 0xff;
+        b
+    };
+    // (name, image, every record is delivered or counted lost, META survives)
+    let cases: Vec<(&str, Vec<u8>, bool, bool)> = vec![
+        ("intact", clean.clone(), true, true),
+        ("no meta chunk", no_meta, true, false),
+        (
+            "no footer",
+            clean[..clean.len() - TRAILER_LEN].to_vec(),
+            true,
+            true,
+        ),
+        (
+            "payload byte flipped",
+            flip(third + CHUNK_FRAME_LEN + 9),
+            true,
+            true,
+        ),
+        ("frame length flipped", flip(third + 10), false, true),
+        (
+            "meta byte flipped",
+            flip(meta_at + CHUNK_FRAME_LEN + 3),
+            true,
+            false,
+        ),
+        // Cut inside the third chunk: its frame says how many are gone, but
+        // the five chunks after it were never seen.
+        (
+            "cut mid-chunk",
+            clean[..third + CHUNK_FRAME_LEN + 20].to_vec(),
+            false,
+            false,
+        ),
+        (
+            "cut at a chunk boundary",
+            clean[..third].to_vec(),
+            false,
+            false,
+        ),
+        (
+            "cut inside a frame",
+            clean[..third + 5].to_vec(),
+            false,
+            false,
+        ),
+        ("header only", clean[..HEADER_V1_LEN].to_vec(), false, false),
+    ];
+    assert_eq!(third_frame.record_count as usize, CHUNK);
+    for (name, image, accounted, has_meta) in cases {
+        // What one plain pass of the reader delivers is the oracle.
+        let mut r = TraceReader::new(&image[..]).unwrap();
+        let survivors: Vec<Access> = (&mut r).collect();
+        let (loss, meta_seen) = (r.stats(), r.meta().is_some());
+        assert_eq!(meta_seen, has_meta, "{name}: META");
+        assert_eq!(
+            loss.any(),
+            name != "intact" && name != "no meta chunk",
+            "{name}"
+        );
+        if accounted {
+            let total = survivors.len() as u64 + loss.records_lost;
+            assert_eq!(total, recorded, "{name}: delivered + lost == recorded");
+        }
+        let mut want = sequential(&survivors, BASE, SIZE, det);
+        want.stats.app_live_bytes = if has_meta { meta.app_live_bytes } else { 0 };
+        let clusters = reference_clusters(&survivors, &det);
+        std::fs::write(&path, &image).unwrap();
+        for shards in SHARD_COUNTS {
+            let out = analyze_file(&path, &AnalyzeConfig::new(det, shards), 0, 0)
+                .unwrap_or_else(|e| panic!("{name}: damage past the header is loss: {e}"));
+            let what = format!("{name} shards={shards}");
+            let n = survivors.len() as u64;
+            assert_outcome(&out, &what, &want, n, clusters, loss);
+            assert_eq!(out.meta_applied, has_meta, "{what}: meta");
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// For arbitrary multi-region access patterns, sharded analysis at 2,
-    /// 4, and 8 shards reproduces the sequential detector's findings and
-    /// stats exactly.
+    /// For arbitrary multi-region access patterns — straddling accesses and
+    /// addresses outside the traced range included — analysis at 1, 2, 4
+    /// and 8 shards, in memory and from `.ptrace` and JSONL files,
+    /// reproduces the sequential detector's findings and stats exactly and
+    /// agrees on events, clusters and loss.
     #[test]
     fn prop_sharded_equals_sequential(
         ops in proptest::collection::vec(
-            // (region, word, is_write) per op; threads alternate per op.
-            (0u64..4, 0u64..16, prop::bool::ANY), 60..400),
+            // (region, word, is_write, straddles) per op; threads alternate
+            // per op. Regions 4 and 5 lie below and above the traced range.
+            (0u64..6, 0u64..16, prop::bool::ANY, prop::bool::ANY), 60..400),
         threads in 2u16..4,
     ) {
-        let base = 0x4000_0000u64;
-        let size = 1u64 << 22;
         let events: Vec<Access> = ops
             .iter()
             .enumerate()
-            .map(|(i, &(region, word, is_write))| {
+            .map(|(i, &(region, word, is_write, straddles))| {
                 let tid = ThreadId((i as u64 % threads as u64) as u16);
-                let addr = base + region * 0x8000 + word * 8;
+                let region_base = match region {
+                    4 => BASE - 0x8000,
+                    5 => BASE + SIZE + 0x8000,
+                    r => BASE + r * 0x8000,
+                };
+                let addr = region_base + if straddles { word / 8 * 64 + 60 } else { word * 8 };
                 if is_write {
                     Access::write(tid, addr, 8)
                 } else {
@@ -294,22 +586,6 @@ proptest! {
                 }
             })
             .collect();
-        let det = DetectorConfig::sensitive();
-        let seq = {
-            let rt = Predator::new(det, base, size);
-            for a in &events {
-                rt.handle_access(a.tid, a.addr, a.size, a.kind);
-            }
-            build_report(&rt, None)
-        };
-        for shards in [2usize, 4, 8] {
-            let out =
-                analyze_events(&events, base, size, None, &AnalyzeConfig::new(det, shards));
-            prop_assert_eq!(
-                essence(&out.report),
-                essence(&seq),
-                "shards={} diverged", shards
-            );
-        }
+        check_all_paths(&events, DetectorConfig::sensitive(), "prop");
     }
 }
