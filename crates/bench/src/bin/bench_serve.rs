@@ -7,8 +7,8 @@
 //! Reproduces `predator serve`'s steady state in-process and measures what
 //! the monitoring stack costs the workload it watches:
 //!
-//! * **baseline** — repeated tracked passes of the histogram workload under
-//!   `--tracking-mode relaxed`, no server, no watchdog;
+//! * **baseline** — repeated tracked passes of the histogram workload, no
+//!   server, no watchdog;
 //! * **serve mode** — the same passes with the HTTP endpoint up, a
 //!   Prometheus-style scraper hitting `/metrics` + `/snapshot` on a fixed
 //!   cadence, and the self-overhead watchdog ticking its calibrated cost
@@ -24,7 +24,7 @@
 //! proving it was engaged.
 //! The ≤5% overhead gate is enforced on machines with ≥4 cores; on smaller
 //! machines the serve threads time-slice against the workload itself, so
-//! the number is reported but advisory (same policy as `bench_scaling`).
+//! the number is reported but advisory.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use predator_bench::telemetry::peak_rss_kb;
 use predator_core::adaptive::Watchdog;
-use predator_core::{DetectorConfig, Session, TrackingMode};
+use predator_core::{DetectorConfig, Session};
 use predator_obs::{http_get, parse_rules, AlertEngine, DeltaTracker, HttpServer, Response, Tsdb};
 use predator_workloads::{by_name, Variant, Workload, WorkloadConfig};
 use serde::Serialize;
@@ -131,8 +131,7 @@ fn main() {
         .unwrap_or(1);
 
     let w = by_name("histogram").expect("histogram workload exists");
-    let mut det = DetectorConfig::paper();
-    det.tracking_mode = TrackingMode::Relaxed;
+    let det = DetectorConfig::paper();
     let wcfg = WorkloadConfig {
         threads: 4,
         iters,
@@ -140,7 +139,7 @@ fn main() {
         variant: Variant::Broken,
     };
 
-    println!("SERVE BENCH — histogram x {passes} passes, {iters} iters, relaxed tracking");
+    println!("SERVE BENCH — histogram x {passes} passes, {iters} iters");
 
     // Warmup: first-touch costs (registry interning, thread spawn paths)
     // land outside both measured phases.

@@ -52,9 +52,6 @@ USAGE:
         --iters <N>         per-thread work items       [default: 20000]
         --seed <N>          input seed                  [default: 42]
         --sampling <RATE>   sampling rate in (0,1]      [default: 0.01]
-        --tracking-mode <M> per-line state discipline: precise (mutex,
-                            deterministic reports) or relaxed (lock-free
-                            seqlock-style hot path)     [default: precise]
         --sensitive         tiny thresholds (small runs / demos)
         --json              machine-readable report
 
@@ -314,7 +311,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
         "--iters",
         "--seed",
         "--sampling",
-        "--tracking-mode",
         "--base",
         "--size",
         "--stride",
@@ -349,6 +345,22 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
         "--pad",
         "--min-delta",
     ];
+    /// Every boolean switch some verb tests, plus `--help` (no verb: print
+    /// the usage). Anything else starting with `--` is a typo: rejected,
+    /// never silently analysed at the defaults.
+    const SWITCHES: &[&str] = &[
+        "--sensitive",
+        "--no-prediction",
+        "--fixed",
+        "--no-recorder",
+        "--json",
+        "--markdown",
+        "--fixes",
+        "--verify-fixes",
+        "--deep",
+        "--fail-on-regression",
+        "--help",
+    ];
     let mut args = Args {
         positional: Vec::new(),
         flags: Vec::new(),
@@ -363,8 +375,10 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
             // `record`'s short output flag, aliased onto --out.
             let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
             args.options.insert("--out".to_string(), v.clone());
-        } else if a.starts_with("--") {
+        } else if SWITCHES.contains(&a.as_str()) {
             args.flags.push(a.clone());
+        } else if a.starts_with("--") {
+            return Err(format!("unknown option '{a}'"));
         } else {
             args.positional.push(a.clone());
         }
@@ -393,9 +407,6 @@ fn detector_config(args: &Args) -> Result<DetectorConfig, String> {
     let rate: f64 = num(args, "--sampling", det.sampling_rate())?;
     if !(0.0..=1.0).contains(&rate) || rate == 0.0 {
         return Err(format!("--sampling must be in (0, 1], got {rate}"));
-    }
-    if let Some(mode) = args.options.get("--tracking-mode") {
-        det.tracking_mode = mode.parse()?;
     }
     Ok(det.with_sampling_rate(rate))
 }
@@ -2293,21 +2304,17 @@ mod tests {
     }
 
     #[test]
-    fn tracking_mode_flag_selects_mode() {
-        use predator_core::TrackingMode;
-        let a = args(&["run", "x"]);
-        assert_eq!(
-            detector_config(&a).unwrap().tracking_mode,
-            TrackingMode::Precise
-        );
-        let a = args(&["run", "x", "--tracking-mode", "relaxed"]);
-        assert_eq!(
-            detector_config(&a).unwrap().tracking_mode,
-            TrackingMode::Relaxed
-        );
-        let a = args(&["run", "x", "--tracking-mode", "eventual"]);
-        let err = detector_config(&a).unwrap_err();
-        assert!(err.contains("tracking mode"), "unexpected error: {err}");
+    fn unknown_options_are_errors() {
+        // A misspelt valued option must not leave its value behind as a
+        // positional and the run at the default rate.
+        for raw in [
+            &["run", "x", "--samplng", "1.0"][..],
+            &["run", "x", "--no-such-switch"][..],
+        ] {
+            let raw: Vec<String> = raw.iter().map(|s| s.to_string()).collect();
+            let err = parse_args(&raw).err().expect("rejected");
+            assert_eq!(err, format!("unknown option '{}'", raw[2]));
+        }
     }
 
     #[test]

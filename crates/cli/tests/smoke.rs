@@ -291,3 +291,20 @@ fn zero_threads_is_a_usage_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--threads"), "stderr: {stderr}");
 }
+
+#[test]
+fn unknown_options_exit_1_naming_the_option() {
+    // `--samplng 1.0` used to analyse at the default 1 % and exit 0.
+    for extra in [&["--samplng", "1.0"][..], &["--no-such-switch"][..]] {
+        let out = predator()
+            .args(RUN)
+            .args(extra)
+            .output()
+            .expect("spawn predator");
+        assert_eq!(out.status.code(), Some(1));
+        assert!(out.stdout.is_empty(), "no report from a mistyped run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let want = format!("unknown option '{}'", extra[0]);
+        assert!(stderr.contains(&want), "stderr: {stderr}");
+    }
+}

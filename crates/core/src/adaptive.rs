@@ -262,7 +262,7 @@ impl SelfCostModel {
     }
 
     /// Micro-times the two hot paths on a scratch runtime mirroring `det`
-    /// (geometry, thresholds, tracking mode) and returns the measured unit
+    /// (geometry, thresholds) and returns the measured unit
     /// costs. Prediction is disabled for the measurement — analysis time is
     /// not a per-access cost; it is measured directly via `span_predict_ns`.
     pub fn calibrate(det: &DetectorConfig) -> Self {

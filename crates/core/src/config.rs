@@ -18,55 +18,6 @@ use serde::{Deserialize, Serialize};
 
 use predator_sim::CacheGeometry;
 
-/// How per-line shadow state is updated by concurrent application threads.
-///
-/// The paper's runtime updates per-line metadata without locks, accepting
-/// benign races for speed (§2.3). This reproduction ships both semantics and
-/// lets them be diffed against each other:
-///
-/// * [`Precise`](TrackingMode::Precise) — every tracked access takes the
-///   per-line mutex; counters and analysis timing are exact under any
-///   interleaving. This is the differential oracle.
-/// * [`Relaxed`](TrackingMode::Relaxed) — the paper-faithful lock-free path:
-///   the two-entry history table lives in one packed atomic word updated by a
-///   CAS loop (so invalidation counts stay exact), while word/line counters
-///   use `Relaxed` atomics with per-thread batching that drains on writer
-///   displacement. Counter attribution may lag by a batch under truly racy
-///   interleavings, but on any serialized (deterministically interleaved)
-///   feed the two modes produce byte-identical reports — enforced by the
-///   differential suite in `tests/differential_modes.rs`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TrackingMode {
-    /// Mutex-serialized per-line state: today's exact semantics.
-    #[default]
-    Precise,
-    /// Lock-free packed-atomic per-line state: the paper's fast path.
-    Relaxed,
-}
-
-impl std::fmt::Display for TrackingMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            TrackingMode::Precise => "precise",
-            TrackingMode::Relaxed => "relaxed",
-        })
-    }
-}
-
-impl std::str::FromStr for TrackingMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "precise" => Ok(TrackingMode::Precise),
-            "relaxed" => Ok(TrackingMode::Relaxed),
-            other => Err(format!(
-                "unknown tracking mode '{other}' (want precise|relaxed)"
-            )),
-        }
-    }
-}
-
 /// Complete detector configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DetectorConfig {
@@ -102,8 +53,6 @@ pub struct DetectorConfig {
     pub sample_interval: u64,
     /// Accesses recorded at the start of each window.
     pub sample_burst: u64,
-    /// Locking discipline for per-line shadow state (see [`TrackingMode`]).
-    pub tracking_mode: TrackingMode,
 }
 
 impl Default for DetectorConfig {
@@ -120,7 +69,6 @@ impl Default for DetectorConfig {
             sampling: true,
             sample_interval: 1_000_000,
             sample_burst: 10_000,
-            tracking_mode: TrackingMode::Precise,
         }
     }
 }
@@ -163,14 +111,7 @@ impl DetectorConfig {
             sampling: false,
             sample_interval: 1_000_000,
             sample_burst: 10_000,
-            tracking_mode: TrackingMode::Precise,
         }
-    }
-
-    /// Switches to the paper-faithful lock-free hot path.
-    pub fn with_tracking_mode(mut self, mode: TrackingMode) -> Self {
-        self.tracking_mode = mode;
-        self
     }
 
     /// Sets the sampling rate as a fraction (e.g. `0.01` for the paper's 1%),
@@ -299,26 +240,6 @@ mod tests {
             DetectorConfig { enabled: true, ..c },
             DetectorConfig::default()
         );
-    }
-
-    #[test]
-    fn tracking_mode_parses_and_displays() {
-        assert_eq!(
-            "precise".parse::<TrackingMode>().unwrap(),
-            TrackingMode::Precise
-        );
-        assert_eq!(
-            "relaxed".parse::<TrackingMode>().unwrap(),
-            TrackingMode::Relaxed
-        );
-        assert!("lossy".parse::<TrackingMode>().is_err());
-        assert_eq!(TrackingMode::Relaxed.to_string(), "relaxed");
-        assert_eq!(TrackingMode::default(), TrackingMode::Precise);
-        let c = DetectorConfig::sensitive().with_tracking_mode(TrackingMode::Relaxed);
-        assert_eq!(c.tracking_mode, TrackingMode::Relaxed);
-        let json = serde_json::to_string(&c).unwrap();
-        let back: DetectorConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use adaptive::{
     BackoffAction, BackoffConfig, BackoffController, Decision, SelfCostModel, TickOutcome, Watchdog,
 };
 pub use api::Session;
-pub use config::{DetectorConfig, TrackingMode};
+pub use config::DetectorConfig;
 pub use detect::SharingClass;
 pub use fixes::{lower_fix, suggest_fixes, FixSuggestion, LayoutEdit};
 pub use predict::{HotPair, PredictionUnit, UnitKind, UnitSnapshot};

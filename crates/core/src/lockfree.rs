@@ -1,4 +1,4 @@
-//! Lock-free per-line shadow state — the `relaxed` tracking mode.
+//! Lock-free per-line shadow state.
 //!
 //! The paper's runtime updates per-cache-line metadata without locks,
 //! accepting benign races for speed (§2.3, Figure 1). This module rebuilds
@@ -116,8 +116,8 @@ pub fn crosses_threshold(prev: u64, added: u64, threshold: u64) -> bool {
 /// that may defer before the line's committed write count reaches the next
 /// `PredictionThreshold` multiple — runs out. The allowance cap is what
 /// keeps `analysis_due` firing on exactly the k·threshold-th write under any
-/// serialized feed, which the differential suite checks against the mutexed
-/// precise mode.
+/// serialized feed, which the differential suite checks against the
+/// sequential spec.
 pub mod batch {
     /// Maximum pending count per kind before a forced drain.
     pub const MAX_PENDING: u64 = u8::MAX as u64;
@@ -286,9 +286,9 @@ fn owner_decode(bits: u32) -> Owner {
     }
 }
 
-/// Per-word counters of the relaxed path: two relaxed totals plus the
-/// exclusive/shared owner state machine (monotone: untouched → exclusive →
-/// shared, so CAS races can only converge).
+/// Per-word counters: two relaxed totals plus the exclusive/shared owner
+/// state machine (monotone: untouched → exclusive → shared, so CAS races can
+/// only converge).
 #[derive(Debug)]
 struct RelaxedWord {
     reads: AtomicU64,
@@ -340,7 +340,7 @@ impl RelaxedWord {
 const LAST_WORD_SLOTS: usize = 16;
 const LAST_PRESENT: u32 = 1 << 31;
 
-/// Lock-free shadow state for one tracked cache line (`relaxed` mode).
+/// Lock-free shadow state for one tracked cache line.
 #[derive(Debug)]
 pub(crate) struct RelaxedLine {
     /// Packed two-entry history table ([`predator_sim::packed`]).
@@ -355,7 +355,7 @@ pub(crate) struct RelaxedLine {
     last_words: [AtomicU32; LAST_WORD_SLOTS],
 }
 
-/// What one relaxed access did, mirroring the mutexed path's outcome.
+/// What one recorded access did.
 pub(crate) struct RelaxedOutcome {
     pub invalidated: bool,
     pub analysis_due: bool,
@@ -455,7 +455,7 @@ impl RelaxedLine {
     }
 
     /// Applies one access directly (no batching) to every touched word.
-    /// Line totals count the access once, as the precise path does.
+    /// Line totals count the access once, however many words it touches.
     fn apply(
         &self,
         tid: ThreadId,

@@ -15,17 +15,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
 
-use crate::config::TrackingMode;
 use crate::lockfree;
 
 use predator_sim::vline::{
     doubled_vline_possible, offset_vline_possible, place_offset_vline, scaled_vline_possible,
 };
 use predator_sim::{
-    AccessKind, CacheGeometry, HistoryTable, ThreadId, VirtualGeometry, VirtualRange, WordState,
-    WordTracker,
+    AccessKind, CacheGeometry, ThreadId, VirtualGeometry, VirtualRange, WordState, WordTracker,
 };
 
 /// What kind of what-if scenario a prediction unit verifies.
@@ -188,7 +185,9 @@ pub fn candidate_units(
 /// Lives behind an `Arc`, attached to every physical-line tracker the
 /// virtual line overlaps; sampled accesses inside [`PredictionUnit::range`]
 /// feed the history table, counting the invalidations that *would* occur if
-/// the virtual line were a real cache line.
+/// the virtual line were a real cache line. Updates are lock-free: the
+/// history CAS loop keeps verified invalidation counts exact (see
+/// [`crate::lockfree`]), the two counters are `Relaxed` atomics.
 #[derive(Debug)]
 pub struct PredictionUnit {
     /// Identity (scenario + vline index).
@@ -199,28 +198,10 @@ pub struct PredictionUnit {
     pub range: VirtualRange,
     /// The hot pair that spawned this unit.
     pub origin: HotPair,
-    core: UnitCore,
-}
-
-#[derive(Debug, Default)]
-struct UnitState {
-    history: HistoryTable,
-    invalidations: u64,
-    accesses: u64,
-}
-
-/// Mode-selected verification state, mirroring `TrackCore`: the mutexed
-/// exact oracle, or the packed-atomic lock-free path whose history CAS loop
-/// keeps verified invalidation counts exact (see [`crate::lockfree`]).
-#[derive(Debug)]
-enum UnitCore {
-    Precise(Mutex<UnitState>),
-    Relaxed {
-        /// Packed two-entry history table ([`predator_sim::packed`]).
-        history: AtomicU64,
-        invalidations: AtomicU64,
-        accesses: AtomicU64,
-    },
+    /// Packed two-entry history table ([`predator_sim::packed`]).
+    history: AtomicU64,
+    invalidations: AtomicU64,
+    accesses: AtomicU64,
 }
 
 /// Immutable snapshot of a unit's verification progress.
@@ -239,56 +220,26 @@ pub struct UnitSnapshot {
 }
 
 impl PredictionUnit {
-    /// Creates a unit for `key` under `geometry`, spawned by `origin`, with
-    /// `mode` selecting the mutexed or lock-free verification state.
-    pub fn new(
-        key: UnitKey,
-        geometry: VirtualGeometry,
-        origin: HotPair,
-        mode: TrackingMode,
-    ) -> Self {
-        let core = match mode {
-            TrackingMode::Precise => UnitCore::Precise(Mutex::new(UnitState::default())),
-            TrackingMode::Relaxed => UnitCore::Relaxed {
-                history: AtomicU64::new(predator_sim::packed::EMPTY),
-                invalidations: AtomicU64::new(0),
-                accesses: AtomicU64::new(0),
-            },
-        };
+    /// Creates a unit for `key` under `geometry`, spawned by `origin`.
+    pub fn new(key: UnitKey, geometry: VirtualGeometry, origin: HotPair) -> Self {
         PredictionUnit {
             key,
             geometry,
             range: geometry.range(key.vline),
             origin,
-            core,
+            history: AtomicU64::new(predator_sim::packed::EMPTY),
+            invalidations: AtomicU64::new(0),
+            accesses: AtomicU64::new(0),
         }
     }
 
     /// Feeds one access *already known to fall inside `range`*; returns true
     /// if it invalidated the virtual line.
     pub fn record(&self, tid: ThreadId, kind: AccessKind) -> bool {
-        let inv = match &self.core {
-            UnitCore::Precise(state) => {
-                let mut st = state.lock().unwrap();
-                st.accesses += 1;
-                let inv = st.history.record(tid, kind);
-                st.invalidations += inv as u64;
-                inv
-            }
-            UnitCore::Relaxed {
-                history,
-                invalidations,
-                accesses,
-            } => {
-                accesses.fetch_add(1, Ordering::Relaxed);
-                let (_, inv) = lockfree::record_history(history, tid, kind);
-                if inv {
-                    invalidations.fetch_add(1, Ordering::Relaxed);
-                }
-                inv
-            }
-        };
+        self.accesses.fetch_add(1, Ordering::Relaxed);
+        let (_, inv) = lockfree::record_history(&self.history, tid, kind);
         if inv {
+            self.invalidations.fetch_add(1, Ordering::Relaxed);
             predator_obs::static_counter!("predict_verified_invalidations_total").inc();
         }
         inv
@@ -296,34 +247,17 @@ impl PredictionUnit {
 
     /// Verified invalidations so far.
     pub fn invalidations(&self) -> u64 {
-        match &self.core {
-            UnitCore::Precise(state) => state.lock().unwrap().invalidations,
-            UnitCore::Relaxed { invalidations, .. } => invalidations.load(Ordering::Relaxed),
-        }
+        self.invalidations.load(Ordering::Relaxed)
     }
 
     /// Snapshot for reporting.
     pub fn snapshot(&self) -> UnitSnapshot {
-        let (invalidations, accesses) = match &self.core {
-            UnitCore::Precise(state) => {
-                let st = state.lock().unwrap();
-                (st.invalidations, st.accesses)
-            }
-            UnitCore::Relaxed {
-                invalidations,
-                accesses,
-                ..
-            } => (
-                invalidations.load(Ordering::Relaxed),
-                accesses.load(Ordering::Relaxed),
-            ),
-        };
         UnitSnapshot {
             key: self.key,
             range: self.range,
             origin: self.origin,
-            invalidations,
-            accesses,
+            invalidations: self.invalidations(),
+            accesses: self.accesses.load(Ordering::Relaxed),
         }
     }
 }
@@ -579,27 +513,25 @@ mod tests {
             },
             estimate: 100,
         };
-        for mode in [TrackingMode::Precise, TrackingMode::Relaxed] {
-            let u = PredictionUnit::new(key, vg, pair, mode);
-            assert_eq!(
-                u.range,
-                VirtualRange {
-                    start: 0,
-                    size: 128
-                }
-            );
-            for i in 0..10 {
-                u.record(ThreadId(i % 2), Write);
+        let u = PredictionUnit::new(key, vg, pair);
+        assert_eq!(
+            u.range,
+            VirtualRange {
+                start: 0,
+                size: 128
             }
-            assert_eq!(u.invalidations(), 9, "{mode}");
-            let snap = u.snapshot();
-            assert_eq!(snap.accesses, 10);
-            assert_eq!(snap.invalidations, 9);
+        );
+        for i in 0..10 {
+            u.record(ThreadId(i % 2), Write);
         }
+        assert_eq!(u.invalidations(), 9);
+        let snap = u.snapshot();
+        assert_eq!(snap.accesses, 10);
+        assert_eq!(snap.invalidations, 9);
     }
 
     #[test]
-    fn relaxed_unit_conserves_counts_under_contention() {
+    fn unit_conserves_counts_under_contention() {
         let g = geom();
         let vg = VirtualGeometry::Doubled(g);
         let key = UnitKey {
@@ -617,7 +549,7 @@ mod tests {
             },
             estimate: 100,
         };
-        let u = Arc::new(PredictionUnit::new(key, vg, pair, TrackingMode::Relaxed));
+        let u = Arc::new(PredictionUnit::new(key, vg, pair));
         std::thread::scope(|s| {
             for id in 0..4u16 {
                 let u = u.clone();
@@ -653,7 +585,7 @@ mod tests {
             estimate: 1,
         };
         let mut reg = UnitRegistry::new();
-        let mk = || PredictionUnit::new(key, vg, pair, TrackingMode::Precise);
+        let mk = || PredictionUnit::new(key, vg, pair);
         let (u1, created1) = reg.get_or_create(key, mk);
         let (u2, created2) = reg.get_or_create(key, mk);
         assert!(created1);

@@ -1160,7 +1160,7 @@ pub fn build_report_merged(rts: &[&Predator], attr: Attribution<'_>) -> Report {
 mod tests {
     use super::*;
     use crate::config::DetectorConfig;
-    use predator_sim::AccessKind::Write;
+    use predator_sim::AccessKind::{Read, Write};
 
     const BASE: u64 = 0x4000_0000;
 
@@ -1236,6 +1236,60 @@ mod tests {
             .findings
             .iter()
             .any(|f| matches!(f.kind, FindingKind::PredictedRemap { .. })));
+    }
+
+    /// The conservation properties `lockfree::concurrent_counts_conserved`
+    /// checks on one line, end to end under real threads: no recorded access
+    /// is lost or misattributed on the way to the report, invalidations
+    /// stay within what the writes could have caused, and analysis ran.
+    #[test]
+    fn real_threads_conserve_counts_end_to_end() {
+        const PER_WORD: u64 = 5_000;
+        let rt = rt(); // sampling off, prediction on, tracking threshold 4
+        rt.register_global("pair", BASE, 128);
+        // Promote before the threads start: crossing the threshold on line
+        // 0 publishes it and its neighbour, so no thread's access falls in
+        // the unrecorded publish window (Figure 1's `if (track)`).
+        for _ in 0..4 {
+            rt.handle_access(ThreadId(0), BASE, 8, Write);
+        }
+        std::thread::scope(|s| {
+            for t in 0..4u16 {
+                let rt = &rt;
+                s.spawn(move || {
+                    for i in 0..PER_WORD {
+                        let kind = if i % 4 == 0 { Read } else { Write };
+                        for line in 0..2u64 {
+                            rt.handle_access(ThreadId(t), BASE + line * 64 + t as u64 * 8, 8, kind);
+                        }
+                    }
+                });
+            }
+        });
+        let r = build_report(&rt, None);
+        assert_eq!(r.stats.events, 4 + 4 * 2 * PER_WORD);
+        assert!(r.stats.prediction_units >= 1, "hot-pair analysis ran");
+        let observed = r
+            .findings
+            .iter()
+            .find(|f| f.kind == FindingKind::Observed)
+            .expect("four writers per line are observed");
+        assert_eq!(observed.accesses, 4 * 2 * PER_WORD);
+        assert_eq!(observed.words.len(), 8);
+        for w in &observed.words {
+            let t = (w.addr % 64 / 8) as u16;
+            assert_eq!(w.owner, Owner::Exclusive(ThreadId(t)), "{w:?}");
+            assert_eq!((w.reads, w.writes), (PER_WORD / 4, PER_WORD - PER_WORD / 4));
+        }
+        for line in 0..2 {
+            let snap = rt.line_snapshot(line).expect("tracked");
+            assert_eq!(snap.reads + snap.writes, 4 * PER_WORD);
+            assert!(
+                (1..=snap.writes).contains(&snap.invalidations),
+                "line {line}: {} invalidations",
+                snap.invalidations
+            );
+        }
     }
 
     #[test]

@@ -8,32 +8,23 @@
 //! this physical line, so a single sampled access feeds both the physical
 //! and every relevant virtual history table.
 //!
-//! Concurrency: the sampling decision is a lone `Relaxed` `fetch_add` on an
-//! atomic access counter — the fast path for skipped accesses takes no lock
-//! in either mode. Recorded accesses then go one of two ways, selected by
-//! [`TrackingMode`]:
-//!
-//! * **Precise** — serialize on a per-line `std::sync::Mutex`, today's exact
-//!   semantics and the differential oracle. The lock order is always
-//!   *track → unit*; units never lock tracks.
-//! * **Relaxed** — the paper-faithful lock-free path in [`crate::lockfree`]:
-//!   packed-atomic history table (invalidation counts stay exact via a CAS
-//!   loop over the pure §2.3.1 transition), batched `Relaxed` word/line
-//!   counters, an `Acquire` fence only on the threshold-promotion edge.
-//!
-//! The attached prediction units live outside both cores in a lock-free
-//! append-only list, traversed on every sampled access.
+//! Concurrency: nothing here takes a lock. The sampling decision is a lone
+//! `Relaxed` `fetch_add` on an atomic access counter; recorded accesses go
+//! through the lock-free line state in [`crate::lockfree`] — a packed-atomic
+//! history table (invalidation counts stay exact via a CAS loop over the pure
+//! §2.3.1 transition), batched `Relaxed` word/line counters, and an `Acquire`
+//! fence only on the threshold-promotion edge. The attached prediction units
+//! live in a lock-free append-only list, traversed on every sampled access.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
 
-use predator_sim::{packed, AccessKind, CacheGeometry, HistoryTable, ThreadId, WordTracker};
+use predator_sim::{packed, AccessKind, CacheGeometry, ThreadId, WordTracker};
 
-use crate::config::{DetectorConfig, TrackingMode};
-use crate::lockfree::{RelaxedLine, UnitList};
+use crate::config::DetectorConfig;
+use crate::lockfree::{RelaxedLine, RelaxedOutcome, UnitList};
 use crate::predict::PredictionUnit;
 
 /// Result of offering one access to a [`CacheTrack`].
@@ -65,74 +56,23 @@ pub struct TrackSnapshot {
     pub words: WordTracker,
 }
 
-#[derive(Debug)]
-struct TrackState {
-    history: HistoryTable,
-    words: WordTracker,
-    invalidations: u64,
-    reads: u64,
-    writes: u64,
-    /// Last word offset each thread was seen touching — maintained only
-    /// while the flight recorder is enabled, to attribute a victim's side of
-    /// an invalidation. Linear: a line is touched by a handful of threads.
-    last_words: Vec<(ThreadId, u8)>,
-}
-
-impl TrackState {
-    fn last_word(&self, tid: ThreadId) -> u8 {
-        self.last_words
-            .iter()
-            .find(|(t, _)| *t == tid)
-            .map(|&(_, w)| w)
-            .unwrap_or(predator_obs::recorder::WORD_UNKNOWN)
-    }
-
-    fn note_word(&mut self, tid: ThreadId, word: u8) {
-        if let Some(slot) = self.last_words.iter_mut().find(|(t, _)| *t == tid) {
-            slot.1 = word;
-        } else {
-            self.last_words.push((tid, word));
-        }
-    }
-}
-
-/// Mode-selected per-line shadow state.
-#[derive(Debug)]
-enum TrackCore {
-    /// Mutex-serialized exact state.
-    Precise(Mutex<TrackState>),
-    /// Lock-free packed-atomic state.
-    Relaxed(RelaxedLine),
-}
-
 /// Detailed tracking state for one cache line.
 #[derive(Debug)]
 pub struct CacheTrack {
     line_start: u64,
     offered: AtomicU64,
     units: UnitList,
-    core: TrackCore,
+    line: RelaxedLine,
 }
 
 impl CacheTrack {
     /// Creates tracking state for the line starting at `line_start`.
-    pub fn new(line_start: u64, geom: CacheGeometry, mode: TrackingMode) -> Self {
-        let core = match mode {
-            TrackingMode::Precise => TrackCore::Precise(Mutex::new(TrackState {
-                history: HistoryTable::new(),
-                words: WordTracker::new(line_start, geom),
-                invalidations: 0,
-                reads: 0,
-                writes: 0,
-                last_words: Vec::new(),
-            })),
-            TrackingMode::Relaxed => TrackCore::Relaxed(RelaxedLine::new(geom.words_per_line())),
-        };
+    pub fn new(line_start: u64, geom: CacheGeometry) -> Self {
         CacheTrack {
             line_start,
             offered: AtomicU64::new(0),
             units: UnitList::new(),
-            core,
+            line: RelaxedLine::new(geom.words_per_line()),
         }
     }
 
@@ -177,7 +117,7 @@ impl CacheTrack {
         // Flight-recorder and timeline feed: the victims of an invalidating
         // write are the remote entries sitting in the history table *before*
         // the write lands (≤ 2, distinct threads — §2.3.1), so capture them
-        // up front in both modes.
+        // from the pre-access table the CAS loop hands back.
         let flight = predator_obs::recorder::recorder().is_enabled();
         let tl = predator_obs::timeline();
         let want_victims = flight || tl.enabled();
@@ -185,71 +125,34 @@ impl CacheTrack {
             .min(predator_obs::recorder::WORD_UNKNOWN - 1);
         let mut victims: [(u16, u8); 2] = [(0, 0); 2];
         let mut victim_count = 0usize;
-        let invalidated;
-        let analysis_due;
-        match &self.core {
-            TrackCore::Precise(state) => {
-                let mut st = state.lock().unwrap();
-                if want_victims && kind == AccessKind::Write {
-                    for e in st.history.entries() {
-                        if e.tid != tid {
-                            victims[victim_count] = (e.tid.index() as u16, st.last_word(e.tid));
-                            victim_count += 1;
-                        }
-                    }
+        // In-line word span, mirroring `WordTracker::record`'s clamping of
+        // straddling accesses.
+        let end = addr + size.max(1) as u64 - 1;
+        let line_end = self.line_start + cfg.geometry.line_size() - 1;
+        let lo_word = ((addr.max(self.line_start) - self.line_start) / 8) as usize;
+        let hi_word = ((end.min(line_end) - self.line_start) / 8) as usize;
+        let threshold = cfg.prediction.then_some(cfg.prediction_threshold);
+        let RelaxedOutcome {
+            invalidated,
+            analysis_due,
+            prev_history,
+        } = self.line.record(tid, lo_word, hi_word, kind, threshold);
+        if want_victims && kind == AccessKind::Write {
+            for e in packed::unpack(prev_history).entries() {
+                if e.tid != tid {
+                    victims[victim_count] = (e.tid.index() as u16, self.line.last_word(e.tid));
+                    victim_count += 1;
                 }
-                invalidated = st.history.record(tid, kind);
-                st.invalidations += invalidated as u64;
-                if flight {
-                    st.note_word(tid, word);
-                }
-                st.words.record(tid, addr, size, kind);
-                let mut due = false;
-                match kind {
-                    AccessKind::Read => st.reads += 1,
-                    AccessKind::Write => {
-                        st.writes += 1;
-                        due = cfg.prediction && st.writes.is_multiple_of(cfg.prediction_threshold);
-                    }
-                }
-                analysis_due = due;
-                // Feed units while still holding the line lock, preserving
-                // the precise mode's full per-access serialization.
-                self.units.for_each(|unit| {
-                    if unit.range.contains(addr) {
-                        unit.record(tid, kind);
-                    }
-                });
-            }
-            TrackCore::Relaxed(line) => {
-                // In-line word span, mirroring `WordTracker::record`'s
-                // clamping of straddling accesses.
-                let end = addr + size.max(1) as u64 - 1;
-                let line_end = self.line_start + cfg.geometry.line_size() - 1;
-                let lo_word = ((addr.max(self.line_start) - self.line_start) / 8) as usize;
-                let hi_word = ((end.min(line_end) - self.line_start) / 8) as usize;
-                let threshold = cfg.prediction.then_some(cfg.prediction_threshold);
-                let out = line.record(tid, lo_word, hi_word, kind, threshold);
-                invalidated = out.invalidated;
-                analysis_due = out.analysis_due;
-                if want_victims && kind == AccessKind::Write {
-                    for e in packed::unpack(out.prev_history).entries() {
-                        if e.tid != tid {
-                            victims[victim_count] = (e.tid.index() as u16, line.last_word(e.tid));
-                            victim_count += 1;
-                        }
-                    }
-                }
-                if flight {
-                    line.note_word(tid, word);
-                }
-                self.units.for_each(|unit| {
-                    if unit.range.contains(addr) {
-                        unit.record(tid, kind);
-                    }
-                });
             }
         }
+        if flight {
+            self.line.note_word(tid, word);
+        }
+        self.units.for_each(|unit| {
+            if unit.range.contains(addr) {
+                unit.record(tid, kind);
+            }
+        });
         predator_obs::static_counter!("track_sampled_accesses_total").inc();
         if flight {
             predator_obs::profile::mark(predator_obs::CostCenter::Recorder);
@@ -323,39 +226,20 @@ impl CacheTrack {
 
     /// Invalidations recorded on the physical line.
     pub fn invalidations(&self) -> u64 {
-        match &self.core {
-            TrackCore::Precise(state) => state.lock().unwrap().invalidations,
-            TrackCore::Relaxed(line) => line.invalidations(),
-        }
+        self.line.invalidations()
     }
 
-    /// Snapshot for analysis/reporting (clones the word counters; in relaxed
-    /// mode also drains the pending counter batch first).
+    /// Snapshot for analysis/reporting (drains the pending counter batch,
+    /// then copies the word counters).
     pub fn snapshot(&self) -> TrackSnapshot {
-        let offered = self.offered.load(Ordering::Relaxed);
-        match &self.core {
-            TrackCore::Precise(state) => {
-                let st = state.lock().unwrap();
-                TrackSnapshot {
-                    line_start: self.line_start,
-                    invalidations: st.invalidations,
-                    reads: st.reads,
-                    writes: st.writes,
-                    offered,
-                    words: st.words.clone(),
-                }
-            }
-            TrackCore::Relaxed(line) => {
-                let (words, invalidations, reads, writes) = line.snapshot(self.line_start);
-                TrackSnapshot {
-                    line_start: self.line_start,
-                    invalidations,
-                    reads,
-                    writes,
-                    offered,
-                    words,
-                }
-            }
+        let (words, invalidations, reads, writes) = self.line.snapshot(self.line_start);
+        TrackSnapshot {
+            line_start: self.line_start,
+            invalidations,
+            reads,
+            writes,
+            offered: self.offered.load(Ordering::Relaxed),
+            words,
         }
     }
 
@@ -363,25 +247,13 @@ impl CacheTrack {
     /// attached units — the metadata refresh applied when a heap object is
     /// freed without false sharing (§2.3.2), so a later object recycling the
     /// address starts clean.
-    pub fn reset(&self, geom: CacheGeometry) {
-        match &self.core {
-            TrackCore::Precise(state) => {
-                let mut st = state.lock().unwrap();
-                st.history = HistoryTable::new();
-                st.words = WordTracker::new(self.line_start, geom);
-                st.invalidations = 0;
-                st.reads = 0;
-                st.writes = 0;
-                st.last_words.clear();
-            }
-            TrackCore::Relaxed(line) => line.reset(),
-        }
+    pub fn reset(&self) {
+        self.line.reset();
         self.offered.store(0, Ordering::Relaxed);
     }
 
-    /// Approximate heap footprint of this track (for Figures 8–9). Both
-    /// modes report the same formula so memory-overhead stats stay
-    /// mode-independent.
+    /// Approximate heap footprint of this track (for Figures 8–9): the
+    /// struct plus one `WordState`-sized counter block per word.
     pub fn metadata_bytes(&self, geom: CacheGeometry) -> usize {
         std::mem::size_of::<Self>()
             + geom.words_per_line() * std::mem::size_of::<predator_sim::WordState>()
@@ -395,8 +267,6 @@ mod tests {
     use predator_sim::AccessKind::{Read, Write};
     use predator_sim::{Owner, VirtualGeometry, WordState};
 
-    const MODES: [TrackingMode; 2] = [TrackingMode::Precise, TrackingMode::Relaxed];
-
     fn cfg_nosample() -> DetectorConfig {
         DetectorConfig::sensitive()
     }
@@ -407,91 +277,81 @@ mod tests {
 
     #[test]
     fn records_invalidations_like_history_table() {
-        for mode in MODES {
-            let t = CacheTrack::new(0x4000_0000, geom(), mode);
-            let cfg = cfg_nosample().with_tracking_mode(mode);
-            let mut inv = 0;
-            for i in 0..10u16 {
-                let out = t.handle(
-                    ThreadId(i % 2),
-                    0x4000_0000 + (i as u64 % 2) * 8,
-                    8,
-                    Write,
-                    &cfg,
-                );
-                inv += out.invalidated as u64;
-                assert!(out.sampled);
-            }
-            assert_eq!(inv, 9, "{mode}");
-            assert_eq!(t.invalidations(), 9);
-            let snap = t.snapshot();
-            assert_eq!(snap.writes, 10);
-            assert_eq!(snap.reads, 0);
-            assert_eq!(snap.offered, 10);
-            assert_eq!(snap.words.words()[0].writes, 5);
-            assert_eq!(snap.words.words()[1].writes, 5);
+        let t = CacheTrack::new(0x4000_0000, geom());
+        let cfg = cfg_nosample();
+        let mut inv = 0;
+        for i in 0..10u16 {
+            let out = t.handle(
+                ThreadId(i % 2),
+                0x4000_0000 + (i as u64 % 2) * 8,
+                8,
+                Write,
+                &cfg,
+            );
+            inv += out.invalidated as u64;
+            assert!(out.sampled);
         }
+        assert_eq!(inv, 9);
+        assert_eq!(t.invalidations(), 9);
+        let snap = t.snapshot();
+        assert_eq!(snap.writes, 10);
+        assert_eq!(snap.reads, 0);
+        assert_eq!(snap.offered, 10);
+        assert_eq!(snap.words.words()[0].writes, 5);
+        assert_eq!(snap.words.words()[1].writes, 5);
     }
 
     #[test]
     fn sampling_skips_after_burst() {
-        for mode in MODES {
-            let mut cfg = DetectorConfig::sensitive().with_tracking_mode(mode);
-            cfg.sampling = true;
-            cfg.sample_interval = 100;
-            cfg.sample_burst = 10;
-            let t = CacheTrack::new(0, geom(), mode);
-            let mut sampled = 0;
-            for _ in 0..250 {
-                sampled += t.handle(ThreadId(0), 0, 8, Write, &cfg).sampled as u64;
-            }
-            // Bursts at offsets [0,10) and [100,110) and [200,210) → 30 samples.
-            assert_eq!(sampled, 30, "{mode}");
-            assert_eq!(t.snapshot().writes, 30);
-            assert_eq!(t.snapshot().offered, 250);
+        let mut cfg = DetectorConfig::sensitive();
+        cfg.sampling = true;
+        cfg.sample_interval = 100;
+        cfg.sample_burst = 10;
+        let t = CacheTrack::new(0, geom());
+        let mut sampled = 0;
+        for _ in 0..250 {
+            sampled += t.handle(ThreadId(0), 0, 8, Write, &cfg).sampled as u64;
         }
+        // Bursts at offsets [0,10) and [100,110) and [200,210) → 30 samples.
+        assert_eq!(sampled, 30);
+        assert_eq!(t.snapshot().writes, 30);
+        assert_eq!(t.snapshot().offered, 250);
     }
 
     #[test]
     fn analysis_due_fires_on_prediction_threshold_multiples() {
-        for mode in MODES {
-            let cfg = cfg_nosample().with_tracking_mode(mode); // prediction_threshold = 16
-            let t = CacheTrack::new(0, geom(), mode);
-            let mut due_at = Vec::new();
-            for i in 1..=40u64 {
-                if t.handle(ThreadId(0), 0, 8, Write, &cfg).analysis_due {
-                    due_at.push(i);
-                }
+        let cfg = cfg_nosample(); // prediction_threshold = 16
+        let t = CacheTrack::new(0, geom());
+        let mut due_at = Vec::new();
+        for i in 1..=40u64 {
+            if t.handle(ThreadId(0), 0, 8, Write, &cfg).analysis_due {
+                due_at.push(i);
             }
-            assert_eq!(due_at, vec![16, 32], "{mode}");
         }
+        assert_eq!(due_at, vec![16, 32]);
     }
 
     #[test]
     fn analysis_not_due_when_prediction_disabled() {
-        for mode in MODES {
-            let mut cfg = cfg_nosample().with_tracking_mode(mode);
-            cfg.prediction = false;
-            let t = CacheTrack::new(0, geom(), mode);
-            for _ in 0..64 {
-                assert!(!t.handle(ThreadId(0), 0, 8, Write, &cfg).analysis_due);
-            }
+        let mut cfg = cfg_nosample();
+        cfg.prediction = false;
+        let t = CacheTrack::new(0, geom());
+        for _ in 0..64 {
+            assert!(!t.handle(ThreadId(0), 0, 8, Write, &cfg).analysis_due);
         }
     }
 
     #[test]
     fn reads_never_trigger_analysis() {
-        for mode in MODES {
-            let cfg = cfg_nosample().with_tracking_mode(mode);
-            let t = CacheTrack::new(0, geom(), mode);
-            for _ in 0..64 {
-                assert!(!t.handle(ThreadId(0), 0, 8, Read, &cfg).analysis_due);
-            }
-            assert_eq!(t.snapshot().reads, 64);
+        let cfg = cfg_nosample();
+        let t = CacheTrack::new(0, geom());
+        for _ in 0..64 {
+            assert!(!t.handle(ThreadId(0), 0, 8, Read, &cfg).analysis_due);
         }
+        assert_eq!(t.snapshot().reads, 64);
     }
 
-    fn dummy_unit(range_start: u64, mode: TrackingMode) -> Arc<PredictionUnit> {
+    fn dummy_unit(range_start: u64) -> Arc<PredictionUnit> {
         let g = geom();
         let vg = VirtualGeometry::Doubled(g);
         let key = UnitKey {
@@ -517,112 +377,97 @@ mod tests {
             },
             estimate: 1,
         };
-        Arc::new(PredictionUnit::new(key, vg, pair, mode))
+        Arc::new(PredictionUnit::new(key, vg, pair))
     }
 
     #[test]
     fn attached_units_receive_in_range_accesses() {
-        for mode in MODES {
-            let cfg = cfg_nosample().with_tracking_mode(mode);
-            let t = CacheTrack::new(0, geom(), mode);
-            let u = dummy_unit(0, mode); // covers [0,128)
-            t.attach_unit(u.clone());
-            assert_eq!(t.unit_count(), 1);
-            // Ping-pong inside the virtual line.
-            for i in 0..10u16 {
-                t.handle(ThreadId(i % 2), (i as u64 % 2) * 56, 8, Write, &cfg);
-            }
-            assert_eq!(u.invalidations(), 9, "{mode}");
+        let cfg = cfg_nosample();
+        let t = CacheTrack::new(0, geom());
+        let u = dummy_unit(0); // covers [0,128)
+        t.attach_unit(u.clone());
+        assert_eq!(t.unit_count(), 1);
+        // Ping-pong inside the virtual line.
+        for i in 0..10u16 {
+            t.handle(ThreadId(i % 2), (i as u64 % 2) * 56, 8, Write, &cfg);
         }
+        assert_eq!(u.invalidations(), 9);
     }
 
     #[test]
     fn attach_unit_dedups_by_key() {
-        for mode in MODES {
-            let t = CacheTrack::new(0, geom(), mode);
-            let u = dummy_unit(0, mode);
-            t.attach_unit(u.clone());
-            t.attach_unit(dummy_unit(0, mode));
-            assert_eq!(t.unit_count(), 1);
-        }
+        let t = CacheTrack::new(0, geom());
+        let u = dummy_unit(0);
+        t.attach_unit(u.clone());
+        t.attach_unit(dummy_unit(0));
+        assert_eq!(t.unit_count(), 1);
     }
 
     #[test]
     fn out_of_range_accesses_do_not_feed_unit() {
-        for mode in MODES {
-            let cfg = cfg_nosample().with_tracking_mode(mode);
-            // Track for line 2 ([128,192)) with a unit covering [0,128).
-            let t = CacheTrack::new(128, geom(), mode);
-            let u = dummy_unit(0, mode);
-            t.attach_unit(u.clone());
-            for i in 0..10u16 {
-                t.handle(ThreadId(i % 2), 128 + (i as u64 % 2) * 8, 8, Write, &cfg);
-            }
-            assert_eq!(u.invalidations(), 0, "accesses outside unit range ignored");
+        let cfg = cfg_nosample();
+        // Track for line 2 ([128,192)) with a unit covering [0,128).
+        let t = CacheTrack::new(128, geom());
+        let u = dummy_unit(0);
+        t.attach_unit(u.clone());
+        for i in 0..10u16 {
+            t.handle(ThreadId(i % 2), 128 + (i as u64 % 2) * 8, 8, Write, &cfg);
         }
+        assert_eq!(u.invalidations(), 0, "accesses outside unit range ignored");
     }
 
     #[test]
     fn reset_clears_counters_but_keeps_units() {
-        for mode in MODES {
-            let cfg = cfg_nosample().with_tracking_mode(mode);
-            let t = CacheTrack::new(0, geom(), mode);
-            t.attach_unit(dummy_unit(0, mode));
-            for i in 0..10u16 {
-                t.handle(ThreadId(i % 2), 0, 8, Write, &cfg);
-            }
-            assert!(t.invalidations() > 0);
-            t.reset(geom());
-            let snap = t.snapshot();
-            assert_eq!(snap.invalidations, 0);
-            assert_eq!(snap.reads + snap.writes, 0);
-            assert_eq!(snap.offered, 0);
-            assert_eq!(snap.words.total_accesses(), 0);
-            assert_eq!(t.unit_count(), 1, "units survive reset");
+        let cfg = cfg_nosample();
+        let t = CacheTrack::new(0, geom());
+        t.attach_unit(dummy_unit(0));
+        for i in 0..10u16 {
+            t.handle(ThreadId(i % 2), 0, 8, Write, &cfg);
         }
+        assert!(t.invalidations() > 0);
+        t.reset();
+        let snap = t.snapshot();
+        assert_eq!(snap.invalidations, 0);
+        assert_eq!(snap.reads + snap.writes, 0);
+        assert_eq!(snap.offered, 0);
+        assert_eq!(snap.words.total_accesses(), 0);
+        assert_eq!(t.unit_count(), 1, "units survive reset");
     }
 
     #[test]
     fn straddling_access_attributed_to_both_words() {
-        for mode in MODES {
-            let cfg = cfg_nosample().with_tracking_mode(mode);
-            let t = CacheTrack::new(0, geom(), mode);
-            // 8-byte write at offset 4 touches words 0 and 1.
-            t.handle(ThreadId(0), 4, 8, Write, &cfg);
-            let snap = t.snapshot();
-            assert_eq!(snap.words.words()[0].writes, 1, "{mode}");
-            assert_eq!(snap.words.words()[1].writes, 1, "{mode}");
-            assert_eq!(snap.writes, 1, "line totals count the access once");
-        }
+        let cfg = cfg_nosample();
+        let t = CacheTrack::new(0, geom());
+        // 8-byte write at offset 4 touches words 0 and 1.
+        t.handle(ThreadId(0), 4, 8, Write, &cfg);
+        let snap = t.snapshot();
+        assert_eq!(snap.words.words()[0].writes, 1);
+        assert_eq!(snap.words.words()[1].writes, 1);
+        assert_eq!(snap.writes, 1, "line totals count the access once");
     }
 
     #[test]
     fn concurrent_handling_is_consistent() {
-        for mode in MODES {
-            let cfg = cfg_nosample().with_tracking_mode(mode);
-            let t = std::sync::Arc::new(CacheTrack::new(0, geom(), mode));
-            std::thread::scope(|s| {
-                for id in 0..4u16 {
-                    let t = t.clone();
-                    s.spawn(move || {
-                        for _ in 0..10_000 {
-                            t.handle(ThreadId(id), (id as u64) * 8, 8, Write, &cfg);
-                        }
-                    });
-                }
-            });
-            let snap = t.snapshot();
-            assert_eq!(
-                snap.writes, 40_000,
-                "no update lost under contention ({mode})"
-            );
-            assert_eq!(snap.offered, 40_000);
-            assert_eq!(snap.words.exclusive_threads().len(), 4);
-            // Real-thread interleaving is scheduler-dependent (threads may run
-            // their whole loop in one timeslice), so only the lower bound is
-            // deterministic: at least one invalidation per thread hand-off.
-            assert!(snap.invalidations >= 3, "got {}", snap.invalidations);
-            assert!(snap.invalidations <= 39_999);
-        }
+        let cfg = cfg_nosample();
+        let t = std::sync::Arc::new(CacheTrack::new(0, geom()));
+        std::thread::scope(|s| {
+            for id in 0..4u16 {
+                let t = t.clone();
+                s.spawn(move || {
+                    for _ in 0..10_000 {
+                        t.handle(ThreadId(id), (id as u64) * 8, 8, Write, &cfg);
+                    }
+                });
+            }
+        });
+        let snap = t.snapshot();
+        assert_eq!(snap.writes, 40_000, "no update lost under contention");
+        assert_eq!(snap.offered, 40_000);
+        assert_eq!(snap.words.exclusive_threads().len(), 4);
+        // Real-thread interleaving is scheduler-dependent (threads may run
+        // their whole loop in one timeslice), so only the lower bound is
+        // deterministic: at least one invalidation per thread hand-off.
+        assert!(snap.invalidations >= 3, "got {}", snap.invalidations);
+        assert!(snap.invalidations <= 39_999);
     }
 }

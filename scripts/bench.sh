@@ -56,15 +56,6 @@ TRACE_OUT="${BENCH_TRACE_OUT:-BENCH_trace_local.json}"
 echo "==> trace pipeline bench -> $TRACE_OUT"
 target/release/bench_trace "$TRACE_OUT" --iters "${BENCH_TRACE_ITERS:-100000}"
 
-# Tracked-line hot-path scaling: precise (mutex) vs relaxed (lock-free)
-# across 1/2/4/8 threads. The ≥2x-at-8-threads gate makes bench_scaling
-# exit non-zero only on machines with >=8 cores; elsewhere it is advisory.
-# Refresh the committed artifact with
-#   BENCH_SCALING_OUT=BENCH_5.json scripts/bench.sh
-SCALING_OUT="${BENCH_SCALING_OUT:-BENCH_scaling_local.json}"
-echo "==> tracked-line scaling bench -> $SCALING_OUT"
-target/release/bench_scaling "$SCALING_OUT" --iters "${BENCH_SCALING_ITERS:-200000}"
-
 # Fleet pipeline telemetry: corpus ingest throughput, merged-report build
 # time, and trend time over a >=10M-event synthetic multi-trace corpus with
 # one deliberately corrupted member (loss accounting always exercised).
@@ -98,4 +89,4 @@ WHATIF_OUT="${BENCH_WHATIF_OUT:-BENCH_whatif_local.json}"
 echo "==> what-if replay bench -> $WHATIF_OUT"
 target/release/bench_whatif "$WHATIF_OUT" --iters "${BENCH_WHATIF_ITERS:-50000}"
 
-echo "BENCH OK — wrote $OUT, $TRACE_OUT, $SCALING_OUT, $FLEET_OUT, $SERVE_OUT and $WHATIF_OUT"
+echo "BENCH OK — wrote $OUT, $TRACE_OUT, $FLEET_OUT, $SERVE_OUT and $WHATIF_OUT"

@@ -18,6 +18,14 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> one tracking discipline (the mode fork must not grow back)"
+# `if`, not `! grep`: errexit ignores a status inverted with `!`.
+if grep -rnE 'TrackingMode|tracking[-_]mode|TrackCore|UnitCore' \
+  crates src tests examples README.md DESIGN.md; then
+  echo "a second tracking discipline is back" >&2
+  exit 1
+fi
+
 echo "==> explain/diff smoke (flight recorder + CI gate)"
 cargo build --release -p predator-cli
 PRED=target/release/predator
@@ -173,9 +181,6 @@ echo "==> repo benchmark: harness tests (every layer probe on tiny inputs + esse
 # benchmark/ is a package of its own (BENCHMARK.json declares it); its tests
 # run the real CLI of this checkout and hold every report to its essence.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
-
-echo "==> tracked-line scaling bench (2x gate enforced only on >=8 cores)"
-target/release/bench_scaling "$SMOKE/bench_scaling.json" --iters 100000 --reps 2
 
 echo "==> live monitoring smoke (serve on an ephemeral port, scrape, clean shutdown)"
 # The full endpoint matrix (including auth + SIGTERM semantics) is covered

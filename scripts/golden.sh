@@ -4,9 +4,9 @@
 #   scripts/golden.sh           # verify: byte-for-byte diff against corpus
 #   scripts/golden.sh --bless   # refresh the corpus after an intended change
 #
-# Bless output is deterministic (precise tracking mode, round-robin/seeded
-# feeds, observability snapshot zeroed), so a clean `git diff` after bless
-# means nothing user-visible moved.
+# Bless output is deterministic (round-robin/seeded feeds, observability
+# snapshot zeroed), so a clean `git diff` after bless means nothing
+# user-visible moved.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

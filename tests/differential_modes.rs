@@ -1,50 +1,254 @@
-//! Differential oracle for the lock-free tracking mode: on any
-//! deterministic (serialized) feed, `relaxed` must produce findings and run
-//! statistics identical to `precise` — the mutexed implementation is the
-//! executable specification, the lock-free one must never be *observably*
-//! different when there is no concurrency to blur the order of accesses.
+//! Differential oracle for the lock-free tracked line: on any deterministic
+//! (serialized) feed, a `CacheTrack` with its attached `PredictionUnit`s
+//! must answer every access with the same `TrackOutcome`, and end in the
+//! same `TrackSnapshot` / `UnitSnapshot`s, as the paper's sequential rules.
+//! The sequential side is composed below from the spec types
+//! `predator_sim::{HistoryTable, WordTracker}` — the executable
+//! specification; the packed-atomic, batched implementation must never be
+//! *observably* different when there is no concurrency to blur the order of
+//! accesses. (What real concurrency may blur is bounded separately:
+//! `tests/loom_model.rs` and the conservation tests in `predator-core`.)
 //!
 //! Two layers:
 //!
-//! * a deterministic matrix — every canonical sharing pattern under
-//!   round-robin and seeded schedules, across configs that exercise
-//!   promotion edges, prediction units, and the scaled virtual lines;
-//! * a property test over arbitrary two-line scripts and schedules. The
-//!   vendored proptest shim does not shrink, so any divergence is reduced
-//!   here with a ddmin pass over the flattened feed before reporting — the
-//!   panic message carries a locally 1-minimal reproducing interleaving.
+//! * a deterministic matrix — every canonical sharing pattern, plus a
+//!   script of word- and line-straddling accesses, under round-robin and
+//!   seeded schedules, across configs that exercise promotion edges,
+//!   sampling windows, wider lines and the scaled virtual lines;
+//! * a property test over arbitrary byte-granular scripts and schedules.
+//!   The vendored proptest shim does not shrink, so any divergence is
+//!   reduced here with a ddmin pass over the flattened feed before
+//!   reporting — the panic message carries a locally 1-minimal reproducing
+//!   interleaving.
+//!
+//! Prediction units are attached *mid-feed*, at the moments the runtime
+//! would: whenever a line reports `analysis_due`, every virtual-line
+//! scenario around it that is not yet verified gets a unit on both sides.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use predator::core::{build_report, DetectorConfig, Predator, TrackingMode};
+use predator::core::predict::{HotPair, HotWord, PredictionUnit, UnitKey, UnitKind, UnitSnapshot};
+use predator::core::track::{CacheTrack, TrackOutcome, TrackSnapshot};
+use predator::core::DetectorConfig;
 use predator::sim::interleave::{interleave, Schedule, Script};
 use predator::sim::patterns::{generate, Pattern};
-use predator::sim::{Access, ThreadId};
-use predator::Report;
+use predator::sim::{
+    Access, AccessKind, CacheGeometry, HistoryTable, ThreadId, VirtualGeometry, VirtualRange,
+    WordState, WordTracker,
+};
 
 const BASE: u64 = 0x4000_0000;
 
-fn run_feed(feed: &[Access], cfg: DetectorConfig) -> Report {
-    let rt = Predator::new(cfg, BASE, 1 << 20);
-    for a in feed {
-        rt.handle_access(a.tid, a.addr, a.size, a.kind);
+// ---- the sequential model (§2.3.1, §2.4.3, §3.4) ----
+
+/// One candidate virtual line: a history table fed by every in-range access.
+struct SeqUnit {
+    key: UnitKey,
+    range: VirtualRange,
+    origin: HotPair,
+    history: HistoryTable,
+    invalidations: u64,
+    accesses: u64,
+}
+
+/// One tracked line: sampling window, history table, word counters, and the
+/// indices (into the rig's unit list) of the units overlapping it.
+struct SeqLine {
+    line_start: u64,
+    history: HistoryTable,
+    words: WordTracker,
+    invalidations: u64,
+    reads: u64,
+    writes: u64,
+    offered: u64,
+    units: Vec<usize>,
+}
+
+impl SeqLine {
+    fn new(line_start: u64, geom: CacheGeometry) -> Self {
+        SeqLine {
+            line_start,
+            history: HistoryTable::new(),
+            words: WordTracker::new(line_start, geom),
+            invalidations: 0,
+            reads: 0,
+            writes: 0,
+            offered: 0,
+            units: Vec::new(),
+        }
     }
-    build_report(&rt, None)
+
+    fn handle(&mut self, a: &Access, cfg: &DetectorConfig, units: &mut [SeqUnit]) -> TrackOutcome {
+        let n = self.offered;
+        self.offered += 1;
+        if cfg.sampling && n % cfg.sample_interval >= cfg.sample_burst {
+            return TrackOutcome::default();
+        }
+        let invalidated = self.history.record(a.tid, a.kind);
+        self.invalidations += invalidated as u64;
+        self.words.record(a.tid, a.addr, a.size, a.kind);
+        let analysis_due = match a.kind {
+            AccessKind::Read => {
+                self.reads += 1;
+                false
+            }
+            AccessKind::Write => {
+                self.writes += 1;
+                cfg.prediction && self.writes.is_multiple_of(cfg.prediction_threshold)
+            }
+        };
+        for &u in &self.units {
+            let unit = &mut units[u];
+            if unit.range.contains(a.addr) {
+                unit.accesses += 1;
+                unit.invalidations += unit.history.record(a.tid, a.kind) as u64;
+            }
+        }
+        TrackOutcome {
+            sampled: true,
+            invalidated,
+            analysis_due,
+        }
+    }
+
+    fn snapshot(&self) -> TrackSnapshot {
+        TrackSnapshot {
+            line_start: self.line_start,
+            invalidations: self.invalidations,
+            reads: self.reads,
+            writes: self.writes,
+            offered: self.offered,
+            words: self.words.clone(),
+        }
+    }
 }
 
-/// Reports for both modes on an identical feed. `report.obs` is never
-/// compared: observability counters are process-global and accumulate
-/// across tests, so they differ between any two runs by construction.
-fn pair(feed: &[Access], cfg: DetectorConfig) -> (Report, Report) {
-    (
-        run_feed(feed, cfg.with_tracking_mode(TrackingMode::Precise)),
-        run_feed(feed, cfg.with_tracking_mode(TrackingMode::Relaxed)),
-    )
+// ---- both sides, fed in lock step ----
+
+/// Lines are created on first touch (or first unit overlap), as tracks are
+/// in the runtime; units are shared by every line their range overlaps.
+#[derive(Default)]
+struct Rig {
+    lines: BTreeMap<u64, (CacheTrack, SeqLine)>,
+    units: Vec<Arc<PredictionUnit>>,
+    seq_units: Vec<SeqUnit>,
 }
 
-fn diverges(feed: &[Access], cfg: DetectorConfig) -> bool {
-    let (p, r) = pair(feed, cfg);
-    p.findings != r.findings || p.stats != r.stats
+fn new_line(index: u64, geom: CacheGeometry) -> (CacheTrack, SeqLine) {
+    let start = geom.line_start(index);
+    (CacheTrack::new(start, geom), SeqLine::new(start, geom))
+}
+
+impl Rig {
+    /// The virtual lines around physical line `index` the runtime could
+    /// spawn a unit for: doubled, shifted by half a line, and every scaled
+    /// factor the config enables. Already-verified keys are skipped.
+    fn attach_scenarios(&mut self, index: u64, cfg: &DetectorConfig) {
+        let geom = cfg.geometry;
+        let start = geom.line_start(index);
+        let delta = geom.line_size() / 2;
+        let mut scenarios = vec![
+            (UnitKind::Doubled, VirtualGeometry::Doubled(geom)),
+            (
+                UnitKind::Remap { delta },
+                VirtualGeometry::Offset { geom, delta },
+            ),
+        ];
+        for factor_log2 in 2..=cfg.max_scale_log2 {
+            scenarios.push((
+                UnitKind::Scaled { factor_log2 },
+                VirtualGeometry::Scaled { geom, factor_log2 },
+            ));
+        }
+        for (kind, vg) in scenarios {
+            let key = UnitKey {
+                kind,
+                vline: vg.index(start),
+            };
+            if self.units.iter().any(|u| u.key == key) {
+                continue;
+            }
+            let range = vg.range(key.vline);
+            let hot = |addr| HotWord {
+                addr,
+                state: WordState::default(),
+            };
+            let origin = HotPair {
+                x: hot(range.start),
+                y: hot(range.start + range.size - 8),
+                estimate: 0,
+            };
+            let unit = Arc::new(PredictionUnit::new(key, vg, origin));
+            self.seq_units.push(SeqUnit {
+                key,
+                range: unit.range,
+                origin,
+                history: HistoryTable::new(),
+                invalidations: 0,
+                accesses: 0,
+            });
+            let u = self.units.len();
+            for l in geom.line_index(range.start)..=geom.line_index(range.end()) {
+                let (track, seq) = self.lines.entry(l).or_insert_with(|| new_line(l, geom));
+                track.attach_unit(unit.clone());
+                seq.units.push(u);
+            }
+            self.units.push(unit);
+        }
+    }
+}
+
+/// Feeds both sides and describes the first point where they part, if any:
+/// an access answered differently, or the state left behind.
+fn divergence(feed: &[Access], cfg: DetectorConfig) -> Option<String> {
+    let geom = cfg.geometry;
+    let mut rig = Rig::default();
+    for (i, a) in feed.iter().enumerate() {
+        // A straddling access is offered, whole, to each line it touches.
+        for index in geom.lines_touched(a.addr, a.size) {
+            let (track, seq) = rig
+                .lines
+                .entry(index)
+                .or_insert_with(|| new_line(index, geom));
+            let got = track.handle(a.tid, a.addr, a.size, a.kind, &cfg);
+            let want = seq.handle(a, &cfg, &mut rig.seq_units);
+            if got != want {
+                return Some(format!(
+                    "access #{i} {a:?} on line {index}: lock-free {got:?}, sequential {want:?}"
+                ));
+            }
+            if want.analysis_due {
+                rig.attach_scenarios(index, &cfg);
+            }
+        }
+    }
+    for (index, (track, seq)) in &rig.lines {
+        let (got, want) = (track.snapshot(), seq.snapshot());
+        if got != want {
+            return Some(format!(
+                "line {index} ends as\nlock-free  {got:?}\nsequential {want:?}"
+            ));
+        }
+    }
+    for (unit, seq) in rig.units.iter().zip(&rig.seq_units) {
+        let want = UnitSnapshot {
+            key: seq.key,
+            range: seq.range,
+            origin: seq.origin,
+            invalidations: seq.invalidations,
+            accesses: seq.accesses,
+        };
+        let got = unit.snapshot();
+        if got != want {
+            return Some(format!(
+                "unit ends as\nlock-free  {got:?}\nsequential {want:?}"
+            ));
+        }
+    }
+    None
 }
 
 /// ddmin over the access feed: repeatedly delete chunks (halving the chunk
@@ -59,7 +263,7 @@ fn ddmin(feed: &[Access], cfg: DetectorConfig) -> Vec<Access> {
         while i < cur.len() {
             let mut cand = cur.clone();
             cand.drain(i..(i + chunk).min(cand.len()));
-            if !cand.is_empty() && diverges(&cand, cfg) {
+            if !cand.is_empty() && divergence(&cand, cfg).is_some() {
                 cur = cand;
                 removed = true;
             } else {
@@ -78,42 +282,78 @@ fn ddmin(feed: &[Access], cfg: DetectorConfig) -> Vec<Access> {
     cur
 }
 
-/// Asserts mode equivalence; on divergence, shrinks first so the failure
-/// message is a minimal interleaving rather than a thousand-access feed.
+/// Asserts equivalence; on divergence, shrinks first so the failure message
+/// is a minimal interleaving rather than a thousand-access feed.
 fn assert_equivalent(feed: &[Access], cfg: DetectorConfig, ctx: &str) {
-    if !diverges(feed, cfg) {
+    if divergence(feed, cfg).is_none() {
         return;
     }
     let min = ddmin(feed, cfg);
-    let (p, r) = pair(&min, cfg);
     panic!(
-        "relaxed diverges from precise [{ctx}]\n\
-         minimal feed ({} accesses): {:#?}\n\
-         precise findings: {:#?}\nrelaxed findings: {:#?}\n\
-         precise stats: {:?}\nrelaxed stats: {:?}",
+        "lock-free line diverges from the sequential spec [{ctx}]\n\
+         minimal feed ({} accesses): {:#?}\n{}",
         min.len(),
         min,
-        p.findings,
-        r.findings,
-        p.stats,
-        r.stats
+        divergence(&min, cfg).expect("ddmin keeps the divergence")
     );
 }
 
 fn configs() -> Vec<(DetectorConfig, &'static str)> {
-    let mut scaled = DetectorConfig::sensitive();
-    scaled.max_scale_log2 = 2;
-    let exact = DetectorConfig {
-        tracking_threshold: 1,
-        report_threshold: 1,
-        sampling: false,
-        ..DetectorConfig::sensitive()
-    };
+    let sensitive = DetectorConfig::sensitive(); // prediction_threshold 16
     vec![
-        (DetectorConfig::sensitive(), "sensitive"),
-        (scaled, "sensitive+4x-lines"),
-        (exact, "unthresholded"),
+        (sensitive, "sensitive"),
+        (
+            DetectorConfig {
+                max_scale_log2: 2,
+                ..sensitive
+            },
+            "sensitive+4x-lines",
+        ),
+        (
+            DetectorConfig {
+                prediction_threshold: 1,
+                ..sensitive
+            },
+            "analysis on every write",
+        ),
+        (
+            DetectorConfig {
+                sampling: true,
+                sample_interval: 7,
+                sample_burst: 3,
+                prediction_threshold: 5,
+                ..sensitive
+            },
+            "sampled 3 of 7",
+        ),
+        (
+            DetectorConfig {
+                geometry: CacheGeometry::new(128),
+                ..sensitive
+            },
+            "128-byte lines",
+        ),
+        (DetectorConfig::no_prediction(), "no prediction"),
     ]
+}
+
+/// Accesses of 1–8 bytes at byte granularity over two lines and the first
+/// words of a third: they straddle words, straddle lines, and start below
+/// the line that also records them.
+fn straddling_script() -> Script {
+    let mut script = Script::new(3);
+    for i in 0..1200u64 {
+        let t = (i % 3) as usize;
+        let addr = BASE + (i * 13) % 126;
+        let size = 1u8 << (i % 4);
+        let a = if i % 5 < 3 {
+            Access::write(ThreadId(t as u16), addr, size)
+        } else {
+            Access::read(ThreadId(t as u16), addr, size)
+        };
+        script.push(t, a);
+    }
+    script
 }
 
 #[test]
@@ -149,24 +389,33 @@ fn matrix_of_patterns_and_schedules_agrees() {
             seed: 42,
         },
     ];
+    let mut scripts: Vec<(String, Script)> = patterns
+        .iter()
+        .map(|&p| (format!("{p:?}"), generate(p, 400)))
+        .collect();
+    scripts.push(("straddling".into(), straddling_script()));
     let schedules = [
         Schedule::RoundRobin,
         Schedule::Seeded(7),
         Schedule::Seeded(229),
         Schedule::Seeded(9001),
     ];
-    for pattern in patterns {
+    for (script_name, script) in &scripts {
         for schedule in &schedules {
-            let feed = interleave(&generate(pattern, 400), schedule);
+            let feed = interleave(script, schedule);
             for (cfg, name) in configs() {
-                assert_equivalent(&feed, cfg, &format!("{pattern:?} / {schedule:?} / {name}"));
+                assert_equivalent(
+                    &feed,
+                    cfg,
+                    &format!("{script_name} / {schedule:?} / {name}"),
+                );
             }
         }
     }
 }
 
 /// The exact threshold edge: writes landing precisely on multiples of the
-/// prediction threshold are where relaxed batching could legally defer an
+/// prediction threshold are where counter batching could legally defer an
 /// analysis pass — it must not.
 #[test]
 fn threshold_multiples_agree() {
@@ -183,23 +432,25 @@ fn threshold_multiples_agree() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Arbitrary scripts spanning two adjacent lines (words 0..16) under
-    /// arbitrary seeded schedules: two lines means hot-pair search and
-    /// prediction-unit feeds run, not just per-line counting.
+    /// Arbitrary byte-granular scripts spanning two adjacent lines (and
+    /// spilling into a third) under arbitrary seeded schedules: two lines
+    /// means units get attached and fed, not just per-line counting.
+    /// ("Precise" is the sequential spec; "relaxed" the lock-free line.)
     #[test]
     fn prop_relaxed_equals_precise_on_serialized_feeds(
         per_thread in proptest::collection::vec(
-            proptest::collection::vec((0u64..16, prop::bool::ANY), 1..60), 2..4),
+            proptest::collection::vec((0u64..126, 0u32..4, prop::bool::ANY), 1..60), 2..4),
         seed in 0u64..1000,
     ) {
         let n = per_thread.len();
         let mut script = Script::new(n);
         for (t, ops) in per_thread.iter().enumerate() {
-            for &(word, w) in ops {
+            for &(off, size_log2, w) in ops {
+                let (tid, addr, size) = (ThreadId(t as u16), BASE + off, 1u8 << size_log2);
                 let a = if w {
-                    Access::write(ThreadId(t as u16), BASE + word * 8, 8)
+                    Access::write(tid, addr, size)
                 } else {
-                    Access::read(ThreadId(t as u16), BASE + word * 8, 8)
+                    Access::read(tid, addr, size)
                 };
                 script.push(t, a);
             }

@@ -1,21 +1,17 @@
 //! Golden-report corpus: full reports for the `examples/programs` IR
 //! workloads and the canonical synthetic patterns, pinned byte-for-byte.
 //!
-//! Every case runs the detector in `precise` mode over a fully
-//! deterministic feed (round-robin IR scheduling / seeded interleavings),
-//! normalises the process-global observability snapshot out of the report,
-//! and compares the pretty-printed JSON against `tests/golden/<case>.json`
-//! exactly. Any change to classification, ranking, attribution, counters,
-//! or serialisation shows up as a diff — intentional changes are blessed
-//! with `scripts/golden.sh --bless`.
-//!
-//! Each case also replays the identical feed in `relaxed` mode and
-//! requires findings + stats to match the precise report, so the corpus
-//! doubles as a fixed-seed differential gate.
+//! Every case runs the detector over a fully deterministic feed
+//! (round-robin IR scheduling / seeded interleavings), normalises the
+//! process-global observability snapshot out of the report, and compares
+//! the pretty-printed JSON against `tests/golden/<case>.json` exactly. Any
+//! change to classification, ranking, attribution, counters, or
+//! serialisation shows up as a diff — intentional changes are blessed with
+//! `scripts/golden.sh --bless`.
 
 use std::path::{Path, PathBuf};
 
-use predator::core::{build_report, DetectorConfig, Predator, TrackingMode};
+use predator::core::{build_report, DetectorConfig, Predator};
 use predator::core::{ObsSnapshot, Report};
 use predator::instrument::{
     instrument_module, parse_module, InstrumentOptions, Machine, StepSchedule, ThreadSpec,
@@ -33,13 +29,13 @@ fn repo_path(rel: &str) -> PathBuf {
 
 /// `predator ir examples/programs/false_sharing.pir` with a fixed
 /// round-robin quantum: 2 worker threads, `stride` bytes apart.
-fn ir_report(stride: u64, mode: TrackingMode) -> Report {
+fn ir_report(stride: u64) -> Report {
     let text = std::fs::read_to_string(repo_path("examples/programs/false_sharing.pir"))
         .expect("example program exists");
     let mut module = parse_module(&text).expect("example parses");
     instrument_module(&mut module, &InstrumentOptions::default());
 
-    let det = DetectorConfig::sensitive().with_tracking_mode(mode);
+    let det = DetectorConfig::sensitive();
     let space = SimSpace::new(1 << 20);
     let rt = Predator::for_space(det, &space);
     let machine = Machine::new(&module, &space, &rt).expect("machine builds");
@@ -56,8 +52,8 @@ fn ir_report(stride: u64, mode: TrackingMode) -> Report {
     normalized(build_report(&rt, None))
 }
 
-fn pattern_report(pattern: Pattern, schedule: &Schedule, mode: TrackingMode) -> Report {
-    let det = DetectorConfig::sensitive().with_tracking_mode(mode);
+fn pattern_report(pattern: Pattern, schedule: &Schedule) -> Report {
+    let det = DetectorConfig::sensitive();
     let rt = Predator::new(det, BASE, 1 << 20);
     for a in interleave(&generate(pattern, 400), schedule) {
         rt.handle_access(a.tid, a.addr, a.size, a.kind);
@@ -74,19 +70,10 @@ fn normalized(mut report: Report) -> Report {
 
 /// Byte-for-byte check against `tests/golden/<name>.json`, or refresh it
 /// when `GOLDEN_BLESS` is set (`scripts/golden.sh --bless`).
-fn check_golden(name: &str, precise: &Report, relaxed: &Report) {
-    assert_eq!(
-        precise.findings, relaxed.findings,
-        "[{name}] relaxed findings diverge from the precise oracle"
-    );
-    assert_eq!(
-        precise.stats, relaxed.stats,
-        "[{name}] relaxed stats diverge"
-    );
-
+fn check_golden(name: &str, report: &Report) {
     let dir = repo_path("tests/golden");
     let path = dir.join(format!("{name}.json"));
-    let mut got = serde_json::to_string_pretty(precise).expect("reports serialise");
+    let mut got = serde_json::to_string_pretty(report).expect("reports serialise");
     got.push('\n');
     if std::env::var_os("GOLDEN_BLESS").is_some() {
         std::fs::create_dir_all(&dir).expect("golden dir");
@@ -107,64 +94,60 @@ fn check_golden(name: &str, precise: &Report, relaxed: &Report) {
     );
 }
 
-fn run_case(name: &str, mk: impl Fn(TrackingMode) -> Report) {
-    check_golden(name, &mk(TrackingMode::Precise), &mk(TrackingMode::Relaxed));
-}
-
 #[test]
 fn ir_false_sharing_stride8_observed() {
-    run_case("ir_false_sharing_stride8", |m| ir_report(8, m));
+    check_golden("ir_false_sharing_stride8", &ir_report(8));
 }
 
 #[test]
 fn ir_false_sharing_stride64_latent() {
-    run_case("ir_false_sharing_stride64", |m| ir_report(64, m));
+    check_golden("ir_false_sharing_stride64", &ir_report(64));
 }
 
 #[test]
 fn ir_false_sharing_stride0_true_sharing() {
-    run_case("ir_false_sharing_stride0", |m| ir_report(0, m));
+    check_golden("ir_false_sharing_stride0", &ir_report(0));
 }
 
 #[test]
 fn pattern_ping_pong_round_robin() {
-    run_case("pattern_ping_pong", |m| {
-        pattern_report(
+    check_golden(
+        "pattern_ping_pong",
+        &pattern_report(
             Pattern::PingPong {
                 threads: 4,
                 base: BASE,
             },
             &Schedule::RoundRobin,
-            m,
-        )
-    });
+        ),
+    );
 }
 
 #[test]
 fn pattern_reader_writer_seeded() {
-    run_case("pattern_reader_writer", |m| {
-        pattern_report(
+    check_golden(
+        "pattern_reader_writer",
+        &pattern_report(
             Pattern::ReaderWriter {
                 threads: 3,
                 base: BASE,
             },
             &Schedule::Seeded(229),
-            m,
-        )
-    });
+        ),
+    );
 }
 
 #[test]
 fn pattern_striped_predicted_only() {
-    run_case("pattern_striped64", |m| {
-        pattern_report(
+    check_golden(
+        "pattern_striped64",
+        &pattern_report(
             Pattern::Striped {
                 threads: 4,
                 base: BASE,
                 stride: 64,
             },
             &Schedule::RoundRobin,
-            m,
-        )
-    });
+        ),
+    );
 }

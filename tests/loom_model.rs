@@ -1,6 +1,6 @@
 //! Model-checked interleavings for the lock-free tracked-line transitions.
 //!
-//! The `relaxed` tracking mode rests on one claim: the packed two-entry
+//! The lock-free tracked line rests on one claim: the packed two-entry
 //! history table CAS loop is *linearizable* — every concurrent execution is
 //! equivalent to some serial order of the same accesses, so no invalidation
 //! is ever lost or double-counted. These tests prove that claim for all
