@@ -7,19 +7,18 @@
 //! predator run histogram --fixed --threads 8 --iters 50000
 //! predator run mysql --no-prediction --json
 //! predator native linear_regression --iters 2000000
-//! predator replay trace.jsonl
+//! predator replay trace.ptrace
 //! ```
 
 mod serve;
 
-use std::io::BufReader;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use predator_core::{
-    build_report, build_report_merged, suggest_fixes, Attribution, DetectorConfig, LayoutEdit,
-    ObsSnapshot, Predator, Report, Session, SiteKind, TimelineOp, TimelineRecord,
+    build_report, suggest_fixes, DetectorConfig, LayoutEdit, ObsSnapshot, Predator, Report,
+    Session, SiteKind, TimelineOp, TimelineRecord,
 };
 use predator_instrument::{
     instrument_module, parse_module, InstrumentOptions, Machine, StepSchedule, ThreadSpec,
@@ -31,9 +30,8 @@ use predator_policy::{
 use predator_shadow::SimSpace;
 use predator_sim::{Access, ThreadId};
 use predator_trace::{
-    analyze_events, analyze_file, read_info, read_info_scan, sniff_format, verify_fixes,
-    whatif_events, AnalyzeConfig, JsonlIter, LossStats, TraceFormat, TraceMeta, TraceReader,
-    TraceSink, WhatIfFix,
+    analyze_events, analyze_file, import_jsonl, read_info, read_info_scan, verify_fixes,
+    whatif_events, AnalyzeConfig, LossStats, TraceMeta, TraceReader, TraceSink, WhatIfFix,
 };
 use predator_workloads::{all, by_name, run_and_report, Variant, WorkloadConfig};
 
@@ -65,19 +63,17 @@ USAGE:
         metadata — globals, live heap objects, callsites — rides along).
         (same --fixed/--threads/--iters/--seed options as `run`)
 
-    predator analyze <trace> [OPTIONS]
-        Sharded offline analysis of a recorded trace (.ptrace or JSONL,
-        auto-detected). Cache-line clusters are partitioned across worker
-        shards, each runs an independent detector, and the merged report is
-        identical to a sequential replay's.
+    predator analyze <trace.ptrace> [OPTIONS]
+        Sharded offline analysis of a recorded trace. Cache-line clusters
+        are partitioned across worker shards, each runs an independent
+        detector, and the merged report is identical to a sequential
+        replay's. The address range comes from the trace's header.
         --shards <N>        worker shards               [default: CPU count]
-        --base <HEX> / --size <N>  address range for JSONL traces
-                            (.ptrace headers carry their own)
         --verify-fixes      annotate each finding with its suggested fix's
                             measured replay delta (see `whatif`)
         --sensitive / --no-prediction / --sampling / --json as above
 
-    predator whatif <trace> [OPTIONS]
+    predator whatif <trace.ptrace> [OPTIONS]
         What-if layout replay: prove (or refute) fix suggestions against
         the recorded trace instead of printing untested advice. Each
         finding's suggested fix — or one user-supplied edit list — is
@@ -94,7 +90,7 @@ USAGE:
         --min-delta <PCT>   exit nonzero unless the best verified fix
                             removes at least PCT% of invalidations at its
                             worst portfolio geometry (a CI gate)
-        --shards <N> / --base <HEX> / --size <N> as `analyze`
+        --shards <N> as `analyze`
         --sensitive / --no-prediction / --sampling / --json as above
 
     predator trace info <trace.ptrace> [--deep]
@@ -105,9 +101,16 @@ USAGE:
         damaged. The index cannot see mid-file payload corruption, so
         --deep forces the CRC-checking full scan regardless.
 
-    predator trace cat <trace> [OPTIONS]
-        Decode a trace (.ptrace or JSONL) to JSON lines on stdout.
+    predator trace cat <trace.ptrace> [OPTIONS]
+        Decode a trace to JSON lines on stdout, one access per line.
         --limit <N>         stop after N events
+
+    predator trace import <in.jsonl> -o <out.ptrace>
+        Convert a JSON-lines access trace (`trace cat`'s output, or another
+        tool's) into a .ptrace every other verb reads. The header's address
+        range is worked out from the events: the page-aligned hull of every
+        touched byte. A malformed line is an error naming its line number;
+        a hull wider than 1 GiB is refused (split the input by region).
 
     predator fleet ingest <trace.ptrace>... --corpus <dir> [OPTIONS]
         Ingest recorded traces into a corpus: each file is streamed through
@@ -145,11 +148,10 @@ USAGE:
         raw files. Merged totals are preserved exactly; per-run provenance
         of dropped runs is not.
 
-    predator replay <trace> [OPTIONS]
-        Stream an access trace (.ptrace or JSONL, auto-detected) through a
-        single sequential detector.
-        --base <HEX>        JSONL space base address    [default: 0x40000000]
-        --size <N>          JSONL space size in bytes   [default: 64 MiB]
+    predator replay <trace.ptrace> [OPTIONS]
+        `analyze --shards 1` with the flight recorder on: stream the trace
+        through a single sequential detector, embedding `explain` timelines
+        in the report.
         --sensitive / --no-prediction / --json as above
 
     predator ir <program.pir> [OPTIONS]
@@ -311,8 +313,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
         "--iters",
         "--seed",
         "--sampling",
-        "--base",
-        "--size",
         "--stride",
         "--quantum",
         "--metrics",
@@ -372,7 +372,7 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
             let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
             args.options.insert(a.clone(), v.clone());
         } else if a == "-o" {
-            // `record`'s short output flag, aliased onto --out.
+            // The short output flag (`record`, `trace import`), aliased onto --out.
             let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
             args.options.insert("--out".to_string(), v.clone());
         } else if SWITCHES.contains(&a.as_str()) {
@@ -768,21 +768,6 @@ fn cmd_native(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The `--base`/`--size` fallback range for JSONL traces (which, unlike
-/// `.ptrace`, carry no header naming the space they cover).
-fn jsonl_range(args: &Args) -> Result<(u64, u64), String> {
-    let base = u64::from_str_radix(
-        args.options
-            .get("--base")
-            .map(|s| s.trim_start_matches("0x"))
-            .unwrap_or("40000000"),
-        16,
-    )
-    .map_err(|e| format!("bad --base: {e}"))?;
-    let size: u64 = num(args, "--size", 64 << 20)?;
-    Ok((base, size))
-}
-
 fn warn_loss(path: &str, loss: &LossStats) {
     if loss.any() {
         eprintln!(
@@ -800,49 +785,17 @@ fn warn_loss(path: &str, loss: &LossStats) {
     }
 }
 
+/// `analyze --shards 1` under another name: what sets `replay` apart is the
+/// flight recorder, which `install_recorder` turned on before dispatch.
 fn cmd_replay(args: &Args) -> Result<ExitCode, String> {
     let path = args.positional.get(1).ok_or("replay: missing trace path")?;
     let det = detector_config(args)?;
-    // Both branches stream: one event in flight, never the whole trace.
-    let (report, events) = match sniff_format(Path::new(path))? {
-        TraceFormat::Ptrace => {
-            let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-            let mut r =
-                TraceReader::new(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
-            let rt = Predator::new(det, r.base(), r.size());
-            let mut n = 0u64;
-            for a in &mut r {
-                rt.handle_access(a.tid, a.addr, a.size, a.kind);
-                n += 1;
-            }
-            warn_loss(path, &r.stats());
-            let report = match r.take_meta() {
-                Some(meta) => {
-                    meta.apply_globals(&rt);
-                    let dir = meta.directory();
-                    build_report_merged(&[&rt], Attribution::Directory(&dir))
-                }
-                None => build_report(&rt, None),
-            };
-            (report, n)
-        }
-        TraceFormat::Jsonl => {
-            let (base, size) = jsonl_range(args)?;
-            let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-            let rt = Predator::new(det, base, size);
-            let mut n = 0u64;
-            for a in JsonlIter::new(BufReader::new(file)) {
-                let a = a.map_err(|e| format!("bad trace: {e}"))?;
-                rt.handle_access(a.tid, a.addr, a.size, a.kind);
-                n += 1;
-            }
-            (build_report(&rt, None), n)
-        }
-    };
+    let out = analyze_file(Path::new(path), &AnalyzeConfig::new(det, 1), 0, 0)?;
+    warn_loss(path, &out.loss);
     if !output_format(args)?.is_machine() {
-        println!("replayed {events} events");
+        println!("replayed {} events", out.events);
     }
-    emit_report(args, &det, &report)
+    emit_report(args, &det, &out.report)
 }
 
 fn cmd_record(args: &Args) -> Result<(), String> {
@@ -896,12 +849,11 @@ fn cmd_analyze(args: &Args) -> Result<ExitCode, String> {
         .ok_or("analyze: missing trace path")?;
     let det = detector_config(args)?;
     let shards = shard_count(args)?;
-    let (base, size) = jsonl_range(args)?;
     let cfg = AnalyzeConfig::new(det, shards);
     if args.flags.iter().any(|f| f == "--verify-fixes") {
         // Verification replays the trace under each suggested fix, so the
         // events must be resident; the streaming path won't do.
-        let (events, base, size, meta) = load_trace_events(args, path)?;
+        let (events, base, size, meta) = load_trace_events(path)?;
         let out = analyze_events(&events, base, size, meta.as_ref(), &cfg);
         let mut report = out.report;
         let verified = verify_fixes(&events, base, size, meta.as_ref(), &mut report, &cfg);
@@ -914,7 +866,7 @@ fn cmd_analyze(args: &Args) -> Result<ExitCode, String> {
         }
         return emit_report(args, &det, &report);
     }
-    let out = analyze_file(Path::new(path), &cfg, base, size)?;
+    let out = analyze_file(Path::new(path), &cfg, 0, 0)?;
     warn_loss(path, &out.loss);
     if !output_format(args)?.is_machine() {
         println!(
@@ -933,34 +885,14 @@ fn cmd_analyze(args: &Args) -> Result<ExitCode, String> {
     emit_report(args, &det, &out.report)
 }
 
-/// Loads a whole trace (either format) into memory: the what-if replay
-/// re-analyzes the event list several times, so streaming buys nothing.
-fn load_trace_events(
-    args: &Args,
-    path: &str,
-) -> Result<(Vec<Access>, u64, u64, Option<TraceMeta>), String> {
-    match sniff_format(Path::new(path))? {
-        TraceFormat::Ptrace => {
-            let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-            let mut r =
-                TraceReader::new(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
-            let base = r.base();
-            let size = r.size();
-            let events: Vec<Access> = (&mut r).collect();
-            warn_loss(path, &r.stats());
-            let meta = r.take_meta();
-            Ok((events, base, size, meta))
-        }
-        TraceFormat::Jsonl => {
-            let (base, size) = jsonl_range(args)?;
-            let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-            let mut events = Vec::new();
-            for a in JsonlIter::new(BufReader::new(file)) {
-                events.push(a.map_err(|e| format!("bad trace: {e}"))?);
-            }
-            Ok((events, base, size, None))
-        }
-    }
+/// Loads a whole trace into memory: the what-if replay re-analyzes the
+/// event list several times, so streaming buys nothing.
+fn load_trace_events(path: &str) -> Result<(Vec<Access>, u64, u64, Option<TraceMeta>), String> {
+    let mut r = TraceReader::open(path)?;
+    let (base, size) = (r.base(), r.size());
+    let events: Vec<Access> = r.by_ref().collect();
+    warn_loss(path, &r.stats());
+    Ok((events, base, size, r.take_meta()))
 }
 
 /// Parses `--pad AT:BYTES[,AT:BYTES...]` into layout edits. `AT` accepts a
@@ -989,7 +921,7 @@ fn cmd_whatif(args: &Args) -> Result<ExitCode, String> {
     let path = args.positional.get(1).ok_or("whatif: missing trace path")?;
     let det = detector_config(args)?;
     let shards = shard_count(args)?;
-    let (events, base, size, meta) = load_trace_events(args, path)?;
+    let (events, base, size, meta) = load_trace_events(path)?;
     let cfg = AnalyzeConfig::new(det, shards);
     let fix = match args.options.get("--pad") {
         Some(spec) => WhatIfFix::Edits(parse_pad_edits(spec)?),
@@ -1025,7 +957,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         .positional
         .get(1)
         .map(String::as_str)
-        .ok_or("trace: missing subcommand (info|cat)")?;
+        .ok_or("trace: missing subcommand (info|cat|import)")?;
     let path = args
         .positional
         .get(2)
@@ -1033,23 +965,21 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     match sub {
         "info" => cmd_trace_info(args, path),
         "cat" => cmd_trace_cat(args, path),
-        other => Err(format!("unknown trace subcommand `{other}` (info|cat)")),
+        "import" => cmd_trace_import(args, path),
+        other => Err(format!(
+            "unknown trace subcommand `{other}` (info|cat|import)"
+        )),
     }
 }
 
 fn cmd_trace_info(args: &Args, path: &str) -> Result<(), String> {
-    if sniff_format(Path::new(path))? != TraceFormat::Ptrace {
-        return Err(format!(
-            "{path}: not a .ptrace file (JSONL traces have no header; use `trace cat` or `wc -l`)"
-        ));
-    }
     // The footer index summarises without CRC-checking event payloads, so
     // --deep forces the full scan: the only way to surface mid-file
     // corruption in an otherwise intact-looking file.
     let info = if args.flags.iter().any(|f| f == "--deep") {
-        read_info_scan(Path::new(path)).map_err(|e| format!("{path}: {e}"))?
+        read_info_scan(Path::new(path))?
     } else {
-        read_info(Path::new(path)).map_err(|e| format!("{path}: {e}"))?
+        read_info(Path::new(path))?
     };
     println!("{path}: .ptrace v{}", info.header.version);
     println!(
@@ -1107,42 +1037,33 @@ fn cmd_trace_cat(args: &Args, path: &str) -> Result<(), String> {
     let limit: u64 = num(args, "--limit", u64::MAX)?;
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
-    let mut emit = |a: &predator_sim::Access, n: u64| -> Result<bool, String> {
-        if n >= limit {
-            return Ok(false);
-        }
-        serde_json::to_writer(&mut out, a).map_err(|e| e.to_string())?;
-        out.write_all(b"\n").map_err(|e| e.to_string())?;
-        Ok(true)
-    };
+    let mut r = TraceReader::open(path)?;
     let mut n = 0u64;
-    match sniff_format(Path::new(path))? {
-        TraceFormat::Ptrace => {
-            let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-            let mut r =
-                TraceReader::new(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
-            for a in &mut r {
-                if !emit(&a, n)? {
-                    break;
-                }
-                n += 1;
-            }
-            if n < limit {
-                warn_loss(path, &r.stats());
-            }
-        }
-        TraceFormat::Jsonl => {
-            let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-            for a in JsonlIter::new(BufReader::new(file)) {
-                let a = a.map_err(|e| format!("bad trace: {e}"))?;
-                if !emit(&a, n)? {
-                    break;
-                }
-                n += 1;
-            }
-        }
+    while n < limit {
+        let Some(a) = r.next() else {
+            warn_loss(path, &r.stats());
+            break;
+        };
+        serde_json::to_writer(&mut out, &a).map_err(|e| e.to_string())?;
+        out.write_all(b"\n").map_err(|e| e.to_string())?;
+        n += 1;
     }
     out.flush().map_err(|e| e.to_string())?;
+    Ok(())
+}
+
+fn cmd_trace_import(args: &Args, input: &str) -> Result<(), String> {
+    let out = args
+        .options
+        .get("--out")
+        .ok_or("trace import: missing output path (-o <out.ptrace>)")?;
+    let (summary, (base, size)) = import_jsonl(Path::new(input), Path::new(out))?;
+    println!(
+        "imported {} events from {input} to {out} (range {base:#x} .. {:#x}, {} bytes)",
+        summary.events,
+        base + size,
+        summary.bytes
+    );
     Ok(())
 }
 
@@ -1505,10 +1426,17 @@ fn cmd_fleet_trend(args: &Args, dir: &Path) -> Result<ExitCode, String> {
     let base = predator_fleet::build_fleet_report(&predator_fleet::Manifest::load_required(bdir)?);
     let cur = predator_fleet::build_fleet_report(&predator_fleet::Manifest::load_required(dir)?);
     let t = predator_fleet::trend(&base, &cur, tolerance);
-    if args.flags.iter().any(|f| f == "--json") {
-        println!("{}", t.to_json());
-    } else {
-        print!("{t}");
+    let format = output_format(args)?;
+    match format {
+        Format::Json => println!("{}", t.to_json()),
+        Format::Text | Format::Markdown => print!("{t}"),
+        Format::Sarif | Format::Html => {
+            return Err(
+                "fleet trend: --format sarif|html renders per-run reports only \
+                 (see `fleet report --run <id>`)"
+                    .into(),
+            )
+        }
     }
     if args.flags.iter().any(|f| f == "--fail-on-regression") {
         if t.has_regressions() {
@@ -1521,7 +1449,12 @@ fn cmd_fleet_trend(args: &Args, dir: &Path) -> Result<ExitCode, String> {
             );
             return Ok(ExitCode::FAILURE);
         }
-        println!("GATE: ok (tolerance {:.0}%)", tolerance * 100.0);
+        // A JSON document owns stdout; the verdict goes where `gate_exit`'s do.
+        let verdict = format!("GATE: ok (tolerance {:.0}%)", tolerance * 100.0);
+        match format {
+            Format::Json => eprintln!("{verdict}"),
+            _ => println!("{verdict}"),
+        }
     }
     Ok(ExitCode::SUCCESS)
 }

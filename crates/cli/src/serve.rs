@@ -53,7 +53,7 @@ use predator_obs::{AlertEngine, DeltaTracker, HttpServer, Response, Rule, Tsdb};
 use predator_policy::{
     evaluate_report, evaluate_views, to_html, to_sarif_string, FindingView, PolicyConfig,
 };
-use predator_trace::{sniff_format, AnalyzeConfig, TraceFormat, TraceReader};
+use predator_trace::{AnalyzeConfig, TraceReader};
 use predator_workloads::by_name;
 
 use crate::{detector_config, num, policy_config, shard_count, workload_config, Args};
@@ -503,16 +503,8 @@ fn serve_replay(
     opts: &ServeOpts,
     args: &Args,
 ) -> Result<(), String> {
-    if sniff_format(Path::new(path))? != TraceFormat::Ptrace {
-        return Err(format!(
-            "serve: {path}: only .ptrace traces can be served (JSONL has no header)"
-        ));
-    }
-    let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    let reader =
-        TraceReader::new(std::io::BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
-    let (base, size) = (reader.base(), reader.size());
-    drop(reader);
+    let header = TraceReader::open(path)?.header();
+    let (base, size) = (header.base, header.size);
 
     let rt = Arc::new(Predator::new(det, base, size));
     let directory: Arc<Mutex<Option<ObjectDirectory>>> = Arc::new(Mutex::new(None));
@@ -569,9 +561,7 @@ fn serve_replay(
             sleep_poll(POLL_MS);
             continue;
         }
-        let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-        let mut r =
-            TraceReader::new(std::io::BufReader::new(file)).map_err(|e| format!("{path}: {e}"))?;
+        let mut r = TraceReader::open(path)?;
         let mut n = 0u64;
         for a in &mut r {
             rt.handle_access(a.tid, a.addr, a.size, a.kind);

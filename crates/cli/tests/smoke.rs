@@ -1,5 +1,7 @@
-//! End-to-end smoke tests for the `predator` binary's observability
-//! surface: `--metrics`, `--trace-events`, and the `stats` renderer.
+//! End-to-end smoke tests for the `predator` binary: the observability
+//! surface (`--metrics`, `--trace-events`, the `stats` renderer), the CI
+//! gates, and the one trace door (`.ptrace` in, JSONL only via
+//! `trace import`, `replay` ≡ `analyze --shards 1`).
 
 use std::process::Command;
 
@@ -294,17 +296,211 @@ fn zero_threads_is_a_usage_error() {
 
 #[test]
 fn unknown_options_exit_1_naming_the_option() {
-    // `--samplng 1.0` used to analyse at the default 1 % and exit 0.
-    for extra in [&["--samplng", "1.0"][..], &["--no-such-switch"][..]] {
-        let out = predator()
-            .args(RUN)
-            .args(extra)
-            .output()
-            .expect("spawn predator");
+    // `--samplng 1.0` used to analyse at the default 1 % and exit 0. The
+    // retired JSONL range knobs are unknown too (rejected before any file
+    // is looked at): the range comes from the trace's header.
+    let run = |extra: &[&'static str]| [RUN, extra].concat();
+    for (argv, option) in [
+        (run(&["--samplng", "1.0"]), "--samplng"),
+        (run(&["--no-such-switch"]), "--no-such-switch"),
+        (
+            vec!["analyze", "x.ptrace", "--base", "0x40000000"],
+            "--base",
+        ),
+        (vec!["replay", "x.ptrace", "--size", "4096"], "--size"),
+        (vec!["whatif", "x.ptrace", "--base", "0"], "--base"),
+    ] {
+        let out = predator().args(&argv).output().expect("spawn predator");
         assert_eq!(out.status.code(), Some(1));
         assert!(out.stdout.is_empty(), "no report from a mistyped run");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        let want = format!("unknown option '{}'", extra[0]);
+        let want = format!("unknown option '{option}'");
         assert!(stderr.contains(&want), "stderr: {stderr}");
     }
+}
+
+/// A scratch directory holding `run.ptrace`, a recorded histogram run.
+fn recorded(tag: &str) -> (std::path::PathBuf, String) {
+    let dir = std::env::temp_dir().join(format!("predator-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("run.ptrace").to_str().unwrap().to_string();
+    let out = predator()
+        .args(["record", "histogram", "--iters", "1000", "-o", &trace])
+        .output()
+        .expect("spawn record");
+    assert!(out.status.success());
+    (dir, trace)
+}
+
+#[test]
+fn replay_is_analyze_at_one_shard_plus_the_recorder() {
+    let (dir, trace) = recorded("replay");
+    let report = |verb: &[&str]| -> Report {
+        let out = predator()
+            .args(verb)
+            .args([&trace, "--sensitive", "--format", "json"])
+            .output()
+            .expect("spawn predator");
+        assert!(out.status.success());
+        serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).expect("one JSON report")
+    };
+    let mut replayed = report(&["replay"]);
+    let analyzed = report(&["analyze", "--shards", "1"]);
+    if !predator_obs::disabled() {
+        let recorded = |r: &Report| r.findings.iter().any(|f| !f.timeline.is_empty());
+        assert!(recorded(&replayed), "replay turns the flight recorder on");
+        assert!(!recorded(&analyzed), "analyze leaves it off");
+    }
+    for f in &mut replayed.findings {
+        f.timeline.clear();
+        f.invalidation_traces.clear();
+    }
+    assert!(!replayed.findings.is_empty());
+    assert_eq!(
+        serde_json::to_string(&replayed.findings).unwrap(),
+        serde_json::to_string(&analyzed.findings).unwrap()
+    );
+    assert_eq!(
+        serde_json::to_string(&replayed.stats).unwrap(),
+        serde_json::to_string(&analyzed.stats).unwrap()
+    );
+    // The text preamble keeps its wording.
+    let out = predator().args(["replay", &trace]).output().unwrap();
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("replayed 12000 events\n"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs a trace verb that must be refused: exit 1, no report, and a first
+/// stderr line naming the file and `needle`.
+fn assert_refused(argv: &[&str], file: &str, needle: &str) {
+    let out = predator().args(argv).output().expect("spawn predator");
+    assert_eq!(out.status.code(), Some(1), "{argv:?}");
+    assert!(out.stdout.is_empty(), "{argv:?}: no report");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(
+        first.contains(file) && first.contains(needle),
+        "{argv:?}: {first}"
+    );
+}
+
+/// Every verb that reads a trace, applied to `file`.
+fn trace_verbs<'a>(file: &'a str, corpus: &'a str) -> Vec<Vec<&'a str>> {
+    vec![
+        vec!["analyze", file],
+        vec!["analyze", file, "--shards", "4"],
+        vec!["replay", file],
+        vec!["whatif", file],
+        vec!["trace", "cat", file],
+        vec!["trace", "info", file],
+        vec!["trace", "info", file, "--deep"],
+        vec!["fleet", "ingest", file, "--corpus", corpus],
+        vec!["serve", file, "--passes", "1"],
+    ]
+}
+
+#[test]
+fn jsonl_enters_through_trace_import_only() {
+    let (dir, trace) = recorded("door");
+    let corpus = dir.join("corpus").to_str().unwrap().to_string();
+    let text = dir.join("run.jsonl");
+    run_to_file(&["trace", "cat", &trace], &text);
+    let text = text.to_str().unwrap();
+    for argv in trace_verbs(text, &corpus) {
+        assert_refused(&argv, text, "predator trace import");
+    }
+    // Imported, it is an ordinary trace — to `fleet` as well — and `trace
+    // cat` gives the same lines back.
+    let back = dir.join("back.ptrace").to_str().unwrap().to_string();
+    let out = predator()
+        .args(["trace", "import", text, "-o", &back])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("imported 12000 events"));
+    let again = dir.join("back.jsonl");
+    run_to_file(&["trace", "cat", &back], &again);
+    assert!(std::fs::read(&again).unwrap() == std::fs::read(text).unwrap());
+    let out = predator()
+        .args(["fleet", "ingest", &back, "--corpus", &corpus, "--sensitive"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "an imported trace ingests");
+    // A bad line is refused with its number; `-o` is the only option.
+    let bad = dir.join("bad.jsonl");
+    std::fs::write(&bad, "\n{\"tid\":0,\"addr\":oops}\n").unwrap();
+    let bad = bad.to_str().unwrap();
+    assert_refused(&["trace", "import", bad, "-o", &back], bad, "line 2:");
+    assert_refused(
+        &["trace", "import", text],
+        "trace import",
+        "-o <out.ptrace>",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn damaged_header_is_refused_by_name_on_every_trace_verb() {
+    let (dir, trace) = recorded("header");
+    let corpus = dir.join("corpus").to_str().unwrap().to_string();
+    let clean = std::fs::read(&trace).unwrap();
+    // Header payload: base at byte 12, size at byte 20 (no CRC covers them).
+    for (at, value, names) in [
+        (20, 1u64 << 60, "0x1000000000000000"),
+        (12, 0x4000_0001, "0x40000001"),
+        (12, 0xffff_ffff_ffff_ff00, "0xffffffffffffff00"),
+    ] {
+        let mut image = clean.clone();
+        image[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        let path = dir.join("damaged.ptrace");
+        std::fs::write(&path, &image).unwrap();
+        let path = path.to_str().unwrap();
+        for argv in trace_verbs(path, &corpus) {
+            assert_refused(&argv, path, names);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fleet_trend_json_with_the_gate_on_is_one_json_value() {
+    let (dir, trace) = recorded("trend");
+    let corpus = dir.join("corpus").to_str().unwrap().to_string();
+    let out = predator()
+        .args([
+            "fleet",
+            "ingest",
+            &trace,
+            "--corpus",
+            &corpus,
+            "--sensitive",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let trend = |extra: &[&str]| {
+        predator()
+            .args(["fleet", "trend", "--corpus", &corpus, "--baseline", &corpus])
+            .args(extra)
+            .output()
+            .expect("spawn fleet trend")
+    };
+    // `--format json` and `--json` are the same document, and the passing
+    // gate's verdict stays off stdout.
+    for json in [&["--format", "json"][..], &["--json"][..]] {
+        let out = trend(&[json, &["--fail-on-regression"]].concat());
+        assert!(out.status.success());
+        let doc: predator_fleet::TrendReport =
+            serde_json::from_str(&String::from_utf8_lossy(&out.stdout))
+                .expect("stdout is one JSON value");
+        assert_eq!((doc.baseline_runs, doc.current_runs), (1, 1));
+        assert!(String::from_utf8_lossy(&out.stderr).contains("GATE: ok"));
+    }
+    // Text keeps the verdict on stdout, after the table.
+    let out = trend(&["--fail-on-regression"]);
+    assert!(String::from_utf8_lossy(&out.stdout).contains("GATE: ok (tolerance 50%)"));
+    let out = trend(&["--format", "sarif"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("per-run reports only"));
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -9,8 +9,8 @@
 
 use std::path::Path;
 
-use predator_trace::analyze::{analyze_file, sniff_format, AnalyzeConfig, TraceFormat};
 use predator_trace::crc32::crc32;
+use predator_trace::{analyze_file, AnalyzeConfig, TraceReader};
 
 use crate::manifest::{Manifest, TraceEntry};
 
@@ -45,13 +45,8 @@ pub fn ingest_trace(
     cfg: &AnalyzeConfig,
 ) -> Result<IngestOutcome, String> {
     let _span = predator_obs::span("fleet_ingest");
-    if sniff_format(path)? != TraceFormat::Ptrace {
-        return Err(format!(
-            "{}: not a .ptrace file (fleet corpora hold binary traces only — \
-             convert JSONL with `predator trace` tooling first)",
-            path.display()
-        ));
-    }
+    // Refused at the door, under its own name, before the corpus holds a copy.
+    TraceReader::open(path)?;
     let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let id = content_id(path, &bytes);
     predator_obs::global()

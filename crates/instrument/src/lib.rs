@@ -19,7 +19,7 @@
 //!   against a `SimSpace` under a *deterministic, seedable* schedule, so the
 //!   interleaving the paper conservatively assumes can be produced on
 //!   demand and exact invalidation counts asserted in tests;
-//! * [`trace`] — access-trace recording and replay (JSON-lines), decoupling
+//! * [`trace`] — in-memory access-trace recording and replay, decoupling
 //!   trace collection from analysis.
 //!
 //! The detector consumes only the event stream `(thread, address, size,
@@ -38,4 +38,4 @@ pub use ir::{BinOp, Block, BlockId, Function, FunctionBuilder, Inst, Module, Ope
 pub use opt::{optimize, OptStats};
 pub use pass::{instrument_module, InstrumentMode, InstrumentOptions, InstrumentStats};
 pub use textual::{parse_module, print_module, ParseError};
-pub use trace::{load_jsonl, replay, save_jsonl, TraceRecorder};
+pub use trace::{replay, TraceRecorder};

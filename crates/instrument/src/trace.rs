@@ -1,11 +1,10 @@
 //! Access-trace recording and replay.
 //!
 //! Decouples event collection from analysis: record a run once (to memory,
-//! a JSON-lines file, or a binary `.ptrace` file via [`predator_trace`]),
-//! replay it into differently-configured detectors — e.g. to compare
-//! sampling rates (Figure 10) or prediction on/off (Figure 7) on
-//! *identical* access streams, something the paper's live-only runtime
-//! cannot do.
+//! or to a binary `.ptrace` file via [`predator_trace`]), replay it into
+//! differently-configured detectors — e.g. to compare sampling rates
+//! (Figure 10) or prediction on/off (Figure 7) on *identical* access
+//! streams, something the paper's live-only runtime cannot do.
 //!
 //! [`TraceRecorder`] buffers events in thread-local segments
 //! ([`predator_trace::SegmentedSink`]) instead of taking one global mutex
@@ -22,10 +21,6 @@ use std::sync::{Arc, Mutex};
 use predator_core::Predator;
 use predator_sim::{Access, AccessKind, ThreadId};
 use predator_trace::{BatchSink, SegmentedSink};
-
-// JSONL codecs live in `predator-trace` now; re-exported here so existing
-// `predator_instrument::{load_jsonl, save_jsonl}` paths keep working.
-pub use predator_trace::{load_jsonl, save_jsonl, JsonlIter};
 
 use crate::interp::AccessSink;
 
@@ -128,28 +123,6 @@ mod tests {
         assert_eq!(ev[0], Access::write(ThreadId(0), 0x100, 8));
         assert_eq!(ev[1], Access::read(ThreadId(1), 0x108, 4));
         assert_eq!(rec.into_events().len(), 2);
-    }
-
-    #[test]
-    fn jsonl_roundtrip() {
-        let trace = ping_pong_trace(10, 0x4000_0000);
-        let mut buf = Vec::new();
-        save_jsonl(&trace, &mut buf).unwrap();
-        assert_eq!(buf.iter().filter(|&&b| b == b'\n').count(), 10);
-        let back = load_jsonl(std::io::Cursor::new(buf)).unwrap();
-        assert_eq!(back, trace);
-    }
-
-    #[test]
-    fn jsonl_skips_blank_lines() {
-        let input = b"\n\n".to_vec();
-        assert!(load_jsonl(std::io::Cursor::new(input)).unwrap().is_empty());
-    }
-
-    #[test]
-    fn jsonl_rejects_garbage() {
-        let input = b"not json\n".to_vec();
-        assert!(load_jsonl(std::io::Cursor::new(input)).is_err());
     }
 
     #[test]

@@ -99,7 +99,9 @@ impl CacheGeometry {
     #[inline]
     pub fn lines_touched(self, addr: u64, size: u8) -> std::ops::RangeInclusive<u64> {
         let first = self.line_index(addr);
-        let last = self.line_index(addr + size.max(1) as u64 - 1);
+        // `size - 1` first: an access ending on the last byte of the address
+        // space must not overflow on the way to its last byte.
+        let last = self.line_index(addr + (size.max(1) as u64 - 1));
         first..=last
     }
 
@@ -267,6 +269,8 @@ mod tests {
         assert_eq!(g.lines_touched(60, 8), 0..=1);
         assert_eq!(g.lines_touched(56, 8), 0..=0);
         assert_eq!(g.lines_touched(64, 8), 1..=1);
+        let top = u64::MAX >> 6;
+        assert_eq!(g.lines_touched(u64::MAX - 7, 8), top..=top);
     }
 
     #[test]

@@ -33,16 +33,13 @@
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{BufReader, Read};
 use std::path::Path;
 use std::sync::mpsc::sync_channel;
 
 use predator_core::{build_report_merged, Attribution, DetectorConfig, Predator, Report};
 use predator_sim::{Access, CacheGeometry};
 
-use crate::format::{TraceMeta, MAGIC};
-use crate::jsonl::load_jsonl;
+use crate::format::TraceMeta;
 use crate::reader::{LossStats, TraceReader};
 
 /// Events per batch handed from the reader to another shard's worker.
@@ -80,7 +77,7 @@ pub struct AnalyzeOutcome {
     pub shards_used: usize,
     /// Line clusters found in the trace.
     pub clusters: usize,
-    /// Trace damage encountered while reading (zeros for JSONL).
+    /// Trace damage encountered while reading (zeros for in-memory events).
     pub loss: LossStats,
     /// Attribution metadata was present and applied.
     pub meta_applied: bool,
@@ -302,59 +299,24 @@ pub fn analyze_events(
     replay(&mut pass(), plan, range, cfg, tail)
 }
 
-/// Trace file encodings accepted by [`analyze_file`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// Binary `.ptrace`.
-    Ptrace,
-    /// JSON lines.
-    Jsonl,
-}
-
-fn open(path: &Path) -> Result<BufReader<File>, String> {
-    let f = File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(BufReader::new(f))
-}
-
-/// Decides a file's format from its leading bytes (`.ptrace` magic or not).
-pub fn sniff_format(path: &Path) -> Result<TraceFormat, String> {
-    let mut head = Vec::with_capacity(MAGIC.len());
-    let mut lead = open(path)?.take(MAGIC.len() as u64);
-    let read = lead.read_to_end(&mut head);
-    read.map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(if head == *MAGIC {
-        TraceFormat::Ptrace
-    } else {
-        TraceFormat::Jsonl
-    })
-}
-
-/// Offline analysis of a trace file (`.ptrace` or JSONL, sniffed).
+/// Offline analysis of a `.ptrace` file, opened through the one door
+/// ([`TraceReader::open`]; JSONL goes through `predator trace import` first).
 ///
-/// For `.ptrace` the traced address range and attribution metadata come
-/// from the file itself; `fallback_base`/`fallback_size` cover JSONL,
-/// which carries neither. A `.ptrace` streams in bounded memory and turns
-/// damage into counted loss; JSONL, the small-trace text format, is parsed
-/// once into memory and has no resync marker, so one malformed line fails
-/// the run rather than shortening the report.
+/// The traced address range and attribution metadata come from the file
+/// itself, which streams in bounded memory and turns damage past the header
+/// into counted loss. The two trailing parameters are unused — they were
+/// the range for header-less JSONL input — and stay for the callers' sake.
 pub fn analyze_file(
     path: &Path,
     cfg: &AnalyzeConfig,
-    fallback_base: u64,
-    fallback_size: u64,
+    _fallback_base: u64,
+    _fallback_size: u64,
 ) -> Result<AnalyzeOutcome, String> {
-    let named = |e: &dyn std::fmt::Display| format!("{}: {e}", path.display());
-    if sniff_format(path)? == TraceFormat::Jsonl {
-        let (base, size) = (fallback_base, fallback_size);
-        let events = load_jsonl(open(path)?).map_err(|e| named(&e))?;
-        return Ok(analyze_events(&events, base, size, None, cfg));
-    }
-    let pass = || TraceReader::new(open(path)?).map_err(|e| named(&e));
-    let mut r = pass()?;
+    let mut r = TraceReader::open(path)?;
     let range = (r.base(), r.size());
     let plan = match cfg.shards {
         0 | 1 => None,
-        _ => Some(ShardPlan::scan(pass()?, range, cfg)),
+        _ => Some(ShardPlan::scan(TraceReader::open(path)?, range, cfg)),
     };
     let tail = |r: &mut TraceReader<_>| (r.take_meta(), r.stats());
     Ok(replay(&mut r, plan, range, cfg, tail))
@@ -473,7 +435,8 @@ mod tests {
 
     #[test]
     fn tally_matches_the_btreemap_planner_in_and_out_of_range() {
-        let (base, size) = RANGE;
+        // A range with room below it for the low stray.
+        let (base, size) = (0x10_0000u64, 1u64 << 20);
         let end = base + size;
         let w = |addr, size| Access::write(ThreadId(1), addr, size);
         let events = vec![
@@ -489,7 +452,8 @@ mod tests {
             w(end + 0x9000, 8), // stray far above
             w(u64::MAX - 7, 8),
         ];
-        for (range, label) in [(RANGE, "header range"), ((0, 0), "jsonl fallback")] {
+        // In an empty range every line is a stray.
+        for (range, label) in [((base, size), "header range"), ((0, 0), "empty range")] {
             let want = reference_clusters(&events, 2);
             let mut counts = LineTally::new(&cfg(1), range, 1);
             let mut bits = LineTally::new(&cfg(1), range, 64);

@@ -84,7 +84,37 @@ pub struct Header {
 /// base + size).
 pub const HEADER_V1_LEN: usize = 6 + 2 + 4 + 8 + 8;
 
+/// Alignment a header's `base` must have: the largest portfolio line, so the
+/// shadow base is line-aligned at every geometry `whatif` replays at.
+pub const BASE_ALIGN: u64 = 256;
+/// Largest `size` a header may claim: 1 GiB. Every detector shadows the
+/// whole range eagerly at 12 B per line (a write counter and a track slot),
+/// so this caps one detector at 192 MiB of shadow with 64 B lines (384 MiB
+/// with 32 B lines); recordings cover 64 MiB, a sixteenth of it.
+pub const MAX_SPAN: u64 = 1 << 30;
+
 impl Header {
+    /// What a range must satisfy before anything is sized by it: `base`
+    /// aligned to [`BASE_ALIGN`], `base + size` inside the address space,
+    /// `size` at most [`MAX_SPAN`]. The header is the one part of the file
+    /// without a CRC, so this is all that stands between a damaged field
+    /// and a shadow allocation. The error names the offending values.
+    pub fn validate(&self) -> Result<(), String> {
+        let Header { base, size, .. } = *self;
+        if base % BASE_ALIGN != 0 {
+            return Err(format!("base {base:#x} is not {BASE_ALIGN}-byte aligned"));
+        }
+        if base.checked_add(size).is_none() {
+            return Err(format!("base {base:#x} + size {size:#x} overflows"));
+        }
+        if size > MAX_SPAN {
+            return Err(format!(
+                "size {size:#x} exceeds the {MAX_SPAN:#x}-byte span a shadow can cover"
+            ));
+        }
+        Ok(())
+    }
+
     /// Encodes the header for writing.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_V1_LEN);
@@ -435,6 +465,34 @@ mod tests {
         assert_eq!(enc.len(), HEADER_V1_LEN);
         assert_eq!(&enc[0..6], MAGIC);
         assert_eq!(u16::from_le_bytes(enc[6..8].try_into().unwrap()), VERSION);
+    }
+
+    #[test]
+    fn validate_refuses_ranges_no_shadow_could_cover_naming_the_value() {
+        let check = |base, size| {
+            let version = VERSION;
+            Header {
+                version,
+                base,
+                size,
+            }
+            .validate()
+        };
+        assert_eq!(check(0x4000_0000, 64 << 20), Ok(()));
+        assert_eq!(check(0, 0), Ok(()));
+        // The exclusive end must be an address: the last page is out.
+        assert_eq!(check(u64::MAX - 0x1fff, 0x1000), Ok(()));
+        assert!(check(u64::MAX - 0xfff, 0x1000).is_err());
+        assert_eq!(check(0x100, MAX_SPAN), Ok(()));
+        for (base, size, names) in [
+            (0x100, MAX_SPAN + 1, "size 0x40000001"),
+            (0x4000_0000, 1 << 60, "size 0x1000000000000000"),
+            (0x4000_0001, 64 << 20, "base 0x40000001"),
+            (0xffff_ffff_ffff_ff00, 64 << 20, "base 0xffffffffffffff00"),
+        ] {
+            let err = check(base, size).unwrap_err();
+            assert!(err.contains(names), "{err}");
+        }
     }
 
     #[test]

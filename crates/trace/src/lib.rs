@@ -15,8 +15,11 @@
 //!   [`TraceSink`] (multi-threaded [`predator_sim::AccessSink`]).
 //! * [`reader`] — corruption-tolerant streaming reader: bad chunks are
 //!   skipped with counted, reported loss ([`LossStats`]), never a panic.
-//! * [`jsonl`] — the legacy JSON-lines encoding, still accepted anywhere a
-//!   trace file is.
+//!   [`TraceReader::open`] is the one door through which a file becomes
+//!   events; it refuses anything that is not a `.ptrace` with a sane header.
+//! * [`jsonl`] — JSON-lines text at the edge: [`import_jsonl`] converts it
+//!   to a `.ptrace` (`predator trace import`), `trace cat` converts back.
+//!   No analysis reads it.
 //! * [`analyze`] — the sharded engine: cluster cache lines, run one
 //!   detector per shard, merge into a [`predator_core::Report`] that is
 //!   byte-identical to a sequential replay's.
@@ -37,11 +40,9 @@ pub mod varint;
 pub mod whatif;
 pub mod writer;
 
-pub use analyze::{
-    analyze_events, analyze_file, sniff_format, AnalyzeConfig, AnalyzeOutcome, TraceFormat,
-};
+pub use analyze::{analyze_events, analyze_file, AnalyzeConfig, AnalyzeOutcome};
 pub use format::{Header, MetaFrame, MetaGlobal, MetaObject, TraceMeta, VERSION};
-pub use jsonl::{load_jsonl, save_jsonl, JsonlIter};
+pub use jsonl::{import_jsonl, load_jsonl, save_jsonl, JsonlIter};
 pub use reader::{read_info, read_info_scan, LossStats, TraceError, TraceInfo, TraceReader};
 pub use remap::AddressRemap;
 pub use segment::{BatchSink, SegmentedSink, SEGMENT_CAPACITY};

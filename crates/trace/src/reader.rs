@@ -13,7 +13,7 @@
 
 use std::fmt;
 use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom};
+use std::io::{self, BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
 
 use predator_sim::Access;
@@ -44,7 +44,11 @@ impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TraceError::Io(e) => write!(f, "i/o error: {e}"),
-            TraceError::NotPtrace => write!(f, "not a .ptrace file (bad magic)"),
+            TraceError::NotPtrace => write!(
+                f,
+                "not a .ptrace file (bad magic); convert JSONL with \
+                 `predator trace import <in.jsonl> -o <out.ptrace>`"
+            ),
             TraceError::UnsupportedVersion(v) => {
                 write!(
                     f,
@@ -85,7 +89,9 @@ impl LossStats {
     }
 }
 
-/// Reads the fixed header. Consumes exactly the header bytes on success.
+/// Reads and validates the fixed header ([`Header::validate`]: a range no
+/// shadow could be laid over is [`TraceError::Corrupt`], not an allocation).
+/// Consumes exactly the header bytes on success.
 pub fn read_header<R: Read>(r: &mut R) -> Result<Header, TraceError> {
     let mut fixed = [0u8; 12];
     r.read_exact(&mut fixed).map_err(|e| {
@@ -109,11 +115,13 @@ pub fn read_header<R: Read>(r: &mut R) -> Result<Header, TraceError> {
     let mut payload = vec![0u8; hlen];
     r.read_exact(&mut payload)
         .map_err(|_| TraceError::Corrupt("header truncated".into()))?;
-    Ok(Header {
+    let header = Header {
         version,
         base: u64::from_le_bytes(payload[0..8].try_into().unwrap()),
         size: u64::from_le_bytes(payload[8..16].try_into().unwrap()),
-    })
+    };
+    header.validate().map_err(TraceError::Corrupt)?;
+    Ok(header)
 }
 
 const READ_CHUNK: usize = 64 << 10;
@@ -144,9 +152,23 @@ pub struct TraceReader<R: Read> {
     chunks_seen: u64,
 }
 
+impl TraceReader<BufReader<File>> {
+    /// The one way a file becomes events: opens `path`, checks the magic and
+    /// validates the header. The error names the file and, for anything that
+    /// is not a `.ptrace`, the conversion (`predator trace import`).
+    pub fn open(path: impl AsRef<Path>) -> Result<Self, String> {
+        let path = path.as_ref();
+        File::open(path)
+            .map_err(TraceError::Io)
+            .and_then(|f| TraceReader::new(BufReader::new(f)))
+            .map_err(|e| format!("{}: {e}", path.display()))
+    }
+}
+
 impl<R: Read> TraceReader<R> {
-    /// Opens a trace, validating magic and version. Header damage is a hard
-    /// error; everything after the header is recoverable.
+    /// Reads a trace from any byte stream, validating magic, version and
+    /// header range. Header damage is a hard error; everything after the
+    /// header is recoverable.
     pub fn new(mut r: R) -> Result<Self, TraceError> {
         let header = read_header(&mut r)?;
         Ok(TraceReader {
@@ -471,28 +493,25 @@ pub struct TraceInfo {
 
 /// Summarises a trace file. Uses the footer index when intact (O(1) in the
 /// number of event chunks); falls back to a full corruption-tolerant scan
-/// otherwise.
-pub fn read_info(path: &Path) -> Result<TraceInfo, TraceError> {
+/// otherwise — also when the header is unusable, which the scan's
+/// [`TraceReader::open`] then reports, naming the file.
+pub fn read_info(path: &Path) -> Result<TraceInfo, String> {
     match read_info_indexed(path) {
-        Ok(Some(info)) => return Ok(info),
-        Err(e @ (TraceError::NotPtrace | TraceError::UnsupportedVersion(_))) => return Err(e),
-        Ok(None) | Err(_) => {}
+        Ok(Some(info)) => Ok(info),
+        Ok(None) | Err(_) => read_info_scan(path),
     }
-    read_info_scan(path)
 }
 
 /// Summarises a trace file by a full corruption-tolerant scan, ignoring the
 /// footer index even when intact. The index only proves chunks *existed* at
 /// seal time — a scan additionally CRC-checks every payload, so this is the
 /// way to audit a file for mid-stream damage (`trace info --deep`).
-pub fn read_info_scan(path: &Path) -> Result<TraceInfo, TraceError> {
-    let f = File::open(path)?;
-    let file_bytes = f.metadata()?.len();
-    let mut r = TraceReader::new(io::BufReader::new(f))?;
-    let mut events = 0u64;
-    for _ in &mut r {
-        events += 1;
-    }
+pub fn read_info_scan(path: &Path) -> Result<TraceInfo, String> {
+    let mut r = TraceReader::open(path)?;
+    let file_bytes = std::fs::metadata(path)
+        .map_err(|e| format!("{}: {e}", path.display()))?
+        .len();
+    let events = r.by_ref().count() as u64;
     Ok(TraceInfo {
         header: r.header(),
         file_bytes,
@@ -680,6 +699,35 @@ mod tests {
             TraceReader::new(&b"PT"[..]),
             Err(TraceError::NotPtrace)
         ));
+    }
+
+    #[test]
+    fn header_range_validate_refuses_is_corrupt() {
+        let (mut bytes, _) = sample_trace(1, 10);
+        bytes[20..28].copy_from_slice(&(1u64 << 60).to_le_bytes()); // size
+        match TraceReader::new(&bytes[..]) {
+            Err(e @ TraceError::Corrupt(_)) => {
+                assert!(e.to_string().contains("0x1000000000000000"), "{e}")
+            }
+            Err(other) => panic!("expected Corrupt, got {other:?}"),
+            Ok(_) => panic!("expected Corrupt, got a reader"),
+        }
+    }
+
+    #[test]
+    fn open_names_the_file_and_the_conversion() {
+        let path = std::env::temp_dir().join(format!("predator-door-{}", std::process::id()));
+        std::fs::write(
+            &path,
+            b"{\"tid\":0,\"addr\":4096,\"size\":8,\"kind\":\"Write\"}\n",
+        )
+        .unwrap();
+        let err = TraceReader::open(&path).err().expect("JSONL is refused");
+        assert!(err.contains(path.to_str().unwrap()), "{err}");
+        assert!(err.contains("predator trace import"), "{err}");
+        std::fs::remove_file(&path).unwrap();
+        let err = TraceReader::open(&path).err().expect("a missing file too");
+        assert!(err.contains(path.to_str().unwrap()), "{err}");
     }
 
     #[test]

@@ -26,6 +26,13 @@ if grep -rnE 'TrackingMode|tracking[-_]mode|TrackCore|UnitCore' \
   exit 1
 fi
 
+echo "==> one trace door (format sniffing and the JSONL range knobs must not grow back)"
+if grep -rnE 'sniff_format|TraceFormat|jsonl_range' \
+  crates src tests examples README.md DESIGN.md; then
+  echo "a second way for a file to become events is back" >&2
+  exit 1
+fi
+
 echo "==> explain/diff smoke (flight recorder + CI gate)"
 cargo build --release -p predator-cli
 PRED=target/release/predator
@@ -55,6 +62,36 @@ $PRED trace info "$SMOKE/run.ptrace" | grep -q "events"
 $PRED analyze "$SMOKE/run.ptrace" --sensitive --shards 4 --json > "$SMOKE/offline.json"
 $PRED diff "$SMOKE/live.json" "$SMOKE/offline.json"
 echo "offline analysis matches the live run"
+
+echo "==> import smoke (trace cat -> trace import round trip; replay == analyze --shards 1)"
+# JSONL is an edge conversion: `trace cat` out, `trace import` in, the same
+# events either way. The import carries no attribution (JSONL has none) and
+# derives its own range, so the recording and its re-import are compared
+# event for event; two generations of import, which share both, must also
+# analyse to the same findings. An imported trace is an ordinary .ptrace:
+# `fleet ingest` takes it. Un-imported text is refused, naming the verb.
+$PRED trace cat "$SMOKE/run.ptrace" > "$SMOKE/run.jsonl"
+$PRED trace import "$SMOKE/run.jsonl" -o "$SMOKE/back.ptrace"
+$PRED trace cat "$SMOKE/back.ptrace" > "$SMOKE/back.jsonl"
+cmp "$SMOKE/run.jsonl" "$SMOKE/back.jsonl"
+$PRED trace import "$SMOKE/back.jsonl" -o "$SMOKE/back2.ptrace"
+$PRED analyze "$SMOKE/back.ptrace" --sensitive --format json > "$SMOKE/back.json"
+$PRED analyze "$SMOKE/back2.ptrace" --sensitive --format json > "$SMOKE/back2.json"
+$PRED diff "$SMOKE/back.json" "$SMOKE/back2.json"
+$PRED diff "$SMOKE/back2.json" "$SMOKE/back.json"
+grep -q '"invalidations"' "$SMOKE/back.json"
+$PRED fleet ingest "$SMOKE/back.ptrace" --corpus "$SMOKE/imported" --sensitive
+if $PRED analyze "$SMOKE/run.jsonl" --sensitive 2> "$SMOKE/refused.txt"; then
+  echo "analyze read JSONL without an import" >&2
+  exit 1
+fi
+grep -q "predator trace import" "$SMOKE/refused.txt"
+# `replay` is `analyze --shards 1` with the flight recorder on.
+$PRED replay "$SMOKE/run.ptrace" --sensitive --format json > "$SMOKE/replay.json"
+$PRED analyze "$SMOKE/run.ptrace" --sensitive --shards 1 --format json > "$SMOKE/shards1.json"
+$PRED diff "$SMOKE/replay.json" "$SMOKE/shards1.json"
+$PRED diff "$SMOKE/shards1.json" "$SMOKE/replay.json"
+echo "import round-trips; replay matches analyze --shards 1"
 
 echo "==> shard-count smoke (analyze --shards 1 == --shards 4: clusters, findings, stats)"
 # One shard decodes the file once into one detector; four shards plan,

@@ -3,9 +3,10 @@
 //! detection, and the trace record/replay equivalence.
 
 use predator::instrument::{
-    instrument_module, load_jsonl, replay, save_jsonl, BinOp, FunctionBuilder, InstrumentMode,
-    InstrumentOptions, Machine, Module, Operand, StepSchedule, ThreadSpec, TraceRecorder,
+    instrument_module, replay, BinOp, FunctionBuilder, InstrumentMode, InstrumentOptions, Machine,
+    Module, Operand, StepSchedule, ThreadSpec, TraceRecorder,
 };
+use predator::trace::{load_jsonl, save_jsonl};
 use predator::{build_report, DetectorConfig, ThreadId};
 use predator_core::Predator;
 use predator_shadow::SimSpace;

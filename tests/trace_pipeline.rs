@@ -3,11 +3,12 @@
 //! exactly, the binary format must beat JSONL on size, sharding must beat
 //! sequential analysis on wall-clock for big traces, every shard count must
 //! report what a plain sequential replay reports (events, clusters, loss,
-//! findings, stats — in memory, from `.ptrace` and from JSONL), and damaged
-//! files must degrade into counted loss — never panics, never short reports.
+//! findings, stats — in memory, from `.ptrace` and from JSONL through
+//! `trace import`), and damaged files must degrade into counted loss or, when
+//! the header itself is unusable, a clean error — never panics, never short
+//! reports.
 
 use std::collections::BTreeSet;
-use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -20,8 +21,8 @@ use predator::trace::format::{
     ChunkFrame, CHUNK_FRAME_LEN, CHUNK_META, HEADER_V1_LEN, TRAILER_LEN,
 };
 use predator::trace::{
-    analyze_events, analyze_file, save_jsonl, AnalyzeConfig, AnalyzeOutcome, LossStats, TraceMeta,
-    TraceReader, TraceSink, TraceWriter,
+    analyze_events, analyze_file, import_jsonl, save_jsonl, AnalyzeConfig, AnalyzeOutcome,
+    LossStats, TraceMeta, TraceReader, TraceSink, TraceWriter,
 };
 use predator::workloads::{by_name, run_and_report, Variant, WorkloadConfig};
 
@@ -117,8 +118,7 @@ fn ptrace_is_at_least_5x_smaller_than_jsonl() {
     let recorded = record_workload("histogram", &cfg, &path);
     let ptrace_bytes = std::fs::metadata(&path).unwrap().len();
 
-    let file = std::fs::File::open(&path).unwrap();
-    let events: Vec<Access> = TraceReader::new(BufReader::new(file)).unwrap().collect();
+    let events: Vec<Access> = TraceReader::open(&path).unwrap().collect();
     assert_eq!(events.len() as u64, recorded, "decode must be lossless");
     let mut jsonl = Vec::new();
     save_jsonl(&events, &mut jsonl).unwrap();
@@ -332,18 +332,30 @@ fn assert_outcome(
     out.shards_used
 }
 
+/// Writes `events` as JSONL (`trace cat`'s format) and imports that to a
+/// `.ptrace` beside it; returns the trace's path and its derived range.
+fn import_events(events: &[Access], tag: &str) -> (PathBuf, (u64, u64)) {
+    let text = tmp(&format!("{tag}-jsonl"));
+    save_jsonl(events, std::fs::File::create(&text).unwrap()).unwrap();
+    let out = tmp(&format!("{tag}-imported"));
+    let (summary, range) = import_jsonl(&text, &out).unwrap();
+    assert_eq!(summary.events, events.len() as u64, "{tag}: imported");
+    std::fs::remove_file(&text).ok();
+    (out, range)
+}
+
 /// `events` through every entry point (`analyze_events`, `.ptrace` file,
-/// JSONL file with the fallback range 0/0) at every shard count.
+/// JSONL imported to a `.ptrace`) at every shard count.
 fn check_all_paths(events: &[Access], det: DetectorConfig, tag: &str) {
     let clusters = reference_clusters(events, &det);
     let n = events.len() as u64;
     let none = LossStats::default();
     let ptrace = tmp(&format!("{tag}-all"));
     write_ptrace(&ptrace, events, 97, None);
-    let jsonl = tmp(&format!("{tag}-all-jsonl"));
-    save_jsonl(events, std::fs::File::create(&jsonl).unwrap()).unwrap();
     let in_range = sequential(events, BASE, SIZE, det);
-    let nowhere = sequential(events, 0, 0, det);
+    // The importer derives the range from the events: nothing is a stray.
+    let (imported, (ibase, isize)) = import_events(events, tag);
+    let in_hull = sequential(events, ibase, isize, det);
     for shards in SHARD_COUNTS {
         let cfg = AnalyzeConfig::new(det, shards);
         let used = clusters.clamp(1, shards);
@@ -354,7 +366,6 @@ fn check_all_paths(events: &[Access], det: DetectorConfig, tag: &str) {
             used,
             "{what}"
         );
-        // The header's range wins over the fallback for a `.ptrace`.
         let out = analyze_file(&ptrace, &cfg, 0, 0).unwrap();
         let what = format!("{tag} .ptrace shards={shards}");
         assert_eq!(
@@ -363,18 +374,16 @@ fn check_all_paths(events: &[Access], det: DetectorConfig, tag: &str) {
             "{what}"
         );
         assert!(!out.meta_applied, "{what}: no META chunk was written");
-        // JSONL carries no range: with the 0/0 fallback every line is a
-        // stray — counted and clustered, seen by no detector.
-        let out = analyze_file(&jsonl, &cfg, 0, 0).unwrap();
-        let what = format!("{tag} JSONL shards={shards}");
+        let out = analyze_file(&imported, &cfg, 0, 0).unwrap();
+        let what = format!("{tag} imported JSONL shards={shards}");
         assert_eq!(
-            assert_outcome(&out, &what, &nowhere, n, clusters, none),
+            assert_outcome(&out, &what, &in_hull, n, clusters, none),
             used,
             "{what}"
         );
     }
     std::fs::remove_file(&ptrace).ok();
-    std::fs::remove_file(&jsonl).ok();
+    std::fs::remove_file(&imported).ok();
 }
 
 #[test]
@@ -428,15 +437,53 @@ fn jsonl_bad_line_fails_the_run_and_names_the_file() {
     save_jsonl(&events[100..], &mut text).unwrap();
     let path = tmp("bad-jsonl");
     std::fs::write(&path, &text).unwrap();
+    let out = tmp("bad-jsonl-out");
+    let err = import_jsonl(&path, &out)
+        .expect_err("a trace of the first 100 lines would be silently short");
+    let at = format!("{}: line 101:", path.display());
+    assert!(err.starts_with(&at), "error must name file and line: {err}");
+    // And no analysis reads the text itself: the door names the conversion.
     for shards in SHARD_COUNTS {
         let cfg = AnalyzeConfig::new(DetectorConfig::sensitive(), shards);
-        let err = analyze_file(&path, &cfg, BASE, SIZE)
-            .expect_err("a report of the first 100 lines would be silently short");
+        let err = analyze_file(&path, &cfg, BASE, SIZE).expect_err("JSONL is not an input");
         assert!(
-            err.contains(path.to_str().unwrap()),
-            "shards={shards}: error must name the file: {err}"
+            err.contains(path.to_str().unwrap()) && err.contains("predator trace import"),
+            "shards={shards}: {err}"
         );
     }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&out).ok();
+}
+
+/// The blind report this door closed: a two-thread ping-pong at native
+/// addresses, "generated by another tool", used to analyse against the
+/// default range, match no shadow line and report a clean run.
+#[test]
+fn native_address_jsonl_is_seen_once_imported() {
+    let events: Vec<Access> = (0..4_000u64)
+        .map(|i| Access::write(ThreadId((i % 2) as u16), 0x7f00_0000_1000 + (i % 2) * 8, 8))
+        .collect();
+    let (path, range) = import_events(&events, "native");
+    assert_eq!(range, (0x7f00_0000_1000, 4096));
+    for shards in SHARD_COUNTS {
+        let cfg = AnalyzeConfig::new(DetectorConfig::sensitive(), shards);
+        let report = analyze_file(&path, &cfg, 0, 0).unwrap().report;
+        assert!(report.has_observed_false_sharing(), "shards={shards}");
+        assert!(
+            report.findings.iter().any(|f| f.invalidations >= 3_990),
+            "shards={shards}:\n{report}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn empty_jsonl_imports_to_a_valid_zero_event_trace() {
+    let (path, range) = import_events(&[], "empty");
+    assert_eq!(range, (0, 0));
+    let mut r = TraceReader::open(&path).unwrap();
+    assert_eq!(r.by_ref().count(), 0);
+    assert!(!r.stats().any() && r.saw_trailer(), "sealed, nothing lost");
     std::fs::remove_file(&path).ok();
 }
 
@@ -521,6 +568,43 @@ fn corruption_matrix_accounts_for_every_record_at_every_shard_count() {
         ("header only", clean[..HEADER_V1_LEN].to_vec(), false, false),
     ];
     assert_eq!(third_frame.record_count as usize, CHUNK);
+    // The header has no CRC: a range no shadow could be laid over must be
+    // refused by name before anything is sized by it — not an abort on a
+    // 2 PiB allocation, not an alignment panic, not a wrapped-around range
+    // that matches no line and reports a clean run.
+    let header_field = |at: usize, v: u64| {
+        let mut b = clean.clone();
+        b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        b
+    };
+    let (base_at, size_at) = (HEADER_V1_LEN - 16, HEADER_V1_LEN - 8);
+    for (name, image, value) in [
+        (
+            "size 1<<60",
+            header_field(size_at, 1 << 60),
+            "0x1000000000000000",
+        ),
+        (
+            "base unaligned",
+            header_field(base_at, 0x4000_0001),
+            "0x40000001",
+        ),
+        (
+            "base + size wraps",
+            header_field(base_at, 0xffff_ffff_ffff_ff00),
+            "0xffffffffffffff00",
+        ),
+    ] {
+        std::fs::write(&path, &image).unwrap();
+        for shards in SHARD_COUNTS {
+            let err = analyze_file(&path, &AnalyzeConfig::new(det, shards), 0, 0)
+                .expect_err("a damaged header is an error, never a report");
+            assert!(
+                err.contains(path.to_str().unwrap()) && err.contains(value),
+                "{name} shards={shards}: {err}"
+            );
+        }
+    }
     for (name, image, accounted, has_meta) in cases {
         // What one plain pass of the reader delivers is the oracle.
         let mut r = TraceReader::new(&image[..]).unwrap();
@@ -557,7 +641,7 @@ proptest! {
 
     /// For arbitrary multi-region access patterns — straddling accesses and
     /// addresses outside the traced range included — analysis at 1, 2, 4
-    /// and 8 shards, in memory and from `.ptrace` and JSONL files,
+    /// and 8 shards, in memory, from a `.ptrace` and from imported JSONL,
     /// reproduces the sequential detector's findings and stats exactly and
     /// agrees on events, clusters and loss.
     #[test]
@@ -587,5 +671,38 @@ proptest! {
             })
             .collect();
         check_all_paths(&events, DetectorConfig::sensitive(), "prop");
+    }
+
+    /// `trace cat` output, imported, is the same event sequence under a
+    /// header range that covers every touched byte — straddlers' far ends
+    /// included — and passes the door's own validation.
+    #[test]
+    fn prop_cat_then_import_round_trips(
+        ops in proptest::collection::vec(
+            (0u64..1 << 28, 0u8..=64, prop::bool::ANY, 0u16..8), 1..300),
+        origin in 0u64..1 << 46,
+    ) {
+        let events: Vec<Access> = ops
+            .iter()
+            .map(|&(off, size, is_write, tid)| {
+                let (tid, addr) = (ThreadId(tid), origin + off);
+                if is_write {
+                    Access::write(tid, addr, size)
+                } else {
+                    Access::read(tid, addr, size)
+                }
+            })
+            .collect();
+        let (path, (base, size)) = import_events(&events, "prop-cat");
+        let mut r = TraceReader::open(&path).unwrap();
+        prop_assert_eq!((r.base(), r.size()), (base, size));
+        let back: Vec<Access> = r.by_ref().collect();
+        prop_assert!(!r.stats().any());
+        std::fs::remove_file(&path).ok();
+        prop_assert_eq!(&back, &events);
+        for a in &events {
+            let last = a.addr + (a.size.max(1) as u64 - 1);
+            prop_assert!(base <= a.addr && last < base + size, "{a:?} outside {base:#x}+{size:#x}");
+        }
     }
 }
