@@ -1,6 +1,6 @@
 //! # predator-bench
 //!
-//! The benchmark harness regenerating every table and figure of the
+//! The paper-figure harness: regenerates every table and figure of the
 //! PREDATOR paper's evaluation (§4). One binary per experiment:
 //!
 //! | Paper artifact | Binary |
@@ -13,15 +13,15 @@
 //! | Figures 8–9 — absolute/relative memory overhead | `fig8_9_memory` |
 //! | Figure 10 — sampling-rate sensitivity | `fig10_sampling` |
 //!
-//! Criterion micro-benchmarks for the detector hot path and design-choice
-//! ablations live in `benches/`.
+//! Criterion micro-benchmarks for the detector hot path, design-choice
+//! ablations and the obs-hook overhead budget live in `benches/`. The
+//! repo's performance record is not here: it is `BENCHMARK.json` and the
+//! standalone `benchmark/` package.
 //!
 //! Absolute numbers differ from the paper (their substrate was an 8-core
 //! Xeon running instrumented native binaries; ours is a simulator), but the
 //! *shapes* — who is detected, who wins, where the knees are — are the
 //! reproduction targets. `EXPERIMENTS.md` records paper-vs-measured values.
-
-pub mod telemetry;
 
 use std::time::Duration;
 

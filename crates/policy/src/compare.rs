@@ -1,14 +1,12 @@
 //! The shared comparison engine: one tolerance-banded fold that every
 //! baseline-vs-current comparison in the workspace routes through.
 //!
-//! Report diffs (`predator diff`), fleet trend deltas (`fleet trend`),
-//! policy baseline diffs (`baseline diff`), and bench telemetry gates
-//! (`bench-diff`) are all the same computation: two keyed numeric
-//! snapshots, a relative tolerance band, and a direction that says which
-//! way "worse" points. The callers differ only in how they key their
-//! values and how they print the classified entries — so classification
-//! lives here, once, and each caller keeps its historical output format
-//! byte for byte.
+//! Report diffs (`predator diff`), fleet trend deltas (`fleet trend`) and
+//! policy baseline diffs (`baseline diff`) are all the same computation:
+//! two keyed numeric snapshots and a relative tolerance band. The callers
+//! differ only in how they key their values and how they print the
+//! classified entries — so classification lives here, once, and each
+//! caller keeps its historical output format byte for byte.
 
 use std::collections::BTreeMap;
 
@@ -94,59 +92,6 @@ pub fn compare_maps<K: Ord + Clone>(
     out
 }
 
-/// Which way "worse" points for a compared metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Times, memory, loss counters: growth is a regression.
-    HigherIsWorse,
-    /// Rates, throughputs, speedups: shrinkage is a regression.
-    LowerIsWorse,
-    /// Counts and sizes of inputs: shown, never gated.
-    Informational,
-}
-
-/// Infers the gating direction of a discovered metric from the last
-/// segment of its `/`-joined key path — the suffix heuristics `bench-diff`
-/// applies to schemas it has no type for.
-pub fn direction_for_key(path: &str) -> Direction {
-    let leaf = path.rsplit('/').next().unwrap_or(path);
-    let higher_is_worse = leaf.ends_with("_ns")
-        || leaf.ends_with("_ms")
-        || leaf.ends_with("_kb")
-        || leaf.contains("wall")
-        || leaf.contains("rss")
-        || leaf.contains("lost")
-        || leaf.contains("skipped")
-        || leaf.contains("truncated");
-    let lower_is_worse =
-        leaf.contains("per_s") || leaf.contains("throughput") || leaf.contains("speedup");
-    if higher_is_worse {
-        Direction::HigherIsWorse
-    } else if lower_is_worse {
-        Direction::LowerIsWorse
-    } else {
-        Direction::Informational
-    }
-}
-
-/// Signed regression fraction for one metric, positive = worse. An
-/// [`Direction::Informational`] metric reports its raw relative change
-/// (the same sign convention as higher-is-worse) purely for display.
-pub fn regression(direction: Direction, old: f64, new: f64) -> f64 {
-    match direction {
-        Direction::HigherIsWorse | Direction::Informational => new / old.max(1e-9) - 1.0,
-        Direction::LowerIsWorse => 1.0 - new / old.max(1e-9),
-    }
-}
-
-/// Gates one metric: the signed regression fraction plus whether it failed
-/// (strictly beyond tolerance; informational metrics never fail).
-pub fn gate_metric(direction: Direction, old: f64, new: f64, tolerance: f64) -> (f64, bool) {
-    let r = regression(direction, old, new);
-    let failed = direction != Direction::Informational && r > tolerance;
-    (r, failed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,79 +127,5 @@ mod tests {
         );
         assert_eq!(got[0].before, 0.0);
         assert_eq!(got[2].after, 0.0);
-    }
-
-    /// The suffix-direction matrix `bench-diff` relies on (the previously
-    /// untested heuristics): one row per suffix family, both polarities,
-    /// and the informational fallback.
-    #[test]
-    fn direction_suffix_matrix() {
-        use Direction::*;
-        let cases: &[(&str, Direction)] = &[
-            // higher-is-worse: times...
-            ("hot_path/tracked_write_ns", HigherIsWorse),
-            ("merge_wall_ms", HigherIsWorse),
-            ("workload/histogram/wall_ms", HigherIsWorse),
-            ("wall_clock_seconds", HigherIsWorse),
-            // ...memory...
-            ("peak_rss_kb", HigherIsWorse),
-            ("rss_bytes", HigherIsWorse),
-            // ...and loss accounting.
-            ("loss/records_lost", HigherIsWorse),
-            ("loss/chunks_skipped", HigherIsWorse),
-            ("loss/truncated_files", HigherIsWorse),
-            // lower-is-worse: rates, throughputs, speedups.
-            ("ingest_mevents_per_s", LowerIsWorse),
-            ("workload/histogram/throughput_maccess_s", LowerIsWorse),
-            ("scaling/speedup_8t", LowerIsWorse),
-            // informational: counts and input sizes never gate.
-            ("events", Informational),
-            ("workload/histogram/iters", Informational),
-            ("findings", Informational),
-        ];
-        for (path, want) in cases {
-            assert_eq!(direction_for_key(path), *want, "path {path}");
-        }
-        // Only the leaf segment is inspected: a directory named `rss/` does
-        // not make a count a memory metric.
-        assert_eq!(direction_for_key("rss/events"), Informational);
-    }
-
-    #[test]
-    fn regression_sign_follows_direction() {
-        // Time doubled: +100% regression. Throughput halved: +50%.
-        assert!((regression(Direction::HigherIsWorse, 10.0, 20.0) - 1.0).abs() < 1e-9);
-        assert!((regression(Direction::LowerIsWorse, 10.0, 5.0) - 0.5).abs() < 1e-9);
-        // Improvements are negative in both directions.
-        assert!(regression(Direction::HigherIsWorse, 20.0, 10.0) < 0.0);
-        assert!(regression(Direction::LowerIsWorse, 5.0, 10.0) < 0.0);
-    }
-
-    #[test]
-    fn gate_metric_never_fails_informational() {
-        let (r, failed) = gate_metric(Direction::Informational, 100.0, 10_000.0, 0.1);
-        assert!(r > 0.1);
-        assert!(!failed);
-        let (_, failed) = gate_metric(Direction::HigherIsWorse, 100.0, 10_000.0, 0.1);
-        assert!(failed);
-        // Exactly at tolerance passes (strict comparison; 125/100−1 is an
-        // exact 0.25 in binary floating point).
-        let (_, failed) = gate_metric(Direction::HigherIsWorse, 100.0, 125.0, 0.25);
-        assert!(!failed);
-    }
-
-    #[test]
-    fn gate_matches_band_classification() {
-        // The band fold and the regression gate agree: a metric fails the
-        // gate exactly when classify() would call it Increased (for
-        // higher-is-worse) or Decreased (for lower-is-worse).
-        for &(old, new) in &[(100.0, 151.0), (100.0, 150.0), (100.0, 49.0), (0.0, 3.0)] {
-            let up = classify(old, new, 0.5) == Delta::Increased;
-            let (_, gated) = gate_metric(Direction::HigherIsWorse, old, new, 0.5);
-            assert_eq!(up, gated, "old={old} new={new}");
-            let down = classify(old, new, 0.5) == Delta::Decreased;
-            let (_, gated) = gate_metric(Direction::LowerIsWorse, old, new, 0.5);
-            assert_eq!(down, gated, "old={old} new={new}");
-        }
     }
 }

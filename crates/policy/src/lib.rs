@@ -10,14 +10,13 @@
 //!
 //! * [`severity`] — the `info < warning < error` scale and `--fail-on`
 //!   parsing;
-//! * [`rules`] — the [`Policy`] trait, the built-in threshold policy, and
-//!   the registry for custom classifiers;
+//! * [`rules`] — the [`Policy`] trait and the built-in threshold policy;
 //! * [`suppress`] — per-site suppressions keyed by callsite key;
 //! * [`baseline`] — known-findings snapshots (`predator baseline
 //!   write|diff`) so only *new* findings gate;
 //! * [`engine`] — the classify → suppress → baseline → gate pipeline;
 //! * [`compare`] — the shared comparison engine behind report diffs,
-//!   fleet trends, baseline diffs, and bench gates;
+//!   fleet trends, and baseline diffs;
 //! * [`diff`] — report-vs-report diffing (moved here from
 //!   `predator-core`; re-exported at the same names);
 //! * [`sarif`], [`html`] — the SARIF 2.1.0 and self-contained HTML
@@ -34,16 +33,11 @@ pub mod severity;
 pub mod suppress;
 
 pub use baseline::{Baseline, BASELINE_SCHEMA};
-pub use compare::{
-    classify, compare_maps, direction_for_key, gate_metric, regression, Delta, DeltaEntry,
-    Direction,
-};
+pub use compare::{classify, compare_maps, Delta, DeltaEntry};
 pub use diff::{diff_reports, FindingId, ReportDiff, SeverityChange};
 pub use engine::{evaluate_report, evaluate_views, Evaluation, FindingDecision, PolicyConfig};
 pub use html::to_html;
-pub use rules::{
-    policy_by_name, policy_names, register_policy, FindingView, Policy, ThresholdPolicy,
-};
+pub use rules::{FindingView, Policy, ThresholdPolicy};
 pub use sarif::{to_sarif, to_sarif_string, SARIF_SCHEMA, SARIF_VERSION};
 pub use severity::Severity;
 pub use suppress::{SuppressRule, Suppressions};

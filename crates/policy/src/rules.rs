@@ -1,12 +1,10 @@
-//! The rule layer: classification policies and their registry.
+//! The rule layer: classification policies.
 //!
 //! A [`Policy`] turns one finding's measurements into a [`Severity`]. The
 //! built-in [`ThresholdPolicy`] implements the paper-faithful default —
-//! invalidation counts and rates are *the* ranking signal (§4) — while the
-//! registry lets workloads and plugins install custom policies and select
-//! them by name (`--policy <name>`).
-
-use std::sync::{Arc, Mutex, OnceLock};
+//! invalidation counts and rates are *the* ranking signal (§4); it is the
+//! only policy the CLI runs, and `PolicyConfig::policy` is where an
+//! embedder or a test substitutes another.
 
 use predator_core::{Finding, FindingKind, SharingClass};
 
@@ -109,32 +107,6 @@ impl Policy for ThresholdPolicy {
     }
 }
 
-fn registry() -> &'static Mutex<Vec<Arc<dyn Policy>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<dyn Policy>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(vec![Arc::new(ThresholdPolicy::default())]))
-}
-
-/// Registers a custom policy process-wide. A later registration under an
-/// existing name shadows the earlier one (latest wins), so plugins can
-/// replace the built-in default.
-pub fn register_policy(policy: Arc<dyn Policy>) {
-    registry().lock().unwrap().push(policy);
-}
-
-/// Looks a policy up by name; `"threshold"` is always available.
-pub fn policy_by_name(name: &str) -> Option<Arc<dyn Policy>> {
-    let reg = registry().lock().unwrap();
-    reg.iter().rev().find(|p| p.name() == name).cloned()
-}
-
-/// Names currently registered, newest shadowing first (for error messages).
-pub fn policy_names() -> Vec<String> {
-    let reg = registry().lock().unwrap();
-    let mut names: Vec<String> = reg.iter().rev().map(|p| p.name().to_string()).collect();
-    names.dedup();
-    names
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,28 +147,5 @@ mod tests {
             p.classify(&view(SharingClass::FalseSharing, 5, 0)),
             Severity::Warning
         );
-    }
-
-    #[test]
-    fn registry_resolves_builtin_and_custom() {
-        assert!(policy_by_name("threshold").is_some());
-        assert!(policy_by_name("nope").is_none());
-
-        struct AlwaysError;
-        impl Policy for AlwaysError {
-            fn name(&self) -> &str {
-                "always-error"
-            }
-            fn classify(&self, _: &FindingView<'_>) -> Severity {
-                Severity::Error
-            }
-        }
-        register_policy(Arc::new(AlwaysError));
-        let p = policy_by_name("always-error").unwrap();
-        assert_eq!(
-            p.classify(&view(SharingClass::TrueSharing, 0, 0)),
-            Severity::Error
-        );
-        assert!(policy_names().contains(&"always-error".to_string()));
     }
 }

@@ -33,6 +33,17 @@ if grep -rnE 'sniff_format|TraceFormat|jsonl_range' \
   exit 1
 fi
 
+echo "==> one perf record (the retired bench bins, their schema and gate verb, and the policy registry must not grow back)"
+if grep -rnE 'BENCH_[0-9]|bench-diff|bench\.sh|bench_(telemetry|trace|fleet|serve|whatif)|predator-bench/1|register_policy|policy_by_name' \
+  --exclude-dir={target,benchmark,.git} \
+  --exclude={CHANGES.md,ROADMAP.md,ISSUE.md,ci.sh,ci.yml} .; then
+  echo "a second perf record (or the policy registry) is back" >&2
+  exit 1
+fi
+
+echo "==> non-test source lines under crates/ (scripts/loc.sh)"
+scripts/loc.sh
+
 echo "==> explain/diff smoke (flight recorder + CI gate)"
 cargo build --release -p predator-cli
 PRED=target/release/predator
@@ -192,7 +203,7 @@ $PRED fleet compact --corpus "$SMOKE/current" --keep 1
 $PRED fleet report --corpus "$SMOKE/current" > "$SMOKE/fleet-compacted.txt"
 grep -q "3 run(s)" "$SMOKE/fleet-compacted.txt"
 
-echo "==> timeline/profile/bench-diff smoke"
+echo "==> timeline/profile smoke"
 $PRED ir examples/programs/false_sharing.pir --threads 2 --iters 2000 \
   --trace-timeline "$SMOKE/trace.json" > /dev/null
 grep -q '"traceEvents"' "$SMOKE/trace.json"
@@ -204,15 +215,10 @@ if ! $PRED profile examples/programs/false_sharing.pir --threads 2 --iters 2000 
     exit 1
   }
 fi
+
+echo "==> paper-figure bins and criterion benches still compile"
 cargo build --release -q -p predator-bench
-target/release/bench_telemetry measure "$SMOKE/bench.json" --iters 100 --hot-iters 50000
-$PRED bench-diff "$SMOKE/bench.json" "$SMOKE/bench.json"
-# bench-diff's schema-agnostic path: fleet telemetry gates against itself.
-target/release/bench_fleet "$SMOKE/bench_fleet.json" --traces 2 --events-per-trace 100000
-$PRED bench-diff "$SMOKE/bench_fleet.json" "$SMOKE/bench_fleet.json"
-# What-if replay telemetry (asserts the >=90% delta bar internally).
-target/release/bench_whatif "$SMOKE/bench_whatif.json" --iters 10000
-$PRED bench-diff "$SMOKE/bench_whatif.json" "$SMOKE/bench_whatif.json"
+cargo bench -q -p predator-bench --no-run
 
 echo "==> repo benchmark: harness tests (every layer probe on tiny inputs + essence gate)"
 # benchmark/ is a package of its own (BENCHMARK.json declares it); its tests

@@ -100,9 +100,9 @@ pub trait Deserialize: Sized {
     fn from_value(v: &Value) -> Result<Self, Error>;
 }
 
-// `Value` round-trips as itself, so schema-agnostic consumers (e.g.
-// `predator bench-diff`'s generic path) can deserialize arbitrary JSON
-// without naming a concrete type.
+// `Value` round-trips as itself, so schema-agnostic consumers (e.g. the
+// CLI's live `/snapshot` and `/health` scrapes) can deserialize arbitrary
+// JSON without naming a concrete type.
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
