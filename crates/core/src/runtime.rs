@@ -255,7 +255,6 @@ impl Predator {
         }
         self.events.fetch_add(1, Ordering::Relaxed);
         predator_obs::hot_counter_inc!("runtime_accesses_total");
-        predator_obs::profile::mark(predator_obs::CostCenter::HandleAccess);
         let geom = self.cfg.geometry;
         for line in geom.lines_touched(addr, size) {
             if let Some(idx) = self.layout.index_of(geom.line_start(line)) {

@@ -113,7 +113,6 @@ impl CacheTrack {
         if burst.is_some_and(|burst| n % cfg.sample_interval >= burst) {
             return TrackOutcome::default();
         }
-        predator_obs::profile::mark(predator_obs::CostCenter::Track);
         // Flight-recorder and timeline feed: the victims of an invalidating
         // write are the remote entries sitting in the history table *before*
         // the write lands (≤ 2, distinct threads — §2.3.1), so capture them
@@ -155,7 +154,6 @@ impl CacheTrack {
         });
         predator_obs::static_counter!("track_sampled_accesses_total").inc();
         if flight {
-            predator_obs::profile::mark(predator_obs::CostCenter::Recorder);
             if invalidated {
                 predator_obs::recorder::record_invalidation(
                     self.line_start,

@@ -175,13 +175,6 @@ impl<'a> Machine<'a> {
         let mut started = vec![false; states.len()];
         let mut executed = vec![0u64; states.len()];
         const ACTIVITY_SLICE: u64 = 256;
-        // Self-profiler: every `period`-th interpreted instruction samples
-        // the IR call stack (captured *before* the step so the leaf is the
-        // sampled instruction's frame) with weight = period. A sampled
-        // `Probe` additionally consumes the runtime cost-center mark the
-        // detector leaves behind while handling the access.
-        let prof = predator_obs::profiler();
-        let prof_period = if prof.enabled() { prof.period() } else { 0 };
         let mut turn = 0usize;
         while states.iter().any(|s| !s.done) {
             let live: Vec<usize> = (0..states.len()).filter(|&i| !states[i].done).collect();
@@ -220,25 +213,7 @@ impl<'a> Machine<'a> {
                         );
                     }
                 }
-                let sampled = prof_period != 0 && steps.is_multiple_of(prof_period);
-                let (stack, was_probe) = if sampled {
-                    (
-                        Some(collapse_stack(&states[pick])),
-                        peek_is_probe(&states[pick]),
-                    )
-                } else {
-                    (None, false)
-                };
                 self.step(&mut states[pick])?;
-                if let Some(mut stack) = stack {
-                    if was_probe {
-                        if let Some(center) = predator_obs::profile::take_mark() {
-                            stack.push(';');
-                            stack.push_str(center.label());
-                        }
-                    }
-                    prof.record(stack, prof_period);
-                }
             }
             if tl_on && states[pick].done && started[pick] {
                 tl.end(&threads[pick].function, "interp", lane);
@@ -368,32 +343,6 @@ impl<'a> Machine<'a> {
             _ => self.space.store::<u64>(addr, value as u64),
         }
     }
-}
-
-/// Collapses a thread's IR call stack into a `func@bbN;func@bbN` frame
-/// string (outermost first), the profiler's sample key.
-fn collapse_stack(st: &ThreadState<'_>) -> String {
-    let mut out = String::with_capacity(st.stack.len() * 16);
-    for (i, frame) in st.stack.iter().enumerate() {
-        if i > 0 {
-            out.push(';');
-        }
-        out.push_str(&frame.func.name);
-        out.push_str("@bb");
-        out.push_str(&frame.block.to_string());
-    }
-    out
-}
-
-/// True when the thread's next instruction is a `Probe` — the one kind
-/// that enters the detector runtime and can leave a cost-center mark.
-fn peek_is_probe(st: &ThreadState<'_>) -> bool {
-    st.stack.last().is_some_and(|frame| {
-        matches!(
-            frame.func.blocks[frame.block].insts[frame.ip],
-            Inst::Probe { .. }
-        )
-    })
 }
 
 #[inline]

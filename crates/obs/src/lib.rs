@@ -21,9 +21,6 @@
 //!   turning phase spans, interpreter thread activity, and detector events
 //!   into a Perfetto-loadable JSON file with flow arrows from invalidating
 //!   writes to their victim threads.
-//! * [`profile`] — the instruction-count-triggered sampling self-profiler
-//!   behind `predator profile`: collapsed IR call stacks plus runtime
-//!   cost-center attribution (handle-access, tracking, recorder, MESI).
 //! * [`serve`] — a hand-rolled zero-dep HTTP/1.1 server over `std::net`,
 //!   the transport behind `predator serve`'s `/metrics`, `/health`,
 //!   `/report` and `/snapshot` endpoints (plus the matching GET client).
@@ -47,7 +44,6 @@ pub mod alerts;
 pub mod delta;
 mod events;
 mod metrics;
-pub mod profile;
 pub mod recorder;
 pub mod serve;
 mod snapshot;
@@ -62,7 +58,6 @@ pub use metrics::{
     bucket_index, bucket_lower_bound, global, Counter, Gauge, Histogram, Registry, Timer,
     COUNTER_SHARDS,
 };
-pub use profile::{profiler, CostCenter, Profiler};
 pub use recorder::{FlightRecorder, Rec, RecKind};
 pub use serve::{http_get, http_get_auth, HttpServer, Request, Response, ServerHandle};
 pub use snapshot::{escape_label_value, prom_info_metric, Bucket, HistogramSnapshot, Snapshot};

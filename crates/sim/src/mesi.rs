@@ -294,7 +294,6 @@ impl MesiSim {
     /// line the access touches.
     pub fn access(&mut self, tid: ThreadId, addr: u64, size: u8, kind: AccessKind) {
         predator_obs::hot_counter_inc!("mesi_accesses_total");
-        predator_obs::profile::mark(predator_obs::CostCenter::Mesi);
         for line in self.geom.lines_touched(addr, size) {
             // Word attribution for the flight recorder: exact for the line
             // containing `addr`, word 0 for the spilled-into lines of a
