@@ -344,7 +344,8 @@ fn interrupted_run_still_flushes_sink_summary() {
     let dir = temp_dir("interrupt");
     let events = dir.join("events.jsonl");
 
-    // A run long enough that the SIGINT always lands mid-workload.
+    // A run long enough that the SIGINT always lands mid-workload (a
+    // release build gets through some 10 M of these iterations a second).
     let mut child = predator()
         .args([
             "run",
@@ -352,7 +353,7 @@ fn interrupted_run_still_flushes_sink_summary() {
             "--threads",
             "2",
             "--iters",
-            "5000000",
+            "100000000",
             "--trace-events",
             events.to_str().unwrap(),
         ])

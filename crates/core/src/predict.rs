@@ -240,7 +240,7 @@ impl PredictionUnit {
         let (_, inv) = lockfree::record_history(&self.history, tid, kind);
         if inv {
             self.invalidations.fetch_add(1, Ordering::Relaxed);
-            predator_obs::static_counter!("predict_verified_invalidations_total").inc();
+            predator_obs::hot_counter_inc!("predict_verified_invalidations_total");
         }
         inv
     }

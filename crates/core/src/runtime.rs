@@ -18,7 +18,7 @@
 //!    (§3.4) for qualifying pairs.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use serde::{Deserialize, Serialize};
@@ -64,9 +64,14 @@ pub struct Predator {
     /// Address ranges excluded from instrumentation — the runtime-side
     /// counterpart of the §2.4.2 blacklist ("the user could provide a
     /// blacklist so that given modules, functions or variables are not
-    /// instrumented"). Sorted, non-overlapping `(start, end)` pairs behind a
-    /// seqlock-free RwLock: reads are the common case.
+    /// instrumented"). Sorted, non-overlapping `(start, end)` pairs, behind a
+    /// lock that [`is_ignored`](Self::is_ignored) takes only when
+    /// `ignored_len` is non-zero.
     ignored: RwLock<Vec<(u64, u64)>>,
+    /// The gate in front of `ignored`: its length, stored (`Release`) by
+    /// `ignore_range` before it returns, loaded (`Acquire`) by every access.
+    /// Zero — no blacklist, the usual case — means the access takes no lock.
+    ignored_len: AtomicUsize,
     events: AtomicU64,
     /// Optional event tap, consulted *before* every filter (including the
     /// master `enabled` switch): `predator record` installs a trace writer
@@ -98,11 +103,12 @@ impl Predator {
         let layout = ShadowLayout::new(base, size, cfg.geometry);
         Predator {
             cfg,
-            writes: LineCounters::new(layout),
+            writes: LineCounters::new(layout.lines()),
             tracks: TrackSlots::new(layout.lines()),
             units: Mutex::new(UnitRegistry::new()),
             globals: Mutex::new(BTreeMap::new()),
             ignored: RwLock::new(Vec::new()),
+            ignored_len: AtomicUsize::new(0),
             events: AtomicU64::new(0),
             tap: OnceLock::new(),
             dyn_burst: AtomicU64::new(NO_OVERRIDE),
@@ -112,9 +118,12 @@ impl Predator {
         }
     }
 
-    /// Creates a runtime shadowing an existing [`SimSpace`].
+    /// Creates a runtime shadowing an existing [`SimSpace`] — a live run, so
+    /// its write counters (4 B per line of the space) are backed up front.
     pub fn for_space(cfg: DetectorConfig, space: &SimSpace) -> Self {
-        Self::new(cfg, space.base(), space.size())
+        let rt = Self::new(cfg, space.base(), space.size());
+        rt.writes.prefault();
+        rt
     }
 
     /// The active configuration.
@@ -159,14 +168,16 @@ impl Predator {
         let mut ranges = self.ignored.write().unwrap();
         ranges.push((start, start + len));
         ranges.sort_unstable();
+        self.ignored_len.store(ranges.len(), Ordering::Release);
     }
 
     /// True if `addr` falls inside an ignored range.
+    #[inline]
     pub fn is_ignored(&self, addr: u64) -> bool {
-        let ranges = self.ignored.read().unwrap();
-        if ranges.is_empty() {
+        if self.ignored_len.load(Ordering::Acquire) == 0 {
             return false;
         }
+        let ranges = self.ignored.read().unwrap();
         let i = ranges.partition_point(|&(s, _)| s <= addr);
         i > 0 && addr < ranges[i - 1].1
     }
@@ -761,6 +772,70 @@ mod tests {
         assert!(!rt.is_ignored(BASE + 192));
         assert!(rt.is_ignored(BASE + 639));
         assert!(!rt.is_ignored(BASE + 640));
+    }
+
+    #[test]
+    fn a_range_registered_mid_run_filters_the_very_next_access() {
+        let rt = rt();
+        hammer_pingpong(&rt, BASE, 100);
+        assert_eq!(rt.events(), 100, "no blacklist yet: every access counts");
+        rt.ignore_range(BASE, 64);
+        rt.handle_access(ThreadId(0), BASE, 8, Write);
+        assert_eq!(
+            rt.events(),
+            100,
+            "the gate is open before ignore_range returns"
+        );
+        hammer_pingpong(&rt, BASE, 100);
+        assert_eq!(rt.events(), 100);
+        // Unregistered addresses still detect.
+        hammer_pingpong(&rt, BASE + 64, 100);
+        assert_eq!(rt.events(), 200);
+        assert!(rt.line_snapshot(1).unwrap().invalidations > 50);
+    }
+
+    #[test]
+    fn no_access_started_after_ignore_range_returns_slips_through() {
+        // Three threads hammer one line while the main thread blacklists
+        // it. `registered` is raised only after `ignore_range` returned, so
+        // an access issued after a thread has seen it raised started after
+        // the return and must be filtered: it may not move `events()`.
+        let rt = rt();
+        let registered = std::sync::atomic::AtomicBool::new(false);
+        let (issued, after) = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..3u16)
+                .map(|t| {
+                    let (rt, registered) = (&rt, &registered);
+                    s.spawn(move || {
+                        let (mut issued, mut after) = (0u64, 0u64);
+                        while after < 10_000 {
+                            let seen = registered.load(Ordering::Acquire);
+                            rt.handle_access(ThreadId(t), BASE + t as u64 * 8, 8, Write);
+                            issued += 1;
+                            after += seen as u64;
+                        }
+                        (issued, after)
+                    })
+                })
+                .collect();
+            // Register mid-stream: the workers run until told, so they are
+            // still hammering whenever this thread gets here.
+            while rt.events() < 1000 {
+                std::hint::spin_loop();
+            }
+            rt.ignore_range(BASE, 64);
+            registered.store(true, Ordering::Release);
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap())
+                .fold((0, 0), |(i, a), (wi, wa)| (i + wi, a + wa))
+        });
+        assert_eq!(after, 30_000);
+        assert!(
+            rt.events() + after <= issued,
+            "{} counted + {after} issued after the registration > {issued} offered",
+            rt.events()
+        );
     }
 
     #[test]

@@ -152,7 +152,7 @@ impl CacheTrack {
                 unit.record(tid, kind);
             }
         });
-        predator_obs::static_counter!("track_sampled_accesses_total").inc();
+        predator_obs::hot_counter_inc!("track_sampled_accesses_total");
         if flight {
             if invalidated {
                 predator_obs::recorder::record_invalidation(
@@ -171,7 +171,7 @@ impl CacheTrack {
             }
         }
         if invalidated {
-            predator_obs::static_counter!("track_invalidations_total").inc();
+            predator_obs::hot_counter_inc!("track_invalidations_total");
             predator_obs::events().emit(
                 "invalidation",
                 &[

@@ -55,7 +55,7 @@ pub use alerts::{parse_rules, AlertEngine, AlertState, LintError, Rule, Severity
 pub use delta::{accumulate, delta_snapshots, DeltaTracker, SnapshotDelta};
 pub use events::{events, EventSink, FieldVal};
 pub use metrics::{
-    bucket_index, bucket_lower_bound, global, Counter, Gauge, Histogram, Registry, Timer,
+    bucket_index, bucket_lower_bound, global, Counter, Gauge, Histogram, HotTally, Registry, Timer,
     COUNTER_SHARDS,
 };
 pub use recorder::{FlightRecorder, Rec, RecKind};
@@ -83,30 +83,24 @@ macro_rules! static_counter {
 }
 
 /// How many increments a [`hot_counter_inc!`] call site accumulates in its
-/// thread-local tally before flushing to the shared counter. Snapshots may
-/// under-report by up to `HOT_BATCH - 1` per thread per call site.
+/// thread-local [`HotTally`] before flushing to the shared counter. Nothing
+/// is lost: the remainder is flushed when the thread takes a snapshot and
+/// when it exits; only another, live thread's can be missing from one.
 pub const HOT_BATCH: u64 = 64;
 
-/// A sampled counter increment for hot paths: counts into a plain
-/// thread-local cell and flushes to the sharded global counter every
-/// [`HOT_BATCH`] increments, so the per-event cost is a TLS increment and a
-/// predictable branch instead of an atomic RMW.
+/// A batched counter increment for hot paths: counts into a thread-local
+/// [`HotTally`] that reaches the sharded global counter every [`HOT_BATCH`]
+/// increments (and at snapshot and thread exit), so the per-event cost is a
+/// TLS increment and a predictable branch instead of an atomic RMW.
 #[macro_export]
 macro_rules! hot_counter_inc {
     ($name:expr) => {{
         if !$crate::disabled() {
             ::std::thread_local! {
-                static TALLY: ::std::cell::Cell<u64> = const { ::std::cell::Cell::new(0) };
+                static TALLY: $crate::HotTally =
+                    $crate::HotTally::new($crate::static_counter!($name), &TALLY);
             }
-            TALLY.with(|t| {
-                let n = t.get() + 1;
-                if n >= $crate::HOT_BATCH {
-                    $crate::static_counter!($name).add(n);
-                    t.set(0);
-                } else {
-                    t.set(n);
-                }
-            });
+            TALLY.with($crate::HotTally::inc);
         }
     }};
 }
@@ -147,6 +141,28 @@ mod macro_tests {
         // ...the batch-completing increment flushes the whole tally.
         bump();
         assert_eq!(crate::global().counter(name).get(), crate::HOT_BATCH);
+    }
+
+    #[test]
+    #[cfg_attr(feature = "obs-off", ignore)]
+    fn hot_counter_is_exact_after_join_and_snapshot() {
+        fn bump() {
+            crate::hot_counter_inc!("test_hot_counter_exact_total");
+        }
+        const THREADS: u64 = 4;
+        // k·64 + r: each thread exits with a partial batch pending.
+        const PER_THREAD: u64 = 3 * crate::HOT_BATCH + 17;
+        let workers: Vec<_> = (0..THREADS)
+            .map(|_| std::thread::spawn(|| (0..PER_THREAD).for_each(|_| bump())))
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        // This thread's own remainder is flushed by the snapshot it takes.
+        (0..5).for_each(|_| bump());
+        let snap = crate::global().snapshot();
+        let name = "test_hot_counter_exact_total".to_string();
+        assert!(snap.counters.contains(&(name, THREADS * PER_THREAD + 5)));
     }
 
     #[test]

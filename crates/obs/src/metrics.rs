@@ -1,8 +1,10 @@
 //! The metrics registry: sharded counters, gauges, log2 histograms.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::LocalKey;
 #[cfg(not(feature = "obs-off"))]
 use std::time::Instant;
 
@@ -67,6 +69,60 @@ impl Counter {
             .iter()
             .map(|c| c.0.load(Ordering::Relaxed))
             .sum()
+    }
+}
+
+thread_local! {
+    /// Every [`HotTally`] this thread has touched, so a snapshot can drain
+    /// tallies it cannot name.
+    static HOT_SITES: RefCell<Vec<&'static LocalKey<HotTally>>> =
+        const { RefCell::new(Vec::new()) };
+}
+
+/// The thread-local half of one [`hot_counter_inc!`](crate::hot_counter_inc)
+/// call site: increments collect in a plain cell and reach the shared
+/// [`Counter`] every [`HOT_BATCH`](crate::HOT_BATCH) of them, when the
+/// thread takes a snapshot, and when the thread exits.
+pub struct HotTally {
+    pending: Cell<u64>,
+    counter: &'static Counter,
+}
+
+impl HotTally {
+    /// A tally for `counter`, living in the thread-local `site`.
+    pub fn new(counter: &'static Counter, site: &'static LocalKey<HotTally>) -> Self {
+        // `Err` means the thread is exiting; `Drop` still drains the tally.
+        let _ = HOT_SITES.try_with(|sites| sites.borrow_mut().push(site));
+        let pending = Cell::new(0);
+        HotTally { pending, counter }
+    }
+
+    /// Adds one.
+    #[inline]
+    pub fn inc(&self) {
+        self.pending.set(self.pending.get() + 1);
+        if self.pending.get() >= crate::HOT_BATCH {
+            self.flush();
+        }
+    }
+
+    fn flush(&self) {
+        self.counter.add(self.pending.replace(0));
+    }
+}
+
+impl Drop for HotTally {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+/// Flushes every [`HotTally`] of the calling thread ahead of a snapshot.
+fn flush_hot_tallies() {
+    let sites = HOT_SITES.try_with(|sites| sites.borrow().clone());
+    for site in sites.unwrap_or_default() {
+        // `Err`: the thread is exiting and the tally flushed in its `Drop`.
+        let _ = site.try_with(HotTally::flush);
     }
 }
 
@@ -276,8 +332,10 @@ impl Registry {
             .clone()
     }
 
-    /// A point-in-time copy of every metric, sorted by name.
+    /// A point-in-time copy of every metric, sorted by name: exact for the
+    /// calling thread and exited ones (see [`HOT_BATCH`](crate::HOT_BATCH)).
     pub fn snapshot(&self) -> Snapshot {
+        flush_hot_tallies();
         let inner = self.inner.lock().unwrap();
         Snapshot {
             counters: inner

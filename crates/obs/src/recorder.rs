@@ -37,8 +37,9 @@
 #[cfg(not(feature = "obs-off"))]
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Records a thread-local segment accumulates before flushing to the shared
 /// ring store (one lock acquisition per `SEGMENT_LEN` records).
@@ -100,7 +101,28 @@ pub struct FlightRecorder {
     seq: AtomicU64,
     appended: AtomicU64,
     evicted: AtomicU64,
-    lines: Mutex<HashMap<u64, Ring>>,
+    lines: Mutex<HashMap<u64, Ring, BuildHasherDefault<LineHasher>>>,
+}
+
+/// The ring store's hasher — one multiply, not SipHash, for each record a
+/// flush inserts. At most [`MAX_LINES`] keys, so no collision flood to resist;
+/// the rotate moves the mixed high bits down (line starts end in zeros).
+#[derive(Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("line starts hash through write_u64");
+    }
+    #[inline]
+    fn write_u64(&mut self, line_start: u64) {
+        self.0 = line_start
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(32);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// One line's records, ascending by `(seq, slot)`. The slot is the index a
@@ -134,14 +156,14 @@ impl std::fmt::Debug for FlightRecorder {
 
 impl FlightRecorder {
     /// Creates a disabled recorder with the default depth.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         FlightRecorder {
             enabled: AtomicBool::new(false),
             depth: AtomicUsize::new(DEFAULT_DEPTH),
             seq: AtomicU64::new(0),
             appended: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
-            lines: Mutex::new(HashMap::new()),
+            lines: Mutex::new(HashMap::with_hasher(BuildHasherDefault::new())),
         }
     }
 
@@ -320,9 +342,10 @@ impl FlightRecorder {
 
 /// The process-global flight recorder. Disabled (one relaxed load per
 /// check) until the CLI or a test enables it.
+#[inline]
 pub fn recorder() -> &'static FlightRecorder {
-    static RECORDER: OnceLock<FlightRecorder> = OnceLock::new();
-    RECORDER.get_or_init(FlightRecorder::new)
+    static RECORDER: FlightRecorder = FlightRecorder::new();
+    &RECORDER
 }
 
 #[cfg(not(feature = "obs-off"))]

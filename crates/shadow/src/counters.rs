@@ -9,29 +9,26 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use crate::ShadowLayout;
-
 /// A dense array of per-cache-line atomic write counters.
 pub struct LineCounters {
-    layout: ShadowLayout,
     counts: Box<[AtomicU32]>,
 }
 
 impl LineCounters {
-    /// Allocates counters (all zero) for every line of `layout`.
-    pub fn new(layout: ShadowLayout) -> Self {
-        let mut v = Vec::with_capacity(layout.lines());
-        v.resize_with(layout.lines(), || AtomicU32::new(0));
-        LineCounters {
-            layout,
-            counts: v.into_boxed_slice(),
-        }
+    /// Allocates `lines` counters, all zero.
+    pub fn new(lines: usize) -> Self {
+        let counts = crate::zeroed(lines);
+        LineCounters { counts }
     }
 
-    /// The layout indices are computed with.
-    #[inline]
-    pub fn layout(&self) -> &ShadowLayout {
-        &self.layout
+    /// Backs the whole array now, not on first touch — for live sessions,
+    /// whose workload threads would otherwise take the faults mid-run. A CAS
+    /// of 0 for 0 per page: `fetch_add(0)` compiles to a load and backs nothing.
+    pub fn prefault(&self) {
+        const PER_PAGE: usize = 4096 / std::mem::size_of::<AtomicU32>();
+        for count in self.counts.iter().step_by(PER_PAGE) {
+            let _ = count.compare_exchange(0, 0, Ordering::Relaxed, Ordering::Relaxed);
+        }
     }
 
     /// Atomically increments the write counter of the line with dense index
@@ -85,11 +82,9 @@ impl LineCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use predator_sim::CacheGeometry;
 
     fn counters() -> LineCounters {
-        let layout = ShadowLayout::new(0x4000_0000, 4096, CacheGeometry::new(64));
-        LineCounters::new(layout)
+        LineCounters::new(64)
     }
 
     #[test]

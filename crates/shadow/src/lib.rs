@@ -31,7 +31,29 @@ pub use counters::LineCounters;
 pub use space::{Scalar, SimSpace};
 pub use track_slots::TrackSlots;
 
+use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64};
+
 use predator_sim::CacheGeometry;
+
+/// Types [`zeroed`] may build.
+///
+/// # Safety
+/// All-zero bytes must be a valid value of the implementor.
+pub(crate) unsafe trait ZeroValid {}
+// SAFETY: the std atomics are laid out as the integer or pointer they wrap,
+// and 0 and the null pointer are valid values of those.
+unsafe impl ZeroValid for AtomicU32 {}
+unsafe impl ZeroValid for AtomicU64 {}
+unsafe impl<T> ZeroValid for AtomicPtr<T> {}
+
+/// The one constructor of every shadow array: `len` zero elements from the
+/// allocator's `alloc_zeroed`. At shadow sizes that is fresh `mmap` memory the
+/// OS zero-fills on first touch, so a line never written costs neither set-up
+/// time nor resident memory (§2.4.1: the shadow is located, not paid for).
+pub(crate) fn zeroed<T: ZeroValid>(len: usize) -> Box<[T]> {
+    // SAFETY: `ZeroValid` promises all-zero bytes are an initialised `T`.
+    unsafe { Box::new_zeroed_slice(len).assume_init() }
+}
 
 /// Maps simulated addresses to dense per-line metadata indices.
 ///

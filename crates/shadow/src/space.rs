@@ -100,13 +100,8 @@ impl SimSpace {
     /// Creates a space of `size` bytes at `base` (must be 8-byte aligned).
     pub fn with_base(base: u64, size: usize) -> Self {
         assert_eq!(base % 8, 0, "space base must be 8-byte aligned");
-        let n_words = size.div_ceil(8);
-        let mut v = Vec::with_capacity(n_words);
-        v.resize_with(n_words, || AtomicU64::new(0));
-        SimSpace {
-            base,
-            words: v.into_boxed_slice(),
-        }
+        let words = crate::zeroed(size.div_ceil(8));
+        SimSpace { base, words }
     }
 
     /// First valid simulated address.

@@ -10,8 +10,14 @@
 //! publish-with-`Release` / read-with-`Acquire` pattern: whichever thread
 //! wins the CAS publishes a fully-constructed `T`; losers free their
 //! speculative allocation and use the winner's.
+//!
+//! The array is sized by the shadowed range but backed lazily
+//! ([`crate::zeroed`]), and reports and teardown visit the published payloads
+//! through an index of them, so both follow the lines promoted, not the range.
 
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicPtr, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// A dense array of lazily, atomically published per-line tracking payloads.
 ///
@@ -20,17 +26,17 @@ use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 /// happens. Published payloads live until the `TrackSlots` is dropped.
 pub struct TrackSlots<T> {
     slots: Box<[AtomicPtr<T>]>,
-    published: AtomicUsize,
+    /// Index of every published slot, entered by the winner of its CAS: once
+    /// per promotion, never on an access. Not counted as metadata.
+    published: Mutex<BTreeSet<usize>>,
 }
 
 impl<T> TrackSlots<T> {
     /// Allocates `len` empty slots.
     pub fn new(len: usize) -> Self {
-        let mut v = Vec::with_capacity(len);
-        v.resize_with(len, || AtomicPtr::new(std::ptr::null_mut()));
         TrackSlots {
-            slots: v.into_boxed_slice(),
-            published: AtomicUsize::new(0),
+            slots: crate::zeroed(len),
+            published: Mutex::new(BTreeSet::new()),
         }
     }
 
@@ -45,10 +51,15 @@ impl<T> TrackSlots<T> {
         self.slots.is_empty()
     }
 
+    /// The published-index set. Its only update is `insert`, which cannot
+    /// leave it invalid, so a poisoned lock is recovered, not propagated.
+    fn listed(&self) -> MutexGuard<'_, BTreeSet<usize>> {
+        self.published.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Number of slots with a published payload.
-    #[inline]
     pub fn published(&self) -> usize {
-        self.published.load(Ordering::Relaxed)
+        self.listed().len()
     }
 
     /// Returns the payload for `idx`, if one has been published.
@@ -79,7 +90,7 @@ impl<T> TrackSlots<T> {
             Ordering::Acquire,
         ) {
             Ok(_) => {
-                self.published.fetch_add(1, Ordering::Relaxed);
+                self.listed().insert(idx);
                 // SAFETY: we just published `fresh`; it stays valid until drop.
                 unsafe { &*fresh }
             }
@@ -92,17 +103,19 @@ impl<T> TrackSlots<T> {
         }
     }
 
-    /// Iterates over `(index, payload)` for every published slot.
+    /// Iterates over `(index, payload)` for every published slot, in index
+    /// order, through the index set: the cost is the lines promoted.
     pub fn iter_published(&self) -> impl Iterator<Item = (usize, &T)> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| {
-            let p = s.load(Ordering::Acquire);
-            // SAFETY: as in `get`.
-            unsafe { p.as_ref() }.map(|r| (i, r))
-        })
+        let indices: Vec<usize> = self.listed().iter().copied().collect();
+        indices
+            .into_iter()
+            .map(|i| (i, self.get(i).expect("a listed slot was published")))
     }
 
     /// Bytes of metadata: the pointer array plus every published payload
-    /// (for the memory-overhead experiments, Figures 8–9).
+    /// (for the memory-overhead experiments, Figures 8–9) — the paper's
+    /// accounting, array length × element size, and so an upper bound on
+    /// what is resident: untouched parts of the array are never backed.
     pub fn metadata_bytes(&self) -> usize {
         self.slots.len() * std::mem::size_of::<AtomicPtr<T>>() + self.published_bytes()
     }
@@ -117,27 +130,30 @@ impl<T> TrackSlots<T> {
 
 impl<T> Drop for TrackSlots<T> {
     fn drop(&mut self) {
-        for slot in self.slots.iter() {
-            let p = slot.swap(std::ptr::null_mut(), Ordering::Acquire);
-            if !p.is_null() {
-                // SAFETY: pointers in slots come exclusively from
-                // `Box::into_raw` in `get_or_publish` and are dropped only here.
-                drop(unsafe { Box::from_raw(p) });
-            }
+        let listed = std::mem::take(&mut *self.listed());
+        for idx in listed {
+            let p = std::mem::replace(self.slots[idx].get_mut(), std::ptr::null_mut());
+            assert!(!p.is_null(), "a listed slot was published");
+            // SAFETY: non-null pointers in slots come exclusively from
+            // `Box::into_raw` in `get_or_publish`; the set lists each once,
+            // the swap above empties the slot, and nothing else frees them.
+            drop(unsafe { Box::from_raw(p) });
         }
     }
 }
 
 // SAFETY: payloads are published once and only shared by reference; `T` must
 // itself be Sync (shared between threads) and Send (dropped by whichever
-// thread drops the TrackSlots).
+// thread drops the TrackSlots). The index is a `Mutex<BTreeSet<usize>>`,
+// Send + Sync on its own.
 unsafe impl<T: Send + Sync> Sync for TrackSlots<T> {}
 unsafe impl<T: Send> Send for TrackSlots<T> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicU64, AtomicUsize};
     use std::sync::Arc;
 
     #[test]
@@ -216,14 +232,77 @@ mod tests {
         assert_eq!(s.get(0).unwrap().load(Ordering::Relaxed), 4000);
     }
 
-    #[test]
-    fn drop_frees_published_payloads() {
-        // Dropping with live publishes must not leak or double-free; run
-        // under the default test harness this at least exercises the path.
-        let s: TrackSlots<Vec<u8>> = TrackSlots::new(16);
-        for i in 0..16 {
-            s.get_or_publish(i, || vec![0u8; 1024]);
+    /// A payload that counts its drops, so a leak or a double free shows.
+    struct Counted<'a>(usize, &'a AtomicUsize);
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.1.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// The pre-index `iter_published`: every slot, in order.
+    fn full_scan(s: &TrackSlots<Counted<'_>>) -> Vec<(usize, usize)> {
+        (0..s.len())
+            .filter_map(|i| s.get(i).map(|c| (i, c.0)))
+            .collect()
+    }
+
+    /// `iter_published`, `published()` and `Drop` against the full scan.
+    fn check_against_full_scan(s: TrackSlots<Counted<'_>>, drops: &AtomicUsize, made: usize) {
+        let listed: Vec<(usize, usize)> = s.iter_published().map(|(i, c)| (i, c.0)).collect();
+        assert_eq!(listed, full_scan(&s), "same pairs, ascending index");
+        assert_eq!(s.published(), listed.len());
+        // Speculative payloads of lost races are already gone...
+        assert_eq!(drops.load(Ordering::Relaxed), made - listed.len());
         drop(s);
+        // ...and every published one is freed exactly once.
+        assert_eq!(drops.load(Ordering::Relaxed), made);
+    }
+
+    #[test]
+    fn four_concurrent_publishers_are_all_listed_once() {
+        const LEN: usize = 64;
+        let drops = AtomicUsize::new(0);
+        let made = AtomicUsize::new(0);
+        let s: TrackSlots<Counted<'_>> = TrackSlots::new(LEN);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4usize {
+                let (s, start, drops, made) = (&s, &start, &drops, &made);
+                scope.spawn(move || {
+                    start.wait();
+                    // Overlapping strides: most slots are raced for.
+                    for k in 0..LEN {
+                        let idx = (k * (2 * t + 1) + t) % LEN;
+                        s.get_or_publish(idx, || {
+                            made.fetch_add(1, Ordering::Relaxed);
+                            Counted(idx, drops)
+                        });
+                    }
+                });
+            }
+        });
+        assert_eq!(s.published(), LEN);
+        check_against_full_scan(s, &drops, made.load(Ordering::Relaxed));
+    }
+
+    proptest! {
+        #[test]
+        fn prop_iter_published_equals_full_scan(
+            order in proptest::collection::vec(0usize..48, 0..96)
+        ) {
+            let drops = AtomicUsize::new(0);
+            let s: TrackSlots<Counted<'_>> = TrackSlots::new(48);
+            let mut made = 0;
+            for &idx in &order {
+                s.get_or_publish(idx, || {
+                    made += 1;
+                    Counted(idx, &drops)
+                });
+                prop_assert_eq!(s.iter_published().count(), made);
+            }
+            check_against_full_scan(s, &drops, made);
+        }
     }
 }

@@ -227,14 +227,15 @@ fn replay<I: Iterator<Item = Access>, M: Borrow<TraceMeta>>(
     let mut delivered = 0u64;
     std::thread::scope(|s| {
         let mut lanes = Vec::with_capacity(shards_used - 1);
+        let mut workers = Vec::with_capacity(shards_used - 1);
         for rt in &rts[1..] {
             let (tx, rx) = sync_channel::<Vec<Access>>(CHANNEL_DEPTH);
-            s.spawn(move || {
+            workers.push(s.spawn(move || {
                 let _sp = predator_obs::span("shard_analyze");
                 for a in rx.into_iter().flatten() {
                     rt.handle_access(a.tid, a.addr, a.size, a.kind);
                 }
-            });
+            }));
             lanes.push((tx, Vec::with_capacity(DISPATCH_BATCH)));
         }
         let _sp = predator_obs::span(match shards_used {
@@ -262,7 +263,11 @@ fn replay<I: Iterator<Item = Access>, M: Borrow<TraceMeta>>(
         for (tx, buf) in lanes {
             tx.send(buf).expect("shard worker died");
         }
-        // Dropping the senders ends each worker's loop; scope joins them.
+        // Dropping the senders ends each worker's loop. Joined by handle: the
+        // scope only waits for closures, not thread-local exit flushes.
+        for w in workers {
+            w.join().expect("shard worker panicked");
+        }
     });
     let (meta, loss) = tail(events);
     let meta = meta.as_ref().map(M::borrow);

@@ -50,6 +50,16 @@ if grep -rnE 'cmd_replay|cmd_profile|profile-period|CostCenter|obs::profile|cons
 fi
 test "$(wc -l < crates/cli/src/main.rs)" -le 400
 
+echo "==> one shadow constructor (a hand-zeroed shadow array must not grow back)"
+if grep -rnE 'resize_with\(.*Atomic' crates/shadow crates/core; then
+  echo "a shadow array is zeroed by hand again; use predator_shadow's zeroed()" >&2
+  exit 1
+fi
+if command -v cc > /dev/null; then
+  # The SIGPROF sampler (scripts/sample/) only has to keep building.
+  cc -O2 -shared -fPIC -Wall -Wextra -o /dev/null scripts/sample/prof.c
+fi
+
 echo "==> non-test source lines under crates/ (scripts/loc.sh)"
 scripts/loc.sh
 
