@@ -61,7 +61,7 @@ pub(crate) fn cmd_explain(args: &Args) -> Result<ExitCode, String> {
                 println!("No flight-recorder data embedded in {path}.");
                 println!(
                     "Re-run the workload with the recorder on (the default unless \
-                     --no-recorder; unavailable in obs-off builds)."
+                     --no-recorder)."
                 );
                 return Ok(ExitCode::SUCCESS);
             }

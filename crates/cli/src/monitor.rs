@@ -47,36 +47,6 @@ fn scrape_snapshot(addr: &str, token: Option<&str>) -> Result<(u64, ObsSnapshot)
     Ok((epoch, snap))
 }
 
-/// Re-types a report's embedded [`ObsSnapshot`] as the obs crate's raw
-/// snapshot so it can be fed through the tsdb/alerting machinery.
-fn raw_snapshot(s: &ObsSnapshot) -> predator_obs::Snapshot {
-    predator_obs::Snapshot {
-        counters: s
-            .counters
-            .iter()
-            .map(|c| (c.name.clone(), c.value))
-            .collect(),
-        gauges: s.gauges.iter().map(|g| (g.name.clone(), g.value)).collect(),
-        histograms: s
-            .histograms
-            .iter()
-            .map(|h| predator_obs::HistogramSnapshot {
-                name: h.name.clone(),
-                count: h.count,
-                sum: h.sum,
-                buckets: h
-                    .buckets
-                    .iter()
-                    .map(|b| predator_obs::Bucket {
-                        lo: b.lo,
-                        count: b.count,
-                    })
-                    .collect(),
-            })
-            .collect(),
-    }
-}
-
 /// Reads an [`ObsSnapshot`] from a file (`-` = stdin): either a bare
 /// snapshot (from `--metrics`) or a full JSON report (whose `obs` field
 /// embeds one).
@@ -131,7 +101,7 @@ pub(crate) fn cmd_alerts_eval(args: &Args) -> Result<ExitCode, String> {
     if src == "-" || Path::new(src).is_file() {
         // A recorded report/snapshot is one instant: threshold rules
         // evaluate, rate() rules read as "no data" (never met).
-        db.sample(&raw_snapshot(&snapshot_from_file(src)?), 0);
+        db.sample(&snapshot_from_file(src)?, 0);
         now_ms = 0;
         println!("evaluating {} rule(s) against {src}", rules.len());
     } else {
@@ -141,11 +111,11 @@ pub(crate) fn cmd_alerts_eval(args: &Args) -> Result<ExitCode, String> {
         let token = args.get("--auth-token");
         let t0 = std::time::Instant::now();
         let (_, first) = scrape_snapshot(&addr, token)?;
-        db.sample(&raw_snapshot(&first), 0);
+        db.sample(&first, 0);
         std::thread::sleep(std::time::Duration::from_secs(1));
         let (epoch, second) = scrape_snapshot(&addr, token)?;
         now_ms = t0.elapsed().as_millis() as u64;
-        db.sample(&raw_snapshot(&second), now_ms);
+        db.sample(&second, now_ms);
         println!(
             "evaluating {} rule(s) against live {addr} (scrape epoch {epoch})",
             rules.len()

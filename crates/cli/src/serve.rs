@@ -50,7 +50,7 @@ use predator_core::{
     Predator, Session,
 };
 use predator_obs::alerts::parse_duration_ms;
-use predator_obs::{AlertEngine, DeltaTracker, HttpServer, Response, Rule, Tsdb};
+use predator_obs::{AlertEngine, DeltaTracker, HttpServer, Request, Response, Rule, Tsdb};
 use predator_policy::{evaluate_report, evaluate_views, FindingView, PolicyConfig};
 use predator_trace::{AnalyzeConfig, TraceReader};
 use predator_workloads::by_name;
@@ -251,19 +251,6 @@ fn common_routes(srv: HttpServer, state: &Arc<ServeState>, monitor: &Arc<Monitor
     })
 }
 
-/// Writes the bound address where `--ready-file` asked (tests and scripts
-/// recover ephemeral ports from it), then announces on stderr.
-fn announce(args: &Args, addr: std::net::SocketAddr, mode: &str) -> Result<(), String> {
-    if let Some(path) = args.get("--ready-file") {
-        std::fs::write(path, format!("{addr}\n"))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    eprintln!(
-        "serving ({mode}) on http://{addr} — /metrics /health /report /snapshot /alerts /query"
-    );
-    Ok(())
-}
-
 struct ServeOpts {
     listen: String,
     budget: f64,
@@ -369,38 +356,93 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
     served.map(|()| ExitCode::SUCCESS)
 }
 
-/// Spawns the watchdog loop against whatever runtime the `current` closure
-/// yields (sessions rotate under workload mode, so the runtime is looked up
-/// fresh each tick).
-fn spawn_watchdog(
+/// The one server set-up: binds, registers the shared routes plus the
+/// mode's `/report`, spawns, announces, runs `drive` (the mode's loop, which
+/// returns how many iterations it completed) and stops the server after it.
+fn serve_mode(
+    args: &Args,
+    opts: &ServeOpts,
+    mode: &'static str,
+    report: impl Fn(&Request) -> Response + Send + Sync + 'static,
+    drive: impl FnOnce(&ServeState, &Arc<Monitor>) -> Result<u64, String>,
+) -> Result<u64, String> {
+    let state = ServeState::new(mode);
+    let monitor = Monitor::new(state.started, opts.rules.clone());
+    let srv = HttpServer::bind(&opts.listen)
+        .map_err(|e| format!("cannot bind {}: {e}", opts.listen))?
+        .with_auth(opts.auth.clone());
+    let addr = srv.local_addr();
+    let handle = common_routes(srv, &state, &monitor)
+        .route("/report", report)
+        .spawn()
+        .map_err(|e| format!("cannot serve: {e}"))?;
+    // Tests and scripts recover ephemeral ports from `--ready-file`.
+    if let Some(path) = args.get("--ready-file") {
+        std::fs::write(path, format!("{addr}\n"))
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
+    }
+    eprintln!(
+        "serving ({mode}) on http://{addr} — /metrics /health /report /snapshot /alerts /query"
+    );
+    let done = drive(&state, &monitor);
+    handle.stop();
+    done
+}
+
+/// The two modes that drive a long-lived detector (workload, replay): serves
+/// `report`, runs the watchdog alongside, and repeats `pass` until shutdown
+/// — at most `--passes` times, after which the server keeps answering
+/// scrapes until a signal arrives. Each watchdog tick, `tick` feeds it the
+/// runtime to throttle (sessions rotate under workload mode, so it is looked
+/// up fresh) and the wall clock in ns. `pass` returns false when a shutdown
+/// request cut it short.
+fn serve_passes(
+    args: &Args,
     det: DetectorConfig,
     opts: &ServeOpts,
-    stop: Arc<AtomicBool>,
-    started: Instant,
-    monitor: Arc<Monitor>,
-    current: impl Fn() -> (Arc<Session>, u64) + Send + 'static,
-) -> Result<std::thread::JoinHandle<()>, String> {
-    let wd_ms = opts.wd_ms;
-    let budget = opts.budget;
-    std::thread::Builder::new()
-        .name("predator-watchdog".into())
-        .spawn(move || {
-            // Calibration micro-times the hot paths on a scratch runtime —
-            // done on this thread so serving starts immediately.
-            let mut wd = Watchdog::for_detector(&det, budget);
-            while !stop.load(Ordering::Relaxed) && !sleep_poll(wd_ms) {
-                let (sess, callsites) = current();
-                wd.tick(
-                    sess.runtime(),
-                    callsites,
-                    started.elapsed().as_nanos() as u64,
-                );
-                // Sample *after* the tick so the overhead/backoff gauges
-                // the alert rules watch are at their freshest.
-                monitor.tick();
+    mode: &'static str,
+    report: impl Fn(&Request) -> Response + Send + Sync + 'static,
+    tick: impl Fn(&mut Watchdog, u64) + Send + 'static,
+    mut pass: impl FnMut() -> Result<bool, String>,
+) -> Result<(), String> {
+    let done = serve_mode(args, opts, mode, report, |state, monitor| {
+        let (wd_ms, budget, started) = (opts.wd_ms, opts.budget, state.started);
+        let stop = Arc::new(AtomicBool::new(false));
+        let (stopped, monitor) = (stop.clone(), monitor.clone());
+        let watchdog = std::thread::Builder::new()
+            .name("predator-watchdog".into())
+            .spawn(move || {
+                // Calibration micro-times the hot paths on a scratch runtime
+                // — done on this thread so serving starts immediately.
+                let mut wd = Watchdog::for_detector(&det, budget);
+                while !stopped.load(Ordering::Relaxed) && !sleep_poll(wd_ms) {
+                    tick(&mut wd, started.elapsed().as_nanos() as u64);
+                    // Sample *after* the tick so the overhead/backoff gauges
+                    // the alert rules watch are at their freshest.
+                    monitor.tick();
+                }
+            })
+            .map_err(|e| format!("cannot spawn watchdog: {e}"))?;
+        let mut done = 0u64;
+        let mut drive = || {
+            while !shutdown::requested() {
+                if opts.max_passes != 0 && done >= opts.max_passes {
+                    sleep_poll(POLL_MS);
+                } else if pass()? {
+                    done += 1;
+                    state.mark_activity(done);
+                    predator_obs::static_counter!("serve_passes_total").inc();
+                }
             }
-        })
-        .map_err(|e| format!("cannot spawn watchdog: {e}"))
+            Ok(())
+        };
+        let driven = drive();
+        stop.store(true, Ordering::Relaxed);
+        let _ = watchdog.join();
+        driven.map(|()| done)
+    })?;
+    eprintln!("serve: {done} {mode} pass(es), shutting down");
+    Ok(())
 }
 
 fn serve_workload(
@@ -411,56 +453,25 @@ fn serve_workload(
 ) -> Result<(), String> {
     let w = by_name(name).expect("caller checked the workload exists");
     let wcfg = workload_config(args)?;
-    let state = ServeState::new("workload");
-    let monitor = Monitor::new(state.started, opts.rules.clone());
     let session = Arc::new(Mutex::new(Arc::new(Session::with_config(det))));
+    let current = |session: &Mutex<Arc<Session>>| session.lock().unwrap().clone();
 
-    let srv = HttpServer::bind(&opts.listen)
-        .map_err(|e| format!("cannot bind {}: {e}", opts.listen))?
-        .with_auth(opts.auth.clone());
-    let addr = srv.local_addr();
-    let srv = common_routes(srv, &state, &monitor);
-    let sess_for_report = session.clone();
-    let policy = opts.policy.clone();
-    let srv = srv.route("/report", move |req| {
-        let sess = sess_for_report.lock().unwrap().clone();
-        report_response(&sess.report(), det.geometry, &policy, req.query.as_deref())
-    });
-    let handle = srv.spawn().map_err(|e| format!("cannot serve: {e}"))?;
-    announce(args, addr, "workload")?;
-
-    let stop_wd = Arc::new(AtomicBool::new(false));
+    let (sess_for_report, policy) = (session.clone(), opts.policy.clone());
+    let report = move |req: &Request| {
+        let report = current(&sess_for_report).report();
+        report_response(&report, det.geometry, &policy, req.query.as_deref())
+    };
     let sess_for_wd = session.clone();
-    let wd_thread = spawn_watchdog(
-        det,
-        opts,
-        stop_wd.clone(),
-        state.started,
-        monitor,
-        move || {
-            let sess = sess_for_wd.lock().unwrap().clone();
-            let callsites = sess.heap().callsites().len() as u64;
-            (sess, callsites)
-        },
-    )?;
-
-    let mut done = 0u64;
-    while !shutdown::requested() {
-        if opts.max_passes != 0 && done >= opts.max_passes {
-            // Passes bound the workload driving, not the server: keep
-            // serving scrapes until a signal arrives.
-            sleep_poll(POLL_MS);
-            continue;
-        }
-        let sess = session.lock().unwrap().clone();
+    let tick = move |wd: &mut Watchdog, now_ns| {
+        let sess = current(&sess_for_wd);
+        wd.tick(sess.runtime(), sess.heap().callsites().len() as u64, now_ns);
+    };
+    serve_passes(args, det, opts, "workload", report, tick, || {
+        let sess = current(&session);
         {
             let _span = predator_obs::span("interpret");
             w.run_tracked(&sess, &wcfg);
         }
-        done += 1;
-        state.mark_activity(done);
-        predator_obs::static_counter!("serve_passes_total").inc();
-
         // Segment carving and quarantined frees are never undone, so a
         // long-lived session eventually exhausts its simulated heap: rotate
         // to a fresh one before that happens, carrying the watchdog's
@@ -479,12 +490,8 @@ fn serve_workload(
             *session.lock().unwrap() = fresh;
             predator_obs::static_counter!("serve_session_rotations_total").inc();
         }
-    }
-    stop_wd.store(true, Ordering::Relaxed);
-    let _ = wd_thread.join();
-    handle.stop();
-    eprintln!("serve: {done} workload pass(es), shutting down");
-    Ok(())
+        Ok(true)
+    })
 }
 
 fn serve_replay(
@@ -494,22 +501,12 @@ fn serve_replay(
     args: &Args,
 ) -> Result<(), String> {
     let header = TraceReader::open(path)?.header();
-    let (base, size) = (header.base, header.size);
-
-    let rt = Arc::new(Predator::new(det, base, size));
+    let rt = Arc::new(Predator::new(det, header.base, header.size));
     let directory: Arc<Mutex<Option<ObjectDirectory>>> = Arc::new(Mutex::new(None));
-    let state = ServeState::new("replay");
-    let monitor = Monitor::new(state.started, opts.rules.clone());
 
-    let srv = HttpServer::bind(&opts.listen)
-        .map_err(|e| format!("cannot bind {}: {e}", opts.listen))?
-        .with_auth(opts.auth.clone());
-    let addr = srv.local_addr();
-    let srv = common_routes(srv, &state, &monitor);
-    let rt_for_report = rt.clone();
-    let dir_for_report = directory.clone();
+    let (rt_for_report, dir_for_report) = (rt.clone(), directory.clone());
     let policy = opts.policy.clone();
-    let srv = srv.route("/report", move |req| {
+    let report = move |req: &Request| {
         let report = match &*dir_for_report.lock().unwrap() {
             Some(dir) => {
                 build_report_merged(&[rt_for_report.as_ref()], Attribution::Directory(dir))
@@ -517,40 +514,14 @@ fn serve_replay(
             None => build_report(&rt_for_report, None),
         };
         report_response(&report, det.geometry, &policy, req.query.as_deref())
-    });
-    let handle = srv.spawn().map_err(|e| format!("cannot serve: {e}"))?;
-    announce(args, addr, "replay")?;
-
+    };
     // No allocator in replay mode: the callsite count stays 0, so the
     // re-arm signal never fires — backoff is budget-driven only.
-    let stop_wd = Arc::new(AtomicBool::new(false));
-    let wd_thread = {
-        let rt = rt.clone();
-        let budget = opts.budget;
-        let wd_ms = opts.wd_ms;
-        let started = state.started;
-        std::thread::Builder::new()
-            .name("predator-watchdog".into())
-            .spawn({
-                let stop = stop_wd.clone();
-                let monitor = monitor.clone();
-                move || {
-                    let mut wd = Watchdog::for_detector(&det, budget);
-                    while !stop.load(Ordering::Relaxed) && !sleep_poll(wd_ms) {
-                        wd.tick(&rt, 0, started.elapsed().as_nanos() as u64);
-                        monitor.tick();
-                    }
-                }
-            })
-            .map_err(|e| format!("cannot spawn watchdog: {e}"))?
+    let rt_for_wd = rt.clone();
+    let tick = move |wd: &mut Watchdog, now_ns| {
+        wd.tick(&rt_for_wd, 0, now_ns);
     };
-
-    let mut done = 0u64;
-    'serve: while !shutdown::requested() {
-        if opts.max_passes != 0 && done >= opts.max_passes {
-            sleep_poll(POLL_MS);
-            continue;
-        }
+    serve_passes(args, det, opts, "replay", report, tick, || {
         let mut r = TraceReader::open(path)?;
         let mut n = 0u64;
         for a in &mut r {
@@ -558,7 +529,7 @@ fn serve_replay(
             n += 1;
             // Stay responsive to signals inside long traces.
             if n.is_multiple_of(65_536) && shutdown::requested() {
-                break 'serve;
+                return Ok(false);
             }
         }
         if directory.lock().unwrap().is_none() {
@@ -567,15 +538,8 @@ fn serve_replay(
                 *directory.lock().unwrap() = Some(meta.directory());
             }
         }
-        done += 1;
-        state.mark_activity(done);
-        predator_obs::static_counter!("serve_passes_total").inc();
-    }
-    stop_wd.store(true, Ordering::Relaxed);
-    let _ = wd_thread.join();
-    handle.stop();
-    eprintln!("serve: {done} replay pass(es), shutting down");
-    Ok(())
+        Ok(true)
+    })
 }
 
 fn serve_watch(
@@ -589,17 +553,10 @@ fn serve_watch(
         .ok_or("serve --watch: missing --corpus <dir>")?;
     let cfg = AnalyzeConfig::new(det, shard_count(args)?);
     let mut watcher = predator_fleet::Watcher::new(Path::new(watch_dir), Path::new(corpus), cfg);
-    let state = ServeState::new("watch");
-    let monitor = Monitor::new(state.started, opts.rules.clone());
 
-    let srv = HttpServer::bind(&opts.listen)
-        .map_err(|e| format!("cannot bind {}: {e}", opts.listen))?
-        .with_auth(opts.auth.clone());
-    let addr = srv.local_addr();
-    let srv = common_routes(srv, &state, &monitor);
     let corpus_dir = PathBuf::from(corpus);
     let policy = opts.policy.clone();
-    let srv = srv.route("/report", move |req| {
+    let report = move |req: &Request| {
         // The merged fleet view has no per-finding Report to render, so
         // only JSON is served here; the gate still applies, over per-run
         // mean invalidations, with the same 412 contract as other modes.
@@ -636,42 +593,41 @@ fn serve_watch(
             Ok(None) => Response::error(404, "corpus empty (no trace ingested yet)"),
             Err(e) => Response::error(500, &e),
         }
-    });
-    let handle = srv.spawn().map_err(|e| format!("cannot serve: {e}"))?;
-    announce(args, addr, "watch")?;
-
+    };
     // Analysis runs inside ingest with per-shard runtimes, so there is no
     // long-lived detector for the watchdog to throttle in this mode.
-    let mut polls = 0u64;
-    while !shutdown::requested() {
-        match watcher.poll() {
-            Ok(out) => {
-                if out.added() > 0 {
-                    eprintln!(
-                        "watch: ingested {} trace(s) ({} incomplete pending)",
-                        out.added(),
-                        out.incomplete
-                    );
+    let polls = serve_mode(args, opts, "watch", report, |state, monitor| {
+        let mut polls = 0u64;
+        while !shutdown::requested() {
+            match watcher.poll() {
+                Ok(out) => {
+                    if out.added() > 0 {
+                        eprintln!(
+                            "watch: ingested {} trace(s) ({} incomplete pending)",
+                            out.added(),
+                            out.incomplete
+                        );
+                    }
+                    for e in &out.errors {
+                        eprintln!("watch: {e}");
+                    }
+                    polls += 1;
+                    state.mark_activity(polls);
+                    if opts.max_passes != 0 && polls >= opts.max_passes {
+                        break;
+                    }
                 }
-                for e in &out.errors {
-                    eprintln!("watch: {e}");
-                }
-                polls += 1;
-                state.mark_activity(polls);
-                if opts.max_passes != 0 && polls >= opts.max_passes {
-                    break;
-                }
+                Err(e) => eprintln!("watch: {e}"),
             }
-            Err(e) => eprintln!("watch: {e}"),
+            // No watchdog thread in this mode: the poll loop doubles as the
+            // monitor tick (fleet-ingest rates and alert evaluation).
+            monitor.tick();
+            if sleep_poll(opts.wd_ms) {
+                break;
+            }
         }
-        // No watchdog thread in this mode: the poll loop doubles as the
-        // monitor tick (fleet-ingest rates and alert evaluation).
-        monitor.tick();
-        if sleep_poll(opts.wd_ms) {
-            break;
-        }
-    }
-    handle.stop();
+        Ok(polls)
+    })?;
     eprintln!("serve: {polls} watch poll(s), shutting down");
     Ok(())
 }

@@ -39,16 +39,14 @@ fn json_report_with_metrics_dash_is_one_json_doc_embedding_snapshot() {
     // One valid JSON document: the report, with the snapshot under `obs`.
     let report: Report =
         serde_json::from_str(&stdout).expect("stdout must be a single valid JSON report");
-    if !predator_obs::disabled() {
-        assert!(
-            report.obs.counter("runtime_accesses_total").unwrap_or(0) > 0,
-            "embedded snapshot should carry runtime counters"
-        );
-        assert!(
-            !report.obs.phases().is_empty(),
-            "embedded snapshot should carry span histograms"
-        );
-    }
+    assert!(
+        report.obs.counter("runtime_accesses_total").unwrap_or(0) > 0,
+        "embedded snapshot should carry runtime counters"
+    );
+    assert!(
+        !report.obs.phases().is_empty(),
+        "embedded snapshot should carry span histograms"
+    );
 }
 
 #[test]
@@ -71,18 +69,14 @@ fn metrics_file_and_prometheus_text_are_written() {
 
     let text = std::fs::read_to_string(&metrics).expect("metrics file written");
     let snap: ObsSnapshot = serde_json::from_str(&text).expect("snapshot JSON parses");
-    if !predator_obs::disabled() {
-        assert!(snap.counter("track_sampled_accesses_total").unwrap_or(0) > 0);
-    }
+    assert!(snap.counter("track_sampled_accesses_total").unwrap_or(0) > 0);
 
     let prom =
         std::fs::read_to_string(format!("{metrics_s}.prom")).expect("prometheus text written");
-    if !predator_obs::disabled() {
-        assert!(
-            prom.contains("# TYPE"),
-            "prometheus text has TYPE lines:\n{prom}"
-        );
-    }
+    assert!(
+        prom.contains("# TYPE"),
+        "prometheus text has TYPE lines:\n{prom}"
+    );
 
     // The stats renderer accepts the bare snapshot file.
     let out = predator()
@@ -91,10 +85,47 @@ fn metrics_file_and_prometheus_text_are_written() {
         .expect("spawn stats");
     assert!(out.status.success());
     let table = String::from_utf8_lossy(&out.stdout);
-    if !predator_obs::disabled() {
-        assert!(table.contains("COUNTERS"), "table:\n{table}");
-    }
+    assert!(table.contains("COUNTERS"), "table:\n{table}");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `--metrics` snapshot (zero counter, negative gauge, zeros bucket, a
+/// bucket at 2^62, an empty histogram) and a report embedding the same
+/// registry as its `obs` block, both written by the PR 18 commit — the last
+/// one with a hand-rolled snapshot writer and a serde mirror in core. The
+/// one snapshot type reads both, writes the same bytes back, and `stats`
+/// and `alerts eval` take either file.
+#[test]
+fn snapshot_files_written_by_the_two_type_build_load_and_rewrite_byte_identically() {
+    let snap_text = include_str!("fixtures/pr18_snapshot.json");
+    let report_text = include_str!("fixtures/pr18_report.json");
+    let snap: ObsSnapshot = serde_json::from_str(snap_text).expect("snapshot fixture parses");
+    assert_eq!(snap.to_json() + "\n", snap_text);
+    let report: Report = serde_json::from_str(report_text).expect("report fixture parses");
+    assert_eq!(report.to_json() + "\n", report_text);
+    assert_eq!(report.obs, snap);
+
+    let dir = std::env::temp_dir().join(format!("predator-fixture-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let rules = dir.join("drift.rules");
+    std::fs::write(&rules, "alert drift\n  expr: drift_level < 0\n").unwrap();
+    let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
+    let stdout_of = |args: &[&str]| {
+        let out = predator().args(args).output().expect("spawn predator");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let snap_file = format!("{fixtures}/pr18_snapshot.json");
+    let report_file = format!("{fixtures}/pr18_report.json");
+    let table = stdout_of(&["stats", &snap_file]);
+    assert_eq!(table, snap.render_table());
+    assert_eq!(stdout_of(&["stats", &report_file]), table);
+    for file in [&snap_file, &report_file] {
+        let eval = stdout_of(&["alerts", "eval", rules.to_str().unwrap(), file]);
+        assert!(eval.contains("drift_level < 0"), "{eval}");
+        assert!(eval.contains("-7  YES"), "{eval}");
+        assert!(eval.contains("1 of 1 condition(s) met"), "{eval}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -125,13 +156,11 @@ fn trace_events_stream_is_valid_jsonl() {
     }
 
     let text = std::fs::read_to_string(&trace).expect("trace file written");
-    if !predator_obs::disabled() {
-        assert!(!text.trim().is_empty(), "sensitive run should emit events");
-        for line in text.lines() {
-            let ev: Envelope = serde_json::from_str(line)
-                .unwrap_or_else(|e| panic!("bad JSONL line {line:?}: {e}"));
-            assert!(!ev.kind.is_empty(), "line {} has a kind", ev.seq);
-        }
+    assert!(!text.trim().is_empty(), "sensitive run should emit events");
+    for line in text.lines() {
+        let ev: Envelope =
+            serde_json::from_str(line).unwrap_or_else(|e| panic!("bad JSONL line {line:?}: {e}"));
+        assert!(!ev.kind.is_empty(), "line {} has a kind", ev.seq);
     }
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -179,29 +208,25 @@ fn explain_renders_a_causal_timeline_from_a_json_report() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    if !predator_obs::disabled() {
-        assert!(
-            text.contains("Timeline for cache line"),
-            "timeline header:\n{text}"
-        );
-        assert!(
-            text.contains("invalidated t"),
-            "victim attribution:\n{text}"
-        );
-        assert!(text.contains("Causal traces"), "trace section:\n{text}");
-        assert!(text.contains("invalidating write"), "legend:\n{text}");
+    assert!(
+        text.contains("Timeline for cache line"),
+        "timeline header:\n{text}"
+    );
+    assert!(
+        text.contains("invalidated t"),
+        "victim attribution:\n{text}"
+    );
+    assert!(text.contains("Causal traces"), "trace section:\n{text}");
+    assert!(text.contains("invalidating write"), "legend:\n{text}");
 
-        // Asking for a line with no records degrades gracefully (exit 0).
-        let out = predator()
-            .args(["explain", report_s, "999999999"])
-            .output()
-            .expect("spawn explain");
-        assert!(out.status.success());
-        let text = String::from_utf8_lossy(&out.stdout);
-        assert!(text.contains("No flight-recorder records"), "{text}");
-    } else {
-        assert!(text.contains("No flight-recorder data"), "{text}");
-    }
+    // Asking for a line with no records degrades gracefully (exit 0).
+    let out = predator()
+        .args(["explain", report_s, "999999999"])
+        .output()
+        .expect("spawn explain");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("No flight-recorder records"), "{text}");
 
     // --no-recorder runs produce reports explain declines politely.
     let bare = dir.join("bare.json");
@@ -377,11 +402,9 @@ fn replay_is_analyze_at_one_shard_plus_the_recorder() {
     };
     let mut replayed = report(&["replay"]);
     let analyzed = report(&["analyze", "--shards", "1"]);
-    if !predator_obs::disabled() {
-        let recorded = |r: &Report| r.findings.iter().any(|f| !f.timeline.is_empty());
-        assert!(recorded(&replayed), "replay turns the flight recorder on");
-        assert!(!recorded(&analyzed), "analyze leaves it off");
-    }
+    let recorded = |r: &Report| r.findings.iter().any(|f| !f.timeline.is_empty());
+    assert!(recorded(&replayed), "replay turns the flight recorder on");
+    assert!(!recorded(&analyzed), "analyze leaves it off");
     for f in &mut replayed.findings {
         f.timeline.clear();
         f.invalidation_traces.clear();
@@ -526,11 +549,9 @@ fn a_reader_closing_stdout_is_not_a_crash() {
         for noise in ["panicked", "USAGE", "Broken pipe"] {
             assert!(!stderr.contains(noise), "{verb:?}: {stderr}");
         }
-        if !predator_obs::disabled() {
-            let text = std::fs::read_to_string(&events).unwrap();
-            let last = text.lines().last().expect("event stream closed properly");
-            assert!(last.contains("sink_summary"), "{verb:?}: {last}");
-        }
+        let text = std::fs::read_to_string(&events).unwrap();
+        let last = text.lines().last().expect("event stream closed properly");
+        assert!(last.contains("sink_summary"), "{verb:?}: {last}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -79,9 +79,11 @@ pub use report::{
     SiteKind, TimelineOp, TimelineRecord, VerifiedFix, WordReport,
 };
 pub use runtime::{GlobalInfo, Predator};
-pub use stats::{ObsSnapshot, RunStats};
+pub use stats::RunStats;
 pub use track::{CacheTrack, TrackSnapshot};
 
 // Re-export the vocabulary types callers need.
 pub use predator_alloc::{Callsite, Frame, ObjectInfo, TrackedHeap};
+/// The metric snapshot embedded in every [`Report`] as `obs`.
+pub use predator_obs::Snapshot as ObsSnapshot;
 pub use predator_sim::{Access, AccessKind, CacheGeometry, ThreadId};

@@ -22,7 +22,8 @@ use predator_sim::{Owner, ThreadId, VirtualRange};
 use crate::detect::{classify, SharingClass};
 use crate::predict::UnitKind;
 use crate::runtime::Predator;
-use crate::stats::{ObsSnapshot, RunStats};
+use crate::stats::RunStats;
+use crate::ObsSnapshot;
 
 /// What the finding is anchored to in the source program.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

@@ -39,280 +39,6 @@ impl RunStats {
     }
 }
 
-/// One counter in an embedded observability snapshot.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ObsMetric {
-    /// Metric name.
-    pub name: String,
-    /// Counter total.
-    pub value: u64,
-}
-
-/// One gauge in an embedded observability snapshot.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ObsGauge {
-    /// Metric name.
-    pub name: String,
-    /// Gauge value.
-    pub value: i64,
-}
-
-/// One non-empty log2 histogram bucket: `count` values in `[lo, 2*lo)`
-/// (`lo = 0` holds exactly the zeros).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ObsBucket {
-    /// Inclusive lower bound.
-    pub lo: u64,
-    /// Observations in the bucket.
-    pub count: u64,
-}
-
-/// One histogram in an embedded observability snapshot.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ObsHistogram {
-    /// Metric name.
-    pub name: String,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observed values.
-    pub sum: u64,
-    /// Non-empty buckets, ascending.
-    pub buckets: Vec<ObsBucket>,
-}
-
-impl ObsHistogram {
-    /// Estimates the `q`-quantile (`0 < q <= 1`) from the log2 buckets:
-    /// finds the bucket holding the target rank, then interpolates linearly
-    /// inside its `[lo, 2*lo)` range — the standard Prometheus-style
-    /// estimate, accurate to within a factor of 2 by construction.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 || !(0.0..=1.0).contains(&q) || q == 0.0 {
-            return None;
-        }
-        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut cum = 0u64;
-        for b in &self.buckets {
-            if cum + b.count >= target {
-                if b.lo == 0 {
-                    return Some(0.0); // the zeros bucket is exact
-                }
-                let frac = (target - cum) as f64 / b.count as f64;
-                return Some(b.lo as f64 + frac * b.lo as f64);
-            }
-            cum += b.count;
-        }
-        // Malformed snapshot (bucket counts < count): report the top edge.
-        self.buckets.last().map(|b| (b.lo * 2) as f64)
-    }
-}
-
-/// Serializable mirror of a [`predator_obs::Snapshot`], embedded in every
-/// [`crate::Report`] so run metrics travel with the findings. The JSON
-/// schema is identical to `predator_obs::Snapshot::to_json`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ObsSnapshot {
-    /// Counter totals.
-    pub counters: Vec<ObsMetric>,
-    /// Gauge values.
-    pub gauges: Vec<ObsGauge>,
-    /// Histogram snapshots.
-    pub histograms: Vec<ObsHistogram>,
-}
-
-impl From<predator_obs::Snapshot> for ObsSnapshot {
-    fn from(s: predator_obs::Snapshot) -> Self {
-        ObsSnapshot {
-            counters: s
-                .counters
-                .into_iter()
-                .map(|(name, value)| ObsMetric { name, value })
-                .collect(),
-            gauges: s
-                .gauges
-                .into_iter()
-                .map(|(name, value)| ObsGauge { name, value })
-                .collect(),
-            histograms: s
-                .histograms
-                .into_iter()
-                .map(|h| ObsHistogram {
-                    name: h.name,
-                    count: h.count,
-                    sum: h.sum,
-                    buckets: h
-                        .buckets
-                        .into_iter()
-                        .map(|b| ObsBucket {
-                            lo: b.lo,
-                            count: b.count,
-                        })
-                        .collect(),
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Canonical pipeline order for the PHASES table. Span histograms arrive
-/// from the registry alphabetically; the table instead reads top-to-bottom
-/// in execution order, with phases outside the pipeline appended after.
-const PHASE_PIPELINE: [&str; 9] = [
-    "parse",
-    "instrument",
-    "interpret",
-    "trace_scan",
-    "shard_dispatch",
-    "shard_analyze",
-    "detect",
-    "predict",
-    "report",
-];
-
-fn phase_rank(phase: &str) -> usize {
-    PHASE_PIPELINE
-        .iter()
-        .position(|p| *p == phase)
-        .unwrap_or(PHASE_PIPELINE.len())
-}
-
-impl ObsSnapshot {
-    /// Captures the current process-global registry.
-    pub fn capture() -> Self {
-        predator_obs::global().snapshot().into()
-    }
-
-    /// Looks up a counter total by name.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|c| c.name == name)
-            .map(|c| c.value)
-    }
-
-    /// Per-phase wall times, derived from the `span_<phase>_ns` histograms:
-    /// `(phase, calls, total ns)`, in pipeline order
-    /// (parse → instrument → interpret → detect → predict → report, then
-    /// any other instrumented phases alphabetically).
-    pub fn phases(&self) -> Vec<(String, u64, u64)> {
-        let mut phases: Vec<(String, u64, u64)> = self
-            .histograms
-            .iter()
-            .filter_map(|h| {
-                let phase = h.name.strip_prefix("span_")?.strip_suffix("_ns")?;
-                Some((phase.to_string(), h.count, h.sum))
-            })
-            .collect();
-        phases.sort_by(|a, b| phase_rank(&a.0).cmp(&phase_rank(&b.0)).then(a.0.cmp(&b.0)));
-        phases
-    }
-
-    /// Renders the human-readable stats table (`predator stats`).
-    pub fn render_table(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let mut spans: Vec<(&str, &ObsHistogram)> = self
-            .histograms
-            .iter()
-            .filter_map(|h| {
-                h.name
-                    .strip_prefix("span_")
-                    .and_then(|n| n.strip_suffix("_ns"))
-                    .map(|p| (p, h))
-            })
-            .collect();
-        spans.sort_by(|a, b| phase_rank(a.0).cmp(&phase_rank(b.0)).then(a.0.cmp(b.0)));
-        if !spans.is_empty() {
-            let total_ns: u64 = spans.iter().map(|(_, h)| h.sum).sum();
-            out.push_str("PHASES\n");
-            let _ = writeln!(
-                out,
-                "  {:<24} {:>10} {:>14} {:>8} {:>14} {:>12} {:>12}",
-                "phase", "calls", "total ms", "share", "mean us", "p50 us", "p99 us"
-            );
-            for (phase, h) in &spans {
-                let mean_us = if h.count == 0 {
-                    0.0
-                } else {
-                    h.sum as f64 / h.count as f64 / 1e3
-                };
-                let q = |q: f64| h.quantile(q).map(|v| v / 1e3).unwrap_or(0.0);
-                let share = if total_ns == 0 {
-                    0.0
-                } else {
-                    h.sum as f64 / total_ns as f64 * 100.0
-                };
-                let _ = writeln!(
-                    out,
-                    "  {:<24} {:>10} {:>14.3} {:>7.1}% {:>14.1} {:>12.1} {:>12.1}",
-                    phase,
-                    h.count,
-                    h.sum as f64 / 1e6,
-                    share,
-                    mean_us,
-                    q(0.50),
-                    q(0.99)
-                );
-            }
-            let _ = writeln!(
-                out,
-                "  {:<24} {:>10} {:>14.3} {:>7.1}%",
-                "total",
-                spans.iter().map(|(_, h)| h.count).sum::<u64>(),
-                total_ns as f64 / 1e6,
-                100.0
-            );
-        }
-        if !self.counters.is_empty() {
-            out.push_str("COUNTERS\n");
-            for c in &self.counters {
-                let _ = writeln!(out, "  {:<40} {:>14}", c.name, c.value);
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("GAUGES\n");
-            for g in &self.gauges {
-                let _ = writeln!(out, "  {:<40} {:>14}", g.name, g.value);
-            }
-        }
-        let plain: Vec<&ObsHistogram> = self
-            .histograms
-            .iter()
-            .filter(|h| !h.name.starts_with("span_"))
-            .collect();
-        if !plain.is_empty() {
-            out.push_str("HISTOGRAMS\n");
-            let _ = writeln!(
-                out,
-                "  {:<40} {:>10} {:>14} {:>10} {:>10} {:>10} {:>10}",
-                "name", "count", "sum", "mean", "p50", "p90", "p99"
-            );
-            for h in plain {
-                let mean = if h.count == 0 {
-                    0.0
-                } else {
-                    h.sum as f64 / h.count as f64
-                };
-                let q = |q: f64| h.quantile(q).unwrap_or(0.0);
-                let _ = writeln!(
-                    out,
-                    "  {:<40} {:>10} {:>14} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
-                    h.name,
-                    h.count,
-                    h.sum,
-                    mean,
-                    q(0.50),
-                    q(0.90),
-                    q(0.99)
-                );
-            }
-        }
-        if out.is_empty() {
-            out.push_str("(empty snapshot)\n");
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,172 +64,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.tracked_fraction(), 0.25);
-    }
-
-    fn obs_sample() -> ObsSnapshot {
-        ObsSnapshot {
-            counters: vec![ObsMetric {
-                name: "runtime_accesses_total".into(),
-                value: 7,
-            }],
-            gauges: vec![ObsGauge {
-                name: "alloc_live_bytes".into(),
-                value: 128,
-            }],
-            histograms: vec![
-                ObsHistogram {
-                    name: "span_detect_ns".into(),
-                    count: 2,
-                    sum: 4000,
-                    buckets: vec![ObsBucket { lo: 1024, count: 2 }],
-                },
-                ObsHistogram {
-                    name: "alloc_size_bytes".into(),
-                    count: 1,
-                    sum: 64,
-                    buckets: vec![ObsBucket { lo: 64, count: 1 }],
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn obs_snapshot_roundtrips_through_json() {
-        let s = obs_sample();
-        let json = serde_json::to_string(&s).unwrap();
-        let back: ObsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
-    }
-
-    #[test]
-    fn obs_snapshot_json_matches_obs_crate_schema() {
-        // The serde mirror must parse the output of the zero-dependency
-        // writer in predator-obs, since `predator stats` accepts both.
-        let r = predator_obs::Registry::new();
-        r.counter("c").add(3);
-        r.histogram("h").record(5);
-        let json = r.snapshot().to_json();
-        let parsed: ObsSnapshot = serde_json::from_str(&json).unwrap();
-        if !predator_obs::disabled() {
-            assert_eq!(parsed.counter("c"), Some(3));
-            assert_eq!(parsed.histograms[0].count, 1);
-        }
-    }
-
-    #[test]
-    fn quantile_interpolates_within_log2_buckets() {
-        // 10 obs: 2 zeros, 4 in [4,8), 4 in [64,128).
-        let h = ObsHistogram {
-            name: "h".into(),
-            count: 10,
-            sum: 0,
-            buckets: vec![
-                ObsBucket { lo: 0, count: 2 },
-                ObsBucket { lo: 4, count: 4 },
-                ObsBucket { lo: 64, count: 4 },
-            ],
-        };
-        assert_eq!(h.quantile(0.1), Some(0.0), "rank 1 is a zero");
-        // p50 → rank 5, the 3rd of 4 in [4,8): 4 + (3/4)*4 = 7.
-        assert_eq!(h.quantile(0.5), Some(7.0));
-        // p90 → rank 9, the 3rd of 4 in [64,128): 64 + (3/4)*64 = 112.
-        assert_eq!(h.quantile(0.9), Some(112.0));
-        // p99 → rank 10, top of the last bucket.
-        assert_eq!(h.quantile(0.99), Some(128.0));
-        assert_eq!(h.quantile(1.0), Some(128.0));
-    }
-
-    #[test]
-    fn quantile_edge_cases() {
-        let empty = ObsHistogram::default();
-        assert_eq!(empty.quantile(0.5), None);
-        let h = ObsHistogram {
-            name: "h".into(),
-            count: 1,
-            sum: 5,
-            buckets: vec![ObsBucket { lo: 4, count: 1 }],
-        };
-        assert_eq!(h.quantile(0.0), None);
-        assert_eq!(h.quantile(1.5), None);
-        assert_eq!(
-            h.quantile(0.5),
-            Some(8.0),
-            "single obs reports its bucket's top edge"
-        );
-    }
-
-    #[test]
-    fn render_table_includes_quantile_columns() {
-        let s = obs_sample();
-        let table = s.render_table();
-        assert!(table.contains("p50 us"), "{table}");
-        assert!(table.contains("p99 us"), "{table}");
-        assert!(table.contains("p90"), "{table}");
-    }
-
-    #[test]
-    fn phases_extracted_from_span_histograms() {
-        let s = obs_sample();
-        assert_eq!(s.phases(), vec![("detect".to_string(), 2, 4000)]);
-        let table = s.render_table();
-        assert!(table.contains("PHASES"));
-        assert!(table.contains("detect"));
-        assert!(table.contains("runtime_accesses_total"));
-        assert!(table.contains("alloc_size_bytes"));
-        assert!(
-            !table.contains("span_detect_ns"),
-            "spans render as phases, not histograms"
-        );
-    }
-
-    fn span_hist(phase: &str, sum: u64) -> ObsHistogram {
-        ObsHistogram {
-            name: format!("span_{phase}_ns"),
-            count: 1,
-            sum,
-            buckets: vec![ObsBucket {
-                lo: sum.next_power_of_two() / 2,
-                count: 1,
-            }],
-        }
-    }
-
-    #[test]
-    fn phases_render_in_pipeline_order_with_share() {
-        // Registry snapshots list histograms alphabetically; the table must
-        // re-order them into pipeline order and append unknown phases last.
-        let s = ObsSnapshot {
-            histograms: vec![
-                span_hist("detect", 1_000),
-                span_hist("interpret", 3_000),
-                span_hist("parse", 500),
-                span_hist("replay", 250),
-                span_hist("report", 250),
-            ],
-            ..Default::default()
-        };
-        let order: Vec<String> = s.phases().into_iter().map(|(p, _, _)| p).collect();
-        assert_eq!(order, ["parse", "interpret", "detect", "report", "replay"]);
-
-        let table = s.render_table();
-        let pos = |needle: &str| {
-            table
-                .find(needle)
-                .unwrap_or_else(|| panic!("{needle}\n{table}"))
-        };
-        assert!(pos("parse") < pos("interpret"), "{table}");
-        assert!(pos("interpret") < pos("detect"), "{table}");
-        assert!(
-            pos("report") < pos("replay"),
-            "pipeline phases before extras:\n{table}"
-        );
-        assert!(table.contains("share"), "{table}");
-        // interpret holds 3000 of 5000 ns = 60%; the total row closes at 100%.
-        assert!(table.contains("60.0%"), "{table}");
-        let total_line = table
-            .lines()
-            .find(|l| l.trim_start().starts_with("total"))
-            .unwrap();
-        assert!(total_line.contains("100.0%"), "{total_line}");
     }
 }

@@ -358,13 +358,6 @@ fn mem_addr(regs: &[i64], base: Operand, offset: i64) -> u64 {
     (eval(regs, base)).wrapping_add(offset) as u64
 }
 
-/// Constant-folding hook for the optimizer: evaluates `op` on immediates,
-/// returning `None` for division/remainder by zero (which must stay a
-/// runtime error, not a compile-time fold).
-pub(crate) fn apply_for_opt(op: BinOp, a: i64, b: i64) -> Option<i64> {
-    apply(op, a, b)
-}
-
 fn apply(op: BinOp, a: i64, b: i64) -> Option<i64> {
     Some(match op {
         BinOp::Add => a.wrapping_add(b),

@@ -28,14 +28,12 @@
 
 pub mod interp;
 pub mod ir;
-pub mod opt;
 pub mod pass;
 pub mod textual;
 pub mod trace;
 
 pub use interp::{AccessSink, ExecError, Machine, NullSink, StepSchedule, ThreadSpec};
 pub use ir::{BinOp, Block, BlockId, Function, FunctionBuilder, Inst, Module, Operand, Reg};
-pub use opt::{optimize, OptStats};
 pub use pass::{instrument_module, InstrumentMode, InstrumentOptions, InstrumentStats};
 pub use textual::{parse_module, print_module, ParseError};
 pub use trace::{replay, TraceRecorder};

@@ -240,32 +240,3 @@ fn module_validation_rejects_bad_calls() {
     };
     assert!(m.validate().unwrap_err().contains("takes 1"));
 }
-
-#[test]
-fn optimizer_treats_calls_as_memory_barriers() {
-    use predator_instrument::opt::redundant_load_elim;
-    let mut b = predator_instrument::Block {
-        insts: vec![
-            Inst::Load {
-                dst: 1,
-                base: Operand::Reg(0),
-                offset: 0,
-                size: 8,
-            },
-            Inst::Call {
-                dst: Some(2),
-                func: 0,
-                args: [Operand::Imm(0); predator_instrument::ir::MAX_CALL_ARGS],
-                argc: 0,
-            },
-            Inst::Load {
-                dst: 3,
-                base: Operand::Reg(0),
-                offset: 0,
-                size: 8,
-            },
-            Inst::Ret { value: None },
-        ],
-    };
-    assert_eq!(redundant_load_elim(&mut b), 0, "a call may store anywhere");
-}

@@ -1,13 +1,11 @@
 //! Property tests over randomly generated IR programs: the textual format
-//! is lossless, the optimizer preserves semantics, instrumenting after
-//! optimization never probes more than before, and execution is
-//! deterministic.
+//! is lossless and execution is deterministic.
 
 use proptest::prelude::*;
 
 use predator_instrument::{
-    instrument_module, optimize, parse_module, print_module, BinOp, FunctionBuilder,
-    InstrumentOptions, Machine, Module, NullSink, Operand, StepSchedule, ThreadSpec, TraceRecorder,
+    instrument_module, parse_module, print_module, BinOp, FunctionBuilder, InstrumentOptions,
+    Machine, Module, Operand, StepSchedule, ThreadSpec, TraceRecorder,
 };
 use predator_shadow::SimSpace;
 use predator_sim::ThreadId;
@@ -104,31 +102,6 @@ fn build_program(body: &[BodyOp]) -> Module {
     }
 }
 
-/// Runs `m` single-threaded and returns (return value, final memory words).
-fn run_program(m: &Module, iters: i64) -> (Option<i64>, Vec<u64>) {
-    let space = SimSpace::new(4096);
-    // Deterministic non-trivial initial memory.
-    for w in 0..8u64 {
-        space.store::<u64>(space.base() + w * 8, w.wrapping_mul(0x9E37_79B9) + 1);
-    }
-    let machine = Machine::new(m, &space, &NullSink).unwrap();
-    let r = machine
-        .run(
-            &[ThreadSpec {
-                tid: ThreadId(0),
-                function: "worker".into(),
-                args: vec![space.base() as i64, iters],
-            }],
-            StepSchedule::RoundRobin { quantum: 1 },
-            5_000_000,
-        )
-        .expect("generated program terminates");
-    let mem = (0..8u64)
-        .map(|w| space.load::<u64>(space.base() + w * 8))
-        .collect();
-    (r[0], mem)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -144,31 +117,6 @@ proptest! {
         let back = parse_module(&text).expect("printed module parses");
         prop_assert_eq!(&back, &m);
         prop_assert_eq!(print_module(&back), text);
-    }
-
-    /// The optimizer never changes a program's observable behaviour
-    /// (return value and final memory).
-    #[test]
-    fn prop_optimizer_preserves_semantics(body in arb_body()) {
-        let plain = build_program(&body);
-        let mut opt = plain.clone();
-        optimize(&mut opt);
-        opt.validate().expect("optimized module stays valid");
-        prop_assert_eq!(run_program(&plain, 7), run_program(&opt, 7));
-    }
-
-    /// Instrumenting after optimization can only reduce the accesses seen
-    /// (the §2.2 pass-ordering property).
-    #[test]
-    fn prop_optimize_then_instrument_never_probes_more(body in arb_body()) {
-        let raw = InstrumentOptions { no_selective: true, ..Default::default() };
-        let mut before = build_program(&body);
-        let sb = instrument_module(&mut before, &raw);
-        let mut after = build_program(&body);
-        optimize(&mut after);
-        let sa = instrument_module(&mut after, &raw);
-        prop_assert!(sa.accesses_seen <= sb.accesses_seen,
-            "optimization added accesses: {} > {}", sa.accesses_seen, sb.accesses_seen);
     }
 
     /// Execution of instrumented programs is deterministic: two runs produce
@@ -202,14 +150,5 @@ proptest! {
             rec.into_events()
         };
         prop_assert_eq!(trace(11), trace(11));
-    }
-
-    /// The optimizer is idempotent: a second pass finds nothing.
-    #[test]
-    fn prop_optimizer_is_idempotent(body in arb_body()) {
-        let mut m = build_program(&body);
-        optimize(&mut m);
-        let second = optimize(&mut m);
-        prop_assert_eq!(second, Default::default());
     }
 }

@@ -624,13 +624,7 @@ impl AlertEngine {
             );
             if let Some(s) = &slot.rule.summary {
                 out.push_str(",\"summary\":\"");
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        c => out.push(c),
-                    }
-                }
+                crate::events::escape_into(&mut out, s);
                 out.push('"');
             }
             out.push('}');
@@ -662,9 +656,8 @@ alert stalled
     /// `stalled` rate rule stays quiet.
     fn gauge_snap(v: i64, t_ms: u64) -> Snapshot {
         Snapshot {
-            gauges: vec![("overhead_ppm".into(), v)],
-            counters: vec![("work_total".into(), t_ms)],
-            ..Default::default()
+            counters: Snapshot::of_counter("work_total", t_ms).counters,
+            ..Snapshot::of_gauge("overhead_ppm", v)
         }
     }
 
@@ -751,32 +744,14 @@ alert stalled
         let rules = parse_rules("alert a\n expr: g > 0\n for: 10s\n").unwrap();
         let mut engine = AlertEngine::new(rules);
         let mut db = Tsdb::default();
-        db.sample(
-            &Snapshot {
-                gauges: vec![("g".into(), 1)],
-                ..Default::default()
-            },
-            0,
-        );
+        db.sample(&Snapshot::of_gauge("g", 1), 0);
         engine.eval(&db, 0);
         assert_eq!(engine.pending(), 1);
-        db.sample(
-            &Snapshot {
-                gauges: vec![("g".into(), 0)],
-                ..Default::default()
-            },
-            1_000,
-        );
+        db.sample(&Snapshot::of_gauge("g", 0), 1_000);
         let ts = engine.eval(&db, 1_000);
         assert_eq!((ts[0].from, ts[0].to), ("pending", "inactive"));
         // A fresh breach restarts the clock: still only pending at +9s.
-        db.sample(
-            &Snapshot {
-                gauges: vec![("g".into(), 1)],
-                ..Default::default()
-            },
-            2_000,
-        );
+        db.sample(&Snapshot::of_gauge("g", 1), 2_000);
         engine.eval(&db, 2_000);
         engine.eval(&db, 11_000);
         assert_eq!(engine.pending(), 1);
@@ -788,10 +763,7 @@ alert stalled
         let rules = parse_rules("alert r\n expr: rate(c_total[5s]) > 10\n").unwrap();
         let mut engine = AlertEngine::new(rules);
         let mut db = Tsdb::default();
-        let snap = |v: u64| Snapshot {
-            counters: vec![("c_total".into(), v)],
-            ..Default::default()
-        };
+        let snap = |v: u64| Snapshot::of_counter("c_total", v);
         // One sample: no rate — condition unknown, stays inactive.
         db.sample(&snap(0), 0);
         assert!(engine.eval(&db, 0).is_empty());

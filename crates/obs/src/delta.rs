@@ -17,7 +17,7 @@
 //! delta is the current value — "restart" semantics, the same convention
 //! Prometheus `rate()` applies. Deltas are therefore never negative.
 
-use crate::snapshot::{Bucket, HistogramSnapshot, Snapshot};
+use crate::snapshot::{Bucket, CounterSnapshot, HistogramSnapshot, Snapshot};
 
 /// One `/snapshot` scrape: the delta since the previous scrape plus the
 /// cumulative snapshot it was derived from, tagged with the scrape epoch.
@@ -105,17 +105,13 @@ fn monotone_delta(prev: u64, cur: u64) -> u64 {
 ///   buckets, count and sum mutually consistent. Empty-delta buckets are
 ///   dropped, matching [`Snapshot`]'s non-empty-bucket invariant.
 pub fn delta_snapshots(prev: &Snapshot, cur: &Snapshot) -> Snapshot {
-    let prev_counter = |name: &str| -> u64 {
-        prev.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
-    };
     let counters = cur
         .counters
         .iter()
-        .map(|(name, v)| (name.clone(), monotone_delta(prev_counter(name), *v)))
+        .map(|c| CounterSnapshot {
+            name: c.name.clone(),
+            value: monotone_delta(prev.counter(&c.name).unwrap_or(0), c.value),
+        })
         .collect();
 
     let gauges = cur.gauges.clone();
@@ -170,16 +166,16 @@ fn delta_histogram(prev: Option<&HistogramSnapshot>, cur: &HistogramSnapshot) ->
 /// [`delta_snapshots`], used by tests to prove deltas sum back to the
 /// cumulative snapshot. Gauges are levels: the newest value wins.
 pub fn accumulate(acc: &mut Snapshot, delta: &Snapshot) {
-    for (name, v) in &delta.counters {
-        match acc.counters.iter_mut().find(|(n, _)| n == name) {
-            Some((_, total)) => *total += v,
-            None => acc.counters.push((name.clone(), *v)),
+    for c in &delta.counters {
+        match acc.counters.iter_mut().find(|a| a.name == c.name) {
+            Some(a) => a.value += c.value,
+            None => acc.counters.push(c.clone()),
         }
     }
-    for (name, v) in &delta.gauges {
-        match acc.gauges.iter_mut().find(|(n, _)| n == name) {
-            Some((_, cur)) => *cur = *v,
-            None => acc.gauges.push((name.clone(), *v)),
+    for g in &delta.gauges {
+        match acc.gauges.iter_mut().find(|a| a.name == g.name) {
+            Some(a) => a.value = g.value,
+            None => acc.gauges.push(g.clone()),
         }
     }
     for h in &delta.histograms {
@@ -200,8 +196,8 @@ pub fn accumulate(acc: &mut Snapshot, delta: &Snapshot) {
             None => acc.histograms.push(h.clone()),
         }
     }
-    acc.counters.sort_by(|a, b| a.0.cmp(&b.0));
-    acc.gauges.sort_by(|a, b| a.0.cmp(&b.0));
+    acc.counters.sort_by(|a, b| a.name.cmp(&b.name));
+    acc.gauges.sort_by(|a, b| a.name.cmp(&b.name));
     acc.histograms.sort_by(|a, b| a.name.cmp(&b.name));
 }
 
@@ -209,11 +205,15 @@ pub fn accumulate(acc: &mut Snapshot, delta: &Snapshot) {
 mod tests {
     use super::*;
 
+    fn c_total(value: u64) -> Vec<CounterSnapshot> {
+        Snapshot::of_counter("c_total", value).counters
+    }
+
     fn snap(counter: u64, hist: &[(u64, u64)], sum: u64) -> Snapshot {
         let count = hist.iter().map(|&(_, c)| c).sum();
         Snapshot {
-            counters: vec![("c_total".into(), counter)],
-            gauges: vec![("g".into(), 7)],
+            counters: c_total(counter),
+            gauges: Snapshot::of_gauge("g", 7).gauges,
             histograms: vec![HistogramSnapshot {
                 name: "h_ns".into(),
                 count,
@@ -240,7 +240,7 @@ mod tests {
         t.scrape(snap(5, &[(4, 2)], 9));
         let d = t.scrape(snap(8, &[(4, 2), (16, 1)], 27));
         assert_eq!(d.epoch, 2);
-        assert_eq!(d.delta.counters, vec![("c_total".to_string(), 3)]);
+        assert_eq!(d.delta.counters, c_total(3));
         let h = &d.delta.histograms[0];
         assert_eq!(h.count, 1);
         assert_eq!(h.sum, 18);
@@ -252,7 +252,7 @@ mod tests {
         let mut t = DeltaTracker::new();
         t.scrape(snap(1, &[], 0));
         let d = t.scrape(snap(1, &[], 0));
-        assert_eq!(d.delta.gauges, vec![("g".to_string(), 7)]);
+        assert_eq!(d.delta.gauges, snap(1, &[], 0).gauges);
     }
 
     #[test]
@@ -260,7 +260,7 @@ mod tests {
         let mut t = DeltaTracker::new();
         t.scrape(snap(100, &[], 0));
         let d = t.scrape(snap(3, &[], 0));
-        assert_eq!(d.delta.counters, vec![("c_total".to_string(), 3)]);
+        assert_eq!(d.delta.counters, c_total(3));
     }
 
     #[test]
@@ -301,8 +301,6 @@ mod tests {
             let d = t.scrape(s.clone());
             accumulate(&mut acc, &d.delta);
         }
-        let mut want = states.last().unwrap().clone();
-        want.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        assert_eq!(acc, want);
+        assert_eq!(&acc, states.last().unwrap());
     }
 }

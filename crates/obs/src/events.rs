@@ -53,7 +53,9 @@ fn process_start() -> Instant {
     *START.get_or_init(Instant::now)
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// Appends `s` JSON-string-escaped (without the surrounding quotes): the one
+/// escaper behind the event sink, the timeline and the `/alerts` document.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -98,13 +100,10 @@ impl EventSink {
     /// True once a writer is installed (cheap hot-path pre-check).
     #[inline]
     pub fn enabled(&self) -> bool {
-        #[cfg(feature = "obs-off")]
-        return false;
-        #[cfg(not(feature = "obs-off"))]
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Offers one event. No-op until installed (and under `obs-off`).
+    /// Offers one event. No-op until installed.
     pub fn emit(&self, kind: &str, fields: &[(&str, FieldVal)]) {
         if !self.enabled() {
             return;
@@ -234,7 +233,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn writes_jsonl_with_escaping_and_bounds() {
         let sink = EventSink::new();
         let buf = SharedBuf::default();
@@ -262,7 +260,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn flush_appends_one_sink_summary() {
         let sink = EventSink::new();
         let buf = SharedBuf::default();
@@ -284,7 +281,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn sampling_keeps_every_nth_event() {
         let sink = EventSink::new();
         let buf = SharedBuf::default();

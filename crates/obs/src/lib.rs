@@ -1,9 +1,9 @@
-//! `predator-obs` — std-only observability for the detector pipeline.
+//! `predator-obs` — observability for the detector pipeline.
 //!
 //! The PREDATOR evaluation (§4, Figures 7–10) is about *where time and
 //! memory go*: instrumentation cost, sampling rate, tracked-line fraction,
-//! prediction-unit churn. This crate gives every pipeline stage a shared,
-//! dependency-free place to record that:
+//! prediction-unit churn. This crate gives every pipeline stage a shared
+//! place to record that:
 //!
 //! * [`Registry`] — named metrics: monotonic [`Counter`]s (per-thread
 //!   sharded and cache-line padded, dogfooding the paper's own lesson),
@@ -36,9 +36,6 @@
 //! Everything hangs off a process-global registry ([`global`]) so call
 //! sites in any crate can grab a handle without plumbing; handles are
 //! cheap `Arc` clones meant to be cached at construction time on hot paths.
-//!
-//! The `obs-off` cargo feature compiles every hook to a no-op so the cost
-//! of the layer itself can be measured (see the `detector_hotpath` bench).
 
 pub mod alerts;
 pub mod delta;
@@ -60,16 +57,13 @@ pub use metrics::{
 };
 pub use recorder::{FlightRecorder, Rec, RecKind};
 pub use serve::{http_get, http_get_auth, HttpServer, Request, Response, ServerHandle};
-pub use snapshot::{escape_label_value, prom_info_metric, Bucket, HistogramSnapshot, Snapshot};
+pub use snapshot::{
+    escape_label_value, prom_info_metric, Bucket, CounterSnapshot, GaugeSnapshot,
+    HistogramSnapshot, Snapshot,
+};
 pub use span::{span, Span};
 pub use timeline::{host_lane, timeline, ArgVal, Timeline};
 pub use tsdb::{Point, QueryResult, SeriesKind, Tsdb, TsdbConfig, TsdbLoss};
-
-/// True when the crate was compiled with the `obs-off` feature (all hooks
-/// are no-ops and snapshots report zeros).
-pub const fn disabled() -> bool {
-    cfg!(feature = "obs-off")
-}
 
 /// A lazily-initialized `&'static Counter` from the global registry —
 /// the cached-handle pattern for hot paths without a struct to hang the
@@ -95,13 +89,11 @@ pub const HOT_BATCH: u64 = 64;
 #[macro_export]
 macro_rules! hot_counter_inc {
     ($name:expr) => {{
-        if !$crate::disabled() {
-            ::std::thread_local! {
-                static TALLY: $crate::HotTally =
-                    $crate::HotTally::new($crate::static_counter!($name), &TALLY);
-            }
-            TALLY.with($crate::HotTally::inc);
+        ::std::thread_local! {
+            static TALLY: $crate::HotTally =
+                $crate::HotTally::new($crate::static_counter!($name), &TALLY);
         }
+        TALLY.with($crate::HotTally::inc);
     }};
 }
 
@@ -126,7 +118,6 @@ macro_rules! static_histogram {
 #[cfg(test)]
 mod macro_tests {
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore)]
     fn hot_counter_flushes_in_batches() {
         // One call site: the macro's thread-local tally is per expansion.
         fn bump() {
@@ -144,7 +135,6 @@ mod macro_tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore)]
     fn hot_counter_is_exact_after_join_and_snapshot() {
         fn bump() {
             crate::hot_counter_inc!("test_hot_counter_exact_total");
@@ -161,16 +151,15 @@ mod macro_tests {
         // This thread's own remainder is flushed by the snapshot it takes.
         (0..5).for_each(|_| bump());
         let snap = crate::global().snapshot();
-        let name = "test_hot_counter_exact_total".to_string();
-        assert!(snap.counters.contains(&(name, THREADS * PER_THREAD + 5)));
+        assert_eq!(
+            snap.counter("test_hot_counter_exact_total"),
+            Some(THREADS * PER_THREAD + 5)
+        );
     }
 
     #[test]
     fn static_handles_point_at_the_global_registry() {
         crate::static_counter!("test_static_handle_total").add(3);
-        assert_eq!(
-            crate::global().counter("test_static_handle_total").get(),
-            if crate::disabled() { 0 } else { 3 }
-        );
+        assert_eq!(crate::global().counter("test_static_handle_total").get(), 3);
     }
 }

@@ -5,10 +5,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::LocalKey;
-#[cfg(not(feature = "obs-off"))]
 use std::time::Instant;
 
-use crate::snapshot::{Bucket, HistogramSnapshot, Snapshot};
+use crate::snapshot::{Bucket, CounterSnapshot, GaugeSnapshot, HistogramSnapshot, Snapshot};
 
 /// Number of independent cells a [`Counter`] is split across. Each thread
 /// hashes to one cell, so concurrent increments from different threads land
@@ -22,7 +21,6 @@ struct PaddedCell(AtomicU64);
 
 /// Dense per-thread shard assignment: the Nth thread to touch a counter
 /// gets cell `N % COUNTER_SHARDS`, so up to 16 threads never collide.
-#[cfg_attr(feature = "obs-off", allow(dead_code))]
 #[inline]
 fn shard_index() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -57,10 +55,7 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(not(feature = "obs-off"))]
         self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
-        #[cfg(feature = "obs-off")]
-        let _ = n;
     }
 
     /// Current total across all shards.
@@ -142,19 +137,13 @@ impl Gauge {
     /// Sets the gauge.
     #[inline]
     pub fn set(&self, v: i64) {
-        #[cfg(not(feature = "obs-off"))]
         self.cell.store(v, Ordering::Relaxed);
-        #[cfg(feature = "obs-off")]
-        let _ = v;
     }
 
     /// Adds `d` (may be negative).
     #[inline]
     pub fn add(&self, d: i64) {
-        #[cfg(not(feature = "obs-off"))]
         self.cell.fetch_add(d, Ordering::Relaxed);
-        #[cfg(feature = "obs-off")]
-        let _ = d;
     }
 
     /// Current value.
@@ -213,14 +202,9 @@ impl Histogram {
     /// Records one observation.
     #[inline]
     pub fn record(&self, v: u64) {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            self.core.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-            self.core.count.fetch_add(1, Ordering::Relaxed);
-            self.core.sum.fetch_add(v, Ordering::Relaxed);
-        }
-        #[cfg(feature = "obs-off")]
-        let _ = v;
+        self.core.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.core.count.fetch_add(1, Ordering::Relaxed);
+        self.core.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     /// Starts an RAII timer that records elapsed nanoseconds on drop.
@@ -228,7 +212,6 @@ impl Histogram {
     pub fn start_timer(&self) -> Timer<'_> {
         Timer {
             hist: self,
-            #[cfg(not(feature = "obs-off"))]
             start: Instant::now(),
         }
     }
@@ -269,15 +252,12 @@ impl Histogram {
 
 /// RAII timer from [`Histogram::start_timer`]: records ns elapsed on drop.
 pub struct Timer<'a> {
-    #[allow(dead_code)]
     hist: &'a Histogram,
-    #[cfg(not(feature = "obs-off"))]
     start: Instant,
 }
 
 impl Drop for Timer<'_> {
     fn drop(&mut self) {
-        #[cfg(not(feature = "obs-off"))]
         self.hist.record(self.start.elapsed().as_nanos() as u64);
     }
 }
@@ -341,12 +321,18 @@ impl Registry {
             counters: inner
                 .counters
                 .iter()
-                .map(|(n, c)| (n.clone(), c.get()))
+                .map(|(n, c)| CounterSnapshot {
+                    name: n.clone(),
+                    value: c.get(),
+                })
                 .collect(),
             gauges: inner
                 .gauges
                 .iter()
-                .map(|(n, g)| (n.clone(), g.get()))
+                .map(|(n, g)| GaugeSnapshot {
+                    name: n.clone(),
+                    value: g.get(),
+                })
                 .collect(),
             histograms: inner
                 .histograms
@@ -373,11 +359,10 @@ mod tests {
         let c = r.counter("x");
         c.inc();
         c.add(41);
-        assert_eq!(c.get(), if cfg!(feature = "obs-off") { 0 } else { 42 });
+        assert_eq!(c.get(), 42);
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn concurrent_increments_sum_exactly() {
         const THREADS: usize = 8;
         const PER_THREAD: u64 = 50_000;
@@ -411,7 +396,7 @@ mod tests {
         let g = r.gauge("g");
         g.set(10);
         g.add(-3);
-        assert_eq!(g.get(), if cfg!(feature = "obs-off") { 0 } else { 7 });
+        assert_eq!(g.get(), 7);
     }
 
     #[test]
@@ -429,7 +414,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn histogram_records_into_log2_buckets() {
         let r = Registry::new();
         let h = r.histogram("h");
@@ -447,7 +431,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn timer_records_on_drop() {
         let r = Registry::new();
         let h = r.histogram("t");
@@ -467,10 +450,8 @@ mod tests {
         assert_eq!(s.counters.len(), 1);
         assert_eq!(s.gauges.len(), 1);
         assert_eq!(s.histograms.len(), 1);
-        if !cfg!(feature = "obs-off") {
-            assert_eq!(s.counters[0], ("c".to_string(), 5));
-            assert_eq!(s.gauges[0], ("g".to_string(), -2));
-            assert_eq!(s.histograms[0].count, 1);
-        }
+        assert_eq!(s.counter("c"), Some(5));
+        assert_eq!((s.gauges[0].name.as_str(), s.gauges[0].value), ("g", -2));
+        assert_eq!(s.histograms[0].count, 1);
     }
 }

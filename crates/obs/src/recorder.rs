@@ -30,11 +30,7 @@
 //! * records sitting in a *live* thread's unflushed segment (at most
 //!   `SEGMENT_LEN - 1` per thread) are invisible to snapshots until that
 //!   thread flushes or exits.
-//!
-//! Under the `obs-off` feature every entry point compiles to a no-op and
-//! `is_enabled` is a constant `false`.
 
-#[cfg(not(feature = "obs-off"))]
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -132,7 +128,6 @@ impl Hasher for LineHasher {
 /// eviction (lowest slot goes first) and for read-out order.
 type Ring = VecDeque<(Rec, usize)>;
 
-#[cfg(not(feature = "obs-off"))]
 fn ring_key(&(rec, slot): &(Rec, usize)) -> (u64, usize) {
     (rec.seq, slot)
 }
@@ -171,7 +166,6 @@ impl FlightRecorder {
     /// Clears nothing: re-enabling resumes on top of existing rings.
     pub fn enable(&self, depth: usize) {
         self.depth.store(depth.max(1), Ordering::Relaxed);
-        #[cfg(not(feature = "obs-off"))]
         self.enabled.store(true, Ordering::Release);
     }
 
@@ -181,12 +175,9 @@ impl FlightRecorder {
     }
 
     /// True while recording. One relaxed load — safe to leave inline on hot
-    /// paths; constant `false` under `obs-off`.
+    /// paths.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "obs-off")]
-        return false;
-        #[cfg(not(feature = "obs-off"))]
         self.enabled.load(Ordering::Relaxed)
     }
 
@@ -226,55 +217,48 @@ impl FlightRecorder {
     /// This is the flush target for thread-local segments and the front
     /// door for single-threaded feeders like the MESI simulator.
     pub fn offer(&self, recs: &[Rec]) {
-        #[cfg(feature = "obs-off")]
-        {
-            let _ = recs;
+        if recs.is_empty() {
+            return;
         }
-        #[cfg(not(feature = "obs-off"))]
-        {
-            if recs.is_empty() {
-                return;
-            }
-            let depth = self.depth();
-            let mut evicted = 0u64;
-            let mut lines = self.lines.lock().unwrap();
-            for &rec in recs {
-                let room = lines.len() < MAX_LINES;
-                let ring = match lines.entry(rec.line_start) {
-                    Entry::Occupied(e) => e.into_mut(),
-                    Entry::Vacant(e) if room => e.insert(Ring::new()),
-                    Entry::Vacant(_) => {
-                        evicted += 1;
-                        continue;
-                    }
-                };
-                let mut entry = (rec, ring.len());
-                if ring.len() >= depth {
-                    // Keep the `depth` newest records by timestamp: the
-                    // oldest makes room if this one is newer, else the
-                    // incoming record itself is dropped.
+        let depth = self.depth();
+        let mut evicted = 0u64;
+        let mut lines = self.lines.lock().unwrap();
+        for &rec in recs {
+            let room = lines.len() < MAX_LINES;
+            let ring = match lines.entry(rec.line_start) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) if room => e.insert(Ring::new()),
+                Entry::Vacant(_) => {
                     evicted += 1;
-                    match ring.front() {
-                        Some(oldest) if rec.seq > oldest.0.seq => entry.1 = oldest.1,
-                        _ => continue,
-                    }
-                    ring.pop_front();
+                    continue;
                 }
-                let key = ring_key(&entry);
-                let at = match ring.back() {
-                    Some(newest) if key < ring_key(newest) => {
-                        ring.partition_point(|e| ring_key(e) < key)
-                    }
-                    _ => ring.len(),
-                };
-                ring.insert(at, entry);
+            };
+            let mut entry = (rec, ring.len());
+            if ring.len() >= depth {
+                // Keep the `depth` newest records by timestamp: the
+                // oldest makes room if this one is newer, else the
+                // incoming record itself is dropped.
+                evicted += 1;
+                match ring.front() {
+                    Some(oldest) if rec.seq > oldest.0.seq => entry.1 = oldest.1,
+                    _ => continue,
+                }
+                ring.pop_front();
             }
-            drop(lines);
-            self.appended
-                .fetch_add(recs.len() as u64, Ordering::Relaxed);
-            if evicted > 0 {
-                self.evicted.fetch_add(evicted, Ordering::Relaxed);
-            }
+            let key = ring_key(&entry);
+            let at = match ring.back() {
+                Some(newest) if key < ring_key(newest) => {
+                    ring.partition_point(|e| ring_key(e) < key)
+                }
+                _ => ring.len(),
+            };
+            ring.insert(at, entry);
+        }
+        drop(lines);
+        self.appended
+            .fetch_add(recs.len() as u64, Ordering::Relaxed);
+        if evicted > 0 {
+            self.evicted.fetch_add(evicted, Ordering::Relaxed);
         }
     }
 
@@ -348,7 +332,6 @@ pub fn recorder() -> &'static FlightRecorder {
     &RECORDER
 }
 
-#[cfg(not(feature = "obs-off"))]
 mod segment {
     use super::{recorder, Rec, SEGMENT_LEN};
     use std::cell::RefCell;
@@ -399,7 +382,6 @@ mod segment {
 /// Flushes the calling thread's segment into the global recorder (snapshot
 /// paths call this; worker threads flush automatically on exit).
 pub fn flush_thread() {
-    #[cfg(not(feature = "obs-off"))]
     segment::flush();
 }
 
@@ -408,29 +390,22 @@ pub fn flush_thread() {
 /// [`FlightRecorder::is_enabled`] to skip argument setup).
 #[inline]
 pub fn record(line_start: u64, tid: u16, word: u8, is_write: bool) {
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = (line_start, tid, word, is_write);
+    let r = recorder();
+    if !r.is_enabled() {
+        return;
     }
-    #[cfg(not(feature = "obs-off"))]
-    {
-        let r = recorder();
-        if !r.is_enabled() {
-            return;
-        }
-        let kind = if is_write {
-            RecKind::Write
-        } else {
-            RecKind::Read
-        };
-        segment::push(Rec {
-            line_start,
-            seq: r.next_seq(),
-            tid,
-            word,
-            kind,
-        });
-    }
+    let kind = if is_write {
+        RecKind::Write
+    } else {
+        RecKind::Read
+    };
+    segment::push(Rec {
+        line_start,
+        seq: r.next_seq(),
+        tid,
+        word,
+        kind,
+    });
 }
 
 /// Records one invalidation event into the global recorder: `writer_tid`
@@ -444,29 +419,22 @@ pub fn record_invalidation(
     writer_word: u8,
     victims: &[(u16, u8)],
 ) {
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = (line_start, writer_tid, writer_word, victims);
+    let r = recorder();
+    if !r.is_enabled() || victims.is_empty() {
+        return;
     }
-    #[cfg(not(feature = "obs-off"))]
-    {
-        let r = recorder();
-        if !r.is_enabled() || victims.is_empty() {
-            return;
-        }
-        let seq = r.next_seq();
-        for &(victim_tid, victim_word) in victims {
-            segment::push(Rec {
-                line_start,
-                seq,
-                tid: writer_tid,
-                word: writer_word,
-                kind: RecKind::Invalidation {
-                    victim_tid,
-                    victim_word,
-                },
-            });
-        }
+    let seq = r.next_seq();
+    for &(victim_tid, victim_word) in victims {
+        segment::push(Rec {
+            line_start,
+            seq,
+            tid: writer_tid,
+            word: writer_word,
+            kind: RecKind::Invalidation {
+                victim_tid,
+                victim_word,
+            },
+        });
     }
 }
 
@@ -489,13 +457,12 @@ mod tests {
         let r = FlightRecorder::new();
         assert!(!r.is_enabled());
         r.enable(4);
-        assert_eq!(r.is_enabled(), !cfg!(feature = "obs-off"));
+        assert!(r.is_enabled());
         r.disable();
         assert!(!r.is_enabled());
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn ring_keeps_the_most_recent_depth_records() {
         let r = FlightRecorder::new();
         r.enable(3);
@@ -509,7 +476,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn out_of_order_arrival_still_keeps_newest_by_seq() {
         let r = FlightRecorder::new();
         r.enable(2);
@@ -544,7 +510,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn equal_seq_victims_at_the_eviction_boundary() {
         let r = FlightRecorder::new();
         r.enable(3);
@@ -573,7 +538,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn out_of_order_segments_merge_into_one_ordered_ring() {
         let r = FlightRecorder::new();
         r.enable(4);
@@ -607,7 +571,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn ordered_ring_reads_out_exactly_what_the_scanned_ring_did() {
         // xorshift streams of mostly-increasing timestamps with ties
         // (multi-victim events), stale stragglers and depth changes.
@@ -645,7 +608,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn lines_are_independent_rings() {
         let r = FlightRecorder::new();
         r.enable(2);
@@ -659,7 +621,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn offer_event_assigns_monotonic_seqs() {
         let r = FlightRecorder::new();
         r.enable(8);
@@ -670,7 +631,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn reset_clears_records_and_counters() {
         let r = FlightRecorder::new();
         r.enable(2);
@@ -681,15 +641,10 @@ mod tests {
         assert!(r.line_records(0).is_empty());
         assert_eq!(r.appended(), 0);
         assert_eq!(r.evicted(), 0);
-        assert_eq!(
-            r.is_enabled(),
-            !cfg!(feature = "obs-off"),
-            "enablement survives reset"
-        );
+        assert!(r.is_enabled(), "enablement survives reset");
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn line_cap_drops_new_lines_not_old_records() {
         let r = FlightRecorder::new();
         r.enable(1);
@@ -703,7 +658,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn multi_victim_invalidations_share_a_seq() {
         let r = FlightRecorder::new();
         r.enable(8);

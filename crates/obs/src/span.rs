@@ -1,20 +1,15 @@
 //! RAII phase timers.
 
 use crate::metrics::{global, Histogram};
-#[cfg(not(feature = "obs-off"))]
 use crate::timeline::{host_lane, timeline};
-#[cfg(not(feature = "obs-off"))]
 use std::time::Instant;
 
 /// An in-flight phase timing from [`span`]; records on drop.
 pub struct Span {
-    #[allow(dead_code)]
-    hist: Option<Histogram>,
-    #[cfg(not(feature = "obs-off"))]
+    hist: Histogram,
     start: Instant,
     /// Set when the trace timeline was armed at open: the phase name whose
     /// `E` event must be emitted on drop (on the same host lane).
-    #[cfg(not(feature = "obs-off"))]
     tl_phase: Option<String>,
 }
 
@@ -34,37 +29,24 @@ pub struct Span {
 /// fine; per-event hot paths should cache a [`Histogram`] handle and use
 /// [`Histogram::start_timer`] instead.
 pub fn span(phase: &str) -> Span {
-    #[cfg(not(feature = "obs-off"))]
-    {
-        let tl_phase = if timeline().enabled() {
-            timeline().begin(phase, "phase", host_lane());
-            Some(phase.to_string())
-        } else {
-            None
-        };
-        Span {
-            hist: Some(global().histogram(&format!("span_{phase}_ns"))),
-            start: Instant::now(),
-            tl_phase,
-        }
-    }
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = (phase, global);
-        Span { hist: None }
+    let tl_phase = if timeline().enabled() {
+        timeline().begin(phase, "phase", host_lane());
+        Some(phase.to_string())
+    } else {
+        None
+    };
+    Span {
+        hist: global().histogram(&format!("span_{phase}_ns")),
+        start: Instant::now(),
+        tl_phase,
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            if let Some(h) = &self.hist {
-                h.record(self.start.elapsed().as_nanos() as u64);
-            }
-            if let Some(phase) = self.tl_phase.take() {
-                timeline().end(&phase, "phase", host_lane());
-            }
+        self.hist.record(self.start.elapsed().as_nanos() as u64);
+        if let Some(phase) = self.tl_phase.take() {
+            timeline().end(&phase, "phase", host_lane());
         }
     }
 }
@@ -74,18 +56,11 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn span_records_into_named_histogram() {
         {
             let _s = span("unit_test_phase");
         }
         let h = global().histogram("span_unit_test_phase_ns");
         assert!(h.count() >= 1);
-    }
-
-    #[test]
-    fn span_is_a_noop_when_disabled() {
-        // Must not panic either way; the obs-off build records nothing.
-        let _s = span("disabled_phase");
     }
 }

@@ -27,6 +27,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::events::escape_into;
+
 /// First `tid` lane used for host OS threads; simulated-thread lanes are
 /// the detector [`ThreadId`]s below this.
 pub const HOST_LANE_BASE: u64 = 1000;
@@ -91,22 +93,6 @@ fn anchor() -> Instant {
     *START.get_or_init(Instant::now)
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 impl Timeline {
     const fn new() -> Self {
         Timeline {
@@ -119,11 +105,8 @@ impl Timeline {
     }
 
     /// Arms the timeline with a bounded event buffer. Replaces any
-    /// previously buffered events. No-op under `obs-off`.
+    /// previously buffered events.
     pub fn install(&self, capacity: usize) {
-        if crate::disabled() {
-            return;
-        }
         anchor(); // pin t=0 at (or before) installation
         let capacity = capacity.max(16);
         let mut state = self.state.lock().unwrap();
@@ -139,9 +122,6 @@ impl Timeline {
     /// True once installed (cheap hot-path pre-check).
     #[inline]
     pub fn enabled(&self) -> bool {
-        #[cfg(feature = "obs-off")]
-        return false;
-        #[cfg(not(feature = "obs-off"))]
         self.enabled.load(Ordering::Relaxed)
     }
 
@@ -276,8 +256,8 @@ impl Timeline {
     /// * lanes get `thread_name` metadata (`sim-thread-N` / `host-N`);
     /// * `otherData` carries `recorded` / `dropped` loss accounting.
     ///
-    /// Writes a valid empty trace when nothing was installed (obs-off or a
-    /// run without `--trace-timeline`).
+    /// Writes a valid empty trace when nothing was installed (a run without
+    /// `--trace-timeline`).
     pub fn write_json(&self, out: &mut dyn Write) -> io::Result<()> {
         self.enabled.store(false, Ordering::Release);
         let taken = self.state.lock().unwrap().take();
@@ -465,7 +445,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn spans_round_trip_with_metadata() {
         let tl = fresh();
         tl.install(64);
@@ -487,7 +466,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn unmatched_begin_is_closed_at_flush() {
         let tl = fresh();
         tl.install(64);
@@ -500,7 +478,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn orphan_end_is_discarded() {
         let tl = fresh();
         tl.install(64);
@@ -511,7 +488,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn capacity_bound_counts_loss() {
         let tl = fresh();
         tl.install(16); // install clamps to >= 16
@@ -525,7 +501,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn flow_arrows_share_an_id_and_point_forward() {
         let tl = fresh();
         tl.install(64);
@@ -541,7 +516,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "obs-off", ignore = "hooks compiled out")]
     fn write_json_disarms_and_drains() {
         let tl = fresh();
         tl.install(64);

@@ -27,7 +27,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::snapshot::{HistogramSnapshot, Snapshot};
+use crate::snapshot::Snapshot;
 
 /// Schema tag embedded in `/query` JSON documents.
 pub const TSDB_SCHEMA: &str = "predator-tsdb/1";
@@ -313,27 +313,6 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// Linear-within-log2-bucket quantile estimate over a histogram snapshot,
-/// matching the interpolation `predator stats` applies to the same data.
-pub fn hist_quantile(h: &HistogramSnapshot, q: f64) -> f64 {
-    if h.count == 0 {
-        return 0.0;
-    }
-    let target = ((q * h.count as f64).ceil() as u64).clamp(1, h.count);
-    let mut seen = 0u64;
-    for b in &h.buckets {
-        let before = seen;
-        seen += b.count;
-        if seen >= target {
-            let lo = b.lo as f64;
-            let hi = if b.lo == 0 { 1.0 } else { (b.lo as f64) * 2.0 };
-            let into = (target - before) as f64 / b.count as f64;
-            return lo + (hi - lo) * into;
-        }
-    }
-    h.buckets.last().map(|b| (b.lo as f64) * 2.0).unwrap_or(0.0)
-}
-
 /// The store: one [`SeriesBuf`] per metric name, fed by [`Tsdb::sample`].
 #[derive(Debug)]
 pub struct Tsdb {
@@ -381,15 +360,15 @@ impl Tsdb {
     /// * every counter → a [`SeriesKind::Counter`] series (restart-adjusted);
     /// * every gauge → a [`SeriesKind::Gauge`] series;
     /// * every histogram → four derived series: `<name>:p50` / `<name>:p99`
-    ///   (gauges, log2-interpolated) plus `<name>:count` / `<name>:sum`
-    ///   (counters).
+    ///   (gauges, [`HistogramSnapshot::quantile`](crate::HistogramSnapshot::quantile),
+    ///   0 while empty) plus `<name>:count` / `<name>:sum` (counters).
     pub fn sample(&mut self, snap: &Snapshot, t_ms: u64) {
         self.last_t_ms = t_ms;
-        for (name, v) in &snap.counters {
-            self.push_counter(name, *v, t_ms);
+        for c in &snap.counters {
+            self.push_counter(&c.name, c.value, t_ms);
         }
-        for (name, v) in &snap.gauges {
-            self.push_gauge(name, *v as f64, t_ms);
+        for g in &snap.gauges {
+            self.push_gauge(&g.name, g.value as f64, t_ms);
         }
         // Histograms decompose into derived scalar series; allocation of
         // the derived names happens once per series, not per tick.
@@ -399,7 +378,8 @@ impl Tsdb {
                 scratch.clear();
                 scratch.push_str(&h.name);
                 scratch.push_str(suffix);
-                self.push_named(&scratch, SeriesKind::Gauge, hist_quantile(h, q), t_ms);
+                let value = h.quantile(q).unwrap_or(0.0);
+                self.push_named(&scratch, SeriesKind::Gauge, value, t_ms);
             }
             scratch.clear();
             scratch.push_str(&h.name);
@@ -612,14 +592,7 @@ impl Tsdb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::Bucket;
-
-    fn counter_snap(name: &str, v: u64) -> Snapshot {
-        Snapshot {
-            counters: vec![(name.into(), v)],
-            ..Default::default()
-        }
-    }
+    use crate::snapshot::{Bucket, HistogramSnapshot};
 
     #[test]
     fn raw_ring_retains_newest_k() {
@@ -628,7 +601,7 @@ mod tests {
             ..Default::default()
         });
         for i in 0..10u64 {
-            db.sample(&counter_snap("c_total", i), i * 1000);
+            db.sample(&Snapshot::of_counter("c_total", i), i * 1000);
         }
         let ts: Vec<u64> = db.raw_points("c_total").iter().map(|p| p.t_ms).collect();
         assert_eq!(ts, vec![7_000, 8_000, 9_000]);
@@ -647,7 +620,7 @@ mod tests {
     fn counter_restart_keeps_series_monotone_and_rate_non_negative() {
         let mut db = Tsdb::default();
         for (i, v) in [10u64, 20, 30, 5, 9].iter().enumerate() {
-            db.sample(&counter_snap("c_total", *v), i as u64 * 1000);
+            db.sample(&Snapshot::of_counter("c_total", *v), i as u64 * 1000);
         }
         // Stored values: 10, 20, 30, 35, 39 — monotone through the reset.
         assert_eq!(db.latest("c_total"), Some(39.0));
@@ -666,13 +639,7 @@ mod tests {
         });
         // 12 samples at 1s spacing: the first 10 fill bucket [0,10s).
         for i in 0..12u64 {
-            db.sample(
-                &Snapshot {
-                    gauges: vec![("g".into(), (i as i64) * 2)],
-                    ..Default::default()
-                },
-                i * 1000,
-            );
+            db.sample(&Snapshot::of_gauge("g", (i as i64) * 2), i * 1000);
         }
         let t1 = db.tier1_buckets("g");
         let b = t1.first().expect("bucket [0,10s) closed");
@@ -695,13 +662,7 @@ mod tests {
         // and the 60s bucket closes when the 7th 10s bucket opens at 60s
         // ... which itself only closes at 70s.
         for i in 0..=70u64 {
-            db.sample(
-                &Snapshot {
-                    gauges: vec![("g".into(), 1)],
-                    ..Default::default()
-                },
-                i * 1000,
-            );
+            db.sample(&Snapshot::of_gauge("g", 1), i * 1000);
         }
         let t2 = db.tier2_buckets("g");
         let b2 = t2.first().expect("minute bucket closed");
@@ -718,7 +679,7 @@ mod tests {
             ..Default::default()
         });
         for i in 0..100u64 {
-            db.sample(&counter_snap("c_total", i), i * 1000);
+            db.sample(&Snapshot::of_counter("c_total", i), i * 1000);
         }
         let short = db.query("c_total", 4_000, 99_000).unwrap();
         assert_eq!(short.tier, "raw");
@@ -753,9 +714,30 @@ mod tests {
     }
 
     #[test]
+    fn all_zero_histogram_samples_exact_zero_quantiles() {
+        // The zeros bucket holds exactly the zeros: `/query` and alert rules
+        // must read the 0 that `predator stats` prints, not a point in [0, 1).
+        let mut db = Tsdb::default();
+        db.sample(
+            &Snapshot {
+                histograms: vec![HistogramSnapshot {
+                    name: "h".into(),
+                    count: 3,
+                    sum: 0,
+                    buckets: vec![Bucket { lo: 0, count: 3 }],
+                }],
+                ..Default::default()
+            },
+            0,
+        );
+        assert_eq!(db.latest("h:p50"), Some(0.0));
+        assert_eq!(db.latest("h:p99"), Some(0.0));
+    }
+
+    #[test]
     fn query_json_is_self_describing() {
         let mut db = Tsdb::default();
-        db.sample(&counter_snap("c_total", 1), 0);
+        db.sample(&Snapshot::of_counter("c_total", 1), 0);
         let q = db.query("c_total", 60_000, 0).unwrap();
         let json = q.to_json(0, 60_000, db.loss());
         assert!(

@@ -589,9 +589,6 @@ mod tests {
 
     #[test]
     fn attached_recorder_sees_invalidations_with_victim_words() {
-        if predator_obs::disabled() {
-            return; // recorder hooks compiled out
-        }
         let rec = Arc::new(FlightRecorder::new());
         rec.enable(16);
         let mut m = sim(2);

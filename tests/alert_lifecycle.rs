@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use predator::obs::{
-    events, http_get, parse_rules, AlertEngine, HttpServer, Response, Snapshot, Tsdb,
+    events, http_get, parse_rules, AlertEngine, GaugeSnapshot, HttpServer, Response, Snapshot, Tsdb,
 };
 
 /// A `Write` the test can read back: the JSONL event sink's destination.
@@ -49,7 +49,10 @@ alert overhead_spike
 fn overhead_snap(ppm: i64) -> Snapshot {
     Snapshot {
         counters: vec![],
-        gauges: vec![("predator_watchdog_overhead_ppm".into(), ppm)],
+        gauges: vec![GaugeSnapshot {
+            name: "predator_watchdog_overhead_ppm".into(),
+            value: ppm,
+        }],
         histograms: vec![],
     }
 }

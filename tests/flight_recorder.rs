@@ -81,9 +81,6 @@ proptest! {
             (0u8..3, proptest::arbitrary::any::<u64>()), 1..120),
         depth in 1usize..8,
     ) {
-        if predator_obs::disabled() {
-            return;
-        }
         let r = FlightRecorder::new();
         r.enable(depth);
         // seq is program order; the sort key scrambles *arrival* order the
@@ -137,9 +134,6 @@ proptest! {
             proptest::collection::vec((0u64..8, prop::bool::ANY), 1..60), 2..4),
         seed in 0u64..200,
     ) {
-        if predator_obs::disabled() {
-            return;
-        }
         let n = per_thread.len();
         let mut script = Script::new(n);
         for (t, thread_ops) in per_thread.iter().enumerate() {
@@ -204,9 +198,6 @@ proptest! {
 /// simulator reported for the same line.
 #[test]
 fn embedded_traces_match_mesi_reported_invalidations() {
-    if predator_obs::disabled() {
-        return;
-    }
     let _g = global_lock();
     let flight = recorder::recorder();
     flight.reset();

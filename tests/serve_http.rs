@@ -4,12 +4,11 @@
 //! `/metrics` + `/snapshot` handlers the CLI installs, seeds probe metrics
 //! with known values, and proves the acceptance property: a `/metrics`
 //! scrape parses as Prometheus text and **byte-matches** the fields of the
-//! `ObsSnapshot` mirror captured from the same registry.
+//! snapshot captured from the same registry.
 
 use std::time::Duration;
 
-use predator::core::ObsSnapshot;
-use predator::obs::{global, http_get, DeltaTracker, HttpServer, Response};
+use predator::obs::{global, http_get, DeltaTracker, HttpServer, Response, Snapshot};
 use std::sync::Mutex;
 
 /// Splits a Prometheus text body into `(series, value)` pairs, failing the
@@ -54,7 +53,7 @@ fn metrics_scrape_parses_and_matches_the_registry_snapshot() {
         .spawn()
         .expect("spawn server");
 
-    let mirror = ObsSnapshot::capture();
+    let captured = Snapshot::capture();
     let (status, body) = http_get(&addr, "/metrics", Duration::from_secs(5)).expect("scrape");
     assert_eq!(status, 200);
 
@@ -62,25 +61,25 @@ fn metrics_scrape_parses_and_matches_the_registry_snapshot() {
     let series = parse_prometheus(&body);
     assert!(!series.is_empty());
 
-    // Byte-match against the embedded-snapshot mirror: the exact sample
-    // lines the mirror's fields imply must appear in the scraped text.
-    let count = mirror
+    // Byte-match against the captured snapshot: the exact sample lines its
+    // fields imply must appear in the scraped text.
+    let count = captured
         .counter("serve_http_probe_total")
-        .expect("probe counter in mirror");
+        .expect("probe counter in the snapshot");
     assert_eq!(count, 42);
     assert!(
         body.contains("\nserve_http_probe_total 42\n"),
-        "counter line byte-matches the mirror:\n{body}"
+        "counter line byte-matches the snapshot:\n{body}"
     );
     assert!(
         body.contains("\nserve_http_probe_level -7\n"),
-        "gauge line byte-matches the mirror:\n{body}"
+        "gauge line byte-matches the snapshot:\n{body}"
     );
-    let hist = mirror
+    let hist = captured
         .histograms
         .iter()
         .find(|h| h.name == "serve_http_probe_ns")
-        .expect("probe histogram in mirror");
+        .expect("probe histogram in the snapshot");
     assert!(body.contains(&format!("\nserve_http_probe_ns_sum {}\n", hist.sum)));
     assert!(body.contains(&format!("\nserve_http_probe_ns_count {}\n", hist.count)));
     assert!(body.contains(&format!(

@@ -31,9 +31,6 @@ fn spans() -> [u64; 3] {
 
 #[test]
 fn the_reader_works_alone_unless_the_plan_gives_other_shards_work() {
-    if predator::obs::disabled() {
-        return;
-    }
     let det = DetectorConfig::sensitive();
     let path = std::env::temp_dir().join(format!("predator-spans-{}.ptrace", std::process::id()));
     let write = |events: &[Access]| {

@@ -17,7 +17,8 @@
 use proptest::prelude::*;
 
 use predator::obs::{
-    accumulate, bucket_index, bucket_lower_bound, Bucket, DeltaTracker, HistogramSnapshot, Snapshot,
+    accumulate, bucket_index, bucket_lower_bound, Bucket, CounterSnapshot, DeltaTracker,
+    GaugeSnapshot, HistogramSnapshot, Snapshot,
 };
 
 /// Builds a self-consistent histogram snapshot the way the live registry
@@ -51,8 +52,14 @@ fn monotone_states(incs: &[(u64, Vec<u64>, i64)]) -> Vec<Snapshot> {
             counter += cinc;
             observed.extend_from_slice(hvals);
             Snapshot {
-                counters: vec![("scrapes_total".into(), counter)],
-                gauges: vec![("live_level".into(), *gauge)],
+                counters: vec![CounterSnapshot {
+                    name: "scrapes_total".into(),
+                    value: counter,
+                }],
+                gauges: vec![GaugeSnapshot {
+                    name: "live_level".into(),
+                    value: *gauge,
+                }],
                 histograms: vec![hist_from_values("work_ns", &observed)],
             }
         })
@@ -66,8 +73,14 @@ fn restarting_states(states: &[(u64, Vec<u64>)]) -> Vec<Snapshot> {
     states
         .iter()
         .map(|(counter, hvals)| Snapshot {
-            counters: vec![("scrapes_total".into(), *counter)],
-            gauges: vec![("live_level".into(), 0)],
+            counters: vec![CounterSnapshot {
+                name: "scrapes_total".into(),
+                value: *counter,
+            }],
+            gauges: vec![GaugeSnapshot {
+                name: "live_level".into(),
+                value: 0,
+            }],
             histograms: vec![hist_from_values("work_ns", hvals)],
         })
         .collect()
@@ -94,7 +107,7 @@ proptest! {
         for (i, (state, (cinc, _, _))) in states.iter().zip(&incs).enumerate() {
             let d = tracker.scrape(state.clone());
             prop_assert_eq!(d.epoch, i as u64 + 1, "epochs count scrapes");
-            prop_assert_eq!(d.delta.counters[0].1, *cinc,
+            prop_assert_eq!(d.delta.counters[0].value, *cinc,
                 "monotone counter delta is exactly the increment");
             prop_assert_eq!(&d.cumulative, state);
             accumulate(&mut acc, &d.delta);
@@ -117,8 +130,8 @@ proptest! {
         for (counter, hvals) in &states {
             let snap = restarting_states(&[(*counter, hvals.clone())]).remove(0);
             let d = tracker.scrape(snap);
-            prop_assert!(d.delta.counters[0].1 <= *counter,
-                "delta {} exceeds cumulative {}", d.delta.counters[0].1, counter);
+            prop_assert!(d.delta.counters[0].value <= *counter,
+                "delta {} exceeds cumulative {}", d.delta.counters[0].value, counter);
             let dh = &d.delta.histograms[0];
             let ch = &d.cumulative.histograms[0];
             prop_assert!(dh.count <= ch.count, "histogram count delta over-reports");
@@ -156,7 +169,7 @@ fn wrapped_counter_reports_current_value() {
     let mut tracker = DeltaTracker::new();
     tracker.scrape(restarting_states(&[(u64::MAX, vec![])]).remove(0));
     let d = tracker.scrape(restarting_states(&[(3, vec![])]).remove(0));
-    assert_eq!(d.delta.counters[0].1, 3);
+    assert_eq!(d.delta.counters[0].value, 3);
 }
 
 /// A histogram whose buckets regressed (registry restart) is reported as

@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 
 use predator::obs::tsdb::AggPoint;
-use predator::obs::{Snapshot, Tsdb, TsdbConfig};
+use predator::obs::{CounterSnapshot, GaugeSnapshot, Snapshot, Tsdb, TsdbConfig};
 
 /// A deliberately tiny store so a few dozen samples exercise eviction on
 /// every tier (the default config would need hours of history).
@@ -34,8 +34,14 @@ fn small_cfg() -> TsdbConfig {
 /// One registry snapshot holding a single counter and a single gauge.
 fn snap(counter: u64, gauge: i64) -> Snapshot {
     Snapshot {
-        counters: vec![("work_total".into(), counter)],
-        gauges: vec![("live_level".into(), gauge)],
+        counters: vec![CounterSnapshot {
+            name: "work_total".into(),
+            value: counter,
+        }],
+        gauges: vec![GaugeSnapshot {
+            name: "live_level".into(),
+            value: gauge,
+        }],
         histograms: vec![],
     }
 }
