@@ -282,11 +282,13 @@ pub(crate) fn cmd_analyze(args: &Args) -> Result<ExitCode, String> {
 }
 
 /// Loads a whole trace into memory: the what-if replay re-analyzes the
-/// event list several times, so streaming buys nothing.
+/// event list several times, so streaming buys nothing. The vector is sized
+/// once, from the trailer's record count
+/// ([`TraceReader::collect_events`]), not grown by doubling.
 fn load_trace_events(path: &str) -> Result<(Vec<Access>, u64, u64, Option<TraceMeta>), String> {
     let mut r = TraceReader::open(path)?;
     let (base, size) = (r.base(), r.size());
-    let events: Vec<Access> = r.by_ref().collect();
+    let events = r.collect_events();
     warn_loss(path, &r.stats());
     Ok((events, base, size, r.take_meta()))
 }

@@ -100,11 +100,13 @@ pub struct FlightRecorder {
     lines: Mutex<HashMap<u64, Ring, BuildHasherDefault<LineHasher>>>,
 }
 
-/// The ring store's hasher — one multiply, not SipHash, for each record a
-/// flush inserts. At most [`MAX_LINES`] keys, so no collision flood to resist;
-/// the rotate moves the mixed high bits down (line starts end in zeros).
-#[derive(Default)]
-struct LineHasher(u64);
+/// The hasher of every map keyed by one cache line (a line start here, a
+/// line index in the MESI simulator): one multiply, not SipHash, per look-up.
+/// The rotate moves the mixed high bits down (line starts end in zeros). It
+/// resists no collision flood: the ring store holds at most [`MAX_LINES`]
+/// keys, and a trace built to collide slows its own `whatif`, nothing else.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct LineHasher(u64);
 
 impl Hasher for LineHasher {
     fn write(&mut self, _: &[u8]) {

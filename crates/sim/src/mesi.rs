@@ -17,11 +17,17 @@
 //! cross-crate integration tests.) The simulator models infinite-capacity
 //! private caches: capacity misses are irrelevant to sharing traffic, and the
 //! paper's model ignores them too.
+//!
+//! Storage is line-major: one map from line index to a cell holding every
+//! core's view of that line, so an access is one look-up and a snoop walks
+//! the cores that ever touched the line, never a map per core. In infinite
+//! mode lines share no state (`prop_lines_are_independent`).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
-use predator_obs::recorder::{FlightRecorder, RecKind, WORD_UNKNOWN};
+use predator_obs::recorder::{FlightRecorder, LineHasher, RecKind, WORD_UNKNOWN};
 
 use crate::access::{AccessKind, ThreadId};
 use crate::geometry::{CacheGeometry, SectorGeometry};
@@ -82,38 +88,57 @@ pub struct MesiStats {
 #[derive(Debug, Clone)]
 pub struct MesiSim {
     geom: CacheGeometry,
-    /// `caches[core][line_index] -> entry`; absent = Invalid.
-    caches: Vec<HashMap<u64, Entry>>,
+    /// Every line any core has touched, by line index: the one store.
+    lines: HashMap<u64, Cell, BuildHasherDefault<LineHasher>>,
     /// Capacity limit per core as (sets, ways); `None` = infinite.
     capacity: Option<(usize, usize)>,
     /// LRU clock, bumped on every touch.
     clock: u64,
-    /// Per-core history for miss classification: lines ever cached.
-    ever_seen: Vec<HashSet<u64>>,
-    /// Per-core lines whose last departure was a coherence invalidation.
-    coherence_lost: Vec<HashSet<u64>>,
     stats: MesiStats,
-    line_invalidations: HashMap<u64, u64>,
     /// Domain (NUMA node) of each core; all zeros in single-domain mode.
     domain: Vec<u16>,
     /// Sub-line sector model, if enabled.
     sector: Option<SectorGeometry>,
-    /// `touched[core][line] -> sector bitmask` accumulated while the line is
-    /// resident (sectored mode only).
-    touched_sectors: Vec<HashMap<u64, u32>>,
     /// Optional flight-recorder feed: the simulator writes ground-truth
     /// access/invalidation records into *this* instance (never the process
     /// global), so tests can compare it against the detector's own feed.
     recorder: Option<Arc<FlightRecorder>>,
-    /// `last_word[core][line] -> word offset` — victim-side attribution for
-    /// recorded invalidations; maintained only while a recorder is attached.
-    last_word: Vec<HashMap<u64, u8>>,
 }
 
+/// One line: its invalidation events and a [`Slot`] per core that has
+/// touched it, in first-touch order — memory follows the touched (core,
+/// line) pairs, whatever the highest thread id is, and a line few cores
+/// share is a short scan.
+#[derive(Debug, Clone, Default)]
+struct Cell {
+    invalidations: u64,
+    slots: Vec<Slot>,
+}
+
+/// One core's view of one line. The slot exists from the core's first
+/// access on, and every access installs the line: a miss that has to create
+/// its slot is the cold one.
 #[derive(Debug, Clone, Copy)]
-struct Entry {
-    state: LineState,
+struct Slot {
+    core: u16,
+    /// `None` = Invalid: lost to a remote write, or evicted.
+    state: Option<LineState>,
     lru: u64,
+    /// The line's last departure was a coherence invalidation.
+    coherence_lost: bool,
+    /// Sector bitmask accumulated while resident (sectored mode only).
+    sectors: u32,
+    /// Victim-side attribution for recorded invalidations; maintained only
+    /// while a recorder is attached.
+    last_word: u8,
+}
+
+impl Cell {
+    /// `core`'s slot, if it holds the line.
+    fn resident(&self, core: ThreadId) -> Option<&Slot> {
+        let holds = |s: &&Slot| s.core == core.0 && s.state.is_some();
+        self.slots.iter().find(holds)
+    }
 }
 
 /// Why a miss happened, for the capacity-limited mode.
@@ -134,18 +159,13 @@ impl MesiSim {
     pub fn new(n_cores: usize, geom: CacheGeometry) -> Self {
         MesiSim {
             geom,
-            caches: vec![HashMap::new(); n_cores],
+            lines: HashMap::default(),
             capacity: None,
             clock: 0,
-            ever_seen: vec![HashSet::new(); n_cores],
-            coherence_lost: vec![HashSet::new(); n_cores],
             stats: MesiStats::default(),
-            line_invalidations: HashMap::new(),
             domain: vec![0; n_cores],
             sector: None,
-            touched_sectors: vec![HashMap::new(); n_cores],
             recorder: None,
-            last_word: vec![HashMap::new(); n_cores],
         }
     }
 
@@ -210,59 +230,30 @@ impl MesiSim {
         sim
     }
 
-    fn set_of(&self, line: u64) -> u64 {
-        match self.capacity {
-            Some((sets, _)) => line & (sets as u64 - 1),
-            None => 0,
+    /// Capacity mode, before `core` installs `line`: evicts the least
+    /// recently used line of a full set from `core`'s cache. LRU stamps are
+    /// unique, so the victim does not depend on the map's iteration order.
+    fn make_room(&mut self, core: ThreadId, line: u64) {
+        let Some((sets, ways)) = self.capacity else {
+            return;
+        };
+        if self.state(core, line).is_some() {
+            return;
         }
-    }
-
-    /// Installs `line` in `core`'s cache, evicting the set's LRU entry if
-    /// the set is full.
-    fn install(&mut self, core: usize, line: u64, state: LineState) {
-        self.clock += 1;
-        if let Some((_, ways)) = self.capacity {
-            let set = self.set_of(line);
-            let resident: Vec<(u64, u64)> = self.caches[core]
-                .iter()
-                .filter(|(&l, _)| l != line && self.set_of(l) == set)
-                .map(|(&l, e)| (l, e.lru))
-                .collect();
-            let occupied = resident.len() + self.caches[core].contains_key(&line) as usize;
-            if occupied >= ways && !self.caches[core].contains_key(&line) {
-                if let Some(&(victim, _)) = resident.iter().min_by_key(|(_, lru)| *lru) {
-                    self.caches[core].remove(&victim);
-                    self.coherence_lost[core].remove(&victim);
-                    self.touched_sectors[core].remove(&victim);
-                    self.stats.evictions += 1;
-                }
-            }
+        let same_set = |l: u64| (l ^ line) & (sets as u64 - 1) == 0;
+        let in_set = self.lines.iter().filter(|(&l, _)| same_set(l));
+        let resident: Vec<(u64, u64)> = in_set
+            .filter_map(|(&l, cell)| cell.resident(core).map(|s| (s.lru, l)))
+            .collect();
+        if resident.len() < ways {
+            return;
         }
-        self.ever_seen[core].insert(line);
-        self.coherence_lost[core].remove(&line);
-        let lru = self.clock;
-        self.caches[core].insert(line, Entry { state, lru });
-    }
-
-    /// Classifies (and counts) a miss by `core` on `line`.
-    fn classify_miss(&mut self, core: usize, line: u64) {
-        self.stats.misses += 1;
-        if !self.ever_seen[core].contains(&line) {
-            self.stats.cold_misses += 1;
-        } else if self.coherence_lost[core].contains(&line) {
-            self.stats.coherence_misses += 1;
-        } else {
-            self.stats.capacity_misses += 1;
-        }
-    }
-
-    /// Records one non-invalidating access into the attached flight
-    /// recorder (if any) and refreshes the core's last-word attribution.
-    fn record_access(&mut self, core: usize, line: u64, word: u8, kind: RecKind) {
-        if let Some(rec) = &self.recorder {
-            rec.offer_event(self.geom.line_start(line), core as u16, word, kind);
-            self.last_word[core].insert(line, word);
-        }
+        let &(_, victim) = resident.iter().min().expect("ways >= 1");
+        let cell = self.lines.get_mut(&victim).expect("victim was scanned");
+        let slot = cell.slots.iter_mut().find(|s| s.core == core.0);
+        let slot = slot.expect("victim is resident");
+        (slot.state, slot.coherence_lost, slot.sectors) = (None, false, 0);
+        self.stats.evictions += 1;
     }
 
     /// The geometry the simulator indexes lines with.
@@ -277,17 +268,18 @@ impl MesiSim {
 
     /// Invalidation events recorded against a particular line index.
     pub fn line_invalidations(&self, line: u64) -> u64 {
-        self.line_invalidations.get(&line).copied().unwrap_or(0)
+        self.lines.get(&line).map_or(0, |c| c.invalidations)
     }
 
     /// State of `line` in `core`'s cache (None = Invalid).
     pub fn state(&self, core: ThreadId, line: u64) -> Option<LineState> {
-        Some(self.caches.get(core.index())?.get(&line)?.state)
+        self.lines.get(&line)?.resident(core)?.state
     }
 
     /// Number of lines currently resident in `core`'s cache.
     pub fn resident_lines(&self, core: ThreadId) -> usize {
-        self.caches.get(core.index()).map(HashMap::len).unwrap_or(0)
+        let held = |c: &&Cell| c.resident(core).is_some();
+        self.lines.values().filter(held).count()
     }
 
     /// Applies one access of `size` bytes at `addr` by `tid`, visiting every
@@ -321,165 +313,104 @@ impl MesiSim {
     fn access_line(&mut self, tid: ThreadId, line: u64, kind: AccessKind, word: u8, smask: u32) {
         let core = tid.index();
         assert!(
-            core < self.caches.len(),
+            core < self.domain.len(),
             "thread {tid} exceeds configured core count"
         );
-        let own = self.caches[core].get(&line).map(|e| e.state);
-        if self.sector.is_some() {
-            *self.touched_sectors[core].entry(line).or_insert(0) |= smask;
+        self.make_room(tid, line);
+        // Every path below is one touch of the line by `core`.
+        self.clock += 1;
+        let cell = self.lines.entry(line).or_default();
+        let found = cell.slots.iter().position(|s| s.core == tid.0);
+        let own = found.unwrap_or_else(|| {
+            let fresh = Slot {
+                core: tid.0,
+                state: None,
+                lru: 0,
+                coherence_lost: false,
+                sectors: 0,
+                last_word: WORD_UNKNOWN,
+            };
+            cell.slots.push(fresh);
+            cell.slots.len() - 1
+        });
+        let had = cell.slots[own].state;
+        cell.slots[own].sectors |= smask;
+        match had {
+            Some(_) => self.stats.hits += 1,
+            None if found.is_none() => self.stats.cold_misses += 1,
+            None if cell.slots[own].coherence_lost => self.stats.coherence_misses += 1,
+            None => self.stats.capacity_misses += 1,
         }
-        if kind == AccessKind::Read {
-            self.record_access(core, line, word, RecKind::Read);
-        }
+        self.stats.misses += had.is_none() as u64;
+
+        // The bus transaction, if the access needs one. An M/E holder is the
+        // line's only holder: its writes are silent (E→M included).
+        let owned = matches!(had, Some(LineState::Modified | LineState::Exclusive));
+        let remote = cell.slots.iter_mut();
+        let remote = remote.filter(|s| s.core != tid.0 && s.state.is_some());
+        let (mut shared, mut invalidated, mut cross_lines, mut sector_conflicts) = (false, 0, 0, 0);
+        let mut victims: Vec<(u16, u8)> = Vec::new();
         match kind {
-            AccessKind::Read => match own {
-                Some(st) => {
-                    self.stats.hits += 1;
-                    self.clock += 1;
-                    let lru = self.clock;
-                    self.caches[core].insert(line, Entry { state: st, lru });
+            // Read miss: snoop, downgrading any remote M/E holder to S.
+            AccessKind::Read if had.is_none() => remote.for_each(|slot| {
+                shared = true;
+                self.stats.downgrades += (slot.state == Some(LineState::Modified)) as u64;
+                slot.state = Some(LineState::Shared);
+            }),
+            // Upgrade from S (BusUpgr) or read-for-ownership miss (BusRdX):
+            // invalidate every remote copy.
+            AccessKind::Write if !owned => remote.for_each(|slot| {
+                invalidated += 1;
+                cross_lines += (self.domain[slot.core as usize] != self.domain[core]) as u64;
+                sector_conflicts += (slot.sectors & smask != 0) as u64;
+                (slot.state, slot.sectors, slot.coherence_lost) = (None, 0, true);
+                if self.recorder.is_some() {
+                    victims.push((slot.core, slot.last_word));
                 }
-                None => {
-                    self.classify_miss(core, line);
-                    // Snoop: downgrade any remote M/E holder to S.
-                    let mut remote_holder = false;
-                    let mut downgrades = 0;
-                    for (i, cache) in self.caches.iter_mut().enumerate() {
-                        if i == core {
-                            continue;
-                        }
-                        if let Some(e) = cache.get_mut(&line) {
-                            remote_holder = true;
-                            if e.state != LineState::Shared {
-                                if e.state == LineState::Modified {
-                                    downgrades += 1;
-                                }
-                                e.state = LineState::Shared;
-                            }
-                        }
-                    }
-                    self.stats.downgrades += downgrades;
-                    let st = if remote_holder {
-                        LineState::Shared
-                    } else {
-                        LineState::Exclusive
-                    };
-                    self.install(core, line, st);
-                }
-            },
-            AccessKind::Write => {
-                match own {
-                    Some(LineState::Modified) => {
-                        self.stats.hits += 1;
-                        self.clock += 1;
-                        let lru = self.clock;
-                        self.caches[core].insert(
-                            line,
-                            Entry {
-                                state: LineState::Modified,
-                                lru,
-                            },
-                        );
-                        self.record_access(core, line, word, RecKind::Write);
-                        return;
-                    }
-                    Some(LineState::Exclusive) => {
-                        // Silent E→M upgrade, no bus traffic.
-                        self.stats.hits += 1;
-                        self.clock += 1;
-                        let lru = self.clock;
-                        self.caches[core].insert(
-                            line,
-                            Entry {
-                                state: LineState::Modified,
-                                lru,
-                            },
-                        );
-                        self.record_access(core, line, word, RecKind::Write);
-                        return;
-                    }
-                    Some(LineState::Shared) => {
-                        // Upgrade: invalidate remote copies (BusUpgr).
-                        self.stats.hits += 1;
-                    }
-                    None => {
-                        // Read-for-ownership miss (BusRdX).
-                        self.classify_miss(core, line);
-                    }
-                }
-                let mut invalidated = 0u64;
-                let mut cross_lines = 0u64;
-                let mut sector_conflicts = 0u64;
-                let sectored = self.sector.is_some();
-                let mut victims: Vec<(u16, u8)> = Vec::new();
-                let track_victims = self.recorder.is_some();
-                for (i, cache) in self.caches.iter_mut().enumerate() {
-                    if i == core {
-                        continue;
-                    }
-                    if cache.remove(&line).is_some() {
-                        invalidated += 1;
-                        if self.domain[i] != self.domain[core] {
-                            cross_lines += 1;
-                        }
-                        if sectored {
-                            let vmask = self.touched_sectors[i].remove(&line).unwrap_or(0);
-                            if vmask & smask != 0 {
-                                sector_conflicts += 1;
-                            }
-                        }
-                        self.coherence_lost[i].insert(line);
-                        if track_victims {
-                            let w = self.last_word[i]
-                                .get(&line)
-                                .copied()
-                                .unwrap_or(WORD_UNKNOWN);
-                            victims.push((i as u16, w));
-                        }
-                    }
-                }
-                if invalidated > 0 {
-                    self.stats.invalidation_events += 1;
-                    self.stats.lines_invalidated += invalidated;
-                    self.stats.cross_domain_lines += cross_lines;
-                    if cross_lines > 0 {
-                        self.stats.cross_domain_events += 1;
-                    }
-                    self.stats.sector_conflict_lines += sector_conflicts;
-                    *self.line_invalidations.entry(line).or_insert(0) += 1;
-                    predator_obs::static_counter!("mesi_invalidation_events_total").inc();
-                    predator_obs::static_counter!("mesi_lines_invalidated_total").add(invalidated);
-                    // Timeline: a ground-truth invalidation burst on the
-                    // writer's sim lane, sized by how many copies died.
-                    let tl = predator_obs::timeline();
-                    if tl.enabled() {
-                        tl.instant(
-                            "mesi_invalidation",
-                            "mesi",
-                            core as u64,
-                            vec![
-                                (
-                                    "line_start",
-                                    predator_obs::ArgVal::U64(self.geom.line_start(line)),
-                                ),
-                                ("copies_lost", predator_obs::ArgVal::U64(invalidated)),
-                            ],
-                        );
-                    }
-                    if let Some(rec) = &self.recorder {
-                        rec.offer_invalidation(
-                            self.geom.line_start(line),
-                            core as u16,
-                            word,
-                            &victims,
-                        );
-                        self.last_word[core].insert(line, word);
-                    }
-                } else {
-                    self.record_access(core, line, word, RecKind::Write);
-                }
-                self.install(core, line, LineState::Modified);
+            }),
+            _ => {}
+        }
+        let state = match kind {
+            AccessKind::Write => LineState::Modified,
+            AccessKind::Read if shared => LineState::Shared,
+            AccessKind::Read => had.unwrap_or(LineState::Exclusive),
+        };
+        let slot = &mut cell.slots[own];
+        (slot.state, slot.lru, slot.coherence_lost) = (Some(state), self.clock, false);
+
+        let line_start = self.geom.line_start(line);
+        if invalidated > 0 {
+            self.stats.invalidation_events += 1;
+            self.stats.lines_invalidated += invalidated;
+            self.stats.cross_domain_lines += cross_lines;
+            self.stats.cross_domain_events += (cross_lines > 0) as u64;
+            self.stats.sector_conflict_lines += sector_conflicts;
+            cell.invalidations += 1;
+            predator_obs::static_counter!("mesi_invalidation_events_total").inc();
+            predator_obs::static_counter!("mesi_lines_invalidated_total").add(invalidated);
+            // Timeline: a ground-truth invalidation burst on the
+            // writer's sim lane, sized by how many copies died.
+            let tl = predator_obs::timeline();
+            if tl.enabled() {
+                tl.instant(
+                    "mesi_invalidation",
+                    "mesi",
+                    core as u64,
+                    vec![
+                        ("line_start", predator_obs::ArgVal::U64(line_start)),
+                        ("copies_lost", predator_obs::ArgVal::U64(invalidated)),
+                    ],
+                );
             }
+        }
+        if let Some(rec) = &self.recorder {
+            victims.sort_unstable(); // by core: the order the records are read out in
+            match kind {
+                _ if invalidated > 0 => rec.offer_invalidation(line_start, tid.0, word, &victims),
+                AccessKind::Read => rec.offer_event(line_start, tid.0, word, RecKind::Read),
+                AccessKind::Write => rec.offer_event(line_start, tid.0, word, RecKind::Write),
+            };
+            cell.slots[own].last_word = word;
         }
     }
 }
@@ -663,6 +594,32 @@ mod tests {
         assert_eq!(m.stats().evictions, 1);
         assert_eq!(m.state(T0, 0), None);
         assert!(m.state(T0, 1).is_some());
+    }
+
+    /// The victim is the set's least recently used line whichever way the
+    /// map happens to walk its lines: maps filled in opposite orders end the
+    /// same script in the same place.
+    #[test]
+    fn eviction_does_not_depend_on_map_order() {
+        let run = |warm: &mut dyn Iterator<Item = u64>| {
+            let mut m = MesiSim::with_capacity(2, CacheGeometry::new(64), 2, 4);
+            // T1 fills its cache exactly (four lines per set, no eviction)...
+            for line in warm {
+                m.access(T1, line * 64, 8, Read);
+            }
+            // ...then T0 wanders over three times what its own can hold.
+            for i in 0..300u64 {
+                let kind = if i % 3 == 0 { Write } else { Read };
+                m.access(T0, (i * 7 + i / 5) % 24 * 64, 8, kind);
+            }
+            let states: Vec<_> = (0..24)
+                .flat_map(|line| [m.state(T0, line), m.state(T1, line)])
+                .collect();
+            (m.stats(), states)
+        };
+        let ascending = run(&mut (0..8));
+        assert!(ascending.0.evictions > 100, "{:?}", ascending.0);
+        assert_eq!(ascending, run(&mut (0..8).rev()));
     }
 
     #[test]
@@ -891,6 +848,46 @@ mod tests {
                 h_inv += h.record(ThreadId(tid), kind) as u64;
             }
             prop_assert_eq!(h_inv, m.stats().invalidation_events);
+        }
+
+        /// Lines share no state in infinite mode — the licence for any
+        /// per-line filtering of a trace: simulating it whole equals
+        /// simulating each line's accesses alone, line by line (same
+        /// invalidations, same final states) and in total (stats sum).
+        #[test]
+        fn prop_lines_are_independent(
+            script in proptest::collection::vec(
+                (0u16..4, 0u64..64, prop::bool::ANY), 0..400)
+        ) {
+            let run = |only: Option<u64>| {
+                let mut m = sim(4);
+                for &(tid, word, w) in &script {
+                    if only.is_none_or(|line| word / 8 == line) {
+                        m.access(ThreadId(tid), word * 8, 8, if w { Write } else { Read });
+                    }
+                }
+                m
+            };
+            let fields = |s: MesiStats| [
+                s.hits, s.misses, s.invalidation_events, s.lines_invalidated,
+                s.downgrades, s.evictions, s.cold_misses, s.coherence_misses,
+                s.capacity_misses, s.cross_domain_events, s.cross_domain_lines,
+                s.sector_conflict_lines,
+            ];
+            let whole = run(None);
+            let mut sum = [0u64; 12];
+            for line in 0..8u64 {
+                let alone = run(Some(line));
+                prop_assert_eq!(alone.line_invalidations(line), whole.line_invalidations(line));
+                for core in 0..4u16 {
+                    let core = ThreadId(core);
+                    prop_assert_eq!(alone.state(core, line), whole.state(core, line));
+                }
+                for (total, part) in sum.iter_mut().zip(fields(alone.stats())) {
+                    *total += part;
+                }
+            }
+            prop_assert_eq!(sum, fields(whole.stats()));
         }
 
         /// Events never exceed total lines invalidated, and both are bounded

@@ -93,6 +93,28 @@ pub const BASE_ALIGN: u64 = 256;
 /// with 32 B lines); recordings cover 64 MiB, a sixteenth of it.
 pub const MAX_SPAN: u64 = 1 << 30;
 
+/// What a range derived from events is aligned to: a page — a multiple of
+/// [`BASE_ALIGN`] times every line scale a detector analyses (16 at most).
+pub(crate) const PAGE: u64 = 4096;
+
+/// First and last byte `events` touch inside `window`, straddlers' far ends
+/// included and clipped to it; `None` when they touch nothing there.
+pub(crate) fn touched_hull(
+    events: &[Access],
+    window: std::ops::RangeInclusive<u64>,
+) -> Option<(u64, u64)> {
+    let (mut lo, mut hi) = (u64::MAX, 0);
+    for a in events {
+        let first = a.addr.max(*window.start());
+        let last = a.addr.saturating_add(a.size.max(1) as u64 - 1);
+        let last = last.min(*window.end());
+        if first <= last {
+            (lo, hi) = (lo.min(first), hi.max(last));
+        }
+    }
+    (lo <= hi).then_some((lo, hi))
+}
+
 impl Header {
     /// What a range must satisfy before anything is sized by it: `base`
     /// aligned to [`BASE_ALIGN`], `base + size` inside the address space,

@@ -15,7 +15,7 @@ use std::path::Path;
 
 use predator_sim::Access;
 
-use crate::format::{Header, VERSION};
+use crate::format::{touched_hull, Header, PAGE, VERSION};
 use crate::segment::SEGMENT_CAPACITY;
 use crate::writer::{TraceWriter, WriteSummary};
 
@@ -75,19 +75,14 @@ pub fn load_jsonl<R: BufRead>(r: R) -> std::io::Result<Vec<Access>> {
     JsonlIter::new(r).collect()
 }
 
-/// The hull is aligned to this; a multiple of [`crate::format::BASE_ALIGN`].
-const PAGE: u64 = 4096;
-
 /// The `(base, size)` a header must carry for `events`: the page-aligned
 /// hull of every touched byte, straddlers' far ends included; `(0, 0)` for
 /// no events. A hull no shadow can cover is refused by the door's own rule
 /// ([`Header::validate`]), naming the lowest and highest address touched.
 fn hull(events: &[Access]) -> Result<(u64, u64), String> {
-    let last_byte = |a: &Access| a.addr.saturating_add(a.size.max(1) as u64 - 1);
-    let Some(lo) = events.iter().map(|a| a.addr).min() else {
+    let Some((lo, hi)) = touched_hull(events, 0..=u64::MAX) else {
         return Ok((0, 0));
     };
-    let hi = events.iter().map(last_byte).max().unwrap_or(lo);
     let base = lo & !(PAGE - 1);
     let size = ((hi | (PAGE - 1)) - base).saturating_add(1);
     let header = Header {

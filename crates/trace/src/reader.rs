@@ -150,6 +150,9 @@ pub struct TraceReader<R: Read> {
     events_read: u64,
     event_chunks: u64,
     chunks_seen: u64,
+    /// Events [`collect_events`](TraceReader::collect_events) makes room for
+    /// up front; 0 for a stream nobody could ask.
+    reserve: usize,
 }
 
 impl TraceReader<BufReader<File>> {
@@ -158,11 +161,43 @@ impl TraceReader<BufReader<File>> {
     /// is not a `.ptrace`, the conversion (`predator trace import`).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, String> {
         let path = path.as_ref();
-        File::open(path)
-            .map_err(TraceError::Io)
-            .and_then(|f| TraceReader::new(BufReader::new(f)))
-            .map_err(|e| format!("{}: {e}", path.display()))
+        let open = || -> Result<Self, TraceError> {
+            let mut f = File::open(path)?;
+            let reserve = sealed_records(&mut f)?;
+            let mut r = TraceReader::new(BufReader::new(f))?;
+            r.reserve = reserve;
+            Ok(r)
+        };
+        open().map_err(|e| format!("{}: {e}", path.display()))
     }
+}
+
+/// The record count in the trailer `f` ends with, capped by the file's byte
+/// length: a record is at least one byte, so whatever a damaged or hostile
+/// trailer claims, the room made for it is at most `size_of::<Access>()` (16)
+/// times the file. 0 when there is no intact trailer. Leaves `f` at its start.
+fn sealed_records(f: &mut File) -> io::Result<usize> {
+    let file_bytes = f.metadata()?.len();
+    if file_bytes == 0 {
+        return Ok(0); // empty, or a pipe: nothing to seek in
+    }
+    let trailer = read_trailer(f, file_bytes)?;
+    f.rewind()?;
+    let records = trailer.map_or(0, |(_, records)| records.min(file_bytes));
+    Ok(usize::try_from(records).unwrap_or(0))
+}
+
+/// `(index offset, total records)` of the trailer a sealed file of
+/// `file_bytes` ends with; `None`, without a seek, when it cannot hold one.
+fn read_trailer(f: &mut File, file_bytes: u64) -> io::Result<Option<(u64, u64)>> {
+    if file_bytes < (HEADER_V1_LEN + TRAILER_LEN) as u64 {
+        return Ok(None);
+    }
+    f.seek(SeekFrom::End(-(TRAILER_LEN as i64)))?;
+    let mut trailer = [0u8; TRAILER_LEN];
+    f.read_exact(&mut trailer)?;
+    let word = |at: usize| u64::from_le_bytes(trailer[at..at + 8].try_into().unwrap());
+    Ok((&trailer[16..24] == END_MAGIC).then(|| (word(0), word(8))))
 }
 
 impl<R: Read> TraceReader<R> {
@@ -187,6 +222,7 @@ impl<R: Read> TraceReader<R> {
             events_read: 0,
             event_chunks: 0,
             chunks_seen: 0,
+            reserve: 0,
         })
     }
 
@@ -446,6 +482,16 @@ impl<R: Read> TraceReader<R> {
     pub fn drain(&mut self) {
         while self.next().is_some() {}
     }
+
+    /// Drains the remaining stream into one vector. A sealed file's trailer
+    /// says how many events to make room for, so the vector is allocated
+    /// once instead of doubling its way up through a copy per step; without
+    /// an intact trailer (or with one that claims too little) it grows.
+    pub fn collect_events(&mut self) -> Vec<Access> {
+        let mut events = Vec::with_capacity(self.reserve);
+        events.extend(self.by_ref());
+        events
+    }
 }
 
 impl<R: Read> Iterator for TraceReader<R> {
@@ -547,17 +593,9 @@ fn read_info_indexed(path: &Path) -> Result<Option<TraceInfo>, TraceError> {
     let mut f = File::open(path)?;
     let header = read_header(&mut f)?;
     let file_bytes = f.metadata()?.len();
-    if file_bytes < (HEADER_V1_LEN + TRAILER_LEN) as u64 {
+    let Some((index_offset, total_records)) = read_trailer(&mut f, file_bytes)? else {
         return Ok(None);
-    }
-    f.seek(SeekFrom::End(-(TRAILER_LEN as i64)))?;
-    let mut trailer = [0u8; TRAILER_LEN];
-    f.read_exact(&mut trailer)?;
-    if &trailer[16..24] != END_MAGIC {
-        return Ok(None);
-    }
-    let index_offset = u64::from_le_bytes(trailer[0..8].try_into().unwrap());
-    let total_records = u64::from_le_bytes(trailer[8..16].try_into().unwrap());
+    };
     if index_offset >= file_bytes {
         return Ok(None);
     }
@@ -728,6 +766,47 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
         let err = TraceReader::open(&path).err().expect("a missing file too");
         assert!(err.contains(path.to_str().unwrap()), "{err}");
+    }
+
+    #[test]
+    fn collect_events_sizes_the_vector_from_a_trailer_it_never_trusts() {
+        let path = std::env::temp_dir().join(format!("predator-reserve-{}", std::process::id()));
+        let (intact, events) = sample_trace(5, 100);
+        let mut damaged = intact.clone();
+        damaged[find_nth_chunk(&intact, 2) + CHUNK_FRAME_LEN + 10] ^= 0xff;
+        for bytes in [intact, damaged] {
+            const HOSTILE: u64 = 1 << 60;
+            for claimed in [0, events.len() as u64, HOSTILE] {
+                let mut forged = bytes.clone();
+                let count_at = forged.len() - TRAILER_LEN + 8;
+                forged[count_at..count_at + 8].copy_from_slice(&claimed.to_le_bytes());
+                std::fs::write(&path, &forged).unwrap();
+                let mut file = TraceReader::open(&path).unwrap();
+                let got = file.collect_events();
+                // Same events, same loss, same sidecar as the stream reader,
+                // which never sees the count.
+                let mut stream = TraceReader::new(&forged[..]).unwrap();
+                assert_eq!(got, stream.by_ref().collect::<Vec<_>>());
+                assert_eq!(file.stats(), stream.stats());
+                assert_eq!(file.meta(), stream.meta());
+                match claimed {
+                    // Nothing to go by: grown by doubling.
+                    0 => assert!(got.capacity() <= 2 * got.len()),
+                    // 2^60 records in a 2 KB file: room for one per byte.
+                    HOSTILE => assert_eq!(got.capacity(), forged.len()),
+                    // Allocated once, whether or not a chunk was then lost.
+                    _ => assert_eq!(got.capacity(), events.len()),
+                }
+            }
+        }
+        // Cut mid-trailer, the file has no count to offer.
+        let (bytes, events) = sample_trace(5, 100);
+        std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
+        let mut r = TraceReader::open(&path).unwrap();
+        let got = r.collect_events();
+        assert_eq!((got.len(), r.stats().truncated), (events.len(), true));
+        assert!(got.capacity() <= 2 * got.len());
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

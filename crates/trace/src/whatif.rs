@@ -16,13 +16,14 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use predator_core::{
-    lower_fix, suggest_fixes, CacheGeometry, GeometryDelta, LayoutEdit, Report, VerifiedFix,
+    lower_fix, suggest_fixes, CacheGeometry, DetectorConfig, GeometryDelta, LayoutEdit, Report,
+    VerifiedFix,
 };
 use predator_sim::mesi::MesiSim;
 use predator_sim::Access;
 
-use crate::analyze::{analyze_events, AnalyzeConfig};
-use crate::format::TraceMeta;
+use crate::analyze::{analyze_events, AnalyzeConfig, AnalyzeOutcome};
+use crate::format::{touched_hull, TraceMeta, BASE_ALIGN, PAGE};
 use crate::remap::AddressRemap;
 
 /// What the replay applies to the recorded layout.
@@ -110,7 +111,7 @@ pub fn whatif_events(
     cfg: &AnalyzeConfig,
     fix: &WhatIfFix,
 ) -> WhatIfOutcome {
-    let outcome = analyze_events(events, base, size, meta, cfg);
+    let outcome = detector_walk(events, (base, size), meta, cfg);
     let mut report = outcome.report;
     let verified = annotate_fixes(events, base, size, meta, &mut report, cfg, fix);
     WhatIfOutcome {
@@ -121,8 +122,9 @@ pub fn whatif_events(
 }
 
 /// The `analyze --verify-fixes` entry point: annotates every finding of an
-/// already-built report with its suggested fix's replay numbers. Returns
-/// the number of findings annotated.
+/// already-built report — the analysis of these `events` over this range
+/// under `cfg`, which doubles as its geometry's baseline — with its
+/// suggested fix's replay numbers. Returns the number of findings annotated.
 pub fn verify_fixes(
     events: &[Access],
     base: u64,
@@ -134,7 +136,8 @@ pub fn verify_fixes(
     annotate_fixes(events, base, size, meta, report, cfg, &WhatIfFix::Suggested)
 }
 
-/// Baseline analyses + MESI ground truth at one portfolio geometry.
+/// One detector analysis + MESI ground truth at one portfolio geometry. Of
+/// the report, deltas read each finding's `object` and `invalidations` only.
 struct GeometryBaseline {
     geom: CacheGeometry,
     report: Report,
@@ -146,11 +149,77 @@ fn cores_for(events: &[Access]) -> usize {
 }
 
 fn run_mesi(events: &[Access], n_cores: usize, geom: CacheGeometry) -> MesiSim {
+    let _sp = predator_obs::span("whatif_mesi");
+    predator_obs::static_counter!("whatif_mesi_walks_total").inc();
     let mut sim = MesiSim::new(n_cores, geom);
     for a in events {
         sim.access(a.tid, a.addr, a.size, a.kind);
     }
     sim
+}
+
+fn detector_walk(
+    events: &[Access],
+    (base, size): (u64, u64),
+    meta: Option<&TraceMeta>,
+    cfg: &AnalyzeConfig,
+) -> AnalyzeOutcome {
+    predator_obs::static_counter!("whatif_detector_walks_total").inc();
+    analyze_events(events, base, size, meta, cfg)
+}
+
+/// The range what-if's own walks shadow instead of the header range
+/// `[base, base + size)`: the page-aligned hull of the bytes `events` put
+/// inside it, widened by the detector's reach at the widest portfolio line —
+/// `2r + 2` lines, `r` as in [`crate::analyze`]'s sharding argument — and
+/// clamped back to the header range. Strays stay strays and every line that
+/// can hold state is inside, so the walk's findings are the header range's
+/// (DESIGN.md, "why the tight range is sound"); its shadow is a few pages.
+pub fn tight_range(events: &[Access], base: u64, size: u64, det: &DetectorConfig) -> (u64, u64) {
+    if size == 0 {
+        return (base, 0);
+    }
+    let last = base.saturating_add(size) - 1;
+    // A line that starts inside the range is shadowed whole.
+    let Some((lo, hi)) = touched_hull(events, base..=last | (BASE_ALIGN - 1)) else {
+        return (base, 0);
+    };
+    let r = (1u64 << det.max_scale_log2) - 1;
+    let reach = (2 * r + 2) * BASE_ALIGN;
+    let lo = (lo & !(PAGE - 1)).saturating_sub(reach).max(base);
+    let hi = (hi | (PAGE - 1)).saturating_add(reach).min(last);
+    (lo, hi - lo + 1)
+}
+
+/// The portfolio over one event slice: a detector walk over its tight range
+/// and a MESI walk per geometry. `known` is an analysis of exactly these
+/// events that already exists; it stands in for its own geometry's walk.
+fn portfolio_walks(
+    events: &[Access],
+    (base, size): (u64, u64),
+    meta: Option<&TraceMeta>,
+    n_cores: usize,
+    cfg: &AnalyzeConfig,
+    known: Option<&Report>,
+) -> Vec<GeometryBaseline> {
+    let range = tight_range(events, base, size, &cfg.det);
+    let walk = |geom| {
+        let mut det = cfg.det;
+        det.geometry = geom;
+        let gcfg = AnalyzeConfig { det, ..cfg.clone() };
+        detector_walk(events, range, meta, &gcfg).report
+    };
+    CacheGeometry::portfolio()
+        .into_iter()
+        .map(|geom| GeometryBaseline {
+            geom,
+            report: match known.filter(|_| geom == cfg.det.geometry) {
+                Some(report) => report.clone(),
+                None => walk(geom),
+            },
+            mesi: run_mesi(events, n_cores, geom),
+        })
+        .collect()
 }
 
 /// Detector invalidations attributed to any finding whose object overlaps
@@ -216,19 +285,7 @@ fn annotate_fixes(
     }
 
     let n_cores = cores_for(events);
-    let baselines: Vec<GeometryBaseline> = CacheGeometry::portfolio()
-        .into_iter()
-        .map(|geom| {
-            let mut det = cfg.det;
-            det.geometry = geom;
-            let gcfg = AnalyzeConfig { det, ..cfg.clone() };
-            GeometryBaseline {
-                geom,
-                report: analyze_events(events, base, size, meta, &gcfg).report,
-                mesi: run_mesi(events, n_cores, geom),
-            }
-        })
-        .collect();
+    let baselines = portfolio_walks(events, (base, size), meta, n_cores, cfg, Some(report));
 
     // One replay per distinct edit list, shared across findings.
     let mut replays: HashMap<Vec<(u64, u64)>, Vec<GeometryBaseline>> = HashMap::new();
@@ -263,29 +320,12 @@ fn annotate_fixes(
                 k
             };
             let afters = replays.entry(key).or_insert_with(|| {
+                let span = predator_obs::span("whatif_remap");
                 let mapped = remap.apply_events(events);
                 let mapped_meta = meta.map(|m| remap.apply_meta(m));
-                let new_size = size.saturating_add(remap.total_pad());
-                CacheGeometry::portfolio()
-                    .into_iter()
-                    .map(|geom| {
-                        let mut det = cfg.det;
-                        det.geometry = geom;
-                        let gcfg = AnalyzeConfig { det, ..cfg.clone() };
-                        GeometryBaseline {
-                            geom,
-                            report: analyze_events(
-                                &mapped,
-                                base,
-                                new_size,
-                                mapped_meta.as_ref(),
-                                &gcfg,
-                            )
-                            .report,
-                            mesi: run_mesi(&mapped, n_cores, geom),
-                        }
-                    })
-                    .collect()
+                drop(span);
+                let range = (base, size.saturating_add(remap.total_pad()));
+                portfolio_walks(&mapped, range, mapped_meta.as_ref(), n_cores, cfg, None)
             });
             let new_start = remap.apply(obj_start);
             let new_end = if obj_end > obj_start {
@@ -424,6 +464,55 @@ mod tests {
         assert_eq!(v.pad_bytes, 512);
         assert!(v.fix.contains("user layout edit"), "{}", v.fix);
         assert_eq!(v.verdict, FixVerdict::Fixes);
+    }
+
+    #[test]
+    fn non_portfolio_analysis_geometry_agrees_with_64b_delta_for_delta() {
+        // At 512 B the handed report is no portfolio baseline: all four are
+        // walked, over the tight range. At 64 B the report stands in for one.
+        let events = false_sharing_trace(600);
+        let deltas = |line_size| {
+            let mut det = DetectorConfig::sensitive();
+            det.geometry = CacheGeometry::new(line_size);
+            let edits = vec![LayoutEdit {
+                at: BASE + 8,
+                pad: 512,
+            }];
+            let cfg = AnalyzeConfig::new(det, 2);
+            let out = whatif_events(&events, BASE, SIZE, None, &cfg, &WhatIfFix::Edits(edits));
+            let verified = out.report.findings[0].verified.clone();
+            verified
+                .expect("a user edit annotates every finding")
+                .deltas
+        };
+        assert!(deltas(64).iter().all(|d| d.before > 0 && d.after == 0));
+        assert_eq!(deltas(512), deltas(64));
+    }
+
+    #[test]
+    fn tight_range_hugs_the_touched_pages_and_stays_inside_the_header() {
+        let det = DetectorConfig::sensitive(); // r = 1: reach 4 × 256 B
+        let w = |addr, size| Access::write(ThreadId(0), addr, size);
+        let tight = |events: &[Access], size| tight_range(events, BASE, size, &det);
+        assert_eq!(tight(&[], SIZE), (BASE, 0));
+        assert_eq!(tight(&[w(BASE + 0x8010, 8)], 0), (BASE, 0));
+        // Strays on both sides are nobody's hull.
+        assert_eq!(
+            tight(&[w(BASE - 64, 8), w(BASE + SIZE, 8)], SIZE),
+            (BASE, 0)
+        );
+        assert_eq!(
+            tight(&[w(BASE + 0x8010, 8), w(BASE + 0x9ffc, 8)], SIZE),
+            (BASE + 0x8000 - 1024, 0x3000 + 2048),
+            "two pages and the straddler's third, widened by the reach"
+        );
+        // Clamped to the header at both ends, odd size included: a straddler
+        // counts for the part inside, and the line the range ends in is
+        // shadowed whole at every portfolio size.
+        assert_eq!(tight(&[w(BASE - 4, 8)], SIZE), (BASE, 4096 + 1024));
+        assert_eq!(tight(&[w(BASE + SIZE - 4, 8)], SIZE).1, 4096 + 1024);
+        assert_eq!(tight(&[w(BASE + 200, 8)], 100), (BASE, 100));
+        assert_eq!(tight(&[w(BASE + 256, 8)], 100), (BASE, 0));
     }
 
     #[test]

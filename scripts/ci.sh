@@ -60,6 +60,14 @@ if grep -rnE 'resize_with\(.*Atomic' crates/shadow crates/core; then
   echo "a shadow array is zeroed by hand again; use predator_shadow's zeroed()" >&2
   exit 1
 fi
+
+echo "==> one MESI store, one line hasher (per-core maps and a copied hasher must not grow back)"
+if grep -nE 'Vec<Hash(Map|Set)' crates/sim/src/mesi.rs; then
+  echo "MesiSim keeps a collection per core again; its one store is the line-keyed map" >&2
+  exit 1
+fi
+test "$(grep -rhE 'struct .*Hasher' crates | wc -l)" -eq 1
+grep -q 'pub struct LineHasher' crates/obs/src/recorder.rs
 if command -v cc > /dev/null; then
   # The SIGPROF sampler (scripts/sample/) only has to keep building.
   cc -O2 -shared -fPIC -Wall -Wextra -o /dev/null scripts/sample/prof.c
@@ -185,6 +193,16 @@ if $PRED whatif "$SMOKE/run.ptrace" --sensitive --pad 0x7f000000:1 \
   exit 1
 fi
 echo "whatif gate correctly rejected the useless fix"
+# The shard count is a plan, never a verdict: text and JSON (less the
+# process-global obs block) agree between one shard and two.
+for k in 1 2; do
+  $PRED whatif "$SMOKE/run.ptrace" --sensitive --shards $k > "$SMOKE/whatif-s$k.txt"
+  $PRED whatif "$SMOKE/run.ptrace" --sensitive --shards $k --format json |
+    sed '/^  "obs": {/,/^  }/d' > "$SMOKE/whatif-s$k.json"
+  grep -q '"verified"' "$SMOKE/whatif-s$k.json"
+done
+cmp "$SMOKE/whatif-s1.txt" "$SMOKE/whatif-s2.txt"
+cmp "$SMOKE/whatif-s1.json" "$SMOKE/whatif-s2.json"
 # analyze --verify-fixes annotates the same findings inline.
 $PRED analyze "$SMOKE/run.ptrace" --sensitive --verify-fixes > "$SMOKE/verify.txt"
 grep -q "Verified fix" "$SMOKE/verify.txt"

@@ -1,7 +1,8 @@
 //! Property tests for the what-if remap layer (the `predator whatif`
 //! foundation): identity remaps change nothing, line-multiple padding never
-//! makes the MESI ground truth worse, and remapped traces survive the
-//! `.ptrace` encode/decode round trip losslessly.
+//! makes the MESI ground truth worse, remapped traces survive the
+//! `.ptrace` encode/decode round trip losslessly, and the tight range
+//! what-if's own walks shadow finds what the header range finds.
 
 use std::io::{BufReader, Cursor};
 
@@ -10,6 +11,7 @@ use proptest::prelude::*;
 use predator::core::{DetectorConfig, LayoutEdit, Report};
 use predator::sim::mesi::MesiSim;
 use predator::sim::{Access, CacheGeometry, ThreadId};
+use predator::trace::whatif::tight_range;
 use predator::trace::{analyze_events, AddressRemap, AnalyzeConfig, TraceReader, TraceWriter};
 
 const BASE: u64 = 0x4000_0000;
@@ -59,6 +61,27 @@ fn arb_line_multiple_edits() -> impl Strategy<Value = Vec<LayoutEdit>> {
             })
             .collect()
     })
+}
+
+/// What a header's edges see, one group per bit of `mask`: two threads
+/// ping-ponging on adjacent words that straddle the low end of
+/// `[base, base + size)`, that straddle its high end, that are strays below
+/// it, strays just past its end (inside the line an odd-sized range ends
+/// in) and strays far above.
+fn edge_events(mask: u8, base: u64, size: u64) -> Vec<Access> {
+    let end = base + size;
+    let groups = [
+        [base - 4, base + 8],
+        [end - 4, end - 24],
+        [base - 0x3000, base - 0x3000 + 8],
+        [end + 40, end + 48],
+        [end + 0x3000, end + 0x3008],
+    ];
+    let picked = (0..groups.len()).filter(|g| mask >> g & 1 == 1);
+    let ping_pong = |g: usize| {
+        (0..40).map(move |i| Access::write(ThreadId(i % 2), groups[g][i as usize % 2], 8))
+    };
+    picked.flat_map(ping_pong).collect()
 }
 
 /// Total remote copies killed — the MESI quantity that is provably monotone
@@ -132,6 +155,49 @@ proptest! {
                 ls, after
             );
             prop_assert!(after <= before);
+        }
+    }
+
+    /// The detector finds over the tight range what it finds over the
+    /// header range — whatever the header's edges see, at both ends of the
+    /// `max_scale_log2` span, at every portfolio geometry, before and after
+    /// a remap. (`stats` differ by design: they describe the shadow.)
+    #[test]
+    fn prop_tight_range_finds_what_the_header_range_finds(
+        body in arb_events(),
+        edits in arb_line_multiple_edits(),
+        edges in 0u8..32,
+        odd_size in prop::bool::ANY,
+        interleave in prop::bool::ANY,
+    ) {
+        // The body sits mid-range; an odd size ends the range inside a line.
+        let (base, size) = (BASE - 0x4_0000, 0x8_0000 + 72 * odd_size as u64);
+        let mut events = edge_events(edges, base, size);
+        if interleave {
+            let at = events.len() / 2;
+            events.splice(at..at, body);
+        } else {
+            events.extend(body);
+        }
+        let remap = AddressRemap::from_edits(&edits);
+        let mapped = (remap.apply_events(&events), size + remap.total_pad());
+        for (events, size) in [(events, size), mapped] {
+            for max_scale_log2 in [1, 4] {
+                for geometry in CacheGeometry::portfolio() {
+                    let det = DetectorConfig { max_scale_log2, geometry, ..DetectorConfig::sensitive() };
+                    let cfg = AnalyzeConfig::new(det, 2);
+                    let findings = |(base, size)| {
+                        let out = analyze_events(&events, base, size, None, &cfg);
+                        serde_json::to_string(&out.report.findings).unwrap()
+                    };
+                    let tight = tight_range(&events, base, size, &det);
+                    prop_assert!(tight.0 >= base && tight.0 + tight.1 <= base + size);
+                    prop_assert_eq!(
+                        findings(tight), findings((base, size)),
+                        "{}B lines, scale 2^{}, tight {:#x?}", geometry.line_size(), max_scale_log2, tight
+                    );
+                }
+            }
         }
     }
 
