@@ -3,24 +3,10 @@
 
 use std::process::ExitCode;
 
-use predator_core::{SiteKind, TimelineOp, TimelineRecord};
+use predator_core::{TimelineOp, TimelineRecord};
 
 use crate::args::Args;
 use crate::compare::load_report;
-
-/// Short source label for a finding's object (first allocation frame,
-/// global name, or hex address) — the `explain` header form.
-fn site_label(site: &SiteKind, start: u64) -> String {
-    match site {
-        SiteKind::Heap { callsite, .. } => callsite
-            .frames
-            .first()
-            .map(|fr| fr.to_string())
-            .unwrap_or_else(|| format!("{start:#x}")),
-        SiteKind::Global { name } => name.clone(),
-        SiteKind::Unknown => format!("{start:#x}"),
-    }
-}
 
 /// `explain`'s line operand: a decimal global line index, or a 0x-prefixed
 /// byte address mapped to its 64-byte line.
@@ -112,7 +98,7 @@ pub(crate) fn cmd_explain(args: &Args) -> Result<ExitCode, String> {
     if let Some(f) = owner {
         println!(
             "  object: {} — {}, {} ({} invalidations total)",
-            site_label(&f.object.site, f.object.start),
+            f.object.label(),
             f.class,
             f.kind,
             f.invalidations

@@ -46,8 +46,7 @@ use std::time::{Duration, Instant};
 
 use predator_core::adaptive::Watchdog;
 use predator_core::{
-    build_report, build_report_merged, shutdown, Attribution, DetectorConfig, ObjectDirectory,
-    Predator, Session,
+    build_report_merged, shutdown, Attribution, DetectorConfig, ObjectDirectory, Predator, Session,
 };
 use predator_obs::alerts::parse_duration_ms;
 use predator_obs::{AlertEngine, DeltaTracker, HttpServer, Request, Response, Rule, Tsdb};
@@ -507,11 +506,12 @@ fn serve_replay(
     let (rt_for_report, dir_for_report) = (rt.clone(), directory.clone());
     let policy = opts.policy.clone();
     let report = move |req: &Request| {
-        let report = match &*dir_for_report.lock().unwrap() {
-            Some(dir) => {
-                build_report_merged(&[rt_for_report.as_ref()], Attribution::Directory(dir))
-            }
-            None => build_report(&rt_for_report, None),
+        let report = {
+            let dir = dir_for_report.lock().unwrap();
+            let attr = dir
+                .as_ref()
+                .map_or(Attribution::None, Attribution::Directory);
+            build_report_merged(&[rt_for_report.as_ref()], attr)
         };
         report_response(&report, det.geometry, &policy, req.query.as_deref())
     };

@@ -12,9 +12,10 @@ use predator_alloc::{AllocError, Callsite, FreeError, ObjectInfo, TrackedHeap};
 use predator_shadow::{Scalar, SimSpace};
 use predator_sim::{AccessKind, ThreadId};
 
+use crate::builder::build_report;
 use crate::config::DetectorConfig;
 use crate::registry::ThreadRegistry;
-use crate::report::{build_report, Report};
+use crate::report::Report;
 use crate::runtime::Predator;
 
 /// Default simulated heap size (64 MiB).

@@ -42,7 +42,8 @@
 //! * [`predict`] — hot-access-pair search and virtual-line verification
 //!   (§3.3–3.4);
 //! * [`detect`] — false-vs-true sharing classification (§2.3.2);
-//! * [`report`] — ranked, source-attributed findings (Figure 5 format);
+//! * [`report`] — ranked, source-attributed findings (Figure 5 format):
+//!   the data model, built by [`builder`] and printed by [`render`];
 //! * [`api`] — [`Session`], bundling simulated memory, the per-thread-heap
 //!   allocator, and the detector;
 //! * [`adaptive`] — the self-overhead watchdog: calibrated cost model plus
@@ -53,12 +54,14 @@
 
 pub mod adaptive;
 pub mod api;
+pub mod builder;
 pub mod config;
 pub mod detect;
 pub mod fixes;
 pub mod lockfree;
 pub mod predict;
 pub mod registry;
+pub mod render;
 pub mod report;
 pub mod runtime;
 pub mod shutdown;
@@ -69,13 +72,13 @@ pub use adaptive::{
     BackoffAction, BackoffConfig, BackoffController, Decision, SelfCostModel, TickOutcome, Watchdog,
 };
 pub use api::Session;
+pub use builder::{build_report, build_report_merged, Attribution, ObjectDirectory};
 pub use config::DetectorConfig;
 pub use detect::SharingClass;
 pub use fixes::{lower_fix, suggest_fixes, FixSuggestion, LayoutEdit};
 pub use predict::{HotPair, PredictionUnit, UnitKind, UnitSnapshot};
 pub use report::{
-    build_report, build_report_merged, Attribution, Finding, FindingKind, FixVerdict,
-    GeometryDelta, InvalidationTrace, ObjectDirectory, ObjectReport, RecordedObject, Report,
+    Finding, FindingKind, FixVerdict, GeometryDelta, InvalidationTrace, ObjectReport, Report,
     SiteKind, TimelineOp, TimelineRecord, VerifiedFix, WordReport,
 };
 pub use runtime::{GlobalInfo, Predator};

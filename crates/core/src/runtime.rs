@@ -43,13 +43,6 @@ pub struct GlobalInfo {
     pub size: u64,
 }
 
-impl GlobalInfo {
-    /// True if `addr` falls inside the global.
-    pub fn contains(&self, addr: u64) -> bool {
-        addr >= self.start && addr < self.start + self.size
-    }
-}
-
 /// The PREDATOR detector runtime.
 ///
 /// All methods take `&self`; the runtime is fully concurrent and is shared
@@ -146,13 +139,6 @@ impl Predator {
                 size,
             },
         );
-    }
-
-    /// Looks up the registered global containing `addr`.
-    pub fn global_at(&self, addr: u64) -> Option<GlobalInfo> {
-        let globals = self.globals.lock().unwrap();
-        let (_, g) = globals.range(..=addr).next_back()?;
-        g.contains(addr).then(|| g.clone())
     }
 
     /// Total access events delivered to the runtime.
@@ -869,14 +855,12 @@ mod tests {
     }
 
     #[test]
-    fn globals_are_attributed_by_range() {
+    fn globals_are_snapshotted_in_address_order() {
         let rt = rt();
+        rt.register_global("late", BASE + 4096, 64);
         rt.register_global("counter_array", BASE + 128, 64);
-        assert_eq!(rt.global_at(BASE + 128).unwrap().name, "counter_array");
-        assert_eq!(rt.global_at(BASE + 191).unwrap().name, "counter_array");
-        assert!(rt.global_at(BASE + 192).is_none());
-        assert!(rt.global_at(BASE).is_none());
-        assert_eq!(rt.globals_snapshot().len(), 1);
+        let names: Vec<String> = rt.globals_snapshot().into_iter().map(|g| g.name).collect();
+        assert_eq!(names, ["counter_array", "late"]);
     }
 
     #[test]

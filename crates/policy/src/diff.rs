@@ -14,7 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use predator_core::{Finding, FindingKind, Report, SiteKind};
+use predator_core::{Finding, FindingKind, Report};
 
 use crate::compare::{compare_maps, Delta};
 
@@ -32,15 +32,7 @@ pub struct FindingId {
 impl FindingId {
     /// Derives the identity of `f`.
     pub fn of(f: &Finding) -> Self {
-        let site = match &f.object.site {
-            SiteKind::Heap { callsite, .. } => callsite
-                .frames
-                .first()
-                .map(|fr| fr.to_string())
-                .unwrap_or_else(|| format!("{:#x}", f.object.start)),
-            SiteKind::Global { name } => name.clone(),
-            SiteKind::Unknown => format!("{:#x}", f.object.start),
-        };
+        let site = f.object.label();
         let kind = match f.kind {
             FindingKind::Observed => "observed".to_string(),
             FindingKind::PredictedDoubled => "predicted-2x".to_string(),

@@ -39,7 +39,7 @@
 //! the JSONL encoding.
 
 use predator_alloc::{Callsite, Frame, TrackedHeap};
-use predator_core::{ObjectDirectory, Predator, RecordedObject};
+use predator_core::{ObjectDirectory, ObjectReport, Predator, SiteKind};
 use predator_sim::{Access, AccessKind, ThreadId};
 use serde::{Deserialize, Serialize};
 
@@ -445,22 +445,15 @@ impl TraceMeta {
     /// Rebuilds the heap-object directory used by
     /// [`predator_core::Attribution::Directory`].
     pub fn directory(&self) -> ObjectDirectory {
-        let mut dir = ObjectDirectory::new();
-        for o in &self.objects {
-            dir.insert(RecordedObject {
-                start: o.start,
-                size: o.size,
+        let objects = self.objects.iter().map(|o| {
+            let frames = o.frames.iter().map(|f| Frame::new(f.file.clone(), f.line));
+            let site = SiteKind::Heap {
+                callsite: Callsite::from_frames(frames.collect()),
                 owner: ThreadId(o.owner),
-                callsite: Callsite::from_frames(
-                    o.frames
-                        .iter()
-                        .map(|f| Frame::new(f.file.clone(), f.line))
-                        .collect(),
-                ),
-            });
-        }
-        dir.set_live_bytes(self.app_live_bytes);
-        dir
+            };
+            ObjectReport::new(o.start, o.size, site)
+        });
+        ObjectDirectory::new(objects, self.app_live_bytes)
     }
 
     /// Re-registers the recorded globals on `rt` so report attribution can

@@ -73,6 +73,16 @@ if command -v cc > /dev/null; then
   cc -O2 -shared -fPIC -Wall -Wextra -o /dev/null scripts/sample/prof.c
 fi
 
+echo "==> one report builder (a second resolver, label or finding constructor must not grow back)"
+if grep -rnE 'fn site_(label|of)\b' crates/core crates/policy crates/cli; then
+  echo "a second site label is back; ObjectReport::label() is the one" >&2
+  exit 1
+fi
+BUILDER=$(awk '/#\[cfg\(test\)\]/ { exit } { print }' crates/core/src/builder.rs)
+test "$(grep -E '\bFinding \{' <<< "$BUILDER" | grep -vc -e '->')" -eq 1
+test "$(wc -l < crates/core/src/report.rs)" -le 900
+echo "    builder.rs: $(wc -l <<< "$BUILDER") non-test lines"
+
 echo "==> non-test source lines under crates/ (scripts/loc.sh)"
 scripts/loc.sh
 

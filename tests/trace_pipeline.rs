@@ -22,7 +22,7 @@ use predator::trace::format::{
 };
 use predator::trace::{
     analyze_events, analyze_file, import_jsonl, save_jsonl, AnalyzeConfig, AnalyzeOutcome,
-    LossStats, TraceMeta, TraceReader, TraceSink, TraceWriter,
+    LossStats, MetaFrame, MetaGlobal, MetaObject, TraceMeta, TraceReader, TraceSink, TraceWriter,
 };
 use predator::workloads::{by_name, run_and_report, Variant, WorkloadConfig};
 
@@ -631,6 +631,43 @@ fn corruption_matrix_accounts_for_every_record_at_every_shard_count() {
             let n = survivors.len() as u64;
             assert_outcome(&out, &what, &want, n, clusters, loss);
             assert_eq!(out.meta_applied, has_meta, "{what}: meta");
+        }
+    }
+    // A META chunk that is intact but hostile: sizes no address space
+    // holds. `start + size` wraps — a trap in a debug build, and in release
+    // a containment test that fails, printing "(unattributed memory)" for
+    // an object the file names. The range is the whole space past `start`.
+    let object = MetaObject {
+        start: BASE,
+        size: u64::MAX,
+        owner: 1,
+        frames: vec![MetaFrame {
+            file: "evil.c".into(),
+            line: 1,
+        }],
+    };
+    let global = MetaGlobal {
+        name: "endless".into(),
+        start: BASE,
+        size: u64::MAX,
+    };
+    let mut with_object = meta.clone();
+    with_object.objects.push(object);
+    let mut with_global = meta;
+    with_global.globals.push(global);
+    for (label, hostile) in [("evil.c:1", with_object), ("endless", with_global)] {
+        write_ptrace(&path, &events, CHUNK, Some(&hostile));
+        for shards in SHARD_COUNTS {
+            let out = analyze_file(&path, &AnalyzeConfig::new(det, shards), 0, 0)
+                .unwrap_or_else(|e| panic!("{label}: a wide object is not damage: {e}"));
+            let what = format!("hostile META {label} shards={shards}");
+            assert!(out.meta_applied && !out.loss.any(), "{what}");
+            assert!(!out.report.findings.is_empty(), "{what}");
+            for f in &out.report.findings {
+                assert_eq!(f.object.label(), label, "{what}");
+                assert_eq!((f.object.start, f.object.end), (BASE, u64::MAX), "{what}");
+            }
+            assert!(!out.report.to_string().contains("unattributed"), "{what}");
         }
     }
     std::fs::remove_file(&path).ok();
