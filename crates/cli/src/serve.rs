@@ -452,7 +452,11 @@ fn serve_workload(
 ) -> Result<(), String> {
     let w = by_name(name).expect("caller checked the workload exists");
     let wcfg = workload_config(args)?;
-    let session = Arc::new(Mutex::new(Arc::new(Session::with_config(det))));
+    // Shared: the pass runs on this thread while the server thread builds
+    // `/report` from the same detector (a snapshot drains counter batches).
+    let session = Arc::new(Mutex::new(Arc::new(
+        Session::with_config(det).into_shared(),
+    )));
     let current = |session: &Mutex<Arc<Session>>| session.lock().unwrap().clone();
 
     let (sess_for_report, policy) = (session.clone(), opts.policy.clone());
@@ -483,7 +487,7 @@ fn serve_workload(
         if consumed * ROTATE_DEN >= space * ROTATE_NUM {
             let rate = sess.runtime().sampling_rate();
             let stride = sess.runtime().analysis_stride();
-            let fresh = Arc::new(Session::with_config(det));
+            let fresh = Arc::new(Session::with_config(det).into_shared());
             fresh.runtime().set_sampling_rate(rate);
             fresh.runtime().set_analysis_stride(stride);
             *session.lock().unwrap() = fresh;
@@ -500,7 +504,8 @@ fn serve_replay(
     args: &Args,
 ) -> Result<(), String> {
     let header = TraceReader::open(path)?.header();
-    let rt = Arc::new(Predator::new(det, header.base, header.size));
+    // Shared with the server thread's `/report`, as in workload mode.
+    let rt = Arc::new(Predator::new(det, header.base, header.size).into_shared());
     let directory: Arc<Mutex<Option<ObjectDirectory>>> = Arc::new(Mutex::new(None));
 
     let (rt_for_report, dir_for_report) = (rt.clone(), directory.clone());

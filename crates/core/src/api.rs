@@ -5,8 +5,15 @@
 //! through it (callsites captured), register globals, spawn threads, and
 //! perform typed reads/writes that both touch the simulated memory and
 //! notify the detector — exactly what the compiler instrumentation of §2.2
-//! arranges for a real program. `Session` is `Sync`; share it across workload
-//! threads by reference (`std::thread::scope`) or `Arc`.
+//! arranges for a real program.
+//!
+//! A session belongs to the thread that built it, like the [`Predator`]
+//! inside it: that thread runs the workload and asks for the report, and the
+//! detector charges it no atomic read-modify-write. A session moved to
+//! another thread is [`claim`](Session::claim)ed there; one that several
+//! threads drive at once (`std::thread::scope`, `Arc`) is built with
+//! [`into_shared`](Session::into_shared). An instrumented access or a report
+//! from any other thread panics rather than risk a lost update.
 
 use predator_alloc::{AllocError, Callsite, FreeError, ObjectInfo, TrackedHeap};
 use predator_shadow::{Scalar, SimSpace};
@@ -51,6 +58,18 @@ impl Session {
     /// A session with the default heap size.
     pub fn with_config(cfg: DetectorConfig) -> Self {
         Self::new(cfg, DEFAULT_HEAP_BYTES)
+    }
+
+    /// Re-homes the session's detector to the calling thread
+    /// ([`Predator::claim`]).
+    pub fn claim(&mut self) {
+        self.runtime.claim();
+    }
+
+    /// Opens the session to every thread ([`Predator::into_shared`]).
+    pub fn into_shared(mut self) -> Self {
+        self.runtime = self.runtime.into_shared();
+        self
     }
 
     /// The simulated address space.
@@ -396,7 +415,7 @@ mod tests {
 
     #[test]
     fn multithreaded_session_usage() {
-        let s = session();
+        let s = session().into_shared();
         let g = s.global("array", 256);
         std::thread::scope(|scope| {
             for _ in 0..4 {

@@ -559,7 +559,7 @@ mod tests {
     #[test]
     fn real_threads_conserve_counts_end_to_end() {
         const PER_WORD: u64 = 5_000;
-        let rt = rt(); // sampling off, prediction on, tracking threshold 4
+        let rt = rt().into_shared(); // sampling off, prediction on, tracking threshold 4
         rt.register_global("pair", BASE, 128);
         // Promote before the threads start: crossing the threshold on line
         // 0 publishes it and its neighbour, so no thread's access falls in

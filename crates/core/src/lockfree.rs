@@ -21,53 +21,21 @@
 //!   so the hot-pair analysis that follows observes the counter updates
 //!   drained before the threshold was crossed.
 //!
-//! The algorithms are generic over [`RawU64`] — a minimal atomic-word
-//! interface implemented by `std::sync::atomic::AtomicU64` for production
-//! and by the vendored `loom` shim's `AtomicU64` in the model tests, so the
-//! code that is model-checked is the code that ships, not a replica.
+//! The algorithms are generic twice over ([`predator_shadow::mode`]). Over
+//! the cell, [`RawU64`]: `std::sync::atomic::AtomicU64` in production, the
+//! vendored `loom` shim's `AtomicU64` in the model tests, so the code that is
+//! model-checked is the code that ships, not a replica. And over the
+//! [`Mode`] every read-modify-write goes through: [`Shared`] is everything
+//! said above; under [`Exclusive`] — the detector's owner thread, proven per
+//! call by `Predator` — the same cells are updated by load and store, every
+//! CAS below succeeds first time, and the protocols degenerate to the
+//! sequential spec they linearize to.
 
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 
 use predator_sim::{packed, AccessKind, Owner, ThreadId, WordState, WordTracker};
 
-/// Minimal atomic `u64` cell the lock-free algorithms are written against.
-///
-/// All operations are `Relaxed`: the protocols below rely only on the
-/// per-location total modification order that every atomic RMW already
-/// participates in, never on cross-location ordering (the single exception,
-/// the promotion-edge `Acquire` fence, is issued by the caller).
-pub trait RawU64 {
-    /// Relaxed load.
-    fn load(&self) -> u64;
-    /// Relaxed compare-exchange (strong); `Err` carries the observed value.
-    fn cas(&self, current: u64, new: u64) -> Result<u64, u64>;
-    /// Relaxed fetch-add.
-    fn fetch_add(&self, val: u64) -> u64;
-    /// Relaxed store.
-    fn store(&self, val: u64);
-}
-
-impl RawU64 for AtomicU64 {
-    #[inline]
-    fn load(&self) -> u64 {
-        AtomicU64::load(self, Ordering::Relaxed)
-    }
-
-    #[inline]
-    fn cas(&self, current: u64, new: u64) -> Result<u64, u64> {
-        self.compare_exchange(current, new, Ordering::Relaxed, Ordering::Relaxed)
-    }
-
-    #[inline]
-    fn fetch_add(&self, val: u64) -> u64 {
-        AtomicU64::fetch_add(self, val, Ordering::Relaxed)
-    }
-
-    #[inline]
-    fn store(&self, val: u64) {
-        AtomicU64::store(self, val, Ordering::Relaxed)
-    }
-}
+pub use predator_shadow::mode::{Exclusive, Mode, RawU64, Shared};
 
 /// Advances a packed history table (see [`predator_sim::packed`]) by one
 /// access, lock-free. Returns `(previous_packed_table, invalidated)`.
@@ -79,14 +47,19 @@ impl RawU64 for AtomicU64 {
 /// application of the sequential rules, so summing the returned `invalidated`
 /// flags across threads counts exactly the invalidations of the history's
 /// modification order — no interleaving can lose or duplicate one.
-pub fn record_history<A: RawU64>(hist: &A, tid: ThreadId, kind: AccessKind) -> (u64, bool) {
+pub fn record_history<M: Mode, A: RawU64>(
+    m: M,
+    hist: &A,
+    tid: ThreadId,
+    kind: AccessKind,
+) -> (u64, bool) {
     let mut cur = hist.load();
     loop {
         let (next, invalidated) = packed::transition(cur, tid, kind);
         if next == cur {
             return (cur, false);
         }
-        match hist.cas(cur, next) {
+        match m.cas(hist, cur, next) {
             Ok(_) => return (cur, invalidated),
             Err(actual) => cur = actual,
         }
@@ -212,7 +185,8 @@ pub enum Offer {
 /// Conservation invariant (model-checked): every offered access is counted
 /// exactly once — either inside the batch word (pending) or by the caller
 /// that drains it — under all interleavings.
-pub fn offer_batch<A: RawU64>(
+pub fn offer_batch<M: Mode, A: RawU64>(
+    m: M,
     slot: &A,
     tid: u16,
     word: u8,
@@ -225,7 +199,7 @@ pub fn offer_batch<A: RawU64>(
             if is_write && write_allowance <= 1 {
                 return Offer::Claimed { displaced: 0 };
             }
-            slot.cas(cur, batch::new(tid, word, is_write, write_allowance))
+            m.cas(slot, cur, batch::new(tid, word, is_write, write_allowance))
         } else if batch::tid(cur) == tid
             && batch::word(cur) == word
             && if is_write {
@@ -239,9 +213,9 @@ pub fn offer_batch<A: RawU64>(
             } else {
                 batch::bump_read(cur)
             };
-            slot.cas(cur, next)
+            m.cas(slot, cur, next)
         } else {
-            match slot.cas(cur, 0) {
+            match m.cas(slot, cur, 0) {
                 Ok(_) => return Offer::Claimed { displaced: cur },
                 Err(actual) => Err(actual),
             }
@@ -255,10 +229,10 @@ pub fn offer_batch<A: RawU64>(
 
 /// Claims whatever batch is pending (for snapshots, resets and straddling
 /// accesses that bypass the single-word fast path). Returns `0` when empty.
-pub fn take_batch<A: RawU64>(slot: &A) -> u64 {
+pub fn take_batch<M: Mode, A: RawU64>(m: M, slot: &A) -> u64 {
     let mut cur = slot.load();
     while batch::present(cur) {
-        match slot.cas(cur, 0) {
+        match m.cas(slot, cur, 0) {
             Ok(_) => return cur,
             Err(actual) => cur = actual,
         }
@@ -269,16 +243,16 @@ pub fn take_batch<A: RawU64>(slot: &A) -> u64 {
 // ---- concrete per-line state (std atomics) ----
 
 /// Word-owner encoding inside an `AtomicU32`: untouched / shared / tid.
-const OWNER_UNTOUCHED: u32 = 0;
-const OWNER_SHARED: u32 = 1;
+const OWNER_UNTOUCHED: u64 = 0;
+const OWNER_SHARED: u64 = 1;
 
 #[inline]
-fn owner_encode(tid: u16) -> u32 {
-    tid as u32 + 2
+fn owner_encode(tid: u16) -> u64 {
+    tid as u64 + 2
 }
 
 #[inline]
-fn owner_decode(bits: u32) -> Owner {
+fn owner_decode(bits: u64) -> Owner {
     match bits {
         OWNER_UNTOUCHED => Owner::Untouched,
         OWNER_SHARED => Owner::Shared,
@@ -301,13 +275,13 @@ impl RelaxedWord {
         RelaxedWord {
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
-            owner: AtomicU32::new(OWNER_UNTOUCHED),
+            owner: AtomicU32::new(OWNER_UNTOUCHED as u32),
         }
     }
 
-    fn note_owner(&self, tid: u16) {
+    fn note_owner<M: Mode>(&self, m: M, tid: u16) {
         let enc = owner_encode(tid);
-        let mut cur = self.owner.load(Ordering::Relaxed);
+        let mut cur = RawU64::load(&self.owner);
         loop {
             let next = match cur {
                 OWNER_UNTOUCHED => enc,
@@ -315,10 +289,7 @@ impl RelaxedWord {
                 c if c == enc => return,
                 _ => OWNER_SHARED,
             };
-            match self
-                .owner
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
+            match m.cas(&self.owner, cur, next) {
                 Ok(_) => return,
                 Err(c) => cur = c,
             }
@@ -329,7 +300,7 @@ impl RelaxedWord {
         WordState {
             reads: self.reads.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
-            owner: owner_decode(self.owner.load(Ordering::Relaxed)),
+            owner: owner_decode(RawU64::load(&self.owner)),
         }
     }
 }
@@ -383,17 +354,18 @@ impl RelaxedLine {
     /// `lo_word..=hi_word` is the access's in-line word span (empty span
     /// callers skip the counter path); `prediction_threshold` is
     /// `u64::MAX`-like (never crossed) when prediction is off.
-    pub fn record(
+    pub fn record<M: Mode>(
         &self,
+        m: M,
         tid: ThreadId,
         lo_word: usize,
         hi_word: usize,
         kind: AccessKind,
         prediction_threshold: Option<u64>,
     ) -> RelaxedOutcome {
-        let (prev_history, invalidated) = record_history(&self.hist, tid, kind);
+        let (prev_history, invalidated) = record_history(m, &self.hist, tid, kind);
         if invalidated {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
+            m.add(&self.invalidations, 1);
         }
         let is_write = kind == AccessKind::Write;
         let mut due = false;
@@ -406,18 +378,18 @@ impl RelaxedLine {
                 Some(t) => t - self.writes.load(Ordering::Relaxed) % t,
                 None => u64::MAX,
             };
-            match offer_batch(&self.slot, tid.0, lo_word as u8, is_write, allowance) {
+            match offer_batch(m, &self.slot, tid.0, lo_word as u8, is_write, allowance) {
                 Offer::Deferred => {}
                 Offer::Claimed { displaced } => {
-                    due |= self.drain(displaced, prediction_threshold);
-                    due |= self.apply(tid, lo_word, hi_word, kind, prediction_threshold);
+                    due |= self.drain(m, displaced, prediction_threshold);
+                    due |= self.apply(m, tid, lo_word, hi_word, kind, prediction_threshold);
                 }
             }
         } else {
             // Straddling access: flush any pending batch, then apply each
             // touched word directly (mirrors `WordTracker::record`).
-            due |= self.drain(take_batch(&self.slot), prediction_threshold);
-            due |= self.apply(tid, lo_word, hi_word, kind, prediction_threshold);
+            due |= self.drain(m, take_batch(m, &self.slot), prediction_threshold);
+            due |= self.apply(m, tid, lo_word, hi_word, kind, prediction_threshold);
         }
         if due {
             // The promotion edge: make the counter updates drained above
@@ -433,20 +405,20 @@ impl RelaxedLine {
 
     /// Drains a claimed batch into the per-word and per-line counters.
     /// Returns true when the drained writes crossed the threshold.
-    fn drain(&self, bits: u64, prediction_threshold: Option<u64>) -> bool {
+    fn drain<M: Mode>(&self, m: M, bits: u64, prediction_threshold: Option<u64>) -> bool {
         if !batch::present(bits) {
             return false;
         }
         let (r, w) = (batch::reads(bits), batch::writes(bits));
         let word = &self.words[batch::word(bits) as usize];
-        word.note_owner(batch::tid(bits));
+        word.note_owner(m, batch::tid(bits));
         if r > 0 {
-            word.reads.fetch_add(r, Ordering::Relaxed);
-            self.reads.fetch_add(r, Ordering::Relaxed);
+            m.add(&word.reads, r);
+            m.add(&self.reads, r);
         }
         if w > 0 {
-            word.writes.fetch_add(w, Ordering::Relaxed);
-            let prev = self.writes.fetch_add(w, Ordering::Relaxed);
+            m.add(&word.writes, w);
+            let prev = m.add(&self.writes, w);
             if let Some(t) = prediction_threshold {
                 return crosses_threshold(prev, w, t);
             }
@@ -456,8 +428,9 @@ impl RelaxedLine {
 
     /// Applies one access directly (no batching) to every touched word.
     /// Line totals count the access once, however many words it touches.
-    fn apply(
+    fn apply<M: Mode>(
         &self,
+        m: M,
         tid: ThreadId,
         lo_word: usize,
         hi_word: usize,
@@ -465,27 +438,27 @@ impl RelaxedLine {
         prediction_threshold: Option<u64>,
     ) -> bool {
         for word in &self.words[lo_word..=hi_word] {
-            word.note_owner(tid.0);
+            word.note_owner(m, tid.0);
             match kind {
-                AccessKind::Read => word.reads.fetch_add(1, Ordering::Relaxed),
-                AccessKind::Write => word.writes.fetch_add(1, Ordering::Relaxed),
+                AccessKind::Read => m.add(&word.reads, 1),
+                AccessKind::Write => m.add(&word.writes, 1),
             };
         }
         match kind {
             AccessKind::Read => {
-                self.reads.fetch_add(1, Ordering::Relaxed);
+                m.add(&self.reads, 1);
                 false
             }
             AccessKind::Write => {
-                let prev = self.writes.fetch_add(1, Ordering::Relaxed);
+                let prev = m.add(&self.writes, 1);
                 prediction_threshold.is_some_and(|t| crosses_threshold(prev, 1, t))
             }
         }
     }
 
     /// Drains the pending batch (if any) and snapshots all counters.
-    pub fn snapshot(&self, base: u64) -> (WordTracker, u64, u64, u64) {
-        self.drain(take_batch(&self.slot), None);
+    pub fn snapshot<M: Mode>(&self, m: M, base: u64) -> (WordTracker, u64, u64, u64) {
+        self.drain(m, take_batch(m, &self.slot), None);
         let words = self.words.iter().map(RelaxedWord::snapshot).collect();
         (
             WordTracker::from_parts(base, words),
@@ -510,7 +483,7 @@ impl RelaxedLine {
         for w in self.words.iter() {
             w.reads.store(0, Ordering::Relaxed);
             w.writes.store(0, Ordering::Relaxed);
-            w.owner.store(OWNER_UNTOUCHED, Ordering::Relaxed);
+            RawU64::store(&w.owner, OWNER_UNTOUCHED);
         }
         for s in &self.last_words {
             s.store(0, Ordering::Relaxed);
@@ -518,7 +491,7 @@ impl RelaxedLine {
     }
 
     /// Remembers the last word `tid` touched (recorder attribution).
-    pub fn note_word(&self, tid: ThreadId, word: u8) {
+    pub fn note_word<M: Mode>(&self, m: M, tid: ThreadId, word: u8) {
         let enc = LAST_PRESENT | ((tid.0 as u32) << 8) | word as u32;
         for slot in &self.last_words {
             let cur = slot.load(Ordering::Relaxed);
@@ -526,11 +499,7 @@ impl RelaxedLine {
                 slot.store(enc, Ordering::Relaxed);
                 return;
             }
-            if cur == 0
-                && slot
-                    .compare_exchange(cur, enc, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-            {
+            if cur == 0 && m.cas(slot, 0, enc as u64).is_ok() {
                 return;
             }
             // Slot raced to another thread: keep scanning.
@@ -667,7 +636,7 @@ mod tests {
         let mut seq = HistoryTable::new();
         for i in 0..10u16 {
             let tid = ThreadId(i % 2);
-            let (_, inv) = record_history(&h, tid, Write);
+            let (_, inv) = record_history(Shared, &h, tid, Write);
             assert_eq!(inv, seq.record(tid, Write));
         }
         assert_eq!(packed::unpack(h.load(Ordering::Relaxed)), seq);
@@ -676,9 +645,9 @@ mod tests {
     #[test]
     fn redundant_access_skips_rmw_and_reports_prev() {
         let h = AtomicU64::new(packed::EMPTY);
-        record_history(&h, T0, Write);
+        record_history(Shared, &h, T0, Write);
         let before = h.load(Ordering::Relaxed);
-        let (prev, inv) = record_history(&h, T0, Write);
+        let (prev, inv) = record_history(Shared, &h, T0, Write);
         assert_eq!(prev, before);
         assert!(!inv);
         assert_eq!(h.load(Ordering::Relaxed), before);
@@ -714,12 +683,12 @@ mod tests {
         let slot = AtomicU64::new(0);
         // Distance 1: this write lands on the multiple, must be applied now.
         assert_eq!(
-            offer_batch(&slot, 0, 0, true, 1),
+            offer_batch(Shared, &slot, 0, 0, true, 1),
             Offer::Claimed { displaced: 0 }
         );
         // Distance 2: defers; the *next* write must then claim.
-        assert_eq!(offer_batch(&slot, 0, 0, true, 2), Offer::Deferred);
-        match offer_batch(&slot, 0, 0, true, 1) {
+        assert_eq!(offer_batch(Shared, &slot, 0, 0, true, 2), Offer::Deferred);
+        match offer_batch(Shared, &slot, 0, 0, true, 1) {
             Offer::Claimed { displaced } => {
                 assert_eq!(batch::writes(displaced), 1);
             }
@@ -731,9 +700,12 @@ mod tests {
     fn displacement_hands_back_full_batch() {
         let slot = AtomicU64::new(0);
         for _ in 0..5 {
-            assert_eq!(offer_batch(&slot, 1, 2, false, u64::MAX), Offer::Deferred);
+            assert_eq!(
+                offer_batch(Shared, &slot, 1, 2, false, u64::MAX),
+                Offer::Deferred
+            );
         }
-        match offer_batch(&slot, 2, 2, false, u64::MAX) {
+        match offer_batch(Shared, &slot, 2, 2, false, u64::MAX) {
             Offer::Claimed { displaced } => {
                 assert_eq!(batch::tid(displaced), 1);
                 assert_eq!(batch::reads(displaced), 5);
@@ -759,10 +731,10 @@ mod tests {
         for &(tid, addr, size, kind) in &script {
             let lo = (addr / 8) as usize;
             let hi = ((addr + size as u64 - 1).min(63) / 8) as usize;
-            line.record(ThreadId(tid), lo, hi, kind, Some(16));
+            line.record(Shared, ThreadId(tid), lo, hi, kind, Some(16));
             oracle.record(ThreadId(tid), addr, size, kind);
         }
-        let (words, _inv, reads, writes) = line.snapshot(0);
+        let (words, _inv, reads, writes) = line.snapshot(Shared, 0);
         assert_eq!(words, oracle);
         assert_eq!(reads, script.iter().filter(|a| a.3 == Read).count() as u64);
         assert_eq!(
@@ -776,7 +748,7 @@ mod tests {
         let line = RelaxedLine::new(8);
         let mut due_at = Vec::new();
         for i in 1..=40u64 {
-            if line.record(T0, 0, 0, Write, Some(16)).analysis_due {
+            if line.record(Shared, T0, 0, 0, Write, Some(16)).analysis_due {
                 due_at.push(i);
             }
         }
@@ -790,7 +762,7 @@ mod tests {
         for i in 1..=32u64 {
             let tid = ThreadId((i % 2) as u16);
             if line
-                .record(tid, tid.index(), tid.index(), Write, Some(16))
+                .record(Shared, tid, tid.index(), tid.index(), Write, Some(16))
                 .analysis_due
             {
                 due_at.push(i);
@@ -803,9 +775,9 @@ mod tests {
     fn last_words_attribution() {
         let line = RelaxedLine::new(8);
         assert_eq!(line.last_word(T0), predator_obs::recorder::WORD_UNKNOWN);
-        line.note_word(T0, 3);
-        line.note_word(T1, 5);
-        line.note_word(T0, 4);
+        line.note_word(Shared, T0, 3);
+        line.note_word(Shared, T1, 5);
+        line.note_word(Shared, T0, 4);
         assert_eq!(line.last_word(T0), 4);
         assert_eq!(line.last_word(T1), 5);
     }
@@ -814,11 +786,11 @@ mod tests {
     fn reset_clears_everything() {
         let line = RelaxedLine::new(8);
         for i in 0..20u16 {
-            line.record(ThreadId(i % 2), 0, 0, Write, Some(16));
+            line.record(Shared, ThreadId(i % 2), 0, 0, Write, Some(16));
         }
-        line.note_word(T0, 1);
+        line.note_word(Shared, T0, 1);
         line.reset();
-        let (words, inv, reads, writes) = line.snapshot(0);
+        let (words, inv, reads, writes) = line.snapshot(Shared, 0);
         assert_eq!((inv, reads, writes), (0, 0, 0));
         assert_eq!(words.total_accesses(), 0);
         assert_eq!(line.last_word(T0), predator_obs::recorder::WORD_UNKNOWN);
@@ -833,12 +805,19 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..10_000u64 {
                         let kind = if i % 4 == 0 { Read } else { Write };
-                        line.record(ThreadId(id), id as usize, id as usize, kind, Some(1024));
+                        line.record(
+                            Shared,
+                            ThreadId(id),
+                            id as usize,
+                            id as usize,
+                            kind,
+                            Some(1024),
+                        );
                     }
                 });
             }
         });
-        let (words, inv, reads, writes) = line.snapshot(0);
+        let (words, inv, reads, writes) = line.snapshot(Shared, 0);
         assert_eq!(reads, 4 * 2_500);
         assert_eq!(writes, 4 * 7_500);
         assert_eq!(words.total_accesses(), 40_000);
@@ -848,38 +827,41 @@ mod tests {
         }
     }
 
+    /// One serialized feed under `m` against the sequential oracle: same
+    /// per-word counters, same line totals, same invalidations, same
+    /// analysis-due points.
+    fn serial_feed_equals_sequential<M: Mode>(m: M, script: &[(u16, usize, bool)], threshold: u64) {
+        let line = RelaxedLine::new(8);
+        let mut hist = HistoryTable::new();
+        let mut oracle = WordTracker::new(0, predator_sim::CacheGeometry::new(64));
+        let (mut inv, mut writes) = (0u64, 0u64);
+        for &(tid, word, w) in script {
+            let kind = if w { Write } else { Read };
+            let out = line.record(m, ThreadId(tid), word, word, kind, Some(threshold));
+            let expect_inv = hist.record(ThreadId(tid), kind);
+            assert_eq!(out.invalidated, expect_inv);
+            inv += expect_inv as u64;
+            oracle.record(ThreadId(tid), (word * 8) as u64, 8, kind);
+            writes += w as u64;
+            assert_eq!(out.analysis_due, w && writes.is_multiple_of(threshold));
+        }
+        let (words, line_inv, _, line_writes) = line.snapshot(m, 0);
+        assert_eq!(words, oracle);
+        assert_eq!(line_inv, inv);
+        assert_eq!(line_writes, writes);
+    }
+
     proptest! {
-        /// Serialized relaxed feeds reproduce the sequential oracle exactly:
-        /// same per-word counters, same line totals, same invalidations,
-        /// same analysis-due points.
+        /// Serialized feeds reproduce the sequential oracle exactly, whether
+        /// the cells are updated by hardware RMW or by load and store.
         #[test]
         fn prop_serial_relaxed_equals_sequential(
             script in proptest::collection::vec(
                 (0u16..4, 0usize..8, prop::bool::ANY), 0..300),
             threshold in 1u64..32,
         ) {
-            let line = RelaxedLine::new(8);
-            let mut hist = HistoryTable::new();
-            let mut oracle = WordTracker::new(0, predator_sim::CacheGeometry::new(64));
-            let (mut inv, mut writes) = (0u64, 0u64);
-            for &(tid, word, w) in &script {
-                let kind = if w { Write } else { Read };
-                let out = line.record(ThreadId(tid), word, word, kind, Some(threshold));
-                let expect_inv = hist.record(ThreadId(tid), kind);
-                prop_assert_eq!(out.invalidated, expect_inv);
-                inv += expect_inv as u64;
-                oracle.record(ThreadId(tid), (word * 8) as u64, 8, kind);
-                if w {
-                    writes += 1;
-                    prop_assert_eq!(out.analysis_due, writes.is_multiple_of(threshold));
-                } else {
-                    prop_assert!(!out.analysis_due);
-                }
-            }
-            let (words, line_inv, _, line_writes) = line.snapshot(0);
-            prop_assert_eq!(words, oracle);
-            prop_assert_eq!(line_inv, inv);
-            prop_assert_eq!(line_writes, writes);
+            serial_feed_equals_sequential(Shared, &script, threshold);
+            serial_feed_equals_sequential(Exclusive, &script, threshold);
         }
     }
 }

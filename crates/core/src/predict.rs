@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::lockfree;
+use crate::lockfree::{self, Mode};
 
 use predator_sim::vline::{
     doubled_vline_possible, offset_vline_possible, place_offset_vline, scaled_vline_possible,
@@ -187,7 +187,8 @@ pub fn candidate_units(
 /// feed the history table, counting the invalidations that *would* occur if
 /// the virtual line were a real cache line. Updates are lock-free: the
 /// history CAS loop keeps verified invalidation counts exact (see
-/// [`crate::lockfree`]), the two counters are `Relaxed` atomics.
+/// [`crate::lockfree`]), the two counters are `Relaxed` atomics — all three
+/// updated under the caller's [`Mode`].
 #[derive(Debug)]
 pub struct PredictionUnit {
     /// Identity (scenario + vline index).
@@ -235,11 +236,11 @@ impl PredictionUnit {
 
     /// Feeds one access *already known to fall inside `range`*; returns true
     /// if it invalidated the virtual line.
-    pub fn record(&self, tid: ThreadId, kind: AccessKind) -> bool {
-        self.accesses.fetch_add(1, Ordering::Relaxed);
-        let (_, inv) = lockfree::record_history(&self.history, tid, kind);
+    pub fn record<M: Mode>(&self, m: M, tid: ThreadId, kind: AccessKind) -> bool {
+        m.add(&self.accesses, 1);
+        let (_, inv) = lockfree::record_history(m, &self.history, tid, kind);
         if inv {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
+            m.add(&self.invalidations, 1);
             predator_obs::hot_counter_inc!("predict_verified_invalidations_total");
         }
         inv
@@ -522,7 +523,7 @@ mod tests {
             }
         );
         for i in 0..10 {
-            u.record(ThreadId(i % 2), Write);
+            u.record(lockfree::Exclusive, ThreadId(i % 2), Write);
         }
         assert_eq!(u.invalidations(), 9);
         let snap = u.snapshot();
@@ -555,7 +556,7 @@ mod tests {
                 let u = u.clone();
                 s.spawn(move || {
                     for _ in 0..5_000 {
-                        u.record(ThreadId(id), Write);
+                        u.record(lockfree::Shared, ThreadId(id), Write);
                     }
                 });
             }

@@ -16,6 +16,12 @@
 //! 5. Every *PredictionThreshold* tracked writes, the hot-pair analysis of
 //!    §3.3 runs over the line and its neighbors, spawning verification units
 //!    (§3.4) for qualifying pairs.
+//!
+//! Who may do all that is the detector's *owner* ([`Predator::claim`],
+//! [`Predator::into_shared`]): each entry point that updates detector state
+//! resolves it once and threads the resulting [`Mode`] down to every counter
+//! and history update — plain loads and stores for the owning thread, atomic
+//! read-modify-writes only for a detector that really is shared.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -27,6 +33,8 @@ use predator_shadow::{LineCounters, ShadowLayout, SimSpace, TrackSlots};
 use predator_sim::{AccessKind, AccessSink, ThreadId};
 
 use crate::config::DetectorConfig;
+use crate::lockfree::{Exclusive, Mode, Shared};
+use crate::owner::Owner;
 use crate::predict::{candidate_units, find_hot_pairs, PredictionUnit, UnitRegistry, UnitSnapshot};
 use crate::track::{CacheTrack, TrackSnapshot};
 
@@ -45,9 +53,15 @@ pub struct GlobalInfo {
 
 /// The PREDATOR detector runtime.
 ///
-/// All methods take `&self`; the runtime is fully concurrent and is shared
-/// across workload threads behind an `Arc`.
+/// All methods take `&self`, but a detector has a driver: the thread that
+/// built it, until [`claim`](Self::claim) re-homes it or
+/// [`into_shared`](Self::into_shared) opens it to every thread (behind an
+/// `Arc` or a scoped borrow). The calls that update detector state —
+/// [`handle_access`](Self::handle_access), the snapshots (they drain pending
+/// counter batches) and [`object_freed`](Self::object_freed) — panic on any
+/// other thread; configuration and read-only accessors work from anywhere.
 pub struct Predator {
+    owner: Owner,
     cfg: DetectorConfig,
     layout: ShadowLayout,
     writes: LineCounters,
@@ -89,12 +103,28 @@ pub struct Predator {
 /// Sentinel for "no dynamic sampling override installed".
 const NO_OVERRIDE: u64 = u64::MAX;
 
+/// Resolves who drives `$rt` — once per entry point — and evaluates `$body`
+/// with `$m` bound to the matching [`Mode`]: one source, two instantiations.
+macro_rules! driven {
+    ($rt:expr, |$m:ident| $body:expr) => {
+        if $rt.owner.exclusive() {
+            let $m = Exclusive;
+            $body
+        } else {
+            let $m = Shared;
+            $body
+        }
+    };
+}
+
 impl Predator {
-    /// Creates a runtime covering the simulated range `[base, base+size)`.
+    /// Creates a runtime covering the simulated range `[base, base+size)`,
+    /// owned by the calling thread.
     pub fn new(cfg: DetectorConfig, base: u64, size: u64) -> Self {
         cfg.validate().expect("invalid detector configuration");
         let layout = ShadowLayout::new(base, size, cfg.geometry);
         Predator {
+            owner: Owner::me(),
             cfg,
             writes: LineCounters::new(layout.lines()),
             tracks: TrackSlots::new(layout.lines()),
@@ -117,6 +147,22 @@ impl Predator {
         let rt = Self::new(cfg, space.base(), space.size());
         rt.writes.prefault();
         rt
+    }
+
+    /// Re-homes the detector to the calling thread — after a move to the
+    /// thread that will drive it, or back again. `&mut` proves nobody else is
+    /// inside it. A shared detector stays shared.
+    pub fn claim(&mut self) {
+        self.owner.claim();
+    }
+
+    /// Opens the detector to every thread, for good: each update then pays
+    /// an atomic read-modify-write. For the callers that really share one —
+    /// `serve`'s workload and scrape threads, tests that hammer one detector
+    /// from several threads.
+    pub fn into_shared(mut self) -> Self {
+        self.owner.share();
+        self
     }
 
     /// The active configuration.
@@ -250,44 +296,54 @@ impl Predator {
         if self.is_ignored(addr) {
             return;
         }
-        self.events.fetch_add(1, Ordering::Relaxed);
+        driven!(self, |m| self.access(m, tid, addr, size, kind))
+    }
+
+    /// An access that passed every filter, under the resolved mode.
+    #[inline]
+    fn access<M: Mode>(&self, m: M, tid: ThreadId, addr: u64, size: u8, kind: AccessKind) {
+        m.add(&self.events, 1);
         predator_obs::hot_counter_inc!("runtime_accesses_total");
         let geom = self.cfg.geometry;
         for line in geom.lines_touched(addr, size) {
             if let Some(idx) = self.layout.index_of(geom.line_start(line)) {
-                self.access_line(tid, idx, addr, size, kind);
+                self.access_line(m, tid, idx, addr, size, kind);
             }
         }
     }
 
     #[inline]
-    fn access_line(&self, tid: ThreadId, idx: usize, addr: u64, size: u8, kind: AccessKind) {
+    fn access_line<M: Mode>(
+        &self,
+        m: M,
+        tid: ThreadId,
+        idx: usize,
+        addr: u64,
+        size: u8,
+        kind: AccessKind,
+    ) {
         let count = self.writes.get(idx);
         if count < self.cfg.tracking_threshold {
             if kind.is_write() {
-                let c = self.writes.increment(idx);
+                let c = self.writes.increment(m, idx);
                 if c == self.cfg.tracking_threshold {
                     // Exactly one thread observes the crossing value.
                     self.begin_tracking(idx);
                 }
             }
         } else if let Some(track) = self.tracks.get(idx) {
-            let out = match self.dyn_burst.load(Ordering::Relaxed) {
-                NO_OVERRIDE => track.handle(tid, addr, size, kind, &self.cfg),
-                burst => {
-                    let burst = (burst < self.cfg.sample_interval).then_some(burst);
-                    track.handle_sampled(tid, addr, size, kind, &self.cfg, burst)
-                }
+            let burst = match self.dyn_burst.load(Ordering::Relaxed) {
+                NO_OVERRIDE => self.cfg.sampling.then_some(self.cfg.sample_burst),
+                burst => (burst < self.cfg.sample_interval).then_some(burst),
             };
-            if out.analysis_due {
+            if track.admit(m, &self.cfg, burst)
+                && track
+                    .record_sampled(m, tid, addr, size, kind, &self.cfg)
+                    .analysis_due
+            {
                 let stride = self.analysis_stride.load(Ordering::Relaxed).max(1);
-                if stride == 1
-                    || self
-                        .analysis_ticks
-                        .fetch_add(1, Ordering::Relaxed)
-                        .is_multiple_of(stride)
-                {
-                    self.analyze(idx);
+                if stride == 1 || m.add(&self.analysis_ticks, 1).is_multiple_of(stride) {
+                    self.analyze(m, idx);
                 } else {
                     predator_obs::static_counter!("runtime_analyses_deferred_total").inc();
                 }
@@ -350,13 +406,13 @@ impl Predator {
 
     /// §3.3: hot-access-pair search over line `idx` and its neighbors;
     /// qualifying pairs spawn §3.4 verification units.
-    fn analyze(&self, idx: usize) {
+    fn analyze<M: Mode>(&self, m: M, idx: usize) {
         let _timer = predator_obs::static_histogram!("span_predict_ns").start_timer();
         predator_obs::static_counter!("predict_analyses_total").inc();
         let Some(track) = self.tracks.get(idx) else {
             return;
         };
-        let snap_l = track.snapshot();
+        let snap_l = track.snapshot(m);
         let avg = snap_l.words.average_accesses();
         let geom = self.cfg.geometry;
         let r = self.analysis_radius();
@@ -371,7 +427,7 @@ impl Predator {
             let Some(nt) = self.tracks.get(n_idx) else {
                 continue;
             };
-            let snap_n = nt.snapshot();
+            let snap_n = nt.snapshot(m);
             for pair in find_hot_pairs(&snap_l.words, &snap_n.words, avg) {
                 for (key, vg) in candidate_units(&pair, geom, self.cfg.max_scale_log2) {
                     let (unit, created) =
@@ -423,6 +479,9 @@ impl Predator {
     /// allocator recycles a block only to its owning thread, and same-thread
     /// access mixing cannot fabricate cross-thread sharing.
     pub fn object_freed(&self, start: u64, usable: u64) -> bool {
+        // Nothing below is a read-modify-write, but a reset's stores must not
+        // land between an owner's load and store: the same driver rule.
+        let _ = self.owner.exclusive();
         let geom = self.cfg.geometry;
         let end = start + usable;
         let mut involved = false;
@@ -464,15 +523,14 @@ impl Predator {
 
     /// Snapshots of every tracked line, with dense indices.
     pub fn tracked_snapshots(&self) -> Vec<(usize, TrackSnapshot)> {
-        self.tracks
-            .iter_published()
-            .map(|(i, t)| (i, t.snapshot()))
-            .collect()
+        let tracks = self.tracks.iter_published();
+        driven!(self, |m| tracks.map(|(i, t)| (i, t.snapshot(m))).collect())
     }
 
     /// Snapshot of a specific line's tracking state, if tracked.
     pub fn line_snapshot(&self, idx: usize) -> Option<TrackSnapshot> {
-        self.tracks.get(idx).map(|t| t.snapshot())
+        let track = self.tracks.get(idx);
+        driven!(self, |m| track.map(|t| t.snapshot(m)))
     }
 
     /// Write counter of dense line `idx` (saturates near the threshold).
@@ -786,7 +844,7 @@ mod tests {
         // it. `registered` is raised only after `ignore_range` returned, so
         // an access issued after a thread has seen it raised started after
         // the return and must be filtered: it may not move `events()`.
-        let rt = rt();
+        let rt = rt().into_shared();
         let registered = std::sync::atomic::AtomicBool::new(false);
         let (issued, after) = std::thread::scope(|s| {
             let workers: Vec<_> = (0..3u16)

@@ -9,12 +9,16 @@
 //! and every relevant virtual history table.
 //!
 //! Concurrency: nothing here takes a lock. The sampling decision is a lone
-//! `Relaxed` `fetch_add` on an atomic access counter; recorded accesses go
-//! through the lock-free line state in [`crate::lockfree`] — a packed-atomic
-//! history table (invalidation counts stay exact via a CAS loop over the pure
-//! §2.3.1 transition), batched `Relaxed` word/line counters, and an `Acquire`
-//! fence only on the threshold-promotion edge. The attached prediction units
-//! live in a lock-free append-only list, traversed on every sampled access.
+//! `Relaxed` add on an atomic access counter, made inline at the call site so
+//! an access outside the window never enters [`CacheTrack::record_sampled`];
+//! recorded accesses go through the lock-free line state in
+//! [`crate::lockfree`] — a packed-atomic history table (invalidation counts
+//! stay exact via a CAS loop over the pure §2.3.1 transition), batched
+//! `Relaxed` word/line counters, and an `Acquire` fence only on the
+//! threshold-promotion edge. The attached prediction units live in a
+//! lock-free append-only list, traversed on every sampled access. Every
+//! read-modify-write is issued under the caller's [`Mode`]: hardware RMWs
+//! when the detector is shared, load and store when one thread owns it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,7 +28,7 @@ use serde::{Deserialize, Serialize};
 use predator_sim::{packed, AccessKind, CacheGeometry, ThreadId, WordTracker};
 
 use crate::config::DetectorConfig;
-use crate::lockfree::{RelaxedLine, RelaxedOutcome, UnitList};
+use crate::lockfree::{Mode, RelaxedLine, RelaxedOutcome, UnitList};
 use crate::predict::PredictionUnit;
 
 /// Result of offering one access to a [`CacheTrack`].
@@ -81,38 +85,50 @@ impl CacheTrack {
         self.line_start
     }
 
-    /// Offers one access; applies the sampling policy, then records into the
-    /// physical history table, the word counters, and any overlapping
+    /// Offers one access; applies `cfg`'s sampling policy, then records into
+    /// the physical history table, the word counters, and any overlapping
     /// prediction units.
-    pub fn handle(
+    #[inline]
+    pub fn handle<M: Mode>(
         &self,
+        m: M,
         tid: ThreadId,
         addr: u64,
         size: u8,
         kind: AccessKind,
         cfg: &DetectorConfig,
     ) -> TrackOutcome {
-        let burst = cfg.sampling.then_some(cfg.sample_burst);
-        self.handle_sampled(tid, addr, size, kind, cfg, burst)
+        if self.admit(m, cfg, cfg.sampling.then_some(cfg.sample_burst)) {
+            self.record_sampled(m, tid, addr, size, kind, cfg)
+        } else {
+            TrackOutcome::default()
+        }
     }
 
-    /// [`handle`](Self::handle) under an explicit sampling policy: record the
-    /// first `burst` accesses of every `cfg.sample_interval` offered, all of
-    /// them when `None` — `cfg`'s own `sampling`/`sample_burst` are ignored.
-    /// The runtime passes its dynamic override here without copying `cfg`.
-    pub fn handle_sampled(
+    /// The sampling gate: counts one offered access and says whether it falls
+    /// in the window to record — the first `burst` of every
+    /// `cfg.sample_interval` offered, all of them when `None` (`cfg`'s own
+    /// `sampling`/`sample_burst` are ignored; the runtime passes its dynamic
+    /// override here without copying `cfg`). Inlined into the caller: at the
+    /// paper's 1 % rate 99 of 100 offered accesses end here, and none of
+    /// them pays for [`record_sampled`](Self::record_sampled)'s frame.
+    #[inline]
+    pub fn admit<M: Mode>(&self, m: M, cfg: &DetectorConfig, burst: Option<u64>) -> bool {
+        let n = m.add(&self.offered, 1);
+        burst.is_none_or(|burst| n % cfg.sample_interval < burst)
+    }
+
+    /// Records one access that [`admit`](Self::admit) let through.
+    #[inline(never)]
+    pub fn record_sampled<M: Mode>(
         &self,
+        m: M,
         tid: ThreadId,
         addr: u64,
         size: u8,
         kind: AccessKind,
         cfg: &DetectorConfig,
-        burst: Option<u64>,
     ) -> TrackOutcome {
-        let n = self.offered.fetch_add(1, Ordering::Relaxed);
-        if burst.is_some_and(|burst| n % cfg.sample_interval >= burst) {
-            return TrackOutcome::default();
-        }
         // Flight-recorder and timeline feed: the victims of an invalidating
         // write are the remote entries sitting in the history table *before*
         // the write lands (≤ 2, distinct threads — §2.3.1), so capture them
@@ -135,7 +151,7 @@ impl CacheTrack {
             invalidated,
             analysis_due,
             prev_history,
-        } = self.line.record(tid, lo_word, hi_word, kind, threshold);
+        } = self.line.record(m, tid, lo_word, hi_word, kind, threshold);
         if want_victims && kind == AccessKind::Write {
             for e in packed::unpack(prev_history).entries() {
                 if e.tid != tid {
@@ -145,11 +161,11 @@ impl CacheTrack {
             }
         }
         if flight {
-            self.line.note_word(tid, word);
+            self.line.note_word(m, tid, word);
         }
         self.units.for_each(|unit| {
             if unit.range.contains(addr) {
-                unit.record(tid, kind);
+                unit.record(m, tid, kind);
             }
         });
         predator_obs::hot_counter_inc!("track_sampled_accesses_total");
@@ -229,8 +245,8 @@ impl CacheTrack {
 
     /// Snapshot for analysis/reporting (drains the pending counter batch,
     /// then copies the word counters).
-    pub fn snapshot(&self) -> TrackSnapshot {
-        let (words, invalidations, reads, writes) = self.line.snapshot(self.line_start);
+    pub fn snapshot<M: Mode>(&self, m: M) -> TrackSnapshot {
+        let (words, invalidations, reads, writes) = self.line.snapshot(m, self.line_start);
         TrackSnapshot {
             line_start: self.line_start,
             invalidations,
@@ -261,6 +277,7 @@ impl CacheTrack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lockfree::Shared;
     use crate::predict::{HotPair, HotWord, UnitKey, UnitKind};
     use predator_sim::AccessKind::{Read, Write};
     use predator_sim::{Owner, VirtualGeometry, WordState};
@@ -273,6 +290,17 @@ mod tests {
         CacheGeometry::new(64)
     }
 
+    /// "No field may move": these sizes are `stats.metadata_bytes` and so in
+    /// every golden report. The update mode is a way of writing the cells,
+    /// never a second layout.
+    #[test]
+    fn metadata_layout_is_pinned() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<RelaxedLine>(), 120);
+        assert_eq!(size_of::<CacheTrack>(), 144);
+        assert_eq!(size_of::<PredictionUnit>(), 152);
+    }
+
     #[test]
     fn records_invalidations_like_history_table() {
         let t = CacheTrack::new(0x4000_0000, geom());
@@ -280,6 +308,7 @@ mod tests {
         let mut inv = 0;
         for i in 0..10u16 {
             let out = t.handle(
+                Shared,
                 ThreadId(i % 2),
                 0x4000_0000 + (i as u64 % 2) * 8,
                 8,
@@ -291,7 +320,7 @@ mod tests {
         }
         assert_eq!(inv, 9);
         assert_eq!(t.invalidations(), 9);
-        let snap = t.snapshot();
+        let snap = t.snapshot(Shared);
         assert_eq!(snap.writes, 10);
         assert_eq!(snap.reads, 0);
         assert_eq!(snap.offered, 10);
@@ -308,12 +337,12 @@ mod tests {
         let t = CacheTrack::new(0, geom());
         let mut sampled = 0;
         for _ in 0..250 {
-            sampled += t.handle(ThreadId(0), 0, 8, Write, &cfg).sampled as u64;
+            sampled += t.handle(Shared, ThreadId(0), 0, 8, Write, &cfg).sampled as u64;
         }
         // Bursts at offsets [0,10) and [100,110) and [200,210) → 30 samples.
         assert_eq!(sampled, 30);
-        assert_eq!(t.snapshot().writes, 30);
-        assert_eq!(t.snapshot().offered, 250);
+        assert_eq!(t.snapshot(Shared).writes, 30);
+        assert_eq!(t.snapshot(Shared).offered, 250);
     }
 
     #[test]
@@ -322,7 +351,9 @@ mod tests {
         let t = CacheTrack::new(0, geom());
         let mut due_at = Vec::new();
         for i in 1..=40u64 {
-            if t.handle(ThreadId(0), 0, 8, Write, &cfg).analysis_due {
+            if t.handle(Shared, ThreadId(0), 0, 8, Write, &cfg)
+                .analysis_due
+            {
                 due_at.push(i);
             }
         }
@@ -335,7 +366,10 @@ mod tests {
         cfg.prediction = false;
         let t = CacheTrack::new(0, geom());
         for _ in 0..64 {
-            assert!(!t.handle(ThreadId(0), 0, 8, Write, &cfg).analysis_due);
+            assert!(
+                !t.handle(Shared, ThreadId(0), 0, 8, Write, &cfg)
+                    .analysis_due
+            );
         }
     }
 
@@ -344,9 +378,9 @@ mod tests {
         let cfg = cfg_nosample();
         let t = CacheTrack::new(0, geom());
         for _ in 0..64 {
-            assert!(!t.handle(ThreadId(0), 0, 8, Read, &cfg).analysis_due);
+            assert!(!t.handle(Shared, ThreadId(0), 0, 8, Read, &cfg).analysis_due);
         }
-        assert_eq!(t.snapshot().reads, 64);
+        assert_eq!(t.snapshot(Shared).reads, 64);
     }
 
     fn dummy_unit(range_start: u64) -> Arc<PredictionUnit> {
@@ -387,7 +421,7 @@ mod tests {
         assert_eq!(t.unit_count(), 1);
         // Ping-pong inside the virtual line.
         for i in 0..10u16 {
-            t.handle(ThreadId(i % 2), (i as u64 % 2) * 56, 8, Write, &cfg);
+            t.handle(Shared, ThreadId(i % 2), (i as u64 % 2) * 56, 8, Write, &cfg);
         }
         assert_eq!(u.invalidations(), 9);
     }
@@ -409,7 +443,14 @@ mod tests {
         let u = dummy_unit(0);
         t.attach_unit(u.clone());
         for i in 0..10u16 {
-            t.handle(ThreadId(i % 2), 128 + (i as u64 % 2) * 8, 8, Write, &cfg);
+            t.handle(
+                Shared,
+                ThreadId(i % 2),
+                128 + (i as u64 % 2) * 8,
+                8,
+                Write,
+                &cfg,
+            );
         }
         assert_eq!(u.invalidations(), 0, "accesses outside unit range ignored");
     }
@@ -420,11 +461,11 @@ mod tests {
         let t = CacheTrack::new(0, geom());
         t.attach_unit(dummy_unit(0));
         for i in 0..10u16 {
-            t.handle(ThreadId(i % 2), 0, 8, Write, &cfg);
+            t.handle(Shared, ThreadId(i % 2), 0, 8, Write, &cfg);
         }
         assert!(t.invalidations() > 0);
         t.reset();
-        let snap = t.snapshot();
+        let snap = t.snapshot(Shared);
         assert_eq!(snap.invalidations, 0);
         assert_eq!(snap.reads + snap.writes, 0);
         assert_eq!(snap.offered, 0);
@@ -437,8 +478,8 @@ mod tests {
         let cfg = cfg_nosample();
         let t = CacheTrack::new(0, geom());
         // 8-byte write at offset 4 touches words 0 and 1.
-        t.handle(ThreadId(0), 4, 8, Write, &cfg);
-        let snap = t.snapshot();
+        t.handle(Shared, ThreadId(0), 4, 8, Write, &cfg);
+        let snap = t.snapshot(Shared);
         assert_eq!(snap.words.words()[0].writes, 1);
         assert_eq!(snap.words.words()[1].writes, 1);
         assert_eq!(snap.writes, 1, "line totals count the access once");
@@ -453,12 +494,12 @@ mod tests {
                 let t = t.clone();
                 s.spawn(move || {
                     for _ in 0..10_000 {
-                        t.handle(ThreadId(id), (id as u64) * 8, 8, Write, &cfg);
+                        t.handle(Shared, ThreadId(id), (id as u64) * 8, 8, Write, &cfg);
                     }
                 });
             }
         });
-        let snap = t.snapshot();
+        let snap = t.snapshot(Shared);
         assert_eq!(snap.writes, 40_000, "no update lost under contention");
         assert_eq!(snap.offered, 40_000);
         assert_eq!(snap.words.exclusive_threads().len(), 4);

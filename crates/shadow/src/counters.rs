@@ -5,9 +5,12 @@
 //! count crosses the *TrackingThreshold* the runtime does nothing else for
 //! it — reads are not even counted — which is what keeps the common case
 //! cheap. The increment is a single `Relaxed` atomic `fetch_add`, "to avoid
-//! expensive lock operations".
+//! expensive lock operations" — and not even that when one thread owns the
+//! detector ([`crate::mode`]).
 
 use std::sync::atomic::{AtomicU32, Ordering};
+
+use crate::mode::{Mode, Shared};
 
 /// A dense array of per-cache-line atomic write counters.
 pub struct LineCounters {
@@ -22,21 +25,22 @@ impl LineCounters {
     }
 
     /// Backs the whole array now, not on first touch — for live sessions,
-    /// whose workload threads would otherwise take the faults mid-run. A CAS
-    /// of 0 for 0 per page: `fetch_add(0)` compiles to a load and backs nothing.
+    /// whose workload threads would otherwise take the faults mid-run. A
+    /// hardware CAS of 0 for 0 per page: an add of 0 compiles to a load and
+    /// backs nothing.
     pub fn prefault(&self) {
         const PER_PAGE: usize = 4096 / std::mem::size_of::<AtomicU32>();
         for count in self.counts.iter().step_by(PER_PAGE) {
-            let _ = count.compare_exchange(0, 0, Ordering::Relaxed, Ordering::Relaxed);
+            let _ = Shared.cas(count, 0, 0);
         }
     }
 
-    /// Atomically increments the write counter of the line with dense index
-    /// `idx` and returns the *new* value (Figure 1's
+    /// Increments the write counter of the line with dense index `idx` and
+    /// returns the *new* value (Figure 1's
     /// `ATOMIC_INCR(&CacheWrites[cacheIndex])`).
     #[inline]
-    pub fn increment(&self, idx: usize) -> u32 {
-        self.counts[idx].fetch_add(1, Ordering::Relaxed) + 1
+    pub fn increment<M: Mode>(&self, m: M, idx: usize) -> u32 {
+        m.add(&self.counts[idx], 1) as u32 + 1
     }
 
     /// Current write count of dense line `idx`.
@@ -97,8 +101,8 @@ mod tests {
     #[test]
     fn increment_returns_new_value() {
         let c = counters();
-        assert_eq!(c.increment(3), 1);
-        assert_eq!(c.increment(3), 2);
+        assert_eq!(c.increment(Shared, 3), 1);
+        assert_eq!(c.increment(crate::mode::Exclusive, 3), 2);
         assert_eq!(c.get(3), 2);
         assert_eq!(c.get(2), 0);
     }
@@ -106,8 +110,8 @@ mod tests {
     #[test]
     fn reset_zeroes_single_line() {
         let c = counters();
-        c.increment(1);
-        c.increment(2);
+        c.increment(Shared, 1);
+        c.increment(Shared, 2);
         c.reset(1);
         assert_eq!(c.get(1), 0);
         assert_eq!(c.get(2), 1);
@@ -138,7 +142,7 @@ mod tests {
                 let c = c.clone();
                 s.spawn(move || {
                     for _ in 0..10_000 {
-                        c.increment(0);
+                        c.increment(Shared, 0);
                     }
                 });
             }

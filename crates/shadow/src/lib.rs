@@ -18,16 +18,23 @@
 //!    CAS-published pointers to detailed per-line tracking state (Figure 1's
 //!    `ATOMIC_CAS(&CacheTracking[cacheIndex], 0, track)`).
 //!
+//! Every read-modify-write on detector state — these counters and
+//! `predator-core`'s per-line cells — is issued through a [`Mode`]: hardware
+//! RMWs when several threads drive a detector, load and store when one owns
+//! it ([`mode`]).
+//!
 //! Memory-ordering notes (per *Rust Atomics and Locks*): counters use
 //! `Relaxed` (pure counts, no data published through them); [`TrackSlots`]
 //! publishes with `Release` and reads with `Acquire` so the fully-initialized
 //! track structure is visible to every thread that observes the pointer.
 
 pub mod counters;
+pub mod mode;
 pub mod space;
 pub mod track_slots;
 
 pub use counters::LineCounters;
+pub use mode::{Exclusive, Mode, RawU64, Shared};
 pub use space::{Scalar, SimSpace};
 pub use track_slots::TrackSlots;
 

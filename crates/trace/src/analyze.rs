@@ -212,6 +212,11 @@ impl ShardPlan {
 /// and their events in batches. Without a plan (one shard) it is the only
 /// worker and marks the lines it sees. `tail` runs on the dry stream, for
 /// what a `.ptrace` knows only then: its META chunk and its loss.
+///
+/// Each detector has exactly one driver at a time, so none pays for an
+/// atomic read-modify-write: shard 0 stays with the caller, every other one
+/// is lent `&mut` to its worker, which claims it, and claimed back for the
+/// merge once the workers are joined.
 fn replay<I: Iterator<Item = Access>, M: Borrow<TraceMeta>>(
     events: &mut I,
     plan: Option<ShardPlan>,
@@ -221,17 +226,19 @@ fn replay<I: Iterator<Item = Access>, M: Borrow<TraceMeta>>(
 ) -> AnalyzeOutcome {
     let mut seen = (plan.is_none()).then(|| LineTally::new(cfg, range, 64));
     let shards_used = plan.as_ref().map_or(1, |p| p.shards_used);
-    let rts: Vec<Predator> = (0..shards_used)
+    let mut rts: Vec<Predator> = (0..shards_used)
         .map(|_| Predator::new(cfg.det, range.0, range.1))
         .collect();
+    let (home, away) = rts.split_first_mut().expect("at least one shard");
     let mut delivered = 0u64;
     std::thread::scope(|s| {
         let mut lanes = Vec::with_capacity(shards_used - 1);
         let mut workers = Vec::with_capacity(shards_used - 1);
-        for rt in &rts[1..] {
+        for rt in away.iter_mut() {
             let (tx, rx) = sync_channel::<Vec<Access>>(CHANNEL_DEPTH);
             workers.push(s.spawn(move || {
                 let _sp = predator_obs::span("shard_analyze");
+                rt.claim();
                 for a in rx.into_iter().flatten() {
                     rt.handle_access(a.tid, a.addr, a.size, a.kind);
                 }
@@ -249,7 +256,7 @@ fn replay<I: Iterator<Item = Access>, M: Borrow<TraceMeta>>(
             }
             let line = cfg.det.geometry.line_index(a.addr);
             let Some(away) = plan.as_ref().and_then(|p| p.shard_of(line).checked_sub(1)) else {
-                rts[0].handle_access(a.tid, a.addr, a.size, a.kind);
+                home.handle_access(a.tid, a.addr, a.size, a.kind);
                 continue;
             };
             let (tx, buf) = &mut lanes[away];
@@ -269,6 +276,7 @@ fn replay<I: Iterator<Item = Access>, M: Borrow<TraceMeta>>(
             w.join().expect("shard worker panicked");
         }
     });
+    away.iter_mut().for_each(Predator::claim);
     let (meta, loss) = tail(events);
     let meta = meta.as_ref().map(M::borrow);
     if let Some(m) = meta {

@@ -6,8 +6,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test --workspace -q"
-cargo test --workspace -q
+echo "==> cargo test --workspace -q (loom models walked to the end)"
+# tests/loom_model.rs bounds its schedule count by default (tier-1);
+# here every tree is explored exhaustively.
+PREDATOR_LOOM_EXHAUSTIVE=1 cargo test --workspace -q
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -82,6 +84,19 @@ BUILDER=$(awk '/#\[cfg\(test\)\]/ { exit } { print }' crates/core/src/builder.rs
 test "$(grep -E '\bFinding \{' <<< "$BUILDER" | grep -vc -e '->')" -eq 1
 test "$(wc -l < crates/core/src/report.rs)" -le 900
 echo "    builder.rs: $(wc -l <<< "$BUILDER") non-test lines"
+
+echo "==> one door to a lock prefix (a detector update goes through its Mode)"
+# The hot files may not issue a relaxed read-modify-write of their own: the
+# std atomics' RMWs live in crates/shadow/src/mode.rs, behind Shared/Exclusive.
+# Release publications (TrackSlots, UnitList) are rare and stay atomic.
+for f in crates/core/src/{runtime,track,lockfree,predict}.rs crates/shadow/src/counters.rs; do
+  if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+    grep -E '\.(fetch_add\(|compare_exchange)' | grep -v 'Ordering::Release'; then
+    echo "a read-modify-write bypasses the detector's Mode (predator_shadow::mode)" >&2
+    exit 1
+  fi
+done
+grep -q 'compare_exchange' crates/shadow/src/mode.rs
 
 echo "==> non-test source lines under crates/ (scripts/loc.sh)"
 scripts/loc.sh

@@ -50,9 +50,11 @@ struct State {
     current: usize,
     /// Decisions taken so far this execution, as (chosen index, #candidates).
     decisions: Vec<(usize, usize)>,
-    /// Replay prefix: decision indices to take before exploring fresh ones
-    /// (fresh ones always take candidate 0).
+    /// Replay prefix: decision indices to take before exploring fresh ones.
     prefix: Vec<usize>,
+    /// Fresh decisions take candidate 0 when this is 0 (depth-first), else
+    /// a pseudo-random candidate drawn from this xorshift state (sampling).
+    rng: u64,
     failed: bool,
     panic: Option<Box<dyn std::any::Any + Send>>,
 }
@@ -80,13 +82,14 @@ pub(crate) fn sched_point() {
 }
 
 impl Scheduler {
-    fn new(prefix: Vec<usize>) -> Self {
+    fn new(prefix: Vec<usize>, rng: u64) -> Self {
         Scheduler {
             st: Mutex::new(State {
                 threads: vec![Run::Active],
                 current: 0,
                 decisions: Vec::new(),
                 prefix,
+                rng,
                 failed: false,
                 panic: None,
             }),
@@ -108,11 +111,19 @@ impl Scheduler {
             return None;
         }
         let k = st.decisions.len();
+        let fresh = if st.rng == 0 {
+            0
+        } else {
+            st.rng ^= st.rng << 13;
+            st.rng ^= st.rng >> 7;
+            st.rng ^= st.rng << 17;
+            (st.rng >> 32) as usize % runnable.len()
+        };
         let choice = st
             .prefix
             .get(k)
             .copied()
-            .unwrap_or(0)
+            .unwrap_or(fresh)
             .min(runnable.len() - 1);
         st.decisions.push((choice, runnable.len()));
         Some(runnable[choice])
@@ -253,16 +264,40 @@ pub fn model<F>(f: F)
 where
     F: Fn() + Send + Sync + 'static,
 {
+    assert!(
+        explore(MAX_EXECUTIONS, false, f),
+        "loom shim: more than {MAX_EXECUTIONS} schedules; shrink the modelled test"
+    );
+}
+
+/// [`model`] on a budget: explores depth-first for up to `budget` schedules
+/// and returns true if that was the whole tree. A bigger tree gets `budget`
+/// more schedules drawn pseudo-randomly (a truncated depth-first walk only
+/// ever varies the last few decisions) — the same ones on every run — and
+/// the answer false: nothing was found, but not everything was tried.
+pub fn model_bounded<F>(budget: usize, f: F) -> bool
+where
+    F: Fn() + Send + Sync + 'static,
+{
+    explore(budget, true, f)
+}
+
+/// Depth-first over `f`'s schedule tree for up to `budget` executions; true
+/// when that exhausted it. Otherwise false, after `budget` sampled
+/// executions more if `sample`.
+fn explore<F>(budget: usize, sample: bool, f: F) -> bool
+where
+    F: Fn() + Send + Sync + 'static,
+{
     let f = Arc::new(f);
     let mut prefix: Vec<usize> = Vec::new();
     let mut executions = 0usize;
     loop {
         executions += 1;
-        assert!(
-            executions <= MAX_EXECUTIONS,
-            "loom shim: more than {MAX_EXECUTIONS} schedules; shrink the modelled test"
-        );
-        let sched = Arc::new(Scheduler::new(prefix.clone()));
+        let sampling = executions > budget;
+        // Any odd constant times the index: a distinct non-zero seed each.
+        let rng = sampling as u64 * (executions as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let sched = Arc::new(Scheduler::new(prefix.clone(), rng));
 
         let s0 = Arc::clone(&sched);
         let f0 = Arc::clone(&f);
@@ -284,9 +319,21 @@ where
             eprintln!("loom shim: schedule {schedule:?} failed after {executions} execution(s)");
             resume_unwind(payload);
         }
+        if sampling {
+            if executions == 2 * budget {
+                return false;
+            }
+            continue;
+        }
         match next_prefix(&st.decisions) {
+            Some(_) if executions == budget => {
+                if !sample {
+                    return false;
+                }
+                prefix = Vec::new();
+            }
             Some(p) => prefix = p,
-            None => return,
+            None => return true,
         }
     }
 }
@@ -480,6 +527,42 @@ mod tests {
             HashSet::from([1, 2]),
             "exhaustive exploration must hit both the racy and the clean schedule"
         );
+    }
+
+    /// A tree inside the budget is walked whole; a bigger one is sampled,
+    /// reproducibly, and reported as not exhausted.
+    #[test]
+    fn a_budget_smaller_than_the_tree_samples_and_says_so() {
+        let run = |budget: usize| {
+            let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+            let seen2 = Arc::clone(&seen);
+            let whole = super::model_bounded(budget, move || {
+                let n = Arc::new(AtomicU64::new(0));
+                let handles: Vec<_> = (0..2)
+                    .map(|_| {
+                        let n = Arc::clone(&n);
+                        super::thread::spawn(move || {
+                            let v = n.load(Ordering::Relaxed);
+                            n.store(v + 1, Ordering::Relaxed);
+                        })
+                    })
+                    .collect();
+                for h in handles {
+                    h.join().unwrap();
+                }
+                seen2.lock().unwrap().push(n.load(Ordering::Relaxed));
+            });
+            let seen = seen.lock().unwrap().clone();
+            (whole, seen)
+        };
+        let (whole, seen) = run(10_000);
+        assert!(whole);
+        assert_eq!(HashSet::from_iter(seen), HashSet::from([1, 2]));
+        let (whole, seen) = run(8);
+        assert!(!whole);
+        assert_eq!(seen.len(), 16, "the budget again, sampled");
+        assert_eq!(run(8).1, seen, "the same schedules on every run");
+        assert!(seen[8..].contains(&1), "sampling reaches the racy schedule");
     }
 
     /// fetch_add is atomic: no schedule may lose an increment.

@@ -13,7 +13,7 @@ fn allocator_isolation_prevents_cross_object_false_sharing() {
     // Many threads allocate and hammer their own small objects with REAL
     // concurrency. The per-thread-heap allocator must prevent any
     // cross-thread line sharing, so the detector must stay silent.
-    let s = session();
+    let s = session().into_shared();
     std::thread::scope(|scope| {
         for _ in 0..4 {
             scope.spawn(|| {
@@ -143,7 +143,7 @@ fn concurrent_detection_with_real_threads_is_sound() {
     // that is not there, and (b) keep counters consistent. Each thread gets
     // its own object; one *pair* of threads deliberately shares a line via
     // an object allocated by the main thread.
-    let s = session();
+    let s = session().into_shared();
     let main = s.register_thread();
     let shared = s.malloc(main, 64, Callsite::here()).unwrap();
     std::thread::scope(|scope| {

@@ -9,6 +9,15 @@
 //! accesses. (What real concurrency may blur is bounded separately:
 //! `tests/loom_model.rs` and the conservation tests in `predator-core`.)
 //!
+//! The line is fed under both update modes — `Shared` (hardware
+//! read-modify-writes; the instantiation loom interleaves) and `Exclusive`
+//! (load and store; what a detector's owner thread runs, which nothing ever
+//! interleaves) — and each must match the sequential model. One level up,
+//! the same feeds go to an owned and a shared [`Predator`], with an object
+//! freed mid-run, and both must end in the same snapshots, event count and
+//! report. The last section pins what makes the owned mode safe: a second
+//! thread cannot drive an owned detector, and a moved one is claimed.
+//!
 //! Two layers:
 //!
 //! * a deterministic matrix — every canonical sharing pattern, plus a
@@ -30,9 +39,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use predator::core::lockfree::{Exclusive, Mode, Shared};
 use predator::core::predict::{HotPair, HotWord, PredictionUnit, UnitKey, UnitKind, UnitSnapshot};
 use predator::core::track::{CacheTrack, TrackOutcome, TrackSnapshot};
-use predator::core::DetectorConfig;
+use predator::core::{build_report, DetectorConfig, Predator};
 use predator::sim::interleave::{interleave, Schedule, Script};
 use predator::sim::patterns::{generate, Pattern};
 use predator::sim::{
@@ -203,7 +213,7 @@ impl Rig {
 
 /// Feeds both sides and describes the first point where they part, if any:
 /// an access answered differently, or the state left behind.
-fn divergence(feed: &[Access], cfg: DetectorConfig) -> Option<String> {
+fn divergence<M: Mode>(m: M, feed: &[Access], cfg: DetectorConfig) -> Option<String> {
     let geom = cfg.geometry;
     let mut rig = Rig::default();
     for (i, a) in feed.iter().enumerate() {
@@ -213,7 +223,7 @@ fn divergence(feed: &[Access], cfg: DetectorConfig) -> Option<String> {
                 .lines
                 .entry(index)
                 .or_insert_with(|| new_line(index, geom));
-            let got = track.handle(a.tid, a.addr, a.size, a.kind, &cfg);
+            let got = track.handle(m, a.tid, a.addr, a.size, a.kind, &cfg);
             let want = seq.handle(a, &cfg, &mut rig.seq_units);
             if got != want {
                 return Some(format!(
@@ -226,7 +236,7 @@ fn divergence(feed: &[Access], cfg: DetectorConfig) -> Option<String> {
         }
     }
     for (index, (track, seq)) in &rig.lines {
-        let (got, want) = (track.snapshot(), seq.snapshot());
+        let (got, want) = (track.snapshot(m), seq.snapshot());
         if got != want {
             return Some(format!(
                 "line {index} ends as\nlock-free  {got:?}\nsequential {want:?}"
@@ -254,7 +264,7 @@ fn divergence(feed: &[Access], cfg: DetectorConfig) -> Option<String> {
 /// ddmin over the access feed: repeatedly delete chunks (halving the chunk
 /// size whenever a whole pass removes nothing) while the divergence
 /// persists. Ends at a feed where no single access can be removed.
-fn ddmin(feed: &[Access], cfg: DetectorConfig) -> Vec<Access> {
+fn ddmin<M: Mode>(m: M, feed: &[Access], cfg: DetectorConfig) -> Vec<Access> {
     let mut cur: Vec<Access> = feed.to_vec();
     let mut chunk = cur.len().div_ceil(2).max(1);
     loop {
@@ -263,7 +273,7 @@ fn ddmin(feed: &[Access], cfg: DetectorConfig) -> Vec<Access> {
         while i < cur.len() {
             let mut cand = cur.clone();
             cand.drain(i..(i + chunk).min(cand.len()));
-            if !cand.is_empty() && divergence(&cand, cfg).is_some() {
+            if !cand.is_empty() && divergence(m, &cand, cfg).is_some() {
                 cur = cand;
                 removed = true;
             } else {
@@ -282,19 +292,72 @@ fn ddmin(feed: &[Access], cfg: DetectorConfig) -> Vec<Access> {
     cur
 }
 
-/// Asserts equivalence; on divergence, shrinks first so the failure message
-/// is a minimal interleaving rather than a thousand-access feed.
-fn assert_equivalent(feed: &[Access], cfg: DetectorConfig, ctx: &str) {
-    if divergence(feed, cfg).is_none() {
+/// Asserts equivalence under `m`; on divergence, shrinks first so the
+/// failure message is a minimal interleaving rather than a thousand-access
+/// feed.
+fn assert_mode_equivalent<M: Mode + std::fmt::Debug>(
+    m: M,
+    feed: &[Access],
+    cfg: DetectorConfig,
+    ctx: &str,
+) {
+    if divergence(m, feed, cfg).is_none() {
         return;
     }
-    let min = ddmin(feed, cfg);
+    let min = ddmin(m, feed, cfg);
     panic!(
-        "lock-free line diverges from the sequential spec [{ctx}]\n\
+        "lock-free line ({m:?}) diverges from the sequential spec [{ctx}]\n\
          minimal feed ({} accesses): {:#?}\n{}",
         min.len(),
         min,
-        divergence(&min, cfg).expect("ddmin keeps the divergence")
+        divergence(m, &min, cfg).expect("ddmin keeps the divergence")
+    );
+}
+
+/// The whole property: the line under either mode matches the sequential
+/// model, and an owned and a shared detector cannot be told apart.
+fn assert_equivalent(feed: &[Access], cfg: DetectorConfig, ctx: &str) {
+    assert_mode_equivalent(Shared, feed, cfg, ctx);
+    assert_mode_equivalent(Exclusive, feed, cfg, ctx);
+    assert_same_detector(feed, cfg, ctx);
+}
+
+// ---- one level up: an owned and a shared detector ----
+
+/// Everything a detector has to show for a feed.
+fn detector_state(rt: &Predator) -> impl PartialEq + std::fmt::Debug {
+    let report = build_report(rt, None);
+    (
+        rt.events(),
+        rt.tracked_snapshots(),
+        rt.unit_snapshots(),
+        serde_json::to_string(&report.findings).unwrap(),
+        serde_json::to_string(&report.stats).unwrap(),
+    )
+}
+
+/// Feeds an owned (exclusive updates) and a shared (atomic updates)
+/// `Predator` in lock step, frees the first two lines' object half-way, and
+/// requires the same answer from `object_freed` and the same end state.
+fn assert_same_detector(feed: &[Access], cfg: DetectorConfig, ctx: &str) {
+    let owned = Predator::new(cfg, BASE, 1 << 16);
+    let shared = Predator::new(cfg, BASE, 1 << 16).into_shared();
+    let object_bytes = 2 * cfg.geometry.line_size();
+    for (i, a) in feed.iter().enumerate() {
+        if i == feed.len() / 2 {
+            assert_eq!(
+                owned.object_freed(BASE, object_bytes),
+                shared.object_freed(BASE, object_bytes),
+                "object_freed half-way [{ctx}]"
+            );
+        }
+        owned.handle_access(a.tid, a.addr, a.size, a.kind);
+        shared.handle_access(a.tid, a.addr, a.size, a.kind);
+    }
+    assert_eq!(
+        detector_state(&owned),
+        detector_state(&shared),
+        "owned and shared detectors part ways [{ctx}]"
     );
 }
 
@@ -460,4 +523,68 @@ proptest! {
             assert_equivalent(&feed, cfg, &format!("seed {seed} / {name}"));
         }
     }
+}
+
+// ---- ownership: what keeps the exclusive mode safe ----
+
+/// Ping-pong on the first line: promotes it and invalidates on every write.
+fn hammer(rt: &Predator, rounds: u64) {
+    for i in 0..rounds {
+        rt.handle_access(
+            ThreadId((i % 2) as u16),
+            BASE + (i % 2) * 8,
+            8,
+            AccessKind::Write,
+        );
+    }
+}
+
+#[test]
+#[should_panic(expected = "owned by one thread was driven from another")]
+fn a_second_thread_cannot_drive_an_owned_detector() {
+    let rt = Predator::new(DetectorConfig::sensitive(), BASE, 1 << 16);
+    hammer(&rt, 100);
+    let trespass = std::thread::scope(|s| s.spawn(|| hammer(&rt, 1)).join());
+    std::panic::resume_unwind(trespass.expect_err("the second driver must panic"));
+}
+
+#[test]
+fn a_refused_driver_leaves_the_owners_counts_untouched() {
+    let rt = Predator::new(DetectorConfig::sensitive(), BASE, 1 << 16);
+    hammer(&rt, 100);
+    let before = detector_state(&rt);
+    std::thread::scope(|s| {
+        // Neither an access, nor a snapshot (it drains), nor a free.
+        for act in [
+            (|rt| hammer(rt, 50)) as fn(&Predator),
+            |rt| assert!(rt.tracked_snapshots().is_empty()),
+            |rt| assert!(rt.object_freed(BASE, 64)),
+        ] {
+            let rt = &rt;
+            assert!(s.spawn(move || act(rt)).join().is_err());
+        }
+        // Reading is anyone's.
+        assert_eq!(s.spawn(|| rt.events()).join().unwrap(), 100);
+    });
+    assert_eq!(detector_state(&rt), before);
+    hammer(&rt, 100);
+    assert_eq!(rt.events(), 200, "and the owner carries on");
+}
+
+#[test]
+fn a_moved_detector_is_claimed_by_its_new_thread() {
+    let mut rt = Predator::new(DetectorConfig::sensitive(), BASE, 1 << 16);
+    hammer(&rt, 100);
+    let mut rt = std::thread::spawn(move || {
+        rt.claim();
+        hammer(&rt, 100);
+        rt
+    })
+    .join()
+    .expect("the claiming thread drives it");
+    assert_eq!(rt.events(), 200);
+    rt.claim();
+    let control = Predator::new(DetectorConfig::sensitive(), BASE, 1 << 16);
+    hammer(&control, 200);
+    assert_eq!(detector_state(&rt), detector_state(&control));
 }

@@ -13,6 +13,19 @@
 //! and require the observed outcome set to equal the enumerated one. ⊆
 //! proves linearizability (nothing unserialisable happens); ⊇ proves the
 //! scheduler actually explores every order (the test has teeth).
+//!
+//! **Which instantiation.** The algorithms take a `Mode`; these models run
+//! [`Shared`], the one that meets other threads. The owner-thread
+//! instantiation (`Exclusive`: load and store on the same cells) is never
+//! interleaved by construction — `Predator` panics on a second driver — and
+//! is proven against this one and against the sequential model by
+//! `tests/differential_modes.rs`.
+//!
+//! **How much.** By default each model gets [`BUDGET`] schedules depth-first
+//! — the whole tree for five of the seven — plus as many sampled ones when
+//! the tree is bigger, which bounds tier-1; `PREDATOR_LOOM_EXHAUSTIVE=1`
+//! (set by `scripts/ci.sh` and CI) walks every tree to the end. The ⊇
+//! direction is asserted only where the walk was exhaustive.
 
 use std::collections::HashSet;
 use std::sync::Mutex;
@@ -20,7 +33,7 @@ use std::sync::Mutex;
 use loom::sync::atomic::{AtomicU64, Ordering};
 use loom::sync::Arc;
 
-use predator::core::lockfree::{self, batch, crosses_threshold, Offer, RawU64};
+use predator::core::lockfree::{self, batch, crosses_threshold, Offer, RawU64, Shared};
 use predator::sim::packed;
 use predator::sim::{AccessKind, ThreadId};
 
@@ -47,6 +60,20 @@ impl RawU64 for LoomCell {
     fn store(&self, val: u64) {
         self.0.store(val, Ordering::Relaxed)
     }
+}
+
+/// Depth-first schedules per model before sampling takes over (the two
+/// largest trees hold 15 k and 202 k).
+const BUDGET: usize = 2_000;
+
+/// Runs `f` under loom: every schedule when `PREDATOR_LOOM_EXHAUSTIVE` is
+/// set, a bounded number otherwise. True when every schedule was run.
+fn check(f: impl Fn() + Send + Sync + 'static) -> bool {
+    if std::env::var_os("PREDATOR_LOOM_EXHAUSTIVE").is_some_and(|v| v == "1") {
+        loom::model(f);
+        return true;
+    }
+    loom::model_bounded(BUDGET, f)
 }
 
 type Op = (u16, AccessKind);
@@ -89,13 +116,13 @@ fn enumerate_serial(threads: &[Vec<Op>]) -> HashSet<(u64, u64)> {
 }
 
 /// Runs the same op sequences through the atomic CAS implementation under
-/// every loom schedule; returns the observed (final table, Σ invalidations)
-/// set.
-fn model_history(threads: Vec<Vec<Op>>) -> HashSet<(u64, u64)> {
+/// loom; returns the observed (final table, Σ invalidations) set and whether
+/// every schedule produced it.
+fn model_history(threads: Vec<Vec<Op>>) -> (HashSet<(u64, u64)>, bool) {
     let observed: std::sync::Arc<Mutex<HashSet<(u64, u64)>>> =
         std::sync::Arc::new(Mutex::new(HashSet::new()));
     let obs = std::sync::Arc::clone(&observed);
-    loom::model(move || {
+    let exhaustive = check(move || {
         let hist = Arc::new(LoomCell::default());
         let handles: Vec<_> = threads
             .iter()
@@ -105,7 +132,8 @@ fn model_history(threads: Vec<Vec<Op>>) -> HashSet<(u64, u64)> {
                 loom::thread::spawn(move || {
                     let mut inv = 0u64;
                     for (tid, kind) in ops {
-                        inv += lockfree::record_history(&*hist, ThreadId(tid), kind).1 as u64;
+                        inv +=
+                            lockfree::record_history(Shared, &*hist, ThreadId(tid), kind).1 as u64;
                     }
                     inv
                 })
@@ -114,18 +142,21 @@ fn model_history(threads: Vec<Vec<Op>>) -> HashSet<(u64, u64)> {
         let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
         obs.lock().unwrap().insert((hist.load(), total));
     });
-    std::sync::Arc::try_unwrap(observed)
-        .unwrap()
-        .into_inner()
-        .unwrap()
+    let observed = std::sync::Arc::try_unwrap(observed).unwrap();
+    (observed.into_inner().unwrap(), exhaustive)
 }
 
 fn assert_history_linearizable(threads: Vec<Vec<Op>>) {
     let serial = enumerate_serial(&threads);
-    let modeled = model_history(threads.clone());
-    assert_eq!(
-        modeled, serial,
-        "atomic history must reach exactly the serializable outcomes for {threads:?}"
+    let (modeled, exhaustive) = model_history(threads.clone());
+    assert!(
+        modeled.is_subset(&serial),
+        "atomic history reached unserializable outcomes for {threads:?}: {:?}",
+        modeled.difference(&serial)
+    );
+    assert!(
+        !exhaustive || modeled == serial,
+        "every schedule ran, yet some serializable outcome of {threads:?} was never reached"
     );
 }
 
@@ -171,7 +202,7 @@ fn redundant_accesses_commute() {
 #[test]
 fn promotion_edge_fires_exactly_once_per_multiple() {
     // 2 threads × 2 increments, threshold 2 → exactly 2 crossings (at 2, 4).
-    loom::model(|| {
+    check(|| {
         let counter = Arc::new(LoomCell::default());
         let crossings = Arc::new(LoomCell::default());
         let handles: Vec<_> = (0..2)
@@ -205,7 +236,7 @@ fn promotion_edge_fires_exactly_once_per_multiple() {
 /// claimer, or as the claimer's own direct apply, or in the leftover batch.
 #[test]
 fn batch_displacement_conserves_every_access() {
-    loom::model(|| {
+    check(|| {
         let slot = Arc::new(LoomCell::default());
         let applied = Arc::new(LoomCell::default()); // reads<<32 | writes
         let tally = |b: u64| (batch::reads(b) << 32) | batch::writes(b);
@@ -215,7 +246,7 @@ fn batch_displacement_conserves_every_access() {
                 let applied = Arc::clone(&applied);
                 loom::thread::spawn(move || {
                     for kind in [W, R] {
-                        match lockfree::offer_batch(&*slot, t, 0, kind == W, u64::MAX) {
+                        match lockfree::offer_batch(Shared, &*slot, t, 0, kind == W, u64::MAX) {
                             Offer::Deferred => {}
                             Offer::Claimed { displaced } => {
                                 let own = if kind == W { 1 } else { 1 << 32 };
@@ -229,7 +260,7 @@ fn batch_displacement_conserves_every_access() {
         for h in handles {
             h.join().unwrap();
         }
-        let leftover = lockfree::take_batch(&*slot);
+        let leftover = lockfree::take_batch(Shared, &*slot);
         let total = applied.load() + tally(leftover);
         assert_eq!(total >> 32, 2, "both reads accounted exactly once");
         assert_eq!(total & 0xffff_ffff, 2, "both writes accounted exactly once");
@@ -241,7 +272,7 @@ fn batch_displacement_conserves_every_access() {
 /// and the loser observes the winner's value.
 #[test]
 fn publish_once_has_a_single_winner() {
-    loom::model(|| {
+    check(|| {
         let slot = Arc::new(LoomCell::default());
         let handles: Vec<_> = (1..=2u64)
             .map(|v| {
