@@ -225,36 +225,40 @@ impl FlightRecorder {
         let depth = self.depth();
         let mut evicted = 0u64;
         let mut lines = self.lines.lock().unwrap();
-        for &rec in recs {
+        // Records of one line arrive in runs (a segment holds a thread's last
+        // few accesses): one look-up per run, not per record.
+        for run in recs.chunk_by(|a, b| a.line_start == b.line_start) {
             let room = lines.len() < MAX_LINES;
-            let ring = match lines.entry(rec.line_start) {
+            let ring = match lines.entry(run[0].line_start) {
                 Entry::Occupied(e) => e.into_mut(),
                 Entry::Vacant(e) if room => e.insert(Ring::new()),
                 Entry::Vacant(_) => {
-                    evicted += 1;
+                    evicted += run.len() as u64;
                     continue;
                 }
             };
-            let mut entry = (rec, ring.len());
-            if ring.len() >= depth {
-                // Keep the `depth` newest records by timestamp: the
-                // oldest makes room if this one is newer, else the
-                // incoming record itself is dropped.
-                evicted += 1;
-                match ring.front() {
-                    Some(oldest) if rec.seq > oldest.0.seq => entry.1 = oldest.1,
-                    _ => continue,
+            for &rec in run {
+                let mut entry = (rec, ring.len());
+                if ring.len() >= depth {
+                    // Keep the `depth` newest records by timestamp: the
+                    // oldest makes room if this one is newer, else the
+                    // incoming record itself is dropped.
+                    evicted += 1;
+                    match ring.front() {
+                        Some(oldest) if rec.seq > oldest.0.seq => entry.1 = oldest.1,
+                        _ => continue,
+                    }
+                    ring.pop_front();
                 }
-                ring.pop_front();
+                let key = ring_key(&entry);
+                match ring.back() {
+                    Some(newest) if key < ring_key(newest) => {
+                        let at = ring.partition_point(|e| ring_key(e) < key);
+                        ring.insert(at, entry);
+                    }
+                    _ => ring.push_back(entry),
+                }
             }
-            let key = ring_key(&entry);
-            let at = match ring.back() {
-                Some(newest) if key < ring_key(newest) => {
-                    ring.partition_point(|e| ring_key(e) < key)
-                }
-                _ => ring.len(),
-            };
-            ring.insert(at, entry);
         }
         drop(lines);
         self.appended
@@ -362,9 +366,10 @@ mod segment {
                 let mut seg = seg.borrow_mut();
                 seg.buf.push(rec);
                 if seg.buf.len() >= SEGMENT_LEN {
-                    let batch = std::mem::take(&mut seg.buf);
-                    drop(seg);
-                    recorder().offer(&batch);
+                    // Offered in place and cleared: the buffer keeps its
+                    // capacity from one flush to the next.
+                    recorder().offer(&seg.buf);
+                    seg.buf.clear();
                 }
             })
             .is_err();

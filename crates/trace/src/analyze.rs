@@ -33,6 +33,7 @@
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use std::io::Read;
 use std::path::Path;
 use std::sync::mpsc::sync_channel;
 
@@ -90,6 +91,26 @@ fn link_gap(det: &DetectorConfig) -> u64 {
     (2 * r).max(1)
 }
 
+/// Where the planning pass and the replay get their events: a slice at a
+/// time, so their loops are slice loops. A [`TraceReader`] hands over each
+/// chunk as it decodes it; events already in memory are one chunk.
+trait EventChunks {
+    /// The next run of events, in stream order; `None` once dry.
+    fn next_chunk(&mut self) -> Option<&[Access]>;
+}
+
+impl<R: Read> EventChunks for TraceReader<R> {
+    fn next_chunk(&mut self) -> Option<&[Access]> {
+        TraceReader::next_chunk(self)
+    }
+}
+
+impl EventChunks for Option<&[Access]> {
+    fn next_chunk(&mut self) -> Option<&[Access]> {
+        self.take()
+    }
+}
+
 /// Which cache lines a trace touches: a flat array over the `lines` lines of
 /// the traced range, from global line `first` — an event count per line for
 /// planning (`per_cell == 1`), a bit per line when only the cluster count is
@@ -100,6 +121,9 @@ struct LineTally {
     lines: u64,
     per_cell: u64,
     cells: Vec<u64>,
+    /// The in-range line whose bit the last event set: a run of events on
+    /// one line marks it once.
+    marked: u64,
     strays: BTreeMap<u64, u64>,
 }
 
@@ -114,13 +138,26 @@ impl LineTally {
             lines,
             per_cell,
             cells: vec![0; lines.div_ceil(per_cell) as usize],
+            marked: u64::MAX,
             strays: BTreeMap::new(),
         }
     }
 
     #[inline]
     fn add(&mut self, a: &Access) {
-        for line in self.geom.lines_touched(a.addr, a.size) {
+        let lines = self.geom.lines_touched(a.addr, a.size);
+        let i = lines.start().wrapping_sub(self.first);
+        if lines.start() == lines.end() && i < self.lines {
+            // What nearly every event is: one line of the traced range.
+            if self.per_cell == 1 {
+                self.cells[i as usize] += 1;
+            } else if i != self.marked {
+                self.cells[(i / 64) as usize] |= 1 << (i % 64);
+                self.marked = i;
+            }
+            return;
+        }
+        for line in lines {
             let i = line.wrapping_sub(self.first);
             if i >= self.lines {
                 *self.strays.entry(line).or_default() += 1;
@@ -169,14 +206,12 @@ impl ShardPlan {
     /// The planning pass: tallies `events` per line and assigns the clusters
     /// longest-processing-time-first to the least-loaded shard, which keeps
     /// the heaviest from sharing a shard while lighter ones exist.
-    fn scan(
-        events: impl Iterator<Item = Access>,
-        range: (u64, u64),
-        cfg: &AnalyzeConfig,
-    ) -> ShardPlan {
+    fn scan(mut events: impl EventChunks, range: (u64, u64), cfg: &AnalyzeConfig) -> ShardPlan {
         let _sp = predator_obs::span("trace_scan");
         let mut tally = LineTally::new(cfg, range, 1);
-        events.for_each(|a| tally.add(&a));
+        while let Some(chunk) = events.next_chunk() {
+            chunk.iter().for_each(|a| tally.add(a));
+        }
         let clusters = tally.clusters(link_gap(&cfg.det));
         // A stable sort: ties keep line order, so the plan is deterministic
         // (not that correctness needs it — any assignment merges the same).
@@ -207,6 +242,13 @@ impl ShardPlan {
     }
 }
 
+/// Who gets an event of the replay: the plan's shard for its line, or — one
+/// shard, no plan — the caller, which then marks the lines it sees itself.
+enum Route {
+    Planned(ShardPlan),
+    Alone(LineTally),
+}
+
 /// The streaming loop: feeds `events` to one detector per used shard and
 /// merges them. The caller is shard 0's worker; other shards get a thread
 /// and their events in batches. Without a plan (one shard) it is the only
@@ -217,15 +259,21 @@ impl ShardPlan {
 /// atomic read-modify-write: shard 0 stays with the caller, every other one
 /// is lent `&mut` to its worker, which claims it, and claimed back for the
 /// merge once the workers are joined.
-fn replay<I: Iterator<Item = Access>, M: Borrow<TraceMeta>>(
+fn replay<I: EventChunks, M: Borrow<TraceMeta>>(
     events: &mut I,
     plan: Option<ShardPlan>,
     range: (u64, u64),
     cfg: &AnalyzeConfig,
     tail: impl FnOnce(&mut I) -> (Option<M>, LossStats),
 ) -> AnalyzeOutcome {
-    let mut seen = (plan.is_none()).then(|| LineTally::new(cfg, range, 64));
-    let shards_used = plan.as_ref().map_or(1, |p| p.shards_used);
+    let mut route = match plan {
+        Some(plan) => Route::Planned(plan),
+        None => Route::Alone(LineTally::new(cfg, range, 64)),
+    };
+    let shards_used = match &route {
+        Route::Planned(plan) => plan.shards_used,
+        Route::Alone(_) => 1,
+    };
     let mut rts: Vec<Predator> = (0..shards_used)
         .map(|_| Predator::new(cfg.det, range.0, range.1))
         .collect();
@@ -249,22 +297,31 @@ fn replay<I: Iterator<Item = Access>, M: Borrow<TraceMeta>>(
             1 => "shard_analyze",
             _ => "shard_dispatch",
         });
-        for a in events.by_ref() {
-            delivered += 1;
-            if let Some(seen) = &mut seen {
-                seen.add(&a);
-            }
-            let line = cfg.det.geometry.line_index(a.addr);
-            let Some(away) = plan.as_ref().and_then(|p| p.shard_of(line).checked_sub(1)) else {
-                home.handle_access(a.tid, a.addr, a.size, a.kind);
-                continue;
+        while let Some(chunk) = events.next_chunk() {
+            delivered += chunk.len() as u64;
+            let plan = match &mut route {
+                Route::Planned(plan) => plan,
+                Route::Alone(seen) => {
+                    for a in chunk {
+                        seen.add(a);
+                        home.handle_access(a.tid, a.addr, a.size, a.kind);
+                    }
+                    continue;
+                }
             };
-            let (tx, buf) = &mut lanes[away];
-            buf.push(a);
-            if buf.len() >= DISPATCH_BATCH {
-                let full = std::mem::replace(buf, Vec::with_capacity(DISPATCH_BATCH));
-                // A send only fails if the worker panicked; propagate.
-                tx.send(full).expect("shard worker died");
+            for &a in chunk {
+                let line = cfg.det.geometry.line_index(a.addr);
+                let Some(away) = plan.shard_of(line).checked_sub(1) else {
+                    home.handle_access(a.tid, a.addr, a.size, a.kind);
+                    continue;
+                };
+                let (tx, buf) = &mut lanes[away];
+                buf.push(a);
+                if buf.len() >= DISPATCH_BATCH {
+                    let full = std::mem::replace(buf, Vec::with_capacity(DISPATCH_BATCH));
+                    // A send only fails if the worker panicked; propagate.
+                    tx.send(full).expect("shard worker died");
+                }
             }
         }
         for (tx, buf) in lanes {
@@ -287,12 +344,14 @@ fn replay<I: Iterator<Item = Access>, M: Borrow<TraceMeta>>(
         .as_ref()
         .map_or(Attribution::None, Attribution::Directory);
     let refs: Vec<&Predator> = rts.iter().collect();
-    let planned = plan.map_or(0, |p| p.table.len());
     AnalyzeOutcome {
         report: build_report_merged(&refs, attr),
         events: delivered,
         shards_used,
-        clusters: seen.map_or(planned, |s| s.clusters(link_gap(&cfg.det)).len()),
+        clusters: match route {
+            Route::Planned(plan) => plan.table.len(),
+            Route::Alone(seen) => seen.clusters(link_gap(&cfg.det)).len(),
+        },
         loss,
         meta_applied: meta.is_some(),
     }
@@ -306,10 +365,10 @@ pub fn analyze_events(
     meta: Option<&TraceMeta>,
     cfg: &AnalyzeConfig,
 ) -> AnalyzeOutcome {
-    let (range, pass) = ((base, size), || events.iter().copied());
-    let plan = (cfg.shards > 1).then(|| ShardPlan::scan(pass(), range, cfg));
+    let range = (base, size);
+    let plan = (cfg.shards > 1).then(|| ShardPlan::scan(Some(events), range, cfg));
     let tail = |_: &mut _| (meta, LossStats::default());
-    replay(&mut pass(), plan, range, cfg, tail)
+    replay(&mut Some(events), plan, range, cfg, tail)
 }
 
 /// Offline analysis of a `.ptrace` file, opened through the one door
@@ -382,6 +441,12 @@ mod tests {
         AnalyzeConfig::new(DetectorConfig::sensitive(), shards) // link gap 2
     }
 
+    /// The planning pass over `events`, asked for `shards`.
+    fn scan(events: impl Iterator<Item = Access>, shards: usize) -> ShardPlan {
+        let events: Vec<Access> = events.collect();
+        ShardPlan::scan(Some(&events[..]), RANGE, &cfg(shards))
+    }
+
     /// `n` writes to the first word of in-range line `line` (64 B lines).
     fn on_line(line: u64, n: usize) -> impl Iterator<Item = Access> {
         std::iter::repeat_n(Access::write(ThreadId(0), line * 64, 8), n)
@@ -393,7 +458,7 @@ mod tests {
             .chain(on_line(200, 20)) // far away → new cluster
             .chain(on_line(102, 5)) // gap 2 ≤ link → same cluster as 100
             .chain(on_line(201, 1));
-        let plan = ShardPlan::scan(events, RANGE, &cfg(2));
+        let plan = scan(events, 2);
         assert_eq!(plan.table.len(), 2);
         assert_eq!(plan.shard_of(100), plan.shard_of(102));
         assert_eq!(plan.shard_of(200), plan.shard_of(201));
@@ -403,7 +468,7 @@ mod tests {
 
     #[test]
     fn single_cluster_uses_one_shard() {
-        let plan = ShardPlan::scan(on_line(70, 100).chain(on_line(71, 100)), RANGE, &cfg(8));
+        let plan = scan(on_line(70, 100).chain(on_line(71, 100)), 8);
         assert_eq!((plan.table.len(), plan.shards_used), (1, 1));
     }
 
@@ -415,7 +480,7 @@ mod tests {
             .chain(on_line(200, 40))
             .chain(on_line(300, 30))
             .chain(on_line(400, 25));
-        let plan = ShardPlan::scan(events, RANGE, &cfg(3));
+        let plan = scan(events, 3);
         assert_eq!(plan.shards_used, 3);
         assert_eq!((plan.shard_of(300), plan.shard_of(400)), (0, 0));
         let mut others = [plan.shard_of(100), plan.shard_of(200)];
@@ -487,7 +552,7 @@ mod tests {
     #[test]
     fn straddling_access_stays_in_one_shard() {
         let a = Access::write(ThreadId(0), 0x2000 - 4, 8); // straddles 2 lines
-        let plan = ShardPlan::scan(std::iter::once(a), RANGE, &cfg(2));
+        let plan = scan(std::iter::once(a), 2);
         assert_eq!(plan.table.len(), 1);
         assert_eq!(plan.shard_of(0x2000 / 64 - 1), plan.shard_of(0x2000 / 64));
     }

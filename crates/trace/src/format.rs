@@ -250,53 +250,74 @@ impl EventEncoder {
     }
 }
 
+/// Longest record: the flags byte, two deltas and an escaped size.
+const RECORD_MAX: usize = 1 + 3 * varint::MAX_VARINT_LEN;
+
+/// Decodes the record at the front of `w`, which holds a whole one whatever
+/// its bytes say: the access and the bytes it took. `None` for an over-long
+/// varint, a size past `u8` and a thread id outside `u16`.
+#[inline(always)]
+fn decode_record(w: &[u8; RECORD_MAX], prev_addr: u64, prev_tid: i64) -> Option<(Access, usize)> {
+    let flags = w[0];
+    let mut at = 1;
+    let daddr = varint::read_i64(w, &mut at)?;
+    let dtid = varint::read_i64(w, &mut at)?;
+    let class = (flags >> 1) & 0x7;
+    let size = if class == SIZE_ESCAPE {
+        u8::try_from(varint::read_u64(w, &mut at)?).ok()?
+    } else {
+        SIZE_CLASSES[class as usize]
+    };
+    // Wrapping: a hostile delta must fail the range check, not the addition.
+    let tid = u16::try_from(prev_tid.wrapping_add(dtid)).ok()?;
+    let access = Access {
+        tid: ThreadId(tid),
+        addr: prev_addr.wrapping_add(daddr as u64),
+        size,
+        kind: if flags & 1 != 0 {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        },
+    };
+    Some((access, at))
+}
+
 /// Decodes an event-chunk payload into `out`. Returns the number of records
 /// decoded, or `Err(decoded_so_far)` if the payload ends mid-record or uses
 /// an over-long varint — callers count the remainder as lost.
+///
+/// Records are decoded through a fixed [`RECORD_MAX`]-byte window, so the
+/// per-byte question "is the payload over?" is asked once per record: while
+/// that many bytes remain the window is the payload itself, and the chunk's
+/// last records go through a zero-padded copy, where a record cut short
+/// reads as one that ends past the payload. `out` is grown once, by what the
+/// payload can hold (a record is at least three bytes), never by the frame's
+/// untrusted `expected`.
 pub fn decode_events(payload: &[u8], expected: u32, out: &mut Vec<Access>) -> Result<u32, u32> {
-    let mut pos = 0usize;
-    let mut prev_addr: u64 = 0;
-    let mut prev_tid: i64 = 0;
+    out.reserve((expected as usize).min(payload.len() / 3));
+    let mut rest = payload;
+    let mut padded: [u8; RECORD_MAX];
+    let (mut prev_addr, mut prev_tid) = (0u64, 0i64);
     let mut decoded = 0u32;
     while decoded < expected {
-        let start = out.len();
-        let Some(&flags) = payload.get(pos) else {
-            return Err(decoded);
-        };
-        pos += 1;
-        let Some(daddr) = varint::read_i64(payload, &mut pos) else {
-            return Err(decoded);
-        };
-        let Some(dtid) = varint::read_i64(payload, &mut pos) else {
-            return Err(decoded);
-        };
-        let class = (flags >> 1) & 0x7;
-        let size = if class == SIZE_ESCAPE {
-            match varint::read_u64(payload, &mut pos) {
-                Some(s) if s <= u8::MAX as u64 => s as u8,
-                _ => return Err(decoded),
+        let window = match rest.first_chunk() {
+            Some(window) => window,
+            None => {
+                padded = [0u8; RECORD_MAX];
+                padded[..rest.len()].copy_from_slice(rest);
+                &padded
             }
-        } else {
-            SIZE_CLASSES[class as usize]
         };
-        let addr = prev_addr.wrapping_add(daddr as u64);
-        let tid = prev_tid + dtid;
-        if !(0..=u16::MAX as i64).contains(&tid) {
-            out.truncate(start);
+        let Some((access, used)) = decode_record(window, prev_addr, prev_tid) else {
             return Err(decoded);
-        }
-        out.push(Access {
-            tid: ThreadId(tid as u16),
-            addr,
-            size,
-            kind: if flags & 1 != 0 {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            },
-        });
-        prev_addr = addr;
-        prev_tid = tid;
+        };
+        let Some(after) = rest.get(used..) else {
+            return Err(decoded);
+        };
+        out.push(access);
+        (prev_addr, prev_tid) = (access.addr, access.tid.0 as i64);
+        rest = after;
         decoded += 1;
     }
     Ok(decoded)
@@ -468,6 +489,7 @@ impl TraceMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn header_roundtrip() {
@@ -575,6 +597,182 @@ mod tests {
             "truncation must surface as Err: {r:?}"
         );
         assert_eq!(out.len(), r.unwrap_err() as usize);
+    }
+
+    /// The decoder this file had before the windowed one, kept as its
+    /// oracle: a checked read per byte against the payload's real end. (Its
+    /// thread-id sum wraps like a release build's did, so a hostile delta
+    /// fails the range check here too instead of the debug overflow trap.)
+    fn reference_decode(payload: &[u8], expected: u32, out: &mut Vec<Access>) -> Result<u32, u32> {
+        let mut pos = 0usize;
+        let mut prev_addr: u64 = 0;
+        let mut prev_tid: i64 = 0;
+        let mut decoded = 0u32;
+        while decoded < expected {
+            let start = out.len();
+            let Some(&flags) = payload.get(pos) else {
+                return Err(decoded);
+            };
+            pos += 1;
+            let Some(daddr) = varint::read_i64(payload, &mut pos) else {
+                return Err(decoded);
+            };
+            let Some(dtid) = varint::read_i64(payload, &mut pos) else {
+                return Err(decoded);
+            };
+            let class = (flags >> 1) & 0x7;
+            let size = if class == SIZE_ESCAPE {
+                match varint::read_u64(payload, &mut pos) {
+                    Some(s) if s <= u8::MAX as u64 => s as u8,
+                    _ => return Err(decoded),
+                }
+            } else {
+                SIZE_CLASSES[class as usize]
+            };
+            let addr = prev_addr.wrapping_add(daddr as u64);
+            let tid = prev_tid.wrapping_add(dtid);
+            if !(0..=u16::MAX as i64).contains(&tid) {
+                out.truncate(start);
+                return Err(decoded);
+            }
+            out.push(Access {
+                tid: ThreadId(tid as u16),
+                addr,
+                size,
+                kind: if flags & 1 != 0 {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                },
+            });
+            prev_addr = addr;
+            prev_tid = tid;
+            decoded += 1;
+        }
+        Ok(decoded)
+    }
+
+    /// Both decoders append to a vector that already holds something, and
+    /// must agree on what they appended and on `Ok`/`Err(decoded)`.
+    fn assert_decoders_agree(payload: &[u8], expected: u32) -> Result<u32, u32> {
+        let held = Access::read(ThreadId(9), 0x99, 1);
+        let (mut new, mut old) = (vec![held], vec![held]);
+        let got = decode_events(payload, expected, &mut new);
+        let want = reference_decode(payload, expected, &mut old);
+        assert_eq!((got, &new), (want, &old), "{expected} of {payload:02x?}");
+        assert_eq!(got.unwrap_or_else(|n| n) as usize, new.len() - 1);
+        got
+    }
+
+    /// One raw record: flags, then each varint as given.
+    fn raw_record(flags: u8, daddr: i64, dtid: i64, size: Option<u64>) -> Vec<u8> {
+        let mut out = vec![flags];
+        varint::write_i64(&mut out, daddr);
+        varint::write_i64(&mut out, dtid);
+        size.into_iter()
+            .for_each(|s| varint::write_u64(&mut out, s));
+        out
+    }
+
+    #[test]
+    fn windowed_decoder_equals_reference_on_records_no_writer_emits() {
+        let escape = SIZE_ESCAPE << 1;
+        let plain = raw_record(1 | 3 << 1, 8, 0, None);
+        let cases: Vec<(Vec<u8>, bool)> = vec![
+            // Nine- and ten-byte deltas, both signs, to the ends of `u64`.
+            (raw_record(0, i64::MAX, 0, None), true),
+            (raw_record(1, i64::MIN, 1, None), true),
+            (raw_record(0, 1 << 56, 2, None), true),
+            (raw_record(0, -(1 << 62), 3, None), true),
+            // Escaped sizes at and past `u8`.
+            (raw_record(escape, 8, 0, Some(0)), true),
+            (raw_record(escape | 1, 8, 0, Some(255)), true),
+            (raw_record(escape, 8, 0, Some(256)), false),
+            (raw_record(escape, 8, 0, Some(u64::MAX)), false),
+            // A thread id walking out of `u16`, by a step and by a leap.
+            (raw_record(0, 8, u16::MAX as i64, None), true),
+            (raw_record(0, 8, u16::MAX as i64 + 1, None), false),
+            (raw_record(0, 8, -1, None), false),
+            (raw_record(0, 8, i64::MAX, None), false),
+            (raw_record(0, 8, i64::MIN, None), false),
+            // A tenth varint byte with bits past 2⁶³, and an eleventh byte.
+            ([&[0u8][..], &[0xff; 9], &[0x02, 0x00]].concat(), false),
+            ([&[0u8][..], &[0xff; 10], &[0x00, 0x00]].concat(), false),
+            ([&[0u8, 0x00][..], &[0x80; 10], &[0x00]].concat(), false),
+        ];
+        for (record, decodes) in &cases {
+            // Alone (the padded tail), then with records on either side of
+            // it (the in-payload window), then cut short at every byte.
+            assert_eq!(assert_decoders_agree(record, 1).is_ok(), *decodes);
+            let mut long = plain.repeat(3);
+            long.extend_from_slice(record);
+            let after = if *decodes { 12 } else { 0 };
+            long.extend_from_slice(&plain.repeat(after));
+            let want = if *decodes { Ok(16) } else { Err(3) };
+            assert_eq!(assert_decoders_agree(&long, 16), want, "{record:02x?}");
+            for cut in 0..long.len() {
+                assert!(assert_decoders_agree(&long[..cut], 16).is_err());
+            }
+        }
+        // A thread id that leaves `u16` only once the deltas add up.
+        let walk = [
+            raw_record(0, 0, 40_000, None),
+            raw_record(0, 0, 30_000, None),
+        ]
+        .concat();
+        assert_eq!(assert_decoders_agree(&walk, 2), Err(1));
+        // The frame's count is a claim: more than the payload holds is an
+        // error after the last whole record, fewer stops early, and neither
+        // sizes an allocation.
+        assert_eq!(assert_decoders_agree(&plain.repeat(5), u32::MAX), Err(5));
+        assert_eq!(assert_decoders_agree(&plain.repeat(50), 7), Ok(7));
+        assert_eq!(assert_decoders_agree(&[], 0), Ok(0));
+        let mut out = Vec::new();
+        assert_eq!(decode_events(&plain.repeat(5), u32::MAX, &mut out), Err(5));
+        assert!(out.capacity() <= 2 * out.len());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Valid chunks, then the same bytes cut at every position and with
+        /// every single byte mutated: the windowed decoder and the reference
+        /// agree on `out` and on `Ok`/`Err(decoded)`, and neither panics.
+        #[test]
+        fn prop_windowed_decoder_equals_reference(
+            events in proptest::collection::vec(
+                (
+                    prop_oneof![0u16..4, any::<u16>()],
+                    prop_oneof![0u64..4096, 0x4000_0000u64..0x4400_0000, any::<u64>()],
+                    prop_oneof![Just(8u8), Just(4u8), Just(64u8), any::<u8>()],
+                    any::<bool>(),
+                ),
+                0..40,
+            ),
+            mask in 1u8..=255,
+        ) {
+            let mut enc = EventEncoder::new();
+            let mut addr = 0x4000_0000u64;
+            for &(tid, step, size, write) in &events {
+                addr = addr.wrapping_add(step);
+                let kind = if write { AccessKind::Write } else { AccessKind::Read };
+                enc.push(Access { tid: ThreadId(tid), addr, size, kind });
+            }
+            let (payload, count) = enc.finish();
+            prop_assert_eq!(assert_decoders_agree(&payload, count), Ok(count));
+            prop_assert_eq!(assert_decoders_agree(&payload, count + 3), Err(count));
+            for cut in 0..payload.len() {
+                prop_assert!(assert_decoders_agree(&payload[..cut], count).is_err());
+            }
+            let mut mutated = payload.clone();
+            for at in 0..payload.len() {
+                for flip in [mask, 0x80, 0xff] {
+                    mutated[at] = payload[at] ^ flip;
+                    let _ = assert_decoders_agree(&mutated, count);
+                }
+                mutated[at] = payload[at];
+            }
+        }
     }
 
     #[test]

@@ -476,20 +476,35 @@ impl<R: Read> TraceReader<R> {
         }
     }
 
+    /// Hands over what is left of the current decoded chunk, or decodes the
+    /// next one: the stream a whole chunk at a time, for consumers that loop
+    /// over a slice instead of asking [`next`](Iterator::next) per event.
+    /// `None` once the stream is dry.
+    pub(crate) fn next_chunk(&mut self) -> Option<&[Access]> {
+        if self.qpos == self.queue.len() && !self.advance() {
+            return None;
+        }
+        let from = std::mem::replace(&mut self.qpos, self.queue.len());
+        Some(&self.queue[from..])
+    }
+
     /// Drains the remaining stream (discarding events) so that
     /// [`meta`](TraceReader::meta) and final [`stats`](TraceReader::stats)
     /// become available.
     pub fn drain(&mut self) {
-        while self.next().is_some() {}
+        while self.next_chunk().is_some() {}
     }
 
-    /// Drains the remaining stream into one vector. A sealed file's trailer
-    /// says how many events to make room for, so the vector is allocated
-    /// once instead of doubling its way up through a copy per step; without
-    /// an intact trailer (or with one that claims too little) it grows.
+    /// Drains the remaining stream into one vector, a chunk at a time. A
+    /// sealed file's trailer says how many events to make room for, so the
+    /// vector is allocated once instead of doubling its way up through a copy
+    /// per step; without an intact trailer (or with one that claims too
+    /// little) it grows.
     pub fn collect_events(&mut self) -> Vec<Access> {
         let mut events = Vec::with_capacity(self.reserve);
-        events.extend(self.by_ref());
+        while let Some(chunk) = self.next_chunk() {
+            events.extend_from_slice(chunk);
+        }
         events
     }
 }
@@ -499,17 +514,15 @@ impl<R: Read> Iterator for TraceReader<R> {
 
     #[inline]
     fn next(&mut self) -> Option<Access> {
-        if self.qpos < self.queue.len() {
-            let a = self.queue[self.qpos];
-            self.qpos += 1;
-            return Some(a);
-        }
-        if self.advance() {
-            let a = self.queue[0];
-            self.qpos = 1;
-            Some(a)
-        } else {
-            None
+        loop {
+            if let Some(&a) = self.queue.get(self.qpos) {
+                self.qpos += 1;
+                return Some(a);
+            }
+            // A new chunk starts the cursor over; a dry stream ends it.
+            if !self.advance() {
+                return None;
+            }
         }
     }
 }
@@ -557,11 +570,11 @@ pub fn read_info_scan(path: &Path) -> Result<TraceInfo, String> {
     let file_bytes = std::fs::metadata(path)
         .map_err(|e| format!("{}: {e}", path.display()))?
         .len();
-    let events = r.by_ref().count() as u64;
+    r.drain();
     Ok(TraceInfo {
         header: r.header(),
         file_bytes,
-        events,
+        events: r.events_read(),
         event_chunks: r.event_chunks(),
         total_chunks: r.chunks_seen(),
         meta: r.take_meta(),
@@ -678,6 +691,22 @@ mod tests {
         assert!(r.saw_trailer());
         assert_eq!(r.meta().unwrap().app_live_bytes, 42);
         assert_eq!(r.event_chunks(), 5);
+    }
+
+    #[test]
+    fn chunks_and_single_events_share_one_cursor() {
+        let (bytes, events) = sample_trace(4, 50);
+        let mut r = TraceReader::new(&bytes[..]).unwrap();
+        let mut got = vec![r.next().unwrap()]; // opens chunk 1...
+        got.extend_from_slice(r.next_chunk().unwrap()); // ...whose other 49 follow,
+        got.extend_from_slice(r.next_chunk().unwrap()); // then chunk 2, whole.
+        assert_eq!(got.len(), 100);
+        got.extend(r.by_ref().take(75)); // chunk 3 and half of chunk 4
+        got.extend_from_slice(r.next_chunk().unwrap());
+        assert!(r.next_chunk().is_none() && r.next().is_none());
+        assert_eq!(got, events);
+        assert_eq!(r.events_read(), 200);
+        assert!(!r.stats().any() && r.meta().is_some());
     }
 
     #[test]

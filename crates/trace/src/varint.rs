@@ -41,19 +41,35 @@ pub fn unzigzag(v: u64) -> i64 {
 }
 
 /// Reads an unsigned LEB128 varint from `buf[*pos..]`, advancing `pos`.
-/// Returns `None` on truncation or a varint longer than [`MAX_VARINT_LEN`].
+/// Returns `None` on truncation, on a varint longer than [`MAX_VARINT_LEN`]
+/// and on a tenth byte carrying bits past 2⁶³: nothing a `u64` cannot hold
+/// decodes to one. Deltas are small, so one and two bytes are decided
+/// before the general loop.
 #[inline]
 pub fn read_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let byte = *buf.get(*pos)?;
+    let b0 = *buf.get(*pos)?;
+    if b0 < 0x80 {
         *pos += 1;
-        if shift >= 64 {
-            return None; // over-long encoding
+        return Some(b0 as u64);
+    }
+    let b1 = *buf.get(*pos + 1)?;
+    if b1 < 0x80 {
+        *pos += 2;
+        return Some((b0 & 0x7f) as u64 | (b1 as u64) << 7);
+    }
+    // The general loop picks up after the two bytes already read.
+    let mut v = (b0 & 0x7f) as u64 | ((b1 & 0x7f) as u64) << 7;
+    let mut at = *pos + 2;
+    let mut shift = 14u32;
+    loop {
+        let byte = *buf.get(at)?;
+        at += 1;
+        if shift == 63 && byte > 1 {
+            return None; // bits past 2⁶³, or an eleventh byte
         }
         v |= ((byte & 0x7f) as u64) << shift;
         if byte & 0x80 == 0 {
+            *pos = at;
             return Some(v);
         }
         shift += 7;
@@ -69,6 +85,19 @@ pub fn read_i64(buf: &[u8], pos: &mut usize) -> Option<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn prop_write_then_read_round_trips(
+            v in prop_oneof![0u64..0x8000, any::<u64>()],
+            shift in 0u32..64,
+        ) {
+            roundtrip_u(v >> shift);
+            roundtrip_i((v >> shift) as i64);
+            roundtrip_i(((v >> shift) as i64).wrapping_neg());
+        }
+    }
 
     fn roundtrip_u(v: u64) {
         let mut buf = Vec::new();
@@ -148,6 +177,18 @@ mod tests {
             let mut pos = 0;
             assert_eq!(read_u64(&buf[..cut], &mut pos), None);
         }
+    }
+
+    #[test]
+    fn a_tenth_byte_holds_one_bit() {
+        let read = |buf: &[u8]| read_u64(buf, &mut 0);
+        let nines = [0xffu8; 9];
+        assert_eq!(read(&[&nines[..], &[0x01]].concat()), Some(u64::MAX));
+        assert_eq!(read(&[&nines[..], &[0x00]].concat()), Some(u64::MAX >> 1));
+        // Bits shifted past 2⁶³ used to be dropped silently.
+        assert_eq!(read(&[&nines[..], &[0x02]].concat()), None);
+        assert_eq!(read(&[&nines[..], &[0x7f]].concat()), None);
+        assert_eq!(read(&[&nines[..], &[0x81, 0x00]].concat()), None);
     }
 
     #[test]

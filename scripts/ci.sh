@@ -98,6 +98,18 @@ for f in crates/core/src/{runtime,track,lockfree,predict}.rs crates/shadow/src/c
 done
 grep -q 'compare_exchange' crates/shadow/src/mode.rs
 
+echo "==> one checksum, one decoder (an unsafe or per-arch twin and a second crc32/decode_events must not grow back)"
+if grep -rnE 'unsafe|std::arch|core::arch|is_x86_feature_detected' crates/trace/src; then
+  echo "crates/trace/src reaches for unsafe or an arch intrinsic; its checksum and decoder are safe, portable code" >&2
+  exit 1
+fi
+# The bitwise CRC and the checked decoder survive only as test oracles.
+for name in crc32 decode_events; do
+  test "$(for f in crates/trace/src/*.rs; do
+    awk '/#\[cfg\(test\)\]/ { exit } { print }' "$f"
+  done | grep -cE "fn $name\b")" -eq 1
+done
+
 echo "==> non-test source lines under crates/ (scripts/loc.sh)"
 scripts/loc.sh
 
@@ -127,6 +139,22 @@ $PRED trace info "$SMOKE/run.ptrace" | grep -q "events"
 $PRED analyze "$SMOKE/run.ptrace" --sensitive --shards 4 --format json > "$SMOKE/offline.json"
 $PRED diff "$SMOKE/live.json" "$SMOKE/offline.json"
 echo "offline analysis matches the live run"
+# The committed fixture was written by the build before the sliced checksum
+# and the windowed decoder: read in full, it shows no loss; with one payload
+# byte flipped it costs that chunk and a warning (a panic would be exit 101).
+FIXTURE=crates/trace/tests/fixtures/v1_small.ptrace
+$PRED trace info "$FIXTURE" --deep > "$SMOKE/fixture.txt"
+grep -q "events:  368 in 5 event chunk(s)" "$SMOKE/fixture.txt"
+grep -q "loss:    0 chunk(s) skipped, 0 record(s) lost, 0 byte(s) skipped, truncated: no" "$SMOKE/fixture.txt"
+cp "$FIXTURE" "$SMOKE/flipped.ptrace"
+printf '\377' | dd of="$SMOKE/flipped.ptrace" bs=1 seek=100 conv=notrunc status=none
+$PRED trace info "$SMOKE/flipped.ptrace" --deep |
+  grep -q "loss:    1 chunk(s) skipped, 100 record(s) lost, 388 byte(s) skipped, truncated: no"
+$PRED analyze "$SMOKE/flipped.ptrace" --sensitive --format json \
+  > "$SMOKE/flipped.json" 2> "$SMOKE/flipped.err"
+grep -q '"events": 268' "$SMOKE/flipped.json"
+grep -q "warning: .*flipped.ptrace is damaged: 1 chunk(s) skipped, 100 record(s) lost" "$SMOKE/flipped.err"
+echo "fixture reads without loss; a flipped byte costs one chunk"
 
 echo "==> import smoke (trace cat -> trace import round trip; replay == analyze --shards 1)"
 # JSONL is an edge conversion: `trace cat` out, `trace import` in, the same
