@@ -297,17 +297,13 @@ pub(crate) fn policy_config(args: &Args) -> Result<PolicyConfig, String> {
     Ok(cfg)
 }
 
-/// `--shards <N>`: one default and one validation for `analyze`, `whatif`,
-/// `fleet ingest` and `serve --watch`.
-pub(crate) fn shard_count(args: &Args) -> Result<usize, String> {
-    let default = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let shards: usize = args.num("--shards", default)?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
+/// `--shards <N>` on `analyze` and `whatif`: validated as it always was,
+/// then ignored — `benchmark/` passes it (ROADMAP 1(f)).
+pub(crate) fn ignored_shards(args: &Args) -> Result<(), String> {
+    match args.num("--shards", 1usize)? {
+        0 => Err("--shards must be at least 1".into()),
+        _ => Ok(()),
     }
-    Ok(shards)
 }
 
 #[cfg(test)]

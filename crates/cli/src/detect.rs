@@ -21,8 +21,8 @@ use predator_trace::{
 };
 use predator_workloads::{all, by_name, run_and_report};
 
-use crate::args::{detector_config, policy_config, shard_count, workload_config, Args};
-use crate::trace::warn_loss;
+use crate::args::{detector_config, ignored_shards, policy_config, workload_config, Args};
+use crate::trace::{warn_loss, warn_strays};
 
 /// Report output format, `--format <F>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,49 +234,43 @@ pub(crate) fn cmd_record(args: &Args) -> Result<ExitCode, String> {
 }
 
 /// `analyze`, and `replay`: the same analysis from the row that has the
-/// flight recorder on, which pins it to one sequential shard (no `--shards`,
-/// no `--verify-fixes` on that row) and keeps its own preamble.
+/// flight recorder on (no `--shards`, no `--verify-fixes` on that row),
+/// which keeps its own preamble.
 pub(crate) fn cmd_analyze(args: &Args) -> Result<ExitCode, String> {
     let path = &args.operands[0];
     let det = detector_config(args)?;
     let replay = args.verb.recorder;
-    let shards = if replay { 1 } else { shard_count(args)? };
-    let cfg = AnalyzeConfig::new(det, shards);
+    if !replay {
+        ignored_shards(args)?;
+    }
+    let cfg = AnalyzeConfig { det };
     // A machine format owns stdout: no preamble line.
     let preamble = !Format::of(args)?.is_machine();
-    if !replay && args.has("--verify-fixes") {
+    let (out, verified) = if !replay && args.has("--verify-fixes") {
         // Verification replays the trace under each suggested fix, so the
         // events must be resident; the streaming path won't do.
         let (events, base, size, meta) = load_trace_events(path)?;
-        let out = analyze_events(&events, base, size, meta.as_ref(), &cfg);
-        let mut report = out.report;
-        let verified = verify_fixes(&events, base, size, meta.as_ref(), &mut report, &cfg);
-        if preamble {
-            println!(
-                "analyzed {} events on {} of {} shard(s), {} line cluster(s); \
-                 {verified} fix(es) verified by replay",
-                out.events, out.shards_used, shards, out.clusters,
-            );
-        }
-        return emit_report(args, &det, &report);
-    }
-    let out = analyze_file(Path::new(path), &cfg, 0, 0)?;
+        let meta = meta.as_ref();
+        let mut out = analyze_events(&events, base, size, meta, &cfg);
+        let fixed = verify_fixes(&events, base, size, meta, &mut out.report, &cfg);
+        (out, Some(fixed))
+    } else {
+        (analyze_file(Path::new(path), &cfg, 0, 0)?, None)
+    };
     warn_loss(path, &out.loss);
+    warn_strays(out.stray_events);
     if preamble && replay {
         println!("replayed {} events", out.events);
     } else if preamble {
-        println!(
-            "analyzed {} events on {} of {} shard(s), {} line cluster(s){}",
-            out.events,
-            out.shards_used,
-            shards,
-            out.clusters,
-            if out.meta_applied {
-                ", attribution metadata applied"
-            } else {
-                ""
-            }
-        );
+        let (events, clusters) = (out.events, out.clusters);
+        print!("analyzed {events} events, {clusters} line cluster(s)");
+        if out.meta_applied {
+            print!(", attribution metadata applied");
+        }
+        if let Some(verified) = verified {
+            print!("; {verified} fix(es) verified by replay");
+        }
+        println!();
     }
     emit_report(args, &det, &out.report)
 }
@@ -318,14 +312,15 @@ fn parse_pad_edits(spec: &str) -> Result<Vec<LayoutEdit>, String> {
 pub(crate) fn cmd_whatif(args: &Args) -> Result<ExitCode, String> {
     let path = &args.operands[0];
     let det = detector_config(args)?;
-    let shards = shard_count(args)?;
+    ignored_shards(args)?;
     let (events, base, size, meta) = load_trace_events(path)?;
-    let cfg = AnalyzeConfig::new(det, shards);
+    let cfg = AnalyzeConfig { det };
     let fix = match args.get("--pad") {
         Some(spec) => WhatIfFix::Edits(parse_pad_edits(spec)?),
         None => WhatIfFix::Suggested,
     };
     let out = whatif_events(&events, base, size, meta.as_ref(), &cfg, &fix);
+    warn_strays(out.stray_events);
     let pcfg = policy_config(args)?;
     let eval = evaluate_report(&out.report, &pcfg);
     match Format::of(args)? {

@@ -8,7 +8,7 @@ use predator_core::{ObsSnapshot, Report};
 use predator_policy::{evaluate_views, FindingView};
 use predator_trace::AnalyzeConfig;
 
-use crate::args::{detector_config, policy_config, shard_count, tolerance, Args};
+use crate::args::{detector_config, policy_config, tolerance, Args};
 use crate::detect::{emit_report, gate_exit, Format};
 use crate::trace::warn_loss;
 
@@ -23,7 +23,9 @@ pub(crate) fn cmd_fleet_ingest(args: &Args) -> Result<ExitCode, String> {
     let dir = corpus(args)?;
     let paths: Vec<std::path::PathBuf> =
         args.operands.iter().map(std::path::PathBuf::from).collect();
-    let cfg = AnalyzeConfig::new(detector_config(args)?, shard_count(args)?);
+    let cfg = AnalyzeConfig {
+        det: detector_config(args)?,
+    };
     let outcomes = predator_fleet::ingest(dir, &paths, &cfg)?;
     for o in &outcomes {
         if o.added {

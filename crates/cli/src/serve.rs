@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 
 use predator_core::adaptive::Watchdog;
 use predator_core::{
-    build_report_merged, shutdown, Attribution, DetectorConfig, ObjectDirectory, Predator, Session,
+    build_report_with, shutdown, Attribution, DetectorConfig, ObjectDirectory, Predator, Session,
 };
 use predator_obs::alerts::parse_duration_ms;
 use predator_obs::{AlertEngine, DeltaTracker, HttpServer, Request, Response, Rule, Tsdb};
@@ -54,7 +54,7 @@ use predator_policy::{evaluate_report, evaluate_views, FindingView, PolicyConfig
 use predator_trace::{AnalyzeConfig, TraceReader};
 use predator_workloads::by_name;
 
-use crate::args::{detector_config, policy_config, shard_count, workload_config, Args};
+use crate::args::{detector_config, policy_config, workload_config, Args};
 use crate::detect::Format;
 
 /// Default watchdog evaluation interval.
@@ -516,7 +516,7 @@ fn serve_replay(
             let attr = dir
                 .as_ref()
                 .map_or(Attribution::None, Attribution::Directory);
-            build_report_merged(&[rt_for_report.as_ref()], attr)
+            build_report_with(&rt_for_report, attr)
         };
         report_response(&report, det.geometry, &policy, req.query.as_deref())
     };
@@ -556,7 +556,7 @@ fn serve_watch(
     let corpus = args
         .get("--corpus")
         .ok_or("serve --watch: missing --corpus <dir>")?;
-    let cfg = AnalyzeConfig::new(det, shard_count(args)?);
+    let cfg = AnalyzeConfig { det };
     let mut watcher = predator_fleet::Watcher::new(Path::new(watch_dir), Path::new(corpus), cfg);
 
     let corpus_dir = PathBuf::from(corpus);
@@ -599,7 +599,7 @@ fn serve_watch(
             Err(e) => Response::error(500, &e),
         }
     };
-    // Analysis runs inside ingest with per-shard runtimes, so there is no
+    // Analysis runs inside ingest, one detector per file, so there is no
     // long-lived detector for the watchdog to throttle in this mode.
     let polls = serve_mode(args, opts, "watch", report, |state, monitor| {
         let mut polls = 0u64;

@@ -25,6 +25,16 @@ pub(crate) fn warn_loss(path: &str, loss: &LossStats) {
     }
 }
 
+/// Events outside the header range reach no detector state: say how many.
+pub(crate) fn warn_strays(events: u64) {
+    if events > 0 {
+        eprintln!(
+            "warning: {events} event(s) touched lines outside the trace's header range \
+             and were not analysed"
+        );
+    }
+}
+
 pub(crate) fn cmd_trace_info(args: &Args) -> Result<ExitCode, String> {
     let path = &args.operands[0];
     // The footer index summarises without CRC-checking event payloads, so

@@ -161,7 +161,7 @@ pub(crate) static STREAMS: Group = Group {
     ],
 };
 
-const SHARDS: &str = "--shards <N>  worker shards [default: CPU count]";
+const SHARDS: &str = "--shards <N>  accepted and ignored: offline analysis is one sequential pass";
 const OUT: &str = "--out <PATH>  the output file, required (short: -o)";
 const CORPUS: &str = "--corpus <DIR>  fleet corpus directory, required (created on first ingest)";
 const TOLERANCE: &str =
@@ -213,10 +213,9 @@ pub(crate) static VERBS: &[Verb] = &[
         path: &["analyze"],
         operands: "<trace.ptrace>",
         arity: (1, 1),
-        about: "Sharded offline analysis of a recorded trace. Cache-line clusters are partitioned \
-                across worker shards, each runs an independent detector, and the merged report is \
-                identical to a sequential replay's. The address range comes from the trace's \
-                header.",
+        about: "Offline analysis of a recorded trace: one pass decodes the file into one \
+                detector, and the report is a sequential replay's. The address range comes from \
+                the trace's header.",
         opts: &[
             SHARDS,
             "--verify-fixes  annotate each finding with its suggested fix's measured replay delta \
@@ -230,8 +229,8 @@ pub(crate) static VERBS: &[Verb] = &[
         path: &["replay"],
         operands: "<trace.ptrace>",
         arity: (1, 1),
-        about: "`analyze` at one shard with the flight recorder on: stream the trace through a \
-                single sequential detector, embedding `explain` timelines in the report.",
+        about: "`analyze` with the flight recorder on: the same pass over the trace, embedding \
+                `explain` timelines in the report.",
         groups: &[&DETECTOR, &REPORT, &POLICY, &RECORDER],
         recorder: true,
         run: detect::cmd_analyze,
@@ -319,12 +318,12 @@ pub(crate) static VERBS: &[Verb] = &[
         path: &["fleet", "ingest"],
         operands: "<trace.ptrace>... --corpus <dir>",
         arity: (1, usize::MAX),
-        about: "Ingest recorded traces into a corpus: each file is streamed through the sharded \
+        about: "Ingest recorded traces into a corpus: each file is streamed through the offline \
                 analyzer and its findings recorded in the corpus manifest (corpus.json). Traces \
                 are content-addressed, so re-ingesting a file is a no-op; corrupted traces \
                 degrade to loss accounting, never errors. The corpus pins the detector \
                 configuration of its first ingest and refuses mismatches.",
-        opts: &[CORPUS, SHARDS],
+        opts: &[CORPUS],
         groups: &[&DETECTOR],
         run: fleet::cmd_fleet_ingest,
         ..ROW
@@ -444,10 +443,8 @@ pub(crate) static VERBS: &[Verb] = &[
             "--passes <N>  stop driving after N passes (0 = forever); the server keeps serving \
              until a signal",
             "--ready-file <PATH>  write the bound address to PATH once listening",
-            "--watch <DIR>  fleet spool directory to poll (needs --corpus; --shards sizes each \
-             ingest)",
+            "--watch <DIR>  fleet spool directory to poll (needs --corpus)",
             CORPUS,
-            SHARDS,
             "--rules <FILE>  alert rules evaluated each watchdog tick (see docs/alerts.rules); \
              state behind /alerts, transitions stream to --trace-events",
             AUTH_TOKEN,

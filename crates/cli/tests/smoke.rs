@@ -1,7 +1,7 @@
 //! End-to-end smoke tests for the `predator` binary: the observability
 //! surface (`--metrics`, `--trace-events`, the `stats` renderer), the CI
 //! gates, error and closed-stdout behaviour, the one trace door (`.ptrace`
-//! in, JSONL only via `trace import`, `replay` ≡ `analyze --shards 1`), and
+//! in, JSONL only via `trace import`, `replay` ≡ `analyze`, `--shards` inert), and
 //! the verb table at the front door (a verb refuses what its row lacks).
 
 use std::process::Command;
@@ -389,7 +389,7 @@ fn recorded(tag: &str) -> (std::path::PathBuf, String) {
 }
 
 #[test]
-fn replay_is_analyze_at_one_shard_plus_the_recorder() {
+fn replay_is_analyze_plus_the_recorder() {
     let (dir, trace) = recorded("replay");
     let report = |verb: &[&str]| -> Report {
         let out = predator()
@@ -401,7 +401,7 @@ fn replay_is_analyze_at_one_shard_plus_the_recorder() {
         serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).expect("one JSON report")
     };
     let mut replayed = report(&["replay"]);
-    let analyzed = report(&["analyze", "--shards", "1"]);
+    let analyzed = report(&["analyze"]);
     let recorded = |r: &Report| r.findings.iter().any(|f| !f.timeline.is_empty());
     assert!(recorded(&replayed), "replay turns the flight recorder on");
     assert!(!recorded(&analyzed), "analyze leaves it off");
@@ -421,6 +421,105 @@ fn replay_is_analyze_at_one_shard_plus_the_recorder() {
     // The text preamble keeps its wording.
     let out = predator().args(["replay", &trace]).output().unwrap();
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("replayed 12000 events\n"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--shards` on `analyze` and `whatif` is checked as it always was and
+/// changes nothing: stdout is the same bytes without it, at 1 and at 4.
+#[test]
+fn shards_is_validated_then_ignored() {
+    let (dir, trace) = recorded("inert");
+    let stdout = |verb: &str, extra: &[&str]| -> String {
+        let out = predator()
+            .args([verb, &trace, "--sensitive"])
+            .args(extra)
+            .output()
+            .expect("spawn predator");
+        assert!(out.status.success(), "{verb} {extra:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    // The `obs` block snapshots the process: timings differ run to run.
+    let less_obs = |json: String| -> String {
+        let mut report: Report = serde_json::from_str(&json).expect("one JSON report");
+        report.obs = ObsSnapshot::default();
+        serde_json::to_string(&report).unwrap()
+    };
+    for verb in ["analyze", "whatif"] {
+        let text = stdout(verb, &[]);
+        let json = less_obs(stdout(verb, &["--format", "json"]));
+        assert!(json.contains("\"invalidations\""), "{verb}");
+        for n in ["1", "4"] {
+            assert_eq!(stdout(verb, &["--shards", n]), text, "{verb} --shards {n}");
+            let at_n = stdout(verb, &["--shards", n, "--format", "json"]);
+            assert_eq!(less_obs(at_n), json, "{verb} --shards {n} json");
+        }
+        for (bad, message) in [
+            ("0", "--shards must be at least 1"),
+            ("x", "invalid value for --shards: x"),
+        ] {
+            let out = predator()
+                .args([verb, &trace, "--shards", bad])
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(1), "{verb} --shards {bad}");
+            assert!(out.stdout.is_empty(), "{verb} --shards {bad}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains(message), "{verb} --shards {bad}: {err}");
+        }
+    }
+    let text = stdout("analyze", &[]);
+    let preamble = "analyzed 12000 events, 1 line cluster(s), attribution metadata applied\n";
+    assert!(text.starts_with(preamble), "{text}");
+    let text = stdout("analyze", &["--verify-fixes"]);
+    let preamble = "analyzed 12000 events, 1 line cluster(s), attribution metadata applied; \
+                    3 fix(es) verified by replay\n";
+    assert!(text.starts_with(preamble), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A header narrower than its events: every verb that analyses the trace
+/// says on stderr how many events it could not see, and a trace without
+/// such events says nothing.
+#[test]
+fn events_outside_the_header_range_are_warned_about() {
+    use predator_sim::{Access, ThreadId};
+    let (dir, clean) = recorded("strays");
+    let (base, size) = (0x4000_0000u64, 1u64 << 16);
+    let events: Vec<Access> = (0..600u64)
+        // Two ping-ponged lines: one inside the range, one past its end.
+        .map(|i| {
+            Access::write(
+                ThreadId((i % 2) as u16),
+                base + i % 3 / 2 * size + i % 2 * 8,
+                8,
+            )
+        })
+        .collect();
+    let mut w = predator_trace::TraceWriter::create(Vec::new(), base, size).unwrap();
+    w.write_events(&events).unwrap();
+    let narrow = dir.join("narrow.ptrace").to_str().unwrap().to_string();
+    std::fs::write(&narrow, w.finish().unwrap().1).unwrap();
+    let warning = "warning: 200 event(s) touched lines outside the trace's header range \
+                   and were not analysed\n";
+    for argv in [
+        vec!["analyze"],
+        vec!["analyze", "--verify-fixes"],
+        vec!["analyze", "--format", "json"],
+        vec!["replay"],
+        vec!["whatif"],
+    ] {
+        let run = |trace: &str| {
+            let out = predator()
+                .args(&argv)
+                .args([trace, "--sensitive"])
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "{argv:?} {trace}");
+            String::from_utf8(out.stderr).unwrap()
+        };
+        assert_eq!(run(&narrow), warning, "{argv:?}");
+        assert_eq!(run(&clean), "", "{argv:?}: nothing to warn about");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -637,6 +736,12 @@ fn a_verb_refuses_options_and_operands_its_row_does_not_declare() {
             "`whatif`",
         ),
         (vec!["replay", t, "--shards", "4"], "--shards", "`replay`"),
+        (
+            vec!["fleet", "ingest", t, "--corpus", "c", "--shards", "2"],
+            "--shards",
+            "`fleet ingest`",
+        ),
+        (vec!["serve", t, "--shards", "2"], "--shards", "`serve`"),
         (
             vec!["replay", t, "--verify-fixes"],
             "--verify-fixes",

@@ -335,21 +335,14 @@ fn flight_data(
     (timeline.split_off(older), traces)
 }
 
-fn run_stats(rt0: &Predator, rts: &[&Predator], units: usize, attr: Attribution<'_>) -> RunStats {
-    let published = rts.iter().skip(1).map(|rt| rt.metadata_published_bytes());
-    let dynamic = rts.iter().map(|rt| rt.metadata_dynamic_bytes());
+fn run_stats(rt: &Predator, units: usize, attr: Attribution<'_>) -> RunStats {
     RunStats {
-        events: rts.iter().map(|rt| rt.events()).sum(),
-        observed_invalidations: rts.iter().map(|rt| rt.total_invalidations()).sum(),
-        tracked_lines: rts.iter().map(|rt| rt.tracked_lines()).sum(),
-        total_lines: rt0.layout().lines(),
+        events: rt.events(),
+        observed_invalidations: rt.total_invalidations(),
+        tracked_lines: rt.tracked_lines(),
+        total_lines: rt.layout().lines(),
         prediction_units: units,
-        // The fixed shadow arrays are per-layout and identical across
-        // shards: count them once, then add every shard's dynamic metadata
-        // and the other shards' published track boxes.
-        metadata_bytes: rt0.metadata_fixed_bytes()
-            + dynamic.sum::<usize>()
-            + published.sum::<usize>(),
+        metadata_bytes: rt.metadata_bytes(),
         app_live_bytes: match attr {
             Attribution::Heap(h) => h.live_bytes(),
             Attribution::Directory(d) => d.live_bytes,
@@ -413,43 +406,25 @@ fn publish(report: &Report, units: &[UnitSnapshot], groups: &Groups<'_>) {
 /// `heap` enables heap-object attribution and live-byte statistics; pass
 /// `None` for trace-replay sessions without a managed heap.
 pub fn build_report(rt: &Predator, heap: Option<&TrackedHeap>) -> Report {
-    build_report_merged(&[rt], heap.map_or(Attribution::None, Attribution::Heap))
+    build_report_with(rt, heap.map_or(Attribution::None, Attribution::Heap))
 }
 
-/// Builds one ranked report from *several* detector runtimes — the merge
-/// step of sharded offline analysis (none at all is an empty report).
-///
-/// The caller must guarantee the runtimes share one configuration and
-/// shadow layout, and that every access event was delivered to exactly one
-/// of them, with the touched-line partition keeping any two lines within
-/// `2 * analysis_radius` of each other in the same runtime. Under that
-/// invariant each runtime's tracked lines and prediction units are disjoint
-/// from every other's, and the report is the one a lone runtime fed the full
-/// stream would produce (DESIGN.md, "Report pipeline", says why).
-pub fn build_report_merged(rts: &[&Predator], attr: Attribution<'_>) -> Report {
+/// [`build_report`] with the attribution source spelled out: the offline
+/// path hands in the directory its trace recorded (DESIGN.md, "Report
+/// pipeline").
+pub fn build_report_with(rt: &Predator, attr: Attribution<'_>) -> Report {
     let detect_span = predator_obs::span("detect");
-    let Some(rt0) = rts.first() else {
-        return Report {
-            obs: ObsSnapshot::capture(),
-            ..Report::default()
-        };
-    };
     let mut groups = Groups {
-        resolver: Resolver::new(rt0, attr),
-        report_threshold: rt0.config().report_threshold,
+        resolver: Resolver::new(rt, attr),
+        report_threshold: rt.config().report_threshold,
         aggs: BTreeMap::new(),
         heap_hits: Vec::new(),
     };
-
-    // Snapshots from every runtime, back in global line order / key order.
-    let mut tracked: Vec<(usize, TrackSnapshot)> =
-        rts.iter().flat_map(|rt| rt.tracked_snapshots()).collect();
-    tracked.sort_by_key(|(idx, _)| *idx);
-    groups.lines(tracked);
+    // Both snapshots arrive ordered: lines by index, units by key.
+    groups.lines(rt.tracked_snapshots());
 
     let predict_span = predator_obs::span("predict");
-    let mut units: Vec<UnitSnapshot> = rts.iter().flat_map(|rt| rt.unit_snapshots()).collect();
-    units.sort_by_key(|s| s.key);
+    let units = rt.unit_snapshots();
     groups.units(&units);
     drop(predict_span);
 
@@ -459,7 +434,7 @@ pub fn build_report_merged(rts: &[&Predator], attr: Attribution<'_>) -> Report {
     findings.sort_by_key(|f| std::cmp::Reverse(f.invalidations));
     let mut report = Report {
         findings,
-        stats: run_stats(rt0, rts, units.len(), attr),
+        stats: run_stats(rt, units.len(), attr),
         ..Report::default()
     };
     publish(&report, &units, &groups);
@@ -674,13 +649,6 @@ mod tests {
         }
         let r = build_report(&rt, None);
         assert!(r.findings.is_empty());
-    }
-
-    #[test]
-    fn no_runtimes_merge_to_an_empty_report() {
-        let r = build_report_merged(&[], Attribution::None);
-        assert!(r.findings.is_empty());
-        assert_eq!(r.stats, RunStats::default());
     }
 
     /// The resolver's precedence and its range tests, including sizes no

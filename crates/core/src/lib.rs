@@ -73,7 +73,7 @@ pub use adaptive::{
     BackoffAction, BackoffConfig, BackoffController, Decision, SelfCostModel, TickOutcome, Watchdog,
 };
 pub use api::Session;
-pub use builder::{build_report, build_report_merged, Attribution, ObjectDirectory};
+pub use builder::{build_report, build_report_with, Attribution, ObjectDirectory};
 pub use config::DetectorConfig;
 pub use detect::SharingClass;
 pub use fixes::{lower_fix, suggest_fixes, FixSuggestion, LayoutEdit};

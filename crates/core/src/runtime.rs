@@ -589,15 +589,6 @@ impl Predator {
             .sum();
         per_track + self.units.lock().unwrap().len() * std::mem::size_of::<PredictionUnit>()
     }
-
-    /// Published track boxes alone — the slice of
-    /// [`metadata_fixed_bytes`](Self::metadata_fixed_bytes) that actually
-    /// grows per tracked line. Merged reports sum this across shard
-    /// runtimes (whose tracked lines are disjoint) so that
-    /// `RunStats::metadata_bytes` matches a sequential run exactly.
-    pub fn metadata_published_bytes(&self) -> usize {
-        self.tracks.published_bytes()
-    }
 }
 
 impl AccessSink for Predator {

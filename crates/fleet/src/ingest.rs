@@ -1,4 +1,4 @@
-//! Corpus ingestion: stream a `.ptrace` file through the sharded analyzer
+//! Corpus ingestion: stream a `.ptrace` file through the offline analyzer
 //! and record the run in the manifest.
 //!
 //! Ingest is content-addressed: a trace's id is its file stem plus the

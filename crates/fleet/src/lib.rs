@@ -6,7 +6,7 @@
 //! keep hurting us, across runs, and are they getting worse?* This crate is
 //! that layer:
 //!
-//! - **[`ingest`]** — stream `.ptrace` files through the sharded analyzer
+//! - **[`ingest`]** — stream `.ptrace` files through the offline analyzer
 //!   into a corpus directory (raw traces + a schema-versioned `corpus.json`
 //!   manifest). Content-addressed ids make re-ingestion a no-op; corrupted
 //!   traces degrade to loss accounting, never errors.

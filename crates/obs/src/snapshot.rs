@@ -99,12 +99,10 @@ pub struct Snapshot {
 /// Canonical pipeline order for the PHASES table. Span histograms arrive
 /// from the registry alphabetically; the table instead reads top-to-bottom
 /// in execution order, with phases outside the pipeline appended after.
-const PHASE_PIPELINE: [&str; 9] = [
+const PHASE_PIPELINE: [&str; 7] = [
     "parse",
     "instrument",
     "interpret",
-    "trace_scan",
-    "shard_dispatch",
     "shard_analyze",
     "detect",
     "predict",

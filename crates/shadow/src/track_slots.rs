@@ -117,14 +117,8 @@ impl<T> TrackSlots<T> {
     /// accounting, array length × element size, and so an upper bound on
     /// what is resident: untouched parts of the array are never backed.
     pub fn metadata_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<AtomicPtr<T>>() + self.published_bytes()
-    }
-
-    /// Bytes of the published (boxed) payloads alone — the part of
-    /// [`metadata_bytes`](Self::metadata_bytes) that grows with tracking
-    /// rather than with the shadowed range.
-    pub fn published_bytes(&self) -> usize {
-        self.published() * std::mem::size_of::<T>()
+        self.slots.len() * std::mem::size_of::<AtomicPtr<T>>()
+            + self.published() * std::mem::size_of::<T>()
     }
 }
 

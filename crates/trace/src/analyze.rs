@@ -1,83 +1,53 @@
-//! Sharded offline analysis: one streaming loop in which the thread that
-//! decodes the trace is itself a shard worker, an independent detector per
-//! shard, one merged report.
+//! Offline analysis: one pass. The trace is decoded once; every event marks
+//! its cache line in a bitmap and goes to one detector, and the report is
+//! built from that detector — what a plain loop over the events feeding a
+//! [`Predator`] produces, plus the line-cluster count, the stray-event count
+//! and the trace's own loss and attribution metadata.
 //!
-//! With one shard the trace is decoded once, straight into one detector.
-//! With more, a planning pass first tallies events per cache line, cuts the
-//! touched lines into clusters and assigns those to shards; the replay then
-//! feeds shard 0 — the reader's *home*, the heaviest — inline and batches
-//! only the other shards' events to threads, one per shard given work.
-//!
-//! ## Why line sharding is sound
-//!
-//! Every piece of detector state — per-line access histories, word
-//! histograms, invalidation counts, prediction units — is keyed by cache
-//! line, and an access to line `L` can only read or write state for lines
-//! within `r = (1 << max_scale_log2) − 1` of `L` (neighbour promotion,
-//! the virtual-line analysis window, and unit attachment all reach at most
-//! `r`). Two accesses whose lines are more than `2r` apart therefore share
-//! no state at all. We cluster the touched lines so that consecutive lines
-//! stay together when their gap is ≤ `max(2r, 1)` (the `max(…, 1)` keeps
-//! the two lines of a straddling access in one cluster), assign whole
-//! clusters to shards, and route each event to exactly one shard. Within a
-//! shard, events arrive in the original stream order (inline at home, over
-//! a FIFO channel elsewhere); since clusters on different shards are
-//! non-interacting, each shard's detector state is *identical* to the state
-//! the sequential detector would hold for those lines.
-//! [`predator_core::build_report_merged`] then re-sorts the per-shard
-//! snapshots into global line order, reproducing the sequential report
-//! byte for byte.
-//!
-//! Sampling is the one global the argument must cover: the skip counter is
-//! kept **per tracked line**, not per detector, so it too shards cleanly.
+//! Sequential on purpose: DESIGN.md, "Why there is no sharding". Its "Line
+//! independence" — line clusters further apart than [`link_gap`] share no
+//! detector state — is held by `prop_clusters_are_independent` below, and
+//! [`crate::whatif`]'s tight range rests on it.
 
-use std::borrow::Borrow;
-use std::collections::BTreeMap;
-use std::io::Read;
+use std::collections::BTreeSet;
 use std::path::Path;
-use std::sync::mpsc::sync_channel;
 
-use predator_core::{build_report_merged, Attribution, DetectorConfig, Predator, Report};
+use predator_core::{build_report_with, Attribution, DetectorConfig, Predator, Report};
 use predator_sim::{Access, CacheGeometry};
 
 use crate::format::TraceMeta;
 use crate::reader::{LossStats, TraceReader};
 
-/// Events per batch handed from the reader to another shard's worker.
-pub const DISPATCH_BATCH: usize = 4096;
-/// Bounded depth of each worker's batch queue.
-const CHANNEL_DEPTH: usize = 8;
-
 /// Knobs for one offline analysis run.
 #[derive(Debug, Clone)]
 pub struct AnalyzeConfig {
-    /// Detector configuration every shard runs with.
+    /// Detector configuration the run uses.
     pub det: DetectorConfig,
-    /// Shard count (≥ 1; clusters may cap the useful number).
-    pub shards: usize,
 }
 
 impl AnalyzeConfig {
-    /// Detector config + shard count.
-    pub fn new(det: DetectorConfig, shards: usize) -> Self {
-        AnalyzeConfig {
-            det,
-            shards: shards.max(1),
-        }
+    /// The second parameter was a shard count; it is ignored and stays only
+    /// because `benchmark/` passes it (ROADMAP 1(f)).
+    pub fn new(det: DetectorConfig, _shards: usize) -> Self {
+        AnalyzeConfig { det }
     }
 }
 
 /// Result of an offline analysis run.
 #[derive(Debug)]
 pub struct AnalyzeOutcome {
-    /// The merged report — identical to what a sequential replay produces.
+    /// The report — identical to what a sequential replay produces.
     pub report: Report,
-    /// Events delivered to shard detectors.
+    /// Events delivered to the detector.
     pub events: u64,
-    /// Shards that actually received work.
+    /// Always 1; `benchmark/` reads it (ROADMAP 1(f)).
     pub shards_used: usize,
     /// Line clusters found in the trace.
     pub clusters: usize,
+    /// Events that touched a line outside the traced range. The detector
+    /// holds no state for such a line: that part of the event — all of it,
+    /// unless it straddles the range's edge — was analysed by nothing.
+    pub stray_events: u64,
     /// Trace damage encountered while reading (zeros for in-memory events).
     pub loss: LossStats,
     /// Attribution metadata was present and applied.
@@ -85,61 +55,40 @@ pub struct AnalyzeOutcome {
 }
 
 /// Cluster link distance for a detector config: `max(2r, 1)` with
-/// `r = (1 << max_scale_log2) − 1` (see the module doc).
+/// `r = (1 << max_scale_log2) − 1` (DESIGN.md, "Line independence").
 fn link_gap(det: &DetectorConfig) -> u64 {
     let r = (1u64 << det.max_scale_log2) - 1;
     (2 * r).max(1)
 }
 
-/// Where the planning pass and the replay get their events: a slice at a
-/// time, so their loops are slice loops. A [`TraceReader`] hands over each
-/// chunk as it decodes it; events already in memory are one chunk.
-trait EventChunks {
-    /// The next run of events, in stream order; `None` once dry.
-    fn next_chunk(&mut self) -> Option<&[Access]>;
-}
-
-impl<R: Read> EventChunks for TraceReader<R> {
-    fn next_chunk(&mut self) -> Option<&[Access]> {
-        TraceReader::next_chunk(self)
-    }
-}
-
-impl EventChunks for Option<&[Access]> {
-    fn next_chunk(&mut self) -> Option<&[Access]> {
-        self.take()
-    }
-}
-
-/// Which cache lines a trace touches: a flat array over the `lines` lines of
-/// the traced range, from global line `first` — an event count per line for
-/// planning (`per_cell == 1`), a bit per line when only the cluster count is
-/// wanted (`per_cell == 64`) — and an ordered map for strays outside it.
+/// Which cache lines a trace touches: a bit per line over the `lines` lines
+/// of the traced range, from global line `first`, and an ordered set for
+/// strays outside it.
 struct LineTally {
     geom: CacheGeometry,
     first: u64,
     lines: u64,
-    per_cell: u64,
-    cells: Vec<u64>,
+    bits: Vec<u64>,
     /// The in-range line whose bit the last event set: a run of events on
     /// one line marks it once.
     marked: u64,
-    strays: BTreeMap<u64, u64>,
+    strays: BTreeSet<u64>,
+    /// Events that touched at least one stray line.
+    stray_events: u64,
 }
 
 impl LineTally {
-    fn new(cfg: &AnalyzeConfig, (base, size): (u64, u64), per_cell: u64) -> Self {
-        let geom = cfg.det.geometry;
+    fn new(geom: CacheGeometry, (base, size): (u64, u64)) -> Self {
         let first = geom.line_index(base);
         let lines = base.saturating_add(size).div_ceil(geom.line_size()) - first;
         LineTally {
             geom,
             first,
             lines,
-            per_cell,
-            cells: vec![0; lines.div_ceil(per_cell) as usize],
+            bits: vec![0; lines.div_ceil(64) as usize],
             marked: u64::MAX,
-            strays: BTreeMap::new(),
+            strays: BTreeSet::new(),
+            stray_events: 0,
         }
     }
 
@@ -149,211 +98,97 @@ impl LineTally {
         let i = lines.start().wrapping_sub(self.first);
         if lines.start() == lines.end() && i < self.lines {
             // What nearly every event is: one line of the traced range.
-            if self.per_cell == 1 {
-                self.cells[i as usize] += 1;
-            } else if i != self.marked {
-                self.cells[(i / 64) as usize] |= 1 << (i % 64);
+            if i != self.marked {
+                self.bits[(i / 64) as usize] |= 1 << (i % 64);
                 self.marked = i;
             }
             return;
         }
+        let mut stray = false;
         for line in lines {
             let i = line.wrapping_sub(self.first);
-            if i >= self.lines {
-                *self.strays.entry(line).or_default() += 1;
-            } else if self.per_cell == 1 {
-                self.cells[i as usize] += 1;
+            if i < self.lines {
+                self.bits[(i / 64) as usize] |= 1 << (i % 64);
             } else {
-                self.cells[(i / 64) as usize] |= 1 << (i % 64);
+                self.strays.insert(line);
+                stray = true;
             }
         }
+        self.stray_events += u64::from(stray);
     }
 
-    /// Cuts the touched lines into clusters `(first line, last line,
-    /// weight)`, ascending: a line joins the cluster before it when their
-    /// gap is ≤ `link`. The weight is events, or lines for a bitmap.
-    fn clusters(&self, link: u64) -> Vec<(u64, u64, u64)> {
-        let per = self.per_cell;
-        let cells = self.cells.iter().enumerate().filter(|(_, &c)| c != 0);
-        let flat = cells.flat_map(|(i, &c)| {
-            let weight = move |bit| if per == 1 { c } else { c >> bit & 1 };
-            (0..per).map(move |bit| (self.first + i as u64 * per + bit, weight(bit)))
+    /// Cuts the touched lines into clusters `(first line, last line)`,
+    /// ascending: a line joins the cluster before it when their gap is
+    /// ≤ `link`.
+    fn clusters(&self, link: u64) -> Vec<(u64, u64)> {
+        let cells = self.bits.iter().enumerate().filter(|(_, &c)| c != 0);
+        let marked = cells.flat_map(|(i, &c)| {
+            let set = (0..64).filter(move |bit| c >> bit & 1 == 1);
+            set.map(move |bit| self.first + i as u64 * 64 + bit)
         });
-        let below = self.strays.range(..self.first).map(|(&l, &n)| (l, n));
-        let above = self.strays.range(self.first..).map(|(&l, &n)| (l, n));
-        let mut out: Vec<(u64, u64, u64)> = Vec::new();
-        for (line, n) in below.chain(flat).chain(above).filter(|&(_, n)| n != 0) {
+        let below = self.strays.range(..self.first).copied();
+        let above = self.strays.range(self.first..).copied();
+        let mut out: Vec<(u64, u64)> = Vec::new();
+        for line in below.chain(marked).chain(above) {
             match out.last_mut() {
-                Some(c) if line - c.1 <= link => (c.1, c.2) = (line, c.2 + n),
-                _ => out.push((line, line, n)),
+                Some(c) if line - c.1 <= link => c.1 = line,
+                _ => out.push((line, line)),
             }
         }
         out
     }
 }
 
-/// Maps every touched cache line to its shard: one `(first line, shard)`
-/// entry per cluster, ascending, owning the lines up to the next entry's.
-/// Shard 0 is the *home* shard, the heaviest: the trace reader feeds it
-/// inline, so the largest share of events never leaves the decoding thread.
-struct ShardPlan {
-    table: Vec<(u64, usize)>,
-    /// Shards holding at least one cluster: `0..shards_used`.
-    shards_used: usize,
+/// One analysis under way: the detector, the lines its events have touched
+/// and the span the pass is timed under.
+struct Pass {
+    rt: Predator,
+    seen: LineTally,
+    events: u64,
+    span: predator_obs::Span,
 }
 
-impl ShardPlan {
-    /// The planning pass: tallies `events` per line and assigns the clusters
-    /// longest-processing-time-first to the least-loaded shard, which keeps
-    /// the heaviest from sharing a shard while lighter ones exist.
-    fn scan(mut events: impl EventChunks, range: (u64, u64), cfg: &AnalyzeConfig) -> ShardPlan {
-        let _sp = predator_obs::span("trace_scan");
-        let mut tally = LineTally::new(cfg, range, 1);
-        while let Some(chunk) = events.next_chunk() {
-            chunk.iter().for_each(|a| tally.add(a));
+impl Pass {
+    fn new(cfg: &AnalyzeConfig, base: u64, size: u64) -> Self {
+        Pass {
+            rt: Predator::new(cfg.det, base, size),
+            seen: LineTally::new(cfg.det.geometry, (base, size)),
+            events: 0,
+            span: predator_obs::span("shard_analyze"),
         }
-        let clusters = tally.clusters(link_gap(&cfg.det));
-        // A stable sort: ties keep line order, so the plan is deterministic
-        // (not that correctness needs it — any assignment merges the same).
-        let mut order: Vec<usize> = (0..clusters.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(clusters[i].2));
-        let mut load = vec![0u64; cfg.shards];
-        let mut table: Vec<(u64, usize)> = clusters.iter().map(|c| (c.0, 0)).collect();
-        for i in order {
-            let shard = (0..cfg.shards).min_by_key(|&s| (load[s], s)).unwrap();
-            load[shard] += clusters[i].2;
-            table[i].1 = shard;
-        }
-        // Swap labels so that the heaviest shard is shard 0.
-        let home = (0..cfg.shards).rev().max_by_key(|&s| load[s]).unwrap();
-        for (_, shard) in table.iter_mut().filter(|e| e.1 == 0 || e.1 == home) {
-            *shard = home - *shard;
-        }
-        let shards_used = load.iter().filter(|&&w| w > 0).count().max(1);
-        ShardPlan { table, shards_used }
     }
 
-    /// Shard owning `line`. A line below every cluster was never seen by
-    /// the planning pass and no detector holds state for it: home will do.
-    #[inline]
-    fn shard_of(&self, line: u64) -> usize {
-        let i = self.table.partition_point(|&(first, _)| first <= line);
-        i.checked_sub(1).map_or(0, |i| self.table[i].1)
+    /// The next run of events, in stream order: a slice loop, whether the
+    /// slice is a chunk the reader just decoded or a whole resident trace.
+    fn feed(&mut self, chunk: &[Access]) {
+        self.events += chunk.len() as u64;
+        for a in chunk {
+            self.seen.add(a);
+            self.rt.handle_access(a.tid, a.addr, a.size, a.kind);
+        }
     }
-}
 
-/// Who gets an event of the replay: the plan's shard for its line, or — one
-/// shard, no plan — the caller, which then marks the lines it sees itself.
-enum Route {
-    Planned(ShardPlan),
-    Alone(LineTally),
-}
-
-/// The streaming loop: feeds `events` to one detector per used shard and
-/// merges them. The caller is shard 0's worker; other shards get a thread
-/// and their events in batches. Without a plan (one shard) it is the only
-/// worker and marks the lines it sees. `tail` runs on the dry stream, for
-/// what a `.ptrace` knows only then: its META chunk and its loss.
-///
-/// Each detector has exactly one driver at a time, so none pays for an
-/// atomic read-modify-write: shard 0 stays with the caller, every other one
-/// is lent `&mut` to its worker, which claims it, and claimed back for the
-/// merge once the workers are joined.
-fn replay<I: EventChunks, M: Borrow<TraceMeta>>(
-    events: &mut I,
-    plan: Option<ShardPlan>,
-    range: (u64, u64),
-    cfg: &AnalyzeConfig,
-    tail: impl FnOnce(&mut I) -> (Option<M>, LossStats),
-) -> AnalyzeOutcome {
-    let mut route = match plan {
-        Some(plan) => Route::Planned(plan),
-        None => Route::Alone(LineTally::new(cfg, range, 64)),
-    };
-    let shards_used = match &route {
-        Route::Planned(plan) => plan.shards_used,
-        Route::Alone(_) => 1,
-    };
-    let mut rts: Vec<Predator> = (0..shards_used)
-        .map(|_| Predator::new(cfg.det, range.0, range.1))
-        .collect();
-    let (home, away) = rts.split_first_mut().expect("at least one shard");
-    let mut delivered = 0u64;
-    std::thread::scope(|s| {
-        let mut lanes = Vec::with_capacity(shards_used - 1);
-        let mut workers = Vec::with_capacity(shards_used - 1);
-        for rt in away.iter_mut() {
-            let (tx, rx) = sync_channel::<Vec<Access>>(CHANNEL_DEPTH);
-            workers.push(s.spawn(move || {
-                let _sp = predator_obs::span("shard_analyze");
-                rt.claim();
-                for a in rx.into_iter().flatten() {
-                    rt.handle_access(a.tid, a.addr, a.size, a.kind);
-                }
-            }));
-            lanes.push((tx, Vec::with_capacity(DISPATCH_BATCH)));
+    /// Builds the report. `meta` and `loss` are what a `.ptrace` knows only
+    /// once it has been read dry: its META chunk sits at the end.
+    fn finish(self, meta: Option<&TraceMeta>, loss: LossStats) -> AnalyzeOutcome {
+        drop(self.span);
+        if let Some(m) = meta {
+            m.apply_globals(&self.rt);
         }
-        let _sp = predator_obs::span(match shards_used {
-            1 => "shard_analyze",
-            _ => "shard_dispatch",
-        });
-        while let Some(chunk) = events.next_chunk() {
-            delivered += chunk.len() as u64;
-            let plan = match &mut route {
-                Route::Planned(plan) => plan,
-                Route::Alone(seen) => {
-                    for a in chunk {
-                        seen.add(a);
-                        home.handle_access(a.tid, a.addr, a.size, a.kind);
-                    }
-                    continue;
-                }
-            };
-            for &a in chunk {
-                let line = cfg.det.geometry.line_index(a.addr);
-                let Some(away) = plan.shard_of(line).checked_sub(1) else {
-                    home.handle_access(a.tid, a.addr, a.size, a.kind);
-                    continue;
-                };
-                let (tx, buf) = &mut lanes[away];
-                buf.push(a);
-                if buf.len() >= DISPATCH_BATCH {
-                    let full = std::mem::replace(buf, Vec::with_capacity(DISPATCH_BATCH));
-                    // A send only fails if the worker panicked; propagate.
-                    tx.send(full).expect("shard worker died");
-                }
-            }
+        let dir = meta.map(TraceMeta::directory);
+        let attr = dir
+            .as_ref()
+            .map_or(Attribution::None, Attribution::Directory);
+        let link = link_gap(self.rt.config());
+        AnalyzeOutcome {
+            report: build_report_with(&self.rt, attr),
+            events: self.events,
+            shards_used: 1,
+            clusters: self.seen.clusters(link).len(),
+            stray_events: self.seen.stray_events,
+            loss,
+            meta_applied: meta.is_some(),
         }
-        for (tx, buf) in lanes {
-            tx.send(buf).expect("shard worker died");
-        }
-        // Dropping the senders ends each worker's loop. Joined by handle: the
-        // scope only waits for closures, not thread-local exit flushes.
-        for w in workers {
-            w.join().expect("shard worker panicked");
-        }
-    });
-    away.iter_mut().for_each(Predator::claim);
-    let (meta, loss) = tail(events);
-    let meta = meta.as_ref().map(M::borrow);
-    if let Some(m) = meta {
-        m.apply_globals(&rts[0]);
-    }
-    let dir = meta.map(TraceMeta::directory);
-    let attr = dir
-        .as_ref()
-        .map_or(Attribution::None, Attribution::Directory);
-    let refs: Vec<&Predator> = rts.iter().collect();
-    AnalyzeOutcome {
-        report: build_report_merged(&refs, attr),
-        events: delivered,
-        shards_used,
-        clusters: match route {
-            Route::Planned(plan) => plan.table.len(),
-            Route::Alone(seen) => seen.clusters(link_gap(&cfg.det)).len(),
-        },
-        loss,
-        meta_applied: meta.is_some(),
     }
 }
 
@@ -365,10 +200,9 @@ pub fn analyze_events(
     meta: Option<&TraceMeta>,
     cfg: &AnalyzeConfig,
 ) -> AnalyzeOutcome {
-    let range = (base, size);
-    let plan = (cfg.shards > 1).then(|| ShardPlan::scan(Some(events), range, cfg));
-    let tail = |_: &mut _| (meta, LossStats::default());
-    replay(&mut Some(events), plan, range, cfg, tail)
+    let mut pass = Pass::new(cfg, base, size);
+    pass.feed(events);
+    pass.finish(meta, LossStats::default())
 }
 
 /// Offline analysis of a `.ptrace` file, opened through the one door
@@ -385,13 +219,11 @@ pub fn analyze_file(
     _fallback_size: u64,
 ) -> Result<AnalyzeOutcome, String> {
     let mut r = TraceReader::open(path)?;
-    let range = (r.base(), r.size());
-    let plan = match cfg.shards {
-        0 | 1 => None,
-        _ => Some(ShardPlan::scan(TraceReader::open(path)?, range, cfg)),
-    };
-    let tail = |r: &mut TraceReader<_>| (r.take_meta(), r.stats());
-    Ok(replay(&mut r, plan, range, cfg, tail))
+    let mut pass = Pass::new(cfg, r.base(), r.size());
+    while let Some(chunk) = r.next_chunk() {
+        pass.feed(chunk);
+    }
+    Ok(pass.finish(r.take_meta().as_ref(), r.stats()))
 }
 
 #[cfg(test)]
@@ -399,6 +231,7 @@ mod tests {
     use super::*;
     use predator_core::build_report;
     use predator_sim::ThreadId;
+    use proptest::prelude::*;
 
     /// Two threads ping-pong on adjacent words in several well-separated
     /// regions — multiple clusters, real false sharing in each.
@@ -417,12 +250,13 @@ mod tests {
         out
     }
 
-    fn sequential_report(events: &[Access], base: u64, size: u64, det: &DetectorConfig) -> Report {
+    /// One `Predator` over `[base, base + size)`, fed `events` in order.
+    fn fed(events: &[Access], base: u64, size: u64, det: &DetectorConfig) -> Predator {
         let rt = Predator::new(*det, base, size);
         for a in events {
             rt.handle_access(a.tid, a.addr, a.size, a.kind);
         }
-        build_report(&rt, None)
+        rt
     }
 
     /// Findings + run stats, serialised. The `obs` section is excluded: it
@@ -435,84 +269,31 @@ mod tests {
         )
     }
 
-    const RANGE: (u64, u64) = (0x1000, 1 << 20);
-
-    fn cfg(shards: usize) -> AnalyzeConfig {
-        AnalyzeConfig::new(DetectorConfig::sensitive(), shards) // link gap 2
+    fn tally(events: &[Access], range: (u64, u64)) -> LineTally {
+        let mut seen = LineTally::new(DetectorConfig::sensitive().geometry, range);
+        events.iter().for_each(|a| seen.add(a));
+        seen
     }
 
-    /// The planning pass over `events`, asked for `shards`.
-    fn scan(events: impl Iterator<Item = Access>, shards: usize) -> ShardPlan {
-        let events: Vec<Access> = events.collect();
-        ShardPlan::scan(Some(&events[..]), RANGE, &cfg(shards))
-    }
-
-    /// `n` writes to the first word of in-range line `line` (64 B lines).
-    fn on_line(line: u64, n: usize) -> impl Iterator<Item = Access> {
-        std::iter::repeat_n(Access::write(ThreadId(0), line * 64, 8), n)
-    }
-
-    #[test]
-    fn plan_separates_distant_clusters_and_links_near_lines() {
-        let events = on_line(100, 10)
-            .chain(on_line(200, 20)) // far away → new cluster
-            .chain(on_line(102, 5)) // gap 2 ≤ link → same cluster as 100
-            .chain(on_line(201, 1));
-        let plan = scan(events, 2);
-        assert_eq!(plan.table.len(), 2);
-        assert_eq!(plan.shard_of(100), plan.shard_of(102));
-        assert_eq!(plan.shard_of(200), plan.shard_of(201));
-        assert_ne!(plan.shard_of(100), plan.shard_of(200));
-        assert_eq!(plan.shards_used, 2);
-    }
-
-    #[test]
-    fn single_cluster_uses_one_shard() {
-        let plan = scan(on_line(70, 100).chain(on_line(71, 100)), 8);
-        assert_eq!((plan.table.len(), plan.shards_used), (1, 1));
-    }
-
-    #[test]
-    fn home_shard_is_the_heaviest_and_used_shards_are_dense() {
-        // LPT puts 50 on shard 0, 40 on shard 1, 30 on shard 2, then 25 joins
-        // 30: shard 2 ends heaviest (55) and must be relabelled home.
-        let events = on_line(100, 50)
-            .chain(on_line(200, 40))
-            .chain(on_line(300, 30))
-            .chain(on_line(400, 25));
-        let plan = scan(events, 3);
-        assert_eq!(plan.shards_used, 3);
-        assert_eq!((plan.shard_of(300), plan.shard_of(400)), (0, 0));
-        let mut others = [plan.shard_of(100), plan.shard_of(200)];
-        others.sort_unstable();
-        assert_eq!(others, [1, 2], "used shards stay 0..shards_used");
-        // Lines the planning pass never saw route somewhere valid.
-        assert_eq!(plan.shard_of(5), 0);
-        assert!(plan.shard_of(u64::MAX) < 3);
-    }
-
-    /// The parent commit's planner: a `BTreeMap` insert per touched line,
-    /// clusters cut at gaps > link. Returns `(first, last, events)`.
-    fn reference_clusters(events: &[Access], link: u64) -> Vec<(u64, u64, u64)> {
+    /// Clusters by the book: a `BTreeSet` insert per touched line, cut at
+    /// gaps > link. Returns `(first, last)`.
+    fn reference_clusters(events: &[Access], link: u64) -> Vec<(u64, u64)> {
         let geom = DetectorConfig::sensitive().geometry;
-        let mut counts = BTreeMap::new();
-        for a in events {
-            for line in geom.lines_touched(a.addr, a.size) {
-                *counts.entry(line).or_insert(0u64) += 1;
-            }
-        }
-        let mut out: Vec<(u64, u64, u64)> = Vec::new();
-        for (line, n) in counts {
+        let touched = events
+            .iter()
+            .flat_map(|a| geom.lines_touched(a.addr, a.size));
+        let mut out: Vec<(u64, u64)> = Vec::new();
+        for line in touched.collect::<BTreeSet<u64>>() {
             match out.last_mut() {
-                Some(c) if line - c.1 <= link => (c.1, c.2) = (line, c.2 + n),
-                _ => out.push((line, line, n)),
+                Some(c) if line - c.1 <= link => c.1 = line,
+                _ => out.push((line, line)),
             }
         }
         out
     }
 
     #[test]
-    fn tally_matches_the_btreemap_planner_in_and_out_of_range() {
+    fn tally_matches_the_btreeset_clusters_in_and_out_of_range() {
         // A range with room below it for the low stray.
         let (base, size) = (0x10_0000u64, 1u64 << 20);
         let end = base + size;
@@ -531,60 +312,125 @@ mod tests {
             w(u64::MAX - 7, 8),
         ];
         // In an empty range every line is a stray.
-        for (range, label) in [((base, size), "header range"), ((0, 0), "empty range")] {
-            let want = reference_clusters(&events, 2);
-            let mut counts = LineTally::new(&cfg(1), range, 1);
-            let mut bits = LineTally::new(&cfg(1), range, 64);
-            for a in &events {
-                counts.add(a);
-                bits.add(a);
-            }
-            assert_eq!(counts.clusters(2), want, "{label}: counts");
-            let spans = |c: Vec<(u64, u64, u64)>| -> Vec<(u64, u64)> {
-                c.into_iter()
-                    .map(|(first, last, _)| (first, last))
-                    .collect()
-            };
-            assert_eq!(spans(bits.clusters(2)), spans(want), "{label}: bitmap");
+        for (range, strays, label) in [((base, size), 6, "header range"), ((0, 0), 11, "empty")] {
+            let seen = tally(&events, range);
+            assert_eq!(seen.clusters(2), reference_clusters(&events, 2), "{label}");
+            assert_eq!(seen.stray_events, strays, "{label}: stray events");
         }
     }
 
+    /// A header narrower than its events: what falls outside is counted, the
+    /// rest is analysed as if the strays were not there.
     #[test]
-    fn straddling_access_stays_in_one_shard() {
-        let a = Access::write(ThreadId(0), 0x2000 - 4, 8); // straddles 2 lines
-        let plan = scan(std::iter::once(a), 2);
-        assert_eq!(plan.table.len(), 1);
-        assert_eq!(plan.shard_of(0x2000 / 64 - 1), plan.shard_of(0x2000 / 64));
-    }
-
-    #[test]
-    fn sharded_matches_sequential_exactly() {
-        let base = 0x4000_0000u64;
-        let size = 1u64 << 20;
-        let events = multi_cluster_trace(6, 400, base);
+    fn events_outside_the_range_are_counted_as_strays() {
+        let (base, size) = (0x4000_0000u64, 1u64 << 16);
+        let inside = multi_cluster_trace(1, 400, base);
+        let mut events = inside.clone();
+        // The second region lies wholly past the range's end.
+        events.extend(multi_cluster_trace(1, 300, base + size));
+        events.push(Access::write(ThreadId(0), base + size - 4, 8)); // half in
         let det = DetectorConfig::sensitive();
-        let seq = sequential_report(&events, base, size, &det);
-        assert!(!seq.findings.is_empty(), "workload must produce findings");
-        for shards in [1usize, 2, 4, 8] {
-            let out = analyze_events(&events, base, size, None, &AnalyzeConfig::new(det, shards));
-            assert_eq!(out.events, events.len() as u64);
-            assert_eq!(out.clusters, 6);
-            assert_eq!(
-                essence(&out.report),
-                essence(&seq),
-                "shards={shards} diverged from sequential"
-            );
-        }
+        let out = analyze_events(&events, base, size, None, &AnalyzeConfig::new(det, 1));
+        assert_eq!((out.events, out.stray_events), (701, 301));
+        assert_eq!(out.clusters, 2, "strays still count as touched lines");
+        let kept = analyze_events(&inside, base, size, None, &AnalyzeConfig::new(det, 1));
+        assert_eq!(kept.stray_events, 0);
+        assert_eq!(out.report.findings, kept.report.findings);
     }
 
     #[test]
-    fn sharded_matches_sequential_with_sampling_and_prediction() {
+    fn one_pass_matches_a_plain_replay() {
         let base = 0x4000_0000u64;
         let size = 1u64 << 20;
+        // Sensitive thresholds, then sampling + prediction on.
+        for (det, per_region) in [
+            (DetectorConfig::sensitive(), 400),
+            (DetectorConfig::paper(), 2000),
+        ] {
+            let events = multi_cluster_trace(6, per_region, base);
+            let seq = build_report(&fed(&events, base, size, &det), None);
+            assert!(!seq.findings.is_empty(), "workload must produce findings");
+            // The second argument is ignored.
+            for shards in [1usize, 4] {
+                let cfg = AnalyzeConfig::new(det, shards);
+                let out = analyze_events(&events, base, size, None, &cfg);
+                assert_eq!(out.events, events.len() as u64);
+                assert_eq!((out.clusters, out.shards_used), (6, 1));
+                assert_eq!(essence(&out.report), essence(&seq));
+            }
+        }
+    }
+
+    /// DESIGN.md's "Line independence", held: cut `events` by the clusters
+    /// the tally finds, give each cluster's events a detector of its own, and
+    /// together they hold exactly what one detector fed everything holds.
+    fn assert_clusters_independent(events: &[Access], range: (u64, u64), det: &DetectorConfig) {
+        let clusters = tally(events, range).clusters(link_gap(det));
+        let mut parts = vec![Vec::new(); clusters.len()];
+        for a in events {
+            // Every line an event touches is in one cluster (the link is ≥ 1).
+            let line = det.geometry.line_index(a.addr);
+            parts[clusters.partition_point(|c| c.1 < line)].push(*a);
+        }
+        let alone: Vec<Predator> = parts
+            .iter()
+            .map(|part| fed(part, range.0, range.1, det))
+            .collect();
+        let mut tracked: Vec<_> = alone.iter().flat_map(|rt| rt.tracked_snapshots()).collect();
+        tracked.sort_by_key(|(idx, _)| *idx);
+        let mut units: Vec<_> = alone.iter().flat_map(|rt| rt.unit_snapshots()).collect();
+        units.sort_by_key(|u| u.key);
+        let whole = fed(events, range.0, range.1, det);
+        assert_eq!(
+            alone.iter().map(Predator::events).sum::<u64>(),
+            whole.events()
+        );
+        assert_eq!(tracked, whole.tracked_snapshots());
+        assert_eq!(units, whole.unit_snapshots());
+    }
+
+    #[test]
+    fn clusters_are_independent_under_sampling_and_prediction() {
+        let base = 0x4000_0000u64;
         let events = multi_cluster_trace(4, 2000, base);
-        let det = DetectorConfig::paper(); // sampling + prediction on
-        let seq = sequential_report(&events, base, size, &det);
-        let out = analyze_events(&events, base, size, None, &AnalyzeConfig::new(det, 4));
-        assert_eq!(essence(&out.report), essence(&seq));
+        assert_clusters_independent(&events, (base, 1 << 20), &DetectorConfig::paper());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn prop_clusters_are_independent(
+            ops in proptest::collection::vec(
+                // (region, word, is_write, straddles) per op; threads
+                // alternate per op. Regions 4 and 5 lie below and above the
+                // traced range. Region 0 ends 3 lines short of region 1, one
+                // line too far to interact; region 2 ends 2 short of region
+                // 3, and cutting between those (a link of 1) fails this test.
+                (0u64..6, 0u64..16, prop::bool::ANY, prop::bool::ANY), 60..400),
+            threads in 2u16..4,
+        ) {
+            let (base, size) = (0x4000_0000u64, 1u64 << 22);
+            let events: Vec<Access> = ops
+                .iter()
+                .enumerate()
+                .map(|(i, &(region, word, is_write, straddles))| {
+                    let tid = ThreadId((i as u64 % threads as u64) as u16);
+                    let region_base = match region {
+                        0 => base + 0x8000 - 5 * 64,
+                        2 => base + 3 * 0x8000 - 4 * 64,
+                        4 => base - 0x8000,
+                        5 => base + size + 0x8000,
+                        r => base + r * 0x8000,
+                    };
+                    let addr = region_base + if straddles { word / 8 * 64 + 60 } else { word * 8 };
+                    match is_write {
+                        true => Access::write(tid, addr, 8),
+                        false => Access::read(tid, addr, 8),
+                    }
+                })
+                .collect();
+            assert_clusters_independent(&events, (base, size), &DetectorConfig::sensitive());
+        }
     }
 }

@@ -1,11 +1,11 @@
 //! `predator-trace`: the compact binary `.ptrace` access-trace format and
-//! the sharded offline analysis engine.
+//! the offline analysis pass.
 //!
 //! The live detector pays its overhead while the workload runs. This crate
 //! splits that cost in two: **record** the raw access stream cheaply
 //! (thread-local segment buffers, delta-compressed chunks — no detector
 //! work at all), then **analyze** the trace offline, as many times and
-//! with as many configurations as wanted, across N worker shards.
+//! with as many configurations as wanted.
 //!
 //! * [`format`] — the `.ptrace` byte layout: magic + versioned header,
 //!   CRC-framed chunks with varint delta-encoded records, a JSON metadata
@@ -20,9 +20,9 @@
 //! * [`jsonl`] — JSON-lines text at the edge: [`import_jsonl`] converts it
 //!   to a `.ptrace` (`predator trace import`), `trace cat` converts back.
 //!   No analysis reads it.
-//! * [`analyze`] — the sharded engine: cluster cache lines, run one
-//!   detector per shard, merge into a [`predator_core::Report`] that is
-//!   byte-identical to a sequential replay's.
+//! * [`analyze`] — the offline pass: decode once into one detector and
+//!   build the [`predator_core::Report`] a sequential replay would, with
+//!   the trace's line clusters, strays and loss counted beside it.
 //! * [`remap`] — injective, order-preserving address remaps: layout fixes
 //!   (padding, alignment) expressed as pure functions on trace addresses.
 //! * [`whatif`] — fix verification by replay: re-analyze the remapped

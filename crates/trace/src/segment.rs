@@ -16,9 +16,8 @@
 //! fill, so two threads' events interleave at segment granularity, not
 //! access granularity. (The old mutex recorder never promised more — lock
 //! handoff order is scheduler whim — it just interleaved finer.) The
-//! detector doesn't care: its state is per cache line and the sharding
-//! soundness argument (see [`crate::analyze`]) never relies on cross-thread
-//! order.
+//! detector doesn't care: its state is per cache line and an offline
+//! analysis replays whatever order the file holds.
 //!
 //! ## Visibility
 //!

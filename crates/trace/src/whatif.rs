@@ -5,7 +5,7 @@
 //! start addresses (§3). The `.ptrace` format enables the generalisation:
 //! take the recorded trace, apply a proposed layout fix as a pure address
 //! remap ([`crate::remap::AddressRemap`] — injective, order-preserving),
-//! stream the remapped trace back through the sharded offline analyzer,
+//! stream the remapped trace back through the offline analyzer,
 //! and report the *measured* invalidation delta instead of untested
 //! advice. Every delta is computed at all four portfolio line sizes
 //! ([`CacheGeometry::PORTFOLIO_LINE_SIZES`]) and cross-checked against the
@@ -45,6 +45,9 @@ pub struct WhatIfOutcome {
     pub report: Report,
     /// Events replayed.
     pub events: u64,
+    /// Of those, events that touched a line outside `[base, base + size)`
+    /// ([`AnalyzeOutcome::stray_events`] of the baseline walk).
+    pub stray_events: u64,
     /// Findings that received a verification.
     pub verified: usize,
 }
@@ -117,6 +120,7 @@ pub fn whatif_events(
     WhatIfOutcome {
         report,
         events: outcome.events,
+        stray_events: outcome.stray_events,
         verified,
     }
 }
@@ -171,7 +175,7 @@ fn detector_walk(
 /// The range what-if's own walks shadow instead of the header range
 /// `[base, base + size)`: the page-aligned hull of the bytes `events` put
 /// inside it, widened by the detector's reach at the widest portfolio line —
-/// `2r + 2` lines, `r` as in [`crate::analyze`]'s sharding argument — and
+/// `2r + 2` lines, `r` as in DESIGN.md's "Line independence" — and
 /// clamped back to the header range. Strays stay strays and every line that
 /// can hold state is inside, so the walk's findings are the header range's
 /// (DESIGN.md, "why the tight range is sound"); its shadow is a few pages.
@@ -206,7 +210,7 @@ fn portfolio_walks(
     let walk = |geom| {
         let mut det = cfg.det;
         det.geometry = geom;
-        let gcfg = AnalyzeConfig { det, ..cfg.clone() };
+        let gcfg = AnalyzeConfig { det };
         detector_walk(events, range, meta, &gcfg).report
     };
     CacheGeometry::portfolio()

@@ -19,8 +19,8 @@
 //!   selective instrumentation pass, a deterministic multithreaded
 //!   interpreter, and trace record/replay;
 //! * [`trace`] — the compact binary `.ptrace` trace format
-//!   (CRC-framed, delta-encoded, corruption-tolerant) and the sharded
-//!   offline analysis engine;
+//!   (CRC-framed, delta-encoded, corruption-tolerant) and the offline
+//!   analysis pass;
 //! * [`workloads`] — the paper's Phoenix / PARSEC /
 //!   real-application evaluation workloads;
 //! * [`fleet`] — the `.ptrace` corpus store: cross-run merged

@@ -283,9 +283,9 @@ fn attribution_live_session() {
 }
 
 /// The same events through a `.ptrace` whose META chunk carries the
-/// session's heap and globals (`Attribution::Directory`): one shard and
-/// three agree, the recorder-on replay differs from them only by the
-/// flight data it embeds, and it is the live session's report to the byte
+/// session's heap and globals (`Attribution::Directory`): the
+/// recorder-on replay differs from the plain analysis only by the flight
+/// data it embeds, and it is the live session's report to the byte
 /// (both cases read `attribution.json`).
 #[test]
 fn attribution_ptrace_directory() {
@@ -299,33 +299,27 @@ fn attribution_ptrace_directory() {
         .unwrap();
     let path = std::env::temp_dir().join(format!("predator-golden-{}.ptrace", std::process::id()));
     std::fs::write(&path, w.finish().unwrap().1).unwrap();
-    let analyze = |shards| {
-        let out = analyze_file(
-            &path,
-            &AnalyzeConfig::new(*s.runtime().config(), shards),
-            0,
-            0,
-        )
-        .expect("a clean trace analyses");
+    let cfg = AnalyzeConfig::new(*s.runtime().config(), 1);
+    let analyze = || {
+        let out = analyze_file(&path, &cfg, 0, 0).expect("a clean trace analyses");
         assert!(out.meta_applied && !out.loss.any());
         normalized(out.report)
     };
-    let (one, three) = (analyze(1), analyze(3));
+    let plain = analyze();
     recorder().reset();
     recorder().enable(4);
-    let recorded = analyze(1);
+    let recorded = analyze();
     recorder().disable();
     recorder().reset();
     std::fs::remove_file(&path).ok();
 
-    assert_eq!(one, three, "shard count changed the report");
     let mut stripped = recorded.clone();
     for f in &mut stripped.findings {
         f.timeline.clear();
         f.invalidation_traces.clear();
     }
     assert_eq!(
-        stripped, one,
+        stripped, plain,
         "the recorder changed more than the flight data"
     );
     assert!(

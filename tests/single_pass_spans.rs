@@ -1,5 +1,5 @@
-//! Which threads and passes an offline analysis actually uses, read off the
-//! process-global span histograms — hence one test alone in its own binary:
+//! How many passes an offline analysis makes, read off the process-global
+//! span histograms — hence one test alone in its own binary:
 //! any other analysis running in this process would move the counts.
 
 use predator::core::DetectorConfig;
@@ -20,64 +20,45 @@ fn trace(regions: u64) -> Vec<Access> {
         .collect()
 }
 
-/// `[trace_scan, shard_dispatch, shard_analyze]` spans recorded so far.
-fn spans() -> [u64; 3] {
-    ["trace_scan", "shard_dispatch", "shard_analyze"].map(|phase| {
-        predator::obs::global()
-            .histogram(&format!("span_{phase}_ns"))
-            .count()
-    })
+/// Observations per span series recorded so far, by phase name.
+fn span_counts() -> std::collections::BTreeMap<String, u64> {
+    let hists = predator::obs::global().snapshot().histograms;
+    let spans = hists.into_iter().filter_map(|h| {
+        let phase = h.name.strip_prefix("span_")?.strip_suffix("_ns")?;
+        Some((phase.to_string(), h.count))
+    });
+    spans.collect()
 }
 
 #[test]
-fn the_reader_works_alone_unless_the_plan_gives_other_shards_work() {
+fn every_analysis_is_one_pass_whatever_shard_count_is_asked() {
     let det = DetectorConfig::sensitive();
     let path = std::env::temp_dir().join(format!("predator-spans-{}.ptrace", std::process::id()));
-    let write = |events: &[Access]| {
-        let mut w = TraceWriter::create(Vec::new(), BASE, SIZE).unwrap();
-        w.write_events(events).unwrap();
-        std::fs::write(&path, w.finish().unwrap().1).unwrap();
-    };
-
-    // One shard: no planning pass, no dispatch, one worker — the caller.
     let many = trace(5);
-    write(&many);
-    let cfg = AnalyzeConfig::new(det, 1);
-    let out = analyze_events(&many, BASE, SIZE, None, &cfg);
-    assert_eq!((out.clusters, out.shards_used), (5, 1));
-    let out = analyze_file(&path, &cfg, 0, 0).unwrap();
-    assert_eq!((out.clusters, out.shards_used), (5, 1));
-    assert_eq!(
-        spans(),
-        [0, 0, 2],
-        "one shard: the file is decoded exactly once"
-    );
+    let mut w = TraceWriter::create(Vec::new(), BASE, SIZE).unwrap();
+    w.write_events(&many).unwrap();
+    std::fs::write(&path, w.finish().unwrap().1).unwrap();
 
-    // One cluster at eight shards: the plan is made, finds nothing to hand
-    // out, and the replay is again the caller's alone — no worker thread
-    // (each would record a `shard_analyze` span), no dispatch.
-    let one = trace(1);
-    write(&one);
-    let cfg = AnalyzeConfig::new(det, 8);
-    let out = analyze_events(&one, BASE, SIZE, None, &cfg);
-    assert_eq!((out.clusters, out.shards_used), (1, 1));
-    let out = analyze_file(&path, &cfg, 0, 0).unwrap();
-    assert_eq!((out.clusters, out.shards_used), (1, 1));
-    assert_eq!(
-        spans(),
-        [2, 0, 4],
-        "one cluster: planned, then replayed inline"
-    );
-
-    // Five clusters at four shards: the caller dispatches and works shard 0
-    // itself; only the three other shards get a thread.
-    write(&many);
-    let out = analyze_file(&path, &AnalyzeConfig::new(det, 4), 0, 0).unwrap();
-    assert_eq!((out.clusters, out.shards_used), (5, 4));
-    assert_eq!(
-        spans(),
-        [3, 1, 7],
-        "four shards: one dispatcher-worker, three workers"
-    );
+    // Five clusters, and a shard count that is ignored: each analysis is one
+    // `shard_analyze` span on the caller's thread, and no series exists for
+    // a planning decode or a dispatcher.
+    let mut analyses = 0;
+    for shards in [1usize, 4, 8] {
+        let cfg = AnalyzeConfig::new(det, shards);
+        let out = analyze_events(&many, BASE, SIZE, None, &cfg);
+        assert_eq!((out.clusters, out.shards_used), (5, 1), "shards={shards}");
+        let out = analyze_file(&path, &cfg, 0, 0).unwrap();
+        assert_eq!((out.clusters, out.shards_used), (5, 1), "shards={shards}");
+        analyses += 2;
+        let spans = span_counts();
+        assert_eq!(
+            spans.get("shard_analyze"),
+            Some(&analyses),
+            "shards={shards}"
+        );
+        for retired in ["trace_scan", "shard_dispatch"] {
+            assert!(!spans.contains_key(retired), "shards={shards}: {retired}");
+        }
+    }
     std::fs::remove_file(&path).ok();
 }
