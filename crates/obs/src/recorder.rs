@@ -100,8 +100,9 @@ pub struct FlightRecorder {
     lines: Mutex<HashMap<u64, Ring, BuildHasherDefault<LineHasher>>>,
 }
 
-/// The hasher of every map keyed by one cache line (a line start here, a
-/// line index in the MESI simulator): one multiply, not SipHash, per look-up.
+/// The hasher of every map keyed by cache-line position (a line start here,
+/// a page of lines in the MESI simulator): one multiply, not SipHash, per
+/// look-up.
 /// The rotate moves the mixed high bits down (line starts end in zeros). It
 /// resists no collision flood: the ring store holds at most [`MAX_LINES`]
 /// keys, and a trace built to collide slows its own `whatif`, nothing else.

@@ -139,86 +139,6 @@ impl CacheGeometry {
     }
 }
 
-/// A cache line subdivided into power-of-two *sectors* — the sectored-cache
-/// model (partial-line transfer and per-sector validity) used by several
-/// POWER and GPU designs. Coherence is still line-granular, but a remote
-/// write only hurts a reader whose live data sits in the written sector;
-/// [`crate::mesi::MesiSim`] uses this to split line invalidations into
-/// same-sector conflicts and pure padding-artifact ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct SectorGeometry {
-    line: CacheGeometry,
-    sector_shift: u32,
-}
-
-impl SectorGeometry {
-    /// A sectored geometry: `sector_size` must be a power of two between one
-    /// word and the full line.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sector_size` is not a power of two in
-    /// `[WORD_SIZE, line_size]`.
-    pub fn new(line: CacheGeometry, sector_size: u64) -> Self {
-        assert!(
-            sector_size.is_power_of_two()
-                && sector_size >= WORD_SIZE
-                && sector_size <= line.line_size(),
-            "sector size must be a power of two in [{WORD_SIZE}, {}], got {sector_size}",
-            line.line_size()
-        );
-        SectorGeometry {
-            line,
-            sector_shift: sector_size.trailing_zeros(),
-        }
-    }
-
-    /// The whole-line degenerate case: one sector spanning the line.
-    pub fn unsectored(line: CacheGeometry) -> Self {
-        SectorGeometry::new(line, line.line_size())
-    }
-
-    /// The containing line geometry.
-    #[inline]
-    pub fn line(self) -> CacheGeometry {
-        self.line
-    }
-
-    /// Sector size in bytes.
-    #[inline]
-    pub fn sector_size(self) -> u64 {
-        1 << self.sector_shift
-    }
-
-    /// Sectors per line.
-    #[inline]
-    pub fn sectors_per_line(self) -> usize {
-        (self.line.line_size() >> self.sector_shift) as usize
-    }
-
-    /// Index of the sector containing `addr`, *within its line*.
-    #[inline]
-    pub fn sector_in_line(self, addr: u64) -> usize {
-        (self.line.offset_in_line(addr) >> self.sector_shift) as usize
-    }
-
-    /// Bitmask with one bit per sector touched by an access of `size` bytes
-    /// at `addr`, clipped to the line containing `addr` (a straddling access
-    /// marks each line's sectors in that line's own call).
-    #[inline]
-    pub fn sector_mask(self, addr: u64, size: u8) -> u32 {
-        let line_end = self.line.align_down(addr) + self.line.line_size();
-        let last = (addr + size.max(1) as u64 - 1).min(line_end - 1);
-        let first_sector = self.sector_in_line(addr);
-        let last_sector = self.sector_in_line(last);
-        let mut mask = 0u32;
-        for s in first_sector..=last_sector {
-            mask |= 1 << s;
-        }
-        mask
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,27 +220,6 @@ mod tests {
             prop_assert!(g.align_up(addr) >= addr);
             prop_assert!(g.align_up(addr) - g.align_down(addr) <= g.line_size());
         }
-
-        #[test]
-        fn prop_sector_mask_marks_every_touched_sector(
-            addr in 0u64..1 << 24,
-            size in 1u8..=64,
-            sector_shift in 3u32..=6,
-        ) {
-            let sg = SectorGeometry::new(CacheGeometry::new(64), 1 << sector_shift);
-            let mask = sg.sector_mask(addr, size);
-            prop_assert!(mask != 0);
-            // Every byte of the access that stays in addr's line has its
-            // sector bit set, and no others.
-            let line_start = sg.line().align_down(addr);
-            let mut expect = 0u32;
-            for b in addr..addr + size as u64 {
-                if sg.line().align_down(b) == line_start {
-                    expect |= 1 << sg.sector_in_line(b);
-                }
-            }
-            prop_assert_eq!(mask, expect);
-        }
     }
 
     #[test]
@@ -333,24 +232,5 @@ mod tests {
         for g in p {
             assert_eq!(CacheGeometry::portfolio_separation() % g.line_size(), 0);
         }
-    }
-
-    #[test]
-    fn sector_geometry_basics() {
-        let sg = SectorGeometry::new(CacheGeometry::new(128), 32);
-        assert_eq!(sg.sector_size(), 32);
-        assert_eq!(sg.sectors_per_line(), 4);
-        assert_eq!(sg.sector_in_line(0x1000), 0);
-        assert_eq!(sg.sector_in_line(0x1000 + 33), 1);
-        assert_eq!(sg.sector_in_line(0x1000 + 127), 3);
-        let un = SectorGeometry::unsectored(CacheGeometry::new(64));
-        assert_eq!(un.sectors_per_line(), 1);
-        assert_eq!(un.sector_mask(0x40, 64), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "sector size")]
-    fn sector_larger_than_line_rejected() {
-        SectorGeometry::new(CacheGeometry::new(64), 128);
     }
 }

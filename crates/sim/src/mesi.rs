@@ -14,23 +14,21 @@
 //! > invalidated at least one remote copy.
 //!
 //! (See `prop_history_table_matches_mesi_events` in the tests, and the
-//! cross-crate integration tests.) The simulator models infinite-capacity
-//! private caches: capacity misses are irrelevant to sharing traffic, and the
-//! paper's model ignores them too.
-//!
-//! Storage is line-major: one map from line index to a cell holding every
-//! core's view of that line, so an access is one look-up and a snoop walks
-//! the cores that ever touched the line, never a map per core. In infinite
-//! mode lines share no state (`prop_lines_are_independent`).
+//! cross-crate integration tests.) Private caches are infinite, as in the
+//! paper's model, so a line's whole state is a *holder set*, an *ever-held
+//! set* and the holders' M/E/S state: bitmasks over dense core ids numbered
+//! in first-touch order (DESIGN.md, "MESI storage"). A miss is cold when
+//! the core is not in the ever-held set, a coherence miss when it is.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use predator_obs::recorder::{FlightRecorder, LineHasher, RecKind, WORD_UNKNOWN};
+use predator_obs::ArgVal::U64;
 
-use crate::access::{AccessKind, ThreadId};
-use crate::geometry::{CacheGeometry, SectorGeometry};
+use crate::access::{Access, AccessKind, ThreadId};
+use crate::geometry::CacheGeometry;
 
 /// MESI state of a line present in a private cache. Absence means Invalid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,208 +55,135 @@ pub struct MesiStats {
     pub lines_invalidated: u64,
     /// M→S downgrades forced by remote reads (implying a writeback).
     pub downgrades: u64,
-    /// Lines evicted for space (capacity-limited mode only).
-    pub evictions: u64,
     /// Misses on lines this core never held (first touch).
     pub cold_misses: u64,
     /// Misses on lines lost to remote writes — the sharing signal.
     pub coherence_misses: u64,
-    /// Misses on lines lost to eviction.
-    pub capacity_misses: u64,
-    /// Invalidation events that killed at least one copy in a *different*
-    /// domain than the writer (multi-domain mode; always ≤
-    /// `invalidation_events`, and 0 with a single domain).
-    pub cross_domain_events: u64,
-    /// Remote copies invalidated across a domain boundary — the traffic
-    /// that crosses the NUMA interconnect instead of the local bus.
-    pub cross_domain_lines: u64,
-    /// Invalidated copies whose victim had live data in the written sector
-    /// (sectored mode). The remainder of `lines_invalidated` are losses a
-    /// sectored cache would shrug off: the victim never touched the sector
-    /// the writer dirtied.
-    pub sector_conflict_lines: u64,
 }
+
+/// Lines per page of the store.
+const PAGE_LINES: u64 = 256;
+/// A cell's last word, its tag, holds the holders' state (one of these
+/// three) in its low two bits and the line's invalidation events above them.
+const MODIFIED: u64 = 0;
+const EXCLUSIVE: u64 = 1;
+const SHARED: u64 = 2;
+const ONE_INVALIDATION: u64 = 4;
 
 /// The multi-core MESI simulator.
 ///
 /// Each [`ThreadId`] is a core with an infinite private cache; `access`
-/// applies the protocol transition and updates [`MesiStats`] plus per-line
-/// invalidation-event counters (retrievable via
-/// [`MesiSim::line_invalidations`]).
-#[derive(Debug, Clone)]
+/// (one event) and `walk` (a slice) apply the protocol and update
+/// [`MesiStats`] and per-line invalidation events
+/// ([`MesiSim::line_invalidations`]). The process-wide `mesi_*_total`
+/// counters hear of them once per walk and when the simulator is dropped:
+/// line accesses (`hits + misses`), `invalidation_events` and
+/// `lines_invalidated`.
+#[derive(Debug)]
 pub struct MesiSim {
     geom: CacheGeometry,
-    /// Every line any core has touched, by line index: the one store.
-    lines: HashMap<u64, Cell, BuildHasherDefault<LineHasher>>,
-    /// Capacity limit per core as (sets, ways); `None` = infinite.
-    capacity: Option<(usize, usize)>,
-    /// LRU clock, bumped on every touch.
-    clock: u64,
+    n_cores: usize,
+    /// The thread behind each dense core id, in first-touch order.
+    tids: Vec<u16>,
+    /// Words per set: one until a 65th distinct thread.
+    width: usize,
+    /// Every touched line's cell, `2 * width + 1` words — holder set,
+    /// ever-held set, tag — in pages of `PAGE_LINES` cells found by page
+    /// number through `index`, the last one through `memo` (no page number
+    /// is `u64::MAX`).
+    pages: Vec<Box<[u64]>>,
+    index: HashMap<u64, usize, BuildHasherDefault<LineHasher>>,
+    memo: (u64, usize),
     stats: MesiStats,
-    /// Domain (NUMA node) of each core; all zeros in single-domain mode.
-    domain: Vec<u16>,
-    /// Sub-line sector model, if enabled.
-    sector: Option<SectorGeometry>,
+    /// The part of `stats` the `mesi_*_total` counters already carry.
+    published: MesiStats,
     /// Optional flight-recorder feed: the simulator writes ground-truth
     /// access/invalidation records into *this* instance (never the process
     /// global), so tests can compare it against the detector's own feed.
     recorder: Option<Arc<FlightRecorder>>,
+    /// The word each (line, thread) last touched, kept while a recorder is
+    /// attached: victim-side attribution for recorded invalidations.
+    last_word: HashMap<(u64, u16), u8>,
 }
 
-/// One line: its invalidation events and a [`Slot`] per core that has
-/// touched it, in first-touch order — memory follows the touched (core,
-/// line) pairs, whatever the highest thread id is, and a line few cores
-/// share is a short scan.
-#[derive(Debug, Clone, Default)]
-struct Cell {
-    invalidations: u64,
-    slots: Vec<Slot>,
+/// Is dense core `core` in `set`?
+fn member(set: &[u64], core: usize) -> bool {
+    set[core / 64] >> (core % 64) & 1 != 0
 }
 
-/// One core's view of one line. The slot exists from the core's first
-/// access on, and every access installs the line: a miss that has to create
-/// its slot is the cold one.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    core: u16,
-    /// `None` = Invalid: lost to a remote write, or evicted.
-    state: Option<LineState>,
-    lru: u64,
-    /// The line's last departure was a coherence invalidation.
-    coherence_lost: bool,
-    /// Sector bitmask accumulated while resident (sectored mode only).
-    sectors: u32,
-    /// Victim-side attribution for recorded invalidations; maintained only
-    /// while a recorder is attached.
-    last_word: u8,
-}
-
-impl Cell {
-    /// `core`'s slot, if it holds the line.
-    fn resident(&self, core: ThreadId) -> Option<&Slot> {
-        let holds = |s: &&Slot| s.core == core.0 && s.state.is_some();
-        self.slots.iter().find(holds)
+/// One access by dense core `core` to one line's cell: the whole protocol.
+/// Returns the remote copies the access invalidated.
+#[inline(always)]
+fn step(cell: &mut [u64], width: usize, core: usize, write: bool, stats: &mut MesiStats) -> u64 {
+    let (held, rest) = cell.split_at_mut(width);
+    let (ever, tag) = rest.split_at_mut(width);
+    let (tag, word, bit) = (&mut tag[0], core / 64, 1u64 << (core % 64));
+    let had = held[word] & bit != 0;
+    if had {
+        stats.hits += 1;
+    } else {
+        let known = ever[word] & bit != 0;
+        stats.misses += 1;
+        stats.coherence_misses += known as u64;
+        stats.cold_misses += !known as u64;
+        ever[word] |= bit;
     }
-}
-
-/// Why a miss happened, for the capacity-limited mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MissClass {
-    /// First touch by this core.
-    Cold,
-    /// The line was invalidated by a remote write — coherence traffic, the
-    /// only class (false or true) sharing produces.
-    Coherence,
-    /// The line was evicted for space.
-    Capacity,
+    let state = *tag & 3;
+    let mut killed = 0;
+    let next = match (write, had) {
+        (false, true) => return 0,
+        // Read miss: snoop, downgrading any remote M/E holder to S.
+        (false, false) => {
+            let shared = held.iter().any(|&h| h != 0);
+            stats.downgrades += (shared && state == MODIFIED) as u64;
+            held[word] |= bit;
+            EXCLUSIVE + shared as u64 // SHARED with company
+        }
+        // An M/E holder is the line's only holder: its writes are silent
+        // (E→M included).
+        (true, true) if state != SHARED => MODIFIED,
+        // Upgrade from S (BusUpgr) or read-for-ownership miss (BusRdX):
+        // invalidate every remote copy.
+        (true, _) => {
+            killed = held.iter().map(|h| h.count_ones() as u64).sum::<u64>() - had as u64;
+            held.fill(0);
+            held[word] = bit;
+            if killed > 0 {
+                stats.invalidation_events += 1;
+                stats.lines_invalidated += killed;
+                *tag += ONE_INVALIDATION;
+            }
+            MODIFIED
+        }
+    };
+    *tag = *tag & !3 | next;
+    killed
 }
 
 impl MesiSim {
     /// Creates a simulator with infinite private caches (coherence traffic
-    /// only — the paper's model, which ignores capacity).
+    /// only — the paper's model, which ignores capacity) for threads
+    /// `0..n_cores`.
     pub fn new(n_cores: usize, geom: CacheGeometry) -> Self {
         MesiSim {
             geom,
-            lines: HashMap::default(),
-            capacity: None,
-            clock: 0,
+            n_cores,
+            tids: Vec::new(),
+            width: 1,
+            pages: Vec::new(),
+            index: HashMap::default(),
+            memo: (u64::MAX, 0),
             stats: MesiStats::default(),
-            domain: vec![0; n_cores],
-            sector: None,
+            published: MesiStats::default(),
             recorder: None,
+            last_word: HashMap::new(),
         }
-    }
-
-    /// Multi-domain (NUMA-style) mode: cores are split into `n_domains`
-    /// contiguous equal blocks, and invalidations crossing a block boundary
-    /// are additionally counted as cross-domain traffic
-    /// ([`MesiStats::cross_domain_events`] / `cross_domain_lines`).
-    /// Coherence semantics — and therefore `invalidation_events` — are
-    /// identical to the single-domain simulator; domains change only the
-    /// traffic accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= n_domains <= n_cores`.
-    pub fn with_domains(n_cores: usize, geom: CacheGeometry, n_domains: usize) -> Self {
-        assert!(
-            n_domains >= 1 && n_domains <= n_cores,
-            "need 1 <= domains ({n_domains}) <= cores ({n_cores})"
-        );
-        let mut sim = Self::new(n_cores, geom);
-        for core in 0..n_cores {
-            sim.domain[core] = (core * n_domains / n_cores) as u16;
-        }
-        sim
-    }
-
-    /// Sectored-cache mode: invalidations are additionally classified by
-    /// whether the victim had touched the written sector
-    /// ([`MesiStats::sector_conflict_lines`]). With
-    /// [`SectorGeometry::unsectored`] every conflict is same-sector and the
-    /// count equals `lines_invalidated`.
-    pub fn with_sectors(n_cores: usize, sector: SectorGeometry) -> Self {
-        let mut sim = Self::new(n_cores, sector.line());
-        sim.sector = Some(sector);
-        sim
-    }
-
-    /// Domain of a core (0 in single-domain mode).
-    pub fn domain_of(&self, core: ThreadId) -> u16 {
-        self.domain.get(core.index()).copied().unwrap_or(0)
     }
 
     /// Attaches a flight recorder; every subsequent access and invalidation
     /// is recorded into it (ground truth for the detector's own feed).
     pub fn set_recorder(&mut self, recorder: Arc<FlightRecorder>) {
         self.recorder = Some(recorder);
-    }
-
-    /// Extension: capacity-limited set-associative private caches
-    /// (`sets × ways` lines per core, LRU replacement within a set). Enables
-    /// miss *classification* — separating cold and capacity misses from the
-    /// coherence misses that sharing causes, the distinction the paper
-    /// faults sampling-based tools for blurring.
-    pub fn with_capacity(n_cores: usize, geom: CacheGeometry, sets: usize, ways: usize) -> Self {
-        assert!(
-            sets >= 1 && sets.is_power_of_two(),
-            "sets must be a power of two"
-        );
-        assert!(ways >= 1);
-        let mut sim = Self::new(n_cores, geom);
-        sim.capacity = Some((sets, ways));
-        sim
-    }
-
-    /// Capacity mode, before `core` installs `line`: evicts the least
-    /// recently used line of a full set from `core`'s cache. LRU stamps are
-    /// unique, so the victim does not depend on the map's iteration order.
-    fn make_room(&mut self, core: ThreadId, line: u64) {
-        let Some((sets, ways)) = self.capacity else {
-            return;
-        };
-        if self.state(core, line).is_some() {
-            return;
-        }
-        let same_set = |l: u64| (l ^ line) & (sets as u64 - 1) == 0;
-        let in_set = self.lines.iter().filter(|(&l, _)| same_set(l));
-        let resident: Vec<(u64, u64)> = in_set
-            .filter_map(|(&l, cell)| cell.resident(core).map(|s| (s.lru, l)))
-            .collect();
-        if resident.len() < ways {
-            return;
-        }
-        let &(_, victim) = resident.iter().min().expect("ways >= 1");
-        let cell = self.lines.get_mut(&victim).expect("victim was scanned");
-        let slot = cell.slots.iter_mut().find(|s| s.core == core.0);
-        let slot = slot.expect("victim is resident");
-        (slot.state, slot.coherence_lost, slot.sectors) = (None, false, 0);
-        self.stats.evictions += 1;
-    }
-
-    /// The geometry the simulator indexes lines with.
-    pub fn geometry(&self) -> CacheGeometry {
-        self.geom
     }
 
     /// Aggregate statistics so far.
@@ -268,150 +193,190 @@ impl MesiSim {
 
     /// Invalidation events recorded against a particular line index.
     pub fn line_invalidations(&self, line: u64) -> u64 {
-        self.lines.get(&line).map_or(0, |c| c.invalidations)
+        self.cell(line)
+            .map_or(0, |c| c[2 * self.width] / ONE_INVALIDATION)
     }
 
     /// State of `line` in `core`'s cache (None = Invalid).
     pub fn state(&self, core: ThreadId, line: u64) -> Option<LineState> {
-        self.lines.get(&line)?.resident(core)?.state
+        let dense = self.dense(core)?;
+        let cell = self.cell(line).filter(|c| member(c, dense))?;
+        Some(match cell[2 * self.width] & 3 {
+            MODIFIED => LineState::Modified,
+            EXCLUSIVE => LineState::Exclusive,
+            _ => LineState::Shared,
+        })
     }
 
     /// Number of lines currently resident in `core`'s cache.
     pub fn resident_lines(&self, core: ThreadId) -> usize {
-        let held = |c: &&Cell| c.resident(core).is_some();
-        self.lines.values().filter(held).count()
+        let stride = 2 * self.width + 1;
+        let cells = self.pages.iter().flat_map(|p| p.chunks_exact(stride));
+        self.dense(core)
+            .map_or(0, |dense| cells.filter(|c| member(c, dense)).count())
+    }
+
+    /// `tid`'s dense core id, if it has accessed anything.
+    fn dense(&self, tid: ThreadId) -> Option<usize> {
+        self.tids.iter().position(|&t| t == tid.0)
+    }
+
+    /// `line`'s cell, if its page exists.
+    fn cell(&self, line: u64) -> Option<&[u64]> {
+        let (page, stride) = (*self.index.get(&(line / PAGE_LINES))?, 2 * self.width + 1);
+        let at = (line % PAGE_LINES) as usize * stride;
+        Some(&self.pages[page][at..at + stride])
     }
 
     /// Applies one access of `size` bytes at `addr` by `tid`, visiting every
     /// line the access touches.
     pub fn access(&mut self, tid: ThreadId, addr: u64, size: u8, kind: AccessKind) {
-        predator_obs::hot_counter_inc!("mesi_accesses_total");
-        for line in self.geom.lines_touched(addr, size) {
-            // Word attribution for the flight recorder: exact for the line
-            // containing `addr`, word 0 for the spilled-into lines of a
-            // straddling access.
-            let word = if self.geom.line_index(addr) == line {
-                self.geom.word_in_line(addr) as u8
-            } else {
-                0
-            };
-            let smask = match self.sector {
-                // Clip the access to this line before masking (a straddling
-                // access contributes each line's own sector span).
-                Some(sg) => {
-                    let line_start = self.geom.line_start(line);
-                    let start = addr.max(line_start);
-                    let len = (addr + size.max(1) as u64 - start).min(self.geom.line_size()) as u8;
-                    sg.sector_mask(start, len)
-                }
-                None => 0,
-            };
-            self.access_line(tid, line, kind, word, smask);
+        match self.recorder.is_some() || predator_obs::timeline().enabled() {
+            true => self.apply::<true>(tid, addr, size, kind),
+            false => self.apply::<false>(tid, addr, size, kind),
         }
     }
 
-    fn access_line(&mut self, tid: ThreadId, line: u64, kind: AccessKind, word: u8, smask: u32) {
-        let core = tid.index();
+    /// [`MesiSim::access`] for every event of `events`, in order; then the
+    /// counts are published.
+    pub fn walk(&mut self, events: &[Access]) {
+        match self.recorder.is_some() || predator_obs::timeline().enabled() {
+            true => events
+                .iter()
+                .for_each(|a| self.apply::<true>(a.tid, a.addr, a.size, a.kind)),
+            false => events
+                .iter()
+                .for_each(|a| self.apply::<false>(a.tid, a.addr, a.size, a.kind)),
+        }
+        self.publish();
+    }
+
+    #[inline(always)]
+    fn apply<const TRACED: bool>(&mut self, tid: ThreadId, addr: u64, size: u8, kind: AccessKind) {
+        let core = self.dense(tid).unwrap_or_else(|| self.admit(tid));
+        let lines = self.geom.lines_touched(addr, size);
+        let (mut line, last) = (*lines.start(), *lines.end());
+        loop {
+            if TRACED {
+                self.step_traced(core, tid, addr, line, kind);
+            } else if self.width == 1 {
+                self.step_at(1, core, line, kind.is_write()); // the common width, as a constant
+            } else {
+                self.step_at(self.width, core, line, kind.is_write());
+            }
+            if line == last {
+                break;
+            }
+            line += 1;
+        }
+    }
+
+    /// [`step`] on `line`'s cell, its page created on first touch. `width`
+    /// is `self.width`, passed so a caller can make it a constant.
+    #[inline(always)]
+    fn step_at(&mut self, width: usize, core: usize, line: u64, write: bool) -> u64 {
+        let page = line / PAGE_LINES;
+        if self.memo.0 != page {
+            self.memo = (page, self.add_page(page));
+        }
+        let at = (line % PAGE_LINES) as usize * (2 * width + 1);
+        let cell = &mut self.pages[self.memo.1][at..at + 2 * width + 1];
+        step(cell, width, core, write, &mut self.stats)
+    }
+
+    #[inline(never)]
+    fn add_page(&mut self, page: u64) -> usize {
+        let (pages, words) = (&mut self.pages, PAGE_LINES as usize * (2 * self.width + 1));
+        *self.index.entry(page).or_insert_with(|| {
+            pages.push(vec![0; words].into_boxed_slice());
+            pages.len() - 1
+        })
+    }
+
+    /// A thread's first access: its dense core id. The 65th distinct thread
+    /// doubles the words per set, re-laying every page out once.
+    #[cold]
+    fn admit(&mut self, tid: ThreadId) -> usize {
         assert!(
-            core < self.domain.len(),
+            tid.index() < self.n_cores,
             "thread {tid} exceeds configured core count"
         );
-        self.make_room(tid, line);
-        // Every path below is one touch of the line by `core`.
-        self.clock += 1;
-        let cell = self.lines.entry(line).or_default();
-        let found = cell.slots.iter().position(|s| s.core == tid.0);
-        let own = found.unwrap_or_else(|| {
-            let fresh = Slot {
-                core: tid.0,
-                state: None,
-                lru: 0,
-                coherence_lost: false,
-                sectors: 0,
-                last_word: WORD_UNKNOWN,
-            };
-            cell.slots.push(fresh);
-            cell.slots.len() - 1
-        });
-        let had = cell.slots[own].state;
-        cell.slots[own].sectors |= smask;
-        match had {
-            Some(_) => self.stats.hits += 1,
-            None if found.is_none() => self.stats.cold_misses += 1,
-            None if cell.slots[own].coherence_lost => self.stats.coherence_misses += 1,
-            None => self.stats.capacity_misses += 1,
-        }
-        self.stats.misses += had.is_none() as u64;
-
-        // The bus transaction, if the access needs one. An M/E holder is the
-        // line's only holder: its writes are silent (E→M included).
-        let owned = matches!(had, Some(LineState::Modified | LineState::Exclusive));
-        let remote = cell.slots.iter_mut();
-        let remote = remote.filter(|s| s.core != tid.0 && s.state.is_some());
-        let (mut shared, mut invalidated, mut cross_lines, mut sector_conflicts) = (false, 0, 0, 0);
-        let mut victims: Vec<(u16, u8)> = Vec::new();
-        match kind {
-            // Read miss: snoop, downgrading any remote M/E holder to S.
-            AccessKind::Read if had.is_none() => remote.for_each(|slot| {
-                shared = true;
-                self.stats.downgrades += (slot.state == Some(LineState::Modified)) as u64;
-                slot.state = Some(LineState::Shared);
-            }),
-            // Upgrade from S (BusUpgr) or read-for-ownership miss (BusRdX):
-            // invalidate every remote copy.
-            AccessKind::Write if !owned => remote.for_each(|slot| {
-                invalidated += 1;
-                cross_lines += (self.domain[slot.core as usize] != self.domain[core]) as u64;
-                sector_conflicts += (slot.sectors & smask != 0) as u64;
-                (slot.state, slot.sectors, slot.coherence_lost) = (None, 0, true);
-                if self.recorder.is_some() {
-                    victims.push((slot.core, slot.last_word));
+        if self.tids.len() == 64 * self.width {
+            let (old, new) = (self.width, 2 * self.width);
+            for page in &mut self.pages {
+                let mut wide = vec![0; PAGE_LINES as usize * (2 * new + 1)];
+                for (from, to) in page
+                    .chunks_exact(2 * old + 1)
+                    .zip(wide.chunks_exact_mut(2 * new + 1))
+                {
+                    to[..old].copy_from_slice(&from[..old]);
+                    to[new..new + old].copy_from_slice(&from[old..2 * old]);
+                    to[2 * new] = from[2 * old];
                 }
-            }),
-            _ => {}
-        }
-        let state = match kind {
-            AccessKind::Write => LineState::Modified,
-            AccessKind::Read if shared => LineState::Shared,
-            AccessKind::Read => had.unwrap_or(LineState::Exclusive),
-        };
-        let slot = &mut cell.slots[own];
-        (slot.state, slot.lru, slot.coherence_lost) = (Some(state), self.clock, false);
-
-        let line_start = self.geom.line_start(line);
-        if invalidated > 0 {
-            self.stats.invalidation_events += 1;
-            self.stats.lines_invalidated += invalidated;
-            self.stats.cross_domain_lines += cross_lines;
-            self.stats.cross_domain_events += (cross_lines > 0) as u64;
-            self.stats.sector_conflict_lines += sector_conflicts;
-            cell.invalidations += 1;
-            predator_obs::static_counter!("mesi_invalidation_events_total").inc();
-            predator_obs::static_counter!("mesi_lines_invalidated_total").add(invalidated);
-            // Timeline: a ground-truth invalidation burst on the
-            // writer's sim lane, sized by how many copies died.
-            let tl = predator_obs::timeline();
-            if tl.enabled() {
-                tl.instant(
-                    "mesi_invalidation",
-                    "mesi",
-                    core as u64,
-                    vec![
-                        ("line_start", predator_obs::ArgVal::U64(line_start)),
-                        ("copies_lost", predator_obs::ArgVal::U64(invalidated)),
-                    ],
-                );
+                *page = wide.into_boxed_slice();
             }
+            self.width = new;
         }
-        if let Some(rec) = &self.recorder {
-            victims.sort_unstable(); // by core: the order the records are read out in
-            match kind {
-                _ if invalidated > 0 => rec.offer_invalidation(line_start, tid.0, word, &victims),
-                AccessKind::Read => rec.offer_event(line_start, tid.0, word, RecKind::Read),
-                AccessKind::Write => rec.offer_event(line_start, tid.0, word, RecKind::Write),
-            };
-            cell.slots[own].last_word = word;
+        self.tids.push(tid.0);
+        self.tids.len() - 1
+    }
+
+    /// [`step`], then what the timeline and a recorder are told.
+    #[inline(never)]
+    fn step_traced(&mut self, core: usize, tid: ThreadId, addr: u64, line: u64, kind: AccessKind) {
+        let holders = self
+            .cell(line)
+            .map_or(vec![0; self.width], |c| c[..self.width].to_vec());
+        let killed = self.step_at(self.width, core, line, kind.is_write());
+        let line_start = self.geom.line_start(line);
+        let tl = predator_obs::timeline();
+        if killed > 0 && tl.enabled() {
+            // A ground-truth invalidation burst on the writer's sim lane,
+            // sized by how many copies died.
+            let args = vec![
+                ("line_start", U64(line_start)),
+                ("copies_lost", U64(killed)),
+            ];
+            tl.instant("mesi_invalidation", "mesi", tid.index() as u64, args);
         }
+        let Some(rec) = &self.recorder else {
+            return;
+        };
+        // Word attribution: exact for the line containing `addr`, word 0 for
+        // the spilled-into lines of a straddling access.
+        let word = (self.geom.line_index(addr) == line) as u8 * self.geom.word_in_line(addr) as u8;
+        let last_word = |t| *self.last_word.get(&(line, t)).unwrap_or(&WORD_UNKNOWN);
+        let victims =
+            (0..self.tids.len()).filter(|&c| killed > 0 && c != core && member(&holders, c));
+        let mut victims: Vec<(u16, u8)> = victims
+            .map(|c| (self.tids[c], last_word(self.tids[c])))
+            .collect();
+        victims.sort_unstable(); // by thread: the order the records are read out in
+        match kind {
+            _ if killed > 0 => rec.offer_invalidation(line_start, tid.0, word, &victims),
+            AccessKind::Read => rec.offer_event(line_start, tid.0, word, RecKind::Read),
+            AccessKind::Write => rec.offer_event(line_start, tid.0, word, RecKind::Write),
+        };
+        self.last_word.insert((line, tid.0), word);
+    }
+
+    /// Hands the counts since the last publication to the `mesi_*_total`
+    /// counters.
+    fn publish(&mut self) {
+        let (now, then) = (self.stats, self.published);
+        predator_obs::static_counter!("mesi_accesses_total")
+            .add(now.hits + now.misses - then.hits - then.misses);
+        predator_obs::static_counter!("mesi_invalidation_events_total")
+            .add(now.invalidation_events - then.invalidation_events);
+        predator_obs::static_counter!("mesi_lines_invalidated_total")
+            .add(now.lines_invalidated - then.lines_invalidated);
+        self.published = now;
+    }
+}
+
+impl Drop for MesiSim {
+    fn drop(&mut self) {
+        self.publish();
     }
 }
 
@@ -421,6 +386,7 @@ mod tests {
     use crate::access::AccessKind::{Read, Write};
     use crate::history::HistoryTable;
     use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     const T0: ThreadId = ThreadId(0);
     const T1: ThreadId = ThreadId(1);
@@ -512,6 +478,18 @@ mod tests {
     }
 
     #[test]
+    fn misses_split_into_cold_and_coherence() {
+        let mut m = sim(2);
+        for i in 0..100u64 {
+            m.access(ThreadId((i % 2) as u16), (i % 2) * 8, 8, Write);
+        }
+        let s = m.stats();
+        assert_eq!(s.cold_misses, 2);
+        assert_eq!(s.coherence_misses, 98);
+        assert_eq!(s.misses, s.cold_misses + s.coherence_misses);
+    }
+
+    #[test]
     #[should_panic(expected = "exceeds configured core count")]
     fn rejects_unknown_core() {
         let mut m = sim(1);
@@ -544,295 +522,183 @@ mod tests {
     }
 
     #[test]
-    fn capacity_mode_evicts_lru() {
-        // 1 set x 2 ways: third distinct line evicts the least recent.
-        let mut m = MesiSim::with_capacity(1, CacheGeometry::new(64), 1, 2);
-        m.access(T0, 0, 8, Read); // line 0
-        m.access(T0, 64, 8, Read); // line 1
-        m.access(T0, 0, 8, Read); // touch line 0 -> line 1 is LRU
-        m.access(T0, 128, 8, Read); // line 2 evicts line 1
-        assert_eq!(m.stats().evictions, 1);
-        assert_eq!(m.state(T0, 1), None, "LRU line evicted");
-        assert!(m.state(T0, 0).is_some());
-        assert!(m.state(T0, 2).is_some());
-        assert_eq!(m.resident_lines(T0), 2);
-    }
-
-    #[test]
-    fn capacity_mode_classifies_misses() {
-        let mut m = MesiSim::with_capacity(2, CacheGeometry::new(64), 1, 1);
-        // Cold miss.
-        m.access(T0, 0, 8, Write);
-        assert_eq!(m.stats().cold_misses, 1);
-        // Coherence miss: T1 steals the line, T0 re-reads.
-        m.access(T1, 0, 8, Write);
-        assert_eq!(m.stats().cold_misses, 2);
-        m.access(T0, 0, 8, Read);
-        assert_eq!(m.stats().coherence_misses, 1);
-        // Capacity miss: T0's single way gets replaced by another line,
-        // then T0 returns to the first.
-        m.access(T0, 64, 8, Read);
-        assert_eq!(m.stats().evictions, 1);
-        m.access(T0, 0, 8, Read);
-        assert_eq!(m.stats().capacity_misses, 1);
-        let s = m.stats();
-        assert_eq!(
-            s.misses,
-            s.cold_misses + s.coherence_misses + s.capacity_misses
-        );
-    }
-
-    #[test]
-    fn sets_partition_the_index_space() {
-        // 2 sets x 1 way: even and odd lines never evict each other.
-        let mut m = MesiSim::with_capacity(1, CacheGeometry::new(64), 2, 1);
-        m.access(T0, 0, 8, Read); // line 0 -> set 0
-        m.access(T0, 64, 8, Read); // line 1 -> set 1
-        assert_eq!(m.stats().evictions, 0);
-        assert_eq!(m.resident_lines(T0), 2);
-        m.access(T0, 128, 8, Read); // line 2 -> set 0 evicts line 0
-        assert_eq!(m.stats().evictions, 1);
-        assert_eq!(m.state(T0, 0), None);
-        assert!(m.state(T0, 1).is_some());
-    }
-
-    /// The victim is the set's least recently used line whichever way the
-    /// map happens to walk its lines: maps filled in opposite orders end the
-    /// same script in the same place.
-    #[test]
-    fn eviction_does_not_depend_on_map_order() {
-        let run = |warm: &mut dyn Iterator<Item = u64>| {
-            let mut m = MesiSim::with_capacity(2, CacheGeometry::new(64), 2, 4);
-            // T1 fills its cache exactly (four lines per set, no eviction)...
-            for line in warm {
-                m.access(T1, line * 64, 8, Read);
-            }
-            // ...then T0 wanders over three times what its own can hold.
-            for i in 0..300u64 {
-                let kind = if i % 3 == 0 { Write } else { Read };
-                m.access(T0, (i * 7 + i / 5) % 24 * 64, 8, kind);
-            }
-            let states: Vec<_> = (0..24)
-                .flat_map(|line| [m.state(T0, line), m.state(T1, line)])
-                .collect();
-            (m.stats(), states)
-        };
-        let ascending = run(&mut (0..8));
-        assert!(ascending.0.evictions > 100, "{:?}", ascending.0);
-        assert_eq!(ascending, run(&mut (0..8).rev()));
-    }
-
-    #[test]
-    fn false_sharing_shows_as_coherence_misses_not_capacity() {
-        // Plenty of space; a ping-pong pattern must classify as coherence.
-        let mut m = MesiSim::with_capacity(2, CacheGeometry::new(64), 16, 4);
-        for i in 0..100u64 {
-            m.access(ThreadId((i % 2) as u16), (i % 2) * 8, 8, AccessKind::Write);
-        }
-        let s = m.stats();
-        assert_eq!(s.capacity_misses, 0);
-        assert_eq!(s.cold_misses, 2);
-        assert!(s.coherence_misses > 90, "{s:?}");
-    }
-
-    #[test]
-    fn domains_partition_cores_into_contiguous_blocks() {
-        let m = MesiSim::with_domains(8, CacheGeometry::new(64), 2);
-        let doms: Vec<u16> = (0..8).map(|c| m.domain_of(ThreadId(c))).collect();
-        assert_eq!(doms, vec![0, 0, 0, 0, 1, 1, 1, 1]);
-        let m = MesiSim::with_domains(4, CacheGeometry::new(64), 4);
-        let doms: Vec<u16> = (0..4).map(|c| m.domain_of(ThreadId(c))).collect();
-        assert_eq!(doms, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "domains")]
-    fn more_domains_than_cores_rejected() {
-        MesiSim::with_domains(2, CacheGeometry::new(64), 3);
-    }
-
-    #[test]
-    fn single_domain_has_zero_cross_traffic() {
-        let mut m = MesiSim::with_domains(2, CacheGeometry::new(64), 1);
-        for i in 0..10u64 {
-            m.access(ThreadId((i % 2) as u16), 0, 8, Write);
-        }
-        assert_eq!(m.stats().invalidation_events, 9);
-        assert_eq!(m.stats().cross_domain_events, 0);
-        assert_eq!(m.stats().cross_domain_lines, 0);
-    }
-
-    #[test]
-    fn one_domain_per_core_makes_every_invalidation_cross() {
-        let mut m = MesiSim::with_domains(2, CacheGeometry::new(64), 2);
-        for i in 0..10u64 {
-            m.access(ThreadId((i % 2) as u16), 0, 8, Write);
-        }
-        assert_eq!(m.stats().invalidation_events, 9);
-        assert_eq!(m.stats().cross_domain_events, 9);
-        assert_eq!(m.stats().cross_domain_lines, 9);
-    }
-
-    #[test]
-    fn intra_domain_ping_pong_stays_local() {
-        // Cores 0 and 1 share domain 0; cores 2 and 3 are domain 1. A
-        // ping-pong confined to one domain produces no cross traffic, while
-        // a 0<->2 ping-pong is all cross.
-        let mut m = MesiSim::with_domains(4, CacheGeometry::new(64), 2);
-        for i in 0..6u64 {
-            m.access(ThreadId((i % 2) as u16), 0, 8, Write);
-        }
-        assert_eq!(m.stats().cross_domain_events, 0);
-        for i in 0..6u64 {
-            m.access(ThreadId(if i % 2 == 0 { 0 } else { 2 }), 64, 8, Write);
-        }
-        let s = m.stats();
-        assert_eq!(s.cross_domain_events, 5);
-        assert!(s.cross_domain_lines <= s.lines_invalidated);
-        assert!(s.cross_domain_events <= s.invalidation_events);
-    }
-
-    #[test]
-    fn sectored_mode_classifies_conflicts() {
-        // 64B line, 16B sectors. T0 writes sector 0; T1 writes sector 3.
-        // The coherence protocol still invalidates, but the victims never
-        // touched the written sector, so no sector conflicts are counted.
-        let sg = SectorGeometry::new(CacheGeometry::new(64), 16);
-        let mut m = MesiSim::with_sectors(2, sg);
-        for i in 0..10u64 {
-            let (tid, addr) = if i % 2 == 0 { (0u16, 0u64) } else { (1, 48) };
-            m.access(ThreadId(tid), addr, 8, Write);
-        }
-        let s = m.stats();
-        assert_eq!(s.invalidation_events, 9);
-        assert_eq!(s.sector_conflict_lines, 0, "{s:?}");
-        // Same-sector ping-pong on another line: every invalidation is a
-        // true sector conflict.
-        for i in 0..10u64 {
-            let (tid, addr) = if i % 2 == 0 { (0u16, 64) } else { (1, 72) };
-            m.access(ThreadId(tid), addr, 8, Write);
-        }
-        let s = m.stats();
-        assert_eq!(s.invalidation_events, 18);
-        assert_eq!(s.sector_conflict_lines, 9, "{s:?}");
-    }
-
-    #[test]
-    fn unsectored_geometry_counts_every_invalidation_as_conflict() {
-        let sg = SectorGeometry::unsectored(CacheGeometry::new(64));
-        let mut m = MesiSim::with_sectors(2, sg);
-        for i in 0..10u64 {
-            let (tid, addr) = if i % 2 == 0 { (0u16, 0u64) } else { (1, 56) };
-            m.access(ThreadId(tid), addr, 8, Write);
-        }
-        let s = m.stats();
-        assert_eq!(s.sector_conflict_lines, s.lines_invalidated);
-    }
-
-    #[test]
-    fn sector_mask_resets_on_reinstall() {
-        // T1's mask must not survive invalidation: after losing the line,
-        // T1 re-touches only sector 3, so T0's sector-0 write conflicts
-        // with nothing.
-        let sg = SectorGeometry::new(CacheGeometry::new(64), 16);
-        let mut m = MesiSim::with_sectors(2, sg);
-        m.access(ThreadId(1), 0, 8, Write); // T1 dirties sector 0
-        m.access(ThreadId(0), 0, 8, Write); // conflict (both sector 0)
-        m.access(ThreadId(1), 48, 8, Write); // T1 back, sector 3 only
-        m.access(ThreadId(0), 0, 8, Write); // sector 0 vs sector 3: no hit
-        let s = m.stats();
-        assert_eq!(s.invalidation_events, 3);
-        assert_eq!(s.sector_conflict_lines, 1, "{s:?}");
-    }
-
-    proptest! {
-        /// Domains never change coherence semantics: invalidation_events and
-        /// lines_invalidated are identical across any domain count, cross
-        /// counts are bounded by totals, and a single domain is all-local.
-        #[test]
-        fn prop_domains_only_relabel_traffic(
-            script in proptest::collection::vec(
-                (0u16..4, 0u64..256, prop::bool::ANY), 0..256),
-            n_domains in 1usize..=4,
-        ) {
-            let mut base = sim(4);
-            let mut multi = MesiSim::with_domains(4, CacheGeometry::new(64), n_domains);
-            for (tid, addr, w) in script {
-                let kind = if w { Write } else { Read };
-                base.access(ThreadId(tid), addr, 8, kind);
-                multi.access(ThreadId(tid), addr, 8, kind);
-            }
-            let (b, m) = (base.stats(), multi.stats());
-            prop_assert_eq!(b.invalidation_events, m.invalidation_events);
-            prop_assert_eq!(b.lines_invalidated, m.lines_invalidated);
-            prop_assert!(m.cross_domain_events <= m.invalidation_events);
-            prop_assert!(m.cross_domain_lines <= m.lines_invalidated);
-            if n_domains == 1 {
-                prop_assert_eq!(m.cross_domain_events, 0);
-            }
-        }
-
-        /// Sector conflicts are bounded by lines invalidated, and the
-        /// unsectored model counts every invalidated copy as a conflict.
-        #[test]
-        fn prop_sector_conflicts_bounded(
-            script in proptest::collection::vec(
-                (0u16..3, 0u64..128, prop::bool::ANY), 0..256),
-            sector_log in 3u32..=6,
-        ) {
-            let sg = SectorGeometry::new(CacheGeometry::new(64), 1 << sector_log);
-            let mut m = MesiSim::with_sectors(3, sg);
-            let mut plain = sim(3);
-            for (tid, addr, w) in script {
-                let kind = if w { Write } else { Read };
-                m.access(ThreadId(tid), addr, 8, kind);
-                plain.access(ThreadId(tid), addr, 8, kind);
-            }
-            let s = m.stats();
-            prop_assert!(s.sector_conflict_lines <= s.lines_invalidated);
-            // The sector model never perturbs the protocol itself.
-            prop_assert_eq!(s.invalidation_events, plain.stats().invalidation_events);
-            if sector_log == 6 {
-                // 64B sectors on a 64B line = unsectored.
-                prop_assert_eq!(s.sector_conflict_lines, s.lines_invalidated);
-            }
-        }
-    }
-
-    #[test]
-    fn infinite_mode_never_evicts() {
+    fn infinite_caches_keep_every_line() {
         let mut m = sim(1);
         for line in 0..10_000u64 {
             m.access(T0, line * 64, 8, Write);
         }
-        assert_eq!(m.stats().evictions, 0);
         assert_eq!(m.resident_lines(T0), 10_000);
+        assert_eq!(m.stats().cold_misses, 10_000);
     }
 
-    proptest! {
-        /// Capacity never exceeds sets x ways, and the miss classes always
-        /// partition the misses.
-        #[test]
-        fn prop_capacity_respected(
-            ops in proptest::collection::vec((0u16..2, 0u64..64, prop::bool::ANY), 1..300),
-            ways in 1usize..4,
-        ) {
-            let mut m = MesiSim::with_capacity(2, CacheGeometry::new(64), 4, ways);
-            for (tid, word, w) in ops {
-                let kind = if w { Write } else { Read };
-                m.access(ThreadId(tid), word * 8, 8, kind);
-                prop_assert!(m.resident_lines(ThreadId(0)) <= 4 * ways);
-                prop_assert!(m.resident_lines(ThreadId(1)) <= 4 * ways);
+    /// The 65th distinct thread widens every set once; what the first 64
+    /// left behind reads back unchanged, and the newcomer invalidates them.
+    #[test]
+    fn a_65th_thread_widens_the_sets() {
+        let mut m = sim(200);
+        for t in 0..64u16 {
+            m.access(ThreadId(t * 3), 0, 8, Read);
+            m.access(ThreadId(t * 3), 64 * 1000, 8, Write);
+        }
+        assert_eq!(m.width, 1);
+        m.access(ThreadId(199), 0, 8, Write);
+        assert_eq!(m.width, 2);
+        assert_eq!(m.stats().lines_invalidated, 63 + 64);
+        assert_eq!(m.state(ThreadId(189), 1000), Some(LineState::Modified));
+        assert_eq!(m.state(ThreadId(199), 0), Some(LineState::Modified));
+        assert_eq!(m.line_invalidations(1000), 63);
+        assert_eq!(m.line_invalidations(0), 1);
+    }
+
+    /// The protocol spelled out per (line, thread) pair: the oracle every
+    /// walk and every per-event access is held to.
+    #[derive(Default)]
+    struct Reference {
+        states: BTreeMap<(u64, u16), LineState>,
+        touched: BTreeSet<(u64, u16)>,
+        invalidations: BTreeMap<u64, u64>,
+        words: BTreeMap<(u64, u16), u8>,
+        stats: MesiStats,
+    }
+
+    impl Reference {
+        fn access(&mut self, geom: CacheGeometry, a: Access, rec: &FlightRecorder) {
+            let (me, s) = (a.tid.0, &mut self.stats);
+            for line in geom.lines_touched(a.addr, a.size) {
+                let word = if geom.line_index(a.addr) == line {
+                    geom.word_in_line(a.addr) as u8
+                } else {
+                    0
+                };
+                let had = self.states.get(&(line, me)).copied();
+                let others: Vec<u16> = self
+                    .states
+                    .range((line, 0)..=(line, u16::MAX))
+                    .map(|(&(_, t), _)| t)
+                    .filter(|&t| t != me)
+                    .collect();
+                match had {
+                    Some(_) => s.hits += 1,
+                    None if self.touched.insert((line, me)) => s.cold_misses += 1,
+                    None => s.coherence_misses += 1,
+                }
+                s.misses += had.is_none() as u64;
+                let mut victims = Vec::new();
+                let next = match (a.kind, had) {
+                    (Read, Some(st)) => st,
+                    (Read, None) if others.is_empty() => LineState::Exclusive,
+                    (Read, None) => {
+                        for t in others {
+                            let st = self.states.insert((line, t), LineState::Shared);
+                            s.downgrades += (st == Some(LineState::Modified)) as u64;
+                        }
+                        LineState::Shared
+                    }
+                    (Write, Some(LineState::Modified | LineState::Exclusive)) => {
+                        LineState::Modified
+                    }
+                    (Write, _) => {
+                        for t in others {
+                            self.states.remove(&(line, t));
+                            let w = self.words.get(&(line, t)).copied();
+                            victims.push((t, w.unwrap_or(WORD_UNKNOWN)));
+                        }
+                        LineState::Modified
+                    }
+                };
+                self.states.insert((line, me), next);
+                let start = geom.line_start(line);
+                if victims.is_empty() {
+                    let kind = if a.kind.is_write() {
+                        RecKind::Write
+                    } else {
+                        RecKind::Read
+                    };
+                    rec.offer_event(start, me, word, kind);
+                } else {
+                    s.invalidation_events += 1;
+                    s.lines_invalidated += victims.len() as u64;
+                    *self.invalidations.entry(line).or_default() += 1;
+                    rec.offer_invalidation(start, me, word, &victims);
+                }
+                self.words.insert((line, me), word);
             }
-            let s = m.stats();
-            prop_assert_eq!(
-                s.misses,
-                s.cold_misses + s.coherence_misses + s.capacity_misses
-            );
+        }
+    }
+
+    /// The threads a script draws from: 1–5 cores, 100 distinct threads
+    /// (two words per set), or ids far apart.
+    fn pool(kind: u8, cores: u16) -> Vec<u16> {
+        match kind {
+            0 => (0..cores).collect(),
+            1 => (0..100).map(|t| t * 7).collect(),
+            _ => vec![0, 1, 65_535],
         }
     }
 
     proptest! {
+        /// Stats, per-line invalidations, every (thread, line) state and the
+        /// recorded rings equal the reference model's, through `walk` and
+        /// through per-event `access`, at every portfolio geometry.
+        #[test]
+        fn prop_matches_the_reference_model(
+            (kind, cores) in (0u8..3, 1u16..=5),
+            // 1–16 bytes over a few lines of every portfolio size: some straddle.
+            ops in proptest::collection::vec((0usize..100, 0u64..1024, 1u8..=16, any::<bool>()), 0..300),
+            line_log in 5u32..=8,
+            (by_event, recorded) in (any::<bool>(), any::<bool>()),
+        ) {
+            let (threads, geom) = (pool(kind, cores), CacheGeometry::new(1 << line_log));
+            let script: Vec<Access> = ops
+                .into_iter()
+                .map(|(t, addr, size, w)| Access {
+                    tid: ThreadId(threads[t % threads.len()]),
+                    addr: 0x4000_0000 + addr,
+                    size,
+                    kind: if w { Write } else { Read },
+                })
+                .collect();
+            let (want, got) = (Arc::new(FlightRecorder::new()), Arc::new(FlightRecorder::new()));
+            want.enable(8);
+            got.enable(8);
+            let mut oracle = Reference::default();
+            for &a in &script {
+                oracle.access(geom, a, &want);
+            }
+            let mut m = MesiSim::new(1 << 16, geom);
+            if recorded {
+                m.set_recorder(Arc::clone(&got));
+            }
+            if by_event {
+                for a in &script {
+                    m.access(a.tid, a.addr, a.size, a.kind);
+                }
+            } else {
+                m.walk(&script);
+            }
+            prop_assert_eq!(m.stats(), oracle.stats);
+            let lines: BTreeSet<u64> = oracle.touched.iter().map(|&(l, _)| l).collect();
+            let tids: BTreeSet<u16> = script.iter().map(|a| a.tid.0).collect();
+            for &line in &lines {
+                let inv = oracle.invalidations.get(&line).copied().unwrap_or(0);
+                prop_assert_eq!(m.line_invalidations(line), inv);
+                for &t in &tids {
+                    let st = oracle.states.get(&(line, t)).copied();
+                    prop_assert_eq!(m.state(ThreadId(t), line), st);
+                }
+            }
+            for &t in &tids {
+                let held = oracle.states.keys().filter(|&&(_, h)| h == t).count();
+                prop_assert_eq!(m.resident_lines(ThreadId(t)), held);
+            }
+            if recorded {
+                prop_assert_eq!(got.recorded_lines(), want.recorded_lines());
+                for start in want.recorded_lines() {
+                    prop_assert_eq!(got.line_records(start), want.line_records(start));
+                }
+            }
+        }
+
         /// THE key validation: the paper's two-entry history table counts
         /// exactly the MESI invalidation *events* for any single-line script.
         #[test]
@@ -850,10 +716,10 @@ mod tests {
             prop_assert_eq!(h_inv, m.stats().invalidation_events);
         }
 
-        /// Lines share no state in infinite mode — the licence for any
-        /// per-line filtering of a trace: simulating it whole equals
-        /// simulating each line's accesses alone, line by line (same
-        /// invalidations, same final states) and in total (stats sum).
+        /// Lines share no state: the licence for any per-line filtering of a
+        /// trace: simulating it whole equals simulating each line's accesses
+        /// alone, line by line (same invalidations, same final states) and
+        /// in total (stats sum).
         #[test]
         fn prop_lines_are_independent(
             script in proptest::collection::vec(
@@ -870,12 +736,10 @@ mod tests {
             };
             let fields = |s: MesiStats| [
                 s.hits, s.misses, s.invalidation_events, s.lines_invalidated,
-                s.downgrades, s.evictions, s.cold_misses, s.coherence_misses,
-                s.capacity_misses, s.cross_domain_events, s.cross_domain_lines,
-                s.sector_conflict_lines,
+                s.downgrades, s.cold_misses, s.coherence_misses,
             ];
             let whole = run(None);
-            let mut sum = [0u64; 12];
+            let mut sum = [0u64; 7];
             for line in 0..8u64 {
                 let alone = run(Some(line));
                 prop_assert_eq!(alone.line_invalidations(line), whole.line_invalidations(line));

@@ -156,9 +156,7 @@ fn run_mesi(events: &[Access], n_cores: usize, geom: CacheGeometry) -> MesiSim {
     let _sp = predator_obs::span("whatif_mesi");
     predator_obs::static_counter!("whatif_mesi_walks_total").inc();
     let mut sim = MesiSim::new(n_cores, geom);
-    for a in events {
-        sim.access(a.tid, a.addr, a.size, a.kind);
-    }
+    sim.walk(events);
     sim
 }
 
@@ -237,6 +235,22 @@ fn range_invalidations(report: &Report, start: u64, end: u64) -> u64 {
         .sum()
 }
 
+/// One past the last byte of the range and of `events`, whichever is higher
+/// (saturating): everything a remap moves.
+fn moved_end(events: &[Access], base: u64, size: u64) -> u64 {
+    let ends = events.iter().map(|a| a.addr.saturating_add(a.size as u64));
+    ends.fold(base.saturating_add(size), u64::max)
+}
+
+/// Whether `remap` leaves every moved byte, and the widest portfolio line
+/// above it, inside the address space. Past that, `apply` saturates — the
+/// remap stops being injective — and the grown range wraps, so a replay
+/// would measure a layout that does not exist. The identity moves nothing.
+fn remap_fits(remap: &AddressRemap, end: u64) -> bool {
+    let grown = end.checked_add(remap.total_pad());
+    remap.is_identity() || grown.and_then(|e| e.checked_add(BASE_ALIGN)).is_some()
+}
+
 /// MESI invalidation events on the lines covering `[start, end)`.
 fn mesi_range_invalidations(sim: &MesiSim, geom: CacheGeometry, start: u64, end: u64) -> u64 {
     if end <= start {
@@ -289,6 +303,7 @@ fn annotate_fixes(
     }
 
     let n_cores = cores_for(events);
+    let end = moved_end(events, base, size);
     let baselines = portfolio_walks(events, (base, size), meta, n_cores, cfg, Some(report));
 
     // One replay per distinct edit list, shared across findings.
@@ -297,6 +312,9 @@ fn annotate_fixes(
     let mut annotated = 0usize;
     for (idx, desc, edits) in targets {
         let remap = AddressRemap::from_edits(&edits);
+        if !remap_fits(&remap, end) {
+            continue; // not replayable: the finding stays unverified
+        }
         let (obj_start, obj_end) = {
             let f = &report.findings[idx];
             (f.object.start, f.object.end)
@@ -517,6 +535,39 @@ mod tests {
         assert_eq!(tight(&[w(BASE + SIZE - 4, 8)], SIZE).1, 4096 + 1024);
         assert_eq!(tight(&[w(BASE + 200, 8)], 100), (BASE, 100));
         assert_eq!(tight(&[w(BASE + 256, 8)], 100), (BASE, 0));
+    }
+
+    /// An edit list the address space cannot hold past the recorded range
+    /// is not replayed: a saturated remap is no longer injective, so its
+    /// verdict would be made up. Those findings stay unverified.
+    #[test]
+    fn edits_past_the_top_of_the_address_space_are_not_replayed() {
+        let base = 0xFFFF_FFFF_FFFF_0000;
+        let trace = |size: u64| {
+            let last_line = base + size - 64;
+            let events: Vec<Access> = (0..4000u64)
+                .map(|i| Access::write(ThreadId((i % 2) as u16), last_line + (i % 2) * 8, 8))
+                .collect();
+            (events, last_line + 8)
+        };
+        let pad = |at| WhatIfFix::Edits(vec![LayoutEdit { at, pad: 0x2000 }]);
+        let (events, field) = trace(0xF000);
+        let (top, top_field) = trace(0xFE00);
+        // The suggested 512-byte pad still ends below 2^64 at 0xF000 only.
+        let cases = [
+            (&events, 0xF000, pad(field)),
+            (&top, 0xFE00, pad(top_field)),
+            (&top, 0xFE00, WhatIfFix::Suggested),
+        ];
+        for (events, size, fix) in cases {
+            let out = whatif_events(events, base, size, None, &cfg(), &fix);
+            assert!(out.report.has_false_sharing(), "{}", out.report);
+            assert_eq!(out.verified, 0, "{fix:?}: {}", out.to_text());
+            assert!(out.report.findings.iter().all(|f| f.verified.is_none()));
+            assert!(out.to_text().contains(" 0/1 findings verified"));
+        }
+        let out = whatif_events(&events, base, 0xF000, None, &cfg(), &WhatIfFix::Suggested);
+        assert_eq!(out.verified, 1, "{}", out.to_text());
     }
 
     #[test]

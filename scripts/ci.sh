@@ -63,9 +63,10 @@ if grep -rnE 'resize_with\(.*Atomic' crates/shadow crates/core; then
   exit 1
 fi
 
-echo "==> one MESI store, one line hasher (per-core maps and a copied hasher must not grow back)"
-if grep -nE 'Vec<Hash(Map|Set)' crates/sim/src/mesi.rs; then
-  echo "MesiSim keeps a collection per core again; its one store is the line-keyed map" >&2
+echo "==> one MESI store, one line hasher (per-core maps, the unread cache modes and a copied hasher must not grow back)"
+if grep -nE 'Vec<Hash(Map|Set)|fn with_capacity' crates/sim/src/mesi.rs ||
+  grep -rnE 'MesiSim::with_(capacity|sectors|domains)|SectorGeometry|MissClass|make_room|cross_domain|sector_conflict' crates; then
+  echo "MesiSim grew a collection per core or a capacity/sector/domain mode back; it is one holder-set automaton" >&2
   exit 1
 fi
 test "$(grep -rhE 'struct .*Hasher' crates | wc -l)" -eq 1
