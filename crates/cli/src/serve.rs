@@ -11,15 +11,12 @@
 //!   `?format=json|sarif|html` picks the document, and when `--fail-on`
 //!   is armed a failed policy gate answers HTTP 412;
 //! * `/snapshot` — the delta since the previous scrape
-//!   ([`predator_obs::DeltaTracker`]), tagged with a monotonic epoch;
-//! * `/query` — range queries over the embedded time-series store
-//!   ([`predator_obs::Tsdb`]) that samples every metric each watchdog
-//!   tick (`?metric=&range=`; no `metric` lists the series);
-//! * `/alerts` — the rule pack's pending/firing/resolved states
-//!   ([`predator_obs::AlertEngine`], loaded from `--rules <file>`).
+//!   ([`predator_obs::DeltaTracker`]), tagged with a monotonic epoch.
 //!
-//! `--auth-token <tok>` gates every endpoint except `/health` behind
-//! `Authorization: Bearer <tok>`.
+//! Metric history and alerting are the scraper's: a Prometheus server
+//! scraping `/metrics` keeps the series and evaluates the rules (README,
+//! "History and alerting"). `--auth-token <tok>` gates every endpoint
+//! except `/health` behind `Authorization: Bearer <tok>`.
 //!
 //! Three sources, picked from the arguments:
 //!
@@ -48,8 +45,7 @@ use predator_core::adaptive::Watchdog;
 use predator_core::{
     build_report_with, shutdown, Attribution, DetectorConfig, ObjectDirectory, Predator, Session,
 };
-use predator_obs::alerts::parse_duration_ms;
-use predator_obs::{AlertEngine, DeltaTracker, HttpServer, Request, Response, Rule, Tsdb};
+use predator_obs::{DeltaTracker, HttpServer, Request, Response};
 use predator_policy::{evaluate_report, evaluate_views, FindingView, PolicyConfig};
 use predator_trace::{AnalyzeConfig, TraceReader};
 use predator_workloads::by_name;
@@ -113,47 +109,6 @@ impl ServeState {
     }
 }
 
-/// The embedded monitor: the metric time-series store plus (when `--rules`
-/// was given) the alerting engine, ticked together from the watchdog loop
-/// and read by the `/query` and `/alerts` endpoints.
-struct Monitor {
-    started: Instant,
-    tsdb: Mutex<Tsdb>,
-    engine: Option<Mutex<AlertEngine>>,
-}
-
-impl Monitor {
-    fn new(started: Instant, rules: Option<Vec<Rule>>) -> Arc<Self> {
-        Arc::new(Monitor {
-            started,
-            tsdb: Mutex::new(Tsdb::default()),
-            engine: rules.map(|r| Mutex::new(AlertEngine::new(r))),
-        })
-    }
-
-    fn now_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
-    }
-
-    /// Samples the global registry into the tsdb and evaluates the alert
-    /// rules — one call per watchdog tick (or watch poll).
-    fn tick(&self) {
-        let now = self.now_ms();
-        let snap = predator_obs::global().snapshot();
-        let mut db = self.tsdb.lock().unwrap();
-        db.sample(&snap, now);
-        if let Some(engine) = &self.engine {
-            // Transitions are emitted to the JSONL event sink by eval().
-            engine.lock().unwrap().eval(&db, now);
-        }
-    }
-}
-
-/// `range=` accepts a duration (`90s`, `5m`) or a bare number of seconds.
-fn parse_range_ms(v: &str) -> Option<u64> {
-    parse_duration_ms(v).or_else(|| v.parse::<u64>().ok().and_then(|s| s.checked_mul(1000)))
-}
-
 /// Touches every metric the endpoints promise, so a scrape taken before the
 /// first pass already renders the full namespace at zero — fleet ingest
 /// counters included (they only tick in watch mode, but exist in all).
@@ -167,7 +122,6 @@ fn register_static_metrics() {
         "serve_request_errors_total",
         "serve_passes_total",
         "predator_backoff_transitions_total",
-        "predator_alert_transitions_total",
         "policy_findings_classified_total",
         "policy_suppressed_total",
         "policy_baselined_total",
@@ -177,49 +131,12 @@ fn register_static_metrics() {
     }
     g.gauge("predator_uptime_seconds").set(0);
     g.gauge("predator_backoff_tier").set(0);
-    g.gauge("predator_alerts_firing").set(0);
-    g.gauge("predator_alerts_pending").set(0);
     g.gauge("predator_report_findings").set(0);
 }
 
 /// Registers the endpoints every mode shares; `/report` is mode-specific
 /// and added by the caller.
-fn common_routes(srv: HttpServer, state: &Arc<ServeState>, monitor: &Arc<Monitor>) -> HttpServer {
-    let mon = monitor.clone();
-    let srv = srv.route("/alerts", move |_| match &mon.engine {
-        Some(engine) => Response::json(engine.lock().unwrap().to_json(mon.now_ms())),
-        None => Response::error(404, "no alert rules loaded (serve --rules <file>)"),
-    });
-    let mon = monitor.clone();
-    let srv = srv.route("/query", move |req| {
-        let mut metric: Option<String> = None;
-        let mut range_ms = 300_000u64; // default window: 5 minutes
-        for pair in req.query.as_deref().unwrap_or("").split('&') {
-            let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-            match k {
-                "metric" if !v.is_empty() => metric = Some(v.to_string()),
-                "range" => match parse_range_ms(v) {
-                    Some(ms) => range_ms = ms,
-                    None => {
-                        return Response::error(
-                            400,
-                            &format!("bad range `{v}` (want e.g. 90s, 5m, or seconds)"),
-                        )
-                    }
-                },
-                _ => {}
-            }
-        }
-        let now = mon.now_ms();
-        let db = mon.tsdb.lock().unwrap();
-        match metric {
-            None => Response::json(db.series_json()),
-            Some(m) => match db.query(&m, range_ms, now) {
-                Some(q) => Response::json(q.to_json(now, range_ms, db.loss())),
-                None => Response::error(404, &format!("unknown metric `{m}` (GET /query lists)")),
-            },
-        }
-    });
+fn common_routes(srv: HttpServer, state: &Arc<ServeState>) -> HttpServer {
     let st = state.clone();
     let srv = srv.route("/metrics", move |_| {
         predator_obs::static_gauge!("predator_uptime_seconds")
@@ -255,26 +172,11 @@ struct ServeOpts {
     budget: f64,
     wd_ms: u64,
     max_passes: u64,
-    /// Parsed `--rules` pack; `None` leaves `/alerts` unconfigured.
-    rules: Option<Vec<Rule>>,
     /// `--auth-token` bearer token; `None` serves unauthenticated.
     auth: Option<String>,
     /// Policy configuration (`--suppressions`, `--baseline`, `--fail-on`)
     /// applied to every `/report` response.
     policy: PolicyConfig,
-}
-
-/// Reads and parses an alert-rules file, rendering every lint error.
-pub(crate) fn load_rules(path: &str) -> Result<Vec<Rule>, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read rules {path}: {e}"))?;
-    predator_obs::parse_rules(&text).map_err(|errs| {
-        let mut msg = format!("{path}: {} rule error(s):", errs.len());
-        for e in errs {
-            msg.push_str(&format!("\n  {e}"));
-        }
-        msg
-    })
 }
 
 fn serve_opts(args: &Args) -> Result<ServeOpts, String> {
@@ -286,16 +188,11 @@ fn serve_opts(args: &Args) -> Result<ServeOpts, String> {
     if wd_ms == 0 {
         return Err("--watchdog-interval-ms must be at least 1".into());
     }
-    let rules = match args.get("--rules") {
-        Some(path) => Some(load_rules(path)?),
-        None => None,
-    };
     Ok(ServeOpts {
         listen: args.get("--listen").unwrap_or("127.0.0.1:0").to_string(),
         budget,
         wd_ms,
         max_passes: args.num("--passes", 0u64)?,
-        rules,
         auth: args.get("--auth-token").map(str::to_string),
         policy: policy_config(args)?,
     })
@@ -363,15 +260,14 @@ fn serve_mode(
     opts: &ServeOpts,
     mode: &'static str,
     report: impl Fn(&Request) -> Response + Send + Sync + 'static,
-    drive: impl FnOnce(&ServeState, &Arc<Monitor>) -> Result<u64, String>,
+    drive: impl FnOnce(&ServeState) -> Result<u64, String>,
 ) -> Result<u64, String> {
     let state = ServeState::new(mode);
-    let monitor = Monitor::new(state.started, opts.rules.clone());
     let srv = HttpServer::bind(&opts.listen)
         .map_err(|e| format!("cannot bind {}: {e}", opts.listen))?
         .with_auth(opts.auth.clone());
     let addr = srv.local_addr();
-    let handle = common_routes(srv, &state, &monitor)
+    let handle = common_routes(srv, &state)
         .route("/report", report)
         .spawn()
         .map_err(|e| format!("cannot serve: {e}"))?;
@@ -380,10 +276,8 @@ fn serve_mode(
         std::fs::write(path, format!("{addr}\n"))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
-    eprintln!(
-        "serving ({mode}) on http://{addr} — /metrics /health /report /snapshot /alerts /query"
-    );
-    let done = drive(&state, &monitor);
+    eprintln!("serving ({mode}) on http://{addr} — /metrics /health /report /snapshot");
+    let done = drive(&state);
     handle.stop();
     done
 }
@@ -404,10 +298,10 @@ fn serve_passes(
     tick: impl Fn(&mut Watchdog, u64) + Send + 'static,
     mut pass: impl FnMut() -> Result<bool, String>,
 ) -> Result<(), String> {
-    let done = serve_mode(args, opts, mode, report, |state, monitor| {
+    let done = serve_mode(args, opts, mode, report, |state| {
         let (wd_ms, budget, started) = (opts.wd_ms, opts.budget, state.started);
         let stop = Arc::new(AtomicBool::new(false));
-        let (stopped, monitor) = (stop.clone(), monitor.clone());
+        let stopped = stop.clone();
         let watchdog = std::thread::Builder::new()
             .name("predator-watchdog".into())
             .spawn(move || {
@@ -416,9 +310,6 @@ fn serve_passes(
                 let mut wd = Watchdog::for_detector(&det, budget);
                 while !stopped.load(Ordering::Relaxed) && !sleep_poll(wd_ms) {
                     tick(&mut wd, started.elapsed().as_nanos() as u64);
-                    // Sample *after* the tick so the overhead/backoff gauges
-                    // the alert rules watch are at their freshest.
-                    monitor.tick();
                 }
             })
             .map_err(|e| format!("cannot spawn watchdog: {e}"))?;
@@ -601,7 +492,7 @@ fn serve_watch(
     };
     // Analysis runs inside ingest, one detector per file, so there is no
     // long-lived detector for the watchdog to throttle in this mode.
-    let polls = serve_mode(args, opts, "watch", report, |state, monitor| {
+    let polls = serve_mode(args, opts, "watch", report, |state| {
         let mut polls = 0u64;
         while !shutdown::requested() {
             match watcher.poll() {
@@ -624,9 +515,6 @@ fn serve_watch(
                 }
                 Err(e) => eprintln!("watch: {e}"),
             }
-            // No watchdog thread in this mode: the poll loop doubles as the
-            // monitor tick (fleet-ingest rates and alert evaluation).
-            monitor.tick();
             if sleep_poll(opts.wd_ms) {
                 break;
             }

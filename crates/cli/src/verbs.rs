@@ -51,7 +51,7 @@ pub(crate) struct Verb {
     pub arity: (usize, usize),
     pub about: &'static str,
     /// Options of this row alone; a name another row also uses may carry a
-    /// different metavar and help here (`serve --watch <DIR>`).
+    /// different metavar and help here (`fleet trend --baseline <corpus>`).
     pub opts: &'static [&'static str],
     pub groups: &'static [&'static Group],
     /// The flight recorder is on for this verb unless `--no-recorder`.
@@ -168,8 +168,7 @@ const TOLERANCE: &str =
     "--tolerance <F>  relative change below which a finding or callsite counts \
                         as steady [default: 0.5]";
 const AUTH_TOKEN: &str = "--auth-token <TOK>  bearer token: serve requires `Authorization: Bearer \
-                         <TOK>` on every endpoint except /health; stats --url and alerts eval \
-                         <ADDR> send it";
+                         <TOK>` on every endpoint except /health; stats --url sends it";
 
 pub(crate) static VERBS: &[Verb] = &[
     Verb {
@@ -429,13 +428,11 @@ pub(crate) static VERBS: &[Verb] = &[
                 Endpoints: /metrics (Prometheus text), /health (liveness JSON), /report \
                 (findings, same schema as `analyze`; ?format=json|sarif|html, HTTP 412 when the \
                 --fail-on policy gate fails), /snapshot (delta since previous scrape, \
-                epoch-tagged), /query (recent metric history from the embedded time-series store: \
-                bounded per-series rings with 10s/60s downsampling tiers), /alerts (rule states, \
-                404 until --rules is given). A watchdog thread estimates the detector's own \
-                overhead from calibrated per-access costs and sheds sampling through a tiered \
-                backoff controller when the budget is violated; new allocation sites re-arm it. \
-                SIGINT or SIGTERM shuts the loop down gracefully (observability streams are \
-                flushed on the way out).",
+                epoch-tagged). History and alerting belong to a Prometheus scraping /metrics. A \
+                watchdog thread estimates the detector's own overhead from calibrated per-access \
+                costs and sheds sampling through a tiered backoff controller when the budget is \
+                violated; new allocation sites re-arm it. SIGINT or SIGTERM shuts the loop down \
+                gracefully (observability streams are flushed on the way out).",
         opts: &[
             "--listen <ADDR>  bind address [default: 127.0.0.1:0]",
             "--overhead-budget <F>  self-overhead budget fraction [default: 0.05]",
@@ -445,34 +442,11 @@ pub(crate) static VERBS: &[Verb] = &[
             "--ready-file <PATH>  write the bound address to PATH once listening",
             "--watch <DIR>  fleet spool directory to poll (needs --corpus)",
             CORPUS,
-            "--rules <FILE>  alert rules evaluated each watchdog tick (see docs/alerts.rules); \
-             state behind /alerts, transitions stream to --trace-events",
             AUTH_TOKEN,
         ],
         groups: &[&WORKLOAD, &DETECTOR, &POLICY],
         polls_shutdown: true,
         run: serve::cmd_serve,
-        ..ROW
-    },
-    Verb {
-        path: &["alerts", "lint"],
-        operands: "<rules>",
-        arity: (1, 1),
-        about: "Parse and validate an alert-rules file; print the normalized rules, or every \
-                error with its line number (exit nonzero).",
-        run: monitor::cmd_alerts_lint,
-        ..ROW
-    },
-    Verb {
-        path: &["alerts", "eval"],
-        operands: "<rules> <report.json|snapshot.json|ADDR>",
-        arity: (2, 2),
-        about: "One-shot rule evaluation against a JSON report, a bare metrics snapshot, or a \
-                live serve instance's /snapshot. `for:` hysteresis is ignored (there is no \
-                history to hold against); rate() needs a live ADDR (two scrapes, 1s apart). Exits \
-                nonzero when any condition holds — a CI gate over recorded reports.",
-        opts: &[AUTH_TOKEN],
-        run: monitor::cmd_alerts_eval,
         ..ROW
     },
     Verb {
@@ -484,9 +458,6 @@ pub(crate) static VERBS: &[Verb] = &[
         opts: &[
             "--url <ADDR>  scrape a live `predator serve` instance's /snapshot instead of reading \
              a file",
-            "--watch <SECS>  with --url: redraw a live dashboard every SECS seconds — firing \
-             alerts from /alerts plus sparkline history from /query (0 = render one frame and \
-             exit, for scripts)",
             AUTH_TOKEN,
         ],
         run: monitor::cmd_stats,
@@ -535,10 +506,10 @@ mod tests {
     }
 
     #[test]
-    fn the_surface_is_23_verbs_32_valued_options_and_8_switches() {
-        assert_eq!(VERBS.len(), 23);
+    fn the_surface_is_21_verbs_31_valued_options_and_8_switches() {
+        assert_eq!(VERBS.len(), 21);
         let names = surface();
-        assert_eq!(names.values().filter(|valued| **valued).count(), 32);
+        assert_eq!(names.values().filter(|valued| **valued).count(), 31);
         assert_eq!(names.values().filter(|valued| !**valued).count(), 8);
     }
 

@@ -95,7 +95,7 @@ fn metrics_file_and_prometheus_text_are_written() {
 /// registry as its `obs` block, both written by the PR 18 commit — the last
 /// one with a hand-rolled snapshot writer and a serde mirror in core. The
 /// one snapshot type reads both, writes the same bytes back, and `stats`
-/// and `alerts eval` take either file.
+/// takes either file.
 #[test]
 fn snapshot_files_written_by_the_two_type_build_load_and_rewrite_byte_identically() {
     let snap_text = include_str!("fixtures/pr18_snapshot.json");
@@ -106,10 +106,6 @@ fn snapshot_files_written_by_the_two_type_build_load_and_rewrite_byte_identicall
     assert_eq!(report.to_json() + "\n", report_text);
     assert_eq!(report.obs, snap);
 
-    let dir = std::env::temp_dir().join(format!("predator-fixture-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let rules = dir.join("drift.rules");
-    std::fs::write(&rules, "alert drift\n  expr: drift_level < 0\n").unwrap();
     let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
     let stdout_of = |args: &[&str]| {
         let out = predator().args(args).output().expect("spawn predator");
@@ -120,13 +116,6 @@ fn snapshot_files_written_by_the_two_type_build_load_and_rewrite_byte_identicall
     let table = stdout_of(&["stats", &snap_file]);
     assert_eq!(table, snap.render_table());
     assert_eq!(stdout_of(&["stats", &report_file]), table);
-    for file in [&snap_file, &report_file] {
-        let eval = stdout_of(&["alerts", "eval", rules.to_str().unwrap(), file]);
-        assert!(eval.contains("drift_level < 0"), "{eval}");
-        assert!(eval.contains("-7  YES"), "{eval}");
-        assert!(eval.contains("1 of 1 condition(s) met"), "{eval}");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -837,5 +826,24 @@ fn retired_spellings_are_unknown() {
     assert_row_refuses(
         &[&verb, "examples/programs/false_sharing.pir"],
         &[&format!("unknown command `{verb}`")],
+    );
+    // No rule pack, no live dashboard (`--watch` is serve's spool
+    // directory, nobody else's) and no rules verbs.
+    let rules = ["--ru", "les"].concat();
+    assert_row_refuses(
+        &["serve", &rules, "x"],
+        &[&format!("unknown option '{rules}'")],
+    );
+    assert_row_refuses(
+        &["stats", "--url", "A", "--watch", "1"],
+        &[
+            "option '--watch' is not accepted by `stats`",
+            "taken by: serve",
+        ],
+    );
+    let family = ["ale", "rts"].concat();
+    assert_row_refuses(
+        &[&family, "lint", "x"],
+        &[&format!("unknown command `{family}`")],
     );
 }

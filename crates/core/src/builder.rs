@@ -396,8 +396,8 @@ fn publish(report: &Report, units: &[UnitSnapshot], groups: &Groups<'_>) {
             args,
         );
     }
-    // Level, not counter: serve-mode alert rules watch this for findings
-    // appearing (or regressing away) between report builds.
+    // Level, not counter: a rule over serve's `/metrics` watches this for
+    // findings appearing (or regressing away) between report builds.
     gauge("predator_report_findings", report.findings.len());
 }
 

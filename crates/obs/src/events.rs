@@ -54,7 +54,7 @@ fn process_start() -> Instant {
 }
 
 /// Appends `s` JSON-string-escaped (without the surrounding quotes): the one
-/// escaper behind the event sink, the timeline and the `/alerts` document.
+/// escaper behind the event sink and the timeline.
 pub(crate) fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {

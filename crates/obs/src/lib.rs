@@ -26,18 +26,14 @@
 //!   `/report` and `/snapshot` endpoints (plus the matching GET client).
 //! * [`delta`] — snapshot deltas with scrape epochs and wrap-around-safe
 //!   subtraction: what `/snapshot` streams between scrapes.
-//! * [`tsdb`] — the embedded metric time-series store: bounded per-series
-//!   rings of recent samples with 10s/60s downsampling tiers, loss
-//!   accounting, and restart-safe `rate()` — the history behind `/query`.
-//! * [`alerts`] — the rule-driven alerting engine (`docs/alerts.rules`)
-//!   evaluated over the tsdb each watchdog tick, with `for:` hysteresis
-//!   and a pending → firing → resolved lifecycle behind `/alerts`.
+//!
+//! History and alerting are not kept here: they belong to whatever scrapes
+//! `/metrics` (a Prometheus server and its rule groups).
 //!
 //! Everything hangs off a process-global registry ([`global`]) so call
 //! sites in any crate can grab a handle without plumbing; handles are
 //! cheap `Arc` clones meant to be cached at construction time on hot paths.
 
-pub mod alerts;
 pub mod delta;
 mod events;
 mod metrics;
@@ -46,9 +42,7 @@ pub mod serve;
 mod snapshot;
 mod span;
 pub mod timeline;
-pub mod tsdb;
 
-pub use alerts::{parse_rules, AlertEngine, AlertState, LintError, Rule, Severity, Transition};
 pub use delta::{accumulate, delta_snapshots, DeltaTracker, SnapshotDelta};
 pub use events::{events, EventSink, FieldVal};
 pub use metrics::{
@@ -63,7 +57,6 @@ pub use snapshot::{
 };
 pub use span::{span, Span};
 pub use timeline::{host_lane, timeline, ArgVal, Timeline};
-pub use tsdb::{Point, QueryResult, SeriesKind, Tsdb, TsdbConfig, TsdbLoss};
 
 /// A lazily-initialized `&'static Counter` from the global registry —
 /// the cached-handle pattern for hot paths without a struct to hang the

@@ -16,12 +16,13 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Largest request head (request line + headers) the server reads.
 const MAX_REQUEST_HEAD: usize = 8 * 1024;
-/// Per-connection socket timeout: a stalled scraper cannot wedge the serve
-/// thread for longer than this.
+/// How long a connection has, from accept, to send its whole request head
+/// (a late one is answered 400), and the timeout of each response write: a
+/// stalled or dripping scraper cannot wedge the serve thread for longer.
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 /// Accept-loop poll interval while idle.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
@@ -105,6 +106,8 @@ impl Response {
             401 => "Unauthorized",
             404 => "Not Found",
             405 => "Method Not Allowed",
+            412 => "Precondition Failed",
+            500 => "Internal Server Error",
             _ => "Error",
         }
     }
@@ -192,11 +195,11 @@ impl HttpServer {
     }
 
     fn handle(&self, stream: TcpStream) -> std::io::Result<()> {
+        let deadline = Instant::now() + IO_TIMEOUT;
         stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(IO_TIMEOUT))?;
         stream.set_write_timeout(Some(IO_TIMEOUT))?;
         let mut stream = stream;
-        let response = match read_request(&mut stream) {
+        let response = match read_request(&mut stream, deadline) {
             Ok((method, target, auth)) if method == "GET" => {
                 let (path, query) = match target.split_once('?') {
                     Some((p, q)) => (p.to_string(), Some(q.to_string())),
@@ -243,12 +246,28 @@ fn constant_time_eq(a: &str, b: &str) -> bool {
     diff == 0
 }
 
-/// Reads the request head and returns `(method, target, authorization)`.
-fn read_request(stream: &mut TcpStream) -> Result<(String, String, Option<String>), &'static str> {
+/// Reads the request head, all of it by `deadline`, and returns `(method,
+/// target, authorization)`. Each read waits only for the time left, so a
+/// client sending a byte at a time cannot stretch the head past it.
+fn read_request(
+    stream: &mut TcpStream,
+    deadline: Instant,
+) -> Result<(String, String, Option<String>), &'static str> {
+    const LATE: &str = "request head not received in time";
     let mut head = Vec::with_capacity(512);
     let mut buf = [0u8; 512];
     loop {
-        let n = stream.read(&mut buf).map_err(|_| "read failed")?;
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(LATE);
+        }
+        let n = stream
+            .set_read_timeout(Some(left))
+            .and_then(|()| stream.read(&mut buf))
+            .map_err(|e| match e.kind() {
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => LATE,
+                _ => "read failed",
+            })?;
         if n == 0 {
             break;
         }
@@ -379,11 +398,23 @@ mod tests {
         HttpServer::bind("127.0.0.1:0")
             .unwrap()
             .route("/ping", |_| Response::text("pong".into()))
+            .route("/health", |_| Response::text("ok".into()))
             .route("/echo", |req: &Request| {
                 Response::text(req.query.clone().unwrap_or_default())
             })
+            .route("/gate", |_| Response::error(412, "gate failed"))
+            .route("/boom", |_| Response::error(500, "boom"))
             .spawn()
             .unwrap()
+    }
+
+    /// Sends `request` verbatim and returns the whole raw response.
+    fn raw(addr: &str, request: &[u8]) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(request).unwrap();
+        let mut out = String::new();
+        stream.read_to_string(&mut out).unwrap();
+        out
     }
 
     #[test]
@@ -410,13 +441,53 @@ mod tests {
         let (status, _) = http_get(&addr, "/nope", IO_TIMEOUT).unwrap();
         assert_eq!(status, 404);
 
-        let mut stream = TcpStream::connect(&addr).unwrap();
-        stream
-            .write_all(b"POST /ping HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
-            .unwrap();
-        let mut out = String::new();
-        stream.read_to_string(&mut out).unwrap();
-        assert!(out.starts_with("HTTP/1.1 405"), "{out}");
+        let out = raw(
+            &addr,
+            b"POST /ping HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        );
+        assert!(
+            out.starts_with("HTTP/1.1 405 Method Not Allowed\r\n"),
+            "{out}"
+        );
+        // Every status a route answers with carries its own reason phrase:
+        // 412 is `/report`'s failed policy gate.
+        for (path, line) in [
+            ("/gate", "HTTP/1.1 412 Precondition Failed\r\n"),
+            ("/boom", "HTTP/1.1 500 Internal Server Error\r\n"),
+            ("/nope", "HTTP/1.1 404 Not Found\r\n"),
+        ] {
+            let out = raw(&addr, format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes());
+            assert!(out.starts_with(line), "{out}");
+        }
+    }
+
+    #[test]
+    fn a_dripping_client_cannot_hold_the_server_past_the_head_deadline() {
+        let s = server();
+        let addr = s.addr().to_string();
+        // A request head that never ends, one byte every 300 ms for 12 s,
+        // until the server hangs up on it.
+        let mut slow = TcpStream::connect(&addr).unwrap();
+        let drip = std::thread::spawn(move || {
+            let bytes = b"GET /ping HTTP/1.1\r\n"
+                .iter()
+                .chain(std::iter::repeat(&b'x'));
+            for &b in bytes.take(40) {
+                if slow.write_all(&[b]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(300));
+            }
+        });
+        // Connected first, so accepted first (the accept queue is FIFO):
+        // this request waits behind the drip for as long as it holds on.
+        let t0 = Instant::now();
+        let (status, body) = http_get(&addr, "/health", Duration::from_secs(10)).unwrap();
+        let waited = t0.elapsed();
+        assert_eq!((status, body.as_str()), (200, "ok"));
+        assert!(waited < Duration::from_secs(3), "/health waited {waited:?}");
+        drip.join().unwrap();
+        s.stop();
     }
 
     #[test]
