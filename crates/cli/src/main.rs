@@ -40,6 +40,7 @@ mod verbs;
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use args::{Args, Parsed};
 use detect::Format;
@@ -49,9 +50,9 @@ static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
 
 /// Writes to stdout until its reader goes away; from then on output is
 /// dropped and the verb runs to its normal end — the gate verdict still
-/// goes to stderr and the exit code, `FlushGuard` still closes
-/// `--trace-events` and `--trace-timeline`. Any other write error is as
-/// fatal as it is under std's `println!`.
+/// goes to stderr and the exit code, `FlushGuard` still writes
+/// `--trace-timeline`. Any other write error is as fatal as it is under
+/// std's `println!`.
 fn print_stdout(args: std::fmt::Arguments) {
     use std::io::Write as _;
     if STDOUT_CLOSED.load(Ordering::Relaxed) {
@@ -66,58 +67,42 @@ fn print_stdout(args: std::fmt::Arguments) {
     }
 }
 
-/// Routes structured events to `--trace-events <PATH>` for the rest of the
-/// process. Installed before the run so hot-path emitters see an enabled
-/// sink.
-fn install_trace_sink(args: &Args) -> Result<(), String> {
-    let Some(path) = args.get("--trace-events") else {
+/// The `--trace-timeline` file, created before the verb runs and written
+/// once, by whichever way out of the process gets there first.
+static TIMELINE_OUT: Mutex<Option<(String, std::fs::File)>> = Mutex::new(None);
+
+/// Arms the Chrome-trace timeline buffer when `--trace-timeline <PATH>` is
+/// present. The file is created now, so a path that cannot be written fails
+/// the verb before it runs; the events are written by [`FlushGuard`] at exit
+/// so panicking or early-exiting runs still leave a valid trace.
+fn install_timeline(args: &Args) -> Result<(), String> {
+    let Some(path) = args.get("--trace-timeline") else {
         return Ok(());
     };
     let file = std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-    predator_obs::events().install(
-        Box::new(std::io::BufWriter::new(file)),
-        TRACE_CAPACITY,
-        /* sample_every = */ 1,
-    );
+    *TIMELINE_OUT.lock().unwrap() = Some((path.to_string(), file));
+    predator_obs::timeline().install(predator_obs::timeline::DEFAULT_CAPACITY);
     Ok(())
 }
 
-/// Upper bound on JSONL event lines per run; past it, events are counted as
-/// dropped rather than written (keeps trace files bounded on huge runs).
-const TRACE_CAPACITY: u64 = 1_000_000;
-
-/// Arms the Chrome-trace timeline buffer when `--trace-timeline <PATH>` is
-/// present; the file itself is written by [`FlushGuard`] at exit so
-/// panicking or early-exiting runs still leave a valid trace.
-fn install_timeline(args: &Args) -> Option<String> {
-    let path = args.get("--trace-timeline")?;
-    predator_obs::timeline().install(predator_obs::timeline::DEFAULT_CAPACITY);
-    Some(path.to_string())
-}
-
-/// Flushes every buffered observability stream when dropped — on the normal
-/// exit path, on gate failures, and during panic unwinding alike — so
-/// truncated runs still leave valid, loss-accounted files behind.
-struct FlushGuard {
-    timeline_path: Option<String>,
-}
+/// Writes the timeline file when dropped — on the normal exit path, on gate
+/// failures, and during panic unwinding alike — so truncated runs still
+/// leave a valid, loss-accounted file behind.
+struct FlushGuard;
 
 impl Drop for FlushGuard {
     fn drop(&mut self) {
-        predator_obs::events().flush();
-        if let Some(path) = self.timeline_path.take() {
-            write_timeline(&path);
-        }
+        write_timeline();
     }
 }
 
-fn write_timeline(path: &str) {
-    let write = || -> std::io::Result<()> {
-        let file = std::fs::File::create(path)?;
-        let mut out = std::io::BufWriter::new(file);
-        predator_obs::timeline().write_json(&mut out)
+fn write_timeline() {
+    // Held across the write: a second caller waits, then finds nothing.
+    let mut out = TIMELINE_OUT.lock().unwrap_or_else(PoisonError::into_inner);
+    let Some((path, file)) = out.take() else {
+        return;
     };
-    match write() {
+    match predator_obs::timeline().write_json(&mut std::io::BufWriter::new(file)) {
         Ok(()) => eprintln!("trace timeline written to {path}"),
         Err(e) => eprintln!("error: cannot write {path}: {e}"),
     }
@@ -150,19 +135,16 @@ fn install_signal_handlers() {}
 
 /// For commands whose main loop does not poll the shutdown flag (`run`,
 /// `analyze`, ... — every row without `polls_shutdown`), a detached watcher
-/// turns an interrupt into a flush-then-exit: the event sink gets its `sink_summary`
-/// line and the `--trace-timeline` file is written before the process dies,
-/// exactly as [`FlushGuard`] would have done on a normal exit.
-fn arm_interrupt_watcher(timeline_path: Option<String>) {
+/// turns an interrupt into a flush-then-exit: the `--trace-timeline` file is
+/// written before the process dies, exactly as [`FlushGuard`] would have
+/// done on a normal exit.
+fn arm_interrupt_watcher() {
     let _ = std::thread::Builder::new()
         .name("predator-sigwatch".into())
-        .spawn(move || loop {
+        .spawn(|| loop {
             if predator_core::shutdown::requested() {
                 eprintln!("interrupted — flushing observability streams");
-                predator_obs::events().flush();
-                if let Some(path) = &timeline_path {
-                    write_timeline(path);
-                }
+                write_timeline();
                 // 130 = 128 + SIGINT, the conventional interrupt exit code.
                 std::process::exit(130);
             }
@@ -225,23 +207,22 @@ fn main() -> ExitCode {
     if let Err(e) = Format::of(&args) {
         return fail(&e);
     }
-    // Dropped last thing before exit: flushes the event sink and writes the
-    // `--trace-timeline` file on every path out of main, including gate
-    // failures and panics. Commands must therefore *return* their exit code
-    // rather than calling `std::process::exit` (which skips destructors).
-    let timeline_path = install_timeline(&args);
-    let _flush = FlushGuard {
-        timeline_path: timeline_path.clone(),
-    };
+    if let Err(e) = install_timeline(&args) {
+        return fail(&e);
+    }
+    // Dropped last thing before exit: writes the `--trace-timeline` file on
+    // every path out of main, including gate failures and panics. Commands
+    // must therefore *return* their exit code rather than calling
+    // `std::process::exit` (which skips destructors).
+    let _flush = FlushGuard;
     install_signal_handlers();
     // A verb that polls the shutdown flag itself (`serve`) exits its loop
     // gracefully and FlushGuard runs on the normal path; every other verb
     // gets the flush-then-exit watcher.
     if !args.verb.polls_shutdown {
-        arm_interrupt_watcher(timeline_path);
+        arm_interrupt_watcher();
     }
-    let result = install_trace_sink(&args)
-        .and_then(|()| install_recorder(&args))
+    let result = install_recorder(&args)
         .and_then(|()| (args.verb.run)(&args))
         .and_then(|code| emit_metrics(&args).map(|()| code));
     result.unwrap_or_else(|e| fail(&e))

@@ -18,29 +18,16 @@ fn norm_addr(url: &str) -> String {
 /// HTTP client timeout for live scrapes (`stats --url`).
 const SCRAPE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
 
-/// Scrapes a live serve instance's /snapshot and returns the scrape epoch
-/// plus the embedded cumulative [`ObsSnapshot`].
-fn scrape_snapshot(addr: &str, token: Option<&str>) -> Result<(u64, ObsSnapshot), String> {
-    use serde::{Deserialize as _, Value};
+/// Scrapes a live serve instance's /snapshot: the cumulative
+/// [`ObsSnapshot`], the same document `--metrics <PATH>` writes.
+fn scrape_snapshot(addr: &str, token: Option<&str>) -> Result<ObsSnapshot, String> {
     let (status, body) = predator_obs::http_get_auth(addr, "/snapshot", SCRAPE_TIMEOUT, token)
         .map_err(|e| format!("cannot scrape {addr}/snapshot: {e}"))?;
     if status != 200 {
         return Err(format!("{addr}/snapshot returned HTTP {status}"));
     }
-    let v: Value =
-        serde_json::from_str(&body).map_err(|e| format!("{addr}/snapshot: not JSON: {e}"))?;
-    let epoch = match v.field("epoch") {
-        Value::U64(n) => *n,
-        Value::I64(n) => *n as u64,
-        _ => 0,
-    };
-    let cum = v.field("cumulative");
-    if matches!(cum, Value::Null) {
-        return Err(format!("{addr}/snapshot: no `cumulative` section"));
-    }
-    let snap = ObsSnapshot::from_value(cum)
-        .map_err(|e| format!("{addr}/snapshot: bad cumulative snapshot: {e}"))?;
-    Ok((epoch, snap))
+    serde_json::from_str::<ObsSnapshot>(&body)
+        .map_err(|e| format!("{addr}/snapshot: not a snapshot: {e}"))
 }
 
 /// Reads an [`ObsSnapshot`] from a file (`-` = stdin): either a bare
@@ -63,12 +50,11 @@ fn snapshot_from_file(path: &str) -> Result<ObsSnapshot, String> {
 }
 
 pub(crate) fn cmd_stats(args: &Args) -> Result<ExitCode, String> {
-    // --url scrapes a live `predator serve` instance's /snapshot endpoint
-    // and renders its embedded cumulative ObsSnapshot.
+    // --url scrapes a live `predator serve` instance's /snapshot endpoint.
     if let Some(url) = args.get("--url") {
         let addr = norm_addr(url);
-        let (epoch, snap) = scrape_snapshot(&addr, args.get("--auth-token"))?;
-        println!("live snapshot from {addr} (scrape epoch {epoch})");
+        let snap = scrape_snapshot(&addr, args.get("--auth-token"))?;
+        println!("live snapshot from {addr}");
         print!("{}", snap.render_table());
         return Ok(ExitCode::SUCCESS);
     }

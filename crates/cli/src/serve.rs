@@ -10,13 +10,14 @@
 //! * `/report` — the current findings, same schema as `analyze`;
 //!   `?format=json|sarif|html` picks the document, and when `--fail-on`
 //!   is armed a failed policy gate answers HTTP 412;
-//! * `/snapshot` — the delta since the previous scrape
-//!   ([`predator_obs::DeltaTracker`]), tagged with a monotonic epoch.
+//! * `/snapshot` — the cumulative metrics snapshot as JSON, the document
+//!   `--metrics <PATH>` writes (what `stats --url` renders).
 //!
-//! Metric history and alerting are the scraper's: a Prometheus server
-//! scraping `/metrics` keeps the series and evaluates the rules (README,
-//! "History and alerting"). `--auth-token <tok>` gates every endpoint
-//! except `/health` behind `Authorization: Bearer <tok>`.
+//! Metric history, rates and alerting are the scraper's: a Prometheus
+//! server scraping `/metrics` keeps the series, takes `rate()` per scraper
+//! and evaluates the rules (README, "History and alerting").
+//! `--auth-token <tok>` gates every endpoint except `/health` behind
+//! `Authorization: Bearer <tok>`.
 //!
 //! Three sources, picked from the arguments:
 //!
@@ -45,7 +46,7 @@ use predator_core::adaptive::Watchdog;
 use predator_core::{
     build_report_with, shutdown, Attribution, DetectorConfig, ObjectDirectory, Predator, Session,
 };
-use predator_obs::{DeltaTracker, HttpServer, Request, Response};
+use predator_obs::{HttpServer, Request, Response};
 use predator_policy::{evaluate_report, evaluate_views, FindingView, PolicyConfig};
 use predator_trace::{AnalyzeConfig, TraceReader};
 use predator_workloads::by_name;
@@ -88,7 +89,6 @@ struct ServeState {
     passes: AtomicU64,
     /// Seconds-since-start of the last completed analysis activity.
     last_analysis_s: AtomicU64,
-    delta: Mutex<DeltaTracker>,
 }
 
 impl ServeState {
@@ -98,7 +98,6 @@ impl ServeState {
             started: Instant::now(),
             passes: AtomicU64::new(0),
             last_analysis_s: AtomicU64::new(0),
-            delta: Mutex::new(DeltaTracker::new()),
         })
     }
 
@@ -159,11 +158,8 @@ fn common_routes(srv: HttpServer, state: &Arc<ServeState>) -> HttpServer {
             st.passes.load(Ordering::Relaxed)
         ))
     });
-    let st = state.clone();
-    srv.route("/snapshot", move |_| {
-        let snap = predator_obs::global().snapshot();
-        let d = st.delta.lock().unwrap().scrape(snap);
-        Response::json(d.to_json())
+    srv.route("/snapshot", |_| {
+        Response::json(predator_obs::global().snapshot().to_json())
     })
 }
 

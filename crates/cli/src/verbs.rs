@@ -153,11 +153,10 @@ pub(crate) static STREAMS: Group = Group {
         "--metrics <PATH>  write the metrics snapshot as JSON to PATH and Prometheus text to \
          PATH.prom after the run; `-` prints the JSON to stdout (skipped under a machine --format, \
          whose report already embeds it)",
-        "--trace-events <PATH>  stream structured JSONL events (line promotions, invalidations, \
-         prediction units, callsite attribution) to PATH during the run",
         "--trace-timeline <PATH>  write a Chrome trace-event JSON timeline (pipeline phase spans, \
          per-thread interpreter lanes, invalidation instants with flow arrows to their victim \
-         threads) to PATH; open it in Perfetto or chrome://tracing",
+         threads, line promotions, prediction units, callsite attribution, watchdog ticks) to \
+         PATH; open it in Perfetto or chrome://tracing",
     ],
 };
 
@@ -427,8 +426,9 @@ pub(crate) static VERBS: &[Verb] = &[
                 --watch, a fleet spool directory is polled and complete traces auto-ingested. \
                 Endpoints: /metrics (Prometheus text), /health (liveness JSON), /report \
                 (findings, same schema as `analyze`; ?format=json|sarif|html, HTTP 412 when the \
-                --fail-on policy gate fails), /snapshot (delta since previous scrape, \
-                epoch-tagged). History and alerting belong to a Prometheus scraping /metrics. A \
+                --fail-on policy gate fails), /snapshot (the cumulative metrics snapshot, the \
+                document --metrics writes). History, rates and alerting belong to a Prometheus \
+                scraping /metrics. A \
                 watchdog thread estimates the detector's own overhead from calibrated per-access \
                 costs and sheds sampling through a tiered backoff controller when the budget is \
                 violated; new allocation sites re-arm it. SIGINT or SIGTERM shuts the loop down \
@@ -506,10 +506,10 @@ mod tests {
     }
 
     #[test]
-    fn the_surface_is_21_verbs_31_valued_options_and_8_switches() {
+    fn the_surface_is_21_verbs_30_valued_options_and_8_switches() {
         assert_eq!(VERBS.len(), 21);
         let names = surface();
-        assert_eq!(names.values().filter(|valued| **valued).count(), 31);
+        assert_eq!(names.values().filter(|valued| **valued).count(), 30);
         assert_eq!(names.values().filter(|valued| !**valued).count(), 8);
     }
 

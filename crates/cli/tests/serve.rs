@@ -1,7 +1,7 @@
 //! End-to-end tests for `predator serve`: spawn the real binary, discover
 //! the ephemeral port through `--ready-file`, scrape every endpoint with the
 //! Rust HTTP client, and prove the signal path: SIGTERM lands as a graceful
-//! shutdown with `FlushGuard` semantics (exit 0, `sink_summary` flushed).
+//! shutdown with `FlushGuard` semantics (exit 0, the timeline written).
 
 #![cfg(unix)]
 
@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use predator_core::Report;
+use predator_core::{ObsSnapshot, Report};
 use predator_obs::{http_get, http_get_auth};
 
 fn predator() -> Command {
@@ -20,6 +20,23 @@ fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("predator-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Asserts that `path` holds a non-empty `--trace-timeline` file: Chrome
+/// trace JSON closed by its `otherData` loss accounting.
+fn assert_timeline_written(path: &Path) {
+    #[derive(serde::Deserialize)]
+    struct OtherData {
+        recorded: u64,
+    }
+    #[derive(serde::Deserialize)]
+    #[allow(non_snake_case)]
+    struct Doc {
+        otherData: OtherData,
+    }
+    let text = std::fs::read_to_string(path).expect("timeline written");
+    let doc: Doc = serde_json::from_str(&text).expect("timeline parses with otherData");
+    assert!(doc.otherData.recorded > 0, "empty timeline");
 }
 
 /// Polls `--ready-file` until the serve process writes its bound address.
@@ -64,7 +81,7 @@ fn sigterm(child: &Child) {
 fn serve_workload_endpoints_scrape_and_sigterm_is_graceful() {
     let dir = temp_dir("serve");
     let ready = dir.join("addr.txt");
-    let events = dir.join("events.jsonl");
+    let timeline = dir.join("timeline.json");
 
     let mut child = predator()
         .args([
@@ -82,8 +99,8 @@ fn serve_workload_endpoints_scrape_and_sigterm_is_graceful() {
             "50",
             "--ready-file",
             ready.to_str().unwrap(),
-            "--trace-events",
-            events.to_str().unwrap(),
+            "--trace-timeline",
+            timeline.to_str().unwrap(),
         ])
         .stdout(Stdio::null())
         .stderr(Stdio::null())
@@ -133,13 +150,14 @@ fn serve_workload_endpoints_scrape_and_sigterm_is_graceful() {
         "report embeds a live snapshot"
     );
 
-    // /snapshot is the epoch-tagged delta document.
-    let (status, snap) = http_get(&addr, "/snapshot", Duration::from_secs(5)).expect("scrape");
-    assert_eq!(status, 200);
-    assert!(
-        snap.starts_with("{\"schema\":\"predator-snapshot-delta/1\",\"epoch\":"),
-        "{snap}"
-    );
+    // /snapshot is the cumulative snapshot: every scrape reads the pass
+    // counter's total, none consumes it.
+    for _ in 0..2 {
+        let (status, snap) = http_get(&addr, "/snapshot", Duration::from_secs(5)).expect("scrape");
+        assert_eq!(status, 200);
+        let snap: ObsSnapshot = serde_json::from_str(&snap).expect("/snapshot is a snapshot");
+        assert_eq!(snap.counter("serve_passes_total"), Some(3));
+    }
 
     // `predator stats --url` renders tables from the live /snapshot.
     let url = format!("http://{addr}");
@@ -157,16 +175,11 @@ fn serve_workload_endpoints_scrape_and_sigterm_is_graceful() {
     assert!(table.contains("COUNTERS"), "{table}");
 
     // SIGTERM: the signal handler trips the shutdown flag, serve drains,
-    // and FlushGuard semantics run — exit 0 with a sink_summary flushed.
+    // and FlushGuard semantics run — exit 0 with the timeline written.
     sigterm(&child);
     let status = child.wait().expect("wait for serve");
     assert!(status.success(), "graceful shutdown exits 0: {status:?}");
-    let text = std::fs::read_to_string(&events).expect("events file written");
-    assert!(
-        text.lines()
-            .any(|l| l.contains("\"kind\":\"sink_summary\"")),
-        "sink_summary missing from:\n{text}"
-    );
+    assert_timeline_written(&timeline);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -243,9 +256,9 @@ fn serve_with_auth_token_end_to_end() {
 }
 
 #[test]
-fn interrupted_run_still_flushes_sink_summary() {
+fn interrupted_run_still_writes_the_timeline() {
     let dir = temp_dir("interrupt");
-    let events = dir.join("events.jsonl");
+    let timeline = dir.join("timeline.json");
 
     // A run long enough that the SIGINT always lands mid-workload (a
     // release build gets through some 10 M of these iterations a second).
@@ -257,8 +270,8 @@ fn interrupted_run_still_flushes_sink_summary() {
             "2",
             "--iters",
             "100000000",
-            "--trace-events",
-            events.to_str().unwrap(),
+            "--trace-timeline",
+            timeline.to_str().unwrap(),
         ])
         .stdout(Stdio::null())
         .stderr(Stdio::null())
@@ -276,12 +289,7 @@ fn interrupted_run_still_flushes_sink_summary() {
 
     let status = child.wait().expect("wait for run");
     assert_eq!(status.code(), Some(130), "interrupt exit code: {status:?}");
-    let text = std::fs::read_to_string(&events).expect("events file written");
-    assert!(
-        text.lines()
-            .any(|l| l.contains("\"kind\":\"sink_summary\"")),
-        "sink_summary missing from:\n{text}"
-    );
+    assert_timeline_written(&timeline);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,9 +1,10 @@
 //! End-to-end smoke tests for the `predator` binary: the observability
-//! surface (`--metrics`, `--trace-events`, the `stats` renderer), the CI
+//! surface (`--metrics`, `--trace-timeline`, the `stats` renderer), the CI
 //! gates, error and closed-stdout behaviour, the one trace door (`.ptrace`
 //! in, JSONL only via `trace import`, `replay` ≡ `analyze`, `--shards` inert), and
 //! the verb table at the front door (a verb refuses what its row lacks).
 
+use std::collections::BTreeMap;
 use std::process::Command;
 
 use predator_core::{ObsSnapshot, Report};
@@ -118,16 +119,46 @@ fn snapshot_files_written_by_the_two_type_build_load_and_rewrite_byte_identicall
     assert_eq!(stdout_of(&["stats", &report_file]), table);
 }
 
+/// A `--trace-timeline` file's instant counts by name, plus its
+/// `otherData.dropped`; panics unless the file parses as a timeline.
+fn timeline_instants(path: &std::path::Path) -> (BTreeMap<String, usize>, u64) {
+    #[derive(serde::Deserialize)]
+    struct Event {
+        name: Option<String>,
+        ph: String,
+    }
+    #[derive(serde::Deserialize)]
+    struct OtherData {
+        dropped: u64,
+    }
+    #[derive(serde::Deserialize)]
+    #[allow(non_snake_case)]
+    struct Doc {
+        traceEvents: Vec<Event>,
+        otherData: OtherData,
+    }
+    let text = std::fs::read_to_string(path).expect("timeline written");
+    let doc: Doc = serde_json::from_str(&text).expect("timeline parses with otherData");
+    let mut counts = BTreeMap::new();
+    for ev in doc.traceEvents.into_iter().filter(|e| e.ph == "i") {
+        *counts.entry(ev.name.unwrap_or_default()).or_default() += 1;
+    }
+    (counts, doc.otherData.dropped)
+}
+
 #[test]
-fn trace_events_stream_is_valid_jsonl() {
+fn trace_timeline_carries_every_detector_transition() {
     let dir = std::env::temp_dir().join(format!("predator-trace-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let trace = dir.join("events.jsonl");
-    let trace_s = trace.to_str().unwrap().to_string();
-
+    let trace = dir.join("timeline.json");
     let out = predator()
-        .args(RUN)
-        .args(["--trace-events", &trace_s])
+        .args([
+            "run",
+            "linear_regression",
+            "--sensitive",
+            "--trace-timeline",
+        ])
+        .arg(&trace)
         .output()
         .expect("spawn predator");
     assert!(
@@ -135,24 +166,36 @@ fn trace_events_stream_is_valid_jsonl() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-
-    // Every event line carries at least these envelope fields; extra
-    // per-kind fields are ignored by the deserializer.
-    #[derive(serde::Deserialize)]
-    struct Envelope {
-        seq: u64,
-        kind: String,
+    let (instants, dropped) = timeline_instants(&trace);
+    assert_eq!(dropped, 0);
+    for kind in [
+        "line_promoted",
+        "unit_spawned",
+        "unit_verified",
+        "callsite_attributed",
+        "report_emitted",
+    ] {
+        assert!(instants.get(kind) > Some(&0), "no {kind}: {instants:?}");
     }
-
-    let text = std::fs::read_to_string(&trace).expect("trace file written");
-    assert!(!text.trim().is_empty(), "sensitive run should emit events");
-    for line in text.lines() {
-        let ev: Envelope =
-            serde_json::from_str(line).unwrap_or_else(|e| panic!("bad JSONL line {line:?}: {e}"));
-        assert!(!ev.kind.is_empty(), "line {} has a kind", ev.seq);
-    }
-
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unwritable_trace_timeline_fails_before_the_run() {
+    // It used to run the whole verb, report `cannot write` after it and
+    // exit 0.
+    let out = predator()
+        .args(RUN)
+        .args(["--trace-timeline", "/nonexistent-predator-dir/tl.json"])
+        .output()
+        .expect("spawn predator");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "the run started");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("cannot create /nonexistent-predator-dir/tl.json"),
+        "{stderr}"
+    );
 }
 
 /// Runs the binary and returns stdout, asserting success.
@@ -605,7 +648,7 @@ fn damaged_header_is_refused_by_name_on_every_trace_verb() {
 }
 
 /// `predator <argv> | head`: a reader that goes away is a normal end of
-/// output, not a crash, and the observability streams still close properly.
+/// output, not a crash, and the timeline is still written.
 #[test]
 fn a_reader_closing_stdout_is_not_a_crash() {
     use std::io::Read as _;
@@ -618,12 +661,12 @@ fn a_reader_closing_stdout_is_not_a_crash() {
         (&["trace", "cat"][..], 16),
         (&["analyze", "--sensitive", "--format", "json"][..], 0),
     ] {
-        let events = dir.join(format!("{}-events.jsonl", verb[0]));
+        let timeline = dir.join(format!("{}-timeline.json", verb[0]));
         let mut child = predator()
             .args(verb)
             .arg(&trace)
-            .arg("--trace-events")
-            .arg(&events)
+            .arg("--trace-timeline")
+            .arg(&timeline)
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
@@ -637,9 +680,7 @@ fn a_reader_closing_stdout_is_not_a_crash() {
         for noise in ["panicked", "USAGE", "Broken pipe"] {
             assert!(!stderr.contains(noise), "{verb:?}: {stderr}");
         }
-        let text = std::fs::read_to_string(&events).unwrap();
-        let last = text.lines().last().expect("event stream closed properly");
-        assert!(last.contains("sink_summary"), "{verb:?}: {last}");
+        timeline_instants(&timeline);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -765,13 +806,13 @@ fn a_verb_refuses_options_and_operands_its_row_does_not_declare() {
 fn help_on_a_verb_is_help_and_a_bad_format_fails_before_the_run() {
     let dir = std::env::temp_dir().join(format!("predator-help-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let events = dir.join("events.jsonl");
-    let events_s = events.to_str().unwrap();
+    let timeline = dir.join("timeline.json");
+    let timeline_s = timeline.to_str().unwrap();
     // `run --help` said "missing workload name"; `run histogram --help` ran
     // the workload. Both are `run`'s section now, and nothing else happens.
     for argv in [
         &["run", "--help"][..],
-        &["run", "histogram", "--help", "--trace-events", events_s],
+        &["run", "histogram", "--help", "--trace-timeline", timeline_s],
         &["help", "run"],
     ] {
         let out = predator().args(argv).output().expect("spawn predator");
@@ -787,7 +828,7 @@ fn help_on_a_verb_is_help_and_a_bad_format_fails_before_the_run() {
         );
         assert!(!text.contains("predator analyze"), "only run's section");
         assert!(!text.contains("Cache line"), "no report: {text}");
-        assert!(!events.exists(), "{argv:?} touched the event stream");
+        assert!(!timeline.exists(), "{argv:?} touched the timeline");
     }
     // No file is opened on the way to a verb's help.
     let out = predator().args(["analyze", "--help"]).output().unwrap();
@@ -797,13 +838,13 @@ fn help_on_a_verb_is_help_and_a_bad_format_fails_before_the_run() {
     // (and the event stream had been created).
     let out = predator()
         .args(RUN)
-        .args(["--format", "yaml", "--trace-events", events_s])
+        .args(["--format", "yaml", "--trace-timeline", timeline_s])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown format `yaml`"));
     assert!(
-        !events.exists(),
+        !timeline.exists(),
         "the run started before the format was checked"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -817,6 +858,7 @@ fn retired_spellings_are_unknown() {
         ["--", "markdown"],
         ["--profile", "-period"],
         ["--", "top"],
+        ["--trace", "-events"],
     ] {
         let option = pieces.concat();
         let argv = [RUN, &[option.as_str(), "1"]].concat();

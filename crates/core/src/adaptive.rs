@@ -408,20 +408,16 @@ impl Watchdog {
         predator_obs::static_gauge!("predator_backoff_tier").set(decision.tier as i64);
         predator_obs::static_gauge!("predator_watchdog_overhead_ppm")
             .set((overhead * 1e6).round() as i64);
-        predator_obs::events().emit(
-            "watchdog_tick",
-            &[
-                (
-                    "overhead_ppm",
-                    predator_obs::FieldVal::U64((overhead * 1e6) as u64),
-                ),
-                ("tier", predator_obs::FieldVal::U64(decision.tier as u64)),
-                (
-                    "action",
-                    predator_obs::FieldVal::Str(&format!("{:?}", decision.action)),
-                ),
-            ],
-        );
+        let tl = predator_obs::timeline();
+        if tl.enabled() {
+            use predator_obs::ArgVal::{Str, U64};
+            let args = vec![
+                ("overhead_ppm", U64((overhead * 1e6) as u64)),
+                ("tier", U64(decision.tier as u64)),
+                ("action", Str(format!("{:?}", decision.action))),
+            ];
+            tl.instant("watchdog_tick", "detector", predator_obs::host_lane(), args);
+        }
         TickOutcome { overhead, decision }
     }
 }

@@ -152,7 +152,7 @@ struct Groups<'a> {
     /// are pushed in, which the stable ranking sort keeps for equal counts.
     aggs: BTreeMap<(u8, GroupKey, u64), Agg>,
     /// Object start and first callsite frame of every resolution the live
-    /// heap answered, in order — `publish` turns them into events.
+    /// heap answered, in order — `publish` turns them into timeline instants.
     heap_hits: Vec<(u64, String)>,
 }
 
@@ -352,49 +352,43 @@ fn run_stats(rt: &Predator, units: usize, attr: Attribution<'_>) -> RunStats {
 }
 
 /// Every side effect of a report build, after the report is decided: the
-/// `callsite_attributed` events, each prediction unit's fate now that the
+/// `callsite_attributed` instants, each prediction unit's fate now that the
 /// run is over (verified = reached the report threshold, else discarded) as
-/// gauges and events, the `report_emitted` instant and the findings gauge.
+/// gauges and instants, the `report_emitted` instant and the findings gauge.
 fn publish(report: &Report, units: &[UnitSnapshot], groups: &Groups<'_>) {
-    use predator_obs::FieldVal::{Str, U64};
-    let sink = predator_obs::events();
-    if sink.enabled() {
-        for (start, frame) in &groups.heap_hits {
-            let fields = [("object_start", U64(*start)), ("callsite", Str(frame))];
-            sink.emit("callsite_attributed", &fields);
-        }
-    }
+    use predator_obs::ArgVal::{Str, U64};
     let is_verified = |u: &&UnitSnapshot| u.invalidations >= groups.report_threshold;
     let verified = units.iter().filter(is_verified).count();
     let gauge = |name, value: usize| predator_obs::global().gauge(name).set(value as i64);
     gauge("predict_units_verified", verified);
     gauge("predict_units_discarded", units.len() - verified);
-    if sink.enabled() {
+    let tl = predator_obs::timeline();
+    if tl.enabled() {
+        let lane = predator_obs::host_lane();
+        for (start, frame) in &groups.heap_hits {
+            let args = vec![
+                ("object_start", U64(*start)),
+                ("callsite", Str(frame.clone())),
+            ];
+            tl.instant("callsite_attributed", "detector", lane, args);
+        }
         for unit in units {
             let fate = match is_verified(&unit) {
                 true => "unit_verified",
                 false => "unit_discarded",
             };
-            let fields = [
+            let args = vec![
                 ("start", U64(unit.range.start)),
                 ("invalidations", U64(unit.invalidations)),
             ];
-            sink.emit(fate, &fields);
+            tl.instant(fate, "detector", lane, args);
         }
-    }
-    let tl = predator_obs::timeline();
-    if tl.enabled() {
-        let count = |n: usize| predator_obs::ArgVal::U64(n as u64);
+        let count = |n: usize| U64(n as u64);
         let args = vec![
             ("findings", count(report.findings.len())),
             ("false_sharing", count(report.false_sharing().count())),
         ];
-        tl.instant(
-            "report_emitted",
-            "detector",
-            predator_obs::host_lane(),
-            args,
-        );
+        tl.instant("report_emitted", "detector", lane, args);
     }
     // Level, not counter: a rule over serve's `/metrics` watches this for
     // findings appearing (or regressing away) between report builds.

@@ -382,13 +382,6 @@ impl Predator {
         });
         if newly {
             predator_obs::static_counter!("runtime_lines_promoted_total").inc();
-            predator_obs::events().emit(
-                "line_promoted",
-                &[(
-                    "line_start",
-                    predator_obs::FieldVal::U64(track.line_start()),
-                )],
-            );
             // Tracking-state transition on the timeline: the line entered
             // CacheTracking (its history table now exists).
             let tl = predator_obs::timeline();
@@ -434,19 +427,15 @@ impl Predator {
                         units.get_or_create(key, || PredictionUnit::new(key, vg, pair));
                     if created {
                         predator_obs::static_counter!("predict_units_spawned_total").inc();
-                        let sink = predator_obs::events();
-                        if sink.enabled() {
-                            sink.emit(
-                                "unit_spawned",
-                                &[
-                                    (
-                                        "unit",
-                                        predator_obs::FieldVal::Str(&format!("{:?}", key.kind)),
-                                    ),
-                                    ("start", predator_obs::FieldVal::U64(unit.range.start)),
-                                    ("size", predator_obs::FieldVal::U64(unit.range.size)),
-                                ],
-                            );
+                        let tl = predator_obs::timeline();
+                        if tl.enabled() {
+                            use predator_obs::ArgVal::{Str, U64};
+                            let args = vec![
+                                ("unit", Str(format!("{:?}", key.kind))),
+                                ("start", U64(unit.range.start)),
+                                ("size", U64(unit.range.size)),
+                            ];
+                            tl.instant("unit_spawned", "detector", predator_obs::host_lane(), args);
                         }
                         self.attach_unit(&unit);
                     }

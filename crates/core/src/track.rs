@@ -188,13 +188,6 @@ impl CacheTrack {
         }
         if invalidated {
             predator_obs::hot_counter_inc!("track_invalidations_total");
-            predator_obs::events().emit(
-                "invalidation",
-                &[
-                    ("line_start", predator_obs::FieldVal::U64(self.line_start)),
-                    ("tid", predator_obs::FieldVal::U64(tid.index() as u64)),
-                ],
-            );
             // Timeline: an instant on the writer's sim-thread lane plus one
             // flow arrow per victim, so Perfetto draws the causal link from
             // the invalidating write to the thread whose copy it killed.

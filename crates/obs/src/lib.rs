@@ -11,31 +11,26 @@
 //! * [`span`] / [`Histogram::start_timer`] — RAII wall-time timers for the
 //!   pipeline phases (parse → instrument → interpret → detect → predict →
 //!   report), recorded as `span_<phase>_ns` histograms.
-//! * [`events`] — a bounded, sampled JSONL structured-event sink for the
-//!   interesting state transitions (line promoted, invalidation recorded,
-//!   prediction unit spawned/verified/discarded, callsite attributed).
 //! * [`recorder`] — the flight recorder: a bounded ring of recent per-line
 //!   access and invalidation records (who wrote, who got invalidated, which
 //!   words, in what order) powering `predator explain` timelines.
-//! * [`timeline`] — a bounded Chrome trace-event buffer (`--trace-timeline`)
-//!   turning phase spans, interpreter thread activity, and detector events
-//!   into a Perfetto-loadable JSON file with flow arrows from invalidating
-//!   writes to their victim threads.
+//! * [`timeline`] — the one event stream: a bounded Chrome trace-event
+//!   buffer (`--trace-timeline`) turning phase spans, interpreter thread
+//!   activity, and every detector transition (line promoted, invalidation
+//!   recorded, prediction unit spawned/verified/discarded, callsite
+//!   attributed, watchdog tick) into a Perfetto-loadable JSON file with flow
+//!   arrows from invalidating writes to their victim threads.
 //! * [`serve`] — a hand-rolled zero-dep HTTP/1.1 server over `std::net`,
 //!   the transport behind `predator serve`'s `/metrics`, `/health`,
 //!   `/report` and `/snapshot` endpoints (plus the matching GET client).
-//! * [`delta`] — snapshot deltas with scrape epochs and wrap-around-safe
-//!   subtraction: what `/snapshot` streams between scrapes.
 //!
-//! History and alerting are not kept here: they belong to whatever scrapes
-//! `/metrics` (a Prometheus server and its rule groups).
+//! History, rates and alerting are not kept here: they belong to whatever
+//! scrapes `/metrics` (a Prometheus server, its `rate()` and rule groups).
 //!
 //! Everything hangs off a process-global registry ([`global`]) so call
 //! sites in any crate can grab a handle without plumbing; handles are
 //! cheap `Arc` clones meant to be cached at construction time on hot paths.
 
-pub mod delta;
-mod events;
 mod metrics;
 pub mod recorder;
 pub mod serve;
@@ -43,8 +38,6 @@ mod snapshot;
 mod span;
 pub mod timeline;
 
-pub use delta::{accumulate, delta_snapshots, DeltaTracker, SnapshotDelta};
-pub use events::{events, EventSink, FieldVal};
 pub use metrics::{
     bucket_index, bucket_lower_bound, global, Counter, Gauge, Histogram, HotTally, Registry, Timer,
     COUNTER_SHARDS,

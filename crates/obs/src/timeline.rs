@@ -1,12 +1,11 @@
 //! Chrome trace-event timeline: phase spans, per-thread interpreter
 //! activity, and detector events as a Perfetto-loadable JSON file.
 //!
-//! Like the [`crate::events`] sink and the flight recorder, the timeline is
-//! a process-global singleton that costs one relaxed atomic load until the
-//! CLI installs it (`--trace-timeline <path>`), and it buffers into a
-//! *bounded* in-memory vector with counted loss — a full buffer drops
-//! events and says so in the emitted file instead of growing without bound
-//! or silently truncating.
+//! Like the flight recorder, the timeline is a process-global singleton
+//! that costs one relaxed atomic load until the CLI installs it
+//! (`--trace-timeline <path>`), and it buffers into a *bounded* in-memory
+//! vector with counted loss — a full buffer drops events and says so in the
+//! emitted file instead of growing without bound or silently truncating.
 //!
 //! Lane model: simulated interpreter threads get `tid` lanes `0..1000`
 //! (their detector-visible thread ids); host OS threads running pipeline
@@ -26,8 +25,6 @@ use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-
-use crate::events::escape_into;
 
 /// First `tid` lane used for host OS threads; simulated-thread lanes are
 /// the detector [`ThreadId`]s below this.
@@ -403,6 +400,23 @@ impl Timeline {
     }
 }
 
+/// Appends `s` JSON-string-escaped (without the surrounding quotes).
+fn escape_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+}
+
 /// The process-global trace timeline. Disarmed (near-zero cost) until the
 /// CLI installs it for `--trace-timeline`.
 pub fn timeline() -> &'static Timeline {
@@ -513,6 +527,41 @@ mod tests {
         );
         assert!(json.contains("\"bp\":\"e\""), "{json}");
         assert_eq!(json.matches(&format!("\"id\":{id}")).count(), 2);
+    }
+
+    #[test]
+    fn names_and_string_args_are_escaped() {
+        let tl = fresh();
+        tl.install(64);
+        let nasty = "q\"b\\n\nr\rt\tc\u{1}";
+        tl.instant(
+            nasty,
+            "detector",
+            0,
+            vec![("note", ArgVal::Str(nasty.into()))],
+        );
+        let json = render(&tl);
+        let want = "q\\\"b\\\\n\\nr\\rt\\tc\\u0001";
+        assert_eq!(json.matches(want).count(), 2, "{json}");
+        // ...and a JSON parser reads the original strings back.
+        #[derive(serde::Deserialize)]
+        struct Args {
+            note: Option<String>,
+        }
+        #[derive(serde::Deserialize)]
+        struct Event {
+            name: String,
+            args: Option<Args>,
+        }
+        #[derive(serde::Deserialize)]
+        #[allow(non_snake_case)]
+        struct Doc {
+            traceEvents: Vec<Event>,
+        }
+        let doc: Doc = serde_json::from_str(&json).unwrap();
+        let ev = doc.traceEvents.last().unwrap();
+        assert_eq!(ev.name, nasty);
+        assert_eq!(ev.args.as_ref().unwrap().note.as_deref(), Some(nasty));
     }
 
     #[test]

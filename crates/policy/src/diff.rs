@@ -9,7 +9,7 @@
 //! tolerance are reported separately.
 //!
 //! Classification routes through [`crate::compare`], the same fold that
-//! powers fleet trends and bench gates; this module keeps the
+//! powers fleet trends and baseline diffs; this module keeps the
 //! finding-identity keying and the historical output format.
 
 use serde::{Deserialize, Serialize};

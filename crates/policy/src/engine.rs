@@ -4,7 +4,7 @@
 //! pipeline and returns one [`FindingDecision`] per finding plus the gate
 //! verdict. The stages are ordered so each narrows what the next sees:
 //!
-//! 1. **classify** — the configured [`Policy`] assigns a [`Severity`] from
+//! 1. **classify** — the [`ThresholdPolicy`] assigns a [`Severity`] from
 //!    the finding's measurements; every finding gets one, always.
 //! 2. **suppress** — if the callsite key matches a suppression rule, the
 //!    finding is marked suppressed and can never gate (but still appears
@@ -14,49 +14,23 @@
 //! 4. **gate** — a surviving finding gates iff `--fail-on` is set and its
 //!    severity is at or above the threshold.
 
-use std::sync::Arc;
-
 use predator_core::Report;
 use predator_obs::static_counter;
 
 use crate::baseline::Baseline;
-use crate::rules::{FindingView, Policy, ThresholdPolicy};
+use crate::rules::{FindingView, ThresholdPolicy};
 use crate::severity::Severity;
 use crate::suppress::Suppressions;
 
 /// Everything the engine needs to evaluate a report.
-#[derive(Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PolicyConfig {
-    /// The classification policy (default: [`ThresholdPolicy`]).
-    pub policy: Arc<dyn Policy>,
     /// Per-site suppressions (default: none).
     pub suppressions: Suppressions,
     /// Known-findings baseline (default: none).
     pub baseline: Option<Baseline>,
     /// Gate threshold; `None` disables gating entirely.
     pub fail_on: Option<Severity>,
-}
-
-impl Default for PolicyConfig {
-    fn default() -> Self {
-        PolicyConfig {
-            policy: Arc::new(ThresholdPolicy::default()),
-            suppressions: Suppressions::default(),
-            baseline: None,
-            fail_on: None,
-        }
-    }
-}
-
-impl std::fmt::Debug for PolicyConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PolicyConfig")
-            .field("policy", &self.policy.name())
-            .field("suppressions", &self.suppressions.rules.len())
-            .field("baseline", &self.baseline.is_some())
-            .field("fail_on", &self.fail_on)
-            .finish()
-    }
 }
 
 /// The engine's verdict on one finding.
@@ -122,9 +96,10 @@ pub fn evaluate_views<'a>(
     views: impl IntoIterator<Item = FindingView<'a>>,
     config: &PolicyConfig,
 ) -> Evaluation {
+    let policy = ThresholdPolicy::default();
     let mut decisions = Vec::new();
     for (index, view) in views.into_iter().enumerate() {
-        let severity = config.policy.classify(&view);
+        let severity = policy.classify(&view);
         static_counter!("policy_findings_classified_total").inc();
         let suppressed = config.suppressions.is_suppressed(view.key);
         if suppressed {
@@ -157,7 +132,7 @@ pub fn evaluate_views<'a>(
     Evaluation {
         decisions,
         fail_on: config.fail_on,
-        policy_name: config.policy.name().to_string(),
+        policy_name: ThresholdPolicy::NAME.to_string(),
     }
 }
 

@@ -10,15 +10,14 @@
 //!
 //! * [`severity`] — the `info < warning < error` scale and `--fail-on`
 //!   parsing;
-//! * [`rules`] — the [`Policy`] trait and the built-in threshold policy;
+//! * [`rules`] — the threshold classification policy;
 //! * [`suppress`] — per-site suppressions keyed by callsite key;
 //! * [`baseline`] — known-findings snapshots (`predator baseline
 //!   write|diff`) so only *new* findings gate;
 //! * [`engine`] — the classify → suppress → baseline → gate pipeline;
 //! * [`compare`] — the shared comparison engine behind report diffs,
 //!   fleet trends, and baseline diffs;
-//! * [`diff`] — report-vs-report diffing (moved here from
-//!   `predator-core`; re-exported at the same names);
+//! * [`diff`] — report-vs-report diffing (`predator diff`);
 //! * [`sarif`], [`html`] — the SARIF 2.1.0 and self-contained HTML
 //!   reporters, both embedding fix suggestions.
 
@@ -37,7 +36,7 @@ pub use compare::{classify, compare_maps, Delta, DeltaEntry};
 pub use diff::{diff_reports, FindingId, ReportDiff, SeverityChange};
 pub use engine::{evaluate_report, evaluate_views, Evaluation, FindingDecision, PolicyConfig};
 pub use html::to_html;
-pub use rules::{FindingView, Policy, ThresholdPolicy};
+pub use rules::{FindingView, ThresholdPolicy};
 pub use sarif::{to_sarif, to_sarif_string, SARIF_SCHEMA, SARIF_VERSION};
 pub use severity::Severity;
 pub use suppress::{SuppressRule, Suppressions};

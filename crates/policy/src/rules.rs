@@ -1,10 +1,8 @@
-//! The rule layer: classification policies.
+//! The rule layer: the classification policy.
 //!
-//! A [`Policy`] turns one finding's measurements into a [`Severity`]. The
-//! built-in [`ThresholdPolicy`] implements the paper-faithful default —
-//! invalidation counts and rates are *the* ranking signal (§4); it is the
-//! only policy the CLI runs, and `PolicyConfig::policy` is where an
-//! embedder or a test substitutes another.
+//! [`ThresholdPolicy`] turns one finding's measurements into a
+//! [`Severity`], the paper-faithful way — invalidation counts and rates are
+//! *the* ranking signal (§4).
 
 use predator_core::{Finding, FindingKind, SharingClass};
 
@@ -44,16 +42,7 @@ impl<'a> FindingView<'a> {
     }
 }
 
-/// A pluggable severity classifier.
-pub trait Policy: Send + Sync {
-    /// Registry name (`--policy <name>` selects it).
-    fn name(&self) -> &str;
-
-    /// Classifies one finding.
-    fn classify(&self, view: &FindingView<'_>) -> Severity;
-}
-
-/// The built-in threshold policy.
+/// The threshold policy.
 ///
 /// True sharing is [`Severity::Info`]: padding cannot fix it, so it should
 /// not gate a merge by default. False and mixed sharing start at
@@ -83,12 +72,12 @@ impl Default for ThresholdPolicy {
     }
 }
 
-impl Policy for ThresholdPolicy {
-    fn name(&self) -> &str {
-        "threshold"
-    }
+impl ThresholdPolicy {
+    /// The name reports carry for the policy that classified them.
+    pub const NAME: &'static str = "threshold";
 
-    fn classify(&self, view: &FindingView<'_>) -> Severity {
+    /// Classifies one finding.
+    pub fn classify(&self, view: &FindingView<'_>) -> Severity {
         if view.class == SharingClass::TrueSharing {
             return Severity::Info;
         }

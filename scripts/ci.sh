@@ -131,6 +131,16 @@ if grep -rnE 'Tsdb|AlertEngine|parse_rules|"/query"|"/alerts"|--rules|alerts (li
   exit 1
 fi
 
+echo "==> one event stream, one snapshot document (the JSONL event sink, its option, the scrape delta and the policy trait must not grow back)"
+# The --trace-timeline file carries every detector transition; /snapshot is
+# the cumulative snapshot --metrics writes; ThresholdPolicy is the policy.
+if grep -rnE 'EventSink|FieldVal|obs::events\b|trace-events|DeltaTracker|SnapshotDelta|snapshot-delta|trait Policy' \
+  --exclude={ci.sh,ci.yml} \
+  crates src tests examples shims scripts .github; then
+  echo "a second event stream, snapshot document or policy interface is back" >&2
+  exit 1
+fi
+
 echo "==> non-test source lines under crates/ (scripts/loc.sh)"
 scripts/loc.sh
 

@@ -9,10 +9,10 @@
 //! with a well-formed report every time and costs the pass no update.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
-use predator::obs::{global, http_get, DeltaTracker, HttpServer, Response, Snapshot};
+use predator::obs::{global, http_get, HttpServer, Response, Snapshot};
 use predator::{Callsite, DetectorConfig, Report, Session, ThreadId};
 
 /// Splits a Prometheus text body into `(series, value)` pairs, failing the
@@ -44,15 +44,14 @@ fn metrics_scrape_parses_and_matches_the_registry_snapshot() {
     g.histogram("serve_http_probe_ns").record(100);
     g.histogram("serve_http_probe_ns").record(3000);
 
-    let delta = Mutex::new(DeltaTracker::new());
     let srv = HttpServer::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = srv.local_addr().to_string();
     let handle = srv
         .route("/metrics", |_| {
             Response::prometheus(global().snapshot().to_prometheus())
         })
-        .route("/snapshot", move |_| {
-            Response::json(delta.lock().unwrap().scrape(global().snapshot()).to_json())
+        .route("/snapshot", |_| {
+            Response::json(global().snapshot().to_json())
         })
         .spawn()
         .expect("spawn server");
@@ -91,29 +90,18 @@ fn metrics_scrape_parses_and_matches_the_registry_snapshot() {
         hist.count
     )));
 
-    // /snapshot: first scrape is epoch 1 and reports the probe counter in
-    // both payloads; a second scrape after an increment carries exactly the
-    // increment in `delta` and the new total in `cumulative`.
-    let (status, snap1) = http_get(&addr, "/snapshot", Duration::from_secs(5)).expect("scrape");
-    assert_eq!(status, 200);
-    assert!(snap1.starts_with("{\"schema\":\"predator-snapshot-delta/1\",\"epoch\":1,"));
-    assert!(snap1.contains("{\"name\":\"serve_http_probe_total\",\"value\":42}"));
-
+    // /snapshot is the cumulative snapshot, the `--metrics` document: it
+    // parses as one, reports the probe counter, and a scrape after an
+    // increment carries the new total (a scrape consumes nothing).
+    let scrape = || {
+        let (status, body) = http_get(&addr, "/snapshot", Duration::from_secs(5)).expect("scrape");
+        assert_eq!(status, 200);
+        serde_json::from_str::<Snapshot>(&body).expect("/snapshot parses as a snapshot")
+    };
+    assert_eq!(scrape().counter("serve_http_probe_total"), Some(42));
     g.counter("serve_http_probe_total").add(5);
-    let (status, snap2) = http_get(&addr, "/snapshot", Duration::from_secs(5)).expect("scrape");
-    assert_eq!(status, 200);
-    assert!(snap2.starts_with("{\"schema\":\"predator-snapshot-delta/1\",\"epoch\":2,"));
-    let (delta_part, cumulative_part) = snap2
-        .split_once("\"cumulative\":")
-        .expect("delta document has both payloads");
-    assert!(
-        delta_part.contains("{\"name\":\"serve_http_probe_total\",\"value\":5}"),
-        "delta carries the increment: {delta_part}"
-    );
-    assert!(
-        cumulative_part.contains("{\"name\":\"serve_http_probe_total\",\"value\":47}"),
-        "cumulative carries the new total: {cumulative_part}"
-    );
+    assert_eq!(scrape().counter("serve_http_probe_total"), Some(47));
+    assert_eq!(scrape().counter("serve_http_probe_total"), Some(47));
 
     // Unknown paths 404 without killing the server.
     let (status, _) = http_get(&addr, "/nope", Duration::from_secs(5)).expect("scrape");
