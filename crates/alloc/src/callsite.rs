@@ -68,13 +68,6 @@ impl Callsite {
         Callsite { frames }
     }
 
-    /// Returns this callsite with an outer frame appended (for multi-frame
-    /// stacks like Figure 5's).
-    pub fn with_outer(mut self, file: impl Into<String>, line: u32) -> Self {
-        self.frames.push(Frame::new(file, line));
-        self
-    }
-
     /// An anonymous callsite for internal allocations.
     pub fn unknown() -> Self {
         Callsite {
@@ -154,14 +147,6 @@ mod tests {
         assert_eq!(site.frames.len(), 1);
         assert!(site.frames[0].file.ends_with("callsite.rs"));
         assert!(site.frames[0].line > 0);
-    }
-
-    #[test]
-    fn with_outer_appends_frames() {
-        let site = Callsite::from_frames(vec![Frame::new("./stddefines.h", 53)])
-            .with_outer("./linear_regression-pthread.c", 133);
-        assert_eq!(site.frames.len(), 2);
-        assert_eq!(site.frames[1].line, 133);
     }
 
     #[test]

@@ -224,11 +224,6 @@ impl<S: AllocSource> SizeClassLayer<S> {
     pub fn usable_size(size: u64) -> u64 {
         class_size(size_class(size))
     }
-
-    /// Access to the underlying source.
-    pub fn source_mut(&mut self) -> &mut S {
-        &mut self.source
-    }
 }
 
 #[cfg(test)]

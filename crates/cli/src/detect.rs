@@ -16,8 +16,7 @@ use predator_policy::{evaluate_report, to_html, to_sarif_string, Evaluation};
 use predator_shadow::SimSpace;
 use predator_sim::{Access, CacheGeometry, ThreadId};
 use predator_trace::{
-    analyze_events, analyze_file, verify_fixes, whatif_events, AnalyzeConfig, TraceMeta,
-    TraceReader, TraceSink, WhatIfFix,
+    analyze_file, whatif_events, AnalyzeConfig, TraceMeta, TraceReader, TraceSink, WhatIfFix,
 };
 use predator_workloads::{all, by_name, run_and_report};
 
@@ -234,8 +233,8 @@ pub(crate) fn cmd_record(args: &Args) -> Result<ExitCode, String> {
 }
 
 /// `analyze`, and `replay`: the same analysis from the row that has the
-/// flight recorder on (no `--shards`, no `--verify-fixes` on that row),
-/// which keeps its own preamble.
+/// flight recorder on (no `--shards` on that row), which keeps its own
+/// preamble.
 pub(crate) fn cmd_analyze(args: &Args) -> Result<ExitCode, String> {
     let path = &args.operands[0];
     let det = detector_config(args)?;
@@ -246,17 +245,7 @@ pub(crate) fn cmd_analyze(args: &Args) -> Result<ExitCode, String> {
     let cfg = AnalyzeConfig { det };
     // A machine format owns stdout: no preamble line.
     let preamble = !Format::of(args)?.is_machine();
-    let (out, verified) = if !replay && args.has("--verify-fixes") {
-        // Verification replays the trace under each suggested fix, so the
-        // events must be resident; the streaming path won't do.
-        let (events, base, size, meta) = load_trace_events(path)?;
-        let meta = meta.as_ref();
-        let mut out = analyze_events(&events, base, size, meta, &cfg);
-        let fixed = verify_fixes(&events, base, size, meta, &mut out.report, &cfg);
-        (out, Some(fixed))
-    } else {
-        (analyze_file(Path::new(path), &cfg, 0, 0)?, None)
-    };
+    let out = analyze_file(Path::new(path), &cfg, 0, 0)?;
     warn_loss(path, &out.loss);
     warn_strays(out.stray_events);
     if preamble && replay {
@@ -267,15 +256,12 @@ pub(crate) fn cmd_analyze(args: &Args) -> Result<ExitCode, String> {
         if out.meta_applied {
             print!(", attribution metadata applied");
         }
-        if let Some(verified) = verified {
-            print!("; {verified} fix(es) verified by replay");
-        }
         println!();
     }
     emit_report(args, &det, &out.report)
 }
 
-/// Loads a whole trace into memory: the what-if replay re-analyzes the
+/// Loads a whole trace into memory for `whatif`: the replay re-analyzes the
 /// event list several times, so streaming buys nothing. The vector is sized
 /// once, from the trailer's record count
 /// ([`TraceReader::collect_events`]), not grown by doubling.

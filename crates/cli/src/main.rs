@@ -50,7 +50,7 @@ static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
 
 /// Writes to stdout until its reader goes away; from then on output is
 /// dropped and the verb runs to its normal end — the gate verdict still
-/// goes to stderr and the exit code, `FlushGuard` still writes
+/// goes to stderr and the exit code, `main` still writes
 /// `--trace-timeline`. Any other write error is as fatal as it is under
 /// std's `println!`.
 fn print_stdout(args: std::fmt::Arguments) {
@@ -73,8 +73,9 @@ static TIMELINE_OUT: Mutex<Option<(String, std::fs::File)>> = Mutex::new(None);
 
 /// Arms the Chrome-trace timeline buffer when `--trace-timeline <PATH>` is
 /// present. The file is created now, so a path that cannot be written fails
-/// the verb before it runs; the events are written by [`FlushGuard`] at exit
-/// so panicking or early-exiting runs still leave a valid trace.
+/// the verb before it runs; the events are written at exit — by `main`, or
+/// by [`FlushGuard`] on a panic — so panicking or early-exiting runs still
+/// leave a valid trace.
 fn install_timeline(args: &Args) -> Result<(), String> {
     let Some(path) = args.get("--trace-timeline") else {
         return Ok(());
@@ -85,27 +86,31 @@ fn install_timeline(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Writes the timeline file when dropped — on the normal exit path, on gate
-/// failures, and during panic unwinding alike — so truncated runs still
+/// Writes the timeline file when dropped, for the ways out of `main` that
+/// skip its own write — panic unwinding above all — so truncated runs still
 /// leave a valid, loss-accounted file behind.
 struct FlushGuard;
 
 impl Drop for FlushGuard {
     fn drop(&mut self) {
-        write_timeline();
+        if let Err(e) = write_timeline() {
+            eprintln!("error: {e}");
+        }
     }
 }
 
-fn write_timeline() {
+/// Writes the `--trace-timeline` file if it has not been written yet.
+fn write_timeline() -> Result<(), String> {
     // Held across the write: a second caller waits, then finds nothing.
     let mut out = TIMELINE_OUT.lock().unwrap_or_else(PoisonError::into_inner);
     let Some((path, file)) = out.take() else {
-        return;
+        return Ok(());
     };
-    match predator_obs::timeline().write_json(&mut std::io::BufWriter::new(file)) {
-        Ok(()) => eprintln!("trace timeline written to {path}"),
-        Err(e) => eprintln!("error: cannot write {path}: {e}"),
-    }
+    predator_obs::timeline()
+        .write_json(&mut std::io::BufWriter::new(file))
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
+    eprintln!("trace timeline written to {path}");
+    Ok(())
 }
 
 /// Registers SIGINT/SIGTERM handlers that set the process-wide graceful
@@ -136,15 +141,17 @@ fn install_signal_handlers() {}
 /// For commands whose main loop does not poll the shutdown flag (`run`,
 /// `analyze`, ... — every row without `polls_shutdown`), a detached watcher
 /// turns an interrupt into a flush-then-exit: the `--trace-timeline` file is
-/// written before the process dies, exactly as [`FlushGuard`] would have
-/// done on a normal exit.
+/// written before the process dies, exactly as `main` would have done on a
+/// normal exit.
 fn arm_interrupt_watcher() {
     let _ = std::thread::Builder::new()
         .name("predator-sigwatch".into())
         .spawn(|| loop {
             if predator_core::shutdown::requested() {
                 eprintln!("interrupted — flushing observability streams");
-                write_timeline();
+                if let Err(e) = write_timeline() {
+                    eprintln!("error: {e}");
+                }
                 // 130 = 128 + SIGINT, the conventional interrupt exit code.
                 std::process::exit(130);
             }
@@ -211,21 +218,23 @@ fn main() -> ExitCode {
         return fail(&e);
     }
     // Dropped last thing before exit: writes the `--trace-timeline` file on
-    // every path out of main, including gate failures and panics. Commands
-    // must therefore *return* their exit code rather than calling
+    // a path out of main that skipped the write below, a panic included.
+    // Commands must therefore *return* their exit code rather than calling
     // `std::process::exit` (which skips destructors).
     let _flush = FlushGuard;
     install_signal_handlers();
     // A verb that polls the shutdown flag itself (`serve`) exits its loop
-    // gracefully and FlushGuard runs on the normal path; every other verb
-    // gets the flush-then-exit watcher.
+    // gracefully and `main` writes the timeline; every other verb gets the
+    // flush-then-exit watcher.
     if !args.verb.polls_shutdown {
         arm_interrupt_watcher();
     }
     let result = install_recorder(&args)
         .and_then(|()| (args.verb.run)(&args))
         .and_then(|code| emit_metrics(&args).map(|()| code));
-    result.unwrap_or_else(|e| fail(&e))
+    let code = result.unwrap_or_else(|e| fail(&e));
+    // A timeline that cannot be written fails the run, as `--metrics` does.
+    write_timeline().map_or_else(|e| fail(&e), |()| code)
 }
 
 /// Every failure says what failed and where the manual is; the manual

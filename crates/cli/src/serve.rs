@@ -19,16 +19,14 @@
 //! `--auth-token <tok>` gates every endpoint except `/health` behind
 //! `Authorization: Bearer <tok>`.
 //!
-//! Three sources, picked from the arguments:
+//! Two sources, picked from the arguments, each driving one long-lived
+//! detector:
 //!
 //! * **workload** (default) — repeated tracked passes of an evaluation
 //!   workload over one long-lived [`Session`]; the session is rotated when
 //!   the simulated heap nears capacity (quarantined frees are never
 //!   recycled), carrying the dynamic sampling settings across;
-//! * **replay** — a `.ptrace` file looped through a single detector;
-//! * **watch** (`--watch <dir> --corpus <dir>`) — a fleet spool directory
-//!   polled for complete traces and auto-ingested into a corpus
-//!   ([`predator_fleet::Watcher`]); `/report` serves the merged fleet view.
+//! * **replay** — a `.ptrace` file looped through a single detector.
 //!
 //! A watchdog thread ticks [`Watchdog`] every `--watchdog-interval-ms`:
 //! calibrated per-access costs × hot-path counter deltas give the
@@ -36,7 +34,7 @@
 //! `--overhead-budget` shed sampling through the tiered backoff
 //! controller; new allocation sites re-arm it.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -47,8 +45,8 @@ use predator_core::{
     build_report_with, shutdown, Attribution, DetectorConfig, ObjectDirectory, Predator, Session,
 };
 use predator_obs::{HttpServer, Request, Response};
-use predator_policy::{evaluate_report, evaluate_views, FindingView, PolicyConfig};
-use predator_trace::{AnalyzeConfig, TraceReader};
+use predator_policy::{evaluate_report, PolicyConfig};
+use predator_trace::TraceReader;
 use predator_workloads::by_name;
 
 use crate::args::{detector_config, policy_config, workload_config, Args};
@@ -84,8 +82,7 @@ fn sleep_poll(ms: u64) -> bool {
 struct ServeState {
     mode: &'static str,
     started: Instant,
-    /// Completed drive iterations (workload passes, replay passes, or
-    /// watch polls, by mode).
+    /// Completed passes (workload or replay, by mode).
     passes: AtomicU64,
     /// Seconds-since-start of the last completed analysis activity.
     last_analysis_s: AtomicU64,
@@ -109,14 +106,10 @@ impl ServeState {
 }
 
 /// Touches every metric the endpoints promise, so a scrape taken before the
-/// first pass already renders the full namespace at zero — fleet ingest
-/// counters included (they only tick in watch mode, but exist in all).
+/// first pass already renders the full namespace at zero.
 fn register_static_metrics() {
     let g = predator_obs::global();
     for c in [
-        "fleet_traces_ingested_total",
-        "fleet_events_ingested_total",
-        "fleet_bytes_ingested_total",
         "serve_requests_total",
         "serve_request_errors_total",
         "serve_passes_total",
@@ -133,8 +126,8 @@ fn register_static_metrics() {
     g.gauge("predator_report_findings").set(0);
 }
 
-/// Registers the endpoints every mode shares; `/report` is mode-specific
-/// and added by the caller.
+/// Registers the endpoints both modes share; `/report` is mode-specific and
+/// added by the caller.
 fn common_routes(srv: HttpServer, state: &Arc<ServeState>) -> HttpServer {
     let st = state.clone();
     let srv = srv.route("/metrics", move |_| {
@@ -204,7 +197,7 @@ fn query_format(query: Option<&str>) -> &str {
         .unwrap_or("json")
 }
 
-/// Renders `/report` for the live-`Report` modes (workload, replay):
+/// Renders `/report` for either mode:
 /// `?format=json|sarif|html` picks the document, and when `--fail-on` is
 /// armed a failed gate answers HTTP 412 (Precondition Failed) so probes
 /// can alert on the status line without parsing the body.
@@ -234,9 +227,7 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
     let det = detector_config(args)?;
     register_static_metrics();
     let target = args.operands.first().map_or("histogram", String::as_str);
-    let served = if let Some(watch_dir) = args.get("--watch") {
-        serve_watch(args, det, watch_dir, &opts)
-    } else if by_name(target).is_some() {
+    let served = if by_name(target).is_some() {
         serve_workload(args, det, target, &opts)
     } else if Path::new(target).is_file() {
         serve_replay(det, target, &opts, args)
@@ -248,16 +239,22 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
     served.map(|()| ExitCode::SUCCESS)
 }
 
-/// The one server set-up: binds, registers the shared routes plus the
-/// mode's `/report`, spawns, announces, runs `drive` (the mode's loop, which
-/// returns how many iterations it completed) and stops the server after it.
-fn serve_mode(
+/// The one server set-up, for both modes (workload, replay): binds, serves
+/// the shared routes plus `report`, announces, runs the watchdog alongside,
+/// and repeats `pass` until shutdown — at most `--passes` times, after which
+/// the server keeps answering scrapes until a signal arrives. Each watchdog
+/// tick, `tick` feeds it the runtime to throttle (sessions rotate under
+/// workload mode, so it is looked up fresh) and the wall clock in ns. `pass`
+/// returns false when a shutdown request cut it short.
+fn serve_passes(
     args: &Args,
+    det: DetectorConfig,
     opts: &ServeOpts,
     mode: &'static str,
     report: impl Fn(&Request) -> Response + Send + Sync + 'static,
-    drive: impl FnOnce(&ServeState) -> Result<u64, String>,
-) -> Result<u64, String> {
+    tick: impl Fn(&mut Watchdog, u64) + Send + 'static,
+    mut pass: impl FnMut() -> Result<bool, String>,
+) -> Result<(), String> {
     let state = ServeState::new(mode);
     let srv = HttpServer::bind(&opts.listen)
         .map_err(|e| format!("cannot bind {}: {e}", opts.listen))?
@@ -273,60 +270,38 @@ fn serve_mode(
             .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
     eprintln!("serving ({mode}) on http://{addr} — /metrics /health /report /snapshot");
-    let done = drive(&state);
-    handle.stop();
-    done
-}
-
-/// The two modes that drive a long-lived detector (workload, replay): serves
-/// `report`, runs the watchdog alongside, and repeats `pass` until shutdown
-/// — at most `--passes` times, after which the server keeps answering
-/// scrapes until a signal arrives. Each watchdog tick, `tick` feeds it the
-/// runtime to throttle (sessions rotate under workload mode, so it is looked
-/// up fresh) and the wall clock in ns. `pass` returns false when a shutdown
-/// request cut it short.
-fn serve_passes(
-    args: &Args,
-    det: DetectorConfig,
-    opts: &ServeOpts,
-    mode: &'static str,
-    report: impl Fn(&Request) -> Response + Send + Sync + 'static,
-    tick: impl Fn(&mut Watchdog, u64) + Send + 'static,
-    mut pass: impl FnMut() -> Result<bool, String>,
-) -> Result<(), String> {
-    let done = serve_mode(args, opts, mode, report, |state| {
-        let (wd_ms, budget, started) = (opts.wd_ms, opts.budget, state.started);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stopped = stop.clone();
-        let watchdog = std::thread::Builder::new()
-            .name("predator-watchdog".into())
-            .spawn(move || {
-                // Calibration micro-times the hot paths on a scratch runtime
-                // — done on this thread so serving starts immediately.
-                let mut wd = Watchdog::for_detector(&det, budget);
-                while !stopped.load(Ordering::Relaxed) && !sleep_poll(wd_ms) {
-                    tick(&mut wd, started.elapsed().as_nanos() as u64);
-                }
-            })
-            .map_err(|e| format!("cannot spawn watchdog: {e}"))?;
-        let mut done = 0u64;
-        let mut drive = || {
-            while !shutdown::requested() {
-                if opts.max_passes != 0 && done >= opts.max_passes {
-                    sleep_poll(POLL_MS);
-                } else if pass()? {
-                    done += 1;
-                    state.mark_activity(done);
-                    predator_obs::static_counter!("serve_passes_total").inc();
-                }
+    let (wd_ms, budget, started) = (opts.wd_ms, opts.budget, state.started);
+    let stop = Arc::new(AtomicBool::new(false));
+    let stopped = stop.clone();
+    let watchdog = std::thread::Builder::new()
+        .name("predator-watchdog".into())
+        .spawn(move || {
+            // Calibration micro-times the hot paths on a scratch runtime —
+            // done on this thread so serving starts immediately.
+            let mut wd = Watchdog::for_detector(&det, budget);
+            while !stopped.load(Ordering::Relaxed) && !sleep_poll(wd_ms) {
+                tick(&mut wd, started.elapsed().as_nanos() as u64);
             }
-            Ok(())
-        };
-        let driven = drive();
-        stop.store(true, Ordering::Relaxed);
-        let _ = watchdog.join();
-        driven.map(|()| done)
-    })?;
+        })
+        .map_err(|e| format!("cannot spawn watchdog: {e}"))?;
+    let mut done = 0u64;
+    let mut drive = || {
+        while !shutdown::requested() {
+            if opts.max_passes != 0 && done >= opts.max_passes {
+                sleep_poll(POLL_MS);
+            } else if pass()? {
+                done += 1;
+                state.mark_activity(done);
+                predator_obs::static_counter!("serve_passes_total").inc();
+            }
+        }
+        Ok::<(), String>(())
+    };
+    let driven = drive();
+    stop.store(true, Ordering::Relaxed);
+    let _ = watchdog.join();
+    handle.stop();
+    driven?;
     eprintln!("serve: {done} {mode} pass(es), shutting down");
     Ok(())
 }
@@ -432,91 +407,4 @@ fn serve_replay(
         }
         Ok(true)
     })
-}
-
-fn serve_watch(
-    args: &Args,
-    det: DetectorConfig,
-    watch_dir: &str,
-    opts: &ServeOpts,
-) -> Result<(), String> {
-    let corpus = args
-        .get("--corpus")
-        .ok_or("serve --watch: missing --corpus <dir>")?;
-    let cfg = AnalyzeConfig { det };
-    let mut watcher = predator_fleet::Watcher::new(Path::new(watch_dir), Path::new(corpus), cfg);
-
-    let corpus_dir = PathBuf::from(corpus);
-    let policy = opts.policy.clone();
-    let report = move |req: &Request| {
-        // The merged fleet view has no per-finding Report to render, so
-        // only JSON is served here; the gate still applies, over per-run
-        // mean invalidations, with the same 412 contract as other modes.
-        if query_format(req.query.as_deref()) != "json" {
-            return Response::error(
-                400,
-                "watch mode serves the merged fleet report as JSON only",
-            );
-        }
-        match predator_fleet::Manifest::load(&corpus_dir) {
-            Ok(Some(m)) => {
-                let r = predator_fleet::build_fleet_report(&m);
-                let eval = evaluate_views(
-                    r.aggregates.iter().map(|a| {
-                        let runs = a.runs.max(1);
-                        FindingView {
-                            key: &a.key,
-                            kind: &a.kind,
-                            class: a.class,
-                            invalidations: a.total_invalidations / runs,
-                            accesses: a.total_accesses / runs,
-                            object_size: a.object_size,
-                        }
-                    }),
-                    &policy,
-                );
-                Response {
-                    status: if eval.gate_failed() { 412 } else { 200 },
-                    content_type: "application/json",
-                    body: r.to_json().into_bytes(),
-                    headers: Vec::new(),
-                }
-            }
-            Ok(None) => Response::error(404, "corpus empty (no trace ingested yet)"),
-            Err(e) => Response::error(500, &e),
-        }
-    };
-    // Analysis runs inside ingest, one detector per file, so there is no
-    // long-lived detector for the watchdog to throttle in this mode.
-    let polls = serve_mode(args, opts, "watch", report, |state| {
-        let mut polls = 0u64;
-        while !shutdown::requested() {
-            match watcher.poll() {
-                Ok(out) => {
-                    if out.added() > 0 {
-                        eprintln!(
-                            "watch: ingested {} trace(s) ({} incomplete pending)",
-                            out.added(),
-                            out.incomplete
-                        );
-                    }
-                    for e in &out.errors {
-                        eprintln!("watch: {e}");
-                    }
-                    polls += 1;
-                    state.mark_activity(polls);
-                    if opts.max_passes != 0 && polls >= opts.max_passes {
-                        break;
-                    }
-                }
-                Err(e) => eprintln!("watch: {e}"),
-            }
-            if sleep_poll(opts.wd_ms) {
-                break;
-            }
-        }
-        Ok(polls)
-    })?;
-    eprintln!("serve: {polls} watch poll(s), shutting down");
-    Ok(())
 }

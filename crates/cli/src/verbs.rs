@@ -214,11 +214,7 @@ pub(crate) static VERBS: &[Verb] = &[
         about: "Offline analysis of a recorded trace: one pass decodes the file into one \
                 detector, and the report is a sequential replay's. The address range comes from \
                 the trace's header.",
-        opts: &[
-            SHARDS,
-            "--verify-fixes  annotate each finding with its suggested fix's measured replay delta \
-             (see `whatif`)",
-        ],
+        opts: &[SHARDS],
         groups: &[&DETECTOR, &REPORT, &POLICY],
         run: detect::cmd_analyze,
         ..ROW
@@ -422,9 +418,7 @@ pub(crate) static VERBS: &[Verb] = &[
         arity: (0, 1),
         about: "Live monitoring: run the source continuously and expose telemetry over HTTP. With \
                 a workload name (default: histogram), tracked passes repeat over one long-lived \
-                session; with a .ptrace path, the trace is looped through a detector; with \
-                --watch, a fleet spool directory is polled and complete traces auto-ingested. \
-                Endpoints: /metrics (Prometheus text), /health (liveness JSON), /report \
+                session; with a .ptrace path, the trace is looped through a detector. Endpoints: /metrics (Prometheus text), /health (liveness JSON), /report \
                 (findings, same schema as `analyze`; ?format=json|sarif|html, HTTP 412 when the \
                 --fail-on policy gate fails), /snapshot (the cumulative metrics snapshot, the \
                 document --metrics writes). History, rates and alerting belong to a Prometheus \
@@ -436,12 +430,10 @@ pub(crate) static VERBS: &[Verb] = &[
         opts: &[
             "--listen <ADDR>  bind address [default: 127.0.0.1:0]",
             "--overhead-budget <F>  self-overhead budget fraction [default: 0.05]",
-            "--watchdog-interval-ms <N>  watchdog/poll period [default: 500]",
+            "--watchdog-interval-ms <N>  watchdog period [default: 500]",
             "--passes <N>  stop driving after N passes (0 = forever); the server keeps serving \
              until a signal",
             "--ready-file <PATH>  write the bound address to PATH once listening",
-            "--watch <DIR>  fleet spool directory to poll (needs --corpus)",
-            CORPUS,
             AUTH_TOKEN,
         ],
         groups: &[&WORKLOAD, &DETECTOR, &POLICY],
@@ -506,11 +498,11 @@ mod tests {
     }
 
     #[test]
-    fn the_surface_is_21_verbs_30_valued_options_and_8_switches() {
+    fn the_surface_is_21_verbs_29_valued_options_and_7_switches() {
         assert_eq!(VERBS.len(), 21);
         let names = surface();
-        assert_eq!(names.values().filter(|valued| **valued).count(), 30);
-        assert_eq!(names.values().filter(|valued| !**valued).count(), 8);
+        assert_eq!(names.values().filter(|valued| **valued).count(), 29);
+        assert_eq!(names.values().filter(|valued| !**valued).count(), 7);
     }
 
     #[test]

@@ -198,6 +198,28 @@ fn an_unwritable_trace_timeline_fails_before_the_run() {
     );
 }
 
+#[test]
+fn a_trace_timeline_that_cannot_be_written_at_exit_fails_the_run() {
+    // `/dev/full` opens, then refuses every write: the run completes and
+    // its timeline is lost. That exited 0; `--metrics` there exits 1.
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    for option in ["--trace-timeline", "--metrics"] {
+        let out = predator()
+            .args(RUN)
+            .args([option, "/dev/full"])
+            .output()
+            .expect("spawn predator");
+        assert_eq!(out.status.code(), Some(1), "{option}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("cannot write /dev/full"),
+            "{option}: {stderr}"
+        );
+    }
+}
+
 /// Runs the binary and returns stdout, asserting success.
 fn run_to_file(args: &[&str], path: &std::path::Path) {
     let out = predator().args(args).output().expect("spawn predator");
@@ -502,10 +524,9 @@ fn shards_is_validated_then_ignored() {
     let text = stdout("analyze", &[]);
     let preamble = "analyzed 12000 events, 1 line cluster(s), attribution metadata applied\n";
     assert!(text.starts_with(preamble), "{text}");
-    let text = stdout("analyze", &["--verify-fixes"]);
-    let preamble = "analyzed 12000 events, 1 line cluster(s), attribution metadata applied; \
-                    3 fix(es) verified by replay\n";
-    assert!(text.starts_with(preamble), "{text}");
+    // Fixes annotated inline, one per finding: `whatif`'s markdown view.
+    let text = stdout("whatif", &["--format", "markdown"]);
+    assert_eq!(text.matches("Verified fix").count(), 3, "{text}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -535,7 +556,6 @@ fn events_outside_the_header_range_are_warned_about() {
                    and were not analysed\n";
     for argv in [
         vec!["analyze"],
-        vec!["analyze", "--verify-fixes"],
         vec!["analyze", "--format", "json"],
         vec!["replay"],
         vec!["whatif"],
@@ -552,6 +572,91 @@ fn events_outside_the_header_range_are_warned_about() {
         assert_eq!(run(&narrow), warning, "{argv:?}");
         assert_eq!(run(&clean), "", "{argv:?}: nothing to warn about");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Nesting past the JSON parser's depth cap is an error naming the file on
+/// every verb that reads JSON, and a `.ptrace` META chunk nested that deep
+/// is one damaged chunk: each of these aborted on a stack overflow.
+#[test]
+fn deeply_nested_json_is_an_error_not_a_crash() {
+    use predator_sim::{Access, ThreadId};
+    use predator_trace::format::{ChunkFrame, CHUNK_FRAME_LEN, CHUNK_META, HEADER_V1_LEN};
+    let dir = std::env::temp_dir().join(format!("predator-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let deep = "[".repeat(200_000);
+    let (json, jsonl) = (file("deep.json"), file("deep.jsonl"));
+    std::fs::write(&json, &deep).unwrap();
+    std::fs::write(&jsonl, deep.clone() + "\n").unwrap();
+    let out_ptrace = file("out.ptrace");
+    for argv in [
+        vec!["diff", &json, &json],
+        vec!["stats", &json],
+        vec!["explain", &json],
+        vec!["baseline", "diff", &json, &json],
+        vec!["trace", "import", &jsonl, "-o", &out_ptrace],
+    ] {
+        let out = predator().args(&argv).output().expect("spawn predator");
+        assert_eq!(out.status.code(), Some(1), "{argv:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("deep.json"), "{argv:?}: {stderr}");
+        assert!(
+            stderr.contains("nesting deeper than 128"),
+            "{argv:?}: {stderr}"
+        );
+    }
+
+    // A ping-pong trace whose META chunk is swapped for a CRC-valid flood.
+    let (base, size) = (0x4000_0000u64, 1u64 << 16);
+    let events: Vec<Access> = (0..600u64)
+        .map(|i| Access::write(ThreadId((i % 2) as u16), base + i % 2 * 8, 8))
+        .collect();
+    let mut w = predator_trace::TraceWriter::create(Vec::new(), base, size).unwrap();
+    w.write_events(&events).unwrap();
+    w.write_meta(&predator_trace::TraceMeta::default()).unwrap();
+    let clean = w.finish().unwrap().1;
+    let frame_at = |at: usize| {
+        ChunkFrame::decode(clean[at..at + CHUNK_FRAME_LEN].try_into().unwrap()).unwrap()
+    };
+    let meta_at = HEADER_V1_LEN + CHUNK_FRAME_LEN + frame_at(HEADER_V1_LEN).payload_len as usize;
+    let meta = frame_at(meta_at);
+    assert_eq!(meta.kind, CHUNK_META);
+    let flood = "[".repeat(100_000);
+    let frame = ChunkFrame {
+        payload_len: flood.len() as u32,
+        crc: predator_trace::crc32::crc32(flood.as_bytes()),
+        ..meta
+    };
+    let mut bytes = clean[..meta_at].to_vec();
+    bytes.extend(frame.encode());
+    bytes.extend(flood.as_bytes());
+    bytes.extend(&clean[meta_at + CHUNK_FRAME_LEN + meta.payload_len as usize..]);
+    // The trailer's index offset moves by what the chunk grew.
+    let trailer = bytes.len() - predator_trace::format::TRAILER_LEN;
+    let index_at = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap());
+    let grown = (flood.len() - meta.payload_len as usize) as u64;
+    bytes[trailer..trailer + 8].copy_from_slice(&(index_at + grown).to_le_bytes());
+    let trace = file("deep-meta.ptrace");
+    std::fs::write(&trace, &bytes).unwrap();
+
+    let damaged = format!("warning: {trace} is damaged: 1 chunk(s) skipped");
+    for verb in ["analyze", "whatif", "replay"] {
+        let out = predator()
+            .args([verb, &trace, "--sensitive"])
+            .output()
+            .expect("spawn predator");
+        assert_eq!(out.status.code(), Some(0), "{verb}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&damaged), "{verb}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("FALSE SHARING"), "{verb}: {stdout}");
+    }
+    let out = predator()
+        .args(["trace", "info", &trace])
+        .output()
+        .expect("spawn predator");
+    assert_eq!(out.status.code(), Some(0), "trace info");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -760,11 +865,6 @@ fn a_verb_refuses_options_and_operands_its_row_does_not_declare() {
             "--fail-on-regression",
             "`fleet report`",
         ),
-        (
-            vec!["whatif", t, "--verify-fixes"],
-            "--verify-fixes",
-            "`whatif`",
-        ),
         (vec!["replay", t, "--shards", "4"], "--shards", "`replay`"),
         (
             vec!["fleet", "ingest", t, "--corpus", "c", "--shards", "2"],
@@ -772,11 +872,6 @@ fn a_verb_refuses_options_and_operands_its_row_does_not_declare() {
             "`fleet ingest`",
         ),
         (vec!["serve", t, "--shards", "2"], "--shards", "`serve`"),
-        (
-            vec!["replay", t, "--verify-fixes"],
-            "--verify-fixes",
-            "`replay`",
-        ),
         (
             vec!["native", "histogram", "--format", "sarif"],
             "--format",
@@ -869,8 +964,8 @@ fn retired_spellings_are_unknown() {
         &[&verb, "examples/programs/false_sharing.pir"],
         &[&format!("unknown command `{verb}`")],
     );
-    // No rule pack, no live dashboard (`--watch` is serve's spool
-    // directory, nobody else's) and no rules verbs.
+    // No rule pack, no live dashboard, no spool directory, no rules verbs
+    // and no inline fix verification (`whatif` is the one spelling).
     let rules = ["--ru", "les"].concat();
     assert_row_refuses(
         &["serve", &rules, "x"],
@@ -878,11 +973,19 @@ fn retired_spellings_are_unknown() {
     );
     assert_row_refuses(
         &["stats", "--url", "A", "--watch", "1"],
-        &[
-            "option '--watch' is not accepted by `stats`",
-            "taken by: serve",
-        ],
+        &["unknown option '--watch'"],
     );
+    assert_row_refuses(
+        &["serve", "--watch", "spool", "--corpus", "c"],
+        &["unknown option '--watch'"],
+    );
+    let fixes = ["--verify", "-fixes"].concat();
+    for verb in ["analyze", "whatif", "replay"] {
+        assert_row_refuses(
+            &[verb, "run.ptrace", &fixes],
+            &[&format!("unknown option '{fixes}'")],
+        );
+    }
     let family = ["ale", "rts"].concat();
     assert_row_refuses(
         &[&family, "lint", "x"],

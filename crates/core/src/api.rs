@@ -92,11 +92,6 @@ impl Session {
         self.threads.register()
     }
 
-    /// Number of threads registered so far.
-    pub fn thread_count(&self) -> usize {
-        self.threads.count()
-    }
-
     /// Allocates `size` bytes for `tid`, recording `callsite`.
     pub fn malloc(
         &self,
@@ -428,7 +423,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(s.thread_count(), 4);
+        assert_eq!(s.threads.count(), 4);
         let r = s.report();
         // 4 threads × adjacent words in a 256-byte object: lines 0..3 each
         // hold words of 2+ threads? No — 8-byte slots, threads 0..3 all in

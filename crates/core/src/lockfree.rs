@@ -596,13 +596,6 @@ impl UnitList {
             cur = n.next;
         }
     }
-
-    /// Number of attached units.
-    pub fn len(&self) -> usize {
-        let mut n = 0;
-        self.for_each(|_| n += 1);
-        n
-    }
 }
 
 impl Drop for UnitList {

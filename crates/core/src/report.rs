@@ -341,7 +341,7 @@ pub struct Finding {
     /// first — the causal evidence behind `invalidations`.
     pub invalidation_traces: Vec<InvalidationTrace>,
     /// What-if replay result for the finding's primary fix suggestion
-    /// (`analyze --verify-fixes` / `predator whatif`); `None` when
+    /// (`predator whatif`); `None` when
     /// verification was not requested. `Option` keeps reports from older
     /// versions decoding (a missing key reads as null).
     pub verified: Option<VerifiedFix>,

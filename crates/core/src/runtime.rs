@@ -24,8 +24,8 @@
 //! read-modify-writes only for a detector that really is shared.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -68,17 +68,6 @@ pub struct Predator {
     tracks: TrackSlots<CacheTrack>,
     units: Mutex<UnitRegistry>,
     globals: Mutex<BTreeMap<u64, GlobalInfo>>,
-    /// Address ranges excluded from instrumentation — the runtime-side
-    /// counterpart of the §2.4.2 blacklist ("the user could provide a
-    /// blacklist so that given modules, functions or variables are not
-    /// instrumented"). Sorted, non-overlapping `(start, end)` pairs, behind a
-    /// lock that [`is_ignored`](Self::is_ignored) takes only when
-    /// `ignored_len` is non-zero.
-    ignored: RwLock<Vec<(u64, u64)>>,
-    /// The gate in front of `ignored`: its length, stored (`Release`) by
-    /// `ignore_range` before it returns, loaded (`Acquire`) by every access.
-    /// Zero — no blacklist, the usual case — means the access takes no lock.
-    ignored_len: AtomicUsize,
     events: AtomicU64,
     /// Optional event tap, consulted *before* every filter (including the
     /// master `enabled` switch): `predator record` installs a trace writer
@@ -130,8 +119,6 @@ impl Predator {
             tracks: TrackSlots::new(layout.lines()),
             units: Mutex::new(UnitRegistry::new()),
             globals: Mutex::new(BTreeMap::new()),
-            ignored: RwLock::new(Vec::new()),
-            ignored_len: AtomicUsize::new(0),
             events: AtomicU64::new(0),
             tap: OnceLock::new(),
             dyn_burst: AtomicU64::new(NO_OVERRIDE),
@@ -190,28 +177,6 @@ impl Predator {
     /// Total access events delivered to the runtime.
     pub fn events(&self) -> u64 {
         self.events.load(Ordering::Relaxed)
-    }
-
-    /// Excludes `[start, start + len)` from detection — the runtime
-    /// counterpart of the §2.4.2 variable blacklist. Use for data whose
-    /// sharing is intentional (e.g. a deliberately shared queue head) to
-    /// silence it without raising global thresholds.
-    pub fn ignore_range(&self, start: u64, len: u64) {
-        let mut ranges = self.ignored.write().unwrap();
-        ranges.push((start, start + len));
-        ranges.sort_unstable();
-        self.ignored_len.store(ranges.len(), Ordering::Release);
-    }
-
-    /// True if `addr` falls inside an ignored range.
-    #[inline]
-    pub fn is_ignored(&self, addr: u64) -> bool {
-        if self.ignored_len.load(Ordering::Acquire) == 0 {
-            return false;
-        }
-        let ranges = self.ignored.read().unwrap();
-        let i = ranges.partition_point(|&(s, _)| s <= addr);
-        i > 0 && addr < ranges[i - 1].1
     }
 
     /// Dials the effective per-line sampling rate at runtime — the serve
@@ -273,7 +238,7 @@ impl Predator {
     }
 
     /// Installs an event tap that sees every `handle_access` call before any
-    /// filtering (read suppression, blacklist, the `enabled` switch). At most
+    /// filtering (read suppression, the `enabled` switch). At most
     /// one tap per runtime; returns `Err` if one is already installed.
     pub fn install_tap(&self, tap: Arc<dyn AccessSink + Send + Sync>) -> Result<(), String> {
         self.tap
@@ -291,9 +256,6 @@ impl Predator {
             return;
         }
         if !self.cfg.instrument_reads && kind == AccessKind::Read {
-            return;
-        }
-        if self.is_ignored(addr) {
             return;
         }
         driven!(self, |m| self.access(m, tid, addr, size, kind))
@@ -762,104 +724,6 @@ mod tests {
         hammer_pingpong(&rt, BASE, 100);
         assert_eq!(rt.events(), 100);
         assert!(rt.line_snapshot(0).unwrap().invalidations > 50);
-    }
-
-    #[test]
-    fn ignored_ranges_suppress_detection() {
-        let rt = rt();
-        // Intentional sharing on line 5 — blacklisted.
-        rt.ignore_range(BASE + 5 * 64, 64);
-        assert!(rt.is_ignored(BASE + 5 * 64));
-        assert!(rt.is_ignored(BASE + 5 * 64 + 63));
-        assert!(!rt.is_ignored(BASE + 6 * 64));
-        assert!(!rt.is_ignored(BASE));
-        for i in 0..200u64 {
-            let t = (i % 2) as u16;
-            rt.handle_access(ThreadId(t), BASE + 5 * 64 + t as u64 * 8, 8, Write);
-        }
-        assert_eq!(rt.tracked_lines(), 0, "blacklisted traffic is invisible");
-        assert_eq!(rt.events(), 0);
-        // Unlisted lines still detect.
-        hammer_pingpong(&rt, BASE, 100);
-        assert!(rt.line_snapshot(0).unwrap().invalidations > 50);
-    }
-
-    #[test]
-    fn multiple_ignore_ranges_resolve_correctly() {
-        let rt = rt();
-        rt.ignore_range(BASE + 128, 64);
-        rt.ignore_range(BASE + 512, 128);
-        rt.ignore_range(BASE, 8);
-        assert!(rt.is_ignored(BASE + 4));
-        assert!(!rt.is_ignored(BASE + 8));
-        assert!(rt.is_ignored(BASE + 128));
-        assert!(!rt.is_ignored(BASE + 192));
-        assert!(rt.is_ignored(BASE + 639));
-        assert!(!rt.is_ignored(BASE + 640));
-    }
-
-    #[test]
-    fn a_range_registered_mid_run_filters_the_very_next_access() {
-        let rt = rt();
-        hammer_pingpong(&rt, BASE, 100);
-        assert_eq!(rt.events(), 100, "no blacklist yet: every access counts");
-        rt.ignore_range(BASE, 64);
-        rt.handle_access(ThreadId(0), BASE, 8, Write);
-        assert_eq!(
-            rt.events(),
-            100,
-            "the gate is open before ignore_range returns"
-        );
-        hammer_pingpong(&rt, BASE, 100);
-        assert_eq!(rt.events(), 100);
-        // Unregistered addresses still detect.
-        hammer_pingpong(&rt, BASE + 64, 100);
-        assert_eq!(rt.events(), 200);
-        assert!(rt.line_snapshot(1).unwrap().invalidations > 50);
-    }
-
-    #[test]
-    fn no_access_started_after_ignore_range_returns_slips_through() {
-        // Three threads hammer one line while the main thread blacklists
-        // it. `registered` is raised only after `ignore_range` returned, so
-        // an access issued after a thread has seen it raised started after
-        // the return and must be filtered: it may not move `events()`.
-        let rt = rt().into_shared();
-        let registered = std::sync::atomic::AtomicBool::new(false);
-        let (issued, after) = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..3u16)
-                .map(|t| {
-                    let (rt, registered) = (&rt, &registered);
-                    s.spawn(move || {
-                        let (mut issued, mut after) = (0u64, 0u64);
-                        while after < 10_000 {
-                            let seen = registered.load(Ordering::Acquire);
-                            rt.handle_access(ThreadId(t), BASE + t as u64 * 8, 8, Write);
-                            issued += 1;
-                            after += seen as u64;
-                        }
-                        (issued, after)
-                    })
-                })
-                .collect();
-            // Register mid-stream: the workers run until told, so they are
-            // still hammering whenever this thread gets here.
-            while rt.events() < 1000 {
-                std::hint::spin_loop();
-            }
-            rt.ignore_range(BASE, 64);
-            registered.store(true, Ordering::Release);
-            workers
-                .into_iter()
-                .map(|w| w.join().unwrap())
-                .fold((0, 0), |(i, a), (wi, wa)| (i + wi, a + wa))
-        });
-        assert_eq!(after, 30_000);
-        assert!(
-            rt.events() + after <= issued,
-            "{} counted + {after} issued after the registration > {issued} offered",
-            rt.events()
-        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Long-running modes (`predator serve`, and any workload driver that wants
 //! to stop between passes) poll [`requested`]; the CLI's signal handler sets
 //! it from SIGINT/SIGTERM. The flag lives here rather than in the CLI so
-//! library layers — the serve pass loop, the fleet watcher, bench drivers —
-//! can observe it without a dependency on the binary.
+//! library layers — the serve pass loop, bench drivers — can observe it
+//! without a dependency on the binary.
 //!
 //! A signal handler may only do async-signal-safe work, and a relaxed store
 //! to a static atomic is exactly that. Everything else (flushing sinks,

@@ -28,15 +28,6 @@ impl RunStats {
     pub fn relative_memory_overhead(&self) -> Option<f64> {
         (self.app_live_bytes > 0).then(|| self.metadata_bytes as f64 / self.app_live_bytes as f64)
     }
-
-    /// Fraction of shadowed lines that went into detailed tracking.
-    pub fn tracked_fraction(&self) -> f64 {
-        if self.total_lines == 0 {
-            0.0
-        } else {
-            self.tracked_lines as f64 / self.total_lines as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -52,17 +43,5 @@ mod tests {
         assert_eq!(s.relative_memory_overhead(), None);
         s.app_live_bytes = 50;
         assert_eq!(s.relative_memory_overhead(), Some(2.0));
-    }
-
-    #[test]
-    fn tracked_fraction_handles_empty() {
-        let s = RunStats::default();
-        assert_eq!(s.tracked_fraction(), 0.0);
-        let s = RunStats {
-            tracked_lines: 5,
-            total_lines: 20,
-            ..Default::default()
-        };
-        assert_eq!(s.tracked_fraction(), 0.25);
     }
 }

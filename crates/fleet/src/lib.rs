@@ -18,9 +18,6 @@
 //!   callsites by per-run mean invalidations, with CI gating semantics.
 //! - **[`compact`]** — retention: keep the newest N raw traces, fold older
 //!   runs into merged aggregates, reclaim the bytes.
-//! - **[`watch`]** — spool-directory polling for `predator serve --watch`:
-//!   complete-trailer detection, per-path change stamps, and content-id
-//!   dedup make periodic auto-ingest safe against files mid-write.
 //!
 //! Everything is observable through `predator-obs`: ingest counters
 //! (`fleet_traces_ingested_total`, `fleet_events_ingested_total`,
@@ -35,7 +32,6 @@ pub mod ingest;
 pub mod manifest;
 pub mod merge;
 pub mod trend;
-pub mod watch;
 
 pub use compact::{compact, CompactOutcome};
 pub use ingest::{content_id, ingest, ingest_trace, IngestOutcome};
@@ -44,4 +40,3 @@ pub use merge::{
     build_fleet_report, CallsiteAggregate, FleetReport, LossTotals, Provenance, FLEET_REPORT_SCHEMA,
 };
 pub use trend::{trend, TrendEntry, TrendReport, TrendStatus, DEFAULT_TOLERANCE, TREND_SCHEMA};
-pub use watch::{is_complete_trace, WatchOutcome, Watcher};

@@ -334,11 +334,6 @@ impl Module {
         self.functions.iter().find(|f| f.name == name)
     }
 
-    /// Index of a function by name.
-    pub fn function_index(&self, name: &str) -> Option<usize> {
-        self.functions.iter().position(|f| f.name == name)
-    }
-
     /// Validates every function, plus cross-function call targets and
     /// argument counts.
     pub fn validate(&self) -> Result<(), String> {
@@ -362,15 +357,6 @@ impl Module {
             }
         }
         Ok(())
-    }
-
-    /// Total instruction count (for instrumentation-overhead statistics).
-    pub fn inst_count(&self) -> usize {
-        self.functions
-            .iter()
-            .flat_map(|f| &f.blocks)
-            .map(|b| b.insts.len())
-            .sum()
     }
 }
 
@@ -692,9 +678,7 @@ mod tests {
             functions: vec![trivial()],
         };
         assert!(m.function("t").is_some());
-        assert_eq!(m.function_index("t"), Some(0));
         assert!(m.function("nope").is_none());
-        assert_eq!(m.inst_count(), 1);
         m.validate().unwrap();
     }
 

@@ -132,17 +132,6 @@ fn instrument_block(
     block.insts = out;
 }
 
-/// Counts probes in a module (test/bench helper).
-pub fn probe_count(module: &Module) -> usize {
-    module
-        .functions
-        .iter()
-        .flat_map(|f| &f.blocks)
-        .flat_map(|b| &b.insts)
-        .filter(|i| matches!(i, Inst::Probe { .. }))
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,10 +160,11 @@ mod tests {
         assert_eq!(stats.probes_inserted, 3, "duplicate read deduped");
         assert_eq!(stats.deduped, 1);
         assert_eq!(stats.filtered, 0);
-        assert_eq!(probe_count(&m), 3);
         m.validate().unwrap();
         // Each probe sits immediately before its access.
         let insts = &m.functions[0].blocks[0].insts;
+        let probes = insts.iter().filter(|i| matches!(i, Inst::Probe { .. }));
+        assert_eq!(probes.count(), 3);
         for (i, inst) in insts.iter().enumerate() {
             if matches!(inst, Inst::Probe { .. }) {
                 assert!(insts[i + 1].memory_access().is_some());

@@ -130,12 +130,6 @@ impl ShadowLayout {
     pub fn line_start(&self, idx: usize) -> u64 {
         self.base + ((idx as u64) << self.geom.line_shift())
     }
-
-    /// Global line index (address-space-wide) for dense index `idx`.
-    #[inline]
-    pub fn global_line(&self, idx: usize) -> u64 {
-        self.geom.line_index(self.line_start(idx))
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +147,6 @@ mod tests {
         assert_eq!(l.index_of(0x4000_0000 + 4096), None);
         assert_eq!(l.index_of(0x3fff_ffff), None);
         assert_eq!(l.line_start(1), 0x4000_0040);
-        assert_eq!(l.global_line(0), 0x4000_0000 >> 6);
     }
 
     #[test]

@@ -87,12 +87,6 @@ impl CacheGeometry {
         (self.offset_in_line(addr) >> WORD_SHIFT) as usize
     }
 
-    /// Global word index of `addr` (across the whole address space).
-    #[inline]
-    pub fn word_index(self, addr: u64) -> u64 {
-        addr >> WORD_SHIFT
-    }
-
     /// Returns the inclusive range of line indices touched by an access of
     /// `size` bytes starting at `addr`. Scalar accesses almost always touch a
     /// single line, but unaligned or large accesses may straddle two.
@@ -180,7 +174,6 @@ mod tests {
         assert_eq!(g.offset_in_line(0x4000_0038), 0x38);
         assert_eq!(g.word_in_line(0x4000_0038), 7);
         assert_eq!(g.word_in_line(0x4000_0040), 0);
-        assert_eq!(g.word_index(16), 2);
     }
 
     #[test]

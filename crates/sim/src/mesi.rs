@@ -208,14 +208,6 @@ impl MesiSim {
         })
     }
 
-    /// Number of lines currently resident in `core`'s cache.
-    pub fn resident_lines(&self, core: ThreadId) -> usize {
-        let stride = 2 * self.width + 1;
-        let cells = self.pages.iter().flat_map(|p| p.chunks_exact(stride));
-        self.dense(core)
-            .map_or(0, |dense| cells.filter(|c| member(c, dense)).count())
-    }
-
     /// `tid`'s dense core id, if it has accessed anything.
     fn dense(&self, tid: ThreadId) -> Option<usize> {
         self.tids.iter().position(|&t| t == tid.0)
@@ -396,6 +388,14 @@ mod tests {
         MesiSim::new(n, CacheGeometry::new(64))
     }
 
+    /// Number of lines currently resident in `core`'s cache.
+    fn resident_lines(m: &MesiSim, core: ThreadId) -> usize {
+        let stride = 2 * m.width + 1;
+        let cells = m.pages.iter().flat_map(|p| p.chunks_exact(stride));
+        m.dense(core)
+            .map_or(0, |dense| cells.filter(|c| member(c, dense)).count())
+    }
+
     #[test]
     fn cold_read_is_exclusive() {
         let mut m = sim(2);
@@ -527,7 +527,7 @@ mod tests {
         for line in 0..10_000u64 {
             m.access(T0, line * 64, 8, Write);
         }
-        assert_eq!(m.resident_lines(T0), 10_000);
+        assert_eq!(resident_lines(&m, T0), 10_000);
         assert_eq!(m.stats().cold_misses, 10_000);
     }
 
@@ -689,7 +689,7 @@ mod tests {
             }
             for &t in &tids {
                 let held = oracle.states.keys().filter(|&&(_, h)| h == t).count();
-                prop_assert_eq!(m.resident_lines(ThreadId(t)), held);
+                prop_assert_eq!(resident_lines(&m, ThreadId(t)), held);
             }
             if recorded {
                 prop_assert_eq!(got.recorded_lines(), want.recorded_lines());

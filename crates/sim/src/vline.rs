@@ -85,16 +85,6 @@ pub enum VirtualGeometry {
 }
 
 impl VirtualGeometry {
-    /// Size of each virtual line in bytes.
-    #[inline]
-    pub fn vline_size(&self) -> u64 {
-        match self {
-            VirtualGeometry::Doubled(g) => g.line_size() * 2,
-            VirtualGeometry::Scaled { geom, factor_log2 } => geom.line_size() << factor_log2,
-            VirtualGeometry::Offset { geom, .. } => geom.line_size(),
-        }
-    }
-
     /// Index of the virtual line containing `addr`.
     ///
     /// For the offset geometry, addresses below `delta` (which cannot occur
@@ -207,7 +197,7 @@ mod tests {
     #[test]
     fn doubled_pairs_even_odd_lines() {
         let v = VirtualGeometry::Doubled(g64());
-        assert_eq!(v.vline_size(), 128);
+        assert_eq!(v.range(0).size, 128);
         // Lines 0 and 1 pair up; lines 2 and 3 pair up.
         assert_eq!(v.index(0), v.index(127));
         assert_ne!(v.index(127), v.index(128));
@@ -232,7 +222,7 @@ mod tests {
         for addr in [0u64, 63, 64, 127, 128, 4096, 0x4000_0038] {
             assert_eq!(d.index(addr), s.index(addr));
         }
-        assert_eq!(d.vline_size(), s.vline_size());
+        assert_eq!(d.range(0).size, s.range(0).size);
         assert_eq!(d.range(3), s.range(3));
     }
 
@@ -242,7 +232,7 @@ mod tests {
             geom: g64(),
             factor_log2: 2,
         };
-        assert_eq!(v.vline_size(), 256);
+        assert_eq!(v.range(0).size, 256);
         assert!(v.same_vline(0, 255));
         assert!(!v.same_vline(255, 256));
         assert_eq!(
@@ -278,7 +268,7 @@ mod tests {
             geom: g64(),
             delta: 8,
         };
-        assert_eq!(v.vline_size(), 64);
+        assert_eq!(v.range(0).size, 64);
         // [8, 72) is one line: 8 and 71 share; 71 and 72 do not.
         assert!(v.same_vline(8, 71));
         assert!(!v.same_vline(71, 72));
@@ -377,7 +367,7 @@ mod tests {
             prop_assert!(v.range(idx).contains(addr),
                 "addr {addr:#x} not in {} (idx {idx})", v.range(idx));
             // Ranges tile the space: next line starts right after this one.
-            prop_assert_eq!(v.range(idx + 1).start, v.range(idx).start + v.vline_size());
+            prop_assert_eq!(v.range(idx + 1).start, v.range(idx).start + v.range(idx).size);
         }
 
         /// Figure 4 placement always produces a line containing both hot

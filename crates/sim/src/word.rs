@@ -31,11 +31,6 @@ pub enum Owner {
 }
 
 impl Owner {
-    /// True when exactly one thread has touched the word.
-    pub fn is_exclusive(self) -> bool {
-        matches!(self, Owner::Exclusive(_))
-    }
-
     /// The owning thread, if exclusive.
     pub fn thread(self) -> Option<ThreadId> {
         match self {
@@ -185,11 +180,6 @@ impl WordTracker {
         out.dedup();
         out
     }
-
-    /// True if any word is in the shared state (true-sharing signal).
-    pub fn has_shared_word(&self) -> bool {
-        self.words.iter().any(|w| w.owner == Owner::Shared)
-    }
 }
 
 #[cfg(test)]
@@ -292,7 +282,7 @@ mod tests {
         t.record(T0, 0x4000_0000, 8, Write);
         t.record(T1, 0x4000_0038, 8, Write);
         assert_eq!(t.exclusive_threads(), vec![T0, T1]);
-        assert!(!t.has_shared_word());
+        assert!(!t.words.iter().any(|w| w.owner == Owner::Shared));
     }
 
     #[test]
@@ -300,7 +290,7 @@ mod tests {
         let mut t = tracker();
         t.record(T0, 0x4000_0000, 8, Write);
         t.record(T1, 0x4000_0000, 8, Write);
-        assert!(t.has_shared_word());
+        assert!(t.words.iter().any(|w| w.owner == Owner::Shared));
         assert!(t.exclusive_threads().is_empty());
     }
 

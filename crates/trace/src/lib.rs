@@ -46,5 +46,5 @@ pub use jsonl::{import_jsonl, load_jsonl, save_jsonl, JsonlIter};
 pub use reader::{read_info, read_info_scan, LossStats, TraceError, TraceInfo, TraceReader};
 pub use remap::AddressRemap;
 pub use segment::{BatchSink, SegmentedSink, SEGMENT_CAPACITY};
-pub use whatif::{verify_fixes, whatif_events, WhatIfFix, WhatIfOutcome};
+pub use whatif::{whatif_events, WhatIfFix, WhatIfOutcome};
 pub use writer::{TraceSink, TraceWriter, WriteSummary};

@@ -125,21 +125,6 @@ pub fn whatif_events(
     }
 }
 
-/// The `analyze --verify-fixes` entry point: annotates every finding of an
-/// already-built report — the analysis of these `events` over this range
-/// under `cfg`, which doubles as its geometry's baseline — with its
-/// suggested fix's replay numbers. Returns the number of findings annotated.
-pub fn verify_fixes(
-    events: &[Access],
-    base: u64,
-    size: u64,
-    meta: Option<&TraceMeta>,
-    report: &mut Report,
-    cfg: &AnalyzeConfig,
-) -> usize {
-    annotate_fixes(events, base, size, meta, report, cfg, &WhatIfFix::Suggested)
-}
-
 /// One detector analysis + MESI ground truth at one portfolio geometry. Of
 /// the report, deltas read each finding's `object` and `invalidations` only.
 struct GeometryBaseline {

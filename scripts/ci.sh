@@ -141,6 +141,15 @@ if grep -rnE 'EventSink|FieldVal|obs::events\b|trace-events|DeltaTracker|Snapsho
   exit 1
 fi
 
+echo "==> consumer audit (serve's spool watcher, the runtime ignore ranges and analyze's second what-if spelling must not grow back)"
+# A fleet ingests a trace once it is sealed (fleet ingest) and serves the
+# merged view with fleet report; the blacklist lives in the instrumentation
+# pass (InstrumentOptions::blacklist); whatif is the one verified-fix verb.
+if grep -rnE '\b(ignore_range|is_ignored|ignored_len|Watcher|WatchOutcome|is_complete_trace|serve_watch|verify-fixes|verify_fixes)\b' crates; then
+  echo "a feature with no consumer is back: serve's spool watcher, the runtime ignore ranges or analyze's inline fix verification" >&2
+  exit 1
+fi
+
 echo "==> non-test source lines under crates/ (scripts/loc.sh)"
 scripts/loc.sh
 
@@ -290,9 +299,8 @@ if $PRED whatif "$SMOKE/run.ptrace" --sensitive --pad 0x7f000000:1 \
   exit 1
 fi
 echo "whatif gate correctly rejected the useless fix"
-# analyze --verify-fixes annotates the same findings inline.
-$PRED analyze "$SMOKE/run.ptrace" --sensitive --verify-fixes > "$SMOKE/verify.txt"
-grep -q "Verified fix" "$SMOKE/verify.txt"
+# whatif's markdown view annotates the same findings inline.
+$PRED whatif "$SMOKE/run.ptrace" --sensitive --format markdown | grep -q "Verified fix"
 
 echo "==> fleet smoke (corpus ingest -> merged report -> trend gate, both exit paths)"
 # Two recordings of one workload form the baseline corpus; adding a second

@@ -139,15 +139,22 @@ fn write_escaped(out: &mut String, s: &str) {
 
 // ---- parser ----
 
+/// Deepest array/object nesting the parser accepts, as upstream serde_json:
+/// past it the input is an error, not a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 fn parse_value(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -197,14 +204,29 @@ impl<'a> Parser<'a> {
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
             b'"' => self.string().map(Value::Str),
-            b'[' => self.seq(),
-            b'{' => self.map(),
+            b'[' => self.nested(Self::seq),
+            b'{' => self.nested(Self::map),
             b'-' | b'0'..=b'9' => self.number(),
             other => Err(Error::custom(format!(
                 "unexpected character `{}` at offset {}",
                 other as char, self.pos
             ))),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value> {
@@ -429,6 +451,18 @@ mod tests {
     fn pretty_format_matches_serde_json_shape() {
         let v = vec![1u8, 2];
         assert_eq!(to_string_pretty(&v).unwrap(), "[\n  1,\n  2\n]");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_128() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse_value(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_value(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        // Objects count too, and an unclosed flood is refused, not recursed.
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1);
+        assert!(parse_value(&objects).is_err());
+        assert!(parse_value(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -15,6 +15,7 @@ use proptest::prelude::*;
 
 use predator::core::{build_report, DetectorConfig, Predator, Report, Session};
 use predator::sim::{Access, ThreadId};
+use predator::trace::crc32::crc32;
 use predator::trace::format::{
     ChunkFrame, CHUNK_FRAME_LEN, CHUNK_META, HEADER_V1_LEN, TRAILER_LEN,
 };
@@ -475,6 +476,26 @@ fn corruption_matrix_accounts_for_every_record_at_every_shard_count() {
         b[at] ^= 0xff;
         b
     };
+    // The META payload swapped for one nested past the JSON parser's cap,
+    // with a valid CRC: the parse fails, which must cost the chunk and not
+    // the stack. The trailer's index offset moves by what the chunk grew.
+    let deep_meta = {
+        let flood = "[".repeat(100_000);
+        let frame = ChunkFrame {
+            payload_len: flood.len() as u32,
+            crc: crc32(flood.as_bytes()),
+            ..meta_frame
+        };
+        let mut b = clean[..meta_at].to_vec();
+        b.extend(frame.encode());
+        b.extend(flood.as_bytes());
+        b.extend(&clean[meta_at + CHUNK_FRAME_LEN + meta_frame.payload_len as usize..]);
+        let trailer = b.len() - TRAILER_LEN;
+        let index_at = u64::from_le_bytes(b[trailer..trailer + 8].try_into().unwrap());
+        let grown = (flood.len() - meta_frame.payload_len as usize) as u64;
+        b[trailer..trailer + 8].copy_from_slice(&(index_at + grown).to_le_bytes());
+        b
+    };
     // (name, image, every record is delivered or counted lost, META survives)
     let cases: Vec<(&str, Vec<u8>, bool, bool)> = vec![
         ("intact", clean.clone(), true, true),
@@ -498,6 +519,7 @@ fn corruption_matrix_accounts_for_every_record_at_every_shard_count() {
             true,
             false,
         ),
+        ("meta nested too deep", deep_meta, true, false),
         // Cut inside the third chunk: its frame says how many are gone, but
         // the five chunks after it were never seen.
         (
