@@ -13,10 +13,8 @@
 //! | Figures 8–9 — absolute/relative memory overhead | `fig8_9_memory` |
 //! | Figure 10 — sampling-rate sensitivity | `fig10_sampling` |
 //!
-//! Criterion micro-benchmarks for the detector hot path, design-choice
-//! ablations and the obs-hook overhead budget live in `benches/`. The
-//! repo's performance record is not here: it is `BENCHMARK.json` and the
-//! standalone `benchmark/` package.
+//! The repo's performance record is not here: it is `BENCHMARK.json` and
+//! the standalone `benchmark/` package.
 //!
 //! Absolute numbers differ from the paper (their substrate was an 8-core
 //! Xeon running instrumented native binaries; ours is a simulator), but the

@@ -201,9 +201,7 @@ pub(crate) fn cmd_record(args: &Args) -> Result<ExitCode, String> {
     let cfg = workload_config(args)?;
     // Detection off, tap on: the file gets the raw pre-filter access
     // stream, so offline analysis can apply *any* detector configuration.
-    let mut det = detector_config(args)?;
-    det.enabled = false;
-    let session = Session::with_config(det);
+    let session = Session::with_config(DetectorConfig::disabled());
     let file = std::fs::File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
     let sink = Arc::new(
         TraceSink::create(

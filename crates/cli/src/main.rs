@@ -159,21 +159,12 @@ fn arm_interrupt_watcher() {
         });
 }
 
-/// Default flight-recorder ring depth (records kept per cache line).
-const RECORDER_DEPTH: usize = 64;
-
 /// Turns the flight recorder on for the verbs whose row says so (reports
 /// then embed timelines for `explain`) unless `--no-recorder` opts out.
-fn install_recorder(args: &Args) -> Result<(), String> {
-    if !args.verb.recorder || args.has("--no-recorder") {
-        return Ok(());
+fn install_recorder(args: &Args) {
+    if args.verb.recorder && !args.has("--no-recorder") {
+        predator_obs::recorder::recorder().enable(predator_obs::recorder::DEFAULT_DEPTH);
     }
-    let depth: usize = args.num("--recorder-depth", RECORDER_DEPTH)?;
-    if depth == 0 {
-        return Err("--recorder-depth must be at least 1".into());
-    }
-    predator_obs::recorder::recorder().enable(depth);
-    Ok(())
 }
 
 /// Writes the end-of-run metrics snapshot where `--metrics` asked for it.
@@ -229,9 +220,8 @@ fn main() -> ExitCode {
     if !args.verb.polls_shutdown {
         arm_interrupt_watcher();
     }
-    let result = install_recorder(&args)
-        .and_then(|()| (args.verb.run)(&args))
-        .and_then(|code| emit_metrics(&args).map(|()| code));
+    install_recorder(&args);
+    let result = (args.verb.run)(&args).and_then(|code| emit_metrics(&args).map(|()| code));
     let code = result.unwrap_or_else(|e| fail(&e));
     // A timeline that cannot be written fails the run, as `--metrics` does.
     write_timeline().map_or_else(|e| fail(&e), |()| code)

@@ -141,7 +141,6 @@ static RECORDER: Group = Group {
     opts: &[
         "--no-recorder  disable the flight recorder (on by default for run/ir/replay; powers \
          `explain` timelines)",
-        "--recorder-depth <N>  records kept per cache line [default: 64]",
     ],
 };
 
@@ -203,7 +202,7 @@ pub(crate) static VERBS: &[Verb] = &[
                 compact binary .ptrace file (attribution metadata — globals, live heap objects, \
                 callsites — rides along).",
         opts: &[OUT],
-        groups: &[&WORKLOAD, &DETECTOR],
+        groups: &[&WORKLOAD],
         run: detect::cmd_record,
         ..ROW
     },
@@ -498,10 +497,10 @@ mod tests {
     }
 
     #[test]
-    fn the_surface_is_21_verbs_29_valued_options_and_7_switches() {
+    fn the_surface_is_21_verbs_28_valued_options_and_7_switches() {
         assert_eq!(VERBS.len(), 21);
         let names = surface();
-        assert_eq!(names.values().filter(|valued| **valued).count(), 29);
+        assert_eq!(names.values().filter(|valued| **valued).count(), 28);
         assert_eq!(names.values().filter(|valued| !**valued).count(), 7);
     }
 

@@ -898,6 +898,27 @@ fn a_verb_refuses_options_and_operands_its_row_does_not_declare() {
 }
 
 #[test]
+fn record_refuses_the_detector_options_it_never_read() {
+    // `record` runs with detection off: these were accepted, then ignored,
+    // and `--sampling 0.001` silently wrote a full trace.
+    let dir = std::env::temp_dir().join(format!("predator-record-opts-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("x.ptrace");
+    let out_s = out.to_str().unwrap();
+    for option in [
+        &["--sensitive"][..],
+        &["--no-prediction"],
+        &["--sampling", "0.001"],
+    ] {
+        let argv = [&["record", "histogram", "-o", out_s][..], option].concat();
+        let want = format!("option '{}' is not accepted by `record`", option[0]);
+        assert_row_refuses(&argv, &[&want]);
+        assert!(!out.exists(), "{argv:?} wrote a trace");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn help_on_a_verb_is_help_and_a_bad_format_fails_before_the_run() {
     let dir = std::env::temp_dir().join(format!("predator-help-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -954,6 +975,7 @@ fn retired_spellings_are_unknown() {
         ["--profile", "-period"],
         ["--", "top"],
         ["--trace", "-events"],
+        ["--recorder", "-depth"],
     ] {
         let option = pieces.concat();
         let argv = [RUN, &[option.as_str(), "1"]].concat();

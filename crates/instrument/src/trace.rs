@@ -1,75 +1,45 @@
 //! Access-trace recording and replay.
 //!
 //! Decouples event collection from analysis: record a run once (to memory,
-//! or to a binary `.ptrace` file via [`predator_trace`]), replay it into
+//! or to a binary `.ptrace` file via `predator-trace`), replay it into
 //! differently-configured detectors — e.g. to compare sampling rates
 //! (Figure 10) or prediction on/off (Figure 7) on *identical* access
 //! streams, something the paper's live-only runtime cannot do.
 //!
-//! [`TraceRecorder`] buffers events in thread-local segments
-//! ([`predator_trace::SegmentedSink`]) instead of taking one global mutex
-//! per event, so recording threads no longer contend on the hot path. The
-//! trade: cross-thread event order is now segment-granular — each thread's
-//! events stay in issue order, but two threads' events interleave only
-//! where their segments happened to flush. The per-line detector state
-//! never depends on cross-thread order, so replay results are unaffected;
-//! tests asserting global interleavings would be (none do — the
-//! concurrency test asserts counts).
+//! [`TraceRecorder`] is one locked buffer: the interpreter steps every
+//! simulated thread on one OS thread, so the events land in issue order.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use predator_core::Predator;
 use predator_sim::{Access, AccessKind, ThreadId};
-use predator_trace::{BatchSink, SegmentedSink};
 
 use crate::interp::AccessSink;
 
-/// Append-only store the segments drain into; one lock per *segment*, not
-/// per event.
-struct StoreBatch(Arc<Mutex<Vec<Access>>>);
-
-impl BatchSink for StoreBatch {
-    fn batch(&self, events: &mut Vec<Access>) {
-        self.0.lock().unwrap().append(events);
-    }
-}
-
-/// An [`AccessSink`] that appends every event to an in-memory trace,
-/// buffered through thread-local segments.
-///
-/// Readers ([`events`](Self::events), [`len`](Self::len),
-/// [`into_events`](Self::into_events)) drain every thread's segment first,
-/// so anything recorded before the call is visible — no explicit flush
-/// needed. See the module docs for the cross-thread ordering caveat.
+/// An [`AccessSink`] that appends every event to an in-memory trace.
+#[derive(Default)]
 pub struct TraceRecorder {
-    store: Arc<Mutex<Vec<Access>>>,
-    seg: SegmentedSink,
-}
-
-impl Default for TraceRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
+    events: Mutex<Vec<Access>>,
 }
 
 impl TraceRecorder {
     /// Creates an empty recorder.
     pub fn new() -> Self {
-        let store = Arc::new(Mutex::new(Vec::new()));
-        let seg = SegmentedSink::new(Box::new(StoreBatch(store.clone())));
-        TraceRecorder { store, seg }
+        Self::default()
     }
 
-    /// A copy of the recorded events (all threads' segments drained first).
+    fn lock(&self) -> MutexGuard<'_, Vec<Access>> {
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A copy of the recorded events.
     pub fn events(&self) -> Vec<Access> {
-        self.seg.flush_all();
-        self.store.lock().unwrap().clone()
+        self.lock().clone()
     }
 
-    /// Number of recorded events (all threads' segments drained first).
+    /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.seg.flush_all();
-        self.store.lock().unwrap().len()
+        self.lock().len()
     }
 
     /// True when nothing has been recorded.
@@ -79,19 +49,21 @@ impl TraceRecorder {
 
     /// Consumes the recorder, returning the trace.
     pub fn into_events(self) -> Vec<Access> {
-        self.seg.flush_all();
-        drop(self.seg); // releases the sink's clone of the store
-        match Arc::try_unwrap(self.store) {
-            Ok(m) => m.into_inner().unwrap(),
-            Err(arc) => arc.lock().unwrap().clone(),
-        }
+        self.events
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl AccessSink for TraceRecorder {
     #[inline]
     fn access(&self, tid: ThreadId, addr: u64, size: u8, kind: AccessKind) {
-        self.seg.access(tid, addr, size, kind);
+        self.lock().push(Access {
+            tid,
+            addr,
+            size,
+            kind,
+        });
     }
 }
 
@@ -157,8 +129,7 @@ mod tests {
 
     #[test]
     fn concurrent_recording_loses_nothing() {
-        // Cross-thread *order* is segment-granular (see module docs); the
-        // count is exact: len() drains every thread's segment first.
+        // The recorder stays `Sync`: threads racing on it lose no event.
         let rec = std::sync::Arc::new(TraceRecorder::new());
         std::thread::scope(|s| {
             for t in 0..4u16 {
@@ -174,13 +145,12 @@ mod tests {
     }
 
     #[test]
-    fn recorder_keeps_per_thread_order_across_segments() {
+    fn recorder_keeps_per_thread_order_across_threads() {
         let rec = TraceRecorder::new();
         std::thread::scope(|s| {
             for t in 0..2u16 {
                 let rec = &rec;
                 s.spawn(move || {
-                    // Far more than one segment's worth, to force flushes.
                     for i in 0..10_000u64 {
                         rec.access(ThreadId(t), i * 8, 8, AccessKind::Write);
                     }

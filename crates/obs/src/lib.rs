@@ -5,9 +5,10 @@
 //! prediction-unit churn. This crate gives every pipeline stage a shared
 //! place to record that:
 //!
-//! * [`Registry`] — named metrics: monotonic [`Counter`]s (per-thread
-//!   sharded and cache-line padded, dogfooding the paper's own lesson),
-//!   [`Gauge`]s, and log2-bucketed [`Histogram`]s for latencies and sizes.
+//! * [`Registry`] — named metrics: monotonic [`Counter`]s (one cache-line
+//!   padded cell each, so two metrics never falsely share a line — the
+//!   paper's own lesson), [`Gauge`]s, and log2-bucketed [`Histogram`]s for
+//!   latencies and sizes.
 //! * [`span`] / [`Histogram::start_timer`] — RAII wall-time timers for the
 //!   pipeline phases (parse → instrument → interpret → detect → predict →
 //!   report), recorded as `span_<phase>_ns` histograms.
@@ -40,7 +41,6 @@ pub mod timeline;
 
 pub use metrics::{
     bucket_index, bucket_lower_bound, global, Counter, Gauge, Histogram, HotTally, Registry, Timer,
-    COUNTER_SHARDS,
 };
 pub use recorder::{FlightRecorder, Rec, RecKind};
 pub use serve::{http_get, http_get_auth, HttpServer, Request, Response, ServerHandle};
@@ -69,7 +69,7 @@ macro_rules! static_counter {
 pub const HOT_BATCH: u64 = 64;
 
 /// A batched counter increment for hot paths: counts into a thread-local
-/// [`HotTally`] that reaches the sharded global counter every [`HOT_BATCH`]
+/// [`HotTally`] that reaches the shared global counter every [`HOT_BATCH`]
 /// increments (and at snapshot and thread exit), so the per-event cost is a
 /// TLS increment and a predictable branch instead of an atomic RMW.
 #[macro_export]

@@ -1,48 +1,32 @@
-//! The metrics registry: sharded counters, gauges, log2 histograms.
+//! The metrics registry: padded counters, gauges, log2 histograms.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::LocalKey;
 use std::time::Instant;
 
 use crate::snapshot::{Bucket, CounterSnapshot, GaugeSnapshot, HistogramSnapshot, Snapshot};
 
-/// Number of independent cells a [`Counter`] is split across. Each thread
-/// hashes to one cell, so concurrent increments from different threads land
-/// on different cache lines instead of ping-ponging a single one — exactly
-/// the false-sharing failure mode the detector exists to find.
-pub const COUNTER_SHARDS: usize = 16;
-
-/// One counter cell on its own cache line.
+/// One counter cell on its own cache line, so two metrics never share one.
 #[repr(align(64))]
 struct PaddedCell(AtomicU64);
 
-/// Dense per-thread shard assignment: the Nth thread to touch a counter
-/// gets cell `N % COUNTER_SHARDS`, so up to 16 threads never collide.
-#[inline]
-fn shard_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed) % COUNTER_SHARDS;
-    }
-    SHARD.with(|s| *s)
-}
-
-/// A monotonic counter, per-thread sharded and cache-line padded.
+/// A monotonic counter: one cache-line padded cell.
 ///
 /// Handles are cheap `Arc` clones; hot paths should obtain one once (at
-/// construction) and call [`Counter::inc`] on the cached handle.
+/// construction) and call [`Counter::inc`] on the cached handle, or count
+/// through [`hot_counter_inc!`](crate::hot_counter_inc).
 #[derive(Clone)]
 pub struct Counter {
-    shards: Arc<[PaddedCell; COUNTER_SHARDS]>,
+    cell: Arc<PaddedCell>,
 }
 
 impl Counter {
     fn new() -> Self {
         Counter {
-            shards: Arc::new(std::array::from_fn(|_| PaddedCell(AtomicU64::new(0)))),
+            cell: Arc::new(PaddedCell(AtomicU64::new(0))),
         }
     }
 
@@ -55,15 +39,12 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
+        self.cell.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current total across all shards.
+    /// Current total.
     pub fn get(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|c| c.0.load(Ordering::Relaxed))
-            .sum()
+        self.cell.0.load(Ordering::Relaxed)
     }
 }
 
@@ -354,7 +335,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_sums_across_shards() {
+    fn counter_adds_up() {
         let r = Registry::new();
         let c = r.counter("x");
         c.inc();

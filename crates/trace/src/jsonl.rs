@@ -16,8 +16,7 @@ use std::path::Path;
 use predator_sim::Access;
 
 use crate::format::{touched_hull, Header, PAGE, VERSION};
-use crate::segment::SEGMENT_CAPACITY;
-use crate::writer::{TraceWriter, WriteSummary};
+use crate::writer::{TraceWriter, WriteSummary, CHUNK_CAPACITY};
 
 /// Writes a trace as JSON lines (one [`Access`] per line).
 pub fn save_jsonl<W: Write>(events: &[Access], mut w: W) -> std::io::Result<()> {
@@ -109,9 +108,9 @@ pub fn import_jsonl(input: &Path, output: &Path) -> Result<(WriteSummary, (u64, 
     let write = || {
         let file = BufWriter::new(std::fs::File::create(output)?);
         let mut w = TraceWriter::create(file, base, size)?;
-        // One chunk per recorder-segment's worth of events.
+        // The chunking `predator record` writes.
         events
-            .chunks(SEGMENT_CAPACITY)
+            .chunks(CHUNK_CAPACITY)
             .try_for_each(|c| w.write_events(c))?;
         w.finish()
     };

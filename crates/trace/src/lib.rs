@@ -3,16 +3,15 @@
 //!
 //! The live detector pays its overhead while the workload runs. This crate
 //! splits that cost in two: **record** the raw access stream cheaply
-//! (thread-local segment buffers, delta-compressed chunks — no detector
-//! work at all), then **analyze** the trace offline, as many times and
-//! with as many configurations as wanted.
+//! (one buffer, delta-compressed chunks — no detector work at all), then
+//! **analyze** the trace offline, as many times and with as many
+//! configurations as wanted.
 //!
 //! * [`format`] — the `.ptrace` byte layout: magic + versioned header,
 //!   CRC-framed chunks with varint delta-encoded records, a JSON metadata
 //!   sidecar chunk, and a footer index for random access.
-//! * [`segment`] — lock-free-on-the-hot-path thread-local event buffers.
 //! * [`writer`] — streaming writers: [`TraceWriter`] (framing) and
-//!   [`TraceSink`] (multi-threaded [`predator_sim::AccessSink`]).
+//!   [`TraceSink`] (the recording [`predator_sim::AccessSink`]).
 //! * [`reader`] — corruption-tolerant streaming reader: bad chunks are
 //!   skipped with counted, reported loss ([`LossStats`]), never a panic.
 //!   [`TraceReader::open`] is the one door through which a file becomes
@@ -35,7 +34,6 @@ pub mod format;
 pub mod jsonl;
 pub mod reader;
 pub mod remap;
-pub mod segment;
 pub mod varint;
 pub mod whatif;
 pub mod writer;
@@ -45,6 +43,5 @@ pub use format::{Header, MetaFrame, MetaGlobal, MetaObject, TraceMeta, VERSION};
 pub use jsonl::{import_jsonl, load_jsonl, save_jsonl, JsonlIter};
 pub use reader::{read_info, read_info_scan, LossStats, TraceError, TraceInfo, TraceReader};
 pub use remap::AddressRemap;
-pub use segment::{BatchSink, SegmentedSink, SEGMENT_CAPACITY};
 pub use whatif::{whatif_events, WhatIfFix, WhatIfOutcome};
 pub use writer::{TraceSink, TraceWriter, WriteSummary};

@@ -2,13 +2,12 @@
 //!
 //! [`TraceWriter`] is the single-threaded framing layer: it owns the output
 //! stream, tracks chunk offsets for the footer index, and seals the file
-//! with a META chunk, the index, and the trailer. [`TraceSink`] layers the
-//! thread-local segment machinery on top so a multi-threaded workload can
-//! record through an [`AccessSink`] with the writer's lock taken once per
-//! segment, not once per event.
+//! with a META chunk, the index, and the trailer. [`TraceSink`] puts one
+//! locked buffer in front of it, so a run records through an
+//! [`AccessSink`] one [`CHUNK_CAPACITY`] chunk at a time.
 
 use std::io::{self, Write};
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use predator_sim::{Access, AccessKind, AccessSink, ThreadId};
 
@@ -17,7 +16,6 @@ use crate::format::{
     ChunkFrame, EventEncoder, Header, IndexEntry, TraceMeta, CHUNK_EVENTS, CHUNK_INDEX, CHUNK_META,
     END_MAGIC, VERSION,
 };
-use crate::segment::{BatchSink, SegmentedSink};
 
 /// Summary returned by [`TraceWriter::finish`] / [`TraceSink::finish`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,70 +122,60 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
+/// Events per events chunk: the batch [`TraceSink`] writes, and the slice
+/// `trace import` hands [`TraceWriter::write_events`].
+pub const CHUNK_CAPACITY: usize = 4096;
+
 struct SinkState<W: Write> {
     writer: Option<TraceWriter<W>>,
+    pending: Vec<Access>,
     error: Option<io::Error>,
 }
 
-struct WriterBatch<W: Write + Send>(Arc<Mutex<SinkState<W>>>);
-
-impl<W: Write + Send> BatchSink for WriterBatch<W> {
-    fn batch(&self, events: &mut Vec<Access>) {
-        let mut st = self.0.lock().unwrap();
-        if st.error.is_some() {
-            events.clear();
-            return;
-        }
-        if let Some(w) = st.writer.as_mut() {
-            if let Err(e) = w.write_events(events) {
-                st.error = Some(e);
+impl<W: Write> SinkState<W> {
+    /// Writes the pending events as one chunk, latching the first error.
+    fn flush(&mut self) {
+        if let (None, Some(w)) = (&self.error, self.writer.as_mut()) {
+            if let Err(e) = w.write_events(&self.pending) {
+                self.error = Some(e);
             }
         }
-        events.clear();
+        self.pending.clear();
     }
 }
 
-/// Multi-threaded recording sink: implements [`AccessSink`] over
-/// thread-local segments, each flushed segment becoming one events chunk.
+/// Recording sink: implements [`AccessSink`] over one buffer, written out
+/// as an events chunk every [`CHUNK_CAPACITY`] events.
 ///
-/// Per-thread event order is preserved; cross-thread order is segment
-/// granular (see [`crate::segment`]). I/O errors are latched and surfaced
-/// by [`finish`](TraceSink::finish); events arriving after an error are
-/// dropped.
-pub struct TraceSink<W: Write + Send + 'static> {
-    seg: SegmentedSink,
-    state: Arc<Mutex<SinkState<W>>>,
+/// Events reach the file in arrival order. I/O errors are latched and
+/// surfaced by [`finish`](TraceSink::finish); events arriving after an
+/// error are dropped.
+pub struct TraceSink<W: Write> {
+    state: Mutex<SinkState<W>>,
 }
 
-impl<W: Write + Send + 'static> TraceSink<W> {
+impl<W: Write> TraceSink<W> {
     /// Starts a trace file over `[base, base + size)` on `w`.
     pub fn create(w: W, base: u64, size: u64) -> io::Result<Self> {
-        Self::with_segment_capacity(w, base, size, crate::segment::SEGMENT_CAPACITY)
-    }
-
-    /// As [`create`](Self::create) with an explicit events-per-chunk cap.
-    pub fn with_segment_capacity(w: W, base: u64, size: u64, capacity: usize) -> io::Result<Self> {
-        let writer = TraceWriter::create(w, base, size)?;
-        let state = Arc::new(Mutex::new(SinkState {
-            writer: Some(writer),
+        let state = SinkState {
+            writer: Some(TraceWriter::create(w, base, size)?),
+            pending: Vec::with_capacity(CHUNK_CAPACITY),
             error: None,
-        }));
-        let seg = SegmentedSink::with_capacity(Box::new(WriterBatch(state.clone())), capacity);
-        Ok(TraceSink { seg, state })
+        };
+        Ok(TraceSink {
+            state: Mutex::new(state),
+        })
     }
 
-    /// Flushes the calling thread's segment.
-    pub fn flush_thread(&self) {
-        self.seg.flush_thread();
+    fn lock(&self) -> MutexGuard<'_, SinkState<W>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Seals the trace: drains every thread's segment, then writes the
-    /// META chunk, index, and trailer. Events recorded before this call —
-    /// on any thread — are all in the file. Any latched I/O error from a
-    /// worker thread's flush is returned here.
+    /// Seals the trace: writes the pending events, then the META chunk,
+    /// index, and trailer. A latched I/O error is returned here.
     pub fn finish(&self, meta: &TraceMeta) -> io::Result<WriteSummary> {
-        self.seg.flush_all();
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.lock();
+        st.flush();
         if let Some(e) = st.error.take() {
             return Err(e);
         }
@@ -201,15 +189,26 @@ impl<W: Write + Send + 'static> TraceSink<W> {
     }
 }
 
-impl<W: Write + Send + 'static> AccessSink for TraceSink<W> {
+impl<W: Write + Send> AccessSink for TraceSink<W> {
     #[inline]
     fn access(&self, tid: ThreadId, addr: u64, size: u8, kind: AccessKind) {
-        self.seg.access(tid, addr, size, kind);
+        let mut st = self.lock();
+        st.pending.push(Access {
+            tid,
+            addr,
+            size,
+            kind,
+        });
+        if st.pending.len() >= CHUNK_CAPACITY {
+            st.flush();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     #[test]
@@ -234,6 +233,41 @@ mod tests {
     }
 
     #[test]
+    fn sink_writes_the_chunks_import_writes() {
+        let events: Vec<Access> = (0..2 * CHUNK_CAPACITY as u64 + 1)
+            .map(|i| Access::write(ThreadId((i % 3) as u16), 0x1000 + i % 512 * 8, 8))
+            .collect();
+        let meta = TraceMeta::default();
+        let mut recorded = Vec::new();
+        {
+            let sink = TraceSink::create(&mut recorded, 0x1000, 0x2000).unwrap();
+            for a in &events {
+                sink.record(*a);
+            }
+            assert_eq!(sink.finish(&meta).unwrap().events, events.len() as u64);
+        }
+        let mut imported = Vec::new();
+        let mut w = TraceWriter::create(&mut imported, 0x1000, 0x2000).unwrap();
+        for c in events.chunks(CHUNK_CAPACITY) {
+            w.write_events(c).unwrap();
+        }
+        w.write_meta(&meta).unwrap();
+        w.finish().unwrap();
+        assert!(recorded == imported, "sink and import disagree");
+
+        let at = recorded.len() - crate::format::TRAILER_LEN;
+        let index_at = u64::from_le_bytes(recorded[at..at + 8].try_into().unwrap()) as usize;
+        let payload = &recorded[index_at + crate::format::CHUNK_FRAME_LEN..at];
+        let counts: Vec<u32> = crate::format::decode_index(payload)
+            .unwrap()
+            .iter()
+            .filter(|e| e.kind == CHUNK_EVENTS)
+            .map(|e| e.record_count)
+            .collect();
+        assert_eq!(counts, [4096, 4096, 1]);
+    }
+
+    #[test]
     fn sink_records_across_threads_without_loss() {
         let state = Arc::new(Mutex::new(Vec::new()));
         struct Shared(Arc<Mutex<Vec<u8>>>);
@@ -246,19 +280,20 @@ mod tests {
                 Ok(())
             }
         }
-        let sink = TraceSink::with_segment_capacity(Shared(state.clone()), 0, 1 << 20, 64).unwrap();
+        let sink = TraceSink::create(Shared(state.clone()), 0, 1 << 20).unwrap();
         std::thread::scope(|s| {
             for t in 0..4u16 {
                 let sink = &sink;
                 s.spawn(move || {
-                    for i in 0..1000u64 {
+                    for i in 0..3000u64 {
                         sink.access(ThreadId(t), i * 8, 8, AccessKind::Write);
                     }
                 });
             }
         });
         let summary = sink.finish(&TraceMeta::default()).unwrap();
-        assert_eq!(summary.events, 4000);
+        assert_eq!(summary.events, 12_000);
+        assert_eq!(summary.chunks, 3 + 2); // 4096 + 4096 + 3808, meta, index
         assert_eq!(state.lock().unwrap().len() as u64, summary.bytes);
     }
 }

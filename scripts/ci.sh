@@ -3,8 +3,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release"
-cargo build --release
+echo "==> cargo build --release --locked"
+cargo build --release --locked
 
 echo "==> cargo test --workspace -q (loom models walked to the end)"
 # tests/loom_model.rs bounds its schedule count by default (tier-1);
@@ -50,7 +50,7 @@ fi
 test "$(wc -l < crates/cli/src/main.rs)" -le 400
 
 echo "==> one obs build, one snapshot type (the compile-time twin, the core mirror, the second quantile, the criterion harness and the IR optimizer must not grow back)"
-if grep -rnE 'obs-off|criterion|ObsMetric|raw_snapshot|hist_quantile|opt::optimize' \
+if grep -rnE 'obs-off|[Cc]riterion|ObsMetric|raw_snapshot|hist_quantile|opt::optimize' \
   --exclude-dir={target,benchmark,.git} \
   --exclude={CHANGES.md,ROADMAP.md,ISSUE.md,ci.sh,ci.yml} .; then
   echo "a second obs build, snapshot type or bench harness is back" >&2
@@ -113,7 +113,7 @@ done
 
 echo "==> one offline loop (the shard planner, the dispatcher and the CPU-count default must not grow back)"
 # Offline analysis is one sequential pass (DESIGN.md, "Why there is no
-# sharding"). The recorder's tests in segment.rs/writer.rs do spawn scoped
+# sharding"). The recording sink's tests in writer.rs do spawn scoped
 # threads, so that one name is held to the two files of the offline verbs.
 if grep -rnE 'ShardPlan|sync_channel|shard_dispatch|trace_scan|DISPATCH_BATCH' crates/trace/src ||
   grep -nE 'thread::(scope|spawn)' crates/trace/src/{analyze,whatif}.rs ||
@@ -147,6 +147,15 @@ echo "==> consumer audit (serve's spool watcher, the runtime ignore ranges and a
 # pass (InstrumentOptions::blacklist); whatif is the one verified-fix verb.
 if grep -rnE '\b(ignore_range|is_ignored|ignored_len|Watcher|WatchOutcome|is_complete_trace|serve_watch|verify-fixes|verify_fixes)\b' crates; then
   echo "a feature with no consumer is back: serve's spool watcher, the runtime ignore ranges or analyze's inline fix verification" >&2
+  exit 1
+fi
+
+echo "==> one writer, one buffer (the thread-local trace segments, the counter shards and the recorder-depth knob must not grow back)"
+# Recording is one thread stepping every simulated one: TraceSink and
+# TraceRecorder are one locked buffer each, a Counter is one padded cell,
+# and the flight recorder keeps DEFAULT_DEPTH records per line.
+if grep -rnE 'SegmentedSink|BatchSink|SEGMENT_CAPACITY|with_segment_capacity|flush_all|COUNTER_SHARDS|shard_index|recorder-depth|RECORDER_DEPTH' crates; then
+  echo "a second buffering layer, a sharded counter or the recorder-depth knob is back" >&2
   exit 1
 fi
 

@@ -130,6 +130,31 @@ fn ptrace_is_at_least_5x_smaller_than_jsonl() {
     std::fs::remove_file(&path).ok();
 }
 
+#[test]
+fn recorded_bytes_are_pinned() {
+    // (program, iters, file length, CRC-32 of the whole file) at seed 42,
+    // blessed with the thread-local segment writer the one-buffer sink
+    // replaced: recording is one thread stepping every simulated one, so
+    // the file is the same bytes whatever buffers the events on the way.
+    for (name, iters, len, crc) in [
+        ("histogram", 1_000, 44_406, 0xecc8_33a8),
+        ("linear_regression", 500, 87_132, 0x71ba_e375),
+        ("streamcluster", 200, 18_179, 0xbff8_d688),
+    ] {
+        let cfg = WorkloadConfig {
+            threads: 4,
+            iters,
+            seed: 42,
+            variant: Variant::Broken,
+        };
+        let path = tmp(&format!("pinned-{name}"));
+        record_workload(name, &cfg, &path);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!((bytes.len(), crc32(&bytes)), (len, crc), "{name}");
+    }
+}
+
 /// Two threads ping-pong on adjacent words in several well-separated
 /// regions — multiple independent clusters, false sharing in each.
 fn multi_cluster_trace(regions: u64, per_region: u64, base: u64) -> Vec<Access> {
