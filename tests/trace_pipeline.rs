@@ -132,27 +132,67 @@ fn ptrace_is_at_least_5x_smaller_than_jsonl() {
 
 #[test]
 fn recorded_bytes_are_pinned() {
-    // (program, iters, file length, CRC-32 of the whole file) at seed 42,
-    // blessed with the thread-local segment writer the one-buffer sink
-    // replaced: recording is one thread stepping every simulated one, so
-    // the file is the same bytes whatever buffers the events on the way.
-    for (name, iters, len, crc) in [
-        ("histogram", 1_000, 44_406, 0xecc8_33a8),
-        ("linear_regression", 500, 87_132, 0x71ba_e375),
-        ("streamcluster", 200, 18_179, 0xbff8_d688),
-    ] {
-        let cfg = WorkloadConfig {
-            threads: 4,
-            iters,
-            seed: 42,
-            variant: Variant::Broken,
-        };
-        let path = tmp(&format!("pinned-{name}"));
-        record_workload(name, &cfg, &path);
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!((bytes.len(), crc32(&bytes)), (len, crc), "{name}");
+    // Every Table-1 program's recording at seed 42, held to its file length
+    // and the CRC-32 of the whole file: (program, iters, [Broken at 4
+    // threads, Fixed at 4, Broken at 3]). The file carries the access
+    // stream, the thread ids and the allocation metadata (callsites
+    // included), so a workload whose tracked run issues one access more,
+    // less or in another order moves its row. `iters` is small but gives
+    // every round-based program at least two rounds; 3 threads gives the
+    // split schedules an uneven share.
+    type Pin = (usize, u32);
+    #[rustfmt::skip]
+    const PINNED: [(&str, u64, [Pin; 3]); 21] = [
+        ("histogram", 1_000, [(44_406, 0xecc8_33a8), (44_415, 0x32a7_724d), (33_406, 0x889e_89c2)]),
+        ("kmeans", 1_024, [(81_250, 0xd3fe_8450), (81_250, 0xd3fe_8450), (80_817, 0x9e5d_4ac6)]),
+        ("linear_regression", 500, [(87_132, 0x71ba_e375), (88_635, 0xea60_c821), (65_571, 0x54f8_e621)]),
+        ("matrix_multiply", 128, [(254_370, 0xb7a1_04fb), (254_370, 0xb7a1_04fb), (254_370, 0x8f27_bf05)]),
+        ("pca", 100, [(84_534, 0x6a5c_73d6), (84_534, 0x6a5c_73d6), (63_518, 0x343b_1c19)]),
+        ("reverse_index", 300, [(16_347, 0x002b_2e55), (16_348, 0x4dde_689c), (12_326, 0xfee7_78b8)]),
+        ("string_match", 500, [(8_404, 0xbcc8_7d1d), (8_404, 0xbcc8_7d1d), (6_404, 0x346c_7841)]),
+        ("word_count", 300, [(19_959, 0xe287_b81b), (19_960, 0xda1b_6763), (15_015, 0x8d71_0631)]),
+        ("blackscholes", 2_048, [(131_662, 0xe127_754a), (131_662, 0xe127_754a), (98_842, 0x6eba_d9e2)]),
+        ("bodytrack", 512, [(33_424, 0x35b2_6fd8), (33_424, 0x35b2_6fd8), (25_115, 0x9eb6_112f)]),
+        ("dedup", 300, [(12_260, 0xd4a6_81f2), (12_260, 0xd4a6_81f2), (9_265, 0xc5f3_019b)]),
+        ("ferret", 128, [(4_177, 0xcc4d_8deb), (4_177, 0xcc4d_8deb), (3_174, 0x84fe_7062)]),
+        ("fluidanimate", 128, [(14_087, 0xcb28_884b), (14_087, 0xcb28_884b), (10_680, 0x6b36_55fb)]),
+        ("streamcluster", 200, [(18_179, 0xbff8_d688), (18_382, 0x96c9_f827), (13_777, 0x5749_a3d9)]),
+        ("swaptions", 300, [(10_220, 0x2cae_c0b9), (10_220, 0x2cae_c0b9), (7_706, 0x31b3_cf77)]),
+        ("aget", 1_024, [(17_690, 0xcaf2_1f8d), (17_690, 0xcaf2_1f8d), (12_571, 0x7e1a_5582)]),
+        ("boost", 300, [(20_313, 0xd31c_cbf9), (21_216, 0xbe91_a103), (15_364, 0xab54_ed89)]),
+        ("memcached", 300, [(15_500, 0xffcc_1c5a), (15_500, 0xffcc_1c5a), (11_668, 0x901f_38f0)]),
+        ("mysql", 200, [(32_298, 0xe5f0_e318), (32_328, 0x25a8_fb60), (24_146, 0xfe90_624d)]),
+        ("pbzip2", 1_024, [(62_545, 0x8f30_def6), (62_545, 0x8f30_def6), (46_944, 0x0c65_82e5)]),
+        ("pfscan", 640, [(2_988, 0x4673_7db3), (2_988, 0x4673_7db3), (2_874, 0xb284_b277)]),
+    ];
+    let runs = [
+        (4, Variant::Broken),
+        (4, Variant::Fixed),
+        (3, Variant::Broken),
+    ];
+    let mut moved = Vec::new();
+    for (name, iters, pinned) in PINNED {
+        for ((threads, variant), want) in runs.into_iter().zip(pinned) {
+            let cfg = WorkloadConfig {
+                threads,
+                iters,
+                seed: 42,
+                variant,
+            };
+            let path = tmp(&format!("pinned-{name}-{threads}-{variant:?}"));
+            record_workload(name, &cfg, &path);
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            let got = (bytes.len(), crc32(&bytes));
+            if got != want {
+                moved.push(format!(
+                    "{name} threads={threads} {variant:?}: got ({}, {:#010x}), pinned ({}, {:#010x})",
+                    got.0, got.1, want.0, want.1
+                ));
+            }
+        }
     }
+    assert!(moved.is_empty(), "recordings moved:\n{}", moved.join("\n"));
 }
 
 /// Two threads ping-pong on adjacent words in several well-separated
