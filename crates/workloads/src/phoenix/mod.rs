@@ -1,10 +1,8 @@
 //! Phoenix benchmark suite analogues (Table 1, upper half).
 //!
-//! Tracked runs interleave the logical threads round-robin on the calling
-//! thread — the deterministic, adversarial schedule PREDATOR conservatively
-//! assumes (§3.3) — so detection results and invalidation counts are exactly
-//! reproducible. Native runs use real OS threads and real memory for
-//! wall-clock measurements (Figure 2, Table 1's Improvement column).
+//! Each runs tracked and natively from one body;
+//! [`run_tracked`](crate::common::run_tracked) documents the tracked schedule
+//! and what it means for detection counts.
 
 pub mod histogram;
 pub mod kmeans;

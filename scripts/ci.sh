@@ -159,6 +159,15 @@ if grep -rnE 'SegmentedSink|BatchSink|SEGMENT_CAPACITY|with_segment_capacity|flu
   exit 1
 fi
 
+echo "==> one body per workload (a hand-written tracked or native run must not grow back)"
+# Each workload is one setup and one step per phase, generic over
+# common::Mem; common::run_tracked and common::run_native are the only
+# schedulers.
+if grep -rnE 'fn run_(tracked|native)\b' crates/workloads/src/phoenix crates/workloads/src/parsec crates/workloads/src/apps; then
+  echo "a workload writes its own tracked or native run again" >&2
+  exit 1
+fi
+
 echo "==> non-test source lines under crates/ (scripts/loc.sh)"
 scripts/loc.sh
 
