@@ -82,6 +82,8 @@ impl Attribution<'_> {
 /// reported by name), then the heap or directory object, then — in
 /// [`Resolver::resolve`] only — the cache line itself.
 struct Resolver<'a> {
+    /// The detector, whose flight recorder the findings' timelines replay.
+    rt: &'a Predator,
     /// The run's registered globals, snapshotted once per build.
     globals: ObjectDirectory,
     attr: Attribution<'a>,
@@ -89,12 +91,13 @@ struct Resolver<'a> {
 }
 
 impl<'a> Resolver<'a> {
-    fn new(rt: &Predator, attr: Attribution<'a>) -> Self {
+    fn new(rt: &'a Predator, attr: Attribution<'a>) -> Self {
         let globals = rt.globals_snapshot().into_iter().map(|g| {
             let site = SiteKind::Global { name: g.name };
             ObjectReport::new(g.start, g.size, site)
         });
         Resolver {
+            rt,
             globals: ObjectDirectory::new(globals, 0),
             attr,
             geom: rt.config().geometry,
@@ -278,14 +281,15 @@ impl Groups<'_> {
     }
 }
 
-/// Replays the flight recorder's rings for a finding's physical lines into
-/// an embedded timeline plus the last K invalidation traces.
+/// Replays the detector's flight-recorder rings for a finding's physical
+/// lines into an embedded timeline plus the last K invalidation traces.
 fn flight_data(
     resolver: &Resolver<'_>,
     line_starts: &[u64],
 ) -> (Vec<TimelineRecord>, Vec<InvalidationTrace>) {
-    let flight = predator_obs::recorder::recorder();
-    let records = line_starts.iter().flat_map(|&ls| flight.line_records(ls));
+    let records = line_starts
+        .iter()
+        .flat_map(|&ls| resolver.rt.flight_records(ls));
     let mut recs: Vec<_> = records.collect();
     recs.sort_by_key(|r| r.seq);
     let mut timeline: Vec<TimelineRecord> = recs

@@ -16,16 +16,22 @@
 //! stay exact via a CAS loop over the pure §2.3.1 transition), batched
 //! `Relaxed` word/line counters, and an `Acquire` fence only on the
 //! threshold-promotion edge. The attached prediction units live in a
-//! lock-free append-only list, traversed on every sampled access. Every
+//! lock-free append-only list, traversed on every sampled access; each node
+//! carries its unit's range, so the walk tests it in place. Every
 //! read-modify-write is issued under the caller's [`Mode`]: hardware RMWs
 //! when the detector is shared, load and store when one thread owns it.
+//!
+//! A detector built with the flight recorder on owns a [`Flight`]: its
+//! [`FlightRecorder`] plus one [`Ring`] per tracked line, by shadow index.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use predator_sim::{packed, AccessKind, CacheGeometry, ThreadId, WordTracker};
+use predator_obs::recorder::{FlightRecorder, Rec, RecKind, Ring, WORD_UNKNOWN};
+use predator_shadow::{ShadowLayout, TrackSlots};
+use predator_sim::{packed, Access, AccessKind, CacheGeometry, ThreadId, WordTracker};
 
 use crate::config::DetectorConfig;
 use crate::lockfree::{Mode, RelaxedLine, RelaxedOutcome, UnitList};
@@ -58,6 +64,49 @@ pub struct TrackSnapshot {
     pub offered: u64,
     /// Word-granularity counters.
     pub words: WordTracker,
+}
+
+/// A detector's flight recorder: the clock and line cap, and the rings of
+/// the tracked lines, found by shadow index like their tracks.
+pub(crate) struct Flight {
+    recorder: FlightRecorder,
+    layout: ShadowLayout,
+    rings: TrackSlots<Ring>,
+}
+
+impl Flight {
+    /// An empty recorder for `layout`'s lines: the ring slots are zeroed
+    /// memory, backed only where a tracked line records.
+    pub fn new(depth: usize, layout: ShadowLayout) -> Self {
+        Flight {
+            recorder: FlightRecorder::new(depth),
+            layout,
+            rings: TrackSlots::new(layout.lines()),
+        }
+    }
+
+    /// Records one event on line `idx`, opening its ring on the first.
+    #[inline]
+    fn record<M: Mode>(&self, m: M, idx: usize, tid: u16, word: u8, kinds: &[RecKind]) {
+        let ring = match self.rings.get(idx) {
+            Some(ring) => ring,
+            None => match self
+                .recorder
+                .open_ring(m, self.layout.line_start(idx), kinds.len())
+            {
+                Some(ring) => self.rings.get_or_publish(idx, || ring),
+                None => return,
+            },
+        };
+        self.recorder.push(m, ring, tid, word, kinds);
+    }
+
+    /// Line `idx`'s records, oldest first.
+    pub fn records<M: Mode>(&self, m: M, idx: usize) -> Vec<Rec> {
+        self.rings
+            .get(idx)
+            .map_or_else(Vec::new, |ring| ring.records(m))
+    }
 }
 
 /// Detailed tracking state for one cache line.
@@ -99,7 +148,13 @@ impl CacheTrack {
         cfg: &DetectorConfig,
     ) -> TrackOutcome {
         if self.admit(m, cfg, cfg.sampling.then_some(cfg.sample_burst)) {
-            self.record_sampled(m, tid, addr, size, kind, cfg)
+            let a = Access {
+                tid,
+                addr,
+                size,
+                kind,
+            };
+            self.record_sampled(m, a, cfg, None)
         } else {
             TrackOutcome::default()
         }
@@ -118,28 +173,23 @@ impl CacheTrack {
         burst.is_none_or(|burst| n % cfg.sample_interval < burst)
     }
 
-    /// Records one access that [`admit`](Self::admit) let through.
+    /// Records one access that [`admit`](Self::admit) let through, and
+    /// into `flight`'s ring for this line (its shadow index) when given.
     #[inline(never)]
-    pub fn record_sampled<M: Mode>(
+    pub(crate) fn record_sampled<M: Mode>(
         &self,
         m: M,
-        tid: ThreadId,
-        addr: u64,
-        size: u8,
-        kind: AccessKind,
+        Access {
+            tid,
+            addr,
+            size,
+            kind,
+        }: Access,
         cfg: &DetectorConfig,
+        flight: Option<(&Flight, usize)>,
     ) -> TrackOutcome {
-        // Flight-recorder and timeline feed: the victims of an invalidating
-        // write are the remote entries sitting in the history table *before*
-        // the write lands (≤ 2, distinct threads — §2.3.1), so capture them
-        // from the pre-access table the CAS loop hands back.
-        let flight = predator_obs::recorder::recorder().is_enabled();
         let tl = predator_obs::timeline();
-        let want_victims = flight || tl.enabled();
-        let word = ((addr.saturating_sub(self.line_start) / 8) as u8)
-            .min(predator_obs::recorder::WORD_UNKNOWN - 1);
-        let mut victims: [(u16, u8); 2] = [(0, 0); 2];
-        let mut victim_count = 0usize;
+        let word = ((addr.saturating_sub(self.line_start) / 8) as u8).min(WORD_UNKNOWN - 1);
         // In-line word span, mirroring `WordTracker::record`'s clamping of
         // straddling accesses.
         let end = addr + size.max(1) as u64 - 1;
@@ -152,38 +202,42 @@ impl CacheTrack {
             analysis_due,
             prev_history,
         } = self.line.record(m, tid, lo_word, hi_word, kind, threshold);
-        if want_victims && kind == AccessKind::Write {
+        // Flight-recorder and timeline feed: the victims of an invalidating
+        // write are the remote entries sitting in the history table *before*
+        // the write lands (≤ 2, distinct threads — §2.3.1), so capture them
+        // from the pre-access table the CAS loop hands back.
+        let mut victims = [RecKind::Read; 2];
+        let mut victim_count = 0usize;
+        if invalidated && (flight.is_some() || tl.enabled()) {
             for e in packed::unpack(prev_history).entries() {
                 if e.tid != tid {
-                    victims[victim_count] = (e.tid.index() as u16, self.line.last_word(e.tid));
+                    victims[victim_count] = RecKind::Invalidation {
+                        victim_tid: e.tid.index() as u16,
+                        victim_word: self.line.last_word(e.tid),
+                    };
                     victim_count += 1;
                 }
             }
         }
-        if flight {
+        if flight.is_some() {
             self.line.note_word(m, tid, word);
         }
-        self.units.for_each(|unit| {
-            if unit.range.contains(addr) {
-                unit.record(m, tid, kind);
-            }
+        self.units.for_each_containing(addr, |unit| {
+            unit.record(m, tid, kind);
         });
         predator_obs::hot_counter_inc!("track_sampled_accesses_total");
-        if flight {
-            if invalidated {
-                predator_obs::recorder::record_invalidation(
-                    self.line_start,
-                    tid.index() as u16,
-                    word,
-                    &victims[..victim_count],
-                );
+        if let Some((flight, idx)) = flight {
+            let access = [match kind {
+                AccessKind::Read => RecKind::Read,
+                AccessKind::Write => RecKind::Write,
+            }];
+            let kinds = if invalidated {
+                &victims[..victim_count]
             } else {
-                predator_obs::recorder::record(
-                    self.line_start,
-                    tid.index() as u16,
-                    word,
-                    kind == AccessKind::Write,
-                );
+                &access
+            };
+            if !kinds.is_empty() {
+                flight.record(m, idx, tid.index() as u16, word, kinds);
             }
         }
         if invalidated {
@@ -202,14 +256,16 @@ impl CacheTrack {
                         ("word", predator_obs::ArgVal::U64(word as u64)),
                     ],
                 );
-                for &(victim_tid, _) in &victims[..victim_count] {
-                    tl.flow(
-                        "invalidate",
-                        "detector",
-                        writer_lane,
-                        victim_tid as u64,
-                        tl.new_flow(),
-                    );
+                for victim in &victims[..victim_count] {
+                    if let RecKind::Invalidation { victim_tid, .. } = victim {
+                        tl.flow(
+                            "invalidate",
+                            "detector",
+                            writer_lane,
+                            *victim_tid as u64,
+                            tl.new_flow(),
+                        );
+                    }
                 }
             }
         }
@@ -402,7 +458,7 @@ mod tests {
 
     fn attached(t: &CacheTrack) -> usize {
         let mut n = 0;
-        t.units.for_each(|_| n += 1);
+        t.units.for_each_containing(0, |_| n += 1);
         n
     }
 

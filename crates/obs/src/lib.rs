@@ -33,6 +33,7 @@
 //! cheap `Arc` clones meant to be cached at construction time on hot paths.
 
 mod metrics;
+pub mod mode;
 pub mod recorder;
 pub mod serve;
 mod snapshot;

@@ -21,7 +21,8 @@
 //! Every read-modify-write on detector state — these counters and
 //! `predator-core`'s per-line cells — is issued through a [`Mode`]: hardware
 //! RMWs when several threads drive a detector, load and store when one owns
-//! it ([`mode`]).
+//! it ([`mode`], which lives in `predator-obs` so the flight recorder's rings
+//! share it).
 //!
 //! Memory-ordering notes (per *Rust Atomics and Locks*): counters use
 //! `Relaxed` (pure counts, no data published through them); [`TrackSlots`]
@@ -29,12 +30,12 @@
 //! track structure is visible to every thread that observes the pointer.
 
 pub mod counters;
-pub mod mode;
 pub mod space;
 pub mod track_slots;
 
 pub use counters::LineCounters;
-pub use mode::{Exclusive, Mode, RawU64, Shared};
+pub use predator_obs::mode;
+pub use predator_obs::mode::{Exclusive, Mode, RawU64, Shared};
 pub use space::{Scalar, SimSpace};
 pub use track_slots::TrackSlots;
 

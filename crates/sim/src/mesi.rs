@@ -20,11 +20,11 @@
 //! in first-touch order (DESIGN.md, "MESI storage"). A miss is cold when
 //! the core is not in the ever-held set, a coherence miss when it is.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::BuildHasherDefault;
-use std::sync::Arc;
 
-use predator_obs::recorder::{FlightRecorder, LineHasher, RecKind, WORD_UNKNOWN};
+use predator_obs::mode::Exclusive;
+use predator_obs::recorder::{FlightRecorder, LineHasher, Rec, RecKind, Ring, WORD_UNKNOWN};
 use predator_obs::ArgVal::U64;
 
 use crate::access::{Access, AccessKind, ThreadId};
@@ -97,13 +97,56 @@ pub struct MesiSim {
     stats: MesiStats,
     /// The part of `stats` the `mesi_*_total` counters already carry.
     published: MesiStats,
-    /// Optional flight-recorder feed: the simulator writes ground-truth
-    /// access/invalidation records into *this* instance (never the process
-    /// global), so tests can compare it against the detector's own feed.
-    recorder: Option<Arc<FlightRecorder>>,
+    /// Optional flight recorder of the simulator's own: ground-truth
+    /// access/invalidation records tests compare with a detector's.
+    recording: Option<Recording>,
     /// The word each (line, thread) last touched, kept while a recorder is
     /// attached: victim-side attribution for recorded invalidations.
     last_word: HashMap<(u64, u16), u8>,
+}
+
+/// A ground-truth flight recorder: the detector's ring type, found by line
+/// start.
+#[derive(Debug)]
+pub struct Recording {
+    recorder: FlightRecorder,
+    rings: HashMap<u64, Ring, BuildHasherDefault<LineHasher>>,
+}
+
+impl Recording {
+    /// An empty recording whose rings keep `depth` records each.
+    pub fn new(depth: usize) -> Self {
+        Recording {
+            recorder: FlightRecorder::new(depth),
+            rings: HashMap::default(),
+        }
+    }
+
+    /// Records one event on the line at `line_start`: one record per
+    /// `kinds` entry, under one timestamp.
+    pub fn push(&mut self, line_start: u64, tid: u16, word: u8, kinds: &[RecKind]) {
+        let ring = match self.rings.entry(line_start) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => match self.recorder.open_ring(Exclusive, line_start, kinds.len()) {
+                Some(ring) => e.insert(ring),
+                None => return,
+            },
+        };
+        self.recorder.push(Exclusive, ring, tid, word, kinds);
+    }
+
+    /// The records kept for the line at `line_start`, oldest first.
+    pub fn line_records(&self, line_start: u64) -> Vec<Rec> {
+        let ring = self.rings.get(&line_start);
+        ring.map_or_else(Vec::new, |r| r.records(Exclusive))
+    }
+
+    /// Line starts with a ring, ascending.
+    pub fn recorded_lines(&self) -> Vec<u64> {
+        let mut lines: Vec<u64> = self.rings.keys().copied().collect();
+        lines.sort_unstable();
+        lines
+    }
 }
 
 /// Is dense core `core` in `set`?
@@ -175,15 +218,22 @@ impl MesiSim {
             memo: (u64::MAX, 0),
             stats: MesiStats::default(),
             published: MesiStats::default(),
-            recorder: None,
+            recording: None,
             last_word: HashMap::new(),
         }
     }
 
-    /// Attaches a flight recorder; every subsequent access and invalidation
-    /// is recorded into it (ground truth for the detector's own feed).
-    pub fn set_recorder(&mut self, recorder: Arc<FlightRecorder>) {
-        self.recorder = Some(recorder);
+    /// Starts a flight recording whose rings keep `depth` records: every
+    /// later access and invalidation goes into it (ground truth for a
+    /// detector's own).
+    pub fn set_recorder(&mut self, depth: usize) {
+        self.recording = Some(Recording::new(depth));
+    }
+
+    /// The flight recording, if [`set_recorder`](Self::set_recorder) started
+    /// one.
+    pub fn recording(&self) -> Option<&Recording> {
+        self.recording.as_ref()
     }
 
     /// Aggregate statistics so far.
@@ -223,7 +273,7 @@ impl MesiSim {
     /// Applies one access of `size` bytes at `addr` by `tid`, visiting every
     /// line the access touches.
     pub fn access(&mut self, tid: ThreadId, addr: u64, size: u8, kind: AccessKind) {
-        match self.recorder.is_some() || predator_obs::timeline().enabled() {
+        match self.recording.is_some() || predator_obs::timeline().enabled() {
             true => self.apply::<true>(tid, addr, size, kind),
             false => self.apply::<false>(tid, addr, size, kind),
         }
@@ -232,7 +282,7 @@ impl MesiSim {
     /// [`MesiSim::access`] for every event of `events`, in order; then the
     /// counts are published.
     pub fn walk(&mut self, events: &[Access]) {
-        match self.recorder.is_some() || predator_obs::timeline().enabled() {
+        match self.recording.is_some() || predator_obs::timeline().enabled() {
             true => events
                 .iter()
                 .for_each(|a| self.apply::<true>(a.tid, a.addr, a.size, a.kind)),
@@ -331,7 +381,7 @@ impl MesiSim {
             ];
             tl.instant("mesi_invalidation", "mesi", tid.index() as u64, args);
         }
-        let Some(rec) = &self.recorder else {
+        let Some(rec) = &mut self.recording else {
             return;
         };
         // Word attribution: exact for the line containing `addr`, word 0 for
@@ -344,11 +394,18 @@ impl MesiSim {
             .map(|c| (self.tids[c], last_word(self.tids[c])))
             .collect();
         victims.sort_unstable(); // by thread: the order the records are read out in
-        match kind {
-            _ if killed > 0 => rec.offer_invalidation(line_start, tid.0, word, &victims),
-            AccessKind::Read => rec.offer_event(line_start, tid.0, word, RecKind::Read),
-            AccessKind::Write => rec.offer_event(line_start, tid.0, word, RecKind::Write),
+        let kinds: Vec<RecKind> = match kind {
+            _ if killed > 0 => victims
+                .into_iter()
+                .map(|(victim_tid, victim_word)| RecKind::Invalidation {
+                    victim_tid,
+                    victim_word,
+                })
+                .collect(),
+            AccessKind::Read => vec![RecKind::Read],
+            AccessKind::Write => vec![RecKind::Write],
         };
+        rec.push(line_start, tid.0, word, &kinds);
         self.last_word.insert((line, tid.0), word);
     }
 
@@ -498,14 +555,12 @@ mod tests {
 
     #[test]
     fn attached_recorder_sees_invalidations_with_victim_words() {
-        let rec = Arc::new(FlightRecorder::new());
-        rec.enable(16);
         let mut m = sim(2);
-        m.set_recorder(rec.clone());
+        m.set_recorder(16);
         m.access(T0, 0, 8, Write); // T0 writes word 0
         m.access(T1, 24, 8, Write); // T1 writes word 3: invalidates T0
         m.access(T0, 0, 8, Write); // T0 writes word 0: invalidates T1
-        let recs = rec.line_records(0);
+        let recs = m.recording().unwrap().line_records(0);
         let invs: Vec<_> = recs
             .iter()
             .filter_map(|r| match r.kind {
@@ -562,7 +617,7 @@ mod tests {
     }
 
     impl Reference {
-        fn access(&mut self, geom: CacheGeometry, a: Access, rec: &FlightRecorder) {
+        fn access(&mut self, geom: CacheGeometry, a: Access, rec: &mut Recording) {
             let (me, s) = (a.tid.0, &mut self.stats);
             for line in geom.lines_touched(a.addr, a.size) {
                 let word = if geom.line_index(a.addr) == line {
@@ -614,12 +669,19 @@ mod tests {
                     } else {
                         RecKind::Read
                     };
-                    rec.offer_event(start, me, word, kind);
+                    rec.push(start, me, word, &[kind]);
                 } else {
                     s.invalidation_events += 1;
                     s.lines_invalidated += victims.len() as u64;
                     *self.invalidations.entry(line).or_default() += 1;
-                    rec.offer_invalidation(start, me, word, &victims);
+                    let victims: Vec<RecKind> = victims
+                        .into_iter()
+                        .map(|(victim_tid, victim_word)| RecKind::Invalidation {
+                            victim_tid,
+                            victim_word,
+                        })
+                        .collect();
+                    rec.push(start, me, word, &victims);
                 }
                 self.words.insert((line, me), word);
             }
@@ -658,16 +720,14 @@ mod tests {
                     kind: if w { Write } else { Read },
                 })
                 .collect();
-            let (want, got) = (Arc::new(FlightRecorder::new()), Arc::new(FlightRecorder::new()));
-            want.enable(8);
-            got.enable(8);
+            let mut want = Recording::new(8);
             let mut oracle = Reference::default();
             for &a in &script {
-                oracle.access(geom, a, &want);
+                oracle.access(geom, a, &mut want);
             }
             let mut m = MesiSim::new(1 << 16, geom);
             if recorded {
-                m.set_recorder(Arc::clone(&got));
+                m.set_recorder(8);
             }
             if by_event {
                 for a in &script {
@@ -691,7 +751,7 @@ mod tests {
                 let held = oracle.states.keys().filter(|&&(_, h)| h == t).count();
                 prop_assert_eq!(resident_lines(&m, ThreadId(t)), held);
             }
-            if recorded {
+            if let Some(got) = m.recording() {
                 prop_assert_eq!(got.recorded_lines(), want.recorded_lines());
                 for start in want.recorded_lines() {
                     prop_assert_eq!(got.line_records(start), want.line_records(start));

@@ -88,16 +88,31 @@ echo "    builder.rs: $(wc -l <<< "$BUILDER") non-test lines"
 
 echo "==> one door to a lock prefix (a detector update goes through its Mode)"
 # The hot files may not issue a relaxed read-modify-write of their own: the
-# std atomics' RMWs live in crates/shadow/src/mode.rs, behind Shared/Exclusive.
+# std atomics' RMWs live in crates/obs/src/mode.rs, behind Shared/Exclusive.
 # Release publications (TrackSlots, UnitList) are rare and stay atomic.
-for f in crates/core/src/{runtime,track,lockfree,predict}.rs crates/shadow/src/counters.rs; do
+for f in crates/core/src/{runtime,track,lockfree,predict}.rs crates/shadow/src/counters.rs \
+  crates/obs/src/recorder.rs; do
   if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
     grep -E '\.(fetch_add\(|compare_exchange)' | grep -v 'Ordering::Release'; then
     echo "a read-modify-write bypasses the detector's Mode (predator_shadow::mode)" >&2
     exit 1
   fi
 done
-grep -q 'compare_exchange' crates/shadow/src/mode.rs
+grep -q 'compare_exchange' crates/obs/src/mode.rs
+
+echo "==> one flight recorder per detector (the thread-local segment and a per-access switch read must not grow back)"
+# A Predator owns its rings and clock; the process-wide switch is read once,
+# in Predator::new. (crates/core/src/owner.rs keeps its thread-local owner
+# token: that is the driver check, not a recorder.)
+if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/obs/src/recorder.rs |
+  grep -E 'thread_local!|recorder\(\)\.'; then
+  echo "the flight recorder grew a thread-local segment or a global store back" >&2
+  exit 1
+fi
+test "$(for f in crates/core/src/*.rs; do
+  awk '/#\[cfg\(test\)\]/ { exit } { print }' "$f"
+done | grep -c 'recorder()')" -eq 1
+grep -A1 'recorder()' crates/core/src/runtime.rs | grep -q '\.depth()'
 
 echo "==> one checksum, one decoder (an unsafe or per-arch twin and a second crc32/decode_events must not grow back)"
 if grep -rnE 'unsafe|std::arch|core::arch|is_x86_feature_detected' crates/trace/src; then

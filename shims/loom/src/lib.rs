@@ -25,6 +25,14 @@
 //! A panic on any model thread aborts the current execution, and [`model`]
 //! re-raises it annotated (on stderr) with the decision prefix that
 //! reproduces the failing schedule.
+//!
+//! ## Spin-waits
+//!
+//! [`thread::yield_now`] parks the caller until another thread modifies the
+//! atomic the caller last touched: a spin loop that yields after each
+//! failed attempt is explored as a wait for that cell to change, not as an
+//! unbounded run of retries (under sequential consistency a retry before
+//! then fails again, and a failed attempt changes nothing).
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -46,6 +54,10 @@ enum Run {
 
 struct State {
     threads: Vec<Run>,
+    /// Per thread: the address of the atomic it touched last.
+    last: Vec<usize>,
+    /// Per thread: the atomic it is parked on by `yield_now`, if any.
+    parked: Vec<Option<usize>>,
     /// Which thread currently holds the run token.
     current: usize,
     /// Decisions taken so far this execution, as (chosen index, #candidates).
@@ -81,11 +93,32 @@ pub(crate) fn sched_point() {
     }
 }
 
+/// The decision point before an operation on the atomic at `cell`.
+pub(crate) fn sched_at(cell: usize) {
+    if let Some((sched, me)) = ctx() {
+        sched.st.lock().unwrap().last[me] = cell;
+        sched.yield_at(me);
+    }
+}
+
+/// After a modification of the atomic at `cell`: threads parked on it may
+/// run again.
+pub(crate) fn modified(cell: usize) {
+    if let Some((sched, _)) = ctx() {
+        let mut st = sched.st.lock().unwrap();
+        for p in st.parked.iter_mut().filter(|p| **p == Some(cell)) {
+            *p = None;
+        }
+    }
+}
+
 impl Scheduler {
     fn new(prefix: Vec<usize>, rng: u64) -> Self {
         Scheduler {
             st: Mutex::new(State {
                 threads: vec![Run::Active],
+                last: vec![usize::MAX],
+                parked: vec![None],
                 current: 0,
                 decisions: Vec::new(),
                 prefix,
@@ -104,7 +137,7 @@ impl Scheduler {
             .threads
             .iter()
             .enumerate()
-            .filter(|(_, r)| **r == Run::Active)
+            .filter(|&(i, r)| *r == Run::Active && st.parked[i].is_none())
             .map(|(i, _)| i)
             .collect();
         if runnable.is_empty() {
@@ -141,7 +174,11 @@ impl Scheduler {
     fn yield_at(&self, me: usize) {
         let mut st = self.st.lock().unwrap();
         Self::abort_if_failed(&st);
-        let next = Self::decide(&mut st).expect("the yielding thread itself is runnable");
+        let Some(next) = Self::decide(&mut st) else {
+            st.failed = true;
+            self.cv.notify_all();
+            panic!("loom model livelock: every running thread waits on a cell nobody changes");
+        };
         if next == me {
             return;
         }
@@ -165,7 +202,19 @@ impl Scheduler {
     fn register(&self) -> usize {
         let mut st = self.st.lock().unwrap();
         st.threads.push(Run::Active);
+        st.last.push(usize::MAX);
+        st.parked.push(None);
         st.threads.len() - 1
+    }
+
+    /// Parks `me` on the atomic it touched last, then decides.
+    fn park(&self, me: usize) {
+        {
+            let mut st = self.st.lock().unwrap();
+            let last = st.last[me];
+            st.parked[me] = (last != usize::MAX).then_some(last);
+        }
+        self.yield_at(me);
     }
 
     /// Blocks `me` until `target` finishes (model-level join).
@@ -204,8 +253,15 @@ impl Scheduler {
             st.current = next;
         } else {
             // Everyone done (or everyone blocked — impossible once joiners
-            // of `me` were woken, and other joins deadlock in join_on).
+            // of `me` were woken, and other joins deadlock in join_on), or
+            // the rest are parked on cells nobody is left to change.
             st.current = usize::MAX;
+            if st.threads.contains(&Run::Active) && !st.failed {
+                st.failed = true;
+                st.panic = Some(Box::new(
+                    "loom model livelock: the remaining threads wait on cells nobody changes",
+                ));
+            }
         }
         self.cv.notify_all();
     }
@@ -379,9 +435,13 @@ pub mod thread {
         }
     }
 
-    /// A pure decision point (maps to real loom's `yield_now`).
+    /// Parks the caller until another thread modifies the atomic the
+    /// caller touched last (see "Spin-waits" in the crate docs), then is a
+    /// decision point.
     pub fn yield_now() {
-        super::sched_point();
+        if let Some((sched, me)) = ctx() {
+            sched.park(me);
+        }
     }
 
     pub struct JoinHandle<T> {
@@ -428,29 +488,40 @@ pub mod sync {
                         Self(<$std>::new(v))
                     }
 
+                    fn cell(&self) -> usize {
+                        self as *const Self as usize
+                    }
+
                     pub fn load(&self, order: Ordering) -> $int {
-                        crate::sched_point();
+                        crate::sched_at(self.cell());
                         self.0.load(order)
                     }
 
                     pub fn store(&self, val: $int, order: Ordering) {
-                        crate::sched_point();
-                        self.0.store(val, order)
+                        crate::sched_at(self.cell());
+                        self.0.store(val, order);
+                        crate::modified(self.cell());
                     }
 
                     pub fn fetch_add(&self, val: $int, order: Ordering) -> $int {
-                        crate::sched_point();
-                        self.0.fetch_add(val, order)
+                        crate::sched_at(self.cell());
+                        let prev = self.0.fetch_add(val, order);
+                        crate::modified(self.cell());
+                        prev
                     }
 
                     pub fn fetch_or(&self, val: $int, order: Ordering) -> $int {
-                        crate::sched_point();
-                        self.0.fetch_or(val, order)
+                        crate::sched_at(self.cell());
+                        let prev = self.0.fetch_or(val, order);
+                        crate::modified(self.cell());
+                        prev
                     }
 
                     pub fn swap(&self, val: $int, order: Ordering) -> $int {
-                        crate::sched_point();
-                        self.0.swap(val, order)
+                        crate::sched_at(self.cell());
+                        let prev = self.0.swap(val, order);
+                        crate::modified(self.cell());
+                        prev
                     }
 
                     pub fn compare_exchange(
@@ -460,8 +531,12 @@ pub mod sync {
                         success: Ordering,
                         failure: Ordering,
                     ) -> Result<$int, $int> {
-                        crate::sched_point();
-                        self.0.compare_exchange(current, new, success, failure)
+                        crate::sched_at(self.cell());
+                        let res = self.0.compare_exchange(current, new, success, failure);
+                        if res.is_ok() {
+                            crate::modified(self.cell());
+                        }
+                        res
                     }
 
                     pub fn compare_exchange_weak(
@@ -606,6 +681,39 @@ mod tests {
             seen2.lock().unwrap().insert(n.load(Ordering::Relaxed));
         });
         assert_eq!(*seen.lock().unwrap(), HashSet::from([1, 2]));
+    }
+
+    /// A spin lock whose failed attempts yield: every schedule terminates,
+    /// and the critical sections never overlap.
+    #[test]
+    fn spin_waits_park_until_the_cell_changes() {
+        let finals = Arc::new(Mutex::new(HashSet::new()));
+        let f2 = Arc::clone(&finals);
+        crate::model(move || {
+            let lock = Arc::new(AtomicU64::new(0));
+            let count = Arc::new(AtomicU64::new(0));
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    let (lock, count) = (Arc::clone(&lock), Arc::clone(&count));
+                    crate::thread::spawn(move || {
+                        while lock
+                            .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
+                            .is_err()
+                        {
+                            crate::thread::yield_now();
+                        }
+                        let n = count.load(Ordering::Relaxed);
+                        count.store(n + 1, Ordering::Relaxed);
+                        lock.store(0, Ordering::Release);
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+            f2.lock().unwrap().insert(count.load(Ordering::Relaxed));
+        });
+        assert_eq!(*finals.lock().unwrap(), HashSet::from([2]));
     }
 
     /// A model assertion failure propagates out of model().

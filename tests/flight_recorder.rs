@@ -3,20 +3,17 @@
 //!
 //! Two claims are checked against randomized inputs:
 //!
-//! 1. **Retention**: each per-line ring keeps *exactly* the `depth`
-//!    most-recent records by logical timestamp, regardless of arrival
-//!    order or batching (thread-local segments flush out of order).
+//! 1. **Retention**: a ring fed events in clock order — multi-victim ones
+//!    included — keeps and reads out exactly what a reference model of the
+//!    `(seq, slot)` rule does, and counts every record it did not keep.
 //! 2. **Ground truth**: every invalidation the detector's hot path records
 //!    (and therefore every trace embedded in a finding) corresponds to an
 //!    invalidation the MESI simulator actually reported — same writer,
 //!    same word, victims contained in the MESI event's victim set — with
 //!    only the detector's known two-access startup window missing.
 //!
-//! The detector feeds the process-global recorder, so tests touching it
-//! serialize on a lock and reset it around each case; the MESI simulator
-//! always writes to its own injected instance.
-
-use std::sync::{Arc, Mutex, MutexGuard};
+//! Each detector and each simulator owns its records, so the cases share
+//! nothing but the switch, which every case that builds a detector turns on.
 
 use proptest::prelude::*;
 
@@ -25,17 +22,10 @@ use predator::sim::interleave::{interleave, Schedule, Script};
 use predator::sim::mesi::MesiSim;
 use predator::sim::{Access, AccessKind, CacheGeometry, ThreadId};
 use predator::{Callsite, Session};
-use predator_obs::recorder::{self, FlightRecorder, Rec, RecKind};
+use predator_obs::mode::Exclusive;
+use predator_obs::recorder::{self, FlightRecorder, Rec, RecKind, Ring};
 
 const BASE: u64 = 0x4000_0000;
-
-/// Serializes tests that enable/reset the process-global recorder.
-static GLOBAL_RECORDER: Mutex<()> = Mutex::new(());
-
-fn global_lock() -> MutexGuard<'static, ()> {
-    // A failed case poisons the lock; later tests should still run.
-    GLOBAL_RECORDER.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn exact_config() -> DetectorConfig {
     DetectorConfig {
@@ -47,6 +37,26 @@ fn exact_config() -> DetectorConfig {
     }
 }
 
+/// The `(seq, slot)` rule as a sorted list: the newest `depth` records by
+/// timestamp; the slot is the cell a record would occupy in a ring that
+/// overwrites its oldest entry in place — a newcomer inherits the slot of
+/// the record it evicts — and orders the records of one event. A record
+/// meeting a full ring of its own siblings is dropped. Returns whether the
+/// ring was full (the record was evicted or evicted another).
+fn model_push(ring: &mut Vec<(Rec, usize)>, depth: usize, rec: Rec) -> bool {
+    let mut entry = (rec, ring.len());
+    let full = ring.len() >= depth;
+    if full {
+        if rec.seq == ring[0].0.seq {
+            return true;
+        }
+        entry.1 = ring.remove(0).1;
+    }
+    let key = |&(r, slot): &(Rec, usize)| (r.seq, slot);
+    let at = ring.partition_point(|e| key(e) < key(&entry));
+    ring.insert(at, entry);
+    full
+}
 /// Collapses a seq-sorted record list into invalidation *events*:
 /// `(writer_tid, writer_word, sorted victim tids)`, one per shared seq.
 fn inv_events(recs: &[Rec]) -> Vec<(u16, u8, Vec<u16>)> {
@@ -71,59 +81,44 @@ fn inv_events(recs: &[Rec]) -> Vec<(u16, u8, Vec<u16>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Retention: for arbitrary per-line traffic arriving in arbitrary
-    /// order and batch sizes, `line_records` returns exactly the
-    /// `min(depth, n)` records with the highest timestamps, ascending,
-    /// and the appended/evicted counters account for every record.
+    /// Retention: events of 1–3 records (writes, reads, invalidations
+    /// with one to three victims) pushed in clock order into one ring of
+    /// depth 1–8 or 64 read out as the reference model's list, record for
+    /// record, and the ring's counts account for every record:
+    /// appended = kept + evicted.
     #[test]
-    fn prop_ring_retains_exactly_the_newest_k_per_line(
-        ops in proptest::collection::vec(
-            (0u8..3, proptest::arbitrary::any::<u64>()), 1..120),
-        depth in 1usize..8,
+    fn prop_ring_matches_the_seq_slot_reference_model(
+        events in proptest::collection::vec((0u16..4, 0u8..8, 0usize..4), 1..200),
+        pick in 0usize..9,
     ) {
-        let r = FlightRecorder::new();
-        r.enable(depth);
-        // seq is program order; the sort key scrambles *arrival* order the
-        // way interleaved thread-local segment flushes would.
-        let mut arrivals: Vec<(u64, Rec)> = ops
-            .iter()
-            .enumerate()
-            .map(|(i, &(line, key))| {
-                let rec = Rec {
-                    line_start: u64::from(line) * 64,
-                    seq: i as u64,
-                    tid: 0,
-                    word: (i % 8) as u8,
-                    kind: RecKind::Write,
-                };
-                (key, rec)
-            })
-            .collect();
-        arrivals.sort_by_key(|&(key, _)| key);
-        for chunk in arrivals.chunks(3) {
-            let batch: Vec<Rec> = chunk.iter().map(|&(_, rec)| rec).collect();
-            r.offer(&batch);
+        let depth = if pick == 8 { 64 } else { pick + 1 };
+        let recorder = FlightRecorder::new(depth);
+        let ring: Ring = Ring::new(BASE, depth);
+        let (mut model, mut evicted, mut appended) = (Vec::new(), 0u64, 0u64);
+        for (tid, word, victims) in events {
+            let kinds: Vec<RecKind> = match victims {
+                0 => vec![if word % 2 == 0 { RecKind::Read } else { RecKind::Write }],
+                n => (0..n as u16)
+                    .map(|v| RecKind::Invalidation { victim_tid: v + 4, victim_word: word ^ 1 })
+                    .collect(),
+            };
+            let seq = recorder.push(Exclusive, &ring, tid, word, &kinds);
+            for kind in kinds {
+                let rec = Rec { line_start: BASE, seq, tid, word, kind };
+                evicted += model_push(&mut model, depth, rec) as u64;
+                appended += 1;
+            }
         }
-        let mut kept_total = 0usize;
-        for line in 0u64..3 {
-            let mut expect: Vec<u64> = ops
-                .iter()
-                .enumerate()
-                .filter(|&(_, &(l, _))| u64::from(l) == line)
-                .map(|(i, _)| i as u64)
-                .collect();
-            expect.sort_unstable();
-            let expect = expect.split_off(expect.len().saturating_sub(depth));
-            kept_total += expect.len();
-            let got: Vec<u64> = r.line_records(line * 64).iter().map(|x| x.seq).collect();
-            prop_assert_eq!(got, expect, "line {} depth {}", line, depth);
-        }
-        prop_assert_eq!(r.appended(), ops.len() as u64);
-        prop_assert_eq!(r.evicted(), (ops.len() - kept_total) as u64);
+        let want: Vec<Rec> = model.iter().map(|&(rec, _)| rec).collect();
+        let kept = ring.records(Exclusive);
+        prop_assert_eq!(&kept, &want, "depth {}", depth);
+        let (ring_appended, ring_evicted) = ring.counts(Exclusive);
+        prop_assert_eq!((ring_appended, ring_evicted), (appended, evicted));
+        prop_assert_eq!(ring_appended, kept.len() as u64 + ring_evicted);
     }
 
-    /// Ground truth: drive the detector (global recorder) and a MESI
-    /// simulator (own recorder) through the same single-line script. The
+    /// Ground truth: drive the detector and a MESI simulator, each with
+    /// its own recorder, through the same single-line script. The
     /// detector's invalidation events must be an ordered sub-sequence of
     /// MESI's — same writer and word, victims ⊆ the MESI victim set — and
     /// may only miss the ≤2 events of its startup window (§2.4.1: reads
@@ -148,26 +143,17 @@ proptest! {
         }
         let merged = interleave(&script, &Schedule::Seeded(seed));
 
-        let _g = global_lock();
-        let flight = recorder::recorder();
-        flight.reset();
-        flight.enable(8192);
-
+        recorder::recorder().enable(8192);
         let rt = Predator::new(exact_config(), BASE, 1 << 20);
         let mut mesi = MesiSim::new(n, CacheGeometry::new(64));
-        let truth = Arc::new(FlightRecorder::new());
-        truth.enable(8192);
-        mesi.set_recorder(Arc::clone(&truth));
+        mesi.set_recorder(8192);
         for a in &merged {
             rt.handle_access(a.tid, a.addr, a.size, a.kind);
             mesi.access(a.tid, a.addr, a.size, a.kind);
         }
 
-        let det = inv_events(&flight.line_records(BASE));
-        let mesi_ev = inv_events(&truth.line_records(BASE));
-        flight.disable();
-        flight.reset();
-        drop(_g);
+        let det = inv_events(&rt.flight_records(BASE));
+        let mesi_ev = inv_events(&mesi.recording().unwrap().line_records(BASE));
 
         prop_assert!(det.len() <= mesi_ev.len(),
             "detector recorded {} invalidation events, MESI only {}",
@@ -198,11 +184,7 @@ proptest! {
 /// simulator reported for the same line.
 #[test]
 fn embedded_traces_match_mesi_reported_invalidations() {
-    let _g = global_lock();
-    let flight = recorder::recorder();
-    flight.reset();
-    flight.enable(1024);
-
+    recorder::recorder().enable(1024);
     let session = Session::new(DetectorConfig::sensitive(), 1 << 20);
     let t0 = session.register_thread();
     let t1 = session.register_thread();
@@ -210,9 +192,7 @@ fn embedded_traces_match_mesi_reported_invalidations() {
 
     let geom = CacheGeometry::new(64);
     let mut mesi = MesiSim::new(2, geom);
-    let truth = Arc::new(FlightRecorder::new());
-    truth.enable(1024);
-    mesi.set_recorder(Arc::clone(&truth));
+    mesi.set_recorder(1024);
 
     for _ in 0..300 {
         session.write::<u64>(t0, obj.start, 1);
@@ -221,12 +201,14 @@ fn embedded_traces_match_mesi_reported_invalidations() {
         mesi.access(t1, obj.start + 8, 8, AccessKind::Write);
     }
     let report = session.report();
-    flight.disable();
 
     let line = geom.line_index(obj.start);
-    let mesi_ev = inv_events(&truth.line_records(geom.line_start(line)));
-    flight.reset();
-    drop(_g);
+    let mesi_ev = inv_events(
+        &mesi
+            .recording()
+            .unwrap()
+            .line_records(geom.line_start(line)),
+    );
 
     assert!(!mesi_ev.is_empty(), "ping-pong must invalidate under MESI");
     let traced: Vec<_> = report

@@ -28,8 +28,9 @@ use predator_shadow::SimSpace;
 
 const BASE: u64 = 0x4000_0000;
 
-/// The flight recorder is process-global and the cases share this binary:
-/// the recorder-on case holds this exclusively, every other case shares it.
+/// The recorder switch is process-global and a detector reads it when it
+/// is built: the recorder-on cases hold this exclusively while they build
+/// theirs, every other case shares it.
 static RECORDER: RwLock<()> = RwLock::new(());
 
 fn repo_path(rel: &str) -> PathBuf {
@@ -238,15 +239,13 @@ fn site_names(report: &Report) -> Vec<String> {
 #[test]
 fn attribution_live_session() {
     let _recorder_on = RECORDER.write().unwrap_or_else(|e| e.into_inner());
-    recorder().reset();
     recorder().enable(4);
     let (s, events) = attribution_fixture();
+    recorder().disable();
     for a in &events {
         s.runtime().handle_access(a.tid, a.addr, a.size, a.kind);
     }
     let report = normalized(s.report());
-    recorder().disable();
-    recorder().reset();
 
     // The fixture must keep reaching what it exists to pin.
     let mut deltas_by_object = BTreeMap::<u64, BTreeSet<u64>>::new();
@@ -306,11 +305,9 @@ fn attribution_ptrace_directory() {
         normalized(out.report)
     };
     let plain = analyze();
-    recorder().reset();
     recorder().enable(4);
     let recorded = analyze();
     recorder().disable();
-    recorder().reset();
     std::fs::remove_file(&path).ok();
 
     let mut stripped = recorded.clone();

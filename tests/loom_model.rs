@@ -34,6 +34,7 @@ use loom::sync::atomic::{AtomicU64, Ordering};
 use loom::sync::Arc;
 
 use predator::core::lockfree::{self, batch, crosses_threshold, Offer, RawU64, Shared};
+use predator::obs::recorder::{Rec, RecKind, Ring};
 use predator::sim::packed;
 use predator::sim::{AccessKind, ThreadId};
 
@@ -291,5 +292,71 @@ fn publish_once_has_a_single_winner() {
             published == 1 || published == 2,
             "losers leave the winner's value intact"
         );
+    });
+}
+
+/// The loom cell as a flight-recorder ring's lock word sees it: a failed
+/// compare-exchange is a spin-wait's miss, so it yields (the shim parks the
+/// thread until the word changes). The ring issues no other compare-exchange.
+#[derive(Default)]
+struct SpinCell(LoomCell);
+
+impl RawU64 for SpinCell {
+    fn load(&self) -> u64 {
+        self.0.load()
+    }
+
+    fn cas(&self, current: u64, new: u64) -> Result<u64, u64> {
+        let res = self.0.cas(current, new);
+        if res.is_err() {
+            loom::thread::yield_now();
+        }
+        res
+    }
+
+    fn fetch_add(&self, val: u64) -> u64 {
+        self.0.fetch_add(val)
+    }
+
+    fn store(&self, val: u64) {
+        self.0.store(val)
+    }
+}
+
+/// A shared detector's flight-recorder ring: two threads push one record
+/// each into a ring of depth 1 (the second evicts the first) while a third
+/// reads it. The ring's lock word comes before the clock, so every record
+/// the reader sees is whole — the seq, thread and word of one push — and
+/// the ring ends up holding the push with the later timestamp.
+#[test]
+fn ring_records_stay_whole_under_concurrent_pushes() {
+    check(|| {
+        let ring = Arc::new(Ring::<SpinCell>::new(0, 1));
+        let clock = Arc::new(SpinCell::default());
+        let pushers: Vec<_> = (0..2u16)
+            .map(|t| {
+                let (ring, clock) = (Arc::clone(&ring), Arc::clone(&clock));
+                loom::thread::spawn(move || {
+                    let seq = ring.push(Shared, &*clock, t, 10 + t as u8, &[RecKind::Write]);
+                    (seq, t)
+                })
+            })
+            .collect();
+        let seen = ring.records(Shared);
+        let pushed: Vec<(u64, u16)> = pushers.into_iter().map(|h| h.join().unwrap()).collect();
+        let whole = |r: &Rec| {
+            r.kind == RecKind::Write
+                && r.word == 10 + r.tid as u8
+                && pushed.contains(&(r.seq, r.tid))
+        };
+        assert!(
+            seen.len() <= 1 && seen.iter().all(whole),
+            "read {seen:?} of {pushed:?}"
+        );
+        let last = pushed.iter().max().unwrap();
+        let kept = ring.records(Shared);
+        assert_eq!(kept.len(), 1);
+        assert!(whole(&kept[0]) && (kept[0].seq, kept[0].tid) == *last);
+        assert_eq!(ring.counts(Shared), (2, 1));
     });
 }
