@@ -1,78 +1,19 @@
-//! Figure 10 — sampling-rate sensitivity.
-//!
-//! Paper: on histogram, linear_regression, reverse_index, word_count and
-//! streamcluster, lowering the sampling rate from the default 1% to 0.1%
-//! reduces overhead while *still detecting every problem* (with smaller
-//! invalidation counts); 10% costs more. Runtime normalized to the 1%
-//! default, plus the detection verdict at each rate.
+//! Figure 10 — sampling-rate sensitivity ([`predator_bench::fig10`]).
+//! Paper: lowering the sampling rate from the default 1% to 0.1% reduces
+//! overhead while *still detecting every problem*; 10% costs more.
 
-use predator_bench::{eval_config, eval_iters, header, ratio, run_tracked_with_report};
-use predator_core::DetectorConfig;
-use predator_workloads::{by_name, WorkloadConfig};
+use predator_bench::{eval_iters, fig10, print};
 
 fn main() {
     let iters = eval_iters();
-    let cfg = WorkloadConfig {
+    print(
+        "Figure 10: sampling rate sensitivity",
         iters,
-        ..WorkloadConfig::default()
-    };
-
-    // Detection must stay meaningful at 0.1%: scale the report threshold
-    // with the sampling rate like the paper's fixed threshold effectively
-    // does against its much longer runs.
-    let det_at = |rate: f64| -> DetectorConfig {
-        let base = eval_config();
-        DetectorConfig {
-            report_threshold: ((base.report_threshold as f64) * rate / 0.01).max(2.0) as u64,
-            ..base
-        }
-        .with_sampling_rate(rate)
-    };
-
-    header("Figure 10: sampling rate sensitivity");
-    println!(
-        "{:<20} {:>16} {:>16} {:>16}",
-        "workload", "0.1% (norm/det)", "1% (norm/det)", "10% (norm/det)"
+        1,
+        &fig10(iters),
     );
-
-    let names = [
-        "histogram",
-        "linear_regression",
-        "reverse_index",
-        "word_count",
-        "streamcluster",
-    ];
-    let mut avgs = [0.0f64; 3];
-    for name in names {
-        let w = by_name(name).unwrap();
-        let mut cells = Vec::new();
-        let (base_time, _) = run_tracked_with_report(w.as_ref(), det_at(0.01), &cfg);
-        for (i, rate) in [0.001, 0.01, 0.1].into_iter().enumerate() {
-            let (t, report) = run_tracked_with_report(w.as_ref(), det_at(rate), &cfg);
-            let norm = ratio(t, base_time);
-            avgs[i] += norm;
-            cells.push(format!(
-                "{:.2}x/{}",
-                norm,
-                if report.has_false_sharing() {
-                    "yes"
-                } else {
-                    "MISS"
-                }
-            ));
-        }
-        println!(
-            "{:<20} {:>16} {:>16} {:>16}",
-            name, cells[0], cells[1], cells[2]
-        );
-    }
     println!(
-        "{:<20} {:>16} {:>16} {:>16}",
-        "AVERAGE",
-        format!("{:.2}x", avgs[0] / names.len() as f64),
-        format!("{:.2}x", avgs[1] / names.len() as f64),
-        format!("{:.2}x", avgs[2] / names.len() as f64)
+        "\npaper: all problems still detected at 0.1% (with fewer invalidations);\n       \
+         lower rates run faster, 10% slower."
     );
-    println!("\npaper: all problems still detected at 0.1% (with fewer invalidations);");
-    println!("       lower rates run faster, 10% slower.");
 }

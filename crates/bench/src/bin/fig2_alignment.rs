@@ -1,112 +1,61 @@
-//! Figure 2 — object alignment sensitivity of `linear_regression`.
+//! Figure 2 — object alignment sensitivity of `linear_regression`: the
+//! `lreg_args` array at offsets 0..56 (step 8) past a line boundary. The
+//! paper's shape: offsets 0 and 56 fast, offset 24 worst (~15× on their
+//! machine — the hot tail of each 64-byte element straddles a line).
 //!
-//! Sweeps the starting offset of the `lreg_args` array relative to cache-line
-//! boundaries (0..56 bytes, step 8). The paper's shape: offsets 0 and 56 are
-//! fast (no false sharing), offset 24 is worst (~15× on their machine — the
-//! hot tail of each 64-byte element straddles a line and ping-pongs with
-//! both neighbors).
-//!
-//! Two sweeps are printed:
-//!
-//! 1. **Simulated** — the access pattern fed through the detector at each
-//!    offset; reports exact invalidation counts and a modeled runtime
-//!    (1 hit-unit per access + 100 per invalidation). Host-independent: this
-//!    reproduces the curve even on a single-core container, where real
-//!    threads never contend.
-//! 2. **Native** — real threads, real memory, wall clock. Meaningful only
-//!    with ≥2 physical cores (the paper's §5.2 notes that same-core threads
-//!    suffer no false-sharing penalty).
-//!
-//! ```text
-//! cargo run -p predator-bench --release --bin fig2_alignment
-//! PREDATOR_ITERS=5000000 cargo run -p predator-bench --release --bin fig2_alignment
-//! ```
+//! 1. **Simulated** ([`predator_bench::fig2_sim`], 4 threads × 50 000
+//!    iterations): exact invalidations and a modeled runtime on any host.
+//! 2. **Native**: one thread per core (at most 8), `PREDATOR_ITERS`
+//!    iterations each (default 2 000 000), median wall time of
+//!    `PREDATOR_REPS` runs. Meaningful only with ≥ 2 cores (§5.2: threads
+//!    on one core suffer no false-sharing penalty).
 
-use predator_bench::{
-    eval_reps, header, lreg_offset_invalidations, median_time, modeled_time, ratio,
-};
+use std::time::Duration;
+
+use predator_bench::{env_or, eval_reps, fig2_sim, median_time, print, ratio, Row};
 use predator_workloads::phoenix::linear_regression::LinearRegression;
 use predator_workloads::WorkloadConfig;
 
-fn main() {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(4);
+/// A native row: offset, median wall time, and the best offset's time.
+struct Native(usize, Duration, Duration);
 
-    header("Figure 2 (simulated): invalidations & modeled runtime vs. offset");
-    let sim_iters = 50_000u64;
-    println!("threads=4 iters={sim_iters} (deterministic interleaved schedule)\n");
-    println!(
-        "{:<12} {:>14} {:>16} {:>10}",
-        "offset (B)", "invalidations", "modeled time", "vs best"
-    );
-    let sims: Vec<(usize, u64, f64)> = (0..64)
-        .step_by(8)
-        .map(|off| {
-            let (acc, inv) = lreg_offset_invalidations(off as u64, 4, sim_iters);
-            (off, inv, modeled_time(acc, inv))
-        })
-        .collect();
-    let best = sims.iter().map(|s| s.2).fold(f64::INFINITY, f64::min);
-    for (off, inv, t) in &sims {
-        println!("{:<12} {:>14} {:>16.0} {:>9.2}x", off, inv, t, t / best);
+impl Row for Native {
+    const COLUMNS: &'static str = "offset (B)\ttime (ms)\tvs best";
+
+    fn cells(&self) -> String {
+        let (ms, vs_best) = (self.1.as_secs_f64() * 1e3, ratio(self.1, self.2));
+        format!("{}\t{ms:.3}\t{vs_best:.2}x", self.0)
     }
-    let worst = sims.iter().map(|s| s.2).fold(0.0f64, f64::max);
-    let worst_offsets: Vec<String> = sims
-        .iter()
-        .filter(|s| s.2 >= worst * 0.99)
-        .map(|s| s.0.to_string())
-        .collect();
+}
+
+fn main() {
+    let sims = fig2_sim(50_000);
+    let title = "Figure 2 (simulated): invalidations & modeled runtime vs. offset";
+    print(title, 50_000, 1, &sims);
+    let worst = sims.iter().map(|s| s.vs_best).fold(0.0, f64::max);
+    let worst_offsets = sims.iter().filter(|s| s.vs_best >= worst * 0.99);
+    let worst_offsets: Vec<String> = worst_offsets.map(|s| s.offset.to_string()).collect();
     println!(
-        "\nsimulated worst offsets: {{{}}} bytes at {:.1}x over best.",
-        worst_offsets.join(", "),
-        worst / best
-    );
-    println!(
-        "paper: clean at 0 and 56, worst at 24 (~15x measured); the invalidation\n\
+        "\nsimulated worst offsets: {{{}}} bytes at {worst:.1}x over best.\n\
+         paper: clean at 0 and 56, worst at 24 (~15x measured); the invalidation\n\
          model yields a flat plateau wherever the hot field block straddles a\n\
-         line (offsets 8-32), at the same magnitude."
+         line (offsets 8-32), at the same magnitude.",
+        worst_offsets.join(", ")
     );
 
-    header("Figure 2 (native): wall time vs. offset");
-    let iters = std::env::var("PREDATOR_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2_000_000u64);
     let cfg = WorkloadConfig {
-        threads,
-        iters,
+        threads: std::thread::available_parallelism().map_or(4, |n| n.get().min(8)),
+        iters: env_or("PREDATOR_ITERS", 2_000_000),
         ..WorkloadConfig::default()
     };
     let reps = eval_reps();
-    println!("threads={threads} iters/thread={iters} reps={reps} (median)");
-    if threads < 2
-        || std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            < 2
-    {
-        println!("WARNING: <2 cores available — false sharing cannot affect wall time here.\n");
-    } else {
-        println!();
-    }
-    println!("{:<12} {:>12} {:>10}", "offset (B)", "time (ms)", "vs best");
-    let results: Vec<_> = (0..64)
-        .step_by(8)
-        .map(|offset| {
-            (
-                offset,
-                median_time(reps, || LinearRegression.run_native_offset(&cfg, offset)),
-            )
-        })
-        .collect();
-    let best = results.iter().map(|(_, d)| *d).min().unwrap();
-    for (offset, d) in &results {
-        println!(
-            "{:<12} {:>12.3} {:>9.2}x",
-            offset,
-            d.as_secs_f64() * 1e3,
-            ratio(*d, best)
-        );
-    }
+    let time = |off| median_time(reps, || LinearRegression.run_native_offset(&cfg, off));
+    let times: Vec<Duration> = (0..64).step_by(8).map(time).collect();
+    let best = *times.iter().min().unwrap();
+    let rows = times
+        .iter()
+        .enumerate()
+        .map(|(i, &d)| Native(i * 8, d, best));
+    let title = "Figure 2 (native): wall time vs. offset";
+    print(title, cfg.iters, reps, &rows.collect::<Vec<_>>());
 }

@@ -1,97 +1,22 @@
-//! Figures 8 and 9 — memory overhead of PREDATOR.
-//!
-//! Figure 8 plots absolute physical memory (original vs. with PREDATOR);
-//! Figure 9 the ratio. Paper shape: under 50% overhead for 17 of 22
-//! applications; large *relative* outliers only where the application
-//! footprint is tiny (swaptions and aget are sub-megabyte, so PREDATOR's
-//! fixed-size structures dominate their ratios; 7.8× / 6.8× in Figure 9).
-//!
-//! We account detector metadata exactly instead of sampling
-//! `/proc/self/smaps`, split into:
-//!
-//! * **fixed** — the `CacheWrites`/`CacheTracking` shadow arrays: 12 bytes
-//!   per shadowed 64-byte line (≈ 19% of the shadowed heap), paid up front
-//!   for the whole predefined heap regardless of use — the same design the
-//!   paper inherits from its fixed-address custom heap;
-//! * **dynamic** — per-line tracking state and prediction units,
-//!   proportional to how much memory actually saw heavy writes.
-//!
-//! Because our workloads are miniatures (kilobytes of live data), the fixed
-//! part dominates every ratio; the *dynamic* column is the size-dependent
-//! signal that scales the way the paper's per-application differences do.
+//! Figures 8 and 9 — absolute and relative memory overhead
+//! ([`predator_bench::fig8_9`], detector metadata accounted exactly).
+//! Paper: under 50% overhead for 17 of 22 applications; large *relative*
+//! outliers only where the footprint is tiny (swaptions and aget, 7.8× /
+//! 6.8× in Figure 9). Our workloads are miniatures, so the fixed shadow
+//! arrays dominate every ratio; the dynamic column is the size-dependent
+//! signal.
 
-use predator_bench::{eval_config, eval_iters, header};
-use predator_core::Session;
-use predator_workloads::{all, WorkloadConfig};
+use predator_bench::{eval_iters, fig8_9, print, FIG8_HEAP_BYTES};
 
 fn main() {
     let iters = eval_iters();
-    let cfg = WorkloadConfig {
-        iters,
-        ..WorkloadConfig::default()
-    };
-    let det = eval_config();
-    // A heap sized for the miniature workloads (4 MiB) keeps the fixed
-    // shadow arrays proportionate, as the paper's fixed heap is to its
-    // applications.
-    let heap_bytes = 4u64 << 20;
-
-    header("Figures 8-9: memory overhead");
+    print("Figures 8-9: memory overhead", iters, 1, &fig8_9(iters));
     println!(
-        "{:<20} {:>11} {:>12} {:>13} {:>10} {:>10}",
-        "workload", "app (KiB)", "fixed (KiB)", "dynamic (KiB)", "rel total", "rel dyn"
+        "\nfixed = CacheWrites + CacheTracking shadow arrays (12 B per 64 B line,\n        \
+         paid for the whole {} MiB predefined heap).\n\
+         paper shape: modest ratios for real-sized apps; tiny-footprint apps\n             \
+         (swaptions, aget) are the big relative outliers — here every\n             \
+         workload is miniature, so the fixed part dominates all rows.",
+        FIG8_HEAP_BYTES >> 20
     );
-
-    let mut totals = Vec::new();
-    let mut dyns = Vec::new();
-    for w in all() {
-        let session = Session::new(det, heap_bytes);
-        w.run_tracked(&session, &cfg);
-        let rt = session.runtime();
-        let app = session.heap().live_bytes() as f64 / 1024.0;
-        let fixed = rt.metadata_fixed_bytes() as f64 / 1024.0;
-        let dynamic = rt.metadata_dynamic_bytes() as f64 / 1024.0;
-        let rel_total = if app > 0.0 {
-            (app + fixed + dynamic) / app
-        } else {
-            f64::NAN
-        };
-        let rel_dyn = if app > 0.0 {
-            (app + dynamic) / app
-        } else {
-            f64::NAN
-        };
-        totals.push(rel_total);
-        dyns.push(rel_dyn);
-        println!(
-            "{:<20} {:>11.1} {:>12.1} {:>13.1} {:>9.2}x {:>9.2}x",
-            w.name(),
-            app,
-            fixed,
-            dynamic,
-            rel_total,
-            rel_dyn
-        );
-    }
-    let avg = |v: &[f64]| {
-        v.iter().filter(|r| r.is_finite()).sum::<f64>()
-            / v.iter().filter(|r| r.is_finite()).count() as f64
-    };
-    println!(
-        "{:<20} {:>11} {:>12} {:>13} {:>9.2}x {:>9.2}x",
-        "AVERAGE",
-        "",
-        "",
-        "",
-        avg(&totals),
-        avg(&dyns)
-    );
-    println!("\nfixed = CacheWrites + CacheTracking shadow arrays (12 B per 64 B line,");
-    println!(
-        "        paid for the whole {} MiB predefined heap).",
-        heap_bytes >> 20
-    );
-    println!("paper shape: modest ratios for real-sized apps; tiny-footprint apps");
-    println!("             (swaptions, aget) are the big relative outliers — here every");
-    println!("             workload is miniature, so the fixed part dominates all rows.");
 }

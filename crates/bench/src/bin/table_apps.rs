@@ -1,85 +1,15 @@
-//! §4.1.2 — real applications.
-//!
-//! Paper findings: PREDATOR pinpoints the known false sharing in **MySQL**
-//! (the InnoDB scalability collapse, worth 6× when fixed) and the **Boost**
-//! spinlock pool (40%); **memcached / aget / pbzip2 / pfscan** show no
-//! severe false sharing.
+//! §4.1.2 — real applications ([`predator_bench::apps`]). Paper: PREDATOR
+//! pinpoints the known false sharing in **MySQL** (worth 6× when fixed) and
+//! the **Boost** spinlock pool (40%); **memcached / aget / pbzip2 /
+//! pfscan** show none. The improvement is projected as in Table 1.
 
-use predator_bench::{
-    eval_config, eval_iters, eval_reps, header, mark, median_time, projected_improvement,
-};
-use predator_workloads::{by_name, run_and_report, Variant, WorkloadConfig};
+use predator_bench::{apps, eval_iters, eval_reps, print, time_fix};
 
 fn main() {
-    let iters = eval_iters();
-    let det = eval_config();
-    let reps = eval_reps();
-
-    header("Real applications (§4.1.2)");
-    println!(
-        "{:<12} {:>10} {:>22} {:>14}",
-        "application", "detected", "attribution", "improvement"
-    );
-
-    for name in ["mysql", "boost", "memcached", "aget", "pbzip2", "pfscan"] {
-        let w = by_name(name).expect("workload");
-        let cfg = WorkloadConfig {
-            iters,
-            ..WorkloadConfig::default()
-        };
-        let report = run_and_report(w.as_ref(), det, &cfg);
-        let detected = report.has_false_sharing();
-        let site = report
-            .false_sharing()
-            .next()
-            .map(|f| match &f.object.site {
-                predator_core::SiteKind::Heap { callsite, .. } => callsite
-                    .frames
-                    .first()
-                    .map(|fr| fr.to_string())
-                    .unwrap_or_else(|| "heap".into()),
-                predator_core::SiteKind::Global { name } => {
-                    let mut n = name.clone();
-                    n.truncate(22);
-                    n
-                }
-                predator_core::SiteKind::Unknown => "<unknown>".into(),
-            })
-            .unwrap_or_else(|| "-".into());
-
-        let improvement = if detected {
-            // Projected from exact invalidation rates over the native fixed
-            // runtime (see table1_detection); PREDATOR_NATIVE=1 additionally
-            // times native broken-vs-fixed (meaningful only on multicore).
-            format!(
-                "{:+.2}%",
-                projected_improvement(w.as_ref(), &cfg, iters.max(200_000), reps)
-            )
-        } else {
-            "-".into()
-        };
-
-        println!(
-            "{:<12} {:>10} {:>22} {:>14}",
-            name,
-            mark(detected),
-            site,
-            improvement
-        );
-
-        if detected && std::env::var("PREDATOR_NATIVE").is_ok() {
-            let ncfg = WorkloadConfig {
-                iters: iters.max(200_000),
-                ..WorkloadConfig::default()
-            };
-            let broken = median_time(reps, || w.run_native(&ncfg));
-            let fixed = median_time(reps, || w.run_native(&ncfg.with_variant(Variant::Fixed)));
-            println!(
-                "    native (this host): {:+.2}%",
-                (broken.as_secs_f64() / fixed.as_secs_f64() - 1.0) * 100.0
-            );
-        }
-    }
-
+    let (iters, reps) = (eval_iters(), eval_reps());
+    let mut rows = apps(iters);
+    rows.iter_mut()
+        .for_each(|r| time_fix(&mut r.0, iters, reps));
+    print("Real applications (§4.1.2)", iters, reps, &rows);
     println!("\npaper: MySQL and Boost detected (6x / 40% when fixed); others clean.");
 }

@@ -375,9 +375,6 @@ $PRED ir examples/programs/false_sharing.pir --threads 2 --iters 2000 \
   --trace-timeline "$SMOKE/trace.json" > /dev/null
 grep -q '"traceEvents"' "$SMOKE/trace.json"
 
-echo "==> paper-figure bins still compile"
-cargo build --release -q -p predator-bench
-
 echo "==> repo benchmark: harness tests (every layer probe on tiny inputs + essence gate)"
 # benchmark/ is a package of its own (BENCHMARK.json declares it); its tests
 # run the real CLI of this checkout and hold every report to its essence.
