@@ -198,13 +198,19 @@ pub const INVALIDATION_SECONDS: f64 = 100e-9;
 /// its worst placement (offset 24, Figure 2), the danger prediction reports.
 const LATENT: &str = "linear_regression";
 
+/// Iterations of a native run [`time_fix`] times: `max(iters, 200 000)`,
+/// so the run is long enough to time.
+fn native_iters(iters: u64) -> u64 {
+    iters.max(200_000)
+}
+
 /// Projected improvement (%) of fixing a workload: the exact (unsampled)
 /// detector's invalidations on the broken layout — for [`LATENT`], at its
-/// worst placement — × 100 ns, over the native fixed variant's wall time
-/// at `max(iters, 200 000)` iterations. The projection assumes the
-/// detector's adversarial interleaving, so magnitudes are upper bounds; the
-/// paper's severity *ordering* is the reproduction target.
-pub fn projected_improvement(w: &dyn Workload, cfg: &WorkloadConfig, reps: usize) -> f64 {
+/// worst placement — × 100 ns, over `t_fixed`, the native fixed variant's
+/// median wall time at [`native_iters`] iterations. The projection assumes
+/// the detector's adversarial interleaving, so magnitudes are upper bounds;
+/// the paper's severity *ordering* is the reproduction target.
+pub fn projected_improvement(w: &dyn Workload, cfg: &WorkloadConfig, t_fixed: Duration) -> f64 {
     let model_iters = cfg.iters.min(20_000);
     let inv_model = if w.name() == LATENT {
         lreg_offset_invalidations(24, cfg.threads, model_iters).1
@@ -213,11 +219,8 @@ pub fn projected_improvement(w: &dyn Workload, cfg: &WorkloadConfig, reps: usize
         w.run_tracked(&session, &cfg.with_iters(model_iters));
         session.runtime().total_invalidations()
     };
-    let native_iters = cfg.iters.max(200_000);
-    let ncfg = cfg.with_iters(native_iters).with_variant(Variant::Fixed);
-    let t_fixed = median_time(reps, || w.run_native(&ncfg)).as_secs_f64();
-    let scaled_inv = inv_model as f64 * (native_iters as f64 / model_iters as f64);
-    scaled_inv * INVALIDATION_SECONDS / t_fixed.max(1e-9) * 100.0
+    let scaled_inv = inv_model as f64 * (native_iters(cfg.iters) as f64 / model_iters as f64);
+    scaled_inv * INVALIDATION_SECONDS / t_fixed.as_secs_f64().max(1e-9) * 100.0
 }
 
 /// One false-sharing finding: a heap object's call stack (innermost
@@ -304,19 +307,20 @@ fn detections(suites: &[Suite], iters: u64) -> Vec<Detection> {
 
 /// Fills a detected row's wall-clock columns: the projected improvement
 /// and, with `PREDATOR_NATIVE` set, the median native broken-vs-fixed gap
-/// at `max(iters, 200 000)` iterations, which shows something only on
-/// several cores (§5.2's same-core caveat).
+/// at [`native_iters`] iterations, which shows something only on several
+/// cores (§5.2's same-core caveat). The fixed variant is timed once and
+/// serves both.
 pub fn time_fix(row: &mut Detection, iters: u64, reps: usize) {
     if !(row.with || row.without) {
         return;
     }
     let w = by_name(row.workload).expect("workload");
     let cfg = WorkloadConfig::default().with_iters(iters);
-    row.improvement = Some(projected_improvement(w.as_ref(), &cfg, reps));
+    let ncfg = cfg.with_iters(native_iters(iters));
+    let fixed = median_time(reps, || w.run_native(&ncfg.with_variant(Variant::Fixed)));
+    row.improvement = Some(projected_improvement(w.as_ref(), &cfg, fixed));
     if std::env::var("PREDATOR_NATIVE").is_ok() {
-        let ncfg = cfg.with_iters(iters.max(200_000));
         let broken = median_time(reps, || w.run_native(&ncfg));
-        let fixed = median_time(reps, || w.run_native(&ncfg.with_variant(Variant::Fixed)));
         row.native = Some((ratio(broken, fixed) - 1.0) * 100.0);
     }
 }

@@ -5,9 +5,9 @@
 //! the tracked-line hot path in that spirit while keeping the one count that
 //! the detector's verdicts hinge on — **invalidations** — exact:
 //!
-//! * the two-entry history table (§2.3.1) is packed into a single `AtomicU64`
-//!   ([`predator_sim::packed`]) and advanced by a CAS loop over the *pure*
-//!   sequential transition function, so every interleaving of concurrent
+//! * the two-entry history table (§2.3.1) is one `AtomicU64` holding a
+//!   [`HistoryTable`]'s bits, advanced by a CAS loop over the *pure*
+//!   [`HistoryTable::record`], so every interleaving of concurrent
 //!   accesses linearizes to some serial order and no invalidation is ever
 //!   lost or double-counted (model-checked in `tests/loom_model.rs`);
 //! * word/line counters are plain `Relaxed` atomics fed through a per-line
@@ -19,7 +19,11 @@
 //! * the only ordering stronger than `Relaxed` is an `Acquire` fence on the
 //!   threshold-promotion edge, taken once per `PredictionThreshold` writes,
 //!   so the hot-pair analysis that follows observes the counter updates
-//!   drained before the threshold was crossed.
+//!   drained before the threshold was crossed;
+//! * the prediction units attached to a line are one immutable array
+//!   behind one pointer (`UnitList`): an attach publishes a copy plus the
+//!   new unit by a `Release` CAS, the walk is an `Acquire` load and a
+//!   slice, and replaced arrays live until the list drops.
 //!
 //! The algorithms are generic twice over ([`predator_shadow::mode`]). Over
 //! the cell, [`RawU64`]: `std::sync::atomic::AtomicU64` in production, the
@@ -33,20 +37,21 @@
 
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
 
-use predator_sim::{packed, AccessKind, Owner, ThreadId, WordState, WordTracker};
+use predator_sim::{AccessKind, HistoryTable, Owner, ThreadId, WordState, WordTracker};
 
 pub use predator_shadow::mode::{Exclusive, Mode, RawU64, Shared};
 
-/// Advances a packed history table (see [`predator_sim::packed`]) by one
-/// access, lock-free. Returns `(previous_packed_table, invalidated)`.
+/// Advances the [`HistoryTable`] bits in `hist` by one access, lock-free.
+/// Returns `(previous_table_bits, invalidated)`.
 ///
-/// The CAS loop applies the pure `HistoryTable::record` transition; because
+/// The CAS loop applies the pure [`HistoryTable::record`]; because
 /// an access whose transition is the identity never invalidates, the common
 /// case of a thread re-touching a line it already owns is a single relaxed
 /// load with no RMW at all. Every *successful* CAS is one linearized
 /// application of the sequential rules, so summing the returned `invalidated`
 /// flags across threads counts exactly the invalidations of the history's
 /// modification order — no interleaving can lose or duplicate one.
+#[inline(always)]
 pub fn record_history<M: Mode, A: RawU64>(
     m: M,
     hist: &A,
@@ -55,11 +60,12 @@ pub fn record_history<M: Mode, A: RawU64>(
 ) -> (u64, bool) {
     let mut cur = hist.load();
     loop {
-        let (next, invalidated) = packed::transition(cur, tid, kind);
-        if next == cur {
+        let mut next = HistoryTable(cur);
+        let invalidated = next.record(tid, kind);
+        if next.0 == cur {
             return (cur, false);
         }
-        match m.cas(hist, cur, next) {
+        match m.cas(hist, cur, next.0) {
             Ok(_) => return (cur, invalidated),
             Err(actual) => cur = actual,
         }
@@ -185,6 +191,7 @@ pub enum Offer {
 /// Conservation invariant (model-checked): every offered access is counted
 /// exactly once — either inside the batch word (pending) or by the caller
 /// that drains it — under all interleavings.
+#[inline(always)]
 pub fn offer_batch<M: Mode, A: RawU64>(
     m: M,
     slot: &A,
@@ -314,7 +321,7 @@ const LAST_PRESENT: u32 = 1 << 31;
 /// Lock-free shadow state for one tracked cache line.
 #[derive(Debug)]
 pub(crate) struct RelaxedLine {
-    /// Packed two-entry history table ([`predator_sim::packed`]).
+    /// The two-entry history table's bits ([`HistoryTable`]).
     hist: AtomicU64,
     /// Batch slot ([`batch`] encoding).
     slot: AtomicU64,
@@ -338,7 +345,7 @@ pub(crate) struct RelaxedOutcome {
 impl RelaxedLine {
     pub fn new(words_per_line: usize) -> Self {
         RelaxedLine {
-            hist: AtomicU64::new(packed::EMPTY),
+            hist: AtomicU64::new(HistoryTable::new().0),
             slot: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
             reads: AtomicU64::new(0),
@@ -353,7 +360,10 @@ impl RelaxedLine {
     ///
     /// `lo_word..=hi_word` is the access's in-line word span (empty span
     /// callers skip the counter path); `prediction_threshold` is
-    /// `u64::MAX`-like (never crossed) when prediction is off.
+    /// `u64::MAX`-like (never crossed) when prediction is off. Inlined into
+    /// `CacheTrack::record_sampled`, whose frame is the admitted access's
+    /// only one.
+    #[inline(always)]
     pub fn record<M: Mode>(
         &self,
         m: M,
@@ -475,7 +485,7 @@ impl RelaxedLine {
 
     /// Clears all recorded state (the metadata refresh on object free).
     pub fn reset(&self) {
-        self.hist.store(packed::EMPTY, Ordering::Relaxed);
+        self.hist.store(HistoryTable::new().0, Ordering::Relaxed);
         self.slot.store(0, Ordering::Relaxed);
         self.invalidations.store(0, Ordering::Relaxed);
         self.reads.store(0, Ordering::Relaxed);
@@ -530,40 +540,40 @@ impl RelaxedLine {
     }
 }
 
-// ---- lock-free unit list ----
+// ---- lock-free unit array ----
 
 use std::sync::atomic::AtomicPtr;
 use std::sync::Arc;
 
 use crate::predict::PredictionUnit;
 
-struct UnitNode {
-    /// The unit's virtual range, `[start, end)`, copied in so the walk tests
-    /// it without loading the unit.
+/// One attached unit, with its virtual range `[start, end)` copied in so the
+/// walk tests it without loading the unit.
+struct UnitEntry {
     start: u64,
     end: u64,
     unit: Arc<PredictionUnit>,
-    next: *mut UnitNode,
 }
 
-/// Append-only lock-free list of prediction units attached to a line.
+/// One published generation of a line's units, oldest first; never written
+/// after its publication. `prev` is the generation it replaced.
+struct UnitArray {
+    units: Box<[UnitEntry]>,
+    prev: *mut UnitArray,
+}
+
+/// The prediction units attached to a line: one pointer to an immutable
+/// array.
 ///
-/// Attachment is rare (once per unit per overlapped line) while traversal is
-/// the per-sampled-access hot path, so the structure optimizes reads: a
-/// singly-linked list published by a Release CAS on the head and walked with
-/// Acquire loads, whose nodes carry their unit's range. Nodes are never
-/// unlinked before the list drops, so traversals need no reclamation scheme.
+/// Attachment is rare (once per unit per overlapped line) while the walk is
+/// the per-sampled-access hot path, so the structure optimizes reads: the
+/// walk is one `Acquire` load and a slice. Attaching copies the array plus
+/// the new unit and publishes the copy by a `Release` CAS on the pointer.
+/// A replaced array stays readable, chained from its successor, until the
+/// list drops, so walks need no reclamation scheme.
 #[derive(Debug)]
 pub(crate) struct UnitList {
-    head: AtomicPtr<UnitNode>,
-}
-
-impl std::fmt::Debug for UnitNode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("UnitNode")
-            .field("key", &self.unit.key)
-            .finish()
-    }
+    head: AtomicPtr<UnitArray>,
 }
 
 impl UnitList {
@@ -573,49 +583,59 @@ impl UnitList {
         }
     }
 
-    /// Appends `unit` unless a unit with the same key is already present.
-    /// Linearizable dedup: after a failed CAS the whole list is rescanned
-    /// from the new head, so two racing inserts of one key cannot both land.
+    /// The current generation's units, oldest first.
+    #[inline(always)]
+    fn current(&self) -> (*mut UnitArray, &[UnitEntry]) {
+        let head = self.head.load(Ordering::Acquire);
+        // SAFETY: a published array is never written and is freed only
+        // when the list drops.
+        let units = unsafe { head.as_ref() }.map_or(&[][..], |a| &a.units);
+        (head, units)
+    }
+
+    /// Attaches `unit` unless a unit with the same key is already present.
+    /// Linearizable dedup: after a failed CAS the new current array is
+    /// rescanned, so two racing attaches of one key cannot both land.
     pub fn push_if_absent(&self, unit: Arc<PredictionUnit>) -> bool {
-        let mut node = Box::new(UnitNode {
-            start: unit.range.start,
-            end: unit.range.start + unit.range.size,
-            unit,
-            next: std::ptr::null_mut(),
-        });
+        let (start, end) = (unit.range.start, unit.range.start + unit.range.size);
         loop {
-            let head = self.head.load(Ordering::Acquire);
-            let mut cur = head;
-            while !cur.is_null() {
-                let n = unsafe { &*cur };
-                if n.unit.key == node.unit.key {
-                    return false;
-                }
-                cur = n.next;
+            let (head, units) = self.current();
+            if units.iter().any(|e| e.unit.key == unit.key) {
+                return false;
             }
-            node.next = head;
-            let raw = Box::into_raw(node);
+            let copy = units.iter().map(|e| UnitEntry {
+                unit: e.unit.clone(),
+                ..*e
+            });
+            let next = Box::into_raw(Box::new(UnitArray {
+                units: copy
+                    .chain([UnitEntry {
+                        start,
+                        end,
+                        unit: unit.clone(),
+                    }])
+                    .collect(),
+                prev: head,
+            }));
             match self
                 .head
-                .compare_exchange(head, raw, Ordering::Release, Ordering::Acquire)
+                .compare_exchange(head, next, Ordering::Release, Ordering::Acquire)
             {
                 Ok(_) => return true,
-                Err(_) => node = unsafe { Box::from_raw(raw) },
+                // SAFETY: never published; dropping it leaves `head` alone.
+                Err(_) => drop(unsafe { Box::from_raw(next) }),
             }
         }
     }
 
     /// Visits every attached unit whose range contains `addr` (newest
-    /// first); the others cost a compare on their node.
-    #[inline]
+    /// first); the others cost a compare on their entry.
+    #[inline(always)]
     pub fn for_each_containing(&self, addr: u64, mut f: impl FnMut(&PredictionUnit)) {
-        let mut cur = self.head.load(Ordering::Acquire);
-        while !cur.is_null() {
-            let n = unsafe { &*cur };
-            if n.start <= addr && addr < n.end {
-                f(&n.unit);
+        for e in self.current().1.iter().rev() {
+            if e.start <= addr && addr < e.end {
+                f(&e.unit);
             }
-            cur = n.next;
         }
     }
 }
@@ -624,13 +644,14 @@ impl Drop for UnitList {
     fn drop(&mut self) {
         let mut cur = *self.head.get_mut();
         while !cur.is_null() {
-            let boxed = unsafe { Box::from_raw(cur) };
-            cur = boxed.next;
+            // SAFETY: every array in the chain was published once and is
+            // reachable only from here.
+            cur = unsafe { Box::from_raw(cur) }.prev;
         }
     }
 }
 
-// The raw pointers reference heap nodes owned by the list; the payloads are
+// The raw pointers reference heap arrays owned by the list; the payloads are
 // Send + Sync (`Arc<PredictionUnit>`), and all mutation is CAS-published.
 unsafe impl Send for UnitList {}
 unsafe impl Sync for UnitList {}
@@ -639,7 +660,6 @@ unsafe impl Sync for UnitList {}
 mod tests {
     use super::*;
     use predator_sim::AccessKind::{Read, Write};
-    use predator_sim::HistoryTable;
     use proptest::prelude::*;
 
     const T0: ThreadId = ThreadId(0);
@@ -647,19 +667,19 @@ mod tests {
 
     #[test]
     fn record_history_matches_sequential_rules() {
-        let h = AtomicU64::new(packed::EMPTY);
+        let h = AtomicU64::new(HistoryTable::new().0);
         let mut seq = HistoryTable::new();
         for i in 0..10u16 {
             let tid = ThreadId(i % 2);
             let (_, inv) = record_history(Shared, &h, tid, Write);
             assert_eq!(inv, seq.record(tid, Write));
         }
-        assert_eq!(packed::unpack(h.load(Ordering::Relaxed)), seq);
+        assert_eq!(h.load(Ordering::Relaxed), seq.0);
     }
 
     #[test]
     fn redundant_access_skips_rmw_and_reports_prev() {
-        let h = AtomicU64::new(packed::EMPTY);
+        let h = AtomicU64::new(HistoryTable::new().0);
         record_history(Shared, &h, T0, Write);
         let before = h.load(Ordering::Relaxed);
         let (prev, inv) = record_history(Shared, &h, T0, Write);

@@ -199,7 +199,7 @@ pub struct PredictionUnit {
     pub range: VirtualRange,
     /// The hot pair that spawned this unit.
     pub origin: HotPair,
-    /// Packed two-entry history table ([`predator_sim::packed`]).
+    /// The two-entry history table's bits ([`predator_sim::HistoryTable`]).
     history: AtomicU64,
     invalidations: AtomicU64,
     accesses: AtomicU64,
@@ -228,14 +228,16 @@ impl PredictionUnit {
             geometry,
             range: geometry.range(key.vline),
             origin,
-            history: AtomicU64::new(predator_sim::packed::EMPTY),
+            history: AtomicU64::new(predator_sim::HistoryTable::new().0),
             invalidations: AtomicU64::new(0),
             accesses: AtomicU64::new(0),
         }
     }
 
     /// Feeds one access *already known to fall inside `range`*; returns true
-    /// if it invalidated the virtual line.
+    /// if it invalidated the virtual line. Inlined into the sampled-access
+    /// walk over a line's units.
+    #[inline(always)]
     pub fn record<M: Mode>(&self, m: M, tid: ThreadId, kind: AccessKind) -> bool {
         m.add(&self.accesses, 1);
         let (_, inv) = lockfree::record_history(m, &self.history, tid, kind);

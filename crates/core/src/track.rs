@@ -12,14 +12,17 @@
 //! `Relaxed` add on an atomic access counter, made inline at the call site so
 //! an access outside the window never enters [`CacheTrack::record_sampled`];
 //! recorded accesses go through the lock-free line state in
-//! [`crate::lockfree`] — a packed-atomic history table (invalidation counts
-//! stay exact via a CAS loop over the pure §2.3.1 transition), batched
-//! `Relaxed` word/line counters, and an `Acquire` fence only on the
-//! threshold-promotion edge. The attached prediction units live in a
-//! lock-free append-only list, traversed on every sampled access; each node
-//! carries its unit's range, so the walk tests it in place. Every
-//! read-modify-write is issued under the caller's [`Mode`]: hardware RMWs
-//! when the detector is shared, load and store when one thread owns it.
+//! [`crate::lockfree`] — the history table's bits in one atomic word
+//! (invalidation counts stay exact via a CAS loop over the pure §2.3.1
+//! `HistoryTable::record`), batched `Relaxed` word/line counters, and an
+//! `Acquire` fence only on the threshold-promotion edge. The attached
+//! prediction units are one immutable array behind one pointer, walked as a
+//! slice on every sampled access; each entry carries its unit's range, so
+//! the walk tests it in place. [`CacheTrack::record_sampled`] is the
+//! admitted access's one frame: the line's record, the history CAS and each
+//! unit's record are inlined into it. Every read-modify-write is issued
+//! under the caller's [`Mode`]: hardware RMWs when the detector is shared,
+//! load and store when one thread owns it.
 //!
 //! A detector built with the flight recorder on owns a [`Flight`]: its
 //! [`FlightRecorder`] plus one [`Ring`] per tracked line, by shadow index.
@@ -31,7 +34,7 @@ use serde::{Deserialize, Serialize};
 
 use predator_obs::recorder::{FlightRecorder, Rec, RecKind, Ring, WORD_UNKNOWN};
 use predator_shadow::{ShadowLayout, TrackSlots};
-use predator_sim::{packed, Access, AccessKind, CacheGeometry, ThreadId, WordTracker};
+use predator_sim::{Access, AccessKind, CacheGeometry, HistoryTable, ThreadId, WordTracker};
 
 use crate::config::DetectorConfig;
 use crate::lockfree::{Mode, RelaxedLine, RelaxedOutcome, UnitList};
@@ -209,7 +212,7 @@ impl CacheTrack {
         let mut victims = [RecKind::Read; 2];
         let mut victim_count = 0usize;
         if invalidated && (flight.is_some() || tl.enabled()) {
-            for e in packed::unpack(prev_history).entries() {
+            for e in HistoryTable(prev_history).entries() {
                 if e.tid != tid {
                     victims[victim_count] = RecKind::Invalidation {
                         victim_tid: e.tid.index() as u16,
@@ -483,6 +486,68 @@ mod tests {
         t.attach_unit(u.clone());
         t.attach_unit(dummy_unit(0));
         assert_eq!(attached(&t), 1);
+    }
+
+    /// Four threads attach overlapping keys while a fifth walks: each key
+    /// lands once, no walk sees a key twice, and dropping the track frees
+    /// every array it retired (each held its own clone of every unit).
+    #[test]
+    fn concurrent_attach_lands_each_key_once_and_frees_retired_arrays() {
+        use std::collections::HashSet;
+        use std::sync::atomic::{AtomicBool, AtomicUsize};
+        // One unit per key, all over [0, 128); only the key tells them apart.
+        let units: Vec<_> = (0..12u64)
+            .map(|delta| {
+                let u = dummy_unit(0);
+                let key = UnitKey {
+                    kind: UnitKind::Remap { delta },
+                    vline: 0,
+                };
+                Arc::new(PredictionUnit::new(key, u.geometry, u.origin))
+            })
+            .collect();
+        let landed: Vec<_> = units.iter().map(|_| AtomicUsize::new(0)).collect();
+        let t = CacheTrack::new(0, geom());
+        let done = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(5);
+        std::thread::scope(|s| {
+            let walker = s.spawn(|| {
+                start.wait();
+                let mut walks = 0u64;
+                while !done.load(Ordering::Acquire) || walks == 0 {
+                    let mut seen = HashSet::new();
+                    t.units.for_each_containing(0, |u| {
+                        assert!(seen.insert(u.key), "{:?} seen twice", u.key);
+                    });
+                    walks += 1;
+                }
+            });
+            let attachers: Vec<_> = (0..4usize)
+                .map(|id| {
+                    let (t, units, landed, start) = (&t, &units, &landed, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        // Thread `id` attaches keys 3·id .. 3·id + 6, wrapping.
+                        for k in (0..6).map(|i| (3 * id + i) % units.len()) {
+                            if t.units.push_if_absent(units[k].clone()) {
+                                landed[k].fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    })
+                })
+                .collect();
+            attachers.into_iter().for_each(|h| h.join().unwrap());
+            done.store(true, Ordering::Release);
+            walker.join().unwrap();
+        });
+        for (k, n) in landed.iter().enumerate() {
+            assert_eq!(n.load(Ordering::Relaxed), 1, "key {k}");
+        }
+        assert_eq!(attached(&t), units.len());
+        drop(t);
+        for u in &units {
+            assert_eq!(Arc::strong_count(u), 1, "{:?}", u.key);
+        }
     }
 
     #[test]

@@ -36,6 +36,6 @@ pub mod word;
 
 pub use access::{Access, AccessKind, AccessSink, NullSink, ThreadId};
 pub use geometry::{CacheGeometry, WORD_SHIFT, WORD_SIZE};
-pub use history::{packed, HistoryEntry, HistoryTable};
+pub use history::{HistoryEntry, HistoryTable};
 pub use vline::{VirtualGeometry, VirtualRange};
 pub use word::{Owner, WordState, WordTracker};

@@ -35,8 +35,7 @@ use loom::sync::Arc;
 
 use predator::core::lockfree::{self, batch, crosses_threshold, Offer, RawU64, Shared};
 use predator::obs::recorder::{Rec, RecKind, Ring};
-use predator::sim::packed;
-use predator::sim::{AccessKind, ThreadId};
+use predator::sim::{AccessKind, HistoryTable, ThreadId};
 
 /// The loom-scheduled atomic word: same `RawU64` algorithms as production
 /// (`std::sync::atomic::AtomicU64`), different substrate. A newtype because
@@ -80,7 +79,7 @@ fn check(f: impl Fn() + Send + Sync + 'static) -> bool {
 type Op = (u16, AccessKind);
 
 /// Every serialization of the per-thread op sequences (program order kept
-/// within a thread), folded through the pure transition function. Returns
+/// within a thread), folded through the pure `HistoryTable::record`. Returns
 /// the set of reachable (final packed table, total invalidations) pairs.
 fn enumerate_serial(threads: &[Vec<Op>]) -> HashSet<(u64, u64)> {
     fn rec(
@@ -95,9 +94,10 @@ fn enumerate_serial(threads: &[Vec<Op>]) -> HashSet<(u64, u64)> {
             if pos[t] < threads[t].len() {
                 done = false;
                 let (tid, kind) = threads[t][pos[t]];
-                let (next, invalidated) = packed::transition(bits, ThreadId(tid), kind);
+                let mut next = HistoryTable(bits);
+                let invalidated = next.record(ThreadId(tid), kind);
                 pos[t] += 1;
-                rec(threads, pos, next, inv + invalidated as u64, out);
+                rec(threads, pos, next.0, inv + invalidated as u64, out);
                 pos[t] -= 1;
             }
         }
@@ -109,7 +109,7 @@ fn enumerate_serial(threads: &[Vec<Op>]) -> HashSet<(u64, u64)> {
     rec(
         threads,
         &mut vec![0; threads.len()],
-        packed::EMPTY,
+        HistoryTable::new().0,
         0,
         &mut out,
     );
