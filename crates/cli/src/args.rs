@@ -5,6 +5,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 
+use predator_core::registry::ThreadRegistry;
 use predator_core::DetectorConfig;
 use predator_policy::{Baseline, PolicyConfig, Suppressions};
 use predator_workloads::{Variant, WorkloadConfig};
@@ -48,6 +49,24 @@ impl Args {
                 .parse()
                 .map_err(|_| format!("invalid value for {name}: {v}")),
         }
+    }
+
+    /// [`Args::num`], held to `lo..=hi`.
+    pub fn num_in<T>(&self, name: &str, default: T, lo: T, hi: T) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialOrd + std::fmt::Display,
+    {
+        match self.num(name, default)? {
+            v if v < lo => Err(format!("{name} must be at least {lo}")),
+            v if v > hi => Err(format!("{name} must be at most {hi}")),
+            v => Ok(v),
+        }
+    }
+
+    /// `--threads` on `ir` and the workload verbs: at least one, and no more
+    /// than the thread registry numbers beside a workload's main thread.
+    pub fn threads(&self, default: usize) -> Result<usize, String> {
+        self.num_in("--threads", default, 1, ThreadRegistry::CAPACITY - 1)
     }
 }
 
@@ -264,12 +283,8 @@ pub(crate) fn detector_config(args: &Args) -> Result<DetectorConfig, String> {
 }
 
 pub(crate) fn workload_config(args: &Args) -> Result<WorkloadConfig, String> {
-    let threads: usize = args.num("--threads", 4usize)?;
-    if threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
     Ok(WorkloadConfig {
-        threads,
+        threads: args.threads(4)?,
         iters: args.num("--iters", 20_000u64)?,
         seed: args.num("--seed", 42u64)?,
         variant: if args.has("--fixed") {
@@ -378,6 +393,11 @@ mod tests {
         assert_eq!(cfg.variant, Variant::Fixed);
         let err = workload_config(&args(&["run", "x", "--threads", "0"])).unwrap_err();
         assert!(err.contains("--threads"), "unexpected error: {err}");
+        // The registry numbers 65 535 ids and the main thread takes one.
+        let a = args(&["run", "x", "--threads", "65534"]);
+        assert_eq!(workload_config(&a).unwrap().threads, 65_534);
+        let err = workload_config(&args(&["run", "x", "--threads", "65535"])).unwrap_err();
+        assert_eq!(err, "--threads must be at most 65534");
     }
 
     #[test]

@@ -10,11 +10,11 @@ use predator_core::{
     build_report, suggest_fixes, DetectorConfig, LayoutEdit, Predator, Report, Session,
 };
 use predator_instrument::{
-    instrument_module, parse_module, InstrumentOptions, Machine, StepSchedule, ThreadSpec,
+    instrument_module, parse_module, InstrumentOptions, Machine, ThreadSpec,
 };
 use predator_policy::{evaluate_report, to_html, to_sarif_string, Evaluation};
 use predator_shadow::SimSpace;
-use predator_sim::{Access, CacheGeometry, ThreadId};
+use predator_sim::{Access, CacheGeometry, Schedule, ThreadId};
 use predator_trace::{
     analyze_file, whatif_events, AnalyzeConfig, TraceMeta, TraceReader, TraceSink, WhatIfFix,
 };
@@ -146,6 +146,12 @@ pub(crate) fn cmd_run(args: &Args) -> Result<ExitCode, String> {
 
 pub(crate) fn cmd_ir(args: &Args) -> Result<ExitCode, String> {
     let path = &args.operands[0];
+    let threads = args.threads(2)?;
+    let iters: i64 = args.num("--iters", 10_000i64)?;
+    let stride: u64 = args.num("--stride", 8u64)?;
+    let quantum = args.num_in("--quantum", 7, 1, u64::MAX)?;
+    let det = detector_config(args)?;
+
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut module = parse_module(&text).map_err(|e| format!("parse error: {e}"))?;
     let stats = instrument_module(&mut module, &InstrumentOptions::default());
@@ -153,12 +159,6 @@ pub(crate) fn cmd_ir(args: &Args) -> Result<ExitCode, String> {
         "instrumented: {} probes ({} accesses, {} deduped)",
         stats.probes_inserted, stats.accesses_seen, stats.deduped
     );
-
-    let threads: usize = args.num("--threads", 2usize)?;
-    let iters: i64 = args.num("--iters", 10_000i64)?;
-    let stride: u64 = args.num("--stride", 8u64)?;
-    let quantum: u64 = args.num("--quantum", 7u64)?;
-    let det = detector_config(args)?;
 
     let space = SimSpace::new(1 << 20);
     let rt = Predator::for_space(det, &space);
@@ -171,7 +171,7 @@ pub(crate) fn cmd_ir(args: &Args) -> Result<ExitCode, String> {
         })
         .collect();
     machine
-        .run(&specs, StepSchedule::RoundRobin { quantum }, 1 << 32)
+        .run(&specs, Schedule::RoundRobin { quantum }, 1 << 32)
         .map_err(|e| e.to_string())?;
     let report = build_report(&rt, None);
     emit_report(args, &det, &report)

@@ -366,14 +366,43 @@ fn diff_gate_passes_clean_and_fails_regressions_nonzero() {
 }
 
 #[test]
-fn zero_threads_is_a_usage_error() {
-    let out = predator()
-        .args(["run", "histogram", "--threads", "0"])
-        .output()
-        .expect("spawn predator");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--threads"), "stderr: {stderr}");
+fn out_of_range_thread_counts_and_quanta_are_usage_errors() {
+    // Past the first row each of these ran: a clean report from no thread
+    // at all, thread ids wrapping past 65 535, a zero quantum run as 1, or a
+    // panic in the thread registry. Only refused values here: `native`
+    // starts one OS thread per `--threads`.
+    let ir = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/programs/false_sharing.pir"
+    );
+    for (argv, needle) in [
+        (
+            vec!["run", "histogram", "--threads", "0"],
+            "--threads must be at least 1",
+        ),
+        (
+            vec!["run", "histogram", "--threads", "65535"],
+            "--threads must be at most 65534",
+        ),
+        (
+            vec!["run", "histogram", "--threads", "70000"],
+            "--threads must be at most 65534",
+        ),
+        (
+            vec!["ir", ir, "--threads", "0"],
+            "--threads must be at least 1",
+        ),
+        (
+            vec!["ir", ir, "--threads", "65537"],
+            "--threads must be at most 65534",
+        ),
+        (
+            vec!["ir", ir, "--quantum", "0"],
+            "--quantum must be at least 1",
+        ),
+    ] {
+        assert_row_refuses(&argv, &[needle]);
+    }
 }
 
 #[test]

@@ -17,6 +17,9 @@ pub struct ThreadRegistry {
 }
 
 impl ThreadRegistry {
+    /// Threads [`ThreadRegistry::register`] can number: ids `0..CAPACITY`.
+    pub const CAPACITY: usize = u16::MAX as usize;
+
     /// Creates a registry with no threads registered.
     pub fn new() -> Self {
         Self::default()
@@ -25,7 +28,7 @@ impl ThreadRegistry {
     /// Registers a new thread, returning its dense id.
     pub fn register(&self) -> ThreadId {
         let id = self.next.fetch_add(1, Ordering::Relaxed);
-        assert!(id != u16::MAX, "thread id space exhausted");
+        assert!((id as usize) < Self::CAPACITY, "thread id space exhausted");
         ThreadId(id)
     }
 

@@ -2,16 +2,13 @@
 //!
 //! Executes instrumented [`Module`]s against a [`SimSpace`], delivering every
 //! [`Inst::Probe`] to an [`AccessSink`] (normally the detector runtime).
-//! Threads are stepped under an explicit [`StepSchedule`], so the adversarial
-//! interleaving PREDATOR conservatively assumes (§3.3) — or any other — can
-//! be produced reproducibly, and tests can assert *exact* invalidation
-//! counts through the whole compiler-instrumentation → runtime pipeline.
-
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+//! Threads take turns of a [`Schedule`], one instruction per unit, so the
+//! adversarial interleaving PREDATOR conservatively assumes (§3.3) — or any
+//! other — can be produced reproducibly, and tests can assert *exact*
+//! invalidation counts through the compiler-instrumentation → runtime pipeline.
 
 use predator_shadow::SimSpace;
-use predator_sim::ThreadId;
+use predator_sim::{Schedule, ThreadId, Turns};
 
 use crate::ir::{BinOp, Function, Inst, Module, Operand};
 
@@ -19,20 +16,6 @@ use crate::ir::{BinOp, Function, Inst, Module, Operand};
 // (the detector runtime implements it in `predator-core`); re-exported here
 // so existing `predator_instrument::interp::AccessSink` paths keep working.
 pub use predator_sim::{AccessSink, NullSink};
-
-/// How threads are interleaved, one instruction at a time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepSchedule {
-    /// Each live thread runs `quantum` instructions, then the next thread.
-    /// `quantum: 1` is maximal interleaving — the paper's conservative
-    /// assumption; a huge quantum approximates run-to-completion.
-    RoundRobin {
-        /// Instructions per turn.
-        quantum: u64,
-    },
-    /// Seeded uniform random choice of the next thread each step.
-    Seeded(u64),
-}
 
 /// One thread to run: entry function and arguments.
 #[derive(Debug, Clone)]
@@ -96,11 +79,11 @@ struct Frame<'m> {
 /// Maximum call depth per thread (guards runaway recursion).
 const MAX_CALL_DEPTH: usize = 256;
 
+/// A thread has finished once its entry frame returned: its stack is empty.
 struct ThreadState<'m> {
     tid: ThreadId,
     stack: Vec<Frame<'m>>,
     result: Option<i64>,
-    done: bool,
 }
 
 /// The interpreter: a module bound to a memory space and an event sink.
@@ -125,12 +108,13 @@ impl<'a> Machine<'a> {
         })
     }
 
-    /// Runs `threads` to completion under `schedule`, with a global budget of
-    /// `max_steps` instructions. Returns each thread's return value.
+    /// Runs `threads` to completion under `schedule`, one instruction per
+    /// unit of a turn, with a global budget of `max_steps` instructions.
+    /// Returns each thread's return value.
     pub fn run(
         &self,
         threads: &[ThreadSpec],
-        schedule: StepSchedule,
+        schedule: Schedule,
         max_steps: u64,
     ) -> Result<Vec<Option<i64>>, ExecError> {
         let _span = predator_obs::span("interpret");
@@ -155,16 +139,11 @@ impl<'a> Machine<'a> {
                         ret_to: None,
                     }],
                     result: None,
-                    done: func.blocks.is_empty(),
                 })
             })
             .collect::<Result<_, ExecError>>()?;
 
         let mut steps = 0u64;
-        let mut rng = match schedule {
-            StepSchedule::Seeded(seed) => Some(SmallRng::seed_from_u64(seed)),
-            StepSchedule::RoundRobin { .. } => None,
-        };
         // Trace-timeline lanes: one duration span per simulated thread
         // (named after its entry function) plus an activity marker every
         // ACTIVITY_SLICE executed instructions, so interleaving is visible
@@ -172,26 +151,13 @@ impl<'a> Machine<'a> {
         // single boolean resolved once per run.
         let tl = predator_obs::timeline();
         let tl_on = tl.enabled();
-        let mut started = vec![false; states.len()];
         let mut executed = vec![0u64; states.len()];
         const ACTIVITY_SLICE: u64 = 256;
-        let mut turn = 0usize;
-        while states.iter().any(|s| !s.done) {
-            let live: Vec<usize> = (0..states.len()).filter(|&i| !states[i].done).collect();
-            let (pick, quantum) = match schedule {
-                StepSchedule::RoundRobin { quantum } => {
-                    let pick = live[turn % live.len()];
-                    turn += 1;
-                    (pick, quantum.max(1))
-                }
-                StepSchedule::Seeded(_) => {
-                    let rng = rng.as_mut().expect("rng present for seeded schedule");
-                    (live[rng.gen_range(0..live.len())], 1)
-                }
-            };
+        let mut turns = Turns::new(schedule, 0..states.len());
+        while let Some((pick, quantum)) = turns.pick() {
             let lane = states[pick].tid.index() as u64;
             for _ in 0..quantum {
-                if states[pick].done {
+                if states[pick].stack.is_empty() {
                     break;
                 }
                 if steps >= max_steps {
@@ -199,8 +165,7 @@ impl<'a> Machine<'a> {
                 }
                 steps += 1;
                 if tl_on {
-                    if !started[pick] {
-                        started[pick] = true;
+                    if executed[pick] == 0 {
                         tl.begin(&threads[pick].function, "interp", lane);
                     }
                     executed[pick] += 1;
@@ -215,8 +180,12 @@ impl<'a> Machine<'a> {
                 }
                 self.step(&mut states[pick])?;
             }
-            if tl_on && states[pick].done && started[pick] {
-                tl.end(&threads[pick].function, "interp", lane);
+            // A turn runs at least one instruction: the lane has begun.
+            if states[pick].stack.is_empty() {
+                turns.retire();
+                if tl_on {
+                    tl.end(&threads[pick].function, "interp", lane);
+                }
             }
         }
         predator_obs::static_counter!("interp_instructions_total").add(steps);
@@ -316,10 +285,7 @@ impl<'a> Machine<'a> {
                             caller.regs[dst as usize] = v;
                         }
                     }
-                    None => {
-                        st.result = v;
-                        st.done = true;
-                    }
+                    None => st.result = v,
                 }
             }
         }
@@ -465,7 +431,7 @@ mod tests {
                     function: "sum_to".into(),
                     args: vec![10],
                 }],
-                StepSchedule::RoundRobin { quantum: 1 },
+                Schedule::RoundRobin { quantum: 1 },
                 100_000,
             )
             .unwrap();
@@ -484,7 +450,7 @@ mod tests {
                     function: "writer".into(),
                     args: vec![sp.base() as i64, 5],
                 }],
-                StepSchedule::RoundRobin { quantum: 1 },
+                Schedule::RoundRobin { quantum: 1 },
                 100_000,
             )
             .unwrap();
@@ -505,7 +471,7 @@ mod tests {
                     function: "writer".into(),
                     args: vec![sp.base() as i64, 7],
                 }],
-                StepSchedule::RoundRobin { quantum: 1 },
+                Schedule::RoundRobin { quantum: 1 },
                 100_000,
             )
             .unwrap();
@@ -548,7 +514,7 @@ mod tests {
                         args: vec![(sp.base() + 8) as i64, n],
                     },
                 ],
-                StepSchedule::RoundRobin { quantum: 7 },
+                Schedule::RoundRobin { quantum: 7 },
                 1_000_000,
             )
             .unwrap();
@@ -589,7 +555,7 @@ mod tests {
                         args: vec![(sp.base() + 8) as i64, 100],
                     },
                 ],
-                StepSchedule::RoundRobin { quantum: u64::MAX },
+                Schedule::RoundRobin { quantum: u64::MAX },
                 1_000_000,
             )
             .unwrap();
@@ -620,7 +586,7 @@ mod tests {
                                 args: vec![(sp.base() + 8) as i64, 50],
                             },
                         ],
-                        StepSchedule::Seeded(1234),
+                        Schedule::Seeded(1234),
                         1_000_000,
                     )
                     .unwrap();
@@ -642,7 +608,7 @@ mod tests {
                     function: "nope".into(),
                     args: vec![],
                 }],
-                StepSchedule::RoundRobin { quantum: 1 },
+                Schedule::RoundRobin { quantum: 1 },
                 100,
             )
             .unwrap_err();
@@ -666,7 +632,7 @@ mod tests {
                     function: "spin".into(),
                     args: vec![],
                 }],
-                StepSchedule::RoundRobin { quantum: 1 },
+                Schedule::RoundRobin { quantum: 1 },
                 1_000,
             )
             .unwrap_err();
@@ -690,7 +656,7 @@ mod tests {
                     function: "crash".into(),
                     args: vec![],
                 }],
-                StepSchedule::RoundRobin { quantum: 1 },
+                Schedule::RoundRobin { quantum: 1 },
                 100,
             )
             .unwrap_err();
@@ -737,7 +703,7 @@ mod tests {
                     function: "sizes".into(),
                     args: vec![sp.base() as i64],
                 }],
-                StepSchedule::RoundRobin { quantum: 1 },
+                Schedule::RoundRobin { quantum: 1 },
                 100,
             )
             .unwrap();

@@ -16,7 +16,7 @@
 //!   [`ir::Inst::Probe`] before memory accesses, implementing exactly the
 //!   §2.4.2 selection rules;
 //! * [`interp`] — a multi-threaded interpreter executing instrumented IR
-//!   against a `SimSpace` under a *deterministic, seedable* schedule, so the
+//!   against a `SimSpace` under a `predator_sim::Schedule`, so the
 //!   interleaving the paper conservatively assumes can be produced on
 //!   demand and exact invalidation counts asserted in tests;
 //! * [`trace`] — in-memory access-trace recording and replay, decoupling
@@ -32,7 +32,7 @@ pub mod pass;
 pub mod textual;
 pub mod trace;
 
-pub use interp::{AccessSink, ExecError, Machine, NullSink, StepSchedule, ThreadSpec};
+pub use interp::{AccessSink, ExecError, Machine, NullSink, ThreadSpec};
 pub use ir::{BinOp, Block, BlockId, Function, FunctionBuilder, Inst, Module, Operand, Reg};
 pub use pass::{instrument_module, InstrumentMode, InstrumentOptions, InstrumentStats};
 pub use textual::{parse_module, print_module, ParseError};

@@ -6,10 +6,10 @@
 use predator_core::{build_report, DetectorConfig, Predator};
 use predator_instrument::{
     instrument_module, parse_module, print_module, BinOp, FunctionBuilder, Inst, InstrumentOptions,
-    Machine, Module, NullSink, Operand, StepSchedule, ThreadSpec, TraceRecorder,
+    Machine, Module, NullSink, Operand, ThreadSpec, TraceRecorder,
 };
 use predator_shadow::SimSpace;
-use predator_sim::ThreadId;
+use predator_sim::{Schedule, ThreadId};
 
 /// Module with: `bump(addr) -> *addr += 1` (index 0) and
 /// `worker(base, n) { for i in 0..n { bump(base) } }` (index 1).
@@ -75,7 +75,7 @@ fn calls_pass_arguments_and_return_values() {
                 function: "worker".into(),
                 args: vec![space.base() as i64, 100],
             }],
-            StepSchedule::RoundRobin { quantum: 1 },
+            Schedule::RoundRobin { quantum: 1 },
             1_000_000,
         )
         .unwrap();
@@ -95,7 +95,7 @@ fn recursion_computes_and_depth_guard_fires() {
                 function: "fact".into(),
                 args: vec![n],
             }],
-            StepSchedule::RoundRobin { quantum: 1 },
+            Schedule::RoundRobin { quantum: 1 },
             10_000_000,
         )
     };
@@ -140,7 +140,7 @@ fn false_sharing_detected_through_call_boundaries() {
                     args: vec![(space.base() + 8) as i64, 1_000],
                 },
             ],
-            StepSchedule::RoundRobin { quantum: 9 },
+            Schedule::RoundRobin { quantum: 9 },
             10_000_000,
         )
         .unwrap();
@@ -170,7 +170,7 @@ fn blacklisting_the_callee_silences_its_accesses() {
                 function: "worker".into(),
                 args: vec![space.base() as i64, 50],
             }],
-            StepSchedule::RoundRobin { quantum: 1 },
+            Schedule::RoundRobin { quantum: 1 },
             1_000_000,
         )
         .unwrap();

@@ -5,10 +5,10 @@ use proptest::prelude::*;
 
 use predator_instrument::{
     instrument_module, parse_module, print_module, BinOp, FunctionBuilder, InstrumentOptions,
-    Machine, Module, Operand, StepSchedule, ThreadSpec, TraceRecorder,
+    Machine, Module, Operand, ThreadSpec, TraceRecorder,
 };
 use predator_shadow::SimSpace;
-use predator_sim::ThreadId;
+use predator_sim::{Schedule, ThreadId};
 
 /// One randomly chosen body instruction, in a closed form the generator can
 /// always make valid.
@@ -143,7 +143,7 @@ proptest! {
                             args: vec![(space.base() + 64) as i64, 5],
                         },
                     ],
-                    StepSchedule::Seeded(seed),
+                    Schedule::Seeded(seed),
                     5_000_000,
                 )
                 .unwrap();

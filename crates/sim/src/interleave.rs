@@ -1,25 +1,85 @@
-//! Deterministic interleaving of per-thread access scripts.
+//! Deterministic interleaving: one [`Schedule`] and its turn picker.
 //!
 //! PREDATOR "conservatively assumes that accesses from different threads
 //! occur in an interleaved manner; that is, it assumes that the schedule
-//! exposes false sharing" (§3.3). The unit and integration tests in this
-//! workspace need *reproducible* schedules to assert exact invalidation
-//! counts, so this module merges per-thread scripts under a pluggable,
-//! deterministic [`Schedule`]:
-//!
-//! * [`Schedule::RoundRobin`] — the adversarial schedule the paper assumes:
-//!   threads take strict turns, maximizing interleaving;
-//! * [`Schedule::Seeded`] — a seeded pseudo-random schedule for
-//!   property-based tests (same seed → same order);
-//! * [`Schedule::ThreadSequential`] — each thread runs to completion before
-//!   the next starts: the schedule that *hides* sharing, useful as a negative
-//!   control;
-//! * [`Schedule::Explicit`] — a caller-provided turn order.
+//! exposes false sharing" (§3.3). Tests assert exact invalidation counts, so
+//! every simulated interleaving is reproducible: [`Turns`] picks the turns
+//! of a [`Schedule`], and each driver keeps its own unit of a turn —
+//! [`interleave`] merges per-thread scripts one access per unit,
+//! `predator-instrument`'s interpreter steps one instruction per unit.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::access::Access;
+
+/// How threads take turns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Schedule {
+    /// Each live thread runs up to `quantum` units, then the next live
+    /// thread after it, cyclically. `quantum: 1` is the adversarial
+    /// interleaving §3.3 assumes; `u64::MAX` runs each thread to completion,
+    /// the schedule that hides sharing.
+    RoundRobin {
+        /// Units per turn, at least 1.
+        quantum: u64,
+    },
+    /// Seeded uniform choice among the live threads, one unit per turn.
+    Seeded(u64),
+}
+
+/// The turn picker: which live thread runs next, and for how many units.
+/// A driver calls [`Turns::retire`] once the picked thread has finished.
+#[derive(Debug)]
+pub struct Turns {
+    /// The live threads, in index order.
+    live: Vec<usize>,
+    /// Position in `live` after the last pick.
+    next: usize,
+    quantum: u64,
+    rng: Option<SmallRng>,
+}
+
+impl Turns {
+    /// A picker over `live`, in increasing order. Panics on a zero quantum.
+    pub fn new(schedule: Schedule, live: impl IntoIterator<Item = usize>) -> Self {
+        let (quantum, rng) = match schedule {
+            Schedule::RoundRobin { quantum } => {
+                assert!(quantum >= 1, "a round-robin turn runs at least one unit");
+                (quantum, None)
+            }
+            Schedule::Seeded(seed) => (1, Some(SmallRng::seed_from_u64(seed))),
+        };
+        let live = live.into_iter().collect();
+        Turns {
+            live,
+            next: 0,
+            quantum,
+            rng,
+        }
+    }
+
+    /// The next turn: a thread and the most units it may run, or `None`
+    /// once every thread has retired.
+    pub fn pick(&mut self) -> Option<(usize, u64)> {
+        if self.live.is_empty() {
+            return None;
+        }
+        let at = match &mut self.rng {
+            Some(rng) => rng.gen_range(0..self.live.len()),
+            None => self.next % self.live.len(),
+        };
+        self.next = at + 1;
+        Some((self.live[at], self.quantum))
+    }
+
+    /// The thread of the last pick has finished: it gets no more turns.
+    /// Call it at most once per pick.
+    pub fn retire(&mut self) {
+        self.next -= 1;
+        self.live.remove(self.next);
+    }
+}
 
 /// A per-thread list of accesses; index in the outer vector is *not*
 /// necessarily the thread id — each inner script carries thread ids in its
@@ -54,75 +114,22 @@ impl Script {
     }
 }
 
-/// How to merge the per-thread scripts into one global order.
-#[derive(Debug, Clone)]
-pub enum Schedule {
-    /// Strict turn-taking: t0, t1, …, tn−1, t0, … (skipping exhausted
-    /// threads). The paper's conservative worst case.
-    RoundRobin,
-    /// Seeded uniform choice among non-exhausted threads.
-    Seeded(u64),
-    /// Thread 0 runs to completion, then thread 1, … Hides sharing.
-    ThreadSequential,
-    /// Explicit turn order: each element picks the next thread to step; extra
-    /// turns for exhausted threads are skipped, and any accesses left when
-    /// the order runs out are appended round-robin.
-    Explicit(Vec<u16>),
-}
-
-/// Merges `script` into a single global access order under `schedule`.
+/// Merges `script` into a single global access order under `schedule`, one
+/// access per unit of a turn.
 ///
 /// The relative order of each thread's own accesses is always preserved
 /// (program order); only the inter-thread interleaving varies.
-pub fn interleave(script: &Script, schedule: &Schedule) -> Vec<Access> {
-    let n = script.per_thread.len();
-    let mut cursors = vec![0usize; n];
-    let total = script.len();
-    let mut out = Vec::with_capacity(total);
-
-    let step = |i: usize, cursors: &mut [usize], out: &mut Vec<Access>| -> bool {
-        if i < n && cursors[i] < script.per_thread[i].len() {
-            out.push(script.per_thread[i][cursors[i]]);
-            cursors[i] += 1;
-            true
-        } else {
-            false
-        }
-    };
-
-    match schedule {
-        Schedule::RoundRobin => {
-            let mut i = 0;
-            while out.len() < total {
-                step(i, &mut cursors, &mut out);
-                i = (i + 1) % n.max(1);
-            }
-        }
-        Schedule::ThreadSequential => {
-            for i in 0..n {
-                while step(i, &mut cursors, &mut out) {}
-            }
-        }
-        Schedule::Seeded(seed) => {
-            let mut rng = SmallRng::seed_from_u64(*seed);
-            while out.len() < total {
-                let live: Vec<usize> = (0..n)
-                    .filter(|&i| cursors[i] < script.per_thread[i].len())
-                    .collect();
-                let pick = live[rng.gen_range(0..live.len())];
-                step(pick, &mut cursors, &mut out);
-            }
-        }
-        Schedule::Explicit(order) => {
-            for &i in order {
-                step(i as usize, &mut cursors, &mut out);
-            }
-            // Drain leftovers deterministically.
-            let mut i = 0;
-            while out.len() < total {
-                step(i, &mut cursors, &mut out);
-                i = (i + 1) % n.max(1);
-            }
+pub fn interleave(script: &Script, schedule: Schedule) -> Vec<Access> {
+    let mut rest: Vec<&[Access]> = script.per_thread.iter().map(Vec::as_slice).collect();
+    let mut turns = Turns::new(schedule, (0..rest.len()).filter(|&i| !rest[i].is_empty()));
+    let mut out = Vec::with_capacity(script.len());
+    while let Some((i, quantum)) = turns.pick() {
+        let n = (rest[i].len() as u64).min(quantum) as usize;
+        let (now, later) = rest[i].split_at(n);
+        out.extend_from_slice(now);
+        rest[i] = later;
+        if later.is_empty() {
+            turns.retire();
         }
     }
     out
@@ -147,54 +154,64 @@ mod tests {
         s
     }
 
+    fn tids(lens: &[usize], schedule: Schedule) -> Vec<u16> {
+        interleave(&mk_script(lens), schedule)
+            .iter()
+            .map(|a| a.tid.0)
+            .collect()
+    }
+
     #[test]
     fn round_robin_alternates() {
-        let s = mk_script(&[2, 2]);
-        let out = interleave(&s, &Schedule::RoundRobin);
-        let tids: Vec<u16> = out.iter().map(|a| a.tid.0).collect();
-        assert_eq!(tids, vec![0, 1, 0, 1]);
+        let rr = Schedule::RoundRobin { quantum: 1 };
+        assert_eq!(tids(&[2, 2], rr), vec![0, 1, 0, 1]);
     }
 
     #[test]
     fn round_robin_skips_exhausted_threads() {
-        let s = mk_script(&[3, 1]);
-        let out = interleave(&s, &Schedule::RoundRobin);
-        let tids: Vec<u16> = out.iter().map(|a| a.tid.0).collect();
-        assert_eq!(tids, vec![0, 1, 0, 0]);
+        let rr = Schedule::RoundRobin { quantum: 1 };
+        assert_eq!(tids(&[3, 1], rr), vec![0, 1, 0, 0]);
     }
 
     #[test]
-    fn thread_sequential_runs_to_completion() {
-        let s = mk_script(&[2, 2]);
-        let out = interleave(&s, &Schedule::ThreadSequential);
-        let tids: Vec<u16> = out.iter().map(|a| a.tid.0).collect();
-        assert_eq!(tids, vec![0, 0, 1, 1]);
+    fn round_robin_resumes_after_the_thread_that_finished() {
+        // Thread 0 finishes on its first turn: the next turn is thread 1's,
+        // the live thread after it, not the second entry of what is left.
+        let rr = |quantum| Schedule::RoundRobin { quantum };
+        assert_eq!(tids(&[1, 3, 3], rr(1)), vec![0, 1, 2, 1, 2, 1, 2]);
+        assert_eq!(tids(&[1, 4, 4], rr(2)), vec![0, 1, 1, 2, 2, 1, 1, 2, 2]);
     }
 
     #[test]
-    fn explicit_order_respected_then_drained() {
-        let s = mk_script(&[2, 2]);
-        let out = interleave(&s, &Schedule::Explicit(vec![1, 1]));
-        let tids: Vec<u16> = out.iter().map(|a| a.tid.0).collect();
-        assert_eq!(tids, vec![1, 1, 0, 0]);
+    fn a_quantum_counts_units_per_turn() {
+        let rr = |quantum| Schedule::RoundRobin { quantum };
+        assert_eq!(tids(&[3, 3], rr(2)), vec![0, 0, 1, 1, 0, 1]);
+        // A turn longer than any script runs each thread to completion.
+        assert_eq!(tids(&[2, 2], rr(u64::MAX)), vec![0, 0, 1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one unit")]
+    fn a_zero_quantum_is_refused() {
+        Turns::new(Schedule::RoundRobin { quantum: 0 }, [0]);
     }
 
     #[test]
     fn seeded_is_reproducible() {
         let s = mk_script(&[10, 10, 10]);
-        let a = interleave(&s, &Schedule::Seeded(42));
-        let b = interleave(&s, &Schedule::Seeded(42));
+        let a = interleave(&s, Schedule::Seeded(42));
+        let b = interleave(&s, Schedule::Seeded(42));
         assert_eq!(a, b);
-        let c = interleave(&s, &Schedule::Seeded(43));
+        let c = interleave(&s, Schedule::Seeded(43));
         assert_ne!(a, c, "different seeds should (almost surely) differ");
     }
 
     #[test]
     fn empty_script_yields_nothing() {
         let s = Script::new(0);
-        assert!(interleave(&s, &Schedule::RoundRobin).is_empty());
+        assert!(interleave(&s, Schedule::RoundRobin { quantum: 1 }).is_empty());
         let s2 = Script::new(3);
-        assert!(interleave(&s2, &Schedule::Seeded(1)).is_empty());
+        assert!(interleave(&s2, Schedule::Seeded(1)).is_empty());
         assert!(s2.is_empty());
     }
 
@@ -204,15 +221,16 @@ mod tests {
         fn prop_program_order_preserved(
             lens in proptest::collection::vec(0usize..20, 1..5),
             seed in 0u64..1000,
-            which in 0usize..3
+            quantum in prop_oneof![Just(1u64), Just(2u64), Just(7u64), Just(u64::MAX)],
+            seeded in any::<bool>()
         ) {
             let s = mk_script(&lens);
-            let sched = match which {
-                0 => Schedule::RoundRobin,
-                1 => Schedule::Seeded(seed),
-                _ => Schedule::ThreadSequential,
+            let sched = if seeded {
+                Schedule::Seeded(seed)
+            } else {
+                Schedule::RoundRobin { quantum }
             };
-            let out = interleave(&s, &sched);
+            let out = interleave(&s, sched);
             prop_assert_eq!(out.len(), s.len());
             // Per-thread subsequence must equal the original script.
             for (i, orig) in s.per_thread.iter().enumerate() {

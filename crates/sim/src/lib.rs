@@ -18,8 +18,9 @@
 //!   object placement (§3.3, §3.4),
 //! * [`mesi`] — a full MESI multi-core coherence simulator used as ground
 //!   truth to validate the two-entry-history approximation,
-//! * [`interleave`] — a deterministic interleaving engine for replaying
-//!   multi-threaded access scripts in tests with exact, reproducible counts.
+//! * [`interleave`] — the one thread [`Schedule`] and its turn picker
+//!   [`Turns`], driven by the script merger and by `predator-instrument`'s
+//!   IR interpreter, for exact, reproducible counts in tests.
 //!
 //! Everything here is deterministic and lock-free by construction, which is
 //! what makes the exact-count unit and property tests in this workspace
@@ -37,5 +38,6 @@ pub mod word;
 pub use access::{Access, AccessKind, AccessSink, NullSink, ThreadId};
 pub use geometry::{CacheGeometry, WORD_SHIFT, WORD_SIZE};
 pub use history::{HistoryEntry, HistoryTable};
+pub use interleave::{Schedule, Turns};
 pub use vline::{VirtualGeometry, VirtualRange};
 pub use word::{Owner, WordState, WordTracker};

@@ -191,7 +191,7 @@ mod tests {
             },
             5,
         );
-        let merged = interleave(&s, &Schedule::RoundRobin);
+        let merged = interleave(&s, Schedule::RoundRobin { quantum: 1 });
         assert!(merged.iter().all(|a| a.addr == BASE + 8));
     }
 

@@ -168,8 +168,10 @@ impl Mem for Tracked<'_> {
 /// Runs `b` inside `s`.
 ///
 /// The schedule: every logical thread runs on the calling OS thread, one
-/// step per turn. For each index of a [`Phase::Each`], threads `0, 1, …`
-/// take one step each, in order; a [`Phase::Split`] index goes to thread
+/// step per turn, `predator_sim::Schedule::RoundRobin { quantum: 1 }` (a
+/// loop of its own, not `predator_sim::Turns`: it is every live run's hot
+/// path). For each index of a [`Phase::Each`], threads `0, 1, …` take one
+/// step each, in order; a [`Phase::Split`] index goes to thread
 /// `i % threads` alone, a [`Phase::Main`] one to the main thread.
 /// Runs are deterministic — one configuration, one access stream — and the
 /// interleaving is the finest the workloads can express. §3.3 assumes that

@@ -22,8 +22,9 @@
 
 use predator::instrument::{
     instrument_module, replay, BinOp, FunctionBuilder, InstrumentOptions, Machine, Module, Operand,
-    StepSchedule, ThreadSpec, TraceRecorder,
+    ThreadSpec, TraceRecorder,
 };
+use predator::sim::Schedule;
 use predator::trace::{load_jsonl, save_jsonl};
 use predator::{build_report, DetectorConfig, ThreadId};
 use predator_core::Predator;
@@ -85,11 +86,7 @@ fn main() {
         },
     ];
     machine
-        .run(
-            &threads,
-            StepSchedule::RoundRobin { quantum: 7 },
-            10_000_000,
-        )
+        .run(&threads, Schedule::RoundRobin { quantum: 7 }, 10_000_000)
         .expect("execution");
 
     let report = build_report(&rt, None);
@@ -101,11 +98,7 @@ fn main() {
     let replay_space = SimSpace::new(1 << 16);
     let machine = Machine::new(&module, &replay_space, &recorder).unwrap();
     machine
-        .run(
-            &threads,
-            StepSchedule::RoundRobin { quantum: 7 },
-            10_000_000,
-        )
+        .run(&threads, Schedule::RoundRobin { quantum: 7 }, 10_000_000)
         .expect("execution");
     let mut buf = Vec::new();
     save_jsonl(&recorder.events(), &mut buf).unwrap();

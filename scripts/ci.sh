@@ -183,6 +183,15 @@ if grep -rnE 'fn run_(tracked|native)\b' crates/workloads/src/phoenix crates/wor
   exit 1
 fi
 
+echo "==> one schedule (the interpreter's own schedule type and the unused merge orders must not grow back)"
+# predator_sim::Schedule and its turn picker drive both the script merger
+# and the IR interpreter; RoundRobin { quantum: u64::MAX } runs each thread
+# to completion.
+if grep -rnE 'StepSchedule|ThreadSequential|Schedule::Explicit' crates tests examples; then
+  echo "a second schedule type or a retired merge order is back" >&2
+  exit 1
+fi
+
 echo "==> non-test source lines under crates/ (scripts/loc.sh)"
 scripts/loc.sh
 

@@ -33,6 +33,9 @@ __attribute__((constructor)) static void prof_start(void) {
 }
 
 __attribute__((destructor)) static void prof_dump(void) {
+    /* Ignore SIGPROF before disarming: a tick already pending must not take
+     * the default action ("Profiling timer expired") and kill the run. */
+    signal(SIGPROF, SIG_IGN);
     struct itimerval off = {{0, 0}, {0, 0}};
     setitimer(ITIMER_PROF, &off, NULL);
     const char *path = getenv("PROF_OUT");

@@ -458,13 +458,13 @@ fn matrix_of_patterns_and_schedules_agrees() {
         .collect();
     scripts.push(("straddling".into(), straddling_script()));
     let schedules = [
-        Schedule::RoundRobin,
+        Schedule::RoundRobin { quantum: 1 },
         Schedule::Seeded(7),
         Schedule::Seeded(229),
         Schedule::Seeded(9001),
     ];
     for (script_name, script) in &scripts {
-        for schedule in &schedules {
+        for &schedule in &schedules {
             let feed = interleave(script, schedule);
             for (cfg, name) in configs() {
                 assert_equivalent(
@@ -518,7 +518,7 @@ proptest! {
                 script.push(t, a);
             }
         }
-        let feed = interleave(&script, &Schedule::Seeded(seed));
+        let feed = interleave(&script, Schedule::Seeded(seed));
         for (cfg, name) in configs() {
             assert_equivalent(&feed, cfg, &format!("seed {seed} / {name}"));
         }

@@ -141,7 +141,7 @@ proptest! {
                 script.push(t, a);
             }
         }
-        let merged = interleave(&script, &Schedule::Seeded(seed));
+        let merged = interleave(&script, Schedule::Seeded(seed));
 
         recorder::recorder().enable(8192);
         let rt = Predator::new(exact_config(), BASE, 1 << 20);

@@ -16,7 +16,7 @@ use std::sync::RwLock;
 use predator::core::{build_report, DetectorConfig, Predator, Session, UnitKind};
 use predator::core::{Finding, FindingKind, ObsSnapshot, Report, SharingClass, SiteKind};
 use predator::instrument::{
-    instrument_module, parse_module, InstrumentOptions, Machine, StepSchedule, ThreadSpec,
+    instrument_module, parse_module, InstrumentOptions, Machine, ThreadSpec,
 };
 use predator::sim::interleave::{interleave, Schedule};
 use predator::sim::patterns::{generate, Pattern};
@@ -58,12 +58,12 @@ fn ir_report(stride: u64) -> Report {
         })
         .collect();
     machine
-        .run(&specs, StepSchedule::RoundRobin { quantum: 7 }, 1 << 32)
+        .run(&specs, Schedule::RoundRobin { quantum: 7 }, 1 << 32)
         .expect("program terminates");
     normalized(build_report(&rt, None))
 }
 
-fn pattern_report(pattern: Pattern, schedule: &Schedule) -> Report {
+fn pattern_report(pattern: Pattern, schedule: Schedule) -> Report {
     let _recorder_off = RECORDER.read().unwrap_or_else(|e| e.into_inner());
     let det = DetectorConfig::sensitive();
     let rt = Predator::new(det, BASE, 1 << 20);
@@ -130,7 +130,7 @@ fn pattern_ping_pong_round_robin() {
                 threads: 4,
                 base: BASE,
             },
-            &Schedule::RoundRobin,
+            Schedule::RoundRobin { quantum: 1 },
         ),
     );
 }
@@ -144,7 +144,7 @@ fn pattern_reader_writer_seeded() {
                 threads: 3,
                 base: BASE,
             },
-            &Schedule::Seeded(229),
+            Schedule::Seeded(229),
         ),
     );
 }
@@ -159,7 +159,7 @@ fn pattern_striped_predicted_only() {
                 base: BASE,
                 stride: 64,
             },
-            &Schedule::RoundRobin,
+            Schedule::RoundRobin { quantum: 1 },
         ),
     );
 }

@@ -106,7 +106,7 @@ proptest! {
                 script.push(t, a);
             }
         }
-        let merged = interleave(&script, &Schedule::Seeded(seed));
+        let merged = interleave(&script, Schedule::Seeded(seed));
         let (det, mesi) = run_both(&merged, n, BASE >> 6);
         // Never overcounts; the startup window (pre-threshold reads are
         // invisible by design, §2.4.1, plus the one bootstrap write) can
@@ -166,7 +166,7 @@ fn regression_seed_229_read_write_braid() {
             script.push(t, a);
         }
     }
-    let merged = interleave(&script, &Schedule::Seeded(229));
+    let merged = interleave(&script, Schedule::Seeded(229));
     let (det, mesi) = run_both(&merged, per_thread.len(), BASE >> 6);
     assert!(det <= mesi, "detector {det} overcounts MESI {mesi}");
     assert!(mesi - det <= 2, "detector {det} vs MESI {mesi}");
@@ -341,7 +341,7 @@ fn striped_stride_64_is_clean_below_128_byte_lines_and_thrashes_above() {
         },
         500,
     );
-    let merged = interleave(&script, &Schedule::RoundRobin);
+    let merged = interleave(&script, Schedule::RoundRobin { quantum: 1 });
     for ls in [32u64, 64] {
         let (det, mesi) = run_both_at(&merged, 4, CacheGeometry::new(ls));
         assert_eq!(mesi.invalidation_events, 0, "{ls}B lines must be clean");
@@ -376,7 +376,7 @@ proptest! {
         seed in 0u64..500,
     ) {
         let script = generate(pattern, per_thread);
-        let merged = interleave(&script, &Schedule::Seeded(seed));
+        let merged = interleave(&script, Schedule::Seeded(seed));
         let cores = threads_of(&pattern);
         for ls in CacheGeometry::PORTFOLIO_LINE_SIZES {
             let geom = CacheGeometry::new(ls);
@@ -409,7 +409,7 @@ proptest! {
         domains in 1u16..=4,
     ) {
         let script = generate(pattern, per_thread);
-        let merged = interleave(&script, &Schedule::Seeded(seed));
+        let merged = interleave(&script, Schedule::Seeded(seed));
         let cores = threads_of(&pattern);
         let split: Vec<Access> = merged
             .iter()

@@ -4,8 +4,9 @@
 
 use predator::instrument::{
     instrument_module, replay, BinOp, FunctionBuilder, InstrumentMode, InstrumentOptions, Machine,
-    Module, Operand, StepSchedule, ThreadSpec, TraceRecorder,
+    Module, Operand, ThreadSpec, TraceRecorder,
 };
+use predator::sim::Schedule;
 use predator::trace::{load_jsonl, save_jsonl};
 use predator::{build_report, DetectorConfig, ThreadId};
 use predator_core::Predator;
@@ -71,7 +72,7 @@ fn instrumented_execution_detects_false_sharing() {
     let results = machine
         .run(
             &adjacent_threads(&space, 2_000),
-            StepSchedule::RoundRobin { quantum: 7 },
+            Schedule::RoundRobin { quantum: 7 },
             10_000_000,
         )
         .unwrap();
@@ -97,7 +98,7 @@ fn write_only_instrumentation_still_detects_write_write_sharing() {
     machine
         .run(
             &adjacent_threads(&space, 2_000),
-            StepSchedule::RoundRobin { quantum: 7 },
+            Schedule::RoundRobin { quantum: 7 },
             10_000_000,
         )
         .unwrap();
@@ -123,7 +124,7 @@ fn uninstrumented_module_detects_nothing() {
     machine
         .run(
             &adjacent_threads(&space, 500),
-            StepSchedule::RoundRobin { quantum: 7 },
+            Schedule::RoundRobin { quantum: 7 },
             10_000_000,
         )
         .unwrap();
@@ -145,7 +146,7 @@ fn schedule_determines_what_is_observed() {
             .unwrap()
             .run(
                 &adjacent_threads(&space, 1_000),
-                StepSchedule::RoundRobin { quantum: 7 },
+                Schedule::RoundRobin { quantum: 7 },
                 10_000_000,
             )
             .unwrap();
@@ -158,7 +159,7 @@ fn schedule_determines_what_is_observed() {
             .unwrap()
             .run(
                 &adjacent_threads(&space, 1_000),
-                StepSchedule::RoundRobin { quantum: u64::MAX },
+                Schedule::RoundRobin { quantum: u64::MAX },
                 10_000_000,
             )
             .unwrap();
@@ -180,7 +181,7 @@ fn trace_replay_reproduces_the_live_report() {
         .unwrap()
         .run(
             &adjacent_threads(&space, 1_000),
-            StepSchedule::Seeded(7),
+            Schedule::Seeded(7),
             10_000_000,
         )
         .unwrap();
@@ -193,7 +194,7 @@ fn trace_replay_reproduces_the_live_report() {
         .unwrap()
         .run(
             &adjacent_threads(&space2, 1_000),
-            StepSchedule::Seeded(7),
+            Schedule::Seeded(7),
             10_000_000,
         )
         .unwrap();
@@ -280,7 +281,7 @@ fn selective_instrumentation_does_not_change_the_verdict() {
                         args: vec![(space.base() + 8) as i64, 1_000],
                     },
                 ],
-                StepSchedule::RoundRobin { quantum: 11 },
+                Schedule::RoundRobin { quantum: 11 },
                 10_000_000,
             )
             .unwrap();

@@ -14,7 +14,7 @@ const BASE: u64 = 0x4000_0000;
 fn run_pattern(pattern: Pattern, per_thread: usize, cfg: DetectorConfig) -> Report {
     let rt = Predator::new(cfg, BASE, 1 << 20);
     let script = generate(pattern, per_thread);
-    for a in interleave(&script, &Schedule::RoundRobin) {
+    for a in interleave(&script, Schedule::RoundRobin { quantum: 1 }) {
         rt.handle_access(a.tid, a.addr, a.size, a.kind);
     }
     build_report(&rt, None)

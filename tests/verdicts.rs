@@ -221,7 +221,11 @@ fn pattern_cases() -> Vec<(String, String)> {
                     script.push(t, a);
                 }
             }
-            (format!("bookends t{threads}"), script, Schedule::RoundRobin)
+            (
+                format!("bookends t{threads}"),
+                script,
+                Schedule::RoundRobin { quantum: 1 },
+            )
         })
         .collect();
     let mix = Pattern::RandomMix {
@@ -238,7 +242,7 @@ fn pattern_cases() -> Vec<(String, String)> {
         .map(|(label, script, schedule)| {
             let report = with_recorder(|| {
                 let rt = Predator::new(det, BASE, 1 << 20);
-                for a in interleave(&script, &schedule) {
+                for a in interleave(&script, schedule) {
                     rt.handle_access(a.tid, a.addr, a.size, a.kind);
                 }
                 build_report(&rt, None)
