@@ -285,7 +285,7 @@ pub(crate) fn detector_config(args: &Args) -> Result<DetectorConfig, String> {
 pub(crate) fn workload_config(args: &Args) -> Result<WorkloadConfig, String> {
     Ok(WorkloadConfig {
         threads: args.threads(4)?,
-        iters: args.num("--iters", 20_000u64)?,
+        iters: args.num_in("--iters", 20_000u64, 1, u64::MAX)?,
         seed: args.num("--seed", 42u64)?,
         variant: if args.has("--fixed") {
             Variant::Fixed
@@ -398,6 +398,8 @@ mod tests {
         assert_eq!(workload_config(&a).unwrap().threads, 65_534);
         let err = workload_config(&args(&["run", "x", "--threads", "65535"])).unwrap_err();
         assert_eq!(err, "--threads must be at most 65534");
+        let err = workload_config(&args(&["run", "x", "--iters", "0"])).unwrap_err();
+        assert_eq!(err, "--iters must be at least 1");
     }
 
     #[test]

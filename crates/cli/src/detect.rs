@@ -147,7 +147,7 @@ pub(crate) fn cmd_run(args: &Args) -> Result<ExitCode, String> {
 pub(crate) fn cmd_ir(args: &Args) -> Result<ExitCode, String> {
     let path = &args.operands[0];
     let threads = args.threads(2)?;
-    let iters: i64 = args.num("--iters", 10_000i64)?;
+    let iters = args.num_in("--iters", 10_000i64, 1, i64::MAX)?;
     let stride: u64 = args.num("--stride", 8u64)?;
     let quantum = args.num_in("--quantum", 7, 1, u64::MAX)?;
     let det = detector_config(args)?;

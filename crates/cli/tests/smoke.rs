@@ -406,6 +406,30 @@ fn out_of_range_thread_counts_and_quanta_are_usage_errors() {
 }
 
 #[test]
+fn zero_and_negative_iteration_counts_are_usage_errors() {
+    // Each of these exited 0: `run` with a clean report, `record` with a
+    // 0-event trace that `analyze`d clean, and `ir` with no loop at all.
+    // `record` refuses before it creates its output.
+    let ir = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/programs/false_sharing.pir"
+    );
+    let dir = std::env::temp_dir().join(format!("predator-iters-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("zero.ptrace");
+    let t = trace.to_str().unwrap();
+    for argv in [
+        vec!["run", "histogram", "--iters", "0"],
+        vec!["record", "histogram", "--iters", "0", "-o", t],
+        vec!["ir", ir, "--iters", "-5"],
+    ] {
+        assert_row_refuses(&argv, &["error: --iters must be at least 1"]);
+    }
+    assert!(!trace.exists(), "a refused record left {t} behind");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn unknown_options_exit_1_naming_the_option() {
     // `--samplng 1.0` used to analyse at the default 1 % and exit 0. The
     // retired JSONL range knobs are unknown too (rejected before any file

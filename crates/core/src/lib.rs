@@ -59,7 +59,7 @@ pub mod config;
 pub mod detect;
 pub mod fixes;
 pub mod lockfree;
-mod owner;
+pub mod owner;
 pub mod predict;
 pub mod registry;
 pub mod render;

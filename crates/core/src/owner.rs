@@ -6,6 +6,9 @@
 //! and a thread that is neither panics at the entry point, so the cheap
 //! path cannot lose an update to a thread nobody declared. Resolving that
 //! costs one thread-local load and one compare per call.
+//!
+//! The recording sink (`predator_trace::TraceSink`) keeps the same rule
+//! with the same [`Owner`]: its owner appends without a lock.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,7 +39,7 @@ fn my_token() -> u64 {
 /// The owner field of a detector. Changed only through `&mut`, which is the
 /// proof that no other thread is inside the detector while it changes hands.
 #[derive(Debug)]
-pub(crate) struct Owner(u64);
+pub struct Owner(u64);
 
 impl Owner {
     /// Owned by the calling thread.

@@ -141,7 +141,7 @@ impl LineTally {
 
 /// One analysis under way: the detector, the lines its events have touched
 /// and the span the pass is timed under.
-struct Pass {
+pub(crate) struct Pass {
     rt: Predator,
     seen: LineTally,
     events: u64,
@@ -149,7 +149,7 @@ struct Pass {
 }
 
 impl Pass {
-    fn new(cfg: &AnalyzeConfig, base: u64, size: u64) -> Self {
+    pub(crate) fn new(cfg: &AnalyzeConfig, base: u64, size: u64) -> Self {
         Pass {
             rt: Predator::new(cfg.det, base, size),
             seen: LineTally::new(cfg.det.geometry, (base, size)),
@@ -159,8 +159,9 @@ impl Pass {
     }
 
     /// The next run of events, in stream order: a slice loop, whether the
-    /// slice is a chunk the reader just decoded or a whole resident trace.
-    fn feed(&mut self, chunk: &[Access]) {
+    /// slice is a chunk the reader just decoded, a chunk what-if just
+    /// remapped or a whole resident trace.
+    pub(crate) fn feed(&mut self, chunk: &[Access]) {
         self.events += chunk.len() as u64;
         for a in chunk {
             self.seen.add(a);
@@ -170,7 +171,7 @@ impl Pass {
 
     /// Builds the report. `meta` and `loss` are what a `.ptrace` knows only
     /// once it has been read dry: its META chunk sits at the end.
-    fn finish(self, meta: Option<&TraceMeta>, loss: LossStats) -> AnalyzeOutcome {
+    pub(crate) fn finish(self, meta: Option<&TraceMeta>, loss: LossStats) -> AnalyzeOutcome {
         drop(self.span);
         if let Some(m) = meta {
             m.apply_globals(&self.rt);

@@ -14,6 +14,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::ops::RangeInclusive;
 
 use predator_core::{
     lower_fix, suggest_fixes, CacheGeometry, DetectorConfig, GeometryDelta, LayoutEdit, Report,
@@ -22,9 +23,11 @@ use predator_core::{
 use predator_sim::mesi::MesiSim;
 use predator_sim::Access;
 
-use crate::analyze::{analyze_events, AnalyzeConfig, AnalyzeOutcome};
+use crate::analyze::{analyze_events, AnalyzeConfig, Pass};
 use crate::format::{touched_hull, TraceMeta, BASE_ALIGN, PAGE};
+use crate::reader::LossStats;
 use crate::remap::AddressRemap;
+use crate::writer::CHUNK_CAPACITY;
 
 /// What the replay applies to the recorded layout.
 #[derive(Debug, Clone)]
@@ -114,7 +117,8 @@ pub fn whatif_events(
     cfg: &AnalyzeConfig,
     fix: &WhatIfFix,
 ) -> WhatIfOutcome {
-    let outcome = detector_walk(events, (base, size), meta, cfg);
+    predator_obs::static_counter!("whatif_detector_walks_total").inc();
+    let outcome = analyze_events(events, base, size, meta, cfg);
     let mut report = outcome.report;
     let verified = annotate_fixes(events, base, size, meta, &mut report, cfg, fix);
     WhatIfOutcome {
@@ -137,22 +141,29 @@ fn cores_for(events: &[Access]) -> usize {
     events.iter().map(|a| a.tid.index() + 1).max().unwrap_or(1)
 }
 
-fn run_mesi(events: &[Access], n_cores: usize, geom: CacheGeometry) -> MesiSim {
-    let _sp = predator_obs::span("whatif_mesi");
-    predator_obs::static_counter!("whatif_mesi_walks_total").inc();
-    let mut sim = MesiSim::new(n_cores, geom);
-    sim.walk(events);
-    sim
+/// The bytes of `[base, base + size)` a tight range is the hull of: a line
+/// that starts inside the range is shadowed whole. `None` when it is empty.
+fn hull_window(base: u64, size: u64) -> Option<RangeInclusive<u64>> {
+    (size > 0).then(|| base..=last_byte(base, size) | (BASE_ALIGN - 1))
 }
 
-fn detector_walk(
-    events: &[Access],
-    (base, size): (u64, u64),
-    meta: Option<&TraceMeta>,
-    cfg: &AnalyzeConfig,
-) -> AnalyzeOutcome {
-    predator_obs::static_counter!("whatif_detector_walks_total").inc();
-    analyze_events(events, base, size, meta, cfg)
+/// The last byte of a non-empty `[base, base + size)`, saturating.
+fn last_byte(base: u64, size: u64) -> u64 {
+    base.saturating_add(size) - 1
+}
+
+/// Widens `hull`, the bytes the events put inside [`hull_window`], to the
+/// tight range of `[base, base + size)` (see [`tight_range`]).
+fn widen(hull: Option<(u64, u64)>, base: u64, size: u64, det: &DetectorConfig) -> (u64, u64) {
+    let Some((lo, hi)) = hull else {
+        return (base, 0);
+    };
+    let last = last_byte(base, size);
+    let r = (1u64 << det.max_scale_log2) - 1;
+    let reach = (2 * r + 2) * BASE_ALIGN;
+    let lo = (lo & !(PAGE - 1)).saturating_sub(reach).max(base);
+    let hi = (hi | (PAGE - 1)).saturating_add(reach).min(last);
+    (lo, hi - lo + 1)
 }
 
 /// The range what-if's own walks shadow instead of the header range
@@ -163,50 +174,99 @@ fn detector_walk(
 /// can hold state is inside, so the walk's findings are the header range's
 /// (DESIGN.md, "why the tight range is sound"); its shadow is a few pages.
 pub fn tight_range(events: &[Access], base: u64, size: u64, det: &DetectorConfig) -> (u64, u64) {
-    if size == 0 {
-        return (base, 0);
-    }
-    let last = base.saturating_add(size) - 1;
-    // A line that starts inside the range is shadowed whole.
-    let Some((lo, hi)) = touched_hull(events, base..=last | (BASE_ALIGN - 1)) else {
-        return (base, 0);
-    };
-    let r = (1u64 << det.max_scale_log2) - 1;
-    let reach = (2 * r + 2) * BASE_ALIGN;
-    let lo = (lo & !(PAGE - 1)).saturating_sub(reach).max(base);
-    let hi = (hi | (PAGE - 1)).saturating_add(reach).min(last);
-    (lo, hi - lo + 1)
+    let hull = hull_window(base, size).and_then(|w| touched_hull(events, w));
+    widen(hull, base, size, det)
 }
 
-/// The portfolio over one event slice: a detector walk over its tight range
-/// and a MESI walk per geometry. `known` is an analysis of exactly these
-/// events that already exists; it stands in for its own geometry's walk.
-fn portfolio_walks(
+/// Hands `f` the events as `remap` moves them, in stream order, one
+/// [`CHUNK_CAPACITY`] chunk at a time. The identity hands out the recorded
+/// chunks themselves; any other remap refills `buf`, so no remapped copy
+/// of the trace is ever resident.
+fn remapped_chunks(
     events: &[Access],
+    remap: &AddressRemap,
+    buf: &mut Vec<Access>,
+    mut f: impl FnMut(&[Access]),
+) {
+    for chunk in events.chunks(CHUNK_CAPACITY) {
+        if remap.is_identity() {
+            f(chunk);
+        } else {
+            buf.clear();
+            buf.extend(chunk.iter().map(|&a| remap.apply_access(a)));
+            f(buf);
+        }
+    }
+}
+
+/// The portfolio over `events` as `remap` moves them into `(base, size)`:
+/// per geometry, a detector walk over the moved events' tight range and a
+/// MESI walk. Every walker is fed the same chunk before the next one is
+/// remapped, so one chunk buffer is all the replay holds besides the
+/// recorded events. `known` is an analysis of exactly these events, unmoved,
+/// that already exists; it stands in for its own geometry's walk.
+fn portfolio(
+    events: &[Access],
+    remap: &AddressRemap,
     (base, size): (u64, u64),
     meta: Option<&TraceMeta>,
-    n_cores: usize,
     cfg: &AnalyzeConfig,
     known: Option<&Report>,
 ) -> Vec<GeometryBaseline> {
-    let range = tight_range(events, base, size, &cfg.det);
-    let walk = |geom| {
-        let mut det = cfg.det;
-        det.geometry = geom;
-        let gcfg = AnalyzeConfig { det };
-        detector_walk(events, range, meta, &gcfg).report
+    let mut buf = Vec::new();
+    let (lo, len) = {
+        let _span = (!remap.is_identity()).then(|| predator_obs::span("whatif_remap"));
+        let mut hull = None;
+        if let Some(window) = hull_window(base, size) {
+            remapped_chunks(events, remap, &mut buf, |chunk| {
+                let h = touched_hull(chunk, window.clone());
+                hull = hull
+                    .into_iter()
+                    .chain(h)
+                    .reduce(|(a, b), (c, d)| (a.min(c), b.max(d)));
+            });
+        }
+        widen(hull, base, size, &cfg.det)
     };
-    CacheGeometry::portfolio()
+    let n_cores = cores_for(events);
+    let mut walkers: Vec<_> = CacheGeometry::portfolio()
         .into_iter()
-        .map(|geom| GeometryBaseline {
-            geom,
-            report: match known.filter(|_| geom == cfg.det.geometry) {
-                Some(report) => report.clone(),
-                None => walk(geom),
-            },
-            mesi: run_mesi(events, n_cores, geom),
+        .map(|geom| {
+            let pass = (known.is_none() || geom != cfg.det.geometry).then(|| {
+                predator_obs::static_counter!("whatif_detector_walks_total").inc();
+                let mut det = cfg.det;
+                det.geometry = geom;
+                Pass::new(&AnalyzeConfig { det }, lo, len)
+            });
+            predator_obs::static_counter!("whatif_mesi_walks_total").inc();
+            let span = predator_obs::span("whatif_mesi");
+            (geom, pass, span, MesiSim::new(n_cores, geom))
         })
-        .collect()
+        .collect();
+    remapped_chunks(events, remap, &mut buf, |chunk| {
+        for (_, pass, _, mesi) in &mut walkers {
+            if let Some(pass) = pass {
+                pass.feed(chunk);
+            }
+            mesi.walk(chunk);
+        }
+    });
+    let meta = meta.map(|m| remap.apply_meta(m));
+    // Spans close in the reverse of the order they opened.
+    let mut out: Vec<GeometryBaseline> = walkers
+        .into_iter()
+        .rev()
+        .map(|(geom, pass, span, mesi)| {
+            drop(span);
+            let report = match (pass, known) {
+                (Some(pass), _) => pass.finish(meta.as_ref(), LossStats::default()).report,
+                (None, known) => known.expect("only a known report skips a walk").clone(),
+            };
+            GeometryBaseline { geom, report, mesi }
+        })
+        .collect();
+    out.reverse();
+    out
 }
 
 /// Detector invalidations attributed to any finding whose object overlaps
@@ -287,9 +347,9 @@ fn annotate_fixes(
         return 0;
     }
 
-    let n_cores = cores_for(events);
     let end = moved_end(events, base, size);
-    let baselines = portfolio_walks(events, (base, size), meta, n_cores, cfg, Some(report));
+    let identity = AddressRemap::identity();
+    let baselines = portfolio(events, &identity, (base, size), meta, cfg, Some(report));
 
     // One replay per distinct edit list, shared across findings.
     let mut replays: HashMap<Vec<(u64, u64)>, Vec<GeometryBaseline>> = HashMap::new();
@@ -327,12 +387,8 @@ fn annotate_fixes(
                 k
             };
             let afters = replays.entry(key).or_insert_with(|| {
-                let span = predator_obs::span("whatif_remap");
-                let mapped = remap.apply_events(events);
-                let mapped_meta = meta.map(|m| remap.apply_meta(m));
-                drop(span);
                 let range = (base, size.saturating_add(remap.total_pad()));
-                portfolio_walks(&mapped, range, mapped_meta.as_ref(), n_cores, cfg, None)
+                portfolio(events, &remap, range, meta, cfg, None)
             });
             let new_start = remap.apply(obj_start);
             let new_end = if obj_end > obj_start {
@@ -553,6 +609,204 @@ mod tests {
         }
         let out = whatif_events(&events, base, 0xF000, None, &cfg(), &WhatIfFix::Suggested);
         assert_eq!(out.verified, 1, "{}", out.to_text());
+    }
+
+    /// A seeded multi-thread trace of `n` events: 2–4 threads on the words
+    /// of eight 64-byte lines, a few of them in a far region that widens
+    /// the hull.
+    fn seeded_trace(seed: u64, n: usize) -> Vec<Access> {
+        let mut x = seed | 1;
+        let threads = 2 + seed % 3;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let tid = ThreadId((x % threads) as u16);
+                let region = if x >> 60 == 0 { 0x2_0000 } else { 0 };
+                let addr = BASE + region + (x >> 8) % 64 * 8;
+                match x >> 20 & 3 {
+                    0 => Access::read(tid, addr, 8),
+                    _ => Access::write(tid, addr, 8),
+                }
+            })
+            .collect()
+    }
+
+    /// Attribution for the seeded traces: one object over the first four
+    /// lines, so a pad at `BASE + 8` lands inside it.
+    fn object_meta() -> TraceMeta {
+        TraceMeta {
+            globals: Vec::new(),
+            objects: vec![crate::format::MetaObject {
+                start: BASE,
+                size: 256,
+                owner: 0,
+                frames: Vec::new(),
+            }],
+            app_live_bytes: 256,
+        }
+    }
+
+    /// What a portfolio walk holds that a delta can read: the report as
+    /// JSON less `obs`, and the MESI invalidations of every line `moved`
+    /// touches.
+    fn essence(geom: CacheGeometry, report: &Report, mesi: &MesiSim, moved: &[Access]) -> String {
+        let mut report = report.clone();
+        report.obs = Default::default();
+        let lines: std::collections::BTreeSet<u64> = moved
+            .iter()
+            .flat_map(|a| geom.lines_touched(a.addr, a.size))
+            .collect();
+        let inv: Vec<(u64, u64)> = lines
+            .into_iter()
+            .map(|l| (l, mesi.line_invalidations(l)))
+            .collect();
+        let json = serde_json::to_string(&report).unwrap();
+        format!("{}B {json}\n{inv:?}\n{:?}", geom.line_size(), mesi.stats())
+    }
+
+    /// The oracle: the moved trace materialised whole, each geometry's
+    /// detector and MESI walk run over it on its own.
+    fn materialised(
+        events: &[Access],
+        remap: &AddressRemap,
+        (base, size): (u64, u64),
+        meta: Option<&TraceMeta>,
+    ) -> Vec<String> {
+        let mapped = remap.apply_events(events);
+        let mapped_meta = meta.map(|m| remap.apply_meta(m));
+        let (lo, len) = tight_range(&mapped, base, size, &cfg().det);
+        CacheGeometry::portfolio()
+            .into_iter()
+            .map(|geom| {
+                let mut det = cfg().det;
+                det.geometry = geom;
+                let gcfg = AnalyzeConfig { det };
+                let report = analyze_events(&mapped, lo, len, mapped_meta.as_ref(), &gcfg).report;
+                let mut mesi = MesiSim::new(cores_for(&mapped), geom);
+                mesi.walk(&mapped);
+                essence(geom, &report, &mesi, &mapped)
+            })
+            .collect()
+    }
+
+    fn streamed(
+        events: &[Access],
+        remap: &AddressRemap,
+        range: (u64, u64),
+        meta: Option<&TraceMeta>,
+    ) -> Vec<String> {
+        let mapped = remap.apply_events(events);
+        portfolio(events, remap, range, meta, &cfg(), None)
+            .iter()
+            .map(|b| essence(b.geom, &b.report, &b.mesi, &mapped))
+            .collect()
+    }
+
+    /// The streamed portfolio is the materialised one, whatever the edit
+    /// list and wherever the trace ends relative to a chunk boundary.
+    #[test]
+    fn streamed_portfolio_equals_the_materialised_oracle() {
+        let edit = |at, pad| LayoutEdit { at, pad };
+        let meta = object_meta();
+        for (seed, n) in [(1, 1), (2, 4095), (3, 4096), (4, 4097), (5, 3 * 4096 + 1)] {
+            let events = seeded_trace(seed, n);
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut random = Vec::new();
+            for _ in 0..1 + seed % 3 {
+                x = x.rotate_left(17).wrapping_add(seed);
+                random.push(edit(BASE + x % 64 * 8, 8 * (1 + x % 40)));
+            }
+            let lists = [
+                Vec::new(),
+                random,
+                vec![edit(BASE + 24, 64), edit(BASE + 24, 192)],
+                vec![edit(BASE + 8, 512)], // inside the object
+            ];
+            for edits in lists {
+                let remap = AddressRemap::from_edits(&edits);
+                let range = (BASE, SIZE + remap.total_pad());
+                assert_eq!(
+                    streamed(&events, &remap, range, Some(&meta)),
+                    materialised(&events, &remap, range, Some(&meta)),
+                    "{n} events, {edits:?}"
+                );
+            }
+        }
+    }
+
+    /// Through `whatif_events`: every finding's deltas are the ones the
+    /// materialised oracle's walks give, and a list `remap_fits` refuses
+    /// verifies nothing.
+    #[test]
+    fn streamed_deltas_equal_the_materialised_oracle() {
+        let events = seeded_trace(7, 2 * 4096 + 5);
+        let meta = object_meta();
+        let known = analyze_events(&events, BASE, SIZE, Some(&meta), &cfg()).report;
+        assert!(!known.findings.is_empty());
+        let walks = |remap: &AddressRemap| -> Vec<(CacheGeometry, Report, MesiSim)> {
+            let mapped = remap.apply_events(&events);
+            let meta = remap.apply_meta(&meta);
+            let size = SIZE + remap.total_pad();
+            let (lo, len) = tight_range(&mapped, BASE, size, &cfg().det);
+            let walk = |geom| {
+                let mut det = cfg().det;
+                det.geometry = geom;
+                let report = match remap.is_identity() && geom == cfg().det.geometry {
+                    true => known.clone(),
+                    false => {
+                        let gcfg = AnalyzeConfig { det };
+                        analyze_events(&mapped, lo, len, Some(&meta), &gcfg).report
+                    }
+                };
+                let mut mesi = MesiSim::new(cores_for(&mapped), geom);
+                mesi.walk(&mapped);
+                (geom, report, mesi)
+            };
+            CacheGeometry::portfolio().into_iter().map(walk).collect()
+        };
+        let refused = vec![LayoutEdit {
+            at: BASE + 8,
+            pad: u64::MAX - BASE,
+        }];
+        let fits = vec![
+            LayoutEdit {
+                at: BASE + 16,
+                pad: 8,
+            },
+            LayoutEdit {
+                at: BASE + 8,
+                pad: 256,
+            },
+        ];
+        for edits in [refused, fits] {
+            let fix = WhatIfFix::Edits(edits.clone());
+            let out = whatif_events(&events, BASE, SIZE, Some(&meta), &cfg(), &fix);
+            let remap = AddressRemap::from_edits(&edits);
+            if !remap_fits(&remap, moved_end(&events, BASE, SIZE)) {
+                assert_eq!(out.verified, 0, "{edits:?}");
+                continue;
+            }
+            assert_eq!(out.verified, known.findings.len());
+            let (before, after) = (walks(&AddressRemap::identity()), walks(&remap));
+            for f in &out.report.findings {
+                let (s, e) = (f.object.start, f.object.end);
+                let (ns, ne) = (remap.apply(s), remap.apply(e - 1) + 1);
+                let oracle: Vec<GeometryDelta> = before
+                    .iter()
+                    .zip(&after)
+                    .map(|((g, b, bm), (_, a, am))| GeometryDelta {
+                        line_size: g.line_size(),
+                        before: range_invalidations(b, s, e),
+                        after: range_invalidations(a, ns, ne),
+                        mesi_before: mesi_range_invalidations(bm, *g, s, e),
+                        mesi_after: mesi_range_invalidations(am, *g, ns, ne),
+                    })
+                    .collect();
+                assert_eq!(f.verified.as_ref().unwrap().deltas, oracle, "{edits:?}");
+            }
+        }
     }
 
     #[test]

@@ -3,12 +3,17 @@
 //! [`TraceWriter`] is the single-threaded framing layer: it owns the output
 //! stream, tracks chunk offsets for the footer index, and seals the file
 //! with a META chunk, the index, and the trailer. [`TraceSink`] puts one
-//! locked buffer in front of it, so a run records through an
-//! [`AccessSink`] one [`CHUNK_CAPACITY`] chunk at a time.
+//! buffer in front of it, so a run records through an [`AccessSink`] one
+//! [`CHUNK_CAPACITY`] chunk at a time. The buffer follows the detector's
+//! owner rule ([`Owner`]): the thread that built the sink appends with
+//! plain loads and stores, a [shared](TraceSink::into_shared) sink takes a
+//! lock per event, and any other thread panics.
 
 use std::io::{self, Write};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use predator_core::owner::Owner;
 use predator_sim::{Access, AccessKind, AccessSink, ThreadId};
 
 use crate::crc32::crc32;
@@ -126,22 +131,13 @@ impl<W: Write> TraceWriter<W> {
 /// `trace import` hands [`TraceWriter::write_events`].
 pub const CHUNK_CAPACITY: usize = 4096;
 
+/// The writer behind a [`TraceSink`]: taken once a chunk is full, and per
+/// event when the sink is shared.
 struct SinkState<W: Write> {
     writer: Option<TraceWriter<W>>,
-    pending: Vec<Access>,
+    /// The chunk being written, decoded from the sink's words.
+    chunk: Vec<Access>,
     error: Option<io::Error>,
-}
-
-impl<W: Write> SinkState<W> {
-    /// Writes the pending events as one chunk, latching the first error.
-    fn flush(&mut self) {
-        if let (None, Some(w)) = (&self.error, self.writer.as_mut()) {
-            if let Err(e) = w.write_events(&self.pending) {
-                self.error = Some(e);
-            }
-        }
-        self.pending.clear();
-    }
 }
 
 /// Recording sink: implements [`AccessSink`] over one buffer, written out
@@ -151,31 +147,80 @@ impl<W: Write> SinkState<W> {
 /// surfaced by [`finish`](TraceSink::finish); events arriving after an
 /// error are dropped.
 pub struct TraceSink<W: Write> {
+    owner: Owner,
+    /// The pending events, two words each: the address, then the thread,
+    /// size and kind. Their atomics are only ever loaded and stored: the
+    /// owner is alone in them, and a shared sink holds `state`'s lock.
+    words: Box<[AtomicU64]>,
+    len: AtomicUsize,
     state: Mutex<SinkState<W>>,
 }
 
 impl<W: Write> TraceSink<W> {
-    /// Starts a trace file over `[base, base + size)` on `w`.
+    /// Starts a trace file over `[base, base + size)` on `w`, owned by the
+    /// calling thread.
     pub fn create(w: W, base: u64, size: u64) -> io::Result<Self> {
         let state = SinkState {
             writer: Some(TraceWriter::create(w, base, size)?),
-            pending: Vec::with_capacity(CHUNK_CAPACITY),
+            chunk: Vec::with_capacity(CHUNK_CAPACITY),
             error: None,
         };
         Ok(TraceSink {
+            owner: Owner::me(),
+            words: (0..2 * CHUNK_CAPACITY).map(|_| AtomicU64::new(0)).collect(),
+            len: AtomicUsize::new(0),
             state: Mutex::new(state),
         })
+    }
+
+    /// Lets every thread record into the sink, each event under its lock.
+    pub fn into_shared(mut self) -> Self {
+        self.owner.share();
+        self
     }
 
     fn lock(&self) -> MutexGuard<'_, SinkState<W>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// The lock when the sink is shared, nothing for its owner.
+    ///
+    /// # Panics
+    /// When another thread owns the sink.
+    fn enter(&self) -> Option<MutexGuard<'_, SinkState<W>>> {
+        (!self.owner.exclusive()).then(|| self.lock())
+    }
+
+    /// Writes the pending events as one chunk, latching the first error.
+    fn flush(&self, st: &mut SinkState<W>) {
+        let n = self.len.load(Relaxed);
+        st.chunk.clear();
+        st.chunk
+            .extend(self.words[..2 * n].chunks_exact(2).map(|w| {
+                let packed = w[1].load(Relaxed);
+                Access {
+                    tid: ThreadId(packed as u16),
+                    addr: w[0].load(Relaxed),
+                    size: (packed >> 16) as u8,
+                    kind: match packed >> 24 {
+                        0 => AccessKind::Read,
+                        _ => AccessKind::Write,
+                    },
+                }
+            }));
+        if let (None, Some(w)) = (&st.error, st.writer.as_mut()) {
+            if let Err(e) = w.write_events(&st.chunk) {
+                st.error = Some(e);
+            }
+        }
+        self.len.store(0, Relaxed);
+    }
+
     /// Seals the trace: writes the pending events, then the META chunk,
     /// index, and trailer. A latched I/O error is returned here.
     pub fn finish(&self, meta: &TraceMeta) -> io::Result<WriteSummary> {
-        let mut st = self.lock();
-        st.flush();
+        let mut st = self.enter().unwrap_or_else(|| self.lock());
+        self.flush(&mut st);
         if let Some(e) = st.error.take() {
             return Err(e);
         }
@@ -192,15 +237,14 @@ impl<W: Write> TraceSink<W> {
 impl<W: Write + Send> AccessSink for TraceSink<W> {
     #[inline]
     fn access(&self, tid: ThreadId, addr: u64, size: u8, kind: AccessKind) {
-        let mut st = self.lock();
-        st.pending.push(Access {
-            tid,
-            addr,
-            size,
-            kind,
-        });
-        if st.pending.len() >= CHUNK_CAPACITY {
-            st.flush();
+        let held = self.enter();
+        let n = self.len.load(Relaxed);
+        let packed = u64::from(tid.0) | u64::from(size) << 16 | u64::from(kind.is_write()) << 24;
+        self.words[2 * n].store(addr, Relaxed);
+        self.words[2 * n + 1].store(packed, Relaxed);
+        self.len.store(n + 1, Relaxed);
+        if n + 1 == CHUNK_CAPACITY {
+            self.flush(&mut held.unwrap_or_else(|| self.lock()));
         }
     }
 }
@@ -280,7 +324,9 @@ mod tests {
                 Ok(())
             }
         }
-        let sink = TraceSink::create(Shared(state.clone()), 0, 1 << 20).unwrap();
+        let sink = TraceSink::create(Shared(state.clone()), 0, 1 << 20)
+            .unwrap()
+            .into_shared();
         std::thread::scope(|s| {
             for t in 0..4u16 {
                 let sink = &sink;
@@ -295,5 +341,23 @@ mod tests {
         assert_eq!(summary.events, 12_000);
         assert_eq!(summary.chunks, 3 + 2); // 4096 + 4096 + 3808, meta, index
         assert_eq!(state.lock().unwrap().len() as u64, summary.bytes);
+    }
+
+    /// An owned sink is its builder's: another thread that records into it
+    /// panics before it touches the buffer, and the owner goes on.
+    #[test]
+    fn another_thread_cannot_record_into_an_owned_sink() {
+        let mut buf = Vec::new();
+        let sink = TraceSink::create(&mut buf, 0, 1 << 20).unwrap();
+        sink.access(ThreadId(0), 0, 8, AccessKind::Write);
+        let foreign = std::thread::scope(|s| {
+            s.spawn(|| sink.access(ThreadId(1), 8, 8, AccessKind::Read))
+                .join()
+        });
+        let err = foreign.expect_err("a foreign thread recorded into an owned sink");
+        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(msg.contains("driven from another"), "{msg}");
+        sink.access(ThreadId(0), 16, 4, AccessKind::Read);
+        assert_eq!(sink.finish(&TraceMeta::default()).unwrap().events, 2);
     }
 }

@@ -125,6 +125,13 @@ for name in crc32 decode_events; do
     awk '/#\[cfg\(test\)\]/ { exit } { print }' "$f"
   done | grep -cE "fn $name\b")" -eq 1
 done
+# A what-if replay remaps one chunk at a time into one buffer: the resident
+# remapped copy of the trace survives only in the test oracle.
+if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/trace/src/whatif.rs |
+  grep -E 'apply_events'; then
+  echo "whatif.rs materialises a remapped copy of the trace again" >&2
+  exit 1
+fi
 
 echo "==> one offline loop (the shard planner, the dispatcher and the CPU-count default must not grow back)"
 # Offline analysis is one sequential pass (DESIGN.md, "Why there is no
@@ -166,9 +173,10 @@ if grep -rnE '\b(ignore_range|is_ignored|ignored_len|Watcher|WatchOutcome|is_com
 fi
 
 echo "==> one writer, one buffer (the thread-local trace segments, the counter shards and the recorder-depth knob must not grow back)"
-# Recording is one thread stepping every simulated one: TraceSink and
-# TraceRecorder are one locked buffer each, a Counter is one padded cell,
-# and the flight recorder keeps DEFAULT_DEPTH records per line.
+# Recording is one thread stepping every simulated one: TraceSink is one
+# buffer its owner thread appends to without a lock (a shared sink locks),
+# TraceRecorder is one locked buffer, a Counter is one padded cell, and the
+# flight recorder keeps DEFAULT_DEPTH records per line.
 if grep -rnE 'SegmentedSink|BatchSink|SEGMENT_CAPACITY|with_segment_capacity|flush_all|COUNTER_SHARDS|shard_index|recorder-depth|RECORDER_DEPTH' crates; then
   echo "a second buffering layer, a sharded counter or the recorder-depth knob is back" >&2
   exit 1
@@ -221,6 +229,13 @@ $PRED trace info "$SMOKE/run.ptrace" | grep -q "events"
 $PRED analyze "$SMOKE/run.ptrace" --sensitive --format json > "$SMOKE/offline.json"
 $PRED diff "$SMOKE/live.json" "$SMOKE/offline.json"
 echo "offline analysis matches the live run"
+# A run of no iterations records a 0-event trace that analyses clean: it is
+# refused before the output exists.
+if $PRED record histogram --iters 0 -o "$SMOKE/zero.ptrace" 2> "$SMOKE/zero.err" ||
+  ! grep -q "error: --iters must be at least 1" "$SMOKE/zero.err" || test -e "$SMOKE/zero.ptrace"; then
+  echo "record accepted --iters 0" >&2
+  exit 1
+fi
 # The committed fixture was written by the build before the sliced checksum
 # and the windowed decoder: read in full, it shows no loss; with one payload
 # byte flipped it costs that chunk and a warning (a panic would be exit 101).

@@ -56,6 +56,6 @@ fn every_walk_of_a_replay_is_counted_and_under_a_span() {
     assert_eq!(
         spans("whatif_remap"),
         edit_lists,
-        "one materialised copy per list"
+        "one remapped hull pass per list"
     );
 }
